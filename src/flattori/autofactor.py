@@ -151,10 +151,16 @@ class GenPermPhaseMatrix:
                                              for i in range(self.size)))
 
     def __pow__(self, v: int) -> "GenPermPhaseMatrix":
+        """Square-and-multiply: O(log |v|) products."""
         base = self if v >= 0 else self.inverse()
         out = GenPermPhaseMatrix.identity(self.size, self.dim)
-        for _ in range(abs(v)):
-            out = out @ base
+        v = abs(v)
+        while v:
+            if v & 1:
+                out = out @ base
+            v >>= 1
+            if v:
+                base = base @ base
         return out
 
     def translate(self, gamma) -> "GenPermPhaseMatrix":

@@ -241,6 +241,13 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flattori",
@@ -263,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-prime", required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--m-prime", type=int, default=1)
-    p.add_argument("--cap", type=int, default=nctorus.ORBIT_CAP)
+    p.add_argument("--cap", type=_positive_int, default=nctorus.ORBIT_CAP,
+                   help="most orbit states to visit before answering undecided")
     p.set_defaults(func=cmd_iso)
 
     for name, fn in (("twist", cmd_twist), ("omega", cmd_omega)):

@@ -119,7 +119,7 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def to_rat(self) -> "RatMatrix":
-        return RatMatrix([[Fraction(a) for a in row] for row in self.entries])
+        return RatMatrix(self.entries)
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a matrix with det = +-1 (stays integral)."""
@@ -130,6 +130,25 @@ class IntMatrix:
         return inv.to_int()
 
 
+# Equal rational entries share one instance: Fraction(x) on a Fraction makes
+# a copy, and matrices repeat few values.  Values are immutable, so sharing
+# is invisible; the table stops growing at _SHARED_LIMIT values.
+_SHARED = {}
+_SHARED_LIMIT = 4096
+
+
+def _shared_fraction(x) -> Fraction:
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    key = (x.numerator, x.denominator)
+    y = _SHARED.get(key)
+    if y is None:
+        if len(_SHARED) >= _SHARED_LIMIT:
+            return x
+        _SHARED[key] = y = x
+    return y
+
+
 class RatMatrix:
     """Immutable matrix of exact rationals (Fraction keeps lowest terms
     and positive denominators, so equality is structural)."""
@@ -137,7 +156,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        ents = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        ents = tuple(tuple(_shared_fraction(x) for x in row) for row in entries)
         if not ents or not ents[0]:
             raise ValueError("matrix dimensions must be positive")
         if any(len(r) != len(ents[0]) for r in ents):

@@ -3,9 +3,19 @@
 The deformation parameter is a rational skew form theta; only the phases
 e(theta_ij) matter, so everything is invariant under integer shifts and
 GL(n, Z) congruence.  The decision procedure reduces to a finite orbit walk
-mod the common denominator, with every positive answer shipping an exact
+mod the common denominator ell, with every positive answer shipping an exact
 integral certificate (T, shift) that is verified literally before being
 returned.
+
+The walk is a bidirectional breadth-first search over the GL(n, Z)-orbit of
+ell * theta mod ell.  A state is the strict upper triangle of that
+alternating form, a flat tuple of n(n-1)/2 residues.  A generator acts on it
+by a few precomputed elementary updates: I + c e_ij changes the n - 2
+entries of row/column i, the sign flip of row 0 negates n - 1 entries.
+Each visited state keeps only its parent and the index of the generator
+that reached it; where the two search trees meet, the two generator words
+are multiplied out mod ell into g and h, and h^-1 g is lifted to the
+certificate.  The orbit cap counts visited states on both sides together.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .bundles import classify_projflat, direct_sum_power, endo, line_twist_exists
@@ -176,8 +187,11 @@ class IsoDecision:
 
 
 def _theta_bar(theta: SkewRatForm, ell: int):
-    f = theta.frac()
-    return tuple(tuple(int(x * ell) % ell for x in row) for row in f.mat.entries)
+    """Walk state of theta: the strict upper triangle of ell * frac(theta)
+    mod ell, row by row.  The form is alternating mod ell, so this
+    determines it."""
+    f = theta.frac().mat
+    return tuple(int(f[i][j] * ell) % ell for i, j in combinations(range(theta.n), 2))
 
 
 def _invariant_chain(theta: SkewRatForm, ell: int):
@@ -193,79 +207,124 @@ def _mat_mul_mod(a, b, ell):
                        for j in range(n)) for i in range(n))
 
 
-def _congruence_mod(g, m, ell):
-    gt = tuple(zip(*g))
-    return _mat_mul_mod(_mat_mul_mod(g, m, ell), gt, ell)
+def _identity(n: int):
+    return tuple(tuple(int(r == s) for s in range(n)) for r in range(n))
 
 
 def _generators(n: int, ell: int):
+    """Generators of GL(n, Z) mod ell, as (g, updates) pairs in walk order:
+    the elementary E = I + c e_ij (c = +-1), then the sign flip J of row 0.
+    Generators equal mod ell to the identity or to an earlier one are
+    dropped; they would only revisit states.
+
+    `updates` is the action S -> g S g^t on packed states (`_step`): a tuple
+    of (target, source, k) meaning new[target] = old[target] + k old[source].
+    E changes only the pairs {i, b}, b not in {i, j}: S'_ib = S_ib + c S_jb,
+    and with S_ab = sigma(a, b) packed(a, b) for sigma = +1 above the
+    diagonal and -1 below, k = c sigma(i, b) sigma(j, b).  J negates row 0,
+    which is k = -2 on each entry (0, b)."""
+    pos = {}
+    for t, (i, j) in enumerate(combinations(range(n), 2)):
+        pos[i, j] = pos[j, i] = t
+
+    def sigma(a, b):
+        return 1 if a < b else -1
+
     gens = []
+    known = {_identity(n)}
+
+    def add(rows, updates):
+        g = tuple(tuple(r) for r in rows)
+        if g not in known:
+            known.add(g)
+            gens.append((g, updates))
+
     for i in range(n):
         for j in range(n):
             if i != j:
                 for c in (1, -1):
-                    e = [[int(r == s) for s in range(n)] for r in range(n)]
+                    e = [list(r) for r in _identity(n)]
                     e[i][j] = c % ell
-                    gens.append(tuple(tuple(r) for r in e))
-    j = [[int(r == s) for s in range(n)] for r in range(n)]
-    j[0][0] = (-1) % ell
-    gens.append(tuple(tuple(r) for r in j))
+                    add(e, tuple((pos[i, b], pos[j, b], c * sigma(i, b) * sigma(j, b) % ell)
+                                 for b in range(n) if b not in (i, j)))
+    flip = [list(r) for r in _identity(n)]
+    flip[0][0] = -1 % ell
+    add(flip, tuple((pos[0, b], pos[0, b], -2 % ell) for b in range(1, n)))
     return gens
 
 
+def _step(state, updates, ell):
+    """g S g^t mod ell on a packed state, for the updates of g."""
+    new = list(state)
+    for t, s, k in updates:
+        new[t] = (state[t] + k * state[s]) % ell
+    return tuple(new)
+
+
+def _group_element(seen, state, gens, n, ell):
+    """g mod ell with g * root * g^t = state, for the root of the search
+    tree `seen` (state -> (parent, generator index), root -> None): the
+    product of the generator word along the parent pointers."""
+    word = []
+    while seen[state] is not None:
+        state, k = seen[state]
+        word.append(k)
+    g = _identity(n)
+    for k in reversed(word):
+        g = _mat_mul_mod(gens[k][0], g, ell)
+    return g
+
+
 def _congruence_search(theta: SkewRatForm, theta2: SkewRatForm, cap: int):
-    """Bidirectional orbit walk between the mod-ell reductions.  Returns
-    (status, g mod ell or None, ell)."""
+    """Bidirectional breadth-first orbit walk between the mod-ell reductions,
+    expanding the smaller frontier, one level at a time.  States are packed
+    upper triangles (`_theta_bar`); each new state records its parent and
+    generator, and only where the two trees meet is the group element
+    rebuilt from those words.  More than `cap` visited states on both sides
+    together gives UNDECIDED.  Returns (status, g mod ell or None, ell)."""
     n = theta.n
     ell = lcm(theta.frac().common_denominator(), theta2.frac().common_denominator())
-    ident = tuple(tuple(int(r == s) for s in range(n)) for r in range(n))
     if ell == 1:
-        return IsoStatus.ISO, ident, ell
+        return IsoStatus.ISO, _identity(n), ell
     s1 = _theta_bar(theta, ell)
     s2 = _theta_bar(theta2, ell)
     if s1 == s2:
-        return IsoStatus.ISO, ident, ell
+        return IsoStatus.ISO, _identity(n), ell
     gens = _generators(n, ell)
-    fwd = {s1: ident}
-    bwd = {s2: ident}
+    steps = [updates for _, updates in gens]
+    fwd = {s1: None}
+    bwd = {s2: None}
     frontier_f = [s1]
     frontier_b = [s2]
 
-    def meet(g_fwd, h_bwd):
-        hinv = inverse_mod(IntMatrix(h_bwd), ell)
-        prod = _mat_mul_mod(tuple(hinv.entries), g_fwd, ell)
-        return IsoStatus.ISO, prod, ell
+    def meet(state):
+        g = _group_element(fwd, state, gens, n, ell)
+        h = _group_element(bwd, state, gens, n, ell)
+        hinv = inverse_mod(IntMatrix(h), ell)
+        return IsoStatus.ISO, _mat_mul_mod(tuple(hinv.entries), g, ell), ell
 
-    while frontier_f or frontier_b:
-        use_fwd = bool(frontier_f) and (not frontier_b
-                                        or len(frontier_f) <= len(frontier_b))
+    while True:
+        use_fwd = len(frontier_f) <= len(frontier_b)
         frontier, seen, other = ((frontier_f, fwd, bwd) if use_fwd
                                  else (frontier_b, bwd, fwd))
         new_frontier = []
         for state in frontier:
-            g0 = seen[state]
-            for e in gens:
-                ns = _congruence_mod(e, state, ell)
+            for k, updates in enumerate(steps):
+                ns = _step(state, updates, ell)
                 if ns in seen:
                     continue
-                ng = _mat_mul_mod(e, g0, ell)
-                seen[ns] = ng
+                seen[ns] = (state, k)
                 new_frontier.append(ns)
                 if ns in other:
-                    if use_fwd:
-                        return meet(ng, other[ns])
-                    return meet(other[ns], ng)
+                    return meet(ns)
                 if len(fwd) + len(bwd) > cap:
                     return IsoStatus.UNDECIDED, None, ell
         if use_fwd:
             frontier_f = new_frontier
-            if not new_frontier:
-                return IsoStatus.NOT_ISO, None, ell  # forward orbit closed
         else:
             frontier_b = new_frontier
-            if not new_frontier:
-                return IsoStatus.NOT_ISO, None, ell
-    return IsoStatus.NOT_ISO, None, ell
+        if not new_frontier:
+            return IsoStatus.NOT_ISO, None, ell  # an orbit closed
 
 
 def _certified(theta: SkewRatForm, theta2: SkewRatForm, g, ell) -> IsoDecision:
@@ -274,6 +333,14 @@ def _certified(theta: SkewRatForm, theta2: SkewRatForm, g, ell) -> IsoDecision:
     if not diff.is_integral():
         raise AssertionError("lifted certificate failed literal verification")
     return IsoDecision(IsoStatus.ISO, T=T, shift=diff.to_int())
+
+
+def _invariants_differ(theta: SkewRatForm, theta2: SkewRatForm) -> bool:
+    """q_theta or the finite pairing invariants differ: no walk needed."""
+    if q_theta(theta) != q_theta(theta2):
+        return True
+    ell = lcm(theta.frac().common_denominator(), theta2.frac().common_denominator())
+    return _invariant_chain(theta, ell) != _invariant_chain(theta2, ell)
 
 
 def iso_decide(p1: NCTorusParams, p2: NCTorusParams, cap: int = ORBIT_CAP) -> IsoDecision:
@@ -286,10 +353,7 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams, cap: int = ORBIT_CAP) -> Is
     if p1.n != p2.n or p1.m != p2.m:
         return IsoDecision(IsoStatus.NOT_ISO)
     theta, theta2 = p1.theta, p2.theta
-    if q_theta(theta) != q_theta(theta2):
-        return IsoDecision(IsoStatus.NOT_ISO)
-    ell = lcm(theta.frac().common_denominator(), theta2.frac().common_denominator())
-    if _invariant_chain(theta, ell) != _invariant_chain(theta2, ell):
+    if _invariants_differ(theta, theta2):
         return IsoDecision(IsoStatus.NOT_ISO)
     status, g, ell = _congruence_search(theta, theta2, cap)
     if status is IsoStatus.ISO:
@@ -299,14 +363,13 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams, cap: int = ORBIT_CAP) -> Is
 
 def iso_via_bundles(theta: SkewRatForm, theta2: SkewRatForm, m: int = 1,
                     cap: int = ORBIT_CAP) -> IsoDecision:
-    """Alternative decision through the bundle classification: align by the
-    shared congruence search, then ask for a line-bundle twist between the
-    m-fold sums.  Must agree with iso_decide; the amplification m cancels."""
+    """Alternative decision through the bundle classification: after the
+    same early rejections as iso_decide, align by the shared congruence
+    search, then ask for a line-bundle twist between the m-fold sums.  Must
+    agree with iso_decide; the amplification m cancels."""
     if m < 1:
         raise ValueError("matrix amplification must be >= 1")
-    if theta.n != theta2.n:
-        return IsoDecision(IsoStatus.NOT_ISO)
-    if q_theta(theta) != q_theta(theta2):
+    if theta.n != theta2.n or _invariants_differ(theta, theta2):
         return IsoDecision(IsoStatus.NOT_ISO)
     status, g, ell = _congruence_search(theta, theta2, cap)
     if status is not IsoStatus.ISO:

@@ -20,6 +20,7 @@ from flattori.autofactor import (
     winding_number,
 )
 from flattori.cohomology import mu_q_image
+from flattori.projrep import clock_shift
 
 
 def test_affine_phase_mod1_and_ops():
@@ -37,6 +38,18 @@ def test_affine_phase_sign_characters():
     minus = AffinePhase((), Fraction(1, 2))
     assert abs(minus.eval_complex(()) - (-1)) < 1e-12
     assert (minus + minus).const == 0
+
+
+def test_gen_perm_matrix_pow_matches_repeated_product():
+    for q, p in ((5, 2), (6, 1), (12, 7)):
+        for g in clock_shift(q, p):
+            ident = GenPermPhaseMatrix.identity(q, g.dim)
+            for v in range(-9, 10):
+                base = g if v >= 0 else g.inverse()
+                want = ident
+                for _ in range(abs(v)):
+                    want = want @ base
+                assert g ** v == want
 
 
 def test_gen_perm_matrix_algebra():

@@ -85,6 +85,15 @@ def test_iso_cli_undecided_exit_code(capsys):
     assert "undecided" in out
 
 
+def test_iso_cli_rejects_cap_below_one(capsys):
+    for cap in ("0", "-3"):
+        code, out, err = invoke(capsys, "iso", "--theta", THETA_13,
+                                "--theta-prime", THETA_23, "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert "--cap" in err
+
+
 def test_twist_cli(capsys):
     code, out, _ = invoke(capsys, "twist", "--q", "3", "--a", "1")
     assert code == 0 and out == "-1\n"

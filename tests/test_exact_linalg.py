@@ -210,6 +210,11 @@ def test_rat_matrix_canonical():
     assert m[0][0] == Fraction(1, 2)
     assert m[0][1] == Fraction(1, 3)
     assert m[0][1].denominator > 0
+    # equal entries, of either input type, share one Fraction instance
+    m = RatMatrix([[Fraction(5, 7), 3], [Fraction(10, 14), Fraction(3)]])
+    assert type(m[1][0]) is Fraction and type(m[0][1]) is Fraction
+    assert m[0][0] is m[1][0]
+    assert m[0][1] is m[1][1]
 
 
 def test_rat_inverse():

@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import oracles
+from flattori import nctorus
 from flattori.cohomology import pullback
 from flattori.exact_linalg import IntMatrix, SkewRatForm, unimodular_sample
 from flattori.nctorus import (
@@ -312,3 +315,81 @@ def test_undecided_at_cap():
 def test_q_theta_equal_pre_in_iso_via_bundles():
     assert iso_via_bundles(skew2(Fraction(1, 3)), skew2(Fraction(1, 5))).status \
         is IsoStatus.NOT_ISO
+
+
+def test_iso_via_bundles_rejects_on_invariant_chain():
+    # equal q_theta = 4, chains (2, 2) and (4): both decisions must reject
+    # before walking, so even a cap of one state cannot make them undecided
+    t1 = skew_blocks(Fraction(1, 2), Fraction(1, 2))
+    t2 = skew_blocks(Fraction(1, 4), 0)
+    assert q_theta(t1) == q_theta(t2)
+    assert iso_decide(params(t1), params(t2), cap=1).status is IsoStatus.NOT_ISO
+    assert iso_via_bundles(t1, t2, cap=1).status is IsoStatus.NOT_ISO
+
+
+def test_packed_step_matches_literal_congruence():
+    rng = random.Random(79)
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for ell in (2, 3, 4, 6, 12):
+            gens = nctorus._generators(n, ell)
+            mats = [g for g, _ in gens]
+            assert len(set(mats)) == len(mats)
+            assert nctorus._identity(n) not in mats
+            # E(+1) = E(-1) and J = I mod 2
+            assert len(gens) == (n * (n - 1) if ell == 2 else 2 * n * (n - 1) + 1)
+            for _ in range(4):
+                m = [[Fraction(0)] * n for _ in range(n)]
+                for i, j in pairs:
+                    m[i][j] = Fraction(rng.randrange(-2 * ell, 2 * ell), ell)
+                    m[j][i] = -m[i][j]
+                theta = SkewRatForm(m)
+                dense = oracles.theta_bar_state(theta, ell)
+                state = nctorus._theta_bar(theta, ell)
+                assert state == tuple(dense[i][j] for i, j in pairs)
+                for g, updates in gens:
+                    want = [[sum(g[i][a] * dense[a][b] * g[j][b]
+                                 for a in range(n) for b in range(n)) % ell
+                             for j in range(n)] for i in range(n)]
+                    got = nctorus._step(state, updates, ell)
+                    for t, (i, j) in enumerate(pairs):
+                        assert got[t] == want[i][j]
+                        assert (got[t] + want[j][i]) % ell == 0
+                    assert all(want[i][i] == 0 for i in range(n))
+
+
+def test_deep_walk_certificate_verifies(monkeypatch):
+    # both search trees are at least three generators deep where they meet,
+    # so the certificate comes from multiplying out two nontrivial words
+    depths = []
+    rebuild = nctorus._group_element
+
+    def spy(seen, state, *args):
+        depth, s = 0, state
+        while seen[s] is not None:
+            s, _ = seen[s]
+            depth += 1
+        depths.append(depth)
+        return rebuild(seen, state, *args)
+
+    monkeypatch.setattr(nctorus, "_group_element", spy)
+    t1 = skew_blocks(Fraction(1, 5), Fraction(2, 5))
+    t2 = t1.congruence(unimodular_sample(4, seed=2, word_length=12))
+    d = iso_decide(params(t1), params(t2))
+    assert d.status is IsoStatus.ISO
+    assert len(depths) == 2 and min(depths) >= 3
+    assert abs(d.T.det()) == 1
+    assert t2.mat - t1.congruence(d.T).mat == d.shift.to_rat()
+
+
+def test_bundle_of_n4_denominators_4_and_5_within_budget():
+    # entries of the inverse normal-form certificate run into the hundreds
+    # here; with |v| products per power this took over 10 s
+    theta = SkewRatForm([[Fraction(x) for x in row] for row in (
+        ("0", "3/4", "1/2", "1/3"), ("-3/4", "0", "1/2", "1/4"),
+        ("-1/2", "-1/2", "0", "4/5"), ("-1/3", "-1/4", "-4/5", "0"))])
+    start = time.perf_counter()
+    vec, _, rep = bundle_of(theta)
+    elapsed = time.perf_counter() - start
+    assert vec.rank == rep.dim == q_theta(theta) == 120
+    assert elapsed < 3.0, f"bundle_of took {elapsed:.2f} s (budget 3 s)"
