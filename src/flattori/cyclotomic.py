@@ -1,10 +1,12 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_L) = Q[z] / Phi_L(z).
 
 Elements are coefficient vectors over the power basis 1, z, ..., z^{phi(L)-1}
-with Fraction coefficients.  Rank decisions in projrep are made here, over a
-genuine field: formal coordinates indexed by all L powers of z would live in
-the group algebra Q[z]/(z^L - 1) instead, whose extra components inflate
-solution spaces.
+with Fraction coefficients.  This is a genuine field: formal coordinates
+indexed by all L powers of z would live in the group algebra Q[z]/(z^L - 1)
+instead, whose extra components inflate solution spaces.  projrep returns its
+intertwiners as matrices of these elements and verifies them here; its
+monomial systems are solved on integer phase exponents and never reach
+`sparse_rref`, which stays as the general sparse solver.
 """
 
 from __future__ import annotations
@@ -78,12 +80,11 @@ class CycElt:
 
     @classmethod
     def zero(cls, L: int) -> "CycElt":
-        return cls(L, [0] * (len(cyclotomic_polynomial(L)) - 1))
+        return _constant(L, 0)
 
     @classmethod
     def one(cls, L: int) -> "CycElt":
-        deg = len(cyclotomic_polynomial(L)) - 1
-        return cls(L, [1] + [0] * (deg - 1))
+        return _constant(L, 1)
 
     @classmethod
     def from_phase(cls, phase: Fraction, L: int) -> "CycElt":
@@ -94,7 +95,7 @@ class CycElt:
         return cls(L, _power_table(L)[int(k) % L])
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other):
         return CycElt(self.L, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -187,6 +188,14 @@ class CycElt:
         return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
 
 
+@lru_cache(maxsize=None)
+def _constant(L: int, c: int) -> CycElt:
+    """The rational constant c of Q(zeta_L); elements are immutable, so one
+    instance per (L, c) is shared by every caller."""
+    deg = len(cyclotomic_polynomial(L)) - 1
+    return CycElt(L, [c] + [0] * (deg - 1))
+
+
 def sparse_rref(rows, nvars: int, L: int):
     """Reduced row echelon form of a sparse system over Q(zeta_L).
 
@@ -241,7 +250,7 @@ def nullspace(rows, nvars: int, L: int):
     pivots, free = sparse_rref(rows, nvars, L)
     basis = []
     for f in free:
-        vec = [CycElt.zero(L) for _ in range(nvars)]
+        vec = [CycElt.zero(L)] * nvars
         vec[f] = CycElt.one(L)
         for pc, row in pivots.items():
             v = row.get(f)

@@ -187,17 +187,17 @@ class IsoDecision:
 
 
 def _theta_bar(theta: SkewRatForm, ell: int):
-    """Walk state of theta: the strict upper triangle of ell * frac(theta)
-    mod ell, row by row.  The form is alternating mod ell, so this
-    determines it."""
-    f = theta.frac().mat
+    """Walk state of theta: the strict upper triangle of ell * theta mod
+    ell, row by row (the same for theta and frac(theta)).  The form is
+    alternating mod ell, so this determines it."""
+    f = theta.mat
     return tuple(int(f[i][j] * ell) % ell for i, j in combinations(range(theta.n), 2))
 
 
-def _invariant_chain(theta: SkewRatForm, ell: int):
+def _invariant_chain(f: SkewRatForm, ell: int):
     """Denominators q_i = ell / gcd(e_i, ell) > 1 of the divisor chain of
-    ell * frac(theta): the finite pairing invariants of the class."""
-    divisors = symplectic_normal_form(theta.frac().scaled_int(ell)).divisors
+    ell * f, for f = frac(theta): the finite pairing invariants of the class."""
+    divisors = symplectic_normal_form(f.scaled_int(ell)).divisors
     return tuple(ell // gcd(e, ell) for e in divisors if ell // gcd(e, ell) > 1)
 
 
@@ -275,21 +275,20 @@ def _group_element(seen, state, gens, n, ell):
     return g
 
 
-def _congruence_search(theta: SkewRatForm, theta2: SkewRatForm, cap: int):
+def _congruence_search(f1: SkewRatForm, f2: SkewRatForm, ell: int, cap: int):
     """Bidirectional breadth-first orbit walk between the mod-ell reductions,
     expanding the smaller frontier, one level at a time.  States are packed
     upper triangles (`_theta_bar`); each new state records its parent and
     generator, and only where the two trees meet is the group element
     rebuilt from those words.  More than `cap` visited states on both sides
-    together gives UNDECIDED.  Returns (status, g mod ell or None, ell)."""
-    n = theta.n
-    ell = lcm(theta.frac().common_denominator(), theta2.frac().common_denominator())
+    together gives UNDECIDED.  Returns (status, g mod ell or None)."""
+    n = f1.n
     if ell == 1:
-        return IsoStatus.ISO, _identity(n), ell
-    s1 = _theta_bar(theta, ell)
-    s2 = _theta_bar(theta2, ell)
+        return IsoStatus.ISO, _identity(n)
+    s1 = _theta_bar(f1, ell)
+    s2 = _theta_bar(f2, ell)
     if s1 == s2:
-        return IsoStatus.ISO, _identity(n), ell
+        return IsoStatus.ISO, _identity(n)
     gens = _generators(n, ell)
     steps = [updates for _, updates in gens]
     fwd = {s1: None}
@@ -301,7 +300,7 @@ def _congruence_search(theta: SkewRatForm, theta2: SkewRatForm, cap: int):
         g = _group_element(fwd, state, gens, n, ell)
         h = _group_element(bwd, state, gens, n, ell)
         hinv = inverse_mod(IntMatrix(h), ell)
-        return IsoStatus.ISO, _mat_mul_mod(tuple(hinv.entries), g, ell), ell
+        return IsoStatus.ISO, _mat_mul_mod(tuple(hinv.entries), g, ell)
 
     while True:
         use_fwd = len(frontier_f) <= len(frontier_b)
@@ -318,13 +317,13 @@ def _congruence_search(theta: SkewRatForm, theta2: SkewRatForm, cap: int):
                 if ns in other:
                     return meet(ns)
                 if len(fwd) + len(bwd) > cap:
-                    return IsoStatus.UNDECIDED, None, ell
+                    return IsoStatus.UNDECIDED, None
         if use_fwd:
             frontier_f = new_frontier
         else:
             frontier_b = new_frontier
         if not new_frontier:
-            return IsoStatus.NOT_ISO, None, ell  # an orbit closed
+            return IsoStatus.NOT_ISO, None  # an orbit closed
 
 
 def _certified(theta: SkewRatForm, theta2: SkewRatForm, g, ell) -> IsoDecision:
@@ -335,12 +334,17 @@ def _certified(theta: SkewRatForm, theta2: SkewRatForm, g, ell) -> IsoDecision:
     return IsoDecision(IsoStatus.ISO, T=T, shift=diff.to_int())
 
 
-def _invariants_differ(theta: SkewRatForm, theta2: SkewRatForm) -> bool:
-    """q_theta or the finite pairing invariants differ: no walk needed."""
+def _reduced_pair(theta: SkewRatForm, theta2: SkewRatForm):
+    """(frac(theta), frac(theta2), ell) with ell the lcm of their
+    denominators, the walk modulus; None when q_theta or the finite pairing
+    invariants differ, so that no walk is needed."""
     if q_theta(theta) != q_theta(theta2):
-        return True
-    ell = lcm(theta.frac().common_denominator(), theta2.frac().common_denominator())
-    return _invariant_chain(theta, ell) != _invariant_chain(theta2, ell)
+        return None
+    f1, f2 = theta.frac(), theta2.frac()
+    ell = lcm(f1.common_denominator(), f2.common_denominator())
+    if _invariant_chain(f1, ell) != _invariant_chain(f2, ell):
+        return None
+    return f1, f2, ell
 
 
 def iso_decide(p1: NCTorusParams, p2: NCTorusParams, cap: int = ORBIT_CAP) -> IsoDecision:
@@ -353,11 +357,12 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams, cap: int = ORBIT_CAP) -> Is
     if p1.n != p2.n or p1.m != p2.m:
         return IsoDecision(IsoStatus.NOT_ISO)
     theta, theta2 = p1.theta, p2.theta
-    if _invariants_differ(theta, theta2):
+    reduced = _reduced_pair(theta, theta2)
+    if reduced is None:
         return IsoDecision(IsoStatus.NOT_ISO)
-    status, g, ell = _congruence_search(theta, theta2, cap)
+    status, g = _congruence_search(*reduced, cap)
     if status is IsoStatus.ISO:
-        return _certified(theta, theta2, g, ell)
+        return _certified(theta, theta2, g, reduced[2])
     return IsoDecision(status)
 
 
@@ -369,12 +374,13 @@ def iso_via_bundles(theta: SkewRatForm, theta2: SkewRatForm, m: int = 1,
     agree with iso_decide; the amplification m cancels."""
     if m < 1:
         raise ValueError("matrix amplification must be >= 1")
-    if theta.n != theta2.n or _invariants_differ(theta, theta2):
+    reduced = _reduced_pair(theta, theta2) if theta.n == theta2.n else None
+    if reduced is None:
         return IsoDecision(IsoStatus.NOT_ISO)
-    status, g, ell = _congruence_search(theta, theta2, cap)
+    status, g = _congruence_search(*reduced, cap)
     if status is not IsoStatus.ISO:
         return IsoDecision(status)
-    decision = _certified(theta, theta2, g, ell)
+    decision = _certified(theta, theta2, g, reduced[2])
     aligned = theta.congruence(decision.T)
     n = theta.n
     e1 = direct_sum_power(classify_projflat(n, q_theta(aligned), c1_of_E_theta(aligned)), m)

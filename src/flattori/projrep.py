@@ -2,9 +2,13 @@
 coboundary equivalence, and the irreducible clock-and-shift projective
 representations.
 
-Everything is exact: phases are rationals mod 1, and the commutant and
-intertwiner linear systems are solved over the cyclotomic field of order
-lcm(q_i).  No floating point in this module.
+Everything is exact: phases are rationals mod 1.  The commutant and
+intertwiner systems X U1 = U2 X have generalized permutation-phase images U,
+so each equation ties two unknowns by a root of unity; they are solved by
+propagating integer phase exponents mod L = lcm(q_i) over the connected
+components of the unknowns, which is exact over Q(zeta_L) without field
+arithmetic.  Intertwiners come back as Q(zeta_L) matrices, verified
+literally.  No floating point in this module.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .autofactor import AffinePhase, GenPermPhaseMatrix
-from .cyclotomic import CycElt, nullspace, sparse_rref
+from .cyclotomic import CycElt
 from .exact_linalg import IntMatrix, RatMatrix, SkewRatForm, lattice_kernel_mod
 
 
@@ -267,56 +272,56 @@ def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:
     return ProjectiveRep(gens, BilinearCocycle(theta.upper()))
 
 
-def _commutant_equations(rep: ProjectiveRep, L: int):
-    """Sparse rows over Q(zeta_L) for {X : X U_i = U_i X}."""
-    d = rep.dim
-    rows = []
-    for g in rep.gens:
-        perm = g.perm
-        inv = [0] * d
-        for j, p in enumerate(perm):
-            inv[p] = j
-        u = [CycElt.from_phase(ph.const, L) for ph in g.phases]
-        for r in range(d):
-            for c in range(d):
-                # u_c X[r, perm(c)] - u_{inv(r)} X[inv(r), c] = 0
-                row: dict[int, CycElt] = {}
-                v1 = r * d + perm[c]
-                row[v1] = u[c]
-                v2 = inv[r] * d + c
-                row[v2] = row.get(v2, CycElt.zero(L)) - u[inv[r]]
-                rows.append(row)
-    return rows
+def _monomial_solutions(gens1, gens2, d: int, L: int):
+    """Basis of {X : X U1_i = U2_i X} over Q(zeta_L) for paired generalized
+    permutation-phase images of size d, solved on integer phase exponents.
+
+    Unknown v = r d + c is X[r, c].  With U e_c = u_c e_perm(c), entry
+    (perm2(r), c) of X U1 = U2 X reads u1_c X[perm2(r), perm1(c)] = u2_r X[r, c],
+    so every equation ties exactly two unknowns by a root of unity.
+    Propagating x_v = zeta^p(v) x_root from the first unknown of each
+    connected component fixes p(v) mod L; every further equation closes a
+    cycle, and one that closes with zeta^m != 1 gives x_root = zeta^m x_root,
+    which forces the component to zero.  Returns the consistent components
+    in order of their first unknown, each as {v: p(v)} with p = 0 at the
+    first unknown: the vector with entries zeta^p(v) there, zeros elsewhere."""
+    steps = []
+    for g1, g2 in zip(gens1, gens2):
+        # X[perm2(r), perm1(c)] = zeta^(e2[r] - e1[c]) X[r, c], u = zeta^e
+        steps.append(([(g2.perm[r] * d, ph.const.numerator * (L // ph.const.denominator))
+                       for r, ph in enumerate(g2.phases)],
+                      [(g1.perm[c], -ph.const.numerator * (L // ph.const.denominator))
+                       for c, ph in enumerate(g1.phases)]))
+    phase = [None] * (d * d)
+    components = []
+    for root in range(d * d):
+        if phase[root] is not None:
+            continue
+        phase[root] = 0
+        comp = {root: 0}
+        stack = [root]
+        closes = True
+        while stack:
+            v = stack.pop()
+            r, c = divmod(v, d)
+            for rows, cols in steps:
+                w = rows[r][0] + cols[c][0]
+                pw = (phase[v] + rows[r][1] + cols[c][1]) % L
+                if phase[w] is None:
+                    phase[w] = comp[w] = pw
+                    stack.append(w)
+                elif phase[w] != pw:
+                    closes = False
+        if closes:
+            components.append(comp)
+    return components
 
 
 def commutant_dim(rep: ProjectiveRep) -> int:
-    """Dimension of the commutant of the generator images, decided exactly
-    over the cyclotomic field of the phase order."""
-    L = rep.phase_order()
-    rows = _commutant_equations(rep, L)
-    pivots, _ = sparse_rref(rows, rep.dim * rep.dim, L)
-    return rep.dim * rep.dim - len(pivots)
-
-
-def _gen_to_cyc(g: GenPermPhaseMatrix, L: int):
-    d = g.size
-    m = [[CycElt.zero(L) for _ in range(d)] for _ in range(d)]
-    for j in range(d):
-        m[g.perm[j]][j] = CycElt.from_phase(g.phases[j].const, L)
-    return m
-
-
-def _cyc_matmul(a, b, L):
-    d = len(a)
-    out = [[CycElt.zero(L) for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for k in range(d):
-            if a[i][k].is_zero():
-                continue
-            for j in range(d):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
+    """Dimension of the commutant of the generator images over the
+    cyclotomic field of the phase order: the number of components of the
+    monomial system that close with phase 1."""
+    return len(_monomial_solutions(rep.gens, rep.gens, rep.dim, rep.phase_order()))
 
 
 def _cyc_det_nonzero(m, L) -> bool:
@@ -332,7 +337,7 @@ def _cyc_det_nonzero(m, L) -> bool:
         for r in range(col + 1, d):
             if not a[r][col].is_zero():
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                a[r] = [x if y.is_zero() else x - f * y for x, y in zip(a[r], a[col])]
     return True
 
 
@@ -343,7 +348,9 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
     Distinct bicharacters are a contract violation (error), not a negative
     answer.  For equal-cocycle irreducibles a nonzero solution is invertible
     by the Schur argument, so the first basis vector of the solution space
-    decides; reducible inputs are probed through small basis combinations.
+    decides; reducible inputs are probed through pairwise sums of basis
+    vectors.  A support with one entry per row and column is invertible
+    (det = +- a product of roots of unity); any other is eliminated exactly.
     """
     if bicharacter_of(rep1.cocycle) != bicharacter_of(rep2.cocycle):
         raise ValueError("cocycle mismatch: distinct bicharacters")
@@ -353,46 +360,35 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
         return None
     d = rep1.dim
     L = lcm(rep1.phase_order(), rep2.phase_order())
-    rows = []
-    for g1, g2 in zip(rep1.gens, rep2.gens):
-        perm1 = g1.perm
-        inv2 = [0] * d
-        for j, p in enumerate(g2.perm):
-            inv2[p] = j
-        u1 = [CycElt.from_phase(ph.const, L) for ph in g1.phases]
-        u2 = [CycElt.from_phase(ph.const, L) for ph in g2.phases]
-        for r in range(d):
-            for c in range(d):
-                # u1_c X[r, perm1(c)] - u2_{inv2(r)} X[inv2(r), c] = 0
-                row: dict[int, CycElt] = {}
-                v1 = r * d + perm1[c]
-                row[v1] = u1[c]
-                v2 = inv2[r] * d + c
-                row[v2] = row.get(v2, CycElt.zero(L)) - u2[inv2[r]]
-                rows.append(row)
-    basis = nullspace(rows, d * d, L)
-    if not basis:
-        return None
-
-    def to_matrix(vec):
-        return [[vec[r * d + c] for c in range(d)] for r in range(d)]
-
-    candidates = [to_matrix(v) for v in basis]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            candidates.append(to_matrix([a + b for a, b in zip(basis[i], basis[j])]))
-    for X in candidates:
-        if _cyc_det_nonzero(X, L):
-            lead = next(x for row in X for x in row if not x.is_zero())
-            inv = lead.inverse()
-            X = [[inv * x for x in row] for row in X]
+    basis = _monomial_solutions(rep1.gens, rep2.gens, d, L)
+    # components are disjoint, so a sum of two is again a phase vector, and
+    # it is 1 at its first nonzero entry (row-major), where a component starts
+    pairs = ({**a, **b} for i, a in enumerate(basis) for b in basis[i + 1:])
+    roots = [CycElt.from_phase(Fraction(k, L), L) for k in range(L)]
+    zero = CycElt.zero(L)
+    for vec in chain(basis, pairs):
+        X = [[zero] * d for _ in range(d)]
+        for v, p in vec.items():
+            X[v // d][v % d] = roots[p]
+        monomial = (len(vec) == d and len({v // d for v in vec}) == d
+                    and len({v % d for v in vec}) == d)
+        if monomial or _cyc_det_nonzero(X, L):
             _verify_intertwiner(X, rep1, rep2, L)
             return X
     return None
 
 
 def _verify_intertwiner(X, rep1, rep2, L):
+    """X U1 = U2 X over Q(zeta_L) for every generator, entry by entry.  U is
+    monomial, so each entry of either side is one product:
+    (X U1)[r, inv1(k)] = X[r, k] u1_inv1(k) and (U2 X)[perm2(k), c] = u2_k X[k, c]."""
+    support = [(r, k, x) for r, row in enumerate(X) for k, x in enumerate(row)
+               if not x.is_zero()]
     for g1, g2 in zip(rep1.gens, rep2.gens):
-        lhs = _cyc_matmul(X, _gen_to_cyc(g1, L), L)
-        rhs = _cyc_matmul(_gen_to_cyc(g2, L), X, L)
-        assert lhs == rhs
+        inv1 = {p: j for j, p in enumerate(g1.perm)}
+        u1 = [CycElt.from_phase(ph.const, L) for ph in g1.phases]
+        u2 = [CycElt.from_phase(ph.const, L) for ph in g2.phases]
+        lhs = {(r, inv1[k]): x * u1[inv1[k]] for r, k, x in support}
+        rhs = {(g2.perm[k], c): u2[k] * x for k, c, x in support}
+        if lhs != rhs:
+            raise AssertionError("intertwiner failed literal verification")

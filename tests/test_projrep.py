@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import numpy as np
 import pytest
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
-from flattori.cyclotomic import CycElt
+from flattori.cyclotomic import CycElt, sparse_rref
 from flattori.exact_linalg import RatMatrix, SkewRatForm
 from flattori.projrep import (
     Bicharacter,
@@ -20,6 +21,7 @@ from flattori.projrep import (
     intertwiner,
     radical,
 )
+from flattori.projrep import _cyc_det_nonzero, _monomial_solutions, _verify_intertwiner
 
 
 def skew2(x):
@@ -203,18 +205,47 @@ def test_commutant_dim_trivial():
     assert commutant_dim(rep) == 1
 
 
-def numpy_commutant_dim(rep):
-    """Independent oracle: SVD rank of the stacked complex system."""
+def numpy_commutant_dim(rep, rep2=None):
+    """Independent oracle: SVD rank of the stacked complex system
+    X U1 = U2 X, with U2 = U1 unless a second rep is given."""
     d = rep.dim
     eye = np.eye(d)
     blocks = []
-    for g in rep.gens:
-        U = g.to_complex(())
-        blocks.append(np.kron(U.T, eye) - np.kron(eye, U))
+    for g, g2 in zip(rep.gens, (rep2 or rep).gens):
+        U, U2 = g.to_complex(()), g2.to_complex(())
+        blocks.append(np.kron(U.T, eye) - np.kron(eye, U2))
     A = np.vstack(blocks)
     s = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(s > 1e-9))
     return d * d - rank
+
+
+def rref_intertwiner_dim(rep1, rep2):
+    """Reference: dim {X : X U1 = U2 X} by sparse Gaussian elimination over
+    Q(zeta_L), one equation u1_c X[r, perm1(c)] = u2_inv2(r) X[inv2(r), c]
+    per entry and generator."""
+    d = rep1.dim
+    L = lcm(rep1.phase_order(), rep2.phase_order())
+    rows = []
+    for g1, g2 in zip(rep1.gens, rep2.gens):
+        inv2 = [0] * d
+        for j, p in enumerate(g2.perm):
+            inv2[p] = j
+        u1 = [CycElt.from_phase(ph.const, L) for ph in g1.phases]
+        u2 = [CycElt.from_phase(ph.const, L) for ph in g2.phases]
+        for r in range(d):
+            for c in range(d):
+                row = {r * d + g1.perm[c]: u1[c]}
+                v2 = inv2[r] * d + c
+                row[v2] = row.get(v2, CycElt.zero(L)) - u2[inv2[r]]
+                rows.append(row)
+    pivots, _ = sparse_rref(rows, d * d, L)
+    return d * d - len(pivots)
+
+
+def monomial_dim(rep1, rep2):
+    L = lcm(rep1.phase_order(), rep2.phase_order())
+    return len(_monomial_solutions(rep1.gens, rep2.gens, rep1.dim, L))
 
 
 def test_commutant_dim_irreducible():
@@ -232,6 +263,95 @@ def test_commutant_dim_direct_sum():
     two = rep.direct_sum(rep)
     assert commutant_dim(two) == 4
     assert numpy_commutant_dim(two) == 4
+    three = two.direct_sum(rep)
+    assert commutant_dim(three) == rref_intertwiner_dim(three, three) == 9
+    assert numpy_commutant_dim(three) == 9
+
+
+@pytest.mark.parametrize("phase, equivalent", [
+    (Fraction(1, 6), False), (Fraction(1, 2), False), (Fraction(1, 3), True)])
+def test_scalar_twist_of_clock(phase, equivalent):
+    # e(phase) U has the spectrum of U exactly when phase is a multiple of 1/3
+    rep = heisenberg_rep(skew2(Fraction(1, 3)))
+    V, U = rep.gens
+    twist = ProjectiveRep((V, U.scalar_mul(AffinePhase((), phase))), rep.cocycle)
+    both = rep.direct_sum(twist)
+    want = 4 if equivalent else 2
+    assert commutant_dim(both) == rref_intertwiner_dim(both, both) == want
+    assert numpy_commutant_dim(both) == want
+    assert monomial_dim(rep, twist) == rref_intertwiner_dim(rep, twist) == int(equivalent)
+    assert (intertwiner(rep, twist) is not None) == equivalent
+    # reducible: no single basis vector of the solution space is invertible,
+    # the block swap is found among the pairwise sums
+    X = intertwiner(both, twist.direct_sum(rep))
+    assert X is not None and _cyc_det_nonzero(X, both.phase_order())
+
+
+def test_random_monomial_conjugations():
+    # X = P is an intertwiner of rep and P rep P^-1, unique up to a scalar
+    # for an irreducible rep, so the normalized answer is P rescaled
+    rng = random.Random(31)
+    for blocks in _chain_norm_forms(12):
+        rep = heisenberg_rep(_as_normal_form(blocks))
+        d = rep.dim
+        perm = list(range(d))
+        rng.shuffle(perm)
+        P = GenPermPhaseMatrix(perm, [AffinePhase((), Fraction(rng.randrange(2 * d), 2 * d))
+                                      for _ in range(d)])
+        conj = ProjectiveRep([P @ g @ P.inverse() for g in rep.gens], rep.cocycle)
+        assert commutant_dim(rep) == rref_intertwiner_dim(rep, rep) == 1
+        assert monomial_dim(rep, conj) == rref_intertwiner_dim(rep, conj) == 1
+        assert numpy_commutant_dim(rep, conj) == 1
+        assert commutant_dim(rep.direct_sum(conj)) == 4
+        X = intertwiner(rep, conj)
+        L = lcm(rep.phase_order(), conj.phase_order())
+        lead = P.perm.index(0)  # the column of the first nonzero entry of P
+        for j in range(d):
+            for i in range(d):
+                want = (CycElt.from_phase(P.phases[j].const - P.phases[lead].const, L)
+                        if i == P.perm[j] else CycElt.zero(L))
+                assert X[i][j] == want
+
+
+def test_intertwiner_non_monomial_support():
+    # diag(1, -1) and the swap are conjugate by [[1, 1], [1, -1]]: every
+    # solution has full columns, so the answer comes through elimination
+    flat = BilinearCocycle(RatMatrix([[0]]))
+    half = Fraction(1, 2)
+    U = GenPermPhaseMatrix((0, 1), [AffinePhase((), 0), AffinePhase((), half)])
+    diag = ProjectiveRep([U], flat)
+    swap = ProjectiveRep([GenPermPhaseMatrix((1, 0), [AffinePhase((), 0)] * 2)], flat)
+    assert monomial_dim(diag, swap) == rref_intertwiner_dim(diag, swap) == 2
+    assert commutant_dim(swap) == numpy_commutant_dim(swap) == 2
+    one, minus = CycElt.one(2), CycElt.from_phase(half, 2)
+    assert intertwiner(diag, swap) == [[one, one], [one, minus]]
+
+
+def test_verify_intertwiner_rejects_non_solutions():
+    rep = heisenberg_rep(skew2(Fraction(1, 3)))
+    L = rep.phase_order()
+    one, zero = CycElt.one(L), CycElt.zero(L)
+    z = CycElt.from_phase(Fraction(1, 3), L)
+    _verify_intertwiner([[one if r == c else zero for c in range(3)] for r in range(3)],
+                        rep, rep, L)
+    # commutes with the clock U but not with the shift V
+    diag = [[(z if r == 2 else one) if r == c else zero for c in range(3)] for r in range(3)]
+    with pytest.raises(AssertionError):
+        _verify_intertwiner(diag, rep, rep, L)
+    # a single nonzero entry: the zero pattern of X U differs from U X
+    unit = [[one if (r, c) == (0, 0) else zero for c in range(3)] for r in range(3)]
+    with pytest.raises(AssertionError):
+        _verify_intertwiner(unit, rep, rep, L)
+
+
+def test_cyc_det_nonzero_non_monomial():
+    L = 3
+    one, zero = CycElt.one(L), CycElt.zero(L)
+    z = CycElt.from_phase(Fraction(1, 3), L)
+    # row 1 is z times row 0
+    singular = [[one, z, zero], [z, z * z, zero], [zero, zero, one]]
+    assert not _cyc_det_nonzero(singular, L)
+    assert _cyc_det_nonzero([[one, z, zero], [z, one, zero], [zero, zero, one]], L)
 
 
 def test_intertwiner_self_is_identity():
