@@ -73,9 +73,6 @@ class AffinePhase:
         shift = sum((l * Fraction(g) for l, g in zip(self.linear, gamma)), Fraction(0))
         return AffinePhase(self.linear, self.const + shift)
 
-    def is_constant(self) -> bool:
-        return all(l == 0 for l in self.linear)
-
     def turns(self, x) -> Fraction:
         """Exact number of turns at a rational point x."""
         return (sum((l * Fraction(v) for l, v in zip(self.linear, x)), Fraction(0))

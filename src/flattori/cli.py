@@ -96,7 +96,7 @@ def cmd_iso(args) -> int:
 
 
 def _clutch_header(args) -> str:
-    return f"# method=clutching samples={args.samples} tolerance={args.tolerance}"
+    return f"# method=clutching samples={args.samples}"
 
 
 def _dump_samples_csv(factor, samples, path) -> None:
@@ -139,7 +139,7 @@ def cmd_omega(args) -> int:
         value = autofactor.clutching_omega(factor, samples, float(args.tolerance))
         if args.dump_samples:
             _dump_samples_csv(factor, samples, args.dump_samples)
-        header = _clutch_header(args)
+        header = f"{_clutch_header(args)} tolerance={args.tolerance}"
         _emit(args, [header, format_root(value)],
               {"omega": format_root(value), "method": "clutching", "samples": samples})
     else:
@@ -281,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=("exact", "clutching"), default="exact")
         p.add_argument("--samples", type=int, default=None,
                        help="sample count for the clutching path")
-        p.add_argument("--tolerance", default="1e-06",
-                       help="snap tolerance for the clutching path, in turns")
+        if name == "omega":
+            p.add_argument("--tolerance", default="1e-06",
+                           help="snap tolerance for the clutching path, in turns")
         p.add_argument("--dump-samples", default=None, metavar="PATH",
                        help="write the loop samples as CSV (t,row,col,re,im)")
         p.add_argument("--reversed-orientation", action="store_true")
@@ -323,10 +324,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (MatrixFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # MatrixFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

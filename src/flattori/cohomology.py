@@ -118,10 +118,6 @@ class RootOfUnity:
     def one(cls) -> "RootOfUnity":
         return cls(0)
 
-    @property
-    def order_denominator(self) -> int:
-        return self.phase.denominator
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity(self.phase + other.phase)
 

@@ -168,9 +168,6 @@ class CycElt:
         assert out * self == CycElt.one(self.L)
         return out
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def __eq__(self, other):
         return (isinstance(other, CycElt) and self.L == other.L
                 and self.coeffs == other.coeffs)

@@ -3,23 +3,32 @@
 Arbitrary precision throughout: Python ints and fractions.Fraction.  Values
 are immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.  No floating point.
+
+IntMatrix and RatMatrix share one implementation and differ only in entry
+coercion: an IntMatrix entry must be an exact integer (an int, an integral
+Fraction or anything with __index__; other values raise, none is truncated).
+They mix without conversions: +, - and @ give a RatMatrix when either
+operand is one, and equality and hashing go by value across both classes.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 
-class IntMatrix:
-    """Immutable arbitrary-precision integer matrix."""
+class _ExactMatrix:
+    """Immutable matrix whose entries are coerced by the subclass's
+    `_entry`; the mixing rules are in the module docstring."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        ents = tuple(tuple(int(x) for x in row) for row in entries)
+        entry = self._entry
+        ents = tuple(tuple(entry(x) for x in row) for row in entries)
         if not ents or not ents[0]:
             raise ValueError("matrix dimensions must be positive")
         if any(len(r) != len(ents[0]) for r in ents):
@@ -29,71 +38,96 @@ class IntMatrix:
         object.__setattr__(self, "entries", ents)
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
+    def identity(cls, n: int):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "IntMatrix":
+    def zero(cls, rows: int, cols: int | None = None):
         cols = rows if cols is None else cols
         return cls([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, i):
         return self.entries[i]
 
-    def _same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
+    def _joint(self, other):
+        """Class of a binary result: rational when either operand is."""
+        if isinstance(self, IntMatrix) and isinstance(other, IntMatrix):
+            return IntMatrix
+        return RatMatrix
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
+        return isinstance(other, _ExactMatrix) and self.entries == other.entries
 
     def __hash__(self):
         return hash(self.entries)
 
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.entries]})"
+    def _entrywise(self, other, op):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return self._joint(other)(map(op, ra, rb)
+                                  for ra, rb in zip(self.entries, other.entries))
 
     def __add__(self, other):
-        self._same_shape(other)
-        return IntMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return IntMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return IntMatrix([[-a for a in row] for row in self.entries])
+        return type(self)([[-a for a in row] for row in self.entries])
 
     def __matmul__(self, other):
-        if isinstance(other, RatMatrix):
-            return self.to_rat() @ other
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         bt = list(zip(*other.entries))
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self.entries])
+        return self._joint(other)([[sum(a * b for a, b in zip(row, col)) for col in bt]
+                                   for row in self.entries])
 
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * a for a in row] for row in self.entries])
+    def scale(self, k):
+        """k * self; rational unless k is an int."""
+        cls = type(self)
+        if not isinstance(k, int):
+            cls, k = RatMatrix, Fraction(k)
+        return cls([[a * k for a in row] for row in self.entries])
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.entries)))
-
-    def column(self, j: int) -> "IntMatrix":
-        return IntMatrix([[row[j]] for row in self.entries])
-
-    def mod(self, ell: int) -> "IntMatrix":
-        return IntMatrix([[a % ell for a in row] for row in self.entries])
+    def transpose(self):
+        return type(self)(zip(*self.entries))
 
     def is_skew(self) -> bool:
         return (self.rows == self.cols
                 and all(self.entries[i][j] == -self.entries[j][i]
                         for i in range(self.rows) for j in range(self.rows)))
+
+
+def _int_entry(x) -> int:
+    """The integer an IntMatrix entry stands for; raises, never truncates."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return x.numerator
+    else:
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"matrix entry {x!r} is not an integer")
+
+
+class IntMatrix(_ExactMatrix):
+    """Immutable arbitrary-precision integer matrix."""
+
+    __slots__ = ()
+    _entry = staticmethod(_int_entry)
+
+    def __repr__(self):
+        return f"IntMatrix({[list(r) for r in self.entries]})"
+
+    def mod(self, ell: int) -> "IntMatrix":
+        return IntMatrix([[a % ell for a in row] for row in self.entries])
 
     def det(self) -> int:
         """Exact determinant, Bareiss fraction-free elimination."""
@@ -126,8 +160,7 @@ class IntMatrix:
         d = self.det()
         if d not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        inv = self.to_rat().inverse()
-        return inv.to_int()
+        return self.to_rat().inverse().to_int()
 
 
 # Equal rational entries share one instance: Fraction(x) on a Fraction makes
@@ -149,95 +182,21 @@ def _shared_fraction(x) -> Fraction:
     return y
 
 
-class RatMatrix:
+class RatMatrix(_ExactMatrix):
     """Immutable matrix of exact rationals (Fraction keeps lowest terms
     and positive denominators, so equality is structural)."""
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        ents = tuple(tuple(_shared_fraction(x) for x in row) for row in entries)
-        if not ents or not ents[0]:
-            raise ValueError("matrix dimensions must be positive")
-        if any(len(r) != len(ents[0]) for r in ents):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(ents))
-        object.__setattr__(self, "cols", len(ents[0]))
-        object.__setattr__(self, "entries", ents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int | None = None) -> "RatMatrix":
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rat()
-        return isinstance(other, RatMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
+    __slots__ = ()
+    _entry = staticmethod(_shared_fraction)
 
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in r] for r in self.entries]})"
-
-    def __add__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rat()
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rat()
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RatMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return RatMatrix([[-a for a in row] for row in self.entries])
-
-    def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rat()
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        bt = list(zip(*other.entries))
-        return RatMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self.entries])
-
-    def scale(self, k) -> "RatMatrix":
-        k = Fraction(k)
-        return RatMatrix([[k * a for a in row] for row in self.entries])
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.entries)))
-
-    def is_skew(self) -> bool:
-        return (self.rows == self.cols
-                and all(self.entries[i][j] == -self.entries[j][i]
-                        for i in range(self.rows) for j in range(self.rows)))
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
     def to_int(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self.entries])
+        return IntMatrix(self.entries)
 
     def common_denominator(self) -> int:
         return lcm(*(x.denominator for row in self.entries for x in row))
@@ -291,15 +250,16 @@ class SkewRatForm:
         return self.mat.common_denominator()
 
     def scaled_int(self, ell: int) -> IntMatrix:
-        """ell * theta as an integer matrix; ell must clear denominators."""
-        return self.mat.scale(ell).to_int()
+        """ell * theta as an integer matrix; raises ValueError unless ell
+        clears the denominators."""
+        return IntMatrix([[a * ell for a in row] for row in self.mat.entries])
 
     def congruence(self, T: IntMatrix) -> "SkewRatForm":
         """T * theta * T^t."""
-        return SkewRatForm(T.to_rat() @ self.mat @ T.to_rat().transpose())
+        return SkewRatForm(T @ self.mat @ T.transpose())
 
     def add_int(self, Z: IntMatrix) -> "SkewRatForm":
-        return SkewRatForm(self.mat + Z.to_rat())
+        return SkewRatForm(self.mat + Z)
 
     def frac(self) -> "SkewRatForm":
         """Skew representative mod M_n(Z): above-diagonal entries in [0,1)."""

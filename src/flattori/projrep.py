@@ -24,6 +24,17 @@ from .cyclotomic import CycElt
 from .exact_linalg import IntMatrix, RatMatrix, SkewRatForm, lattice_kernel_mod
 
 
+def _bilinear_turns(M, n, g1, g2) -> Fraction:
+    """g1^t M g2 mod 1 for an n x n rational matrix M (rows indexable)."""
+    total = Fraction(0)
+    for i in range(n):
+        if g1[i]:
+            for j in range(n):
+                if g2[j]:
+                    total += g1[i] * M[i][j] * g2[j]
+    return total % 1
+
+
 class BilinearCocycle:
     """The 2-cocycle z(g, g') = e(g^t B g') for a rational square matrix B
     (bilinearity makes the cocycle identity automatic)."""
@@ -43,13 +54,7 @@ class BilinearCocycle:
 
     def value(self, g1, g2) -> Fraction:
         """Phase of z(g1, g2), in turns mod 1."""
-        total = Fraction(0)
-        for i in range(self.n):
-            if g1[i]:
-                for j in range(self.n):
-                    if g2[j]:
-                        total += g1[i] * self.B[i][j] * g2[j]
-        return total % 1
+        return _bilinear_turns(self.B, self.n, g1, g2)
 
     def __eq__(self, other):
         return isinstance(other, BilinearCocycle) and self.B == other.B
@@ -83,13 +88,7 @@ class Bicharacter:
         raise AttributeError("Bicharacter is immutable")
 
     def value(self, g1, g2) -> Fraction:
-        total = Fraction(0)
-        for i in range(self.n):
-            if g1[i]:
-                for j in range(self.n):
-                    if g2[j]:
-                        total += g1[i] * self.mat[i][j] * g2[j]
-        return total % 1
+        return _bilinear_turns(self.mat, self.n, g1, g2)
 
     def is_trivial(self) -> bool:
         return all(x == 0 for row in self.mat for x in row)
@@ -115,7 +114,7 @@ def radical(chi: Bicharacter):
     """Sublattice H = {h : chi(h, g) = 1 for all g} with its finite index,
     via the integer kernel of the cleared-denominator matrix."""
     ell = lcm(*(x.denominator for row in chi.mat for x in row))
-    M = IntMatrix([[int(x * ell) for x in row] for row in chi.mat])
+    M = IntMatrix([[x * ell for x in row] for row in chi.mat])
     return lattice_kernel_mod(M, ell)
 
 
@@ -198,10 +197,10 @@ class ProjectiveRep:
         if len(dims) != 1:
             raise ValueError("generator images must share a size")
         chi = bicharacter_of(cocycle)
+        # U_j U_i = chi(e_j, e_i) U_i U_j for i < j implies the relation for
+        # (j, i): chi is skew mod 1 and scalar_mul is exact
         for j in range(len(gens)):
-            for i in range(len(gens)):
-                if i == j:
-                    continue
+            for i in range(j):
                 scal = AffinePhase((), chi.mat[j][i])
                 if gens[j] @ gens[i] != (gens[i] @ gens[j]).scalar_mul(scal):
                     raise ValueError("generator images do not realize the cocycle's "

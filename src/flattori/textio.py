@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .cohomology import AltFormModQ, AltFormZ, RootOfUnity
-from .exact_linalg import IntMatrix, RatMatrix, SkewRatForm
+from .exact_linalg import RatMatrix, SkewRatForm
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -74,8 +74,6 @@ def load_skew(source: str) -> SkewRatForm:
 
 
 def dump_matrix(m) -> dict:
-    if isinstance(m, IntMatrix):
-        m = m.to_rat()
     if isinstance(m, SkewRatForm):
         m = m.mat
     return {

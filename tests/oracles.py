@@ -46,11 +46,18 @@ def all_unit_matrices(n, ell, chunk=1 << 20):
 
 
 def orbit_of(state, units, ell):
-    """All g state g^t mod ell over the given unit matrices, as a set of bytes."""
+    """All g state g^t mod ell over the given unit matrices, as a set of bytes.
+
+    Each row of entries in [0, ell) is packed into one int64 key (base ell)
+    so that the deduplication sorts integers, not records."""
     M = np.asarray(state, dtype=np.int64)
     transformed = (units @ M @ units.transpose(0, 2, 1)) % ell
-    flat = transformed.reshape(transformed.shape[0], -1).astype(np.int16)
-    return {row.tobytes() for row in np.unique(flat, axis=0)}
+    flat = transformed.reshape(transformed.shape[0], -1)
+    if ell ** flat.shape[1] > np.iinfo(np.int64).max:
+        raise ValueError("orbit keys overflow int64")
+    keys = flat @ ell ** np.arange(flat.shape[1], dtype=np.int64)
+    _, first = np.unique(keys, return_index=True)
+    return {row.tobytes() for row in flat[first].astype(np.int16)}
 
 
 def state_key(state):

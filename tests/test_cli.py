@@ -111,6 +111,19 @@ def test_omega_cli(capsys):
     code, out, _ = invoke(capsys, "omega", "--q", "3", "--a", "1",
                           "--method", "clutching")
     assert code == 0 and out.splitlines()[1] == "2/3"
+    code, out, _ = invoke(capsys, "omega", "--q", "3", "--a", "1",
+                          "--method", "clutching", "--tolerance", "1e-3")
+    assert code == 0 and out.splitlines()[0].endswith(" tolerance=1e-3")
+
+
+def test_tolerance_is_an_omega_option_only(capsys):
+    code, out, _ = invoke(capsys, "twist", "--q", "3", "--a", "1",
+                          "--method", "clutching")
+    assert code == 0 and "tolerance" not in out
+    code, out, err = invoke(capsys, "twist", "--q", "3", "--a", "1",
+                            "--method", "clutching", "--tolerance", "1e-3")
+    assert code == 2 and out == ""
+    assert "--tolerance" in err
 
 
 def test_parse_error_exit_code(capsys):

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from flattori.cohomology import AltFormZ
 from flattori.exact_linalg import (
     IntMatrix,
     RatMatrix,
@@ -266,3 +267,47 @@ def test_inverse_mod():
         g = T.mod(ell)
         ginv = inverse_mod(g, ell)
         assert (g @ ginv).mod(ell) == IntMatrix.identity(n).mod(ell)
+
+
+def random_rat_matrix(rng, rows, cols):
+    return RatMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(cols)] for _ in range(rows)])
+
+
+def test_int_and_rat_matrices_equal_by_value():
+    a = IntMatrix([[1, -2], [0, 3]])
+    r = RatMatrix([[1, -2], [0, 3]])
+    assert a == r and r == a
+    assert hash(a) == hash(r)
+    assert a != RatMatrix([[1, -2], [0, Fraction(7, 2)]])
+    assert RatMatrix([[1, -2], [0, Fraction(7, 2)]]) != a
+
+
+def test_int_matrix_never_truncates():
+    for bad in (Fraction(1, 2), 0.5, 2.0, "3"):
+        with pytest.raises(ValueError):
+            IntMatrix([[bad]])
+    with pytest.raises(ValueError):
+        AltFormZ([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+    with pytest.raises(ValueError):
+        RatMatrix([[Fraction(1, 3)]]).to_int()
+    with pytest.raises(ValueError):
+        SkewRatForm([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]).scaled_int(2)
+    # exact integers of other types are accepted as plain ints
+    m = IntMatrix([[Fraction(4, 2), True, -7]])
+    assert m.entries == ((2, 1, -7),)
+    assert all(type(x) is int for x in m[0])
+
+
+def test_mixed_arithmetic_is_rational():
+    rng = random.Random(41)
+    for _ in range(20):
+        a = random_int_matrix(rng, 3, 3)
+        r = random_rat_matrix(rng, 3, 3)
+        for got, want in ((a @ r, a.to_rat() @ r), (r @ a, r @ a.to_rat()),
+                          (a + r, a.to_rat() + r), (r - a, r - a.to_rat()),
+                          (a.scale(Fraction(1, 2)), a.to_rat().scale(Fraction(1, 2)))):
+            assert type(got) is RatMatrix
+            assert got == want
+        for got in (a @ a, a + a, a - a, -a, a.scale(3), a.transpose()):
+            assert type(got) is IntMatrix
