@@ -33,18 +33,17 @@ class SnapError(RuntimeError):
     """A numerical value landed too far from every allowed exact value."""
 
 
+@dataclass(frozen=True, slots=True)
 class AffinePhase:
     """The phase e(linear . x + const); constants are identified mod 1,
     so (-1)^k sign characters live here as half-integer constants k/2."""
 
-    __slots__ = ("linear", "const")
+    linear: tuple
+    const: Fraction
 
     def __init__(self, linear, const):
         object.__setattr__(self, "linear", tuple(Fraction(c) for c in linear))
         object.__setattr__(self, "const", Fraction(const) % 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinePhase is immutable")
 
     @classmethod
     def zero(cls, dim: int) -> "AffinePhase":
@@ -82,13 +81,6 @@ class AffinePhase:
         t = sum(float(l) * float(v) for l, v in zip(self.linear, x)) + float(self.const)
         return cmath.exp(2j * math.pi * t)
 
-    def __eq__(self, other):
-        return (isinstance(other, AffinePhase)
-                and self.linear == other.linear and self.const == other.const)
-
-    def __hash__(self):
-        return hash((self.linear, self.const))
-
     def __repr__(self):
         return f"e({' + '.join(str(l) + f'*x{k}' for k, l in enumerate(self.linear) if l)}"\
                f" + {self.const})"
@@ -100,12 +92,15 @@ def _perm_parity(perm) -> int:
     return inv % 2
 
 
+@dataclass(frozen=True, slots=True)
 class GenPermPhaseMatrix:
     """q x q matrix with exactly one nonzero phase entry per row and column:
     entry (perm[j], j) carries phases[j].  Closed under product, inverse,
     translation; all entries have modulus one, so these are unitary."""
 
-    __slots__ = ("size", "perm", "phases")
+    size: int
+    perm: tuple
+    phases: tuple
 
     def __init__(self, perm, phases):
         perm = tuple(int(p) for p in perm)
@@ -120,9 +115,6 @@ class GenPermPhaseMatrix:
         object.__setattr__(self, "size", len(perm))
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "phases", phases)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenPermPhaseMatrix is immutable")
 
     @classmethod
     def identity(cls, q: int, dim: int = 0) -> "GenPermPhaseMatrix":
@@ -195,13 +187,6 @@ class GenPermPhaseMatrix:
             m[self.perm[j], j] = ph.eval_complex(x)
         return m
 
-    def __eq__(self, other):
-        return (isinstance(other, GenPermPhaseMatrix)
-                and self.perm == other.perm and self.phases == other.phases)
-
-    def __hash__(self):
-        return hash((self.perm, self.phases))
-
     def __repr__(self):
         return f"GenPermPhaseMatrix(perm={self.perm}, phases={list(self.phases)})"
 
@@ -268,6 +253,7 @@ def check_cocycle(F, trials: int, seed: int = 0):
     return violations
 
 
+@dataclass(frozen=True, slots=True)
 class ScalarFactor:
     """Abelian (1 x 1) factor of automorphy with affine exponents.
 
@@ -278,7 +264,9 @@ class ScalarFactor:
     f_{gamma+e}(x) = f_gamma(x+e) + f_e(x).
     """
 
-    __slots__ = ("n", "xcoeff", "consts")
+    n: int
+    xcoeff: tuple
+    consts: tuple
 
     def __init__(self, xcoeff, consts):
         xc = tuple(tuple(Fraction(v) for v in row) for row in xcoeff)
@@ -294,9 +282,6 @@ class ScalarFactor:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "xcoeff", xc)
         object.__setattr__(self, "consts", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarFactor is immutable")
 
     def generator_phase(self, i: int) -> AffinePhase:
         return AffinePhase(self.xcoeff[i], self.consts[i])
@@ -317,13 +302,6 @@ class ScalarFactor:
                     step[i] = -1
                     acc = acc.translate(step) - gi.translate(step)
         return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, ScalarFactor)
-                and self.xcoeff == other.xcoeff and self.consts == other.consts)
-
-    def __hash__(self):
-        return hash((self.xcoeff, self.consts))
 
 
 def det_cocycle(F: FactorOfAutomorphy) -> ScalarFactor:

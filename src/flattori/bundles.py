@@ -9,6 +9,8 @@ that cross-check these formulas numerically.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .cohomology import (
     STANDARD,
     AltFormModQ,
@@ -22,64 +24,38 @@ from .cohomology import (
 )
 
 
+@dataclass(frozen=True, slots=True)
 class VectorBundleClass:
     """Isomorphism class of a projectively flat rank-q bundle on T^n,
     determined by (n, q, c1)."""
 
-    __slots__ = ("n", "rank", "c1")
+    n: int
+    rank: int
+    c1: AltFormZ
 
-    def __init__(self, n: int, rank: int, c1: AltFormZ):
-        if rank < 1:
+    def __post_init__(self):
+        if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if c1.n != n:
+        if self.c1.n != self.n:
             raise ValueError("first Chern class lives on the wrong torus")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "c1", c1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorBundleClass is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, VectorBundleClass)
-                and (self.n, self.rank, self.c1) == (other.n, other.rank, other.c1))
-
-    def __hash__(self):
-        return hash((self.n, self.rank, self.c1))
-
-    def __repr__(self):
-        return f"VectorBundleClass(n={self.n}, rank={self.rank}, c1={self.c1})"
 
 
+@dataclass(frozen=True, slots=True)
 class MatrixBundleClass:
     """Isomorphism class of a flat q x q matrix bundle on T^n,
     determined by (n, q, beta)."""
 
-    __slots__ = ("n", "size", "beta")
+    n: int
+    size: int
+    beta: AltFormModQ
 
-    def __init__(self, n: int, size: int, beta: AltFormModQ):
-        if size < 1:
+    def __post_init__(self):
+        if self.size < 1:
             raise ValueError("size must be >= 1")
-        if beta.modulus != size:
+        if self.beta.modulus != self.size:
             raise ValueError("beta modulus must equal the matrix size")
-        if beta.n != n:
+        if self.beta.n != self.n:
             raise ValueError("beta lives on the wrong torus")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixBundleClass is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixBundleClass)
-                and (self.n, self.size, self.beta) == (other.n, other.size, other.beta))
-
-    def __hash__(self):
-        return hash((self.n, self.size, self.beta))
-
-    def __repr__(self):
-        return f"MatrixBundleClass(n={self.n}, size={self.size}, beta={self.beta})"
 
 
 def classify_projflat(n: int, q: int, c: AltFormZ) -> VectorBundleClass:

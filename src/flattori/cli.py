@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
 from . import autofactor, bundles, nctorus, projrep
-from .cohomology import REVERSED, STANDARD
+from .cohomology import REVERSED, STANDARD, AltFormModQ, AltFormZ
 from .textio import (
     MatrixFormatError,
     dump_matrix,
@@ -50,6 +51,10 @@ def _orientation(args):
     return REVERSED if getattr(args, "reversed_orientation", False) else STANDARD
 
 
+def _rows(M) -> list[str]:
+    return [" ".join(str(x) for x in row) for row in M.entries]
+
+
 def cmd_q_theta(args) -> int:
     theta = load_skew(args.theta)
     q = nctorus.q_theta(theta)
@@ -69,7 +74,7 @@ def cmd_normal_form(args) -> int:
         "blocks: " + (" ".join(str(b) for b in nf.blocks) if nf.blocks else "(none)"),
         f"free_rank: {nf.free_rank}",
         "T:",
-    ] + [" ".join(str(x) for x in row) for row in nf.T.entries]
+    ] + _rows(nf.T)
     _emit(args, human, rec)
     return EXIT_OK
 
@@ -82,10 +87,7 @@ def cmd_iso(args) -> int:
     d = nctorus.iso_decide(p1, p2, cap=args.cap)
     if d.status is nctorus.IsoStatus.ISO:
         rec = {"isomorphic": True, "T": dump_matrix(d.T), "shift": dump_matrix(d.shift)}
-        human = ["isomorphic", "T:"]
-        human += [" ".join(str(x) for x in row) for row in d.T.entries]
-        human.append("shift:")
-        human += [" ".join(str(x) for x in row) for row in d.shift.entries]
+        human = ["isomorphic", "T:", *_rows(d.T), "shift:", *_rows(d.shift)]
         _emit(args, human, rec)
         return EXIT_OK
     if d.status is nctorus.IsoStatus.NOT_ISO:
@@ -93,10 +95,6 @@ def cmd_iso(args) -> int:
         return EXIT_NEGATIVE
     _emit(args, ["undecided-at-cap"], {"isomorphic": None, "undecided": True})
     return EXIT_UNDECIDED
-
-
-def _clutch_header(args) -> str:
-    return f"# method=clutching samples={args.samples}"
 
 
 def _dump_samples_csv(factor, samples, path) -> None:
@@ -113,18 +111,25 @@ def _dump_samples_csv(factor, samples, path) -> None:
                     writer.writerow([repr(t), i, j, repr(z.real), repr(z.imag)])
 
 
+def _clutching(args, method):
+    """Run `method(factor, samples)` on the standard factor of (q, a),
+    filling in the default sample count and writing the optional CSV dump;
+    returns the value and the output header."""
+    factor = autofactor.factor_from(args.q, args.a)
+    if args.samples is None:
+        args.samples = autofactor.default_samples(args.q, args.a)
+    value = method(factor, args.samples)
+    if args.dump_samples:
+        _dump_samples_csv(factor, args.samples, args.dump_samples)
+    return value, f"# method=clutching samples={args.samples}"
+
+
 def cmd_twist(args) -> int:
     e = bundles.X_bundle(args.q, args.a)
     if args.method == "clutching":
-        factor = autofactor.factor_from(args.q, args.a)
-        samples = args.samples or autofactor.default_samples(args.q, args.a)
-        args.samples = samples
-        value = autofactor.clutching_twist(factor, samples)
-        if args.dump_samples:
-            _dump_samples_csv(factor, samples, args.dump_samples)
-        header = _clutch_header(args)
+        value, header = _clutching(args, autofactor.clutching_twist)
         _emit(args, [header, str(value)],
-              {"twist": value, "method": "clutching", "samples": samples})
+              {"twist": value, "method": "clutching", "samples": args.samples})
     else:
         value = bundles.twist(e, _orientation(args))
         _emit(args, [str(value)], {"twist": value, "method": "exact"})
@@ -133,15 +138,11 @@ def cmd_twist(args) -> int:
 
 def cmd_omega(args) -> int:
     if args.method == "clutching":
-        factor = autofactor.factor_from(args.q, args.a)
-        samples = args.samples or autofactor.default_samples(args.q, args.a)
-        args.samples = samples
-        value = autofactor.clutching_omega(factor, samples, float(args.tolerance))
-        if args.dump_samples:
-            _dump_samples_csv(factor, samples, args.dump_samples)
-        header = f"{_clutch_header(args)} tolerance={args.tolerance}"
-        _emit(args, [header, format_root(value)],
-              {"omega": format_root(value), "method": "clutching", "samples": samples})
+        value, header = _clutching(args, functools.partial(
+            autofactor.clutching_omega, tol=float(args.tolerance)))
+        _emit(args, [f"{header} tolerance={args.tolerance}", format_root(value)],
+              {"omega": format_root(value), "method": "clutching",
+               "samples": args.samples})
     else:
         a_cls = bundles.endo(bundles.X_bundle(args.q, args.a))
         value = bundles.omega(a_cls, _orientation(args))
@@ -151,7 +152,6 @@ def cmd_omega(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .cohomology import AltFormModQ, AltFormZ
     mat = load_matrix(args.form)
     if not mat.is_integral():
         raise MatrixFormatError("bundle class forms must have integer entries")
@@ -159,14 +159,14 @@ def cmd_classify(args) -> int:
         if args.kind == "vector":
             cls = bundles.classify_projflat(args.n, args.q, AltFormZ(mat.to_int()))
             rec = dump_vector_class(cls)
-            human = [f"vector class: n={cls.n} rank={cls.rank}", "c1:"]
-            human += [" ".join(str(x) for x in row) for row in cls.c1.mat.entries]
+            human = [f"vector class: n={cls.n} rank={cls.rank}", "c1:",
+                     *_rows(cls.c1.mat)]
         else:
             beta = AltFormModQ(mat.to_int(), args.q)
             cls = bundles.MatrixBundleClass(args.n, args.q, beta)
             rec = dump_matrix_class(cls)
-            human = [f"matrix class: n={cls.n} size={cls.size}", f"beta (mod {args.q}):"]
-            human += [" ".join(str(x) for x in row) for row in cls.beta.mat.entries]
+            human = [f"matrix class: n={cls.n} size={cls.size}",
+                     f"beta (mod {args.q}):", *_rows(cls.beta.mat)]
     except ValueError as exc:
         raise MatrixFormatError(str(exc)) from exc
     _emit(args, human, rec)
@@ -248,7 +248,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, because argparse keeps
+    no state between parse_args calls."""
     parser = argparse.ArgumentParser(
         prog="flattori",
         description="Exact invariants and isomorphism decisions for flat "
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cocycle-check", help="verify the factor-of-automorphy identity")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cocycle_check)
 

@@ -15,10 +15,12 @@ from fractions import Fraction
 from .exact_linalg import IntMatrix
 
 
+@dataclass(frozen=True, slots=True)
 class AltFormZ:
     """Alternating integer bilinear form on Z^n (a degree-2 class)."""
 
-    __slots__ = ("n", "mat")
+    n: int
+    mat: IntMatrix
 
     def __init__(self, mat):
         if not isinstance(mat, IntMatrix):
@@ -27,15 +29,6 @@ class AltFormZ:
             raise ValueError("matrix is not alternating")
         object.__setattr__(self, "n", mat.rows)
         object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AltFormZ is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, AltFormZ) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
 
     def __repr__(self):
         return f"AltFormZ({[list(r) for r in self.mat.entries]})"
@@ -65,10 +58,13 @@ class AltFormZ:
         return cls(IntMatrix.zero(n, n))
 
 
+@dataclass(frozen=True, slots=True)
 class AltFormModQ:
     """Alternating form with values mod q; entries canonically in [0, q)."""
 
-    __slots__ = ("n", "modulus", "mat")
+    n: int
+    modulus: int
+    mat: IntMatrix
 
     def __init__(self, mat, modulus: int):
         if modulus < 1:
@@ -86,16 +82,6 @@ class AltFormModQ:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "mat", red)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AltFormModQ is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, AltFormModQ)
-                and self.modulus == other.modulus and self.mat == other.mat)
-
-    def __hash__(self):
-        return hash((self.modulus, self.mat))
-
     def __repr__(self):
         return f"AltFormModQ({[list(r) for r in self.mat.entries]}, mod {self.modulus})"
 
@@ -103,16 +89,14 @@ class AltFormModQ:
         return all(x == 0 for row in self.mat.entries for x in row)
 
 
+@dataclass(frozen=True, slots=True)
 class RootOfUnity:
     """Exact root of unity e(c/q) = exp(2*pi*i*c/q); phase kept in [0, 1)."""
 
-    __slots__ = ("phase",)
+    phase: Fraction
 
     def __init__(self, phase):
         object.__setattr__(self, "phase", Fraction(phase) % 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootOfUnity is immutable")
 
     @classmethod
     def one(cls) -> "RootOfUnity":
@@ -126,12 +110,6 @@ class RootOfUnity:
 
     def __pow__(self, k: int) -> "RootOfUnity":
         return RootOfUnity(self.phase * k)
-
-    def __eq__(self, other):
-        return isinstance(other, RootOfUnity) and self.phase == other.phase
-
-    def __hash__(self):
-        return hash(self.phase)
 
     def __str__(self):
         return f"{self.phase.numerator}/{self.phase.denominator}"

@@ -11,6 +11,7 @@ monomial systems are solved on integer phase exponents and never reach
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,19 +65,18 @@ def _power_table(L: int):
     return tuple(table)
 
 
+@dataclass(frozen=True, slots=True)
 class CycElt:
     """Element of Q(zeta_L) over the power basis."""
 
-    __slots__ = ("L", "coeffs")
+    L: int
+    coeffs: tuple
 
     def __init__(self, L, coeffs):
         object.__setattr__(self, "L", int(L))
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
         if len(self.coeffs) != len(cyclotomic_polynomial(self.L)) - 1:
             raise ValueError("coefficient vector has wrong length")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycElt is immutable")
 
     @classmethod
     def zero(cls, L: int) -> "CycElt":
@@ -167,13 +167,6 @@ class CycElt:
         out = CycElt(self.L, inv)
         assert out * self == CycElt.one(self.L)
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, CycElt) and self.L == other.L
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.L, self.coeffs))
 
     def __repr__(self):
         return f"CycElt(L={self.L}, {[str(c) for c in self.coeffs]})"

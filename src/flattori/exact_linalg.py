@@ -221,10 +221,12 @@ class RatMatrix(_ExactMatrix):
         return RatMatrix([row[n:] for row in a])
 
 
+@dataclass(frozen=True, slots=True)
 class SkewRatForm:
     """Skew-symmetric rational n x n matrix (zero diagonal forced)."""
 
-    __slots__ = ("n", "mat")
+    n: int
+    mat: RatMatrix
 
     def __init__(self, mat):
         if not isinstance(mat, RatMatrix):
@@ -233,15 +235,6 @@ class SkewRatForm:
             raise ValueError("matrix is not skew-symmetric")
         object.__setattr__(self, "n", mat.rows)
         object.__setattr__(self, "mat", mat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewRatForm is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, SkewRatForm) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
 
     def __repr__(self):
         return f"SkewRatForm({[[str(x) for x in r] for r in self.mat.entries]})"

@@ -88,8 +88,9 @@ def q_theta(theta: SkewRatForm) -> int:
     aborts loudly."""
     n = theta.n
     ell = theta.common_denominator()
-    stacked = IntMatrix([[ell if i == j else 0 for j in range(n)]
-                         + list(theta.scaled_int(ell)[i]) for i in range(n)])
+    scaled = theta.scaled_int(ell)
+    stacked = IntMatrix([[ell if i == j else 0 for j in range(n)] + list(scaled[i])
+                         for i in range(n)])
     _, D, _ = smith_normal_form(stacked)
     prod = 1
     for i in range(n):

@@ -35,11 +35,13 @@ def _bilinear_turns(M, n, g1, g2) -> Fraction:
     return total % 1
 
 
+@dataclass(frozen=True, slots=True)
 class BilinearCocycle:
     """The 2-cocycle z(g, g') = e(g^t B g') for a rational square matrix B
     (bilinearity makes the cocycle identity automatic)."""
 
-    __slots__ = ("n", "B")
+    n: int
+    B: RatMatrix
 
     def __init__(self, B):
         if not isinstance(B, RatMatrix):
@@ -49,28 +51,21 @@ class BilinearCocycle:
         object.__setattr__(self, "n", B.rows)
         object.__setattr__(self, "B", B)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearCocycle is immutable")
-
     def value(self, g1, g2) -> Fraction:
         """Phase of z(g1, g2), in turns mod 1."""
         return _bilinear_turns(self.B, self.n, g1, g2)
-
-    def __eq__(self, other):
-        return isinstance(other, BilinearCocycle) and self.B == other.B
-
-    def __hash__(self):
-        return hash(self.B)
 
     def __repr__(self):
         return f"BilinearCocycle({self.B!r})"
 
 
+@dataclass(frozen=True, slots=True)
 class Bicharacter:
     """Skew bicharacter chi(g, g') = e(g^t S g') with S mod 1; entries are
     kept reduced in [0, 1) with S + S^t = 0 (mod 1)."""
 
-    __slots__ = ("n", "mat")
+    n: int
+    mat: tuple
 
     def __init__(self, mat):
         ents = tuple(tuple(Fraction(x) % 1 for x in row) for row in mat)
@@ -84,20 +79,11 @@ class Bicharacter:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mat", ents)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Bicharacter is immutable")
-
     def value(self, g1, g2) -> Fraction:
         return _bilinear_turns(self.mat, self.n, g1, g2)
 
     def is_trivial(self) -> bool:
         return all(x == 0 for row in self.mat for x in row)
-
-    def __eq__(self, other):
-        return isinstance(other, Bicharacter) and self.mat == other.mat
-
-    def __hash__(self):
-        return hash(self.mat)
 
     def __repr__(self):
         return f"Bicharacter({[[str(x) for x in r] for r in self.mat]})"
@@ -181,13 +167,18 @@ def clock_shift(q: int, p: int):
     return U, V
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ProjectiveRep:
     """Projective representation of Z^n given by constant generalized
     permutation-phase generator images; the stored cocycle's
     antisymmetrization chi governs the commutation, which is verified
-    exactly at construction: U_j U_i = chi(e_j, e_i) U_i U_j."""
+    exactly at construction: U_j U_i = chi(e_j, e_i) U_i U_j.  Equality is
+    identity."""
 
-    __slots__ = ("n", "dim", "gens", "cocycle")
+    n: int
+    dim: int
+    gens: tuple
+    cocycle: BilinearCocycle
 
     def __init__(self, gens, cocycle: BilinearCocycle):
         gens = tuple(gens)
@@ -209,9 +200,6 @@ class ProjectiveRep:
         object.__setattr__(self, "dim", dims.pop())
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "cocycle", cocycle)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectiveRep is immutable")
 
     def direct_sum(self, other: "ProjectiveRep") -> "ProjectiveRep":
         if self.cocycle != other.cocycle:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cohomology import AltFormModQ, AltFormZ, RootOfUnity
 from .exact_linalg import RatMatrix, SkewRatForm
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
 
 
 class MatrixFormatError(ValueError):
@@ -23,7 +23,7 @@ class MatrixFormatError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise MatrixFormatError(f"malformed rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
@@ -41,11 +41,11 @@ def parse_matrix(obj) -> RatMatrix:
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix object expected")
     try:
-        rows = int(obj["n"])
-        cols = int(obj["m"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, entries = obj["n"], obj["m"], obj["entries"]
+    except KeyError as exc:
         raise MatrixFormatError(f"matrix object needs n, m, entries: {exc}") from exc
+    if any(type(d) is not int for d in (rows, cols)):
+        raise MatrixFormatError(f"n and m must be JSON integers, got {rows!r} and {cols!r}")
     if (not isinstance(entries, list) or len(entries) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in entries)):
         raise MatrixFormatError("entries shape does not match n x m")

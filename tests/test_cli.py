@@ -28,7 +28,7 @@ def test_parse_rational():
     assert parse_rational("-1/3") == -parse_rational("1/3")
     assert parse_rational("4/6") == parse_rational("2/3")  # silently reduced
     assert parse_rational("7") == 7
-    for bad in ("1.5", "a", "1/ 2", "--3", "1/0", ""):
+    for bad in ("1.5", "a", "1/ 2", "--3", "1/0", "", "2\n", "1/3\n", "\u0663"):
         with pytest.raises(MatrixFormatError):
             parse_rational(bad)
 
@@ -116,6 +116,14 @@ def test_omega_cli(capsys):
     assert code == 0 and out.splitlines()[0].endswith(" tolerance=1e-3")
 
 
+def test_clutching_rejects_zero_samples(capsys):
+    for command in ("twist", "omega"):
+        code, out, err = invoke(capsys, command, "--q", "3", "--a", "1",
+                                "--method", "clutching", "--samples", "0")
+        assert code == 2 and out == ""
+        assert "insufficient samples" in err
+
+
 def test_tolerance_is_an_omega_option_only(capsys):
     code, out, _ = invoke(capsys, "twist", "--q", "3", "--a", "1",
                           "--method", "clutching")
@@ -127,10 +135,14 @@ def test_tolerance_is_an_omega_option_only(capsys):
 
 
 def test_parse_error_exit_code(capsys):
-    code, _, err = invoke(capsys, "q-theta", "--theta",
-                          '{"n":2,"m":2,"entries":[["0","1.5"],["-3/2","0"]]}')
-    assert code == 2
-    assert "error" in err
+    for theta in ('{"n":2,"m":2,"entries":[["0","1.5"],["-3/2","0"]]}',
+                  '{"n":2.9,"m":2,"entries":[["0","1/3"],["-1/3","0"]]}',
+                  '{"n":2,"m":"2","entries":[["0","1/3"],["-1/3","0"]]}',
+                  '{"n":true,"m":1,"entries":[["0"]]}',
+                  '{"n":2,"m":2}'):
+        code, out, err = invoke(capsys, "q-theta", "--theta", theta)
+        assert code == 2 and out == ""
+        assert "error" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -194,6 +206,14 @@ def test_cocycle_check_cli(capsys):
     assert rec["factor"][1]["gamma"] == [0, 1]
     assert rec["factor"][1]["perm"] == [1, 0]
     assert rec["factor"][1]["phases"][0] == ["-1", "0", "0"]
+
+
+def test_cocycle_check_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-4"):
+        code, out, err = invoke(capsys, "cocycle-check", "--q", "4", "--a", "3",
+                                "--trials", trials)
+        assert code == 2 and out == ""
+        assert "--trials" in err
 
 
 def test_dump_samples_csv(tmp_path, capsys):
