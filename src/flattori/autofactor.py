@@ -321,7 +321,8 @@ def _translation_increment(phase: AffinePhase, delta) -> Fraction:
         raise AssertionError("x-terms failed to cancel")  # pragma: no cover
     inc = sum((l * Fraction(d) for l, d in zip(phase.linear, delta)), Fraction(0))
     # consistency of the two computations mod 1
-    assert (shifted.const - phase.const - inc) % 1 == 0
+    if (shifted.const - phase.const - inc) % 1 != 0:
+        raise AssertionError("translation increment disagrees with translate")
     return inc
 
 

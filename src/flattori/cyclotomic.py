@@ -3,10 +3,10 @@
 Elements are coefficient vectors over the power basis 1, z, ..., z^{phi(L)-1}
 with Fraction coefficients.  This is a genuine field: formal coordinates
 indexed by all L powers of z would live in the group algebra Q[z]/(z^L - 1)
-instead, whose extra components inflate solution spaces.  projrep returns its
-intertwiners as matrices of these elements and verifies them here; its
-monomial systems are solved on integer phase exponents and never reach
-`sparse_rref`, which stays as the general sparse solver.
+instead, whose extra components inflate solution spaces.  projrep solves and
+verifies its intertwiners on integer phase exponents; it needs this field
+only to return them as matrices of these elements and to test a support that
+is not monomial for invertibility (subtraction, product and inverse).
 """
 
 from __future__ import annotations
@@ -97,18 +97,10 @@ class CycElt:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __add__(self, other):
-        return CycElt(self.L, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __sub__(self, other):
         return CycElt(self.L, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self):
-        return CycElt(self.L, [-a for a in self.coeffs])
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycElt(self.L, [a * other for a in self.coeffs])
         phi = cyclotomic_polynomial(self.L)
         deg = len(phi) - 1
         prod = [Fraction(0)] * (2 * deg - 1) if deg > 0 else []
@@ -124,8 +116,6 @@ class CycElt:
                 for i in range(deg + 1):
                     prod[k - deg + i] -= c * phi[i]
         return CycElt(self.L, prod[:deg])
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "CycElt":
         """Extended Euclid against Phi_L (irreducible, so gcd is a constant)."""
@@ -165,17 +155,12 @@ class CycElt:
         g = r1[0]
         inv = [(s1[i] / g if i < len(s1) else Fraction(0)) for i in range(deg)]
         out = CycElt(self.L, inv)
-        assert out * self == CycElt.one(self.L)
+        if out * self != CycElt.one(self.L):
+            raise AssertionError("inverse failed verification")
         return out
 
     def __repr__(self):
         return f"CycElt(L={self.L}, {[str(c) for c in self.coeffs]})"
-
-    def to_complex(self) -> complex:
-        import cmath
-        import math
-        z = cmath.exp(2j * math.pi / self.L)
-        return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -184,67 +169,3 @@ def _constant(L: int, c: int) -> CycElt:
     instance per (L, c) is shared by every caller."""
     deg = len(cyclotomic_polynomial(L)) - 1
     return CycElt(L, [c] + [0] * (deg - 1))
-
-
-def sparse_rref(rows, nvars: int, L: int):
-    """Reduced row echelon form of a sparse system over Q(zeta_L).
-
-    rows: iterable of {column: CycElt}.  Returns (pivots, free_cols) where
-    pivots maps a pivot column to its fully reduced row (pivot coefficient 1,
-    other keys only at free columns).
-    """
-    pivots: dict[int, dict[int, CycElt]] = {}
-    queue = [dict(r) for r in rows]
-    for row in queue:
-        row = {c: v for c, v in row.items() if not v.is_zero()}
-        # reduce against existing pivots until none of its columns is a pivot
-        while True:
-            hit = next((c for c in row if c in pivots), None)
-            if hit is None:
-                break
-            f = row.pop(hit)
-            for c, v in pivots[hit].items():
-                if c == hit:
-                    continue
-                acc = row.get(c, CycElt.zero(L)) - f * v
-                if acc.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = acc
-        if not row:
-            continue
-        pc = min(row)
-        inv = row[pc].inverse()
-        newrow = {c: inv * v for c, v in row.items()}
-        newrow[pc] = CycElt.one(L)
-        # eliminate the new pivot column from the stored pivot rows
-        for opc, orow in pivots.items():
-            if pc in orow:
-                f = orow.pop(pc)
-                for c, v in newrow.items():
-                    if c == pc:
-                        continue
-                    acc = orow.get(c, CycElt.zero(L)) - f * v
-                    if acc.is_zero():
-                        orow.pop(c, None)
-                    else:
-                        orow[c] = acc
-        pivots[pc] = newrow
-    free = [c for c in range(nvars) if c not in pivots]
-    return pivots, free
-
-
-def nullspace(rows, nvars: int, L: int):
-    """Basis of the solution space of a sparse homogeneous system, as dense
-    CycElt vectors."""
-    pivots, free = sparse_rref(rows, nvars, L)
-    basis = []
-    for f in free:
-        vec = [CycElt.zero(L)] * nvars
-        vec[f] = CycElt.one(L)
-        for pc, row in pivots.items():
-            v = row.get(f)
-            if v is not None:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis

@@ -288,21 +288,6 @@ class SymplecticNF:
         return IntMatrix(m)
 
 
-def xgcd(a: int, b: int):
-    """(g, x, y) with x*a + y*b = g = gcd(a, b), g >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
-
-
 def smith_normal_form(M: IntMatrix):
     """Return (U, D, V), U and V unimodular, U*M*V = D diagonal with
     d_i | d_{i+1} and d_i >= 0."""
@@ -444,9 +429,9 @@ def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
     divisors = tuple(a[2 * i][2 * i + 1] for i in range(r))
     nf = SymplecticNF(T=IntMatrix(t), divisors=divisors, rank2k=2 * r)
     # certificate sanity: these are the type invariants
-    assert abs(nf.T.det()) == 1
-    assert nf.T @ M @ nf.T.transpose() == nf.normal_matrix(n)
-    assert all(divisors[i + 1] % divisors[i] == 0 for i in range(len(divisors) - 1))
+    if (abs(nf.T.det()) != 1 or nf.T @ M @ nf.T.transpose() != nf.normal_matrix(n)
+            or any(divisors[i + 1] % divisors[i] for i in range(len(divisors) - 1))):
+        raise AssertionError("symplectic normal form failed its certificate check")
     return nf
 
 
@@ -539,7 +524,8 @@ def _primitive_row_lift(row, ell):
     if m > 1 and row[0] % m != 0:
         t *= m
     row[0] += ell * t
-    assert gcd(*row, 0) == 1
+    if gcd(*row, 0) != 1:
+        raise AssertionError("lifted row is not primitive")
     return row
 
 
@@ -627,6 +613,6 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
         T = J @ _lift_sl((J @ g).mod(ell), ell)
     else:
         raise ValueError("determinant is not +-1 mod ell")
-    assert (T - g).mod(ell) == IntMatrix.zero(n, n).mod(ell)
-    assert abs(T.det()) == 1
+    if (T - g).mod(ell) != IntMatrix.zero(n, n).mod(ell) or abs(T.det()) != 1:
+        raise AssertionError("unimodular lift failed verification")
     return T

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .bundles import classify_projflat, direct_sum_power, endo, line_twist_exists
 from .cohomology import AltFormZ
@@ -92,10 +92,7 @@ def q_theta(theta: SkewRatForm) -> int:
     stacked = IntMatrix([[ell if i == j else 0 for j in range(n)] + list(scaled[i])
                          for i in range(n)])
     _, D, _ = smith_normal_form(stacked)
-    prod = 1
-    for i in range(n):
-        prod *= D[i][i]
-    index = ell ** n // prod
+    index = ell ** n // prod(D[i][i] for i in range(n))
 
     chi = Bicharacter(theta.mat.entries)
     _, rad_index = radical(chi)
@@ -128,13 +125,11 @@ def normal_form(theta: SkewRatForm) -> NormalFormResult:
     T = P @ nf.T
     blocks = tuple(Fraction(nf.divisors[t], ell) for t in order)
     result = NormalFormResult(T=T, blocks=blocks, free_rank=n - 2 * k)
-    assert theta.congruence(T) == result.block_form()
     qs = [b.denominator for b in blocks]
-    assert all(qs[i + 1] % qs[i] == 0 for i in range(len(qs) - 1))
-    prod = 1
-    for q in qs:
-        prod *= q
-    assert prod == q_theta(theta)
+    if (theta.congruence(T) != result.block_form()
+            or any(qs[i + 1] % qs[i] for i in range(len(qs) - 1))
+            or prod(qs) != q_theta(theta)):
+        raise AssertionError("normal form failed its certificate check")
     return result
 
 
@@ -166,7 +161,8 @@ def bundle_of(theta: SkewRatForm):
             m = m @ base.gens[j] ** tinv[i][j]
         gens.append(m)
     rep = ProjectiveRep(gens, BilinearCocycle(theta.upper()))
-    assert rep.dim == vector.rank
+    if rep.dim != vector.rank:
+        raise AssertionError("representation dimension differs from the bundle rank")
     return vector, matrix, rep
 
 
@@ -386,6 +382,6 @@ def iso_via_bundles(theta: SkewRatForm, theta2: SkewRatForm, m: int = 1,
     n = theta.n
     e1 = direct_sum_power(classify_projflat(n, q_theta(aligned), c1_of_E_theta(aligned)), m)
     e2 = direct_sum_power(classify_projflat(n, q_theta(theta2), c1_of_E_theta(theta2)), m)
-    c_line = line_twist_exists(e1, e2)
-    assert c_line is not None, "aligned classes must differ by a line bundle"
+    if line_twist_exists(e1, e2) is None:
+        raise AssertionError("aligned classes must differ by a line bundle")
     return decision

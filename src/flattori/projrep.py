@@ -7,8 +7,10 @@ intertwiner systems X U1 = U2 X have generalized permutation-phase images U,
 so each equation ties two unknowns by a root of unity; they are solved by
 propagating integer phase exponents mod L = lcm(q_i) over the connected
 components of the unknowns, which is exact over Q(zeta_L) without field
-arithmetic.  Intertwiners come back as Q(zeta_L) matrices, verified
-literally.  No floating point in this module.
+arithmetic.  An intertwiner is verified literally on those exponents, entry
+by entry mod L, and only converted to a Q(zeta_L) matrix when it is
+returned; field arithmetic is left to the determinant test of supports that
+are not monomial.  No floating point in this module.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ def cohomologous(z1: BilinearCocycle, z2: BilinearCocycle):
         g1 = tuple(rng.randint(-8, 8) for _ in range(n))
         g2 = tuple(rng.randint(-8, 8) for _ in range(n))
         lhs = (z1.value(g1, g2) - z2.value(g1, g2)) % 1
-        assert lhs == witness.coboundary(g1, g2)
+        if lhs != witness.coboundary(g1, g2):
+            raise AssertionError("quadratic witness failed substitution")
     return witness
 
 
@@ -163,7 +166,8 @@ def clock_shift(q: int, p: int):
                                       for j in range(q)])
     V = GenPermPhaseMatrix([(j - 1) % q for j in range(q)],
                            [AffinePhase((), 0)] * q)
-    assert V @ U == (U @ V).scalar_mul(AffinePhase((), Fraction(p, q)))
+    if V @ U != (U @ V).scalar_mul(AffinePhase((), Fraction(p, q))):
+        raise AssertionError("clock and shift failed to commute up to e(p/q)")
     return U, V
 
 
@@ -172,8 +176,8 @@ class ProjectiveRep:
     """Projective representation of Z^n given by constant generalized
     permutation-phase generator images; the stored cocycle's
     antisymmetrization chi governs the commutation, which is verified
-    exactly at construction: U_j U_i = chi(e_j, e_i) U_i U_j.  Equality is
-    identity."""
+    exactly at construction: U_j U_i = chi(e_j, e_i) U_i U_j.  Phases with an
+    x-dependent part are rejected.  Equality is identity."""
 
     n: int
     dim: int
@@ -187,6 +191,8 @@ class ProjectiveRep:
         dims = {g.size for g in gens}
         if len(dims) != 1:
             raise ValueError("generator images must share a size")
+        if any(any(ph.linear) for g in gens for ph in g.phases):
+            raise ValueError("generator images must have constant phases")
         chi = bicharacter_of(cocycle)
         # U_j U_i = chi(e_j, e_i) U_i U_j for i < j implies the relation for
         # (j, i): chi is skew mod 1 and scalar_mul is exact
@@ -259,12 +265,21 @@ def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:
     return ProjectiveRep(gens, BilinearCocycle(theta.upper()))
 
 
-def _monomial_solutions(gens1, gens2, d: int, L: int):
-    """Basis of {X : X U1_i = U2_i X} over Q(zeta_L) for paired generalized
-    permutation-phase images of size d, solved on integer phase exponents.
+def _exponents(gens, L: int):
+    """Each constant generalized permutation-phase image as (perm, e) with
+    entry (perm[c], c) equal to zeta_L^e[c]; L must be a multiple of every
+    phase denominator."""
+    return [(g.perm, [ph.const.numerator * (L // ph.const.denominator) for ph in g.phases])
+            for g in gens]
 
-    Unknown v = r d + c is X[r, c].  With U e_c = u_c e_perm(c), entry
-    (perm2(r), c) of X U1 = U2 X reads u1_c X[perm2(r), perm1(c)] = u2_r X[r, c],
+
+def _monomial_solutions(view1, view2, d: int, L: int):
+    """Basis of {X : X U1_i = U2_i X} over Q(zeta_L) for paired exponent
+    views (`_exponents`) of generalized permutation-phase images of size d.
+
+    Unknown v = r d + c is X[r, c].  With U e_c = zeta^e[c] e_perm(c), entry
+    (perm2(r), c) of X U1 = U2 X reads
+    zeta^e1[c] X[perm2(r), perm1(c)] = zeta^e2[r] X[r, c],
     so every equation ties exactly two unknowns by a root of unity.
     Propagating x_v = zeta^p(v) x_root from the first unknown of each
     connected component fixes p(v) mod L; every further equation closes a
@@ -273,12 +288,10 @@ def _monomial_solutions(gens1, gens2, d: int, L: int):
     in order of their first unknown, each as {v: p(v)} with p = 0 at the
     first unknown: the vector with entries zeta^p(v) there, zeros elsewhere."""
     steps = []
-    for g1, g2 in zip(gens1, gens2):
-        # X[perm2(r), perm1(c)] = zeta^(e2[r] - e1[c]) X[r, c], u = zeta^e
-        steps.append(([(g2.perm[r] * d, ph.const.numerator * (L // ph.const.denominator))
-                       for r, ph in enumerate(g2.phases)],
-                      [(g1.perm[c], -ph.const.numerator * (L // ph.const.denominator))
-                       for c, ph in enumerate(g1.phases)]))
+    for (perm1, e1), (perm2, e2) in zip(view1, view2):
+        # X[perm2(r), perm1(c)] = zeta^(e2[r] - e1[c]) X[r, c]
+        steps.append(([(perm2[r] * d, e2[r]) for r in range(d)],
+                      [(perm1[c], -e1[c]) for c in range(d)]))
     phase = [None] * (d * d)
     components = []
     for root in range(d * d):
@@ -308,10 +321,12 @@ def commutant_dim(rep: ProjectiveRep) -> int:
     """Dimension of the commutant of the generator images over the
     cyclotomic field of the phase order: the number of components of the
     monomial system that close with phase 1."""
-    return len(_monomial_solutions(rep.gens, rep.gens, rep.dim, rep.phase_order()))
+    L = rep.phase_order()
+    view = _exponents(rep.gens, L)
+    return len(_monomial_solutions(view, view, rep.dim, L))
 
 
-def _cyc_det_nonzero(m, L) -> bool:
+def _cyc_det_nonzero(m) -> bool:
     d = len(m)
     a = [row[:] for row in m]
     for col in range(d):
@@ -337,7 +352,9 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
     by the Schur argument, so the first basis vector of the solution space
     decides; reducible inputs are probed through pairwise sums of basis
     vectors.  A support with one entry per row and column is invertible
-    (det = +- a product of roots of unity); any other is eliminated exactly.
+    (det = +- a product of roots of unity); any other is eliminated exactly
+    over Q(zeta_L).  The answer is verified on its phase exponents and
+    returned as a matrix over Q(zeta_L).
     """
     if bicharacter_of(rep1.cocycle) != bicharacter_of(rep2.cocycle):
         raise ValueError("cocycle mismatch: distinct bicharacters")
@@ -347,35 +364,35 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
         return None
     d = rep1.dim
     L = lcm(rep1.phase_order(), rep2.phase_order())
-    basis = _monomial_solutions(rep1.gens, rep2.gens, d, L)
+    view1, view2 = _exponents(rep1.gens, L), _exponents(rep2.gens, L)
+    basis = _monomial_solutions(view1, view2, d, L)
     # components are disjoint, so a sum of two is again a phase vector, and
     # it is 1 at its first nonzero entry (row-major), where a component starts
     pairs = ({**a, **b} for i, a in enumerate(basis) for b in basis[i + 1:])
-    roots = [CycElt.from_phase(Fraction(k, L), L) for k in range(L)]
     zero = CycElt.zero(L)
     for vec in chain(basis, pairs):
         X = [[zero] * d for _ in range(d)]
         for v, p in vec.items():
-            X[v // d][v % d] = roots[p]
+            X[v // d][v % d] = CycElt.from_phase(Fraction(p, L), L)
         monomial = (len(vec) == d and len({v // d for v in vec}) == d
                     and len({v % d for v in vec}) == d)
-        if monomial or _cyc_det_nonzero(X, L):
-            _verify_intertwiner(X, rep1, rep2, L)
+        if monomial or _cyc_det_nonzero(X):
+            _verify_intertwiner(vec, view1, view2, d, L)
             return X
     return None
 
 
-def _verify_intertwiner(X, rep1, rep2, L):
-    """X U1 = U2 X over Q(zeta_L) for every generator, entry by entry.  U is
-    monomial, so each entry of either side is one product:
-    (X U1)[r, inv1(k)] = X[r, k] u1_inv1(k) and (U2 X)[perm2(k), c] = u2_k X[k, c]."""
-    support = [(r, k, x) for r, row in enumerate(X) for k, x in enumerate(row)
-               if not x.is_zero()]
-    for g1, g2 in zip(rep1.gens, rep2.gens):
-        inv1 = {p: j for j, p in enumerate(g1.perm)}
-        u1 = [CycElt.from_phase(ph.const, L) for ph in g1.phases]
-        u2 = [CycElt.from_phase(ph.const, L) for ph in g2.phases]
-        lhs = {(r, inv1[k]): x * u1[inv1[k]] for r, k, x in support}
-        rhs = {(g2.perm[k], c): u2[k] * x for k, c, x in support}
+def _verify_intertwiner(vec, view1, view2, d: int, L: int):
+    """X U1 = U2 X for every generator, entry by entry on exponents mod L,
+    where X has entry zeta^p at unknown v = r d + c for each v: p in vec and
+    zeros elsewhere.  U is monomial and vec is a phase vector, so each entry
+    of either side is zero or one root of unity:
+    (X U1)[r, inv1(k)] = zeta^(p + e1[inv1(k)]) and
+    (U2 X)[perm2(k), c] = zeta^(e2[k] + p)."""
+    support = [(v // d, v % d, p) for v, p in vec.items()]
+    for (perm1, e1), (perm2, e2) in zip(view1, view2):
+        inv1 = {k: j for j, k in enumerate(perm1)}
+        lhs = {(r, inv1[k]): (p + e1[inv1[k]]) % L for r, k, p in support}
+        rhs = {(perm2[k], c): (e2[k] + p) % L for k, c, p in support}
         if lhs != rhs:
             raise AssertionError("intertwiner failed literal verification")

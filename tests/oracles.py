@@ -3,12 +3,16 @@
 These deliberately avoid the library's own search/walk code paths: the
 exhaustive oracle enumerates every matrix mod ell with unit determinant +-1
 by dense numpy enumeration, and index oracles enumerate residues directly.
+The Q(zeta_L) references (sparse elimination and the literal intertwiner
+check) do field arithmetic where the library works on phase exponents.
 """
 
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from flattori.cyclotomic import CycElt
 
 
 def _dets_vectorized(G):
@@ -95,3 +99,85 @@ def random_skew_rat(rng, n, max_den=12, max_num=6):
             m[i][j] = Fraction(num, den)
             m[j][i] = -m[i][j]
     return SkewRatForm(m)
+
+
+def sparse_rref(rows, nvars: int, L: int):
+    """Reduced row echelon form of a sparse system over Q(zeta_L).
+
+    rows: iterable of {column: CycElt}.  Returns (pivots, free_cols) where
+    pivots maps a pivot column to its fully reduced row (pivot coefficient 1,
+    other keys only at free columns).
+    """
+    pivots = {}
+    queue = [dict(r) for r in rows]
+    for row in queue:
+        row = {c: v for c, v in row.items() if not v.is_zero()}
+        # reduce against existing pivots until none of its columns is a pivot
+        while True:
+            hit = next((c for c in row if c in pivots), None)
+            if hit is None:
+                break
+            f = row.pop(hit)
+            for c, v in pivots[hit].items():
+                if c == hit:
+                    continue
+                acc = row.get(c, CycElt.zero(L)) - f * v
+                if acc.is_zero():
+                    row.pop(c, None)
+                else:
+                    row[c] = acc
+        if not row:
+            continue
+        pc = min(row)
+        inv = row[pc].inverse()
+        newrow = {c: inv * v for c, v in row.items()}
+        newrow[pc] = CycElt.one(L)
+        # eliminate the new pivot column from the stored pivot rows
+        for orow in pivots.values():
+            if pc in orow:
+                f = orow.pop(pc)
+                for c, v in newrow.items():
+                    if c == pc:
+                        continue
+                    acc = orow.get(c, CycElt.zero(L)) - f * v
+                    if acc.is_zero():
+                        orow.pop(c, None)
+                    else:
+                        orow[c] = acc
+        pivots[pc] = newrow
+    free = [c for c in range(nvars) if c not in pivots]
+    return pivots, free
+
+
+def nullspace(rows, nvars: int, L: int):
+    """Basis of the solution space of a sparse homogeneous system, as dense
+    CycElt vectors."""
+    pivots, free = sparse_rref(rows, nvars, L)
+    basis = []
+    for f in free:
+        vec = [CycElt.zero(L)] * nvars
+        vec[f] = CycElt.one(L)
+        for pc, row in pivots.items():
+            v = row.get(f)
+            if v is not None:
+                vec[pc] = CycElt.zero(L) - v
+        basis.append(vec)
+    return basis
+
+
+def cyc_intertwines(X, rep1, rep2, L):
+    """Literal reference: X U1 = U2 X over Q(zeta_L) for every generator,
+    with X a d x d matrix of CycElt and U1, U2 the constant generator images.
+    U is monomial, so each entry of either side is one product:
+    (X U1)[r, inv1(k)] = X[r, k] u1_inv1(k) and (U2 X)[perm2(k), c] = u2_k X[k, c]."""
+    support = [(r, k, x) for r, row in enumerate(X) for k, x in enumerate(row)
+               if not x.is_zero()]
+    for g1, g2 in zip(rep1.gens, rep2.gens):
+        inv1 = {p: j for j, p in enumerate(g1.perm)}
+        u1 = [CycElt.from_phase(ph.const, L) for ph in g1.phases]
+        u2 = [CycElt.from_phase(ph.const, L) for ph in g2.phases]
+        lhs = {(r, inv1[k]): x * u1[inv1[k]] for r, k, x in support}
+        rhs = {(g2.perm[k], c): u2[k] * x for k, c, x in support}
+        if lhs != rhs:
+            return False
+    return True

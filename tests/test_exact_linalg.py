@@ -16,7 +16,6 @@ from flattori.exact_linalg import (
     smith_normal_form,
     symplectic_normal_form,
     unimodular_sample,
-    xgcd,
 )
 
 
@@ -52,13 +51,6 @@ def check_smith(M):
         else:
             assert b % a == 0
     return diag
-
-
-def test_xgcd():
-    for a, b in [(0, 0), (4, 6), (-4, 6), (12, 0), (7, 13), (-9, -24)]:
-        g, x, y = xgcd(a, b)
-        assert g == x * a + y * b
-        assert g >= 0
 
 
 def test_smith_already_diagonal():

@@ -6,8 +6,8 @@ from math import lcm
 import numpy as np
 import pytest
 
-from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
-from flattori.cyclotomic import CycElt, sparse_rref
+from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
+from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import RatMatrix, SkewRatForm
 from flattori.projrep import (
     Bicharacter,
@@ -21,7 +21,8 @@ from flattori.projrep import (
     intertwiner,
     radical,
 )
-from flattori.projrep import _cyc_det_nonzero, _monomial_solutions, _verify_intertwiner
+from flattori.projrep import _cyc_det_nonzero, _exponents, _monomial_solutions, _verify_intertwiner
+from oracles import cyc_intertwines, sparse_rref
 
 
 def skew2(x):
@@ -245,7 +246,17 @@ def rref_intertwiner_dim(rep1, rep2):
 
 def monomial_dim(rep1, rep2):
     L = lcm(rep1.phase_order(), rep2.phase_order())
-    return len(_monomial_solutions(rep1.gens, rep2.gens, rep1.dim, L))
+    return len(_monomial_solutions(_exponents(rep1.gens, L), _exponents(rep2.gens, L),
+                                   rep1.dim, L))
+
+
+def checked_intertwiner(rep1, rep2):
+    """intertwiner, with every X it returns checked by the literal Q(zeta_L)
+    reference."""
+    X = intertwiner(rep1, rep2)
+    if X is not None:
+        assert cyc_intertwines(X, rep1, rep2, lcm(rep1.phase_order(), rep2.phase_order()))
+    return X
 
 
 def test_commutant_dim_irreducible():
@@ -280,11 +291,11 @@ def test_scalar_twist_of_clock(phase, equivalent):
     assert commutant_dim(both) == rref_intertwiner_dim(both, both) == want
     assert numpy_commutant_dim(both) == want
     assert monomial_dim(rep, twist) == rref_intertwiner_dim(rep, twist) == int(equivalent)
-    assert (intertwiner(rep, twist) is not None) == equivalent
+    assert (checked_intertwiner(rep, twist) is not None) == equivalent
     # reducible: no single basis vector of the solution space is invertible,
     # the block swap is found among the pairwise sums
-    X = intertwiner(both, twist.direct_sum(rep))
-    assert X is not None and _cyc_det_nonzero(X, both.phase_order())
+    X = checked_intertwiner(both, twist.direct_sum(rep))
+    assert X is not None and _cyc_det_nonzero(X)
 
 
 def test_random_monomial_conjugations():
@@ -303,7 +314,7 @@ def test_random_monomial_conjugations():
         assert monomial_dim(rep, conj) == rref_intertwiner_dim(rep, conj) == 1
         assert numpy_commutant_dim(rep, conj) == 1
         assert commutant_dim(rep.direct_sum(conj)) == 4
-        X = intertwiner(rep, conj)
+        X = checked_intertwiner(rep, conj)
         L = lcm(rep.phase_order(), conj.phase_order())
         lead = P.perm.index(0)  # the column of the first nonzero entry of P
         for j in range(d):
@@ -324,24 +335,70 @@ def test_intertwiner_non_monomial_support():
     assert monomial_dim(diag, swap) == rref_intertwiner_dim(diag, swap) == 2
     assert commutant_dim(swap) == numpy_commutant_dim(swap) == 2
     one, minus = CycElt.one(2), CycElt.from_phase(half, 2)
-    assert intertwiner(diag, swap) == [[one, one], [one, minus]]
+    assert checked_intertwiner(diag, swap) == [[one, one], [one, minus]]
 
 
 def test_verify_intertwiner_rejects_non_solutions():
+    # candidates are {r d + c: exponent of X[r, c]}, zeros elsewhere
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
     L = rep.phase_order()
-    one, zero = CycElt.one(L), CycElt.zero(L)
-    z = CycElt.from_phase(Fraction(1, 3), L)
-    _verify_intertwiner([[one if r == c else zero for c in range(3)] for r in range(3)],
-                        rep, rep, L)
-    # commutes with the clock U but not with the shift V
-    diag = [[(z if r == 2 else one) if r == c else zero for c in range(3)] for r in range(3)]
+    view = _exponents(rep.gens, L)
+    _verify_intertwiner({0: 0, 4: 0, 8: 0}, view, view, 3, L)
+    # diag(1, 1, zeta): commutes with the clock U but not with the shift V
     with pytest.raises(AssertionError):
-        _verify_intertwiner(diag, rep, rep, L)
+        _verify_intertwiner({0: 0, 4: 0, 8: 1}, view, view, 3, L)
     # a single nonzero entry: the zero pattern of X U differs from U X
-    unit = [[one if (r, c) == (0, 0) else zero for c in range(3)] for r in range(3)]
     with pytest.raises(AssertionError):
-        _verify_intertwiner(unit, rep, rep, L)
+        _verify_intertwiner({0: 0}, view, view, 3, L)
+
+
+def _exponent_verifier_accepts(vec, rep1, rep2, L):
+    try:
+        _verify_intertwiner(vec, _exponents(rep1.gens, L), _exponents(rep2.gens, L),
+                            rep1.dim, L)
+    except AssertionError:
+        return False
+    return True
+
+
+def test_exponent_verifier_matches_field_reference():
+    # true solutions (every basis vector and pairwise sum of the monomial
+    # system) and each of them with one entry's exponent shifted; for the
+    # commutant, also the generator images, each of which commutes with
+    # some generators and not with its partner in the block
+    rng = random.Random(57)
+    checked = 0
+    for blocks in _chain_norm_forms(12):
+        rep = heisenberg_rep(_as_normal_form(blocks))
+        d = rep.dim
+        perm = list(range(d))
+        rng.shuffle(perm)
+        P = GenPermPhaseMatrix(perm, [AffinePhase((), Fraction(rng.randrange(2 * d), 2 * d))
+                                      for _ in range(d)])
+        conj = ProjectiveRep([P @ g @ P.inverse() for g in rep.gens], rep.cocycle)
+        for rep1, rep2 in [(rep, conj), (rep.direct_sum(conj), conj.direct_sum(rep)),
+                           (rep, rep)]:
+            L = lcm(rep1.phase_order(), rep2.phase_order())
+            size = rep1.dim
+            basis = _monomial_solutions(_exponents(rep1.gens, L), _exponents(rep2.gens, L),
+                                        size, L)
+            solutions = basis + [{**a, **b} for i, a in enumerate(basis) for b in basis[i + 1:]]
+            cases = [(vec, True) for vec in solutions]
+            for vec in solutions:
+                v = rng.choice(sorted(vec))
+                cases.append(({**vec, v: (vec[v] + rng.randrange(1, L)) % L}, False))
+            if rep2 is rep:
+                cases += [({image[c] * d + c: e for c, e in enumerate(exps)}, False)
+                          for image, exps in _exponents(rep.gens, L)]
+            zero = CycElt.zero(L)
+            for vec, want in cases:
+                X = [[zero] * size for _ in range(size)]
+                for v, p in vec.items():
+                    X[v // size][v % size] = CycElt.from_phase(Fraction(p, L), L)
+                assert _exponent_verifier_accepts(vec, rep1, rep2, L) == want
+                assert cyc_intertwines(X, rep1, rep2, L) == want
+                checked += 1
+    assert checked > 500
 
 
 def test_cyc_det_nonzero_non_monomial():
@@ -350,13 +407,13 @@ def test_cyc_det_nonzero_non_monomial():
     z = CycElt.from_phase(Fraction(1, 3), L)
     # row 1 is z times row 0
     singular = [[one, z, zero], [z, z * z, zero], [zero, zero, one]]
-    assert not _cyc_det_nonzero(singular, L)
-    assert _cyc_det_nonzero([[one, z, zero], [z, one, zero], [zero, zero, one]], L)
+    assert not _cyc_det_nonzero(singular)
+    assert _cyc_det_nonzero([[one, z, zero], [z, one, zero], [zero, zero, one]])
 
 
 def test_intertwiner_self_is_identity():
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
-    X = intertwiner(rep, rep)
+    X = checked_intertwiner(rep, rep)
     assert X is not None
     L = rep.phase_order()
     for r in range(3):
@@ -374,7 +431,7 @@ def _conjugate_by_perm(rep, perm):
 def test_intertwiner_recovers_permutation():
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
     conj, P = _conjugate_by_perm(rep, (1, 2, 0))
-    X = intertwiner(rep, conj)
+    X = checked_intertwiner(rep, conj)
     assert X is not None
     L = rep.phase_order()
     expect = [[CycElt.zero(L)] * 3 for _ in range(3)]
@@ -401,7 +458,7 @@ def test_intertwiner_exists_for_equal_cocycle_pairs():
             continue
         perm = tuple(range(1, rep.dim)) + (0,)
         conj, _ = _conjugate_by_perm(rep, perm)
-        assert intertwiner(rep, conj) is not None
+        assert checked_intertwiner(rep, conj) is not None
 
 
 def test_projective_rep_rejects_wrong_commutation():
@@ -409,3 +466,9 @@ def test_projective_rep_rejects_wrong_commutation():
     bad_cocycle = BilinearCocycle(skew2(Fraction(2, 3)).upper())
     with pytest.raises(ValueError):
         ProjectiveRep((V, U), bad_cocycle)
+
+
+def test_projective_rep_rejects_non_constant_phases():
+    # the corner phase e(-s) of the Rieffel matrix depends on the point
+    with pytest.raises(ValueError):
+        ProjectiveRep([rieffel_N(3, 1)], BilinearCocycle([[0]]))
