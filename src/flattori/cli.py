@@ -5,8 +5,9 @@ text protocol is exact: integers and p/q literals only, ASCII only, and
 identical invocations produce byte-identical output.  Floating point appears
 nowhere except optional loop-sample CSV dumps.
 
-Exit codes: 0 success, 1 negative decision, 2 usage or parse error,
-3 undecided-at-cap.
+Exit codes: 0 success, 1 negative decision, 2 usage or parse error (an
+out-of-range option included) or a numerical clutching run that failed to
+unwrap or to snap.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 from . import autofactor, bundles, nctorus, projrep
@@ -32,7 +34,6 @@ from .textio import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-EXIT_UNDECIDED = 3
 
 
 def _records(obj) -> str:
@@ -84,17 +85,14 @@ def cmd_iso(args) -> int:
     theta2 = load_skew(args.theta_prime)
     p1 = nctorus.NCTorusParams(theta.n, theta, args.m)
     p2 = nctorus.NCTorusParams(theta2.n, theta2, args.m_prime)
-    d = nctorus.iso_decide(p1, p2, cap=args.cap)
-    if d.status is nctorus.IsoStatus.ISO:
+    d = nctorus.iso_decide(p1, p2)
+    if d.is_iso:
         rec = {"isomorphic": True, "T": dump_matrix(d.T), "shift": dump_matrix(d.shift)}
         human = ["isomorphic", "T:", *_rows(d.T), "shift:", *_rows(d.shift)]
         _emit(args, human, rec)
         return EXIT_OK
-    if d.status is nctorus.IsoStatus.NOT_ISO:
-        _emit(args, ["not isomorphic"], {"isomorphic": False})
-        return EXIT_NEGATIVE
-    _emit(args, ["undecided-at-cap"], {"isomorphic": None, "undecided": True})
-    return EXIT_UNDECIDED
+    _emit(args, ["not isomorphic"], {"isomorphic": False})
+    return EXIT_NEGATIVE
 
 
 def _dump_samples_csv(factor, samples, path) -> None:
@@ -248,6 +246,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> str:
+    """A finite positive snap tolerance, kept as written for the header."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return text
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process, because argparse keeps
@@ -273,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-prime", required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--m-prime", type=int, default=1)
-    p.add_argument("--cap", type=_positive_int, default=nctorus.ORBIT_CAP,
-                   help="most orbit states to visit before answering undecided")
     p.set_defaults(func=cmd_iso)
 
     for name, fn in (("twist", cmd_twist), ("omega", cmd_omega)):
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=None,
                        help="sample count for the clutching path")
         if name == "omega":
-            p.add_argument("--tolerance", default="1e-06",
+            p.add_argument("--tolerance", type=_tolerance, default="1e-06",
                            help="snap tolerance for the clutching path, in turns")
         p.add_argument("--dump-samples", default=None, metavar="PATH",
                        help="write the loop samples as CSV (t,row,col,re,im)")
@@ -327,7 +334,8 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # MatrixFormatError is a ValueError
+    except (ValueError, FileNotFoundError,  # MatrixFormatError is a ValueError
+            autofactor.SnapError, autofactor.UnwrapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,20 +2,44 @@
 
 The deformation parameter is a rational skew form theta; only the phases
 e(theta_ij) matter, so everything is invariant under integer shifts and
-GL(n, Z) congruence.  The decision procedure reduces to a finite orbit walk
-mod the common denominator ell, with every positive answer shipping an exact
-integral certificate (T, shift) that is verified literally before being
-returned.
+GL(n, Z) congruence.  With ell the common denominator of frac(theta) and
+frac(theta'), the pair is isomorphic exactly when S = ell frac(theta) and
+S' = ell frac(theta') are congruent mod ell under Gamma, the matrices mod
+ell with det +-1 (the image of GL(n, Z)).  This is decided from invariants
+(the Disney-Elliott-Kumjian-Raeburn classification made effective), and
+every positive answer ships an exact integral certificate (T, shift) that
+is verified literally before being returned.
 
-The walk is a bidirectional breadth-first search over the GL(n, Z)-orbit of
-ell * theta mod ell.  A state is the strict upper triangle of that
-alternating form, a flat tuple of n(n-1)/2 residues.  A generator acts on it
-by a few precomputed elementary updates: I + c e_ij changes the n - 2
-entries of row/column i, the sign flip of row 0 negates n - 1 entries.
-Each visited state keeps only its parent and the index of the generator
-that reached it; where the two search trees meet, the two generator words
-are multiplied out mod ell into g and h, and h^-1 g is lifted to the
-certificate.  The orbit cap counts visited states on both sides together.
+Invariants.  symplectic_normal_form gives T with det T = +-1 and
+T S T^t = (+)_j e_j J, e_1 | e_2 | ... | e_r, then zero rows.  Scaling row
+2j of T by a unit u_j with u_j e_j = gcd(e_j, ell) mod ell gives M with
+M S M^t = N = (+)_j gcd(e_j, ell) J mod ell.  N is fixed by the chain of
+denominators ell / gcd(e_j, ell) > 1, so equal chains give one N for both
+sides, and S ~ S' exactly when some h in Stab(N) has
+det h = eps det M' / det M with eps = +-1; then g = M'^-1 h M.
+
+Theorem.  For p^k || ell let a_j = min(v_p(gcd(e_j, ell)), k), let A be
+max a_j (A = k when 2r < n: N has zero rows) and c = k - A.  Then the
+determinants of Stab(N mod p^k) are exactly the units u = 1 mod p^c.
+  (>=) Scaling a zero direction, or the first vector of a block with
+  a_j = A, by u multiplies one row and column of N, whose entries have
+  valuation >= A, by u; they change by multiples of p^(c + A) = p^k.
+  (<=) Let c >= 1, so n = 2r, and lift G in Stab(N) to Z: G N G^t = N + E
+  with E = 0 mod p^k, and Pf(N + E) = det G Pf(N) = det G p^(sum a) w with
+  w a unit at p.  In the perfect-matching expansion of Pf(N + E) the
+  standard matching {2j, 2j+1} gives prod_j (gcd(e_j, ell) + E_(2j,2j+1))
+  = p^(sum a) w (1 + O(p^(k - A))).  Any other matching crosses a set B of
+  at least two whole blocks (a vertex matched outside its block leaves its
+  partner to be matched outside too); its term has valuation at least
+  sum_(j not in B) a_j + |B| k >= sum a + 2 (k - A).  So det G = 1
+  mod p^(k - A).
+
+Decision.  The gcd(e_j, ell) divide each other in order, so the last block
+has the largest a_j at every p at once.  The constraints eps delta = 1
+mod p^c, delta = det M' / det M, combine to one modulus
+C = ell / gcd(e_r, ell) (C = 1 when 2r < n), and one h serves every prime:
+it scales the first vector of the last block, or the last coordinate when
+2r < n, by eps delta.
 """
 
 from __future__ import annotations
@@ -23,7 +47,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, isqrt, lcm, prod
 
 from .bundles import classify_projflat, direct_sum_power, endo, line_twist_exists
@@ -37,8 +60,6 @@ from .exact_linalg import (
     symplectic_normal_form,
 )
 from .projrep import Bicharacter, BilinearCocycle, ProjectiveRep, heisenberg_rep, radical
-
-ORBIT_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -169,7 +190,7 @@ def bundle_of(theta: SkewRatForm):
 class IsoStatus(enum.Enum):
     ISO = "iso"
     NOT_ISO = "not-iso"
-    UNDECIDED = "undecided"
+    UNDECIDED = "undecided"  # never returned; perfbench/workloads.py names it
 
 
 @dataclass(frozen=True)
@@ -183,205 +204,91 @@ class IsoDecision:
         return self.status is IsoStatus.ISO
 
 
-def _theta_bar(theta: SkewRatForm, ell: int):
-    """Walk state of theta: the strict upper triangle of ell * theta mod
-    ell, row by row (the same for theta and frac(theta)).  The form is
-    alternating mod ell, so this determines it."""
-    f = theta.mat
-    return tuple(int(f[i][j] * ell) % ell for i, j in combinations(range(theta.n), 2))
+def _unit_to_gcd(e: int, ell: int) -> int:
+    """A unit u mod ell with u * e = gcd(e, ell) mod ell."""
+    g = gcd(e, ell)
+    u = pow(e // g, -1, ell // g)
+    while gcd(u, ell) != 1:  # some lift of a unit mod ell / g is a unit mod ell
+        u += ell // g
+    return u
 
 
-def _invariant_chain(f: SkewRatForm, ell: int):
-    """Denominators q_i = ell / gcd(e_i, ell) > 1 of the divisor chain of
-    ell * f, for f = frac(theta): the finite pairing invariants of the class."""
-    divisors = symplectic_normal_form(f.scaled_int(ell)).divisors
-    return tuple(ell // gcd(e, ell) for e in divisors if ell // gcd(e, ell) > 1)
+def _scaled(nf, ell: int):
+    """(rows of M, det M / det T mod ell) for M = T with row 2j scaled by
+    _unit_to_gcd(e_j, ell): M S M^t = (+)_j gcd(e_j, ell) J mod ell."""
+    rows = [list(r) for r in nf.T.entries]
+    units = 1
+    for j, e in enumerate(nf.divisors):
+        u = _unit_to_gcd(e, ell)
+        rows[2 * j] = [u * x % ell for x in rows[2 * j]]
+        units = units * u % ell
+    return rows, units
 
 
-def _mat_mul_mod(a, b, ell):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % ell
-                       for j in range(n)) for i in range(n))
+def _congruence(nf1, nf2, ell: int):
+    """g mod ell with det g = +-1 and g S1 g^t = S2 mod ell, for the
+    symplectic normal forms of S1 and S2 with equal denominator chains, or
+    None when there is none (module docstring)."""
+    rows1, units1 = _scaled(nf1, ell)
+    rows2, units2 = _scaled(nf2, ell)
+    n = len(rows1)
+    r = len(nf1.divisors)
+    C = ell // gcd(nf1.divisors[-1], ell) if 2 * r == n else 1
+    delta = units2 * pow(units1, -1, ell)
+    eps = next((e for e in (1, -1) if (e * delta - 1) % C == 0), None)
+    if eps is None:
+        return None
+    i = n - 2 if 2 * r == n else n - 1
+    rows1[i] = [eps * delta * x % ell for x in rows1[i]]
+    return (inverse_mod(IntMatrix(rows2), ell) @ IntMatrix(rows1)).mod(ell)
 
 
-def _identity(n: int):
-    return tuple(tuple(int(r == s) for s in range(n)) for r in range(n))
+def _chain(nf, ell: int):
+    """Denominators ell / gcd(e_j, ell) > 1 of the divisor chain: the finite
+    pairing invariants of the class."""
+    return tuple(ell // gcd(e, ell) for e in nf.divisors if e % ell)
 
 
-def _generators(n: int, ell: int):
-    """Generators of GL(n, Z) mod ell, as (g, updates) pairs in walk order:
-    the elementary E = I + c e_ij (c = +-1), then the sign flip J of row 0.
-    Generators equal mod ell to the identity or to an earlier one are
-    dropped; they would only revisit states.
+def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
+    """Decide C(T^n_theta) (x) M_m = C(T^n'_theta') (x) M_m'.
 
-    `updates` is the action S -> g S g^t on packed states (`_step`): a tuple
-    of (target, source, k) meaning new[target] = old[target] + k old[source].
-    E changes only the pairs {i, b}, b not in {i, j}: S'_ib = S_ib + c S_jb,
-    and with S_ab = sigma(a, b) packed(a, b) for sigma = +1 above the
-    diagonal and -1 below, k = c sigma(i, b) sigma(j, b).  J negates row 0,
-    which is k = -2 on each entry (0, b)."""
-    pos = {}
-    for t, (i, j) in enumerate(combinations(range(n), 2)):
-        pos[i, j] = pos[j, i] = t
-
-    def sigma(a, b):
-        return 1 if a < b else -1
-
-    gens = []
-    known = {_identity(n)}
-
-    def add(rows, updates):
-        g = tuple(tuple(r) for r in rows)
-        if g not in known:
-            known.add(g)
-            gens.append((g, updates))
-
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for c in (1, -1):
-                    e = [list(r) for r in _identity(n)]
-                    e[i][j] = c % ell
-                    add(e, tuple((pos[i, b], pos[j, b], c * sigma(i, b) * sigma(j, b) % ell)
-                                 for b in range(n) if b not in (i, j)))
-    flip = [list(r) for r in _identity(n)]
-    flip[0][0] = -1 % ell
-    add(flip, tuple((pos[0, b], pos[0, b], -2 % ell) for b in range(1, n)))
-    return gens
-
-
-def _step(state, updates, ell):
-    """g S g^t mod ell on a packed state, for the updates of g."""
-    new = list(state)
-    for t, s, k in updates:
-        new[t] = (state[t] + k * state[s]) % ell
-    return tuple(new)
-
-
-def _group_element(seen, state, gens, n, ell):
-    """g mod ell with g * root * g^t = state, for the root of the search
-    tree `seen` (state -> (parent, generator index), root -> None): the
-    product of the generator word along the parent pointers."""
-    word = []
-    while seen[state] is not None:
-        state, k = seen[state]
-        word.append(k)
-    g = _identity(n)
-    for k in reversed(word):
-        g = _mat_mul_mod(gens[k][0], g, ell)
-    return g
-
-
-def _congruence_search(f1: SkewRatForm, f2: SkewRatForm, ell: int, cap: int):
-    """Bidirectional breadth-first orbit walk between the mod-ell reductions,
-    expanding the smaller frontier, one level at a time.  States are packed
-    upper triangles (`_theta_bar`); each new state records its parent and
-    generator, and only where the two trees meet is the group element
-    rebuilt from those words.  More than `cap` visited states on both sides
-    together gives UNDECIDED.  Returns (status, g mod ell or None)."""
-    n = f1.n
-    if ell == 1:
-        return IsoStatus.ISO, _identity(n)
-    s1 = _theta_bar(f1, ell)
-    s2 = _theta_bar(f2, ell)
-    if s1 == s2:
-        return IsoStatus.ISO, _identity(n)
-    gens = _generators(n, ell)
-    steps = [updates for _, updates in gens]
-    fwd = {s1: None}
-    bwd = {s2: None}
-    frontier_f = [s1]
-    frontier_b = [s2]
-
-    def meet(state):
-        g = _group_element(fwd, state, gens, n, ell)
-        h = _group_element(bwd, state, gens, n, ell)
-        hinv = inverse_mod(IntMatrix(h), ell)
-        return IsoStatus.ISO, _mat_mul_mod(tuple(hinv.entries), g, ell)
-
-    while True:
-        use_fwd = len(frontier_f) <= len(frontier_b)
-        frontier, seen, other = ((frontier_f, fwd, bwd) if use_fwd
-                                 else (frontier_b, bwd, fwd))
-        new_frontier = []
-        for state in frontier:
-            for k, updates in enumerate(steps):
-                ns = _step(state, updates, ell)
-                if ns in seen:
-                    continue
-                seen[ns] = (state, k)
-                new_frontier.append(ns)
-                if ns in other:
-                    return meet(ns)
-                if len(fwd) + len(bwd) > cap:
-                    return IsoStatus.UNDECIDED, None
-        if use_fwd:
-            frontier_f = new_frontier
-        else:
-            frontier_b = new_frontier
-        if not new_frontier:
-            return IsoStatus.NOT_ISO, None  # an orbit closed
-
-
-def _certified(theta: SkewRatForm, theta2: SkewRatForm, g, ell) -> IsoDecision:
-    T = lift_unimodular_mod(IntMatrix(g), ell)
+    Reject on n or m mismatch, on different q_theta, or on different
+    denominator chains; otherwise decide by the unit class of the normal
+    forms (module docstring).  A positive answer's g mod ell is lifted to
+    an integral certificate and verified literally."""
+    if p1.n != p2.n or p1.m != p2.m:
+        return IsoDecision(IsoStatus.NOT_ISO)
+    theta, theta2 = p1.theta, p2.theta
+    if q_theta(theta) != q_theta(theta2):
+        return IsoDecision(IsoStatus.NOT_ISO)
+    f1, f2 = theta.frac(), theta2.frac()
+    ell = lcm(f1.common_denominator(), f2.common_denominator())
+    nf1 = symplectic_normal_form(f1.scaled_int(ell))
+    nf2 = symplectic_normal_form(f2.scaled_int(ell))
+    if _chain(nf1, ell) != _chain(nf2, ell):
+        return IsoDecision(IsoStatus.NOT_ISO)
+    g = IntMatrix.identity(p1.n) if f1 == f2 else _congruence(nf1, nf2, ell)
+    if g is None:
+        return IsoDecision(IsoStatus.NOT_ISO)
+    T = lift_unimodular_mod(g, ell)
     diff = theta2.mat - theta.congruence(T).mat
     if not diff.is_integral():
         raise AssertionError("lifted certificate failed literal verification")
     return IsoDecision(IsoStatus.ISO, T=T, shift=diff.to_int())
 
 
-def _reduced_pair(theta: SkewRatForm, theta2: SkewRatForm):
-    """(frac(theta), frac(theta2), ell) with ell the lcm of their
-    denominators, the walk modulus; None when q_theta or the finite pairing
-    invariants differ, so that no walk is needed."""
-    if q_theta(theta) != q_theta(theta2):
-        return None
-    f1, f2 = theta.frac(), theta2.frac()
-    ell = lcm(f1.common_denominator(), f2.common_denominator())
-    if _invariant_chain(f1, ell) != _invariant_chain(f2, ell):
-        return None
-    return f1, f2, ell
-
-
-def iso_decide(p1: NCTorusParams, p2: NCTorusParams, cap: int = ORBIT_CAP) -> IsoDecision:
-    """Decide C(T^n_theta) (x) M_m = C(T^n'_theta') (x) M_m'.
-
-    Pipeline: reject on n or m mismatch; reject if q_theta or the finite
-    pairing invariants differ; then the exact mod-ell orbit walk, whose
-    positive answers are lifted to integral certificates and verified.
-    Exceeding the orbit cap reports UNDECIDED, never a guess."""
-    if p1.n != p2.n or p1.m != p2.m:
-        return IsoDecision(IsoStatus.NOT_ISO)
-    theta, theta2 = p1.theta, p2.theta
-    reduced = _reduced_pair(theta, theta2)
-    if reduced is None:
-        return IsoDecision(IsoStatus.NOT_ISO)
-    status, g = _congruence_search(*reduced, cap)
-    if status is IsoStatus.ISO:
-        return _certified(theta, theta2, g, reduced[2])
-    return IsoDecision(status)
-
-
-def iso_via_bundles(theta: SkewRatForm, theta2: SkewRatForm, m: int = 1,
-                    cap: int = ORBIT_CAP) -> IsoDecision:
-    """Alternative decision through the bundle classification: after the
-    same early rejections as iso_decide, align by the shared congruence
-    search, then ask for a line-bundle twist between the m-fold sums.  Must
-    agree with iso_decide; the amplification m cancels."""
-    if m < 1:
-        raise ValueError("matrix amplification must be >= 1")
-    reduced = _reduced_pair(theta, theta2) if theta.n == theta2.n else None
-    if reduced is None:
-        return IsoDecision(IsoStatus.NOT_ISO)
-    status, g = _congruence_search(*reduced, cap)
-    if status is not IsoStatus.ISO:
-        return IsoDecision(status)
-    decision = _certified(theta, theta2, g, reduced[2])
-    aligned = theta.congruence(decision.T)
-    n = theta.n
-    e1 = direct_sum_power(classify_projflat(n, q_theta(aligned), c1_of_E_theta(aligned)), m)
-    e2 = direct_sum_power(classify_projflat(n, q_theta(theta2), c1_of_E_theta(theta2)), m)
-    if line_twist_exists(e1, e2) is None:
-        raise AssertionError("aligned classes must differ by a line bundle")
+def iso_via_bundles(theta: SkewRatForm, theta2: SkewRatForm, m: int = 1) -> IsoDecision:
+    """iso_decide for the m-fold amplifications, cross-checked through the
+    bundle classification: on a positive answer the m-fold sums of the
+    aligned projectively flat classes must differ by a line bundle twist.
+    The amplification m cancels."""
+    decision = iso_decide(NCTorusParams(theta.n, theta, m),
+                          NCTorusParams(theta2.n, theta2, m))
+    if decision.is_iso:
+        aligned = theta.congruence(decision.T)
+        n = theta.n
+        e1 = direct_sum_power(classify_projflat(n, q_theta(aligned), c1_of_E_theta(aligned)), m)
+        e2 = direct_sum_power(classify_projflat(n, q_theta(theta2), c1_of_E_theta(theta2)), m)
+        if line_twist_exists(e1, e2) is None:
+            raise AssertionError("aligned classes must differ by a line bundle")
     return decision

@@ -176,13 +176,15 @@ class ProjectiveRep:
     """Projective representation of Z^n given by constant generalized
     permutation-phase generator images; the stored cocycle's
     antisymmetrization chi governs the commutation, which is verified
-    exactly at construction: U_j U_i = chi(e_j, e_i) U_i U_j.  Phases with an
-    x-dependent part are rejected.  Equality is identity."""
+    exactly at construction: U_j U_i = chi(e_j, e_i) U_i U_j, and kept as
+    `chi`.  Phases with an x-dependent part are rejected.  Equality is
+    identity."""
 
     n: int
     dim: int
     gens: tuple
     cocycle: BilinearCocycle
+    chi: Bicharacter
 
     def __init__(self, gens, cocycle: BilinearCocycle):
         gens = tuple(gens)
@@ -206,6 +208,7 @@ class ProjectiveRep:
         object.__setattr__(self, "dim", dims.pop())
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "cocycle", cocycle)
+        object.__setattr__(self, "chi", chi)
 
     def direct_sum(self, other: "ProjectiveRep") -> "ProjectiveRep":
         if self.cocycle != other.cocycle:
@@ -356,7 +359,7 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
     over Q(zeta_L).  The answer is verified on its phase exponents and
     returned as a matrix over Q(zeta_L).
     """
-    if bicharacter_of(rep1.cocycle) != bicharacter_of(rep2.cocycle):
+    if rep1.chi != rep2.chi:
         raise ValueError("cocycle mismatch: distinct bicharacters")
     if rep1.n != rep2.n:
         raise ValueError("representations of different lattices")

@@ -1,18 +1,21 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the library's own search/walk code paths: the
-exhaustive oracle enumerates every matrix mod ell with unit determinant +-1
-by dense numpy enumeration, and index oracles enumerate residues directly.
-The Q(zeta_L) references (sparse elimination and the literal intertwiner
-check) do field arithmetic where the library works on phase exponents.
+These deliberately avoid the library's own decision paths: the exhaustive
+oracle enumerates every matrix mod ell with unit determinant +-1 by dense
+numpy enumeration, the orbit walk explores GL(n, Z)-orbits mod ell by
+generators where the library decides from invariants, and index oracles
+enumerate residues directly.  The Q(zeta_L) references (sparse elimination
+and the literal intertwiner check) do field arithmetic where the library
+works on phase exponents.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from flattori.cyclotomic import CycElt
+from flattori.exact_linalg import IntMatrix, inverse_mod
 
 
 def _dets_vectorized(G):
@@ -181,3 +184,186 @@ def cyc_intertwines(X, rep1, rep2, L):
         if lhs != rhs:
             return False
     return True
+
+
+def pfaffian(S):
+    """Pfaffian of an even skew integer matrix, by expansion along row 0."""
+    n = len(S)
+    if n == 0:
+        return 1
+    total = 0
+    for j in range(1, n):
+        if S[0][j]:
+            rest = [k for k in range(1, n) if k != j]
+            minor = [[S[a][b] for b in rest] for a in rest]
+            total += (-1) ** (j + 1) * S[0][j] * pfaffian(minor)
+    return total
+
+
+# -- orbit walk reference ------------------------------------------------
+#
+# A bidirectional breadth-first search over the GL(n, Z)-orbit of
+# ell * theta mod ell.  A state is the strict upper triangle of that
+# alternating form, a flat tuple of n(n-1)/2 residues.  A generator acts on
+# it by a few precomputed elementary updates: I + c e_ij changes the n - 2
+# entries of row/column i, the sign flip of row 0 negates n - 1 entries.
+# Each visited state keeps only its parent and the index of the generator
+# that reached it; where the two search trees meet, the two generator words
+# are multiplied out mod ell into g and h, and h^-1 g is the answer.  The
+# cap counts visited states on both sides together.
+
+def theta_bar(theta, ell):
+    """Walk state of theta: the strict upper triangle of ell * theta mod
+    ell, row by row (the same for theta and frac(theta)).  The form is
+    alternating mod ell, so this determines it."""
+    f = theta.mat
+    return tuple(int(f[i][j] * ell) % ell for i, j in combinations(range(theta.n), 2))
+
+
+def _mat_mul_mod(a, b, ell):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % ell
+                       for j in range(n)) for i in range(n))
+
+
+def identity(n):
+    return tuple(tuple(int(r == s) for s in range(n)) for r in range(n))
+
+
+def generators(n, ell):
+    """Generators of GL(n, Z) mod ell, as (g, updates) pairs in walk order:
+    the elementary E = I + c e_ij (c = +-1), then the sign flip J of row 0.
+    Generators equal mod ell to the identity or to an earlier one are
+    dropped; they would only revisit states.
+
+    `updates` is the action S -> g S g^t on packed states (`step`): a tuple
+    of (target, source, k) meaning new[target] = old[target] + k old[source].
+    E changes only the pairs {i, b}, b not in {i, j}: S'_ib = S_ib + c S_jb,
+    and with S_ab = sigma(a, b) packed(a, b) for sigma = +1 above the
+    diagonal and -1 below, k = c sigma(i, b) sigma(j, b).  J negates row 0,
+    which is k = -2 on each entry (0, b)."""
+    pos = {}
+    for t, (i, j) in enumerate(combinations(range(n), 2)):
+        pos[i, j] = pos[j, i] = t
+
+    def sigma(a, b):
+        return 1 if a < b else -1
+
+    gens = []
+    known = {identity(n)}
+
+    def add(rows, updates):
+        g = tuple(tuple(r) for r in rows)
+        if g not in known:
+            known.add(g)
+            gens.append((g, updates))
+
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for c in (1, -1):
+                    e = [list(r) for r in identity(n)]
+                    e[i][j] = c % ell
+                    add(e, tuple((pos[i, b], pos[j, b], c * sigma(i, b) * sigma(j, b) % ell)
+                                 for b in range(n) if b not in (i, j)))
+    flip = [list(r) for r in identity(n)]
+    flip[0][0] = -1 % ell
+    add(flip, tuple((pos[0, b], pos[0, b], -2 % ell) for b in range(1, n)))
+    return gens
+
+
+def step(state, updates, ell):
+    """g S g^t mod ell on a packed state, for the updates of g."""
+    new = list(state)
+    for t, s, k in updates:
+        new[t] = (state[t] + k * state[s]) % ell
+    return tuple(new)
+
+
+def _group_element(seen, state, gens, n, ell):
+    """g mod ell with g * root * g^t = state, for the root of the search
+    tree `seen` (state -> (parent, generator index), root -> None): the
+    product of the generator word along the parent pointers."""
+    word = []
+    while seen[state] is not None:
+        state, k = seen[state]
+        word.append(k)
+    g = identity(n)
+    for k in reversed(word):
+        g = _mat_mul_mod(gens[k][0], g, ell)
+    return g
+
+
+def congruence_search(f1, f2, ell, cap=10 ** 6):
+    """Bidirectional breadth-first orbit walk between the mod-ell reductions
+    of two skew forms, expanding the smaller frontier one level at a time.
+    Returns (True, g mod ell) when they meet, (False, None) when an orbit
+    closes without meeting, and (None, None) past `cap` visited states."""
+    n = f1.n
+    s1 = theta_bar(f1, ell)
+    s2 = theta_bar(f2, ell)
+    if ell == 1 or s1 == s2:
+        return True, identity(n)
+    gens = generators(n, ell)
+    steps = [updates for _, updates in gens]
+    fwd = {s1: None}
+    bwd = {s2: None}
+    frontier_f = [s1]
+    frontier_b = [s2]
+
+    def meet(state):
+        g = _group_element(fwd, state, gens, n, ell)
+        h = _group_element(bwd, state, gens, n, ell)
+        hinv = inverse_mod(IntMatrix(h), ell)
+        return True, _mat_mul_mod(tuple(hinv.entries), g, ell)
+
+    while True:
+        use_fwd = len(frontier_f) <= len(frontier_b)
+        frontier, seen, other = ((frontier_f, fwd, bwd) if use_fwd
+                                 else (frontier_b, bwd, fwd))
+        new_frontier = []
+        for state in frontier:
+            for k, updates in enumerate(steps):
+                ns = step(state, updates, ell)
+                if ns in seen:
+                    continue
+                seen[ns] = (state, k)
+                new_frontier.append(ns)
+                if ns in other:
+                    return meet(ns)
+                if len(fwd) + len(bwd) > cap:
+                    return None, None
+        if use_fwd:
+            frontier_f = new_frontier
+        else:
+            frontier_b = new_frontier
+        if not new_frontier:
+            return False, None  # an orbit closed
+
+
+def orbit_labels(n, ell):
+    """Orbit of every packed state mod ell under the walk's generators:
+    labels[index] is the smallest index in the orbit of the state whose
+    base-ell digits are `index` (entry t of the packed state is digit t).
+    Each generator acts linearly on packed states, so labels propagate as
+    numpy gathers; the generators include their inverses, so propagating
+    minima from images alone reaches the orbit minimum."""
+    m = n * (n - 1) // 2
+    total = ell ** m
+    ids = np.arange(total, dtype=np.int64)
+    digits = np.stack([(ids // ell ** t) % ell for t in range(m)], axis=1)
+    weights = ell ** np.arange(m, dtype=np.int64)
+    images = []
+    for _, updates in generators(n, ell):
+        new = digits.copy()
+        for t, s, k in updates:
+            new[:, t] = (digits[:, t] + k * digits[:, s]) % ell
+        images.append((new @ weights).astype(np.int32))
+    labels = ids.astype(np.int32)
+    while True:
+        before = labels
+        for img in images:
+            labels = np.minimum(labels, labels[img])
+        labels = labels[labels]  # a label is a member of the same orbit
+        if np.array_equal(labels, before):
+            return labels

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flattori import autofactor
 from flattori.cli import run
 from flattori.textio import (
     MatrixFormatError,
@@ -77,21 +78,27 @@ def test_iso_cli_negative_exit_code(capsys):
     assert "not isomorphic" in out
 
 
-def test_iso_cli_undecided_exit_code(capsys):
-    code, out, _ = invoke(capsys, "iso", "--theta", THETA_15, "--theta-prime",
-                          '{"n":2,"m":2,"entries":[["0","2/5"],["-2/5","0"]]}',
-                          "--cap", "1")
-    assert code == 3
-    assert "undecided" in out
+def test_iso_cli_rejects_cap_option(capsys):
+    # the decision is complete, so there is no orbit cap to set
+    code, out, err = invoke(capsys, "iso", "--theta", THETA_13,
+                            "--theta-prime", THETA_23, "--cap", "5")
+    assert code == 2
+    assert out == ""
+    assert "--cap" in err
 
 
-def test_iso_cli_rejects_cap_below_one(capsys):
-    for cap in ("0", "-3"):
-        code, out, err = invoke(capsys, "iso", "--theta", THETA_13,
-                                "--theta-prime", THETA_23, "--cap", cap)
-        assert code == 2
-        assert out == ""
-        assert "--cap" in err
+def test_iso_cli_decides_n6_unit_class_negative(capsys):
+    # J + J + J against J + J + 2J over 5: equal chains, unit classes 1 and 2
+    def blocks(*nums):
+        rows = [["0"] * 6 for _ in range(6)]
+        for i, x in enumerate(nums):
+            rows[2 * i][2 * i + 1] = f"{x}/5"
+            rows[2 * i + 1][2 * i] = f"-{x}/5"
+        return json.dumps({"n": 6, "m": 6, "entries": rows})
+
+    code, out, _ = invoke(capsys, "iso", "--theta", blocks(1, 1, 1),
+                          "--theta-prime", blocks(1, 1, 2))
+    assert code == 1 and out == "not isomorphic\n"
 
 
 def test_twist_cli(capsys):
@@ -122,6 +129,31 @@ def test_clutching_rejects_zero_samples(capsys):
                                 "--method", "clutching", "--samples", "0")
         assert code == 2 and out == ""
         assert "insufficient samples" in err
+
+
+def test_omega_tolerance_must_be_finite_and_positive(capsys):
+    for tol in ("-1", "0", "-0", "1e-400", "nan", "inf", "-inf", "abc"):
+        code, out, err = invoke(capsys, "omega", "--q", "3", "--a", "1",
+                                "--method", "clutching", f"--tolerance={tol}")
+        assert code == 2 and out == "", tol
+        assert "--tolerance" in err
+
+
+def test_clutching_numerical_failures_are_errors(capsys, monkeypatch):
+    # a snap that cannot succeed at this tolerance, and an unwrapping failure
+    code, out, err = invoke(capsys, "omega", "--q", "3", "--a", "1",
+                            "--method", "clutching", "--tolerance", "1e-300")
+    assert code == 2 and out == ""
+    assert err.startswith("error: endpoint defect")
+
+    def unwrap_fails(factor, samples):
+        raise autofactor.UnwrapError("phase step at or beyond the unwrapping bound")
+
+    monkeypatch.setattr(autofactor, "clutching_twist", unwrap_fails)
+    code, out, err = invoke(capsys, "twist", "--q", "3", "--a", "1",
+                            "--method", "clutching")
+    assert code == 2 and out == ""
+    assert err == "error: phase step at or beyond the unwrapping bound\n"
 
 
 def test_tolerance_is_an_omega_option_only(capsys):

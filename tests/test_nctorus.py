@@ -2,14 +2,16 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
+import numpy as np
 import oracles
-from flattori import nctorus
 from flattori.cohomology import pullback
 from flattori.exact_linalg import IntMatrix, SkewRatForm, unimodular_sample
 from flattori.nctorus import (
     IsoStatus,
     NCTorusParams,
+    NormalFormResult,
     bundle_of,
     c1_of_E_theta,
     iso_decide,
@@ -303,39 +305,31 @@ def test_frac_representative_independence():
         assert d1 is d2
 
 
-def test_undecided_at_cap():
-    # disjoint orbits: with a tiny cap the walk must give up, not guess
-    t1 = skew2(Fraction(1, 5))
-    t2 = skew2(Fraction(2, 5))
-    d = iso_decide(params(t1), params(t2), cap=1)
-    assert d.status is IsoStatus.UNDECIDED
-    assert d.T is None
-
-
 def test_q_theta_equal_pre_in_iso_via_bundles():
     assert iso_via_bundles(skew2(Fraction(1, 3)), skew2(Fraction(1, 5))).status \
         is IsoStatus.NOT_ISO
 
 
 def test_iso_via_bundles_rejects_on_invariant_chain():
-    # equal q_theta = 4, chains (2, 2) and (4): both decisions must reject
-    # before walking, so even a cap of one state cannot make them undecided
+    # equal q_theta = 4, chains (2, 2) and (4): both decisions reject on the
+    # chain
     t1 = skew_blocks(Fraction(1, 2), Fraction(1, 2))
     t2 = skew_blocks(Fraction(1, 4), 0)
     assert q_theta(t1) == q_theta(t2)
-    assert iso_decide(params(t1), params(t2), cap=1).status is IsoStatus.NOT_ISO
-    assert iso_via_bundles(t1, t2, cap=1).status is IsoStatus.NOT_ISO
+    assert iso_decide(params(t1), params(t2)).status is IsoStatus.NOT_ISO
+    assert iso_via_bundles(t1, t2).status is IsoStatus.NOT_ISO
 
 
 def test_packed_step_matches_literal_congruence():
+    # the orbit-walk reference: packed generator steps are g S g^t mod ell
     rng = random.Random(79)
     for n in range(2, 6):
         pairs = list(combinations(range(n), 2))
         for ell in (2, 3, 4, 6, 12):
-            gens = nctorus._generators(n, ell)
+            gens = oracles.generators(n, ell)
             mats = [g for g, _ in gens]
             assert len(set(mats)) == len(mats)
-            assert nctorus._identity(n) not in mats
+            assert oracles.identity(n) not in mats
             # E(+1) = E(-1) and J = I mod 2
             assert len(gens) == (n * (n - 1) if ell == 2 else 2 * n * (n - 1) + 1)
             for _ in range(4):
@@ -345,41 +339,28 @@ def test_packed_step_matches_literal_congruence():
                     m[j][i] = -m[i][j]
                 theta = SkewRatForm(m)
                 dense = oracles.theta_bar_state(theta, ell)
-                state = nctorus._theta_bar(theta, ell)
+                state = oracles.theta_bar(theta, ell)
                 assert state == tuple(dense[i][j] for i, j in pairs)
                 for g, updates in gens:
                     want = [[sum(g[i][a] * dense[a][b] * g[j][b]
                                  for a in range(n) for b in range(n)) % ell
                              for j in range(n)] for i in range(n)]
-                    got = nctorus._step(state, updates, ell)
+                    got = oracles.step(state, updates, ell)
                     for t, (i, j) in enumerate(pairs):
                         assert got[t] == want[i][j]
                         assert (got[t] + want[j][i]) % ell == 0
                     assert all(want[i][i] == 0 for i in range(n))
 
 
-def test_deep_walk_certificate_verifies(monkeypatch):
-    # both search trees are at least three generators deep where they meet,
-    # so the certificate comes from multiplying out two nontrivial words
-    depths = []
-    rebuild = nctorus._group_element
-
-    def spy(seen, state, *args):
-        depth, s = 0, state
-        while seen[s] is not None:
-            s, _ = seen[s]
-            depth += 1
-        depths.append(depth)
-        return rebuild(seen, state, *args)
-
-    monkeypatch.setattr(nctorus, "_group_element", spy)
-    t1 = skew_blocks(Fraction(1, 5), Fraction(2, 5))
-    t2 = t1.congruence(unimodular_sample(4, seed=2, word_length=12))
-    d = iso_decide(params(t1), params(t2))
-    assert d.status is IsoStatus.ISO
-    assert len(depths) == 2 and min(depths) >= 3
-    assert abs(d.T.det()) == 1
-    assert t2.mat - t1.congruence(d.T).mat == d.shift.to_rat()
+def test_long_word_certificate_verifies():
+    # g mod ell is built from both normal forms, lifted and verified; the
+    # returned certificate must hold literally for a long transporting word
+    rng = random.Random(83)
+    for t1 in (skew_blocks(Fraction(1, 5), Fraction(2, 5)),
+               skew_blocks(Fraction(1, 12), Fraction(1, 6), Fraction(1, 2))):
+        for _ in range(3):
+            t2 = transported(rng, t1, word_length=32)
+            assert_certified(iso_decide(params(t1), params(t2)), t1, t2)
 
 
 def test_bundle_of_n4_denominators_4_and_5_within_budget():
@@ -393,3 +374,138 @@ def test_bundle_of_n4_denominators_4_and_5_within_budget():
     elapsed = time.perf_counter() - start
     assert vec.rank == rep.dim == q_theta(theta) == 120
     assert elapsed < 3.0, f"bundle_of took {elapsed:.2f} s (budget 3 s)"
+
+
+DECISION_BUDGET_S = 0.1
+
+
+def timed_decide(t1, t2):
+    start = time.perf_counter()
+    d = iso_decide(params(t1), params(t2))
+    elapsed = time.perf_counter() - start
+    assert elapsed < DECISION_BUDGET_S, f"decision took {elapsed:.3f} s (budget 0.1 s)"
+    return d
+
+
+def pfaffian_mod(theta, ell):
+    return oracles.pfaffian(oracles.theta_bar_state(theta, ell)) % ell
+
+
+def transported(rng, theta, word_length=16):
+    n = theta.n
+    T = unimodular_sample(n, seed=rng.randrange(10 ** 6), word_length=word_length)
+    return theta.congruence(T).add_int(rand_int_skew(rng, n))
+
+
+def assert_certified(d, t1, t2):
+    assert d.status is IsoStatus.ISO
+    assert abs(d.T.det()) == 1
+    assert t2.mat - t1.congruence(d.T).mat == d.shift.to_rat()
+
+
+def test_equal_chain_n4_negatives_within_budget():
+    # J + uJ against J + J over ell, u a unit outside +-1: equal chains, but
+    # Pfaffians that differ beyond sign mod ell, so no congruence exists.
+    # The orbit walk of tests/oracles.py needs about 1 s to close an orbit
+    # at ell = 7 and 18 s at ell = 12.
+    rng = random.Random(89)
+    for ell in (7, 8, 9, 10, 12):
+        u = next(x for x in range(2, ell - 1) if gcd(x, ell) == 1)
+        t1 = transported(rng, skew_blocks(Fraction(1, ell), Fraction(1, ell)))
+        t2 = transported(rng, skew_blocks(Fraction(1, ell), Fraction(u, ell)))
+        pf1, pf2 = pfaffian_mod(t1, ell), pfaffian_mod(t2, ell)
+        assert pf2 not in (pf1, -pf1 % ell)
+        assert timed_decide(t1, t2).status is IsoStatus.NOT_ISO
+        assert timed_decide(t2, t1).status is IsoStatus.NOT_ISO
+        t3 = transported(rng, t2)
+        assert_certified(timed_decide(t2, t3), t2, t3)
+
+
+def test_n6_unit_class_negative_within_budget():
+    # J + J + J against J + J + 2J over 5: the orbit walk passes a million
+    # states (31 s) without an answer.  Pfaffians 1 and 2 differ beyond sign
+    # mod 5.
+    rng = random.Random(101)
+    t1 = skew_blocks(*[Fraction(1, 5)] * 3)
+    t2 = skew_blocks(Fraction(1, 5), Fraction(1, 5), Fraction(2, 5))
+    assert (pfaffian_mod(t1, 5), pfaffian_mod(t2, 5)) == (1, 2)
+    assert timed_decide(t1, t2).status is IsoStatus.NOT_ISO
+    assert timed_decide(transported(rng, t1), transported(rng, t2)).status \
+        is IsoStatus.NOT_ISO
+
+
+def test_n6_long_word_positive_within_budget():
+    # the orbit walk needs 3.2 s on an n = 6 positive built with a word of
+    # length 32
+    rng = random.Random(103)
+    t1 = skew_blocks(Fraction(1, 5), Fraction(1, 5), Fraction(2, 5))
+    for _ in range(3):
+        t2 = transported(rng, t1, word_length=32)
+        assert_certified(timed_decide(t1, t2), t1, t2)
+
+
+def form_from_state_index(index, n, ell):
+    """The skew form over ell whose packed upper triangle has the base-ell
+    digits of `index` (the digit order of oracles.orbit_labels)."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        index, digit = divmod(index, ell)
+        m[i][j] = Fraction(digit, ell)
+        m[j][i] = -m[i][j]
+    return SkewRatForm(m)
+
+
+def test_iso_agrees_with_walk_orbits_on_every_n4_orbit():
+    # every GL(4, Z)-orbit mod ell <= 8, closed under the walk's generators:
+    # each representative against every other, and against random members
+    # of its own orbit.  ell = 8 has unit classes mod p^c with c = 3.
+    rng = np.random.default_rng(107)
+    for ell in range(2, 9):
+        labels = oracles.orbit_labels(4, ell)
+        reps = [int(r) for r in np.unique(labels)]
+        forms = [form_from_state_index(r, 4, ell) for r in reps]
+        for i, ti in enumerate(forms):
+            for j, tj in enumerate(forms):
+                assert iso_decide(params(ti), params(tj)).is_iso == (i == j)
+            for member in rng.choice(np.flatnonzero(labels == reps[i]), 4):
+                tm = form_from_state_index(int(member), 4, ell)
+                assert_certified(iso_decide(params(ti), params(tm)), ti, tm)
+
+
+def test_iso_agrees_with_walk_on_random_pairs():
+    # positives transported by short words up to ell = 12; negatives only
+    # where the walk closes an orbit within its state cap (a fraction of a
+    # second)
+    rng = random.Random(109)
+    cap = 15000
+    counts = {True: 0, False: 0}
+    for trial in range(90):
+        n = (3, 4, 4, 5)[trial % 4]
+        ell = rng.choice((2, 3, 4, 5, 6, 7, 8, 9, 10, 12) if n < 5 else (2, 3, 4))
+        t1 = oracles.random_skew_rat(rng, n, max_den=ell, max_num=2 * ell)
+        if trial % 3 == 0:
+            t2 = transported(rng, t1, word_length=rng.randint(1, 4))
+        elif trial % 3 == 1:
+            # equal chains: the normal form with its last block scaled by a
+            # unit mod that block's denominator
+            nf = normal_form(t1)
+            blocks = list(nf.blocks)
+            if blocks:
+                u = rng.choice([u for u in (2, 3, 5, 7, 11, 13)
+                                if gcd(u, blocks[-1].denominator) == 1])
+                blocks[-1] *= u
+            scaled = NormalFormResult(T=nf.T, blocks=tuple(blocks), free_rank=nf.free_rank)
+            t2 = transported(rng, scaled.block_form(), word_length=4)
+        else:
+            t2 = oracles.random_skew_rat(rng, n, max_den=ell, max_num=2 * ell)
+        f1, f2 = t1.frac(), t2.frac()
+        ell = lcm(f1.common_denominator(), f2.common_denominator())
+        found, _ = oracles.congruence_search(f1, f2, ell, cap)
+        if found is None:
+            continue
+        d = iso_decide(params(t1), params(t2))
+        assert d.is_iso == found
+        if found:
+            assert_certified(d, t1, t2)
+        counts[found] += 1
+    assert counts[True] >= 30 and counts[False] >= 10, counts
