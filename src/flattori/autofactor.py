@@ -191,15 +191,17 @@ class GenPermPhaseMatrix:
         return f"GenPermPhaseMatrix(perm={self.perm}, phases={list(self.phases)})"
 
 
-def rieffel_N(q: int, a: int) -> GenPermPhaseMatrix:
-    """The cyclic q x q matrix with ones on the superdiagonal and the single
-    phase e(-a s) in the bottom-left corner, as a symbolic function of
-    x = (s, t)."""
+def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
+    """N^v in closed form, for N the cyclic q x q matrix of x = (s, t) with
+    ones on the superdiagonal and e(-a s) in the bottom-left corner.  Column
+    j goes to row (j - v) mod q with e(-a s) once per pass of the walk j,
+    j - 1, ..., j - v + 1 through column 0: (v + q - 1 - j) // q passes, a
+    negative count (the passes of N^-1) when v < 0."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    perm = [q - 1] + list(range(q - 1))
-    phases = [AffinePhase((-a, 0), 0)] + [AffinePhase.zero(2)] * (q - 1)
-    return GenPermPhaseMatrix(perm, phases)
+    passes = [(v + q - 1 - j) // q for j in range(q)]  # at most two values
+    phase = {k: AffinePhase((-a * k, 0), 0) for k in set(passes)}
+    return GenPermPhaseMatrix([(j - v) % q for j in range(q)], [phase[k] for k in passes])
 
 
 @dataclass(frozen=True)
@@ -210,9 +212,7 @@ class FactorOfAutomorphy:
     a: int
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        # cocycle identity on generator pairs, checked symbolically
+        # rieffel_N rejects q < 1; cocycle identity on generator pairs, checked symbolically
         for g1 in ((1, 0), (0, 1), (1, 1)):
             for g2 in ((1, 0), (0, 1), (-1, 1)):
                 s = (g1[0] + g2[0], g1[1] + g2[1])
@@ -221,7 +221,7 @@ class FactorOfAutomorphy:
 
     def value(self, gamma) -> GenPermPhaseMatrix:
         u, v = gamma
-        return rieffel_N(self.q, self.a) ** v
+        return rieffel_N(self.q, self.a, v)
 
     def records(self, gammas=((1, 0), (0, 1))):
         """Dump format: one (gamma, perm, phases) record per lattice vector,
@@ -348,10 +348,13 @@ def default_samples(q: int, a: int) -> int:
     return 64 * q * (abs(a) + 1)
 
 
-def _require_samples(q: int, a: int, samples: int) -> None:
-    least = 4 * (1 + abs(a) * q)
+def _samples(F: FactorOfAutomorphy, samples: int | None) -> int:
+    if samples is None:
+        return default_samples(F.q, F.a)
+    least = 4 * (1 + abs(F.a) * F.q)
     if samples < least:
         raise ValueError(f"insufficient samples: need at least {least}, got {samples}")
+    return samples
 
 
 def loop_matrices(F: FactorOfAutomorphy, samples: int) -> np.ndarray:
@@ -386,9 +389,7 @@ def winding_number(values) -> int:
 
 def clutching_twist(F: FactorOfAutomorphy, samples: int | None = None) -> int:
     """Winding number of det of the clutching loop; equals the twist."""
-    if samples is None:
-        samples = default_samples(F.q, F.a)
-    _require_samples(F.q, F.a, samples)
+    samples = _samples(F, samples)
     mats = loop_matrices(F, samples)
     dets = np.linalg.det(mats)
     return winding_number(dets)
@@ -397,10 +398,11 @@ def clutching_twist(F: FactorOfAutomorphy, samples: int | None = None) -> int:
 def clutching_omega(F: FactorOfAutomorphy, samples: int | None = None,
                     tol: float = SNAP_TOL_TURNS) -> RootOfUnity:
     """Endpoint defect of a special-unitary lift of the projective clutching
-    loop, found by nearest-unitary continuation and snapped into mu_q."""
-    if samples is None:
-        samples = default_samples(F.q, F.a)
-    _require_samples(F.q, F.a, samples)
+    loop, found by nearest-unitary continuation and snapped into mu_q.  The
+    q-th root of 1 / det M_k picked at sample k depends on the previous pick
+    only through their ratio, so every ratio is picked at once from
+    w_k = conj(base_{k-1}) base_k <M_{k-1}, M_k>, base_k the principal root."""
+    samples = _samples(F, samples)
     q = F.q
     mats = loop_matrices(F, samples)
     dets = np.linalg.det(mats)
@@ -408,21 +410,15 @@ def clutching_omega(F: FactorOfAutomorphy, samples: int | None = None,
         raise UnwrapError("phase step at or beyond the unwrapping bound; "
                           "increase the sample count")
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    mu = np.exp(-1j * np.angle(dets[0]) / q)
-    a_first = mu * mats[0]
-    a_prev = a_first
-    for k in range(1, samples + 1):
-        base = np.exp(-1j * np.angle(dets[k]) / q)
-        t = np.einsum("ij,ij->", a_prev.conj(), mats[k])
-        cand = base * roots
-        mu = cand[np.argmax((cand * t).real)]
-        a_prev = mu * mats[k]
-    zeta = np.einsum("ij,ij->", a_first, a_prev.conj()) / q
+    base = np.exp(-1j * np.angle(dets) / q)
+    flat = mats.reshape(samples + 1, q * q)
+    w = base[1:] * base[:-1].conj() * np.vecdot(flat[:-1], flat[1:])
+    inc = np.argmax((w[:, None] * roots).real, axis=1)
+    mu_last = base[-1] * roots[int(inc.sum()) % q]
+    zeta = base[0] * np.conj(mu_last) * np.vdot(flat[-1], flat[0]) / q
     turns = (math.atan2(zeta.imag, zeta.real) / (2 * math.pi)) % 1.0
-    best = min(range(q), key=lambda c: min(abs(turns - c / q), abs(turns - c / q + 1),
-                                           abs(turns - c / q - 1)))
-    err = min(abs(turns - best / q), abs(turns - best / q + 1), abs(turns - best / q - 1))
-    if err > tol:
+    r = round(turns * q)  # nearest point r / q of (1/q)Z
+    if abs(turns - r / q) > tol:
         raise SnapError(f"endpoint defect {turns} turns is not within {tol} of mu_{q}; "
                         "likely under-sampled")
-    return RootOfUnity(Fraction(best, q))
+    return RootOfUnity(Fraction(r % q, q))

@@ -254,8 +254,8 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
 
     Reject on n or m mismatch, on different q_theta, or on different
     denominator chains; otherwise decide by the unit class of the normal
-    forms (module docstring).  A positive answer's g mod ell is lifted to
-    an integral certificate and verified literally."""
+    forms (module docstring).  A positive answer's certificate, I or the
+    integral lift of g mod ell, is verified literally."""
     if p1.n != p2.n or p1.m != p2.m:
         return IsoDecision(IsoStatus.NOT_ISO)
     theta, theta2 = p1.theta, p2.theta
@@ -267,10 +267,13 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
     nf2 = symplectic_normal_form(f2.scaled_int(ell))
     if _chain(nf1, ell) != _chain(nf2, ell):
         return IsoDecision(IsoStatus.NOT_ISO)
-    g = IntMatrix.identity(p1.n) if f1 == f2 else _congruence(nf1, nf2, ell)
-    if g is None:
-        return IsoDecision(IsoStatus.NOT_ISO)
-    T = lift_unimodular_mod(g, ell)
+    if f1 == f2:
+        T = IntMatrix.identity(p1.n)
+    else:
+        g = _congruence(nf1, nf2, ell)
+        if g is None:
+            return IsoDecision(IsoStatus.NOT_ISO)
+        T = lift_unimodular_mod(g, ell)
     diff = theta2.mat - theta.congruence(T).mat
     if not diff.is_integral():
         raise AssertionError("lifted certificate failed literal verification")

@@ -6,9 +6,11 @@ numpy enumeration, the orbit walk explores GL(n, Z)-orbits mod ell by
 generators where the library decides from invariants, and index oracles
 enumerate residues directly.  The Q(zeta_L) references (sparse elimination
 and the literal intertwiner check) do field arithmetic where the library
-works on phase exponents.
+works on phase exponents.  The clutching continuation is the per-sample
+loop the library replaced by one vectorized step.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -184,6 +186,39 @@ def cyc_intertwines(X, rep1, rep2, L):
         if lhs != rhs:
             return False
     return True
+
+
+def clutching_omega_loop(F, samples, tol=1e-6):
+    """clutching_omega by stepping the special-unitary lift one sample at a
+    time: at sample k pick, among the q roots of 1 / det M_k, the scalar mu
+    maximizing Re <a_prev, mu M_k>, then snap the endpoint defect by an
+    O(q) search over three wraps."""
+    from flattori.autofactor import SnapError, loop_matrices
+    from flattori.cohomology import RootOfUnity
+
+    q = F.q
+    mats = loop_matrices(F, samples)
+    dets = np.linalg.det(mats)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    mu = np.exp(-1j * np.angle(dets[0]) / q)
+    a_first = mu * mats[0]
+    a_prev = a_first
+    for k in range(1, samples + 1):
+        base = np.exp(-1j * np.angle(dets[k]) / q)
+        t = np.einsum("ij,ij->", a_prev.conj(), mats[k])
+        cand = base * roots
+        mu = cand[np.argmax((cand * t).real)]
+        a_prev = mu * mats[k]
+    zeta = np.einsum("ij,ij->", a_first, a_prev.conj()) / q
+    turns = (math.atan2(zeta.imag, zeta.real) / (2 * math.pi)) % 1.0
+
+    def dist(c):
+        return min(abs(turns - c / q), abs(turns - c / q + 1), abs(turns - c / q - 1))
+
+    best = min(range(q), key=dist)
+    if dist(best) > tol:
+        raise SnapError(f"endpoint defect {turns} turns is not within {tol} of mu_{q}")
+    return RootOfUnity(Fraction(best, q))
 
 
 def pfaffian(S):

@@ -2,16 +2,19 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from flattori.autofactor import (
     AffinePhase,
+    FactorOfAutomorphy,
     GenPermPhaseMatrix,
     ScalarFactor,
     UnwrapError,
     check_cocycle,
     clutching_omega,
     clutching_twist,
+    default_samples,
     det_cocycle,
     factor_from,
     loop_matrices,
@@ -85,6 +88,8 @@ def test_rieffel_N_shape():
     assert all(p == AffinePhase.zero(2) for p in n2.phases)
     with pytest.raises(ValueError):
         rieffel_N(0, 1)
+    with pytest.raises(ValueError):
+        factor_from(0, 1)
 
 
 def test_rieffel_N_det():
@@ -102,6 +107,20 @@ def test_factor_values():
     N = rieffel_N(3, 2)
     assert F.value((0, 2)) == N @ N
     assert F.value((5, -1)) == N.inverse()
+
+
+def test_factor_value_closed_form_matches_power():
+    # N built literally (superdiagonal ones, e(-a s) bottom-left), then
+    # N^v by square-and-multiply, against the closed form of value
+    for q in range(1, 9):
+        for a in range(-8, 9):
+            literal = GenPermPhaseMatrix(
+                [q - 1] + list(range(q - 1)),
+                [AffinePhase((-a, 0), 0)] + [AffinePhase.zero(2)] * (q - 1))
+            assert rieffel_N(q, a) == literal
+            F = FactorOfAutomorphy(q, a)
+            for v in range(-25, 26):
+                assert F.value((v % 3 - 1, v)) == literal ** v, (q, a, v)
 
 
 def test_check_cocycle_clean():
@@ -202,6 +221,18 @@ def test_clutching_omega():
             got = clutching_omega(factor_from(q, a))
             assert got == mu_q_image(-a, q)
             assert clutching_omega(factor_from(q, a + q)) == got
+
+
+def test_clutching_omega_matches_loop_reference():
+    for q in range(1, 9):
+        for a in range(-8, 9):
+            F = factor_from(q, a)
+            least = 4 * (1 + abs(a) * q)
+            with pytest.raises(ValueError):
+                clutching_omega(F, least - 1)
+            for samples in (least, default_samples(q, a)):
+                assert (clutching_omega(F, samples)
+                        == oracles.clutching_omega_loop(F, samples)), (q, a, samples)
 
 
 def test_loop_matrices_match_symbolic():

@@ -157,10 +157,16 @@ def test_iso_fifth_negative():
 
 
 def test_iso_integer_shift():
-    theta = skew2(Fraction(1, 3))
-    shifted = theta.add_int(IntMatrix([[0, 4], [-4, 0]]))
-    d = iso_decide(params(theta), params(shifted))
-    assert d.status is IsoStatus.ISO
+    # a shift-only pair is certified by T = I and exactly that shift
+    rng = random.Random(18)
+    cases = [(skew2(Fraction(1, 3)), IntMatrix([[0, 4], [-4, 0]]))]
+    for n in (4, 8):
+        cases.append((oracles.random_skew_rat(rng, n), rand_int_skew(rng, n)))
+    for theta, shift in cases:
+        d = iso_decide(params(theta), params(theta.add_int(shift)))
+        assert d.status is IsoStatus.ISO
+        assert d.T == IntMatrix.identity(theta.n)
+        assert d.shift == shift
 
 
 def test_iso_rejects_n_m_mismatch():
