@@ -50,7 +50,6 @@ from .exact_linalg import (
     lift_unimodular_mod,
     smith_normal_form,
     symplectic_normal_form,
-    unimodular_sample,
 )
 from .nctorus import (
     IsoDecision,

@@ -3,7 +3,10 @@ matrices.
 
 The symbolic layer is exact: matrix entries are phases e(l.x + c) with
 rational l and c, phases compare equal mod 1, and products/inverses/
-translations stay inside the class.  The numerical layer (clutching_twist,
+translations stay inside the class.  A phase is stored as integer
+numerators over one common denominator in lowest terms, so its arithmetic
+is integer arithmetic and equal phases have equal fields; `.linear` and
+`.const` give the Fractions.  The numerical layer (clutching_twist,
 clutching_omega) is the only place double-precision complex arithmetic is
 allowed; every value it returns is snapped to an exact integer or exact
 q-torsion phase, and snap failure is an error, never a silent rounding.
@@ -11,11 +14,12 @@ q-torsion phase, and snap failure is an error, never a silent rounding.
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -33,57 +37,94 @@ class SnapError(RuntimeError):
     """A numerical value landed too far from every allowed exact value."""
 
 
+def _rational(x) -> Fraction:
+    """An exact rational coefficient; a float or other inexact value raises."""
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"phase coefficient {x!r} is not an exact rational")
+    return Fraction(x)
+
+
 @dataclass(frozen=True, slots=True)
 class AffinePhase:
     """The phase e(linear . x + const); constants are identified mod 1,
-    so (-1)^k sign characters live here as half-integer constants k/2."""
+    so (-1)^k sign characters live here as half-integer constants k/2.
 
-    linear: tuple
-    const: Fraction
+    Stored as integer numerators over one common denominator: linear =
+    nums / den and const = num / den with 0 <= num < den, in lowest terms
+    (gcd(den, num, *nums) = 1), so equal phases have equal fields."""
+
+    den: int
+    nums: tuple
+    num: int
 
     def __init__(self, linear, const):
-        object.__setattr__(self, "linear", tuple(Fraction(c) for c in linear))
-        object.__setattr__(self, "const", Fraction(const) % 1)
+        coeffs = [_rational(c) for c in linear]
+        const = _rational(const)
+        den = lcm(const.denominator, *(c.denominator for c in coeffs))
+        _phase(den, tuple(c.numerator * (den // c.denominator) for c in coeffs),
+               const.numerator * (den // const.denominator), self)
 
     @classmethod
     def zero(cls, dim: int) -> "AffinePhase":
-        return cls((0,) * dim, 0)
+        return _phase(1, (0,) * dim, 0)
+
+    @property
+    def linear(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @property
     def dim(self) -> int:
-        return len(self.linear)
+        return len(self.nums)
 
     def __add__(self, other: "AffinePhase") -> "AffinePhase":
-        if self.dim != other.dim:
+        if len(self.nums) != len(other.nums):
             raise ValueError("phase dimension mismatch")
-        return AffinePhase(tuple(a + b for a, b in zip(self.linear, other.linear)),
-                           self.const + other.const)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _phase(d1, tuple(map(operator.add, self.nums, other.nums)),
+                          self.num + other.num)
+        den = lcm(d1, d2)
+        k1, k2 = den // d1, den // d2
+        return _phase(den, tuple(a * k1 + b * k2 for a, b in zip(self.nums, other.nums)),
+                      self.num * k1 + other.num * k2)
 
     def __neg__(self) -> "AffinePhase":
-        return AffinePhase(tuple(-a for a in self.linear), -self.const)
+        return _phase(self.den, tuple(-a for a in self.nums), -self.num)
 
     def __sub__(self, other: "AffinePhase") -> "AffinePhase":
         return self + (-other)
 
     def translate(self, gamma) -> "AffinePhase":
-        """Substitute x -> x + gamma."""
-        if len(gamma) != self.dim:
+        """Substitute x -> x + gamma, for gamma with exact rational entries."""
+        nums = self.nums
+        if len(gamma) != len(nums):
             raise ValueError("translation dimension mismatch")
-        shift = sum((l * Fraction(g) for l, g in zip(self.linear, gamma)), Fraction(0))
+        if all(type(g) is int for g in gamma):
+            return _phase(self.den, nums, self.num + sum(map(operator.mul, nums, gamma)))
+        shift = sum(map(operator.mul, self.linear, map(_rational, gamma)))
         return AffinePhase(self.linear, self.const + shift)
-
-    def turns(self, x) -> Fraction:
-        """Exact number of turns at a rational point x."""
-        return (sum((l * Fraction(v) for l, v in zip(self.linear, x)), Fraction(0))
-                + self.const)
-
-    def eval_complex(self, x) -> complex:
-        t = sum(float(l) * float(v) for l, v in zip(self.linear, x)) + float(self.const)
-        return cmath.exp(2j * math.pi * t)
 
     def __repr__(self):
         return f"e({' + '.join(str(l) + f'*x{k}' for k, l in enumerate(self.linear) if l)}"\
                f" + {self.const})"
+
+
+def _phase(den: int, nums: tuple, num: int, p: AffinePhase | None = None) -> AffinePhase:
+    """The phase e((nums . x + num) / den) from integer numerators, in lowest
+    terms with num reduced mod den; stored into p when given (by __init__)."""
+    num %= den
+    g = gcd(den, num, *nums)
+    if g != 1:
+        den, num, nums = den // g, num // g, tuple(n // g for n in nums)
+    p = object.__new__(AffinePhase) if p is None else p
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "num", num)
+    return p
 
 
 def _perm_parity(perm) -> int:
@@ -103,14 +144,15 @@ class GenPermPhaseMatrix:
     phases: tuple
 
     def __init__(self, perm, phases):
-        perm = tuple(int(p) for p in perm)
+        perm = tuple(map(int, perm))
         phases = tuple(phases)
+        if not perm:
+            raise ValueError("a matrix needs at least one row")
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
         if len(phases) != len(perm):
             raise ValueError("one phase per column required")
-        dims = {p.dim for p in phases}
-        if len(dims) > 1:
+        if len({len(p.nums) for p in phases}) > 1:
             raise ValueError("mixed phase dimensions")
         object.__setattr__(self, "size", len(perm))
         object.__setattr__(self, "perm", perm)
@@ -161,10 +203,10 @@ class GenPermPhaseMatrix:
 
     def det(self) -> AffinePhase:
         """Permutation sign (as a half-integer constant) times all phases."""
-        total = AffinePhase.zero(self.dim)
+        total = _phase(2, (0,) * self.dim, _perm_parity(self.perm))
         for p in self.phases:
             total = total + p
-        return total + AffinePhase((0,) * self.dim, Fraction(_perm_parity(self.perm), 2))
+        return total
 
     def kron(self, other: "GenPermPhaseMatrix") -> "GenPermPhaseMatrix":
         q2 = other.size
@@ -175,17 +217,6 @@ class GenPermPhaseMatrix:
                 perm.append(self.perm[j1] * q2 + other.perm[j2])
                 phases.append(self.phases[j1] + other.phases[j2])
         return GenPermPhaseMatrix(perm, phases)
-
-    def direct_sum(self, other: "GenPermPhaseMatrix") -> "GenPermPhaseMatrix":
-        q1 = self.size
-        perm = list(self.perm) + [q1 + p for p in other.perm]
-        return GenPermPhaseMatrix(perm, self.phases + other.phases)
-
-    def to_complex(self, x=()) -> np.ndarray:
-        m = np.zeros((self.size, self.size), dtype=complex)
-        for j, ph in enumerate(self.phases):
-            m[self.perm[j], j] = ph.eval_complex(x)
-        return m
 
     def __repr__(self):
         return f"GenPermPhaseMatrix(perm={self.perm}, phases={list(self.phases)})"
@@ -200,7 +231,7 @@ def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
     if q < 1:
         raise ValueError("q must be >= 1")
     passes = [(v + q - 1 - j) // q for j in range(q)]  # at most two values
-    phase = {k: AffinePhase((-a * k, 0), 0) for k in set(passes)}
+    phase = {k: _phase(1, (-a * k, 0), 0) for k in set(passes)}
     return GenPermPhaseMatrix([(j - v) % q for j in range(q)], [phase[k] for k in passes])
 
 
@@ -258,50 +289,45 @@ class ScalarFactor:
     """Abelian (1 x 1) factor of automorphy with affine exponents.
 
     The family gamma -> e(f_gamma) is generated by the exponents of the
-    lattice generators: xcoeff row i is the x-linear part of f_{e_i} and
-    consts[i] its constant (mod 1; sign characters appear as halves).
+    lattice generators: phases[i] is f_{e_i}, with x-linear part xcoeff
+    row i and constant consts[i] (mod 1; sign characters appear as halves).
     Values on all of Z^n follow from the cocycle recursion
     f_{gamma+e}(x) = f_gamma(x+e) + f_e(x).
     """
 
     n: int
-    xcoeff: tuple
-    consts: tuple
+    phases: tuple
 
     def __init__(self, xcoeff, consts):
-        xc = tuple(tuple(Fraction(v) for v in row) for row in xcoeff)
-        cs = tuple(Fraction(c) % 1 for c in consts)
-        n = len(xc)
-        if any(len(row) != n for row in xc) or len(cs) != n:
+        rows, consts = [tuple(row) for row in xcoeff], tuple(consts)
+        n = len(rows)
+        if any(len(row) != n for row in rows) or len(consts) != n:
             raise ValueError("generator data must be square")
-        # the family exists iff the antisymmetrized x-coefficients are integral
-        for i in range(n):
-            for j in range(n):
-                if (xc[i][j] - xc[j][i]).denominator != 1:
-                    raise ValueError("generator exponents are not coherent")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "xcoeff", xc)
-        object.__setattr__(self, "consts", cs)
-
-    def generator_phase(self, i: int) -> AffinePhase:
-        return AffinePhase(self.xcoeff[i], self.consts[i])
+        _store_scalar(self, tuple(AffinePhase(row, c) for row, c in zip(rows, consts)))
 
     def value(self, gamma) -> AffinePhase:
         gamma = tuple(int(g) for g in gamma)
         if len(gamma) != self.n:
             raise ValueError("lattice vector has wrong length")
         acc = AffinePhase.zero(self.n)
-        for i in range(self.n):
-            gi = self.generator_phase(i)
-            step = [0] * self.n
-            for _ in range(abs(gamma[i])):
-                if gamma[i] > 0:
-                    step[i] = 1
-                    acc = acc.translate(step) + gi
-                else:
-                    step[i] = -1
-                    acc = acc.translate(step) - gi.translate(step)
+        for i, g in enumerate(gamma):
+            step = [int(k == i) * (1 if g > 0 else -1) for k in range(self.n)]
+            gi = self.phases[i] if g > 0 else -self.phases[i].translate(step)
+            for _ in range(abs(g)):
+                acc = acc.translate(step) + gi
         return acc
+
+
+def _store_scalar(f: ScalarFactor, phases: tuple) -> ScalarFactor:
+    """Set the generator phases of f, after the coherence check."""
+    # the family exists iff the antisymmetrized x-coefficients are integral
+    for i, pi in enumerate(phases):
+        for j, pj in enumerate(phases):
+            if (pi.nums[j] * pj.den - pj.nums[i] * pi.den) % (pi.den * pj.den):
+                raise ValueError("generator exponents are not coherent")
+    object.__setattr__(f, "n", len(phases))
+    object.__setattr__(f, "phases", phases)
+    return f
 
 
 def det_cocycle(F: FactorOfAutomorphy) -> ScalarFactor:
@@ -309,21 +335,20 @@ def det_cocycle(F: FactorOfAutomorphy) -> ScalarFactor:
 
     For the rank-q family this is gamma = (u,v) -> (-1)^{v(q-1)} e(-a v s);
     the sign rides along as the half-integer constant v(q-1)/2."""
-    d1 = F.value((1, 0)).det()
-    d2 = F.value((0, 1)).det()
-    return ScalarFactor((d1.linear, d2.linear), (d1.const, d2.const))
+    return _store_scalar(object.__new__(ScalarFactor),
+                         (F.value((1, 0)).det(), F.value((0, 1)).det()))
 
 
 def _translation_increment(phase: AffinePhase, delta) -> Fraction:
     """Exact value of f(x + delta) - f(x); certifies x-independence."""
     shifted = phase.translate(delta)
-    if shifted.linear != phase.linear:
+    if shifted.nums != phase.nums or shifted.den != phase.den:
         raise AssertionError("x-terms failed to cancel")  # pragma: no cover
-    inc = sum((l * Fraction(d) for l, d in zip(phase.linear, delta)), Fraction(0))
+    inc = sum(map(operator.mul, phase.nums, delta))
     # consistency of the two computations mod 1
-    if (shifted.const - phase.const - inc) % 1 != 0:
+    if (shifted.num - phase.num - inc) % phase.den:
         raise AssertionError("translation increment disagrees with translate")
-    return inc
+    return Fraction(inc, phase.den)
 
 
 def mumford_c1(f: ScalarFactor) -> AltFormZ:
@@ -365,7 +390,7 @@ def loop_matrices(F: FactorOfAutomorphy, samples: int) -> np.ndarray:
     s = np.arange(samples + 1) / samples
     mats = np.zeros((samples + 1, q, q), dtype=complex)
     for j, ph in enumerate(sym.phases):
-        turns = float(ph.linear[0]) * s + float(ph.const)
+        turns = ph.nums[0] / ph.den * s + ph.num / ph.den
         mats[:, sym.perm[j], j] = np.exp(2j * np.pi * turns)
     return mats
 

@@ -14,7 +14,6 @@ operand is one, and equality and hashing go by value across both classes.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -452,29 +451,6 @@ def lattice_kernel_mod(M: IntMatrix, ell: int):
     for m in mults:
         index *= m
     return basis, index
-
-
-def unimodular_sample(n: int, seed: int, word_length: int) -> IntMatrix:
-    """Deterministic pseudo-random element of GL(n, Z): a product of
-    word_length elementary transvections E_ij(+-1) and sign flips."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if word_length < 0:
-        raise ValueError("word length must be nonnegative")
-    rng = random.Random(seed)
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(word_length):
-        if n == 1 or rng.random() < 0.25:
-            i = rng.randrange(n)
-            m[i] = [-x for x in m[i]]
-        else:
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            c = rng.choice((1, -1))
-            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
-    return IntMatrix(m)
 
 
 def det_mod(M: IntMatrix, ell: int) -> int:

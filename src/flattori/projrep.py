@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .autofactor import AffinePhase, GenPermPhaseMatrix
+from .autofactor import GenPermPhaseMatrix, _phase
 from .cyclotomic import CycElt
 from .exact_linalg import IntMatrix, RatMatrix, SkewRatForm, lattice_kernel_mod
 
@@ -83,9 +83,6 @@ class Bicharacter:
 
     def value(self, g1, g2) -> Fraction:
         return _bilinear_turns(self.mat, self.n, g1, g2)
-
-    def is_trivial(self) -> bool:
-        return all(x == 0 for row in self.mat for x in row)
 
     def __repr__(self):
         return f"Bicharacter({[[str(x) for x in r] for r in self.mat]})"
@@ -162,11 +159,9 @@ def clock_shift(q: int, p: int):
     V U = e(p/q) U V exactly."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    U = GenPermPhaseMatrix(range(q), [AffinePhase((), Fraction(p * j, q) % 1)
-                                      for j in range(q)])
-    V = GenPermPhaseMatrix([(j - 1) % q for j in range(q)],
-                           [AffinePhase((), 0)] * q)
-    if V @ U != (U @ V).scalar_mul(AffinePhase((), Fraction(p, q))):
+    U = GenPermPhaseMatrix(range(q), [_phase(q, (), p * j) for j in range(q)])
+    V = GenPermPhaseMatrix([(j - 1) % q for j in range(q)], [_phase(1, (), 0)] * q)
+    if V @ U != (U @ V).scalar_mul(_phase(q, (), p)):
         raise AssertionError("clock and shift failed to commute up to e(p/q)")
     return U, V
 
@@ -193,14 +188,14 @@ class ProjectiveRep:
         dims = {g.size for g in gens}
         if len(dims) != 1:
             raise ValueError("generator images must share a size")
-        if any(any(ph.linear) for g in gens for ph in g.phases):
+        if any(any(ph.nums) for g in gens for ph in g.phases):
             raise ValueError("generator images must have constant phases")
         chi = bicharacter_of(cocycle)
         # U_j U_i = chi(e_j, e_i) U_i U_j for i < j implies the relation for
         # (j, i): chi is skew mod 1 and scalar_mul is exact
         for j in range(len(gens)):
             for i in range(j):
-                scal = AffinePhase((), chi.mat[j][i])
+                scal = _phase(chi.mat[j][i].denominator, (), chi.mat[j][i].numerator)
                 if gens[j] @ gens[i] != (gens[i] @ gens[j]).scalar_mul(scal):
                     raise ValueError("generator images do not realize the cocycle's "
                                      "commutation relations")
@@ -210,14 +205,8 @@ class ProjectiveRep:
         object.__setattr__(self, "cocycle", cocycle)
         object.__setattr__(self, "chi", chi)
 
-    def direct_sum(self, other: "ProjectiveRep") -> "ProjectiveRep":
-        if self.cocycle != other.cocycle:
-            raise ValueError("direct sum needs equal cocycles")
-        return ProjectiveRep((a.direct_sum(b) for a, b in zip(self.gens, other.gens)),
-                             self.cocycle)
-
     def phase_order(self) -> int:
-        return lcm(1, *(p.const.denominator for g in self.gens for p in g.phases))
+        return lcm(1, *(p.den for g in self.gens for p in g.phases))
 
     def records(self):
         """Export as (generator index, permutation, phase list) records."""
@@ -272,7 +261,7 @@ def _exponents(gens, L: int):
     """Each constant generalized permutation-phase image as (perm, e) with
     entry (perm[c], c) equal to zeta_L^e[c]; L must be a multiple of every
     phase denominator."""
-    return [(g.perm, [ph.const.numerator * (L // ph.const.denominator) for ph in g.phases])
+    return [(g.perm, [ph.num * (L // ph.den) for ph in g.phases])
             for g in gens]
 
 

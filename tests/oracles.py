@@ -7,17 +7,25 @@ generators where the library decides from invariants, and index oracles
 enumerate residues directly.  The Q(zeta_L) references (sparse elimination
 and the literal intertwiner check) do field arithmetic where the library
 works on phase exponents.  The clutching continuation is the per-sample
-loop the library replaced by one vectorized step.
+loop the library replaced by one vectorized step.  `FractionPhase` is the
+Fraction-valued affine phase the library replaced by integer numerators
+over one denominator, and the complex evaluations of phases and
+generalized permutation-phase matrices are numerical references.  Direct
+sums and the seeded unimodular sampler build test inputs.
 """
 
+import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
+from flattori.autofactor import GenPermPhaseMatrix
 from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import IntMatrix, inverse_mod
+from flattori.projrep import ProjectiveRep
 
 
 def _dets_vectorized(G):
@@ -402,3 +410,97 @@ def orbit_labels(n, ell):
         labels = labels[labels]  # a label is a member of the same orbit
         if np.array_equal(labels, before):
             return labels
+
+
+class FractionPhase:
+    """e(linear . x + const) with Fraction coefficients, const reduced mod 1:
+    the representation `AffinePhase` had before it stored integer numerators."""
+
+    def __init__(self, linear, const):
+        self.linear = tuple(Fraction(c) for c in linear)
+        self.const = Fraction(const) % 1
+
+    def __eq__(self, other):
+        return (self.linear, self.const) == (other.linear, other.const)
+
+    def __hash__(self):
+        return hash((self.linear, self.const))
+
+    def __add__(self, other):
+        if len(self.linear) != len(other.linear):
+            raise ValueError("phase dimension mismatch")
+        return FractionPhase(tuple(a + b for a, b in zip(self.linear, other.linear)),
+                             self.const + other.const)
+
+    def __neg__(self):
+        return FractionPhase(tuple(-a for a in self.linear), -self.const)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def translate(self, gamma):
+        shift = sum((l * Fraction(g) for l, g in zip(self.linear, gamma)), Fraction(0))
+        return FractionPhase(self.linear, self.const + shift)
+
+
+def fraction_det(perm, phases):
+    """Determinant of a generalized permutation-phase matrix as a
+    FractionPhase: the permutation sign as the constant (parity)/2 plus every
+    phase."""
+    parity = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                 if perm[i] > perm[j]) % 2
+    total = FractionPhase((0,) * len(phases[0].linear), Fraction(parity, 2))
+    for p in phases:
+        total = total + p
+    return total
+
+
+def matrix_direct_sum(a, b):
+    """Block-diagonal sum of two generalized permutation-phase matrices."""
+    return GenPermPhaseMatrix(list(a.perm) + [a.size + p for p in b.perm],
+                              a.phases + b.phases)
+
+
+def rep_direct_sum(rep1, rep2):
+    """Direct sum of two projective representations of one cocycle."""
+    if rep1.cocycle != rep2.cocycle:
+        raise ValueError("direct sum needs equal cocycles")
+    return ProjectiveRep([matrix_direct_sum(a, b) for a, b in zip(rep1.gens, rep2.gens)],
+                         rep1.cocycle)
+
+
+def phase_complex(phase, x):
+    """Numerical value of an affine phase at a real point x."""
+    t = sum(float(l) * float(v) for l, v in zip(phase.linear, x)) + float(phase.const)
+    return cmath.exp(2j * math.pi * t)
+
+
+def matrix_complex(m, x=()):
+    """Dense complex array of a generalized permutation-phase matrix at x."""
+    out = np.zeros((m.size, m.size), dtype=complex)
+    for j, ph in enumerate(m.phases):
+        out[m.perm[j], j] = phase_complex(ph, x)
+    return out
+
+
+def unimodular_sample(n: int, seed: int, word_length: int) -> IntMatrix:
+    """Deterministic pseudo-random element of GL(n, Z): a product of
+    word_length elementary transvections E_ij(+-1) and sign flips."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    if word_length < 0:
+        raise ValueError("word length must be nonnegative")
+    rng = random.Random(seed)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(word_length):
+        if n == 1 or rng.random() < 0.25:
+            i = rng.randrange(n)
+            m[i] = [-x for x in m[i]]
+        else:
+            i = rng.randrange(n)
+            j = rng.randrange(n - 1)
+            if j >= i:
+                j += 1
+            c = rng.choice((1, -1))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return IntMatrix(m)

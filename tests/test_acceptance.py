@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import oracles
+from oracles import unimodular_sample
 from flattori.autofactor import (
     check_cocycle,
     clutching_omega,
@@ -19,7 +20,7 @@ from flattori.autofactor import (
 )
 from flattori.bundles import X_bundle, endo, iso_matrix, omega, tw_to_omega, twist
 from flattori.cohomology import STANDARD, mu_q_image
-from flattori.exact_linalg import IntMatrix, SkewRatForm, unimodular_sample
+from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import (
     IsoStatus,
     NCTorusParams,

@@ -36,10 +36,83 @@ def test_affine_phase_mod1_and_ops():
     assert p.translate((1, 0)) == AffinePhase((Fraction(1, 2), 0), Fraction(5, 6))
 
 
+def test_affine_phase_agrees_with_fraction_reference():
+    # integer numerators over one denominator against the Fraction phases
+    # they replaced, on mixed denominators
+    rng = random.Random(909)
+    dens = (1, 2, 3, 4, 6, 12, 5)
+
+    def rand_frac():
+        return Fraction(rng.randint(-30, 30), rng.choice(dens))
+
+    for _ in range(400):
+        dim = rng.randint(0, 3)
+        raw = [([rand_frac() for _ in range(dim)], rand_frac()) for _ in range(2)]
+        (p, q), (rp, rq) = ([AffinePhase(*r) for r in raw],
+                            [oracles.FractionPhase(*r) for r in raw])
+        gamma = tuple(rng.randint(-7, 7) for _ in range(dim))
+        rgamma = tuple(rand_frac() for _ in range(dim))
+        for got, want in ((p, rp), (p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
+                          (p.translate(gamma), rp.translate(gamma)),
+                          (p.translate(rgamma), rp.translate(rgamma))):
+            assert (got.linear, got.const) == (want.linear, want.const)
+            assert got == AffinePhase(want.linear, want.const)
+            assert hash(got) == hash(AffinePhase(want.linear, want.const))
+        assert (p == q) == (rp == rq)
+        size = rng.randint(1, 4)
+        perm = list(range(size))
+        rng.shuffle(perm)
+        cols = [(tuple(rand_frac() for _ in range(dim)), rand_frac()) for _ in range(size)]
+        det = GenPermPhaseMatrix(perm, [AffinePhase(*c) for c in cols]).det()
+        want = oracles.fraction_det(perm, [oracles.FractionPhase(*c) for c in cols])
+        assert (det.linear, det.const) == (want.linear, want.const)
+    # sums that must reduce to lowest terms
+    half = AffinePhase((Fraction(1, 2),), Fraction(1, 2))
+    assert half + half == AffinePhase((1,), 0)
+    assert hash(half + half) == hash(AffinePhase((1,), 0))
+    assert (half + half).den == 1
+    third = AffinePhase((Fraction(1, 3), Fraction(2, 3)), Fraction(2, 3))
+    assert third + third + third == AffinePhase((1, 2), 0)
+    assert len({third + third + third, AffinePhase((1, 2), 0)}) == 1
+
+
+def test_affine_phase_rejects_inexact_coefficients():
+    for linear, const in (((1,), 0.1), ((0.5,), 0), ((1, 2), 0.0), ((), 1e-3),
+                          ((1,), "1/2")):
+        with pytest.raises(ValueError):
+            AffinePhase(linear, const)
+    p = AffinePhase((1, Fraction(1, 2)), 0)
+    for gamma in ((0.5, 0), (0, 1.0)):
+        with pytest.raises(ValueError):
+            p.translate(gamma)
+    assert p.translate((True, Fraction(2))) == AffinePhase((1, Fraction(1, 2)), 0)
+
+
+def test_affine_phase_repr_pinned():
+    cases = [
+        (AffinePhase((Fraction(1, 2), Fraction(-2, 3)), Fraction(5, 4)),
+         "e(1/2*x0 + -2/3*x1 + 1/4)"),
+        (AffinePhase((), Fraction(7, 6)), "e( + 1/6)"),
+        (AffinePhase((0, 3), 0), "e(3*x1 + 0)"),
+        (AffinePhase((Fraction(-3, 4), 0), Fraction(-1, 6)), "e(-3/4*x0 + 5/6)"),
+        (AffinePhase((Fraction(1, 2),) * 2, Fraction(1, 2))
+         + AffinePhase((Fraction(1, 2),) * 2, Fraction(1, 2)), "e(1*x0 + 1*x1 + 0)"),
+    ]
+    for phase, text in cases:
+        assert repr(phase) == text
+
+
+def test_gen_perm_matrix_rejects_size_zero():
+    with pytest.raises(ValueError):
+        GenPermPhaseMatrix([], [])
+    with pytest.raises(ValueError):
+        GenPermPhaseMatrix.identity(0)
+
+
 def test_affine_phase_sign_characters():
     # e(k/2) = (-1)^k
     minus = AffinePhase((), Fraction(1, 2))
-    assert abs(minus.eval_complex(()) - (-1)) < 1e-12
+    assert abs(oracles.phase_complex(minus, ()) - (-1)) < 1e-12
     assert (minus + minus).const == 0
 
 
@@ -75,7 +148,8 @@ def test_gen_perm_matrix_algebra():
         assert (A @ B).translate(g) == A.translate(g) @ B.translate(g)
         # numerical consistency of the product
         x = (0.3, 0.7)
-        assert np.allclose((A @ B).to_complex(x), A.to_complex(x) @ B.to_complex(x))
+        assert np.allclose(oracles.matrix_complex(A @ B, x),
+                           oracles.matrix_complex(A, x) @ oracles.matrix_complex(B, x))
         # determinant is multiplicative
         assert (A @ B).det() == A.det() + B.det()
 
@@ -240,7 +314,7 @@ def test_loop_matrices_match_symbolic():
     mats = loop_matrices(F, 32)
     sym = F.value((0, 1))
     for k in (0, 7, 32):
-        assert np.allclose(mats[k], sym.to_complex((k / 32, 0.0)))
+        assert np.allclose(mats[k], oracles.matrix_complex(sym, (k / 32, 0.0)))
 
 
 def test_clutching_matches_exact_invariants_full_grid():
@@ -259,6 +333,14 @@ def test_factor_records():
     recs = F.records()
     assert recs[0] == ((1, 0), [0, 1], [["0", "0", "0"], ["0", "0", "0"]])
     assert recs[1] == ((0, 1), [1, 0], [["-1", "0", "0"], ["0", "0", "0"]])
+    gammas = ((1, 0), (0, 1), (2, -3))
+    assert factor_from(3, -2).records(gammas) == [
+        ((1, 0), [0, 1, 2], [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
+        ((0, 1), [2, 0, 1], [["2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
+        ((2, -3), [0, 1, 2], [["-2", "0", "0"], ["-2", "0", "0"], ["-2", "0", "0"]])]
+    assert factor_from(4, 3).records(gammas)[2] == (
+        (2, -3), [3, 0, 1, 2],
+        [["0", "0", "0"], ["3", "0", "0"], ["3", "0", "0"], ["3", "0", "0"]])
 
 
 def test_kron_and_direct_sum():
@@ -267,8 +349,9 @@ def test_kron_and_direct_sum():
     k = a.kron(b)
     assert k.size == 6
     x = (0.21, 0.0)
-    assert np.allclose(k.to_complex(x), np.kron(a.to_complex(x), b.to_complex(x)))
-    d = a.direct_sum(b)
+    assert np.allclose(oracles.matrix_complex(k, x),
+                       np.kron(oracles.matrix_complex(a, x), oracles.matrix_complex(b, x)))
+    d = oracles.matrix_direct_sum(a, b)
     assert d.size == 5
-    top = d.to_complex(x)[:2, :2]
-    assert np.allclose(top, a.to_complex(x))
+    top = oracles.matrix_complex(d, x)[:2, :2]
+    assert np.allclose(top, oracles.matrix_complex(a, x))

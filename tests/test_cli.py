@@ -210,6 +210,47 @@ def test_rep_cli(capsys):
     assert len(rec["generators"]) == 2
 
 
+# `--format records` output, byte for byte, for forms with mixed block
+# denominators: the phases are printed as reduced fractions mod 1
+REP_RECORDS = [
+    ('{"n":2,"m":2,"entries":[["0","2/5"],["-2/5","0"]]}',
+     '{"blocks":["2/5"],"dim":5,"generators":[{"index":0,"perm":[4,0,1,2,3],'
+     '"phases":["0","0","0","0","0"]},{"index":1,"perm":[0,1,2,3,4],'
+     '"phases":["0","2/5","4/5","1/5","3/5"]}]}\n'),
+    ('{"n":4,"m":4,"entries":[["0","0","1/2","0"],["0","0","0","1/3"],'
+     '["-1/2","0","0","0"],["0","-1/3","0","0"]]}',
+     '{"blocks":["1","1/6"],"dim":6,"generators":[{"index":0,"perm":[0,1,2,3,4,5],'
+     '"phases":["0","0","0","0","0","0"]},{"index":1,"perm":[5,0,1,2,3,4],'
+     '"phases":["0","0","0","0","0","0"]},{"index":2,"perm":[0,1,2,3,4,5],'
+     '"phases":["0","0","0","0","0","0"]},{"index":3,"perm":[0,1,2,3,4,5],'
+     '"phases":["0","1/6","1/3","1/2","2/3","5/6"]}]}\n'),
+    ('{"n":4,"m":4,"entries":[["0","1/2","0","0"],["-1/2","0","0","0"],'
+     '["0","0","0","3/4"],["0","0","-3/4","0"]]}',
+     '{"blocks":["3/2","1/4"],"dim":8,"generators":[{"index":0,'
+     '"perm":[4,5,6,7,0,1,2,3],"phases":["0","0","0","0","0","0","0","0"]},'
+     '{"index":1,"perm":[3,0,1,2,7,4,5,6],"phases":["0","0","0","0","0","0","0","0"]},'
+     '{"index":2,"perm":[0,1,2,3,4,5,6,7],"phases":["0","0","0","0","1/2","1/2","1/2","1/2"]},'
+     '{"index":3,"perm":[0,1,2,3,4,5,6,7],'
+     '"phases":["0","1/4","1/2","3/4","0","1/4","1/2","3/4"]}]}\n'),
+]
+
+
+@pytest.mark.parametrize("theta, records", REP_RECORDS, ids=["dim5", "dim6", "dim8"])
+def test_rep_cli_records_pinned(capsys, theta, records):
+    code, out, _ = invoke(capsys, "--format", "records", "rep", "--theta", theta)
+    assert code == 0 and out == records
+
+
+def test_cocycle_check_cli_records_pinned(capsys):
+    code, out, _ = invoke(capsys, "--format", "records", "cocycle-check", "--q", "3",
+                          "--a", "-2", "--trials", "3", "--seed", "7")
+    assert code == 0
+    assert out == ('{"factor":[{"gamma":[1,0],"perm":[0,1,2],"phases":[["0","0","0"],'
+                   '["0","0","0"],["0","0","0"]]},{"gamma":[0,1],"perm":[2,0,1],'
+                   '"phases":[["2","0","0"],["0","0","0"],["0","0","0"]]}],"trials":3,'
+                   '"violations":[]}\n')
+
+
 def test_classify_cli(capsys):
     code, out, _ = invoke(capsys, "--format", "records", "classify",
                           "--kind", "vector", "--n", "2", "--q", "3",

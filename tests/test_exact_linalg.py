@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from oracles import unimodular_sample
+
 from flattori.cohomology import AltFormZ
 from flattori.exact_linalg import (
     IntMatrix,
@@ -15,7 +17,6 @@ from flattori.exact_linalg import (
     lift_unimodular_mod,
     smith_normal_form,
     symplectic_normal_form,
-    unimodular_sample,
 )
 
 

@@ -6,8 +6,9 @@ from math import gcd, lcm
 
 import numpy as np
 import oracles
+from oracles import unimodular_sample
 from flattori.cohomology import pullback
-from flattori.exact_linalg import IntMatrix, SkewRatForm, unimodular_sample
+from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import (
     IsoStatus,
     NCTorusParams,

@@ -4,6 +4,7 @@ from itertools import product
 from math import lcm
 
 import numpy as np
+import oracles
 import pytest
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
@@ -42,7 +43,7 @@ def blocks4(a, b):
 
 def test_bicharacter_of():
     sym = BilinearCocycle(RatMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 3]]))
-    assert bicharacter_of(sym).is_trivial()
+    assert all(x == 0 for row in bicharacter_of(sym).mat for x in row)
     theta = skew2(Fraction(1, 3))
     z = BilinearCocycle(theta.upper())
     chi = bicharacter_of(z)
@@ -213,7 +214,7 @@ def numpy_commutant_dim(rep, rep2=None):
     eye = np.eye(d)
     blocks = []
     for g, g2 in zip(rep.gens, (rep2 or rep).gens):
-        U, U2 = g.to_complex(()), g2.to_complex(())
+        U, U2 = oracles.matrix_complex(g), oracles.matrix_complex(g2)
         blocks.append(np.kron(U.T, eye) - np.kron(eye, U2))
     A = np.vstack(blocks)
     s = np.linalg.svd(A, compute_uv=False)
@@ -271,10 +272,10 @@ def test_commutant_dim_irreducible():
 
 def test_commutant_dim_direct_sum():
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
-    two = rep.direct_sum(rep)
+    two = oracles.rep_direct_sum(rep, rep)
     assert commutant_dim(two) == 4
     assert numpy_commutant_dim(two) == 4
-    three = two.direct_sum(rep)
+    three = oracles.rep_direct_sum(two, rep)
     assert commutant_dim(three) == rref_intertwiner_dim(three, three) == 9
     assert numpy_commutant_dim(three) == 9
 
@@ -286,7 +287,7 @@ def test_scalar_twist_of_clock(phase, equivalent):
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
     V, U = rep.gens
     twist = ProjectiveRep((V, U.scalar_mul(AffinePhase((), phase))), rep.cocycle)
-    both = rep.direct_sum(twist)
+    both = oracles.rep_direct_sum(rep, twist)
     want = 4 if equivalent else 2
     assert commutant_dim(both) == rref_intertwiner_dim(both, both) == want
     assert numpy_commutant_dim(both) == want
@@ -294,7 +295,7 @@ def test_scalar_twist_of_clock(phase, equivalent):
     assert (checked_intertwiner(rep, twist) is not None) == equivalent
     # reducible: no single basis vector of the solution space is invertible,
     # the block swap is found among the pairwise sums
-    X = checked_intertwiner(both, twist.direct_sum(rep))
+    X = checked_intertwiner(both, oracles.rep_direct_sum(twist, rep))
     assert X is not None and _cyc_det_nonzero(X)
 
 
@@ -313,7 +314,7 @@ def test_random_monomial_conjugations():
         assert commutant_dim(rep) == rref_intertwiner_dim(rep, rep) == 1
         assert monomial_dim(rep, conj) == rref_intertwiner_dim(rep, conj) == 1
         assert numpy_commutant_dim(rep, conj) == 1
-        assert commutant_dim(rep.direct_sum(conj)) == 4
+        assert commutant_dim(oracles.rep_direct_sum(rep, conj)) == 4
         X = checked_intertwiner(rep, conj)
         L = lcm(rep.phase_order(), conj.phase_order())
         lead = P.perm.index(0)  # the column of the first nonzero entry of P
@@ -376,8 +377,8 @@ def test_exponent_verifier_matches_field_reference():
         P = GenPermPhaseMatrix(perm, [AffinePhase((), Fraction(rng.randrange(2 * d), 2 * d))
                                       for _ in range(d)])
         conj = ProjectiveRep([P @ g @ P.inverse() for g in rep.gens], rep.cocycle)
-        for rep1, rep2 in [(rep, conj), (rep.direct_sum(conj), conj.direct_sum(rep)),
-                           (rep, rep)]:
+        for rep1, rep2 in [(rep, conj), (oracles.rep_direct_sum(rep, conj),
+                                         oracles.rep_direct_sum(conj, rep)), (rep, rep)]:
             L = lcm(rep1.phase_order(), rep2.phase_order())
             size = rep1.dim
             basis = _monomial_solutions(_exponents(rep1.gens, L), _exponents(rep2.gens, L),
