@@ -64,10 +64,6 @@ class AffinePhase:
         _phase(den, tuple(c.numerator * (den // c.denominator) for c in coeffs),
                const.numerator * (den // const.denominator), self)
 
-    @classmethod
-    def zero(cls, dim: int) -> "AffinePhase":
-        return _phase(1, (0,) * dim, 0)
-
     @property
     def linear(self) -> tuple:
         return tuple(Fraction(n, self.den) for n in self.nums)
@@ -158,10 +154,6 @@ class GenPermPhaseMatrix:
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "phases", phases)
 
-    @classmethod
-    def identity(cls, q: int, dim: int = 0) -> "GenPermPhaseMatrix":
-        return cls(range(q), [AffinePhase.zero(dim)] * q)
-
     @property
     def dim(self) -> int:
         return self.phases[0].dim
@@ -181,19 +173,6 @@ class GenPermPhaseMatrix:
         return GenPermPhaseMatrix(inv, tuple(-self.phases[inv[i]]
                                              for i in range(self.size)))
 
-    def __pow__(self, v: int) -> "GenPermPhaseMatrix":
-        """Square-and-multiply: O(log |v|) products."""
-        base = self if v >= 0 else self.inverse()
-        out = GenPermPhaseMatrix.identity(self.size, self.dim)
-        v = abs(v)
-        while v:
-            if v & 1:
-                out = out @ base
-            v >>= 1
-            if v:
-                base = base @ base
-        return out
-
     def translate(self, gamma) -> "GenPermPhaseMatrix":
         return GenPermPhaseMatrix(self.perm,
                                   tuple(p.translate(gamma) for p in self.phases))
@@ -207,16 +186,6 @@ class GenPermPhaseMatrix:
         for p in self.phases:
             total = total + p
         return total
-
-    def kron(self, other: "GenPermPhaseMatrix") -> "GenPermPhaseMatrix":
-        q2 = other.size
-        perm = []
-        phases = []
-        for j1 in range(self.size):
-            for j2 in range(q2):
-                perm.append(self.perm[j1] * q2 + other.perm[j2])
-                phases.append(self.phases[j1] + other.phases[j2])
-        return GenPermPhaseMatrix(perm, phases)
 
     def __repr__(self):
         return f"GenPermPhaseMatrix(perm={self.perm}, phases={list(self.phases)})"
@@ -292,7 +261,7 @@ class ScalarFactor:
     lattice generators: phases[i] is f_{e_i}, with x-linear part xcoeff
     row i and constant consts[i] (mod 1; sign characters appear as halves).
     Values on all of Z^n follow from the cocycle recursion
-    f_{gamma+e}(x) = f_gamma(x+e) + f_e(x).
+    f_{gamma+e}(x) = f_gamma(x+e) + f_e(x), summed in closed form.
     """
 
     n: int
@@ -306,16 +275,21 @@ class ScalarFactor:
         _store_scalar(self, tuple(AffinePhase(row, c) for row, c in zip(rows, consts)))
 
     def value(self, gamma) -> AffinePhase:
+        """The recursion walked coordinate by coordinate, in closed form: with
+        f_i = l_i . x + c_i the generator phases,
+        f_gamma(x) = sum_i gamma_i f_i(x) + sum_i l_i[i] gamma_i (gamma_i - 1) / 2
+        + sum_(j < i) gamma_j gamma_i l_j[i], on numerators over one denominator."""
         gamma = tuple(int(g) for g in gamma)
         if len(gamma) != self.n:
             raise ValueError("lattice vector has wrong length")
-        acc = AffinePhase.zero(self.n)
-        for i, g in enumerate(gamma):
-            step = [int(k == i) * (1 if g > 0 else -1) for k in range(self.n)]
-            gi = self.phases[i] if g > 0 else -self.phases[i].translate(step)
-            for _ in range(abs(g)):
-                acc = acc.translate(step) + gi
-        return acc
+        den = lcm(*(p.den for p in self.phases))
+        nums, num = [0] * self.n, 0
+        for j, (g, p) in enumerate(zip(gamma, self.phases)):
+            k = den // p.den
+            nums = [a + k * g * b for a, b in zip(nums, p.nums)]
+            later = sum(map(operator.mul, gamma[j + 1:], p.nums[j + 1:]))
+            num += k * (g * p.num + p.nums[j] * (g * (g - 1) // 2) + g * later)
+        return _phase(den, tuple(nums), num)
 
 
 def _store_scalar(f: ScalarFactor, phases: tuple) -> ScalarFactor:

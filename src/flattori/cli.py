@@ -6,8 +6,8 @@ identical invocations produce byte-identical output.  Floating point appears
 nowhere except optional loop-sample CSV dumps.
 
 Exit codes: 0 success, 1 negative decision, 2 usage or parse error (an
-out-of-range option included) or a numerical clutching run that failed to
-unwrap or to snap.
+out-of-range option or an empty `table` range included), a file that cannot
+be opened, or a numerical clutching run that failed to unwrap or to snap.
 """
 
 from __future__ import annotations
@@ -210,6 +210,8 @@ def cmd_table(args) -> int:
     q = args.q
     a_lo = args.a_min
     a_hi = args.a_max if args.a_max is not None else q - 1
+    if a_lo > a_hi:
+        raise ValueError(f"empty range: --a-min {a_lo} exceeds --a-max {a_hi}")
     rows = []
     classes = []
     for a in range(a_lo, a_hi + 1):
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rep)
 
     p = sub.add_parser("table", help="classification sweep over a for fixed q")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--a-min", type=int, default=0)
     p.add_argument("--a-max", type=int, default=None)
     p.set_defaults(func=cmd_table)
@@ -334,7 +336,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError,  # MatrixFormatError is a ValueError
+    except (ValueError, OSError,  # MatrixFormatError is a ValueError
             autofactor.SnapError, autofactor.UnwrapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,9 +128,6 @@ class Orientation2:
         if self.sign not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
 
-    def reversed(self) -> "Orientation2":
-        return Orientation2(-self.sign)
-
 
 STANDARD = Orientation2(1)
 REVERSED = Orientation2(-1)

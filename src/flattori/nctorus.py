@@ -59,7 +59,7 @@ from .exact_linalg import (
     smith_normal_form,
     symplectic_normal_form,
 )
-from .projrep import Bicharacter, BilinearCocycle, ProjectiveRep, heisenberg_rep, radical
+from .projrep import Bicharacter, BilinearCocycle, ProjectiveRep, _clock_shift_words, radical
 
 
 @dataclass(frozen=True)
@@ -167,20 +167,15 @@ def c1_of_E_theta(theta: SkewRatForm) -> AltFormZ:
 def bundle_of(theta: SkewRatForm):
     """Realization data: the rank-q_theta projectively flat vector class, its
     endomorphism matrix-bundle class, and the attached projective
-    representation (normalized form transported back along the certificate)."""
+    representation: the clock/shift words of the normal form's blocks for
+    the rows of T^-1, T its certificate."""
     n = theta.n
     q = q_theta(theta)
     vector = classify_projflat(n, q, c1_of_E_theta(theta))
     matrix = endo(vector)
     nf = normal_form(theta)
-    base = heisenberg_rep(nf.block_form())
-    tinv = nf.T.inverse_unimodular()
-    gens = []
-    for i in range(n):
-        m = base.gens[0] ** tinv[i][0]
-        for j in range(1, n):
-            m = m @ base.gens[j] ** tinv[i][j]
-        gens.append(m)
+    pairs = [(b.denominator, b.numerator) for b in nf.blocks]
+    gens = _clock_shift_words(pairs, nf.T.inverse_unimodular().entries)
     rep = ProjectiveRep(gens, BilinearCocycle(theta.upper()))
     if rep.dim != vector.rank:
         raise AssertionError("representation dimension differs from the bundle rank")

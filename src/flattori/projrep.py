@@ -154,13 +154,33 @@ def cohomologous(z1: BilinearCocycle, z2: BilinearCocycle):
     return witness
 
 
+def _clock_shift_words(pairs, rows):
+    """For each integer row r, the tensor product over the blocks (q_t, p_t),
+    t < k, of V_t^r[t] U_t^r[k + t] in Kronecker order (block 0 the most
+    significant digit of the column index); entries of r past 2k are free
+    directions and act trivially.  V^a U^b sends e_j to e(p b j / q)
+    e_((j - a) mod q), so each generator is written column by column on
+    integer phase exponents over L = lcm(q_t)."""
+    k = len(pairs)
+    L = lcm(1, *(q for q, _ in pairs))
+    phase = [_phase(L, (), e) for e in range(L)]
+    words = []
+    for r in rows:
+        perm, exps = [0], [0]
+        for t, (q, p) in enumerate(pairs):
+            a, c = r[t], p * r[k + t] * (L // q)
+            perm = [P * q + (j - a) % q for P in perm for j in range(q)]
+            exps = [E + c * j for E in exps for j in range(q)]
+        words.append(GenPermPhaseMatrix(perm, [phase[e % L] for e in exps]))
+    return words
+
+
 def clock_shift(q: int, p: int):
     """Clock U = diag(e(p j / q)) and shift V e_j = e_{j-1}, with
     V U = e(p/q) U V exactly."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    U = GenPermPhaseMatrix(range(q), [_phase(q, (), p * j) for j in range(q)])
-    V = GenPermPhaseMatrix([(j - 1) % q for j in range(q)], [_phase(1, (), 0)] * q)
+    U, V = _clock_shift_words([(q, p)], [(0, 1), (1, 0)])
     if V @ U != (U @ V).scalar_mul(_phase(q, (), p)):
         raise AssertionError("clock and shift failed to commute up to e(p/q)")
     return U, V
@@ -232,29 +252,9 @@ def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:
     """Irreducible projective representation attached to a block normal form:
     the tensor product over blocks p_i/q_i of the clock/shift pair, trivial
     on the free directions.  Dimension is the product of the q_i."""
-    blocks = _normal_form_blocks(theta)
-    k = len(blocks)
-    n = theta.n
-    qs = [b.denominator for b in blocks]
-    pairs = [clock_shift(b.denominator, b.numerator) for b in blocks]
-    gens = []
-    for i in range(n):
-        if k == 0:
-            gens.append(GenPermPhaseMatrix.identity(1))
-            continue
-        factors = []
-        for t in range(k):
-            if i == t:
-                factors.append(pairs[t][1])       # x-direction: shift
-            elif i == k + t:
-                factors.append(pairs[t][0])       # y-direction: clock
-            else:
-                factors.append(GenPermPhaseMatrix.identity(qs[t]))
-        m = factors[0]
-        for f in factors[1:]:
-            m = m.kron(f)
-        gens.append(m)
-    return ProjectiveRep(gens, BilinearCocycle(theta.upper()))
+    pairs = [(b.denominator, b.numerator) for b in _normal_form_blocks(theta)]
+    rows = [[int(i == j) for j in range(theta.n)] for i in range(theta.n)]
+    return ProjectiveRep(_clock_shift_words(pairs, rows), BilinearCocycle(theta.upper()))
 
 
 def _exponents(gens, L: int):

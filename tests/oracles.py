@@ -10,8 +10,13 @@ works on phase exponents.  The clutching continuation is the per-sample
 loop the library replaced by one vectorized step.  `FractionPhase` is the
 Fraction-valued affine phase the library replaced by integer numerators
 over one denominator, and the complex evaluations of phases and
-generalized permutation-phase matrices are numerical references.  Direct
-sums and the seeded unimodular sampler build test inputs.
+generalized permutation-phase matrices are numerical references.  The
+clock/shift generators are referenced by the construction the library
+replaced with one closed-form builder: literal clock and shift matrices,
+Kronecker products with identities, and square-and-multiply powers
+multiplied out along the rows of an integer matrix.  The scalar factor's
+cocycle recursion, walked one step at a time, references its closed form.
+Direct sums and the seeded unimodular sampler build test inputs.
 """
 
 import cmath
@@ -22,7 +27,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from flattori.autofactor import GenPermPhaseMatrix
+from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import IntMatrix, inverse_mod
 from flattori.projrep import ProjectiveRep
@@ -467,6 +472,91 @@ def rep_direct_sum(rep1, rep2):
         raise ValueError("direct sum needs equal cocycles")
     return ProjectiveRep([matrix_direct_sum(a, b) for a, b in zip(rep1.gens, rep2.gens)],
                          rep1.cocycle)
+
+
+def zero_phase(dim):
+    """The phase e(0) in dim variables."""
+    return AffinePhase((0,) * dim, 0)
+
+
+def identity_matrix(q, dim=0):
+    """The q x q identity, its phases in dim variables."""
+    return GenPermPhaseMatrix(range(q), [zero_phase(dim)] * q)
+
+
+def matrix_power(g, v):
+    """g ** v by square-and-multiply: O(log |v|) products."""
+    base = g if v >= 0 else g.inverse()
+    out = identity_matrix(g.size, g.dim)
+    v = abs(v)
+    while v:
+        if v & 1:
+            out = out @ base
+        v >>= 1
+        if v:
+            base = base @ base
+    return out
+
+
+def kron(a, b):
+    """Kronecker product a (x) b: column j1 * b.size + j2 goes to row
+    a.perm[j1] * b.size + b.perm[j2] with phase a.phases[j1] + b.phases[j2]."""
+    q2 = b.size
+    perm = []
+    phases = []
+    for j1 in range(a.size):
+        for j2 in range(q2):
+            perm.append(a.perm[j1] * q2 + b.perm[j2])
+            phases.append(a.phases[j1] + b.phases[j2])
+    return GenPermPhaseMatrix(perm, phases)
+
+
+def literal_clock_shift(q, p):
+    """Clock U = diag(e(p j / q)) and shift V e_j = e_(j-1), entry by entry."""
+    U = GenPermPhaseMatrix(range(q), [AffinePhase((), Fraction(p * j, q)) for j in range(q)])
+    V = GenPermPhaseMatrix([(j - 1) % q for j in range(q)], [AffinePhase((), 0)] * q)
+    return U, V
+
+
+def kron_power_words(pairs, rows):
+    """The generators V_t and U_t of the blocks (q_t, p_t) as Kronecker
+    products with identities (shift at block t for direction t, clock for
+    direction k + t, identity for a free direction), then for each row r the
+    product over directions i of gens[i] ** r[i]."""
+    k = len(pairs)
+    literal = [literal_clock_shift(q, p) for q, p in pairs]
+    gens = []
+    for i in range(len(rows[0]) if rows else 0):
+        m = identity_matrix(1)
+        for t, (q, _) in enumerate(pairs):
+            if i == t:
+                f = literal[t][1]
+            elif i == k + t:
+                f = literal[t][0]
+            else:
+                f = identity_matrix(q)
+            m = kron(m, f)
+        gens.append(m)
+    words = []
+    for r in rows:
+        m = matrix_power(gens[0], r[0])
+        for g, v in zip(gens[1:], r[1:]):
+            m = m @ matrix_power(g, v)
+        words.append(m)
+    return words
+
+
+def scalar_value_loop(f, gamma):
+    """ScalarFactor value by the recursion f_(gamma + e)(x) = f_gamma(x + e)
+    + f_e(x), one step of +-e_i at a time, coordinate by coordinate."""
+    n = f.n
+    acc = zero_phase(n)
+    for i, g in enumerate(gamma):
+        step = [int(k == i) * (1 if g > 0 else -1) for k in range(n)]
+        gi = f.phases[i] if g > 0 else -f.phases[i].translate(step)
+        for _ in range(abs(g)):
+            acc = acc.translate(step) + gi
+    return acc
 
 
 def phase_complex(phase, x):

@@ -191,6 +191,27 @@ def test_table_q5(capsys):
     assert [r["twist"] for r in rec["rows"]] == [0, -1, -2, -3, -4]
 
 
+def test_table_rejects_empty_ranges(capsys):
+    for argv in (("--q", "0"), ("--q", "-3"), ("--q", "5", "--a-min", "3", "--a-max", "2"),
+                 ("--q", "3", "--a-min", "4")):
+        code, out, err = invoke(capsys, "table", *argv)
+        assert code == 2 and out == ""
+        assert "error" in err
+
+
+def test_matrix_path_that_cannot_be_opened_is_an_error(tmp_path, capsys):
+    code, out, err = invoke(capsys, "q-theta", "--theta", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_dump_samples_target_that_cannot_be_opened_is_an_error(tmp_path, capsys):
+    code, out, err = invoke(capsys, "twist", "--q", "3", "--a", "1",
+                            "--method", "clutching", "--dump-samples", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_determinism(capsys):
     outs = set()
     for _ in range(3):

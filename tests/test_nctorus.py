@@ -143,6 +143,20 @@ def test_bundle_of():
         assert rep.dim == vec.rank
 
 
+def test_bundle_of_generators_match_kron_power_reference():
+    # the transported generators, written in closed form, against products
+    # of square-and-multiply powers of Kronecker-built clock/shift generators
+    rng = random.Random(61)
+    for trial in range(100):
+        n = 2 + trial % 4
+        theta = oracles.random_skew_rat(rng, n, max_den=6, max_num=6)
+        _, _, rep = bundle_of(theta)
+        nf = normal_form(theta)
+        pairs = [(b.denominator, b.numerator) for b in nf.blocks]
+        rows = nf.T.inverse_unimodular().entries
+        assert rep.gens == tuple(oracles.kron_power_words(pairs, rows)), theta
+
+
 def test_iso_third_and_two_thirds():
     d = iso_decide(params(skew2(Fraction(1, 3))), params(skew2(Fraction(2, 3))))
     assert d.status is IsoStatus.ISO

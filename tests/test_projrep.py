@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 import oracles
@@ -22,7 +22,13 @@ from flattori.projrep import (
     intertwiner,
     radical,
 )
-from flattori.projrep import _cyc_det_nonzero, _exponents, _monomial_solutions, _verify_intertwiner
+from flattori.projrep import (
+    _clock_shift_words,
+    _cyc_det_nonzero,
+    _exponents,
+    _monomial_solutions,
+    _verify_intertwiner,
+)
 from oracles import cyc_intertwines, sparse_rref
 
 
@@ -116,13 +122,13 @@ def test_cohomologous_equivalence_relation():
 
 def test_clock_shift():
     U1, V1 = clock_shift(1, 0)
-    assert U1 == GenPermPhaseMatrix.identity(1) and V1 == GenPermPhaseMatrix.identity(1)
+    assert U1 == oracles.identity_matrix(1) and V1 == oracles.identity_matrix(1)
     U, V = clock_shift(3, 1)
     scal = AffinePhase((), Fraction(1, 3))
     assert V @ U == (U @ V).scalar_mul(scal)
     # q-torsion of clock and shift
-    assert U ** 3 == GenPermPhaseMatrix.identity(3)
-    assert V ** 3 == GenPermPhaseMatrix.identity(3)
+    assert oracles.matrix_power(U, 3) == oracles.identity_matrix(3)
+    assert oracles.matrix_power(V, 3) == oracles.identity_matrix(3)
     with pytest.raises(ValueError):
         clock_shift(0, 1)
 
@@ -131,7 +137,7 @@ def test_heisenberg_trivial():
     theta = SkewRatForm([[0, 0], [0, 0]])
     rep = heisenberg_rep(theta)
     assert rep.dim == 1
-    assert all(g == GenPermPhaseMatrix.identity(1) for g in rep.gens)
+    assert all(g == oracles.identity_matrix(1) for g in rep.gens)
 
 
 def test_heisenberg_third():
@@ -167,7 +173,7 @@ def test_heisenberg_radical_directions_trivial():
     ])
     rep = heisenberg_rep(theta)
     assert rep.dim == 2
-    assert rep.gens[2] == GenPermPhaseMatrix.identity(2)
+    assert rep.gens[2] == oracles.identity_matrix(2)
 
 
 def _chain_norm_forms(max_prod):
@@ -185,9 +191,9 @@ def _chain_norm_forms(max_prod):
     return out
 
 
-def _as_normal_form(blocks):
+def _as_normal_form(blocks, n=None):
     k = len(blocks)
-    n = 2 * k
+    n = 2 * k if n is None else n
     m = [[Fraction(0)] * n for _ in range(n)]
     for i, b in enumerate(blocks):
         m[i][k + i] = b
@@ -200,6 +206,45 @@ def test_heisenberg_commutation_exact():
         theta = _as_normal_form(blocks)
         rep = heisenberg_rep(theta)  # the constructor verifies commutation
         assert rep.dim == np.prod([b.denominator for b in blocks])
+
+
+def _divisor_chains(top):
+    """Every block denominator chain d1 | d2 | ... (each >= 2) with product
+    <= top."""
+    chains = []
+
+    def extend(chain, size):
+        for d in range(chain[-1] if chain else 2, top // size + 1):
+            if not chain or d % chain[-1] == 0:
+                chains.append(chain + [d])
+                extend(chain + [d], size * d)
+
+    extend([], 1)
+    return chains
+
+
+def test_clock_shift_words_match_kron_power_reference():
+    rng = random.Random(29)
+    chains = _divisor_chains(24)
+    assert [2, 2, 6] in chains and [2, 2, 2, 2] in chains and len(chains) == 36
+    for chain in chains:
+        pairs = []
+        for q in chain:
+            p = rng.randrange(1, q)
+            while gcd(p, q) != 1:
+                p = rng.randrange(1, q)
+            pairs.append((q, p))
+        for free in (0, 1, 2):
+            n = 2 * len(chain) + free
+            theta = _as_normal_form([Fraction(p, q) for q, p in pairs], n)
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert heisenberg_rep(theta).gens == tuple(oracles.kron_power_words(pairs, ident))
+        # arbitrary integer rows, negative and beyond the block orders
+        rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(3)]
+        assert _clock_shift_words(pairs, rows) == oracles.kron_power_words(pairs, rows)
+    # clock_shift with gcd(p, q) > 1, negative p and p >= q
+    for q, p in ((6, 4), (12, 9), (5, -2), (4, -6), (3, 7), (8, 8), (1, 5)):
+        assert clock_shift(q, p) == oracles.literal_clock_shift(q, p), (q, p)
 
 
 def test_commutant_dim_trivial():
