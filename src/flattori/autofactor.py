@@ -24,6 +24,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .cohomology import AltFormZ, RootOfUnity
+from .exact_linalg import _int_tuple, _rational
 
 UNWRAP_STEP_BOUND = math.pi / 2
 SNAP_TOL_TURNS = 1e-6
@@ -35,13 +36,6 @@ class UnwrapError(RuntimeError):
 
 class SnapError(RuntimeError):
     """A numerical value landed too far from every allowed exact value."""
-
-
-def _rational(x) -> Fraction:
-    """An exact rational coefficient; a float or other inexact value raises."""
-    if not isinstance(x, (int, Fraction)):
-        raise ValueError(f"phase coefficient {x!r} is not an exact rational")
-    return Fraction(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +134,7 @@ class GenPermPhaseMatrix:
     phases: tuple
 
     def __init__(self, perm, phases):
-        perm = tuple(map(int, perm))
+        perm = _int_tuple(perm)
         phases = tuple(phases)
         if not perm:
             raise ValueError("a matrix needs at least one row")
@@ -220,7 +214,7 @@ class FactorOfAutomorphy:
                     raise AssertionError("cocycle identity failed at construction")
 
     def value(self, gamma) -> GenPermPhaseMatrix:
-        u, v = gamma
+        u, v = _int_tuple(gamma)
         return rieffel_N(self.q, self.a, v)
 
     def records(self, gammas=((1, 0), (0, 1))):
@@ -279,7 +273,7 @@ class ScalarFactor:
         f_i = l_i . x + c_i the generator phases,
         f_gamma(x) = sum_i gamma_i f_i(x) + sum_i l_i[i] gamma_i (gamma_i - 1) / 2
         + sum_(j < i) gamma_j gamma_i l_j[i], on numerators over one denominator."""
-        gamma = tuple(int(g) for g in gamma)
+        gamma = _int_tuple(gamma)
         if len(gamma) != self.n:
             raise ValueError("lattice vector has wrong length")
         den = lcm(*(p.den for p in self.phases))

@@ -6,9 +6,12 @@ everything here is safe to share across threads.  No floating point.
 
 IntMatrix and RatMatrix share one implementation and differ only in entry
 coercion: an IntMatrix entry must be an exact integer (an int, an integral
-Fraction or anything with __index__; other values raise, none is truncated).
+Fraction or anything with __index__; other values raise, none is truncated),
+and a RatMatrix entry an int or a Fraction (a float or string raises).
 They mix without conversions: +, - and @ give a RatMatrix when either
 operand is one, and equality and hashing go by value across both classes.
+A skew form is stored as integer numerators S over its least common
+denominator ell, so its congruences and reductions are integer operations.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -116,6 +120,14 @@ def _int_entry(x) -> int:
     raise ValueError(f"matrix entry {x!r} is not an integer")
 
 
+def _int_tuple(xs) -> tuple:
+    """xs as a tuple of exact integers; a float or other value raises."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError as exc:
+        raise ValueError(f"not an integer index: {exc}") from exc
+
+
 class IntMatrix(_ExactMatrix):
     """Immutable arbitrary-precision integer matrix."""
 
@@ -151,34 +163,32 @@ class IntMatrix(_ExactMatrix):
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def to_rat(self) -> "RatMatrix":
-        return RatMatrix(self.entries)
+    def _adjugate(self):
+        """Cofactor adjugate rows: adj M @ M = det M * I (desk-scale n)."""
+        n = self.rows
+        if n == 1:
+            return [[1]]
+        m = self.entries
+        return [[(-1) ** (i + j) * IntMatrix([r[:i] + r[i + 1:] for k, r in enumerate(m)
+                                              if k != j]).det()
+                 for j in range(n)] for i in range(n)]
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with det = +-1 (stays integral)."""
+        """Inverse of a matrix with det = +-1 (stays integral): det * adj."""
         d = self.det()
         if d not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        return self.to_rat().inverse().to_int()
+        return IntMatrix([[d * a for a in row] for row in self._adjugate()])
 
 
-# Equal rational entries share one instance: Fraction(x) on a Fraction makes
-# a copy, and matrices repeat few values.  Values are immutable, so sharing
-# is invisible; the table stops growing at _SHARED_LIMIT values.
-_SHARED = {}
-_SHARED_LIMIT = 4096
-
-
-def _shared_fraction(x) -> Fraction:
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    key = (x.numerator, x.denominator)
-    y = _SHARED.get(key)
-    if y is None:
-        if len(_SHARED) >= _SHARED_LIMIT:
-            return x
-        _SHARED[key] = y = x
-    return y
+def _rational(x) -> Fraction:
+    """An exact rational: an int or a Fraction; a float or other inexact
+    value raises."""
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{x!r} is not an exact rational")
+    return Fraction(x)
 
 
 class RatMatrix(_ExactMatrix):
@@ -186,7 +196,7 @@ class RatMatrix(_ExactMatrix):
     and positive denominators, so equality is structural)."""
 
     __slots__ = ()
-    _entry = staticmethod(_shared_fraction)
+    _entry = staticmethod(_rational)
 
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in r] for r in self.entries]})"
@@ -197,77 +207,66 @@ class RatMatrix(_ExactMatrix):
     def to_int(self) -> IntMatrix:
         return IntMatrix(self.entries)
 
-    def common_denominator(self) -> int:
-        return lcm(*(x.denominator for row in self.entries for x in row))
-
-    def inverse(self) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for i in range(n):
-                if i != col and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-        return RatMatrix([row[n:] for row in a])
-
 
 @dataclass(frozen=True, slots=True)
 class SkewRatForm:
-    """Skew-symmetric rational n x n matrix (zero diagonal forced)."""
+    """Skew-symmetric rational n x n matrix theta = mat / ell (mat of ints
+    and Fractions), stored as S / ell in lowest terms: ell is the least
+    common denominator, gcd(ell, entries of S) = 1, so equal forms have
+    equal fields."""
 
     n: int
-    mat: RatMatrix
+    ell: int
+    S: IntMatrix
 
-    def __init__(self, mat):
-        if not isinstance(mat, RatMatrix):
-            mat = RatMatrix(mat)
+    def __init__(self, mat, ell: int = 1):
+        ell = _int_entry(ell)
+        if ell < 1:
+            raise ValueError("denominator must be positive")
+        if not isinstance(mat, IntMatrix):
+            rows = RatMatrix(mat).entries
+            d = lcm(*(x.denominator for row in rows for x in row))
+            mat = IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in rows])
+            ell *= d
         if not mat.is_skew():
             raise ValueError("matrix is not skew-symmetric")
+        g = gcd(ell, *chain.from_iterable(mat.entries))
+        if g != 1:
+            ell //= g
+            mat = IntMatrix([[x // g for x in row] for row in mat.entries])
         object.__setattr__(self, "n", mat.rows)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "S", mat)
+
+    @property
+    def mat(self) -> RatMatrix:
+        ell = self.ell
+        return RatMatrix([[Fraction(x, ell) for x in row] for row in self.S.entries])
 
     def __repr__(self):
         return f"SkewRatForm({[[str(x) for x in r] for r in self.mat.entries]})"
 
-    def common_denominator(self) -> int:
-        return self.mat.common_denominator()
-
-    def scaled_int(self, ell: int) -> IntMatrix:
-        """ell * theta as an integer matrix; raises ValueError unless ell
-        clears the denominators."""
-        return IntMatrix([[a * ell for a in row] for row in self.mat.entries])
+    def scaled_int(self, m: int) -> IntMatrix:
+        """m * theta as an integer matrix; raises ValueError unless ell | m."""
+        if m % self.ell:
+            raise ValueError(f"{m} does not clear the denominator {self.ell}")
+        return self.S if m == self.ell else self.S.scale(m // self.ell)
 
     def congruence(self, T: IntMatrix) -> "SkewRatForm":
         """T * theta * T^t."""
-        return SkewRatForm(T @ self.mat @ T.transpose())
-
-    def add_int(self, Z: IntMatrix) -> "SkewRatForm":
-        return SkewRatForm(self.mat + Z)
+        return SkewRatForm(T @ self.S @ T.transpose(), self.ell)
 
     def frac(self) -> "SkewRatForm":
         """Skew representative mod M_n(Z): above-diagonal entries in [0,1)."""
-        n = self.n
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                f = self.mat[i][j] % 1
-                m[i][j] = f
-                m[j][i] = -f
-        return SkewRatForm(m)
+        n, ell, S = self.n, self.ell, self.S
+        return SkewRatForm(IntMatrix([[S[i][j] % ell if j > i else -(S[j][i] % ell)
+                                       for j in range(n)] for i in range(n)]), ell)
 
     def upper(self) -> RatMatrix:
         """Strict upper-triangular part (canonical cocycle splitting)."""
-        return RatMatrix([[self.mat[i][j] if j > i else Fraction(0)
-                           for j in range(self.n)] for i in range(self.n)])
+        n, ell, S = self.n, self.ell, self.S
+        return RatMatrix([[Fraction(S[i][j], ell) if j > i else 0
+                           for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -453,26 +452,11 @@ def lattice_kernel_mod(M: IntMatrix, ell: int):
     return basis, index
 
 
-def det_mod(M: IntMatrix, ell: int) -> int:
-    return M.det() % ell
-
-
 def inverse_mod(M: IntMatrix, ell: int) -> IntMatrix:
-    """Inverse mod ell of a matrix whose determinant is a unit mod ell."""
-    n = M.rows
-    d = M.det()
-    dinv = pow(d % ell, -1, ell)
-    if n == 1:
-        return IntMatrix([[dinv % ell]])
-    # adjugate via cofactors (desk-scale n)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[M[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * IntMatrix(minor).det()
-    return IntMatrix([[(dinv * adj[i][j]) % ell for j in range(n)]
-                      for i in range(n)])
+    """Inverse mod ell of a matrix whose determinant is a unit mod ell:
+    det^-1 * adj mod ell."""
+    dinv = pow(M.det() % ell, -1, ell)
+    return IntMatrix([[dinv * a % ell for a in row] for row in M._adjugate()])
 
 
 def _primitive_row_lift(row, ell):
@@ -580,7 +564,7 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
     n = g.rows
     if ell == 1:
         return IntMatrix.identity(n)
-    d = det_mod(g, ell)
+    d = g.det() % ell
     if d == 1 % ell:
         T = _lift_sl(g.mod(ell), ell)
     elif d == (-1) % ell:

@@ -93,11 +93,12 @@ class NormalFormResult:
     def block_form(self) -> SkewRatForm:
         n = self.n
         k = len(self.blocks)
-        m = [[Fraction(0)] * n for _ in range(n)]
+        ell = lcm(1, *(b.denominator for b in self.blocks))
+        m = [[0] * n for _ in range(n)]
         for i, b in enumerate(self.blocks):
-            m[i][k + i] = b
-            m[k + i][i] = -b
-        return SkewRatForm(m)
+            m[i][k + i] = s = b.numerator * (ell // b.denominator)
+            m[k + i][i] = -s
+        return SkewRatForm(IntMatrix(m), ell)
 
 
 def q_theta(theta: SkewRatForm) -> int:
@@ -107,10 +108,8 @@ def q_theta(theta: SkewRatForm) -> int:
     the radical index of the bicharacter e(theta) -- which must agree and be
     a perfect square; a failure would falsify the underlying lemma, so it
     aborts loudly."""
-    n = theta.n
-    ell = theta.common_denominator()
-    scaled = theta.scaled_int(ell)
-    stacked = IntMatrix([[ell if i == j else 0 for j in range(n)] + list(scaled[i])
+    n, ell, S = theta.n, theta.ell, theta.S
+    stacked = IntMatrix([[ell if i == j else 0 for j in range(n)] + list(S[i])
                          for i in range(n)])
     _, D, _ = smith_normal_form(stacked)
     index = ell ** n // prod(D[i][i] for i in range(n))
@@ -131,17 +130,11 @@ def normal_form(theta: SkewRatForm) -> NormalFormResult:
     Blocks are e_i / ell in lowest terms for the alternating divisor chain
     of ell * theta, emitted with ascending denominators (reversed divisor
     order); the certificate is checked literally before returning."""
-    n = theta.n
-    ell = theta.common_denominator()
-    nf = symplectic_normal_form(theta.scaled_int(ell))
+    n, ell = theta.n, theta.ell
+    nf = symplectic_normal_form(theta.S)
     k = len(nf.divisors)
-    order = list(range(k - 1, -1, -1))
-    perm_rows = []
-    for t in order:
-        perm_rows.append(2 * t)
-    for t in order:
-        perm_rows.append(2 * t + 1)
-    perm_rows.extend(range(2 * k, n))
+    order = range(k - 1, -1, -1)
+    perm_rows = [2 * t for t in order] + [2 * t + 1 for t in order] + list(range(2 * k, n))
     P = IntMatrix([[int(c == r) for c in range(n)] for r in perm_rows])
     T = P @ nf.T
     blocks = tuple(Fraction(nf.divisors[t], ell) for t in order)
@@ -158,10 +151,9 @@ def c1_of_E_theta(theta: SkewRatForm) -> AltFormZ:
     """First Chern class of the canonical projectively flat module bundle:
     q_theta * theta, an integral alternating form (sign fixed as +)."""
     q = q_theta(theta)
-    scaled = theta.mat.scale(q)
-    if not scaled.is_integral():
+    if q % theta.ell:
         raise AssertionError("q_theta * theta failed to be integral")
-    return AltFormZ(scaled.to_int())
+    return AltFormZ(theta.scaled_int(q))
 
 
 def bundle_of(theta: SkewRatForm):
@@ -257,7 +249,7 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
     if q_theta(theta) != q_theta(theta2):
         return IsoDecision(IsoStatus.NOT_ISO)
     f1, f2 = theta.frac(), theta2.frac()
-    ell = lcm(f1.common_denominator(), f2.common_denominator())
+    ell = lcm(f1.ell, f2.ell)
     nf1 = symplectic_normal_form(f1.scaled_int(ell))
     nf2 = symplectic_normal_form(f2.scaled_int(ell))
     if _chain(nf1, ell) != _chain(nf2, ell):
@@ -269,10 +261,12 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
         if g is None:
             return IsoDecision(IsoStatus.NOT_ISO)
         T = lift_unimodular_mod(g, ell)
-    diff = theta2.mat - theta.congruence(T).mat
-    if not diff.is_integral():
+    moved = theta.congruence(T)
+    diff = SkewRatForm(theta2.S.scale(moved.ell) - moved.S.scale(theta2.ell),
+                       theta2.ell * moved.ell)
+    if diff.ell != 1:
         raise AssertionError("lifted certificate failed literal verification")
-    return IsoDecision(IsoStatus.ISO, T=T, shift=diff.to_int())
+    return IsoDecision(IsoStatus.ISO, T=T, shift=diff.S)
 
 
 def iso_via_bundles(theta: SkewRatForm, theta2: SkewRatForm, m: int = 1) -> IsoDecision:

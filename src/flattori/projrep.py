@@ -240,12 +240,12 @@ class ProjectiveRep:
 def _normal_form_blocks(theta: SkewRatForm):
     """Detect the [[0, D, 0], [-D, 0, 0], [0, 0, 0]] block pattern; returns
     the list of diagonal fractions of D."""
-    n = theta.n
-    nz = [(i, j) for i in range(n) for j in range(i + 1, n) if theta.mat[i][j] != 0]
+    n, S = theta.n, theta.S
+    nz = [(i, j) for i in range(n) for j in range(i + 1, n) if S[i][j] != 0]
     k = len(nz)
     if nz != [(i, k + i) for i in range(k)]:
         raise ValueError("input is not in block normal form")
-    return [theta.mat[i][k + i] for i in range(k)]
+    return [Fraction(S[i][k + i], theta.ell) for i in range(k)]
 
 
 def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:

@@ -9,7 +9,10 @@ and the literal intertwiner check) do field arithmetic where the library
 works on phase exponents.  The clutching continuation is the per-sample
 loop the library replaced by one vectorized step.  `FractionPhase` is the
 Fraction-valued affine phase the library replaced by integer numerators
-over one denominator, and the complex evaluations of phases and
+over one denominator; `fraction_congruence`, `fraction_frac` and
+`fraction_scaled_int` are the Fraction-matrix skew form operations the
+library replaced by integer numerators over one denominator.  The complex
+evaluations of phases and
 generalized permutation-phase matrices are numerical references.  The
 clock/shift generators are referenced by the construction the library
 replaced with one closed-form builder: literal clock and shift matrices,
@@ -29,7 +32,7 @@ import numpy as np
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.cyclotomic import CycElt
-from flattori.exact_linalg import IntMatrix, inverse_mod
+from flattori.exact_linalg import IntMatrix, RatMatrix, inverse_mod
 from flattori.projrep import ProjectiveRep
 
 
@@ -97,13 +100,37 @@ def brute_force_lattice_index(theta):
     """|(Z^n + im theta) / Z^n| by enumerating image residues at the common
     denominator."""
     n = theta.n
-    ell = theta.common_denominator()
+    ell = theta.ell
     seen = set()
     for v in product(range(ell), repeat=n):
         img = tuple((sum(theta.mat[i][j] * v[j] for j in range(n))) % 1
                     for i in range(n))
         seen.add(img)
     return len(seen)
+
+
+def fraction_congruence(T, mat):
+    """T * theta * T^t for theta given as a Fraction matrix."""
+    return T @ mat @ T.transpose()
+
+
+def fraction_frac(mat):
+    """Skew representative mod M_n(Z) of a Fraction matrix: above-diagonal
+    entries in [0, 1)."""
+    n = mat.rows
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = mat[i][j] % 1
+            m[i][j] = f
+            m[j][i] = -f
+    return RatMatrix(m)
+
+
+def fraction_scaled_int(mat, ell):
+    """ell * theta as an integer matrix; raises ValueError unless ell clears
+    the denominators."""
+    return IntMatrix([[a * ell for a in row] for row in mat.entries])
 
 
 def random_skew_rat(rng, n, max_den=12, max_num=6):

@@ -198,7 +198,7 @@ def test_criterion_5_isomorphism_decision():
                     v = rng.randint(-3, 3)
                     z[i][j] = v
                     z[j][i] = -v
-            perturbed = t1.congruence(T).add_int(IntMatrix(z))
+            perturbed = SkewRatForm(t1.congruence(T).mat + IntMatrix(z))
             got = iso_decide(NCTorusParams(n, perturbed), NCTorusParams(n, t2))
             assert got.status is want
 

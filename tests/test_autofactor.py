@@ -109,6 +109,26 @@ def test_gen_perm_matrix_rejects_size_zero():
         oracles.identity_matrix(0)
 
 
+def test_gen_perm_matrix_rejects_non_integer_indices():
+    ph = [AffinePhase((), 0)] * 2
+    for bad in ([0.9, 1.2], [1.0, 0], [Fraction(1, 2), 0], ["1", "0"]):
+        with pytest.raises(ValueError):
+            GenPermPhaseMatrix(bad, ph)
+    # exact integers of other types are accepted as plain ints
+    m = GenPermPhaseMatrix(np.array([1, 0]), ph)
+    assert m.perm == (1, 0) and all(type(p) is int for p in m.perm)
+    with pytest.raises(ValueError):
+        factor_from(3, 2).value((0, 1.5))
+
+
+def test_scalar_factor_value_rejects_non_integer_vectors():
+    f = det_cocycle(factor_from(3, 2))
+    for bad in ((1.7, 0.9), (1.0, 0), (Fraction(1, 2), 0)):
+        with pytest.raises(ValueError):
+            f.value(bad)
+    assert f.value((np.int64(1), True)) == f.value((1, 1))
+
+
 def test_affine_phase_sign_characters():
     # e(k/2) = (-1)^k
     minus = AffinePhase((), Fraction(1, 2))

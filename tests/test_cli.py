@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -35,7 +36,7 @@ def test_parse_rational():
 
 
 def test_matrix_round_trip():
-    m = RatMatrix([["1/2", "-3"], ["0", "7/5"]])
+    m = RatMatrix([[Fraction(1, 2), -3], [0, Fraction(7, 5)]])
     assert load_matrix(json.dumps(dump_matrix(m))) == m
 
 

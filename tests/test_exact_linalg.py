@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
+import oracles
 from oracles import unimodular_sample
 
 from flattori.cohomology import AltFormZ
@@ -11,7 +13,6 @@ from flattori.exact_linalg import (
     IntMatrix,
     RatMatrix,
     SkewRatForm,
-    det_mod,
     inverse_mod,
     lattice_kernel_mod,
     lift_unimodular_mod,
@@ -204,11 +205,8 @@ def test_rat_matrix_canonical():
     assert m[0][0] == Fraction(1, 2)
     assert m[0][1] == Fraction(1, 3)
     assert m[0][1].denominator > 0
-    # equal entries, of either input type, share one Fraction instance
     m = RatMatrix([[Fraction(5, 7), 3], [Fraction(10, 14), Fraction(3)]])
     assert type(m[1][0]) is Fraction and type(m[0][1]) is Fraction
-    assert m[0][0] is m[1][0]
-    assert m[0][1] is m[1][1]
 
 
 def test_rat_inverse():
@@ -222,7 +220,7 @@ def test_rat_inverse():
 
 def test_skew_rat_form():
     theta = SkewRatForm([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]])
-    assert theta.common_denominator() == 3
+    assert theta.ell == 3
     assert theta.scaled_int(3) == IntMatrix([[0, 1], [-1, 0]])
     with pytest.raises(ValueError):
         SkewRatForm([[0, 1], [1, 0]])
@@ -230,6 +228,70 @@ def test_skew_rat_form():
     t2 = SkewRatForm([[0, Fraction(7, 3)], [Fraction(-7, 3), 0]]).frac()
     assert t2.mat[0][1] == Fraction(1, 3)
     assert t2.mat[1][0] == Fraction(-1, 3)
+
+
+def test_skew_form_agrees_with_fraction_reference():
+    rng = random.Random(29)
+    for trial in range(400):
+        n = 1 + trial % 8
+        max_den = 1 + (trial // 8) % 12
+        m = [[Fraction(0)] * n for _ in range(n)]
+        z = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = Fraction(rng.randint(-30, 30), rng.randint(1, max_den))
+                m[j][i] = -m[i][j]
+                z[i][j] = rng.randint(-4, 4)
+                z[j][i] = -z[i][j]
+        ref = RatMatrix(m)
+        theta = SkewRatForm(m)
+        ell = lcm(*(x.denominator for row in ref.entries for x in row))
+        assert theta.mat == ref and theta.ell == ell and theta.n == n
+        assert theta.frac().mat == oracles.fraction_frac(ref)
+        T = unimodular_sample(n, seed=9000 + trial, word_length=rng.randint(0, 10))
+        moved = theta.congruence(T)
+        assert moved.mat == oracles.fraction_congruence(T, ref)
+        assert moved.ell == ell
+        shifted = SkewRatForm(ref + IntMatrix(z))
+        assert shifted.ell == ell and shifted.frac() == theta.frac()
+        assert hash(shifted.frac()) == hash(theta.frac())
+        k = ell * rng.randint(-3, 5)
+        assert theta.scaled_int(k) == oracles.fraction_scaled_int(ref, k)
+        if ell > 1:
+            for bad in (k + 1, ell + ell // 2 + 1, 1):
+                if bad % ell:
+                    with pytest.raises(ValueError):
+                        oracles.fraction_scaled_int(ref, bad)
+                    with pytest.raises(ValueError):
+                        theta.scaled_int(bad)
+        # unreduced inputs: numerators and denominator sharing a factor c,
+        # given as an integer matrix or as Fractions over c
+        c = rng.randint(2, 6)
+        for other in (SkewRatForm(theta.S.scale(c), ell * c),
+                      SkewRatForm(ref.scale(Fraction(c)), c),
+                      SkewRatForm([[x * c for x in row] for row in theta.S], ell * c)):
+            assert other.mat == ref
+            assert other == theta and hash(other) == hash(theta)
+            assert (other.ell, other.S) == (theta.ell, theta.S)
+    half = SkewRatForm([[0, Fraction(2, 4)], [Fraction(-1, 2), 0]])
+    assert half == SkewRatForm(IntMatrix([[0, 2], [-2, 0]]), 4) == SkewRatForm([[0, 3], [-3, 0]], 6)
+    assert hash(half) == hash(SkewRatForm(IntMatrix([[0, 2], [-2, 0]]), 4))
+    assert (half.ell, half.S) == (2, IntMatrix([[0, 1], [-1, 0]]))
+
+
+def test_rat_matrix_and_skew_form_take_exact_entries_only():
+    for bad in (0.1, 0.5, 2.0, "1/2", "3", None, 1j):
+        with pytest.raises(ValueError):
+            RatMatrix([[bad]])
+        with pytest.raises(ValueError):
+            SkewRatForm([[0, bad], [bad, 0]])
+    with pytest.raises(ValueError):
+        SkewRatForm([[0, 0.1], [-0.1, 0]])
+    for bad_den in (0, -3, 0.5, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            SkewRatForm(IntMatrix([[0, 1], [-1, 0]]), bad_den)
+    # ints (bools among them) and Fractions are the exact entries
+    assert RatMatrix([[True, 2, Fraction(1, 3)]]).entries == ((1, 2, Fraction(1, 3)),)
 
 
 def test_lift_unimodular_mod():
@@ -243,7 +305,7 @@ def test_lift_unimodular_mod():
         assert (T - T0).mod(ell) == IntMatrix.zero(n).mod(ell)
         assert abs(T.det()) == 1
         if ell > 2:
-            assert T.det() % ell == det_mod(g, ell)
+            assert T.det() % ell == g.det() % ell
 
 
 def test_lift_rejects_non_unit_det():
@@ -297,9 +359,9 @@ def test_mixed_arithmetic_is_rational():
     for _ in range(20):
         a = random_int_matrix(rng, 3, 3)
         r = random_rat_matrix(rng, 3, 3)
-        for got, want in ((a @ r, a.to_rat() @ r), (r @ a, r @ a.to_rat()),
-                          (a + r, a.to_rat() + r), (r - a, r - a.to_rat()),
-                          (a.scale(Fraction(1, 2)), a.to_rat().scale(Fraction(1, 2)))):
+        ar = RatMatrix(a.entries)
+        for got, want in ((a @ r, ar @ r), (r @ a, r @ ar), (a + r, ar + r), (r - a, r - ar),
+                          (a.scale(Fraction(1, 2)), ar.scale(Fraction(1, 2)))):
             assert type(got) is RatMatrix
             assert got == want
         for got in (a @ a, a + a, a - a, -a, a.scale(3), a.transpose()):
