@@ -64,7 +64,6 @@ from .nctorus import (
     q_theta,
 )
 from .projrep import (
-    Bicharacter,
     BilinearCocycle,
     ProjectiveRep,
     bicharacter_of,

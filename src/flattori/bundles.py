@@ -59,10 +59,9 @@ class MatrixBundleClass:
 
 
 def classify_projflat(n: int, q: int, c: AltFormZ) -> VectorBundleClass:
-    """The unique projectively flat class with the given invariants.
-
-    Total on well-shaped inputs: every integral 2-class is realized (line
-    bundle with that class plus a trivial complement)."""
+    """The projectively flat class with invariants (n, q, c): the record
+    that classifies such a bundle when one exists.  It checks the shape of
+    (n, q, c) only and does not decide whether a bundle realizes c."""
     return VectorBundleClass(n, q, c)
 
 

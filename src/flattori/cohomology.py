@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _int_tuple, _rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,12 +91,13 @@ class AltFormModQ:
 
 @dataclass(frozen=True, slots=True)
 class RootOfUnity:
-    """Exact root of unity e(c/q) = exp(2*pi*i*c/q); phase kept in [0, 1)."""
+    """Exact root of unity e(c/q) = exp(2*pi*i*c/q); phase kept in [0, 1).
+    The phase must be an int or a Fraction; anything else raises."""
 
     phase: Fraction
 
     def __init__(self, phase):
-        object.__setattr__(self, "phase", Fraction(phase) % 1)
+        object.__setattr__(self, "phase", _rational(phase) % 1)
 
     @classmethod
     def one(cls) -> "RootOfUnity":
@@ -134,9 +135,9 @@ REVERSED = Orientation2(-1)
 
 
 def wedge(u, v) -> AltFormZ:
-    """Wedge of two degree-1 classes: mat = u v^t - v u^t."""
-    u = [int(x) for x in u]
-    v = [int(x) for x in v]
+    """Wedge of two degree-1 classes: mat = u v^t - v u^t.  Entries must be
+    exact integers; anything else raises."""
+    u, v = _int_tuple(u), _int_tuple(v)
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
     n = len(u)

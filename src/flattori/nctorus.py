@@ -59,7 +59,7 @@ from .exact_linalg import (
     smith_normal_form,
     symplectic_normal_form,
 )
-from .projrep import Bicharacter, BilinearCocycle, ProjectiveRep, _clock_shift_words, radical
+from .projrep import BilinearCocycle, ProjectiveRep, _clock_shift_words, radical
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ def q_theta(theta: SkewRatForm) -> int:
     _, D, _ = smith_normal_form(stacked)
     index = ell ** n // prod(D[i][i] for i in range(n))
 
-    chi = Bicharacter(theta.mat.entries)
-    _, rad_index = radical(chi)
+    _, rad_index = radical(theta)
     if index != rad_index:
         raise AssertionError(f"index formulas disagree: {index} vs {rad_index}")
     root = isqrt(index)
@@ -160,18 +159,14 @@ def bundle_of(theta: SkewRatForm):
     """Realization data: the rank-q_theta projectively flat vector class, its
     endomorphism matrix-bundle class, and the attached projective
     representation: the clock/shift words of the normal form's blocks for
-    the rows of T^-1, T its certificate."""
-    n = theta.n
-    q = q_theta(theta)
-    vector = classify_projflat(n, q, c1_of_E_theta(theta))
-    matrix = endo(vector)
+    the rows of T^-1, T its certificate.  The rank is the representation's
+    dimension prod q_t, which `normal_form` checks against q_theta."""
     nf = normal_form(theta)
     pairs = [(b.denominator, b.numerator) for b in nf.blocks]
     gens = _clock_shift_words(pairs, nf.T.inverse_unimodular().entries)
     rep = ProjectiveRep(gens, BilinearCocycle(theta.upper()))
-    if rep.dim != vector.rank:
-        raise AssertionError("representation dimension differs from the bundle rank")
-    return vector, matrix, rep
+    vector = classify_projflat(theta.n, rep.dim, AltFormZ(theta.scaled_int(rep.dim)))
+    return vector, endo(vector), rep
 
 
 class IsoStatus(enum.Enum):

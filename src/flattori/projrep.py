@@ -23,18 +23,7 @@ from math import lcm
 
 from .autofactor import GenPermPhaseMatrix, _phase
 from .cyclotomic import CycElt
-from .exact_linalg import IntMatrix, RatMatrix, SkewRatForm, lattice_kernel_mod
-
-
-def _bilinear_turns(M, n, g1, g2) -> Fraction:
-    """g1^t M g2 mod 1 for an n x n rational matrix M (rows indexable)."""
-    total = Fraction(0)
-    for i in range(n):
-        if g1[i]:
-            for j in range(n):
-                if g2[j]:
-                    total += g1[i] * M[i][j] * g2[j]
-    return total % 1
+from .exact_linalg import RatMatrix, SkewRatForm, lattice_kernel_mod
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,52 +44,25 @@ class BilinearCocycle:
 
     def value(self, g1, g2) -> Fraction:
         """Phase of z(g1, g2), in turns mod 1."""
-        return _bilinear_turns(self.B, self.n, g1, g2)
+        B, n = self.B, self.n
+        return sum((g1[i] * B[i][j] * g2[j] for i in range(n) if g1[i]
+                    for j in range(n) if g2[j]), Fraction(0)) % 1
 
     def __repr__(self):
         return f"BilinearCocycle({self.B!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Bicharacter:
-    """Skew bicharacter chi(g, g') = e(g^t S g') with S mod 1; entries are
-    kept reduced in [0, 1) with S + S^t = 0 (mod 1)."""
-
-    n: int
-    mat: tuple
-
-    def __init__(self, mat):
-        ents = tuple(tuple(Fraction(x) % 1 for x in row) for row in mat)
-        n = len(ents)
-        if any(len(r) != n for r in ents):
-            raise ValueError("square matrix expected")
-        for i in range(n):
-            for j in range(n):
-                if (ents[i][j] + ents[j][i]) % 1 != 0:
-                    raise ValueError("matrix is not skew mod 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mat", ents)
-
-    def value(self, g1, g2) -> Fraction:
-        return _bilinear_turns(self.mat, self.n, g1, g2)
-
-    def __repr__(self):
-        return f"Bicharacter({[[str(x) for x in r] for r in self.mat]})"
+def bicharacter_of(z: BilinearCocycle) -> SkewRatForm:
+    """Antisymmetrization z(g,g') z(g',g)^{-1} = e(g^t (B - B^t) g'): the
+    skew form B - B^t mod Z, as its `frac()` representative."""
+    return SkewRatForm(z.B - z.B.transpose()).frac()
 
 
-def bicharacter_of(z: BilinearCocycle) -> Bicharacter:
-    """Antisymmetrization z(g,g') z(g',g)^{-1}: S = (B - B^t) mod 1."""
-    B = z.B
-    return Bicharacter([[B[i][j] - B[j][i] for j in range(z.n)]
-                        for i in range(z.n)])
-
-
-def radical(chi: Bicharacter):
-    """Sublattice H = {h : chi(h, g) = 1 for all g} with its finite index,
-    via the integer kernel of the cleared-denominator matrix."""
-    ell = lcm(*(x.denominator for row in chi.mat for x in row))
-    M = IntMatrix([[x * ell for x in row] for row in chi.mat])
-    return lattice_kernel_mod(M, ell)
+def radical(chi: SkewRatForm):
+    """Sublattice H = {h : e(h^t chi g) = 1 for all g} with its finite index:
+    the kernel of the integer numerators S mod ell, which integer shifts of
+    chi do not change."""
+    return lattice_kernel_mod(chi.S, chi.ell)
 
 
 @dataclass(frozen=True)
@@ -192,14 +154,14 @@ class ProjectiveRep:
     permutation-phase generator images; the stored cocycle's
     antisymmetrization chi governs the commutation, which is verified
     exactly at construction: U_j U_i = chi(e_j, e_i) U_i U_j, and kept as
-    `chi`.  Phases with an x-dependent part are rejected.  Equality is
-    identity."""
+    `chi`, a skew form mod Z (`bicharacter_of`).  Phases with an x-dependent
+    part are rejected.  Equality is identity."""
 
     n: int
     dim: int
     gens: tuple
     cocycle: BilinearCocycle
-    chi: Bicharacter
+    chi: SkewRatForm
 
     def __init__(self, gens, cocycle: BilinearCocycle):
         gens = tuple(gens)
@@ -215,7 +177,7 @@ class ProjectiveRep:
         # (j, i): chi is skew mod 1 and scalar_mul is exact
         for j in range(len(gens)):
             for i in range(j):
-                scal = _phase(chi.mat[j][i].denominator, (), chi.mat[j][i].numerator)
+                scal = _phase(chi.ell, (), chi.S[j][i])
                 if gens[j] @ gens[i] != (gens[i] @ gens[j]).scalar_mul(scal):
                     raise ValueError("generator images do not realize the cocycle's "
                                      "commutation relations")

@@ -11,9 +11,11 @@ loop the library replaced by one vectorized step.  `FractionPhase` is the
 Fraction-valued affine phase the library replaced by integer numerators
 over one denominator; `fraction_congruence`, `fraction_frac` and
 `fraction_scaled_int` are the Fraction-matrix skew form operations the
-library replaced by integer numerators over one denominator.  The complex
-evaluations of phases and
-generalized permutation-phase matrices are numerical references.  The
+library replaced by integer numerators over one denominator, and
+`fraction_bicharacter` and `fraction_radical_index` the Fraction bicharacter
+matrix (B - B^t) mod 1 and its cleared-denominator radical that a skew form
+mod Z replaced.  The complex evaluations of phases and generalized
+permutation-phase matrices are numerical references.  The
 clock/shift generators are referenced by the construction the library
 replaced with one closed-form builder: literal clock and shift matrices,
 Kronecker products with identities, and square-and-multiply powers
@@ -32,7 +34,7 @@ import numpy as np
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.cyclotomic import CycElt
-from flattori.exact_linalg import IntMatrix, RatMatrix, inverse_mod
+from flattori.exact_linalg import IntMatrix, RatMatrix, inverse_mod, lattice_kernel_mod
 from flattori.projrep import ProjectiveRep
 
 
@@ -91,19 +93,18 @@ def state_key(state):
 
 def theta_bar_state(theta, ell):
     """ell * theta reduced entrywise mod ell (integer representative)."""
-    n = theta.n
-    return tuple(tuple(int((theta.mat[i][j] * ell) % ell) for j in range(n))
+    n, mat = theta.n, theta.mat
+    return tuple(tuple(int((mat[i][j] * ell) % ell) for j in range(n))
                  for i in range(n))
 
 
 def brute_force_lattice_index(theta):
     """|(Z^n + im theta) / Z^n| by enumerating image residues at the common
     denominator."""
-    n = theta.n
-    ell = theta.ell
+    n, ell, mat = theta.n, theta.ell, theta.mat
     seen = set()
     for v in product(range(ell), repeat=n):
-        img = tuple((sum(theta.mat[i][j] * v[j] for j in range(n))) % 1
+        img = tuple((sum(mat[i][j] * v[j] for j in range(n))) % 1
                     for i in range(n))
         seen.add(img)
     return len(seen)
@@ -131,6 +132,21 @@ def fraction_scaled_int(mat, ell):
     """ell * theta as an integer matrix; raises ValueError unless ell clears
     the denominators."""
     return IntMatrix([[a * ell for a in row] for row in mat.entries])
+
+
+def fraction_bicharacter(B):
+    """Entries of (B - B^t) mod 1 in [0, 1), for a square rational matrix B:
+    the bicharacter of the cocycle e(g^t B g')."""
+    n = B.rows
+    return tuple(tuple((B[i][j] - B[j][i]) % 1 for j in range(n)) for i in range(n))
+
+
+def fraction_radical_index(chi):
+    """[Z^n : H] for H the radical of a Fraction bicharacter matrix: the
+    kernel mod ell of the cleared-denominator integer matrix, ell the least
+    common denominator of the entries."""
+    ell = math.lcm(*(x.denominator for row in chi for x in row))
+    return lattice_kernel_mod(IntMatrix([[x * ell for x in row] for row in chi]), ell)[1]
 
 
 def random_skew_rat(rng, n, max_den=12, max_num=6):

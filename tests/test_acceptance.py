@@ -29,7 +29,6 @@ from flattori.nctorus import (
     q_theta,
 )
 from flattori.projrep import (
-    Bicharacter,
     ProjectiveRep,
     commutant_dim,
     heisenberg_rep,
@@ -90,7 +89,7 @@ def test_criterion_3_q_theta_double_formula():
 
 
 def bicharacter_of_theta(theta):
-    return Bicharacter(theta.mat.entries)
+    return theta.frac()
 
 
 def test_criterion_4_desk_scale_bijectivity():

@@ -31,6 +31,15 @@ def test_wedge_shape_error():
         wedge((1, 0), (1, 0, 0))
 
 
+def test_wedge_rejects_non_integer_entries():
+    # used to truncate: [1.7, 1] ^ [0, 1.2] came back as (1, 1) ^ (0, 1)
+    for u, v in [([1.7, 1], [0, 1.2]), ([1, 0], [0, 1.0]), ([Fraction(1, 2), 0], [0, 1]),
+                 (["1", 0], [0, 1]), ([None, 0], [0, 1])]:
+        with pytest.raises(ValueError):
+            wedge(u, v)
+    assert wedge([2, 1], (0, True)) == AltFormZ([[0, 2], [-2, 0]])
+
+
 def test_wedge_bilinear_antisymmetric():
     rng = random.Random(4)
     for _ in range(200):
@@ -141,6 +150,15 @@ def test_root_of_unity_inverse_and_str():
     assert z * z.inverse() == RootOfUnity.one()
     assert str(z) == "2/3"
     assert str(RootOfUnity.one()) == "0/1"
+
+
+def test_root_of_unity_takes_exact_phases_only():
+    # used to store 0.1 as 3602879701896397/2**55 and to parse strings
+    for phase in [0.1, 0.5, "1/3", None, 1j]:
+        with pytest.raises(ValueError):
+            RootOfUnity(phase)
+    assert RootOfUnity(Fraction(4, 3)) == RootOfUnity(Fraction(1, 3))
+    assert RootOfUnity(-2) == RootOfUnity.one()
 
 
 def test_altformmodq_validation():

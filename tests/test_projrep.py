@@ -9,9 +9,9 @@ import pytest
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
 from flattori.cyclotomic import CycElt
-from flattori.exact_linalg import RatMatrix, SkewRatForm
+from flattori.exact_linalg import IntMatrix, RatMatrix, SkewRatForm
+from flattori.nctorus import bundle_of
 from flattori.projrep import (
-    Bicharacter,
     BilinearCocycle,
     ProjectiveRep,
     bicharacter_of,
@@ -54,13 +54,12 @@ def test_bicharacter_of():
     z = BilinearCocycle(theta.upper())
     chi = bicharacter_of(z)
     assert chi.mat[0][1] == Fraction(1, 3)
-    assert chi.mat[1][0] == Fraction(2, 3)  # -1/3 mod 1
-    for g in [(1, 0), (2, -3), (0, 5)]:
-        assert chi.value(g, g) == 0
+    assert chi.mat[1][0] == Fraction(-1, 3)
+    assert chi == theta.frac()
 
 
 def test_radical_examples():
-    chi = Bicharacter([[0, 0], [0, 0]])
+    chi = SkewRatForm([[0, 0], [0, 0]])
     _, index = radical(chi)
     assert index == 1
 
@@ -74,6 +73,62 @@ def test_radical_examples():
     count = sum(1 for h in product(range(5), repeat=2)
                 if (Fraction(2, 5) * h[1]) % 1 == 0 and (Fraction(2, 5) * h[0]) % 1 == 0)
     assert index == 25 // count
+
+
+def _random_rat_matrix(rng, n, max_den):
+    return RatMatrix([[Fraction(rng.randint(-30, 30), rng.randint(1, max_den))
+                       for _ in range(n)] for _ in range(n)])
+
+
+def _random_int_matrix(rng, n):
+    return RatMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+
+
+def test_bicharacter_agrees_with_fraction_reference():
+    rng = random.Random(43)
+    zero = {n: SkewRatForm([[0] * n for _ in range(n)]) for n in range(1, 7)}
+    for trial in range(360):
+        n = 1 + trial % 6
+        max_den = 1 + (trial // 6) % 12
+        B, M = _random_rat_matrix(rng, n, max_den), _random_rat_matrix(rng, n, max_den)
+        sym = M + M.transpose()
+        # the same bicharacter (symmetric rational or integer change of B),
+        # a different one (a skew rational change), or an unrelated B
+        others = (B + sym, B + _random_int_matrix(rng, n), B + M - M.transpose(), M)
+        chi = bicharacter_of(BilinearCocycle(B))
+        ref = oracles.fraction_bicharacter(B)
+        assert tuple(tuple(x % 1 for x in row) for row in chi.mat.entries) == ref
+        for B2 in others:
+            chi2 = bicharacter_of(BilinearCocycle(B2))
+            same = ref == oracles.fraction_bicharacter(B2)
+            assert (chi == chi2) == same
+            if same:
+                assert hash(chi) == hash(chi2)
+        assert bicharacter_of(BilinearCocycle(sym)) == zero[n]
+        assert bicharacter_of(BilinearCocycle(sym + _random_int_matrix(rng, n))) == zero[n]
+
+        theta = oracles.random_skew_rat(rng, n, max_den=max_den, max_num=30)
+        index = oracles.fraction_radical_index(oracles.fraction_bicharacter(theta.upper()))
+        shift = IntMatrix([[rng.randint(-4, 4) if j > i else 0 for j in range(n)]
+                           for i in range(n)])
+        shifted = SkewRatForm(theta.mat + shift - shift.transpose())
+        for form in (theta, shifted, theta.frac()):
+            assert radical(form)[1] == index
+        if theta.ell ** n <= 4096:
+            assert index == oracles.brute_force_lattice_index(theta)
+
+
+def test_representation_bicharacter_is_frac_of_theta():
+    rng = random.Random(44)
+    for q1, q2 in [(1, 1), (2, 1), (3, 1), (2, 4), (3, 6), (5, 5)]:
+        p1, p2 = (rng.choice([-1, 1]) * rng.randint(1, 2 * q) for q in (q1, q2))
+        for n in (4, 5):
+            theta = _as_normal_form([Fraction(p1, q1), Fraction(p2, q2)], n)
+            assert heisenberg_rep(theta).chi == theta.frac()
+    for trial in range(60):
+        n = 1 + trial % 4
+        theta = oracles.random_skew_rat(rng, n, max_den=1 + trial % 6, max_num=20)
+        assert bundle_of(theta)[2].chi == theta.frac()
 
 
 def test_cohomologous_reflexive_and_symmetric_shift():

@@ -11,7 +11,7 @@ from flattori.bundles import MatrixBundleClass, VectorBundleClass
 from flattori.cohomology import AltFormModQ, AltFormZ, RootOfUnity
 from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import SkewRatForm
-from flattori.projrep import Bicharacter, BilinearCocycle, ProjectiveRep, clock_shift
+from flattori.projrep import BilinearCocycle, ProjectiveRep, clock_shift
 
 H = Fraction(1, 2)
 T = Fraction(1, 3)
@@ -33,7 +33,6 @@ VALUES = {
     "CycElt": (lambda k: CycElt.from_phase(Fraction(k, 6), 6), 1, 2),
     "SkewRatForm": (lambda x: SkewRatForm([[0, x], [-x, 0]]), T, H),
     "BilinearCocycle": (lambda x: BilinearCocycle([[0, x], [0, 0]]), T, H),
-    "Bicharacter": (lambda x: Bicharacter([[0, x], [-x, 0]]), T, H),
 }
 
 
