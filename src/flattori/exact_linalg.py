@@ -12,6 +12,8 @@ They mix without conversions: +, - and @ give a RatMatrix when either
 operand is one, and equality and hashing go by value across both classes.
 A skew form is stored as integer numerators S over its least common
 denominator ell, so its congruences and reductions are integer operations.
+The Smith form tracks only its column transform V, and both inverses use
+one fraction-free Gauss-Jordan pass for the determinant and the adjugate.
 """
 
 from __future__ import annotations
@@ -20,21 +22,22 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 class _ExactMatrix:
     """Immutable matrix whose entries are coerced by the subclass's
-    `_entry`; the mixing rules are in the module docstring."""
+    `_entry` unless all have its `_stored` type; mixing rules above."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        entry = self._entry
-        ents = tuple(tuple(entry(x) for x in row) for row in entries)
+        ents = tuple(map(tuple, entries))
+        if not self._stored.issuperset(map(type, chain.from_iterable(ents))):
+            ents = tuple(tuple(map(self._entry, row)) for row in ents)
         if not ents or not ents[0]:
             raise ValueError("matrix dimensions must be positive")
-        if any(len(r) != len(ents[0]) for r in ents):
+        if len(set(map(len, ents))) != 1:
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", len(ents))
         object.__setattr__(self, "cols", len(ents[0]))
@@ -86,7 +89,7 @@ class _ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         bt = list(zip(*other.entries))
-        return self._joint(other)([[sum(a * b for a, b in zip(row, col)) for col in bt]
+        return self._joint(other)([[sum(map(operator.mul, row, col)) for col in bt]
                                    for row in self.entries])
 
     def scale(self, k):
@@ -100,9 +103,7 @@ class _ExactMatrix:
         return type(self)(zip(*self.entries))
 
     def is_skew(self) -> bool:
-        return (self.rows == self.cols
-                and all(self.entries[i][j] == -self.entries[j][i]
-                        for i in range(self.rows) for j in range(self.rows)))
+        return self.entries == tuple(zip(*[[-a for a in row] for row in self.entries]))
 
 
 def _int_entry(x) -> int:
@@ -132,6 +133,7 @@ class IntMatrix(_ExactMatrix):
     """Immutable arbitrary-precision integer matrix."""
 
     __slots__ = ()
+    _stored = frozenset({int})
     _entry = staticmethod(_int_entry)
 
     def __repr__(self):
@@ -146,17 +148,14 @@ class IntMatrix(_ExactMatrix):
             raise ValueError("determinant of non-square matrix")
         n = self.rows
         a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
+        sign = prev = 1
         for k in range(n - 1):
             if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
+                i = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if i is None:
                     return 0
+                a[k], a[i] = a[i], a[k]
+                sign = -sign
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
@@ -164,21 +163,35 @@ class IntMatrix(_ExactMatrix):
         return sign * a[n - 1][n - 1]
 
     def _adjugate(self):
-        """Cofactor adjugate rows: adj M @ M = det M * I (desk-scale n)."""
+        """(det M, rows of adj M) by one fraction-free Gauss-Jordan pass over
+        [M | I]: its row operations L give L M = s det M * I and adj M = s L,
+        s the sign of the row swaps.  The rows are zero when M is singular."""
         n = self.rows
-        if n == 1:
-            return [[1]]
-        m = self.entries
-        return [[(-1) ** (i + j) * IntMatrix([r[:i] + r[i + 1:] for k, r in enumerate(m)
-                                              if k != j]).det()
-                 for j in range(n)] for i in range(n)]
+        if n != self.cols:
+            raise ValueError("adjugate of non-square matrix")
+        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.entries)]
+        sign = prev = 1
+        for k in range(n):
+            if a[k][k] == 0:
+                i = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if i is None:
+                    return 0, [[0] * n for _ in range(n)]
+                a[k], a[i] = a[i], a[k]
+                sign = -sign
+            pivot, p = a[k], a[k][k]
+            for i in range(n):
+                if i != k:
+                    c = a[i][k]
+                    a[i] = [(p * x - c * y) // prev for x, y in zip(a[i], pivot)]
+            prev = p
+        return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Inverse of a matrix with det = +-1 (stays integral): det * adj."""
-        d = self.det()
+        d, adj = self._adjugate()
         if d not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        return IntMatrix([[d * a for a in row] for row in self._adjugate()])
+        return IntMatrix([[d * a for a in row] for row in adj])
 
 
 def _rational(x) -> Fraction:
@@ -196,6 +209,7 @@ class RatMatrix(_ExactMatrix):
     and positive denominators, so equality is structural)."""
 
     __slots__ = ()
+    _stored = frozenset({Fraction})
     _entry = staticmethod(_rational)
 
     def __repr__(self):
@@ -287,75 +301,60 @@ class SymplecticNF:
 
 
 def smith_normal_form(M: IntMatrix):
-    """Return (U, D, V), U and V unimodular, U*M*V = D diagonal with
-    d_i | d_{i+1} and d_i >= 0."""
+    """Return (D, V), V unimodular and U*M*V = D for a unimodular U that is
+    not tracked; D has the shape of M, is diagonal, d_i | d_{i+1} and
+    d_i >= 0."""
     nr, nc = M.rows, M.cols
     a = [list(r) for r in M.entries]
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def row_add(i, j, k):  # row_i += k*row_j
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-
-    def col_add(i, j, k):  # col_i += k*col_j
-        for row in a:
-            row[i] += k * row[j]
-        for row in v:
-            row[i] += k * row[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]  # rows of V^t
 
     t = 0
     while t < min(nr, nc):
         # minimal |entry| pivot in the active submatrix, ties lexicographic
-        best = None
+        best = bi = bj = 0
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+                x = abs(row[j])
+                if x and (x < best or not best):
+                    best, bi, bj = x, i, j
+        if not best:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-        p = a[t][t]
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+            vt[t], vt[bj] = vt[bj], vt[t]
+        pivot, p = a[t], a[t][t]
         clean = True
         for i in range(t + 1, nr):
             q = a[i][t] // p
             if q:
-                row_add(i, t, -q)
+                a[i] = [x - q * y for x, y in zip(a[i], pivot)]
             if a[i][t]:
                 clean = False
-        for j in range(t + 1, nc):
-            q = a[t][j] // p
-            if q:
-                col_add(j, t, -q)
-            if a[t][j]:
-                clean = False
-        if not clean:
+        # col_j -= q_j col_t for every j > t at once: col_t does not change
+        qs = [(j, pivot[j] // p) for j in range(t + 1, nc) if pivot[j] // p]
+        if qs:
+            for row in a:
+                y = row[t]
+                if y:
+                    for j, q in qs:
+                        row[j] -= q * y
+            for j, q in qs:
+                vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+        if not clean or any(pivot[t + 1:]):
             continue
         # enforce divisibility into the remaining block
-        viol = next(((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
-                     if a[i][j] % p != 0), None)
+        viol = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1:])), None)
         if viol is not None:
-            row_add(t, viol[0], 1)
+            a[t] = [x + y for x, y in zip(pivot, a[viol])]
             continue
-        if p < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+        pivot[t] = abs(p)  # the rest of row t is zero
         t += 1
 
-    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+    return IntMatrix(a), IntMatrix(zip(*vt))
 
 
 def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
@@ -443,20 +442,18 @@ def lattice_kernel_mod(M: IntMatrix, ell: int):
     if M.rows != M.cols:
         raise ValueError("square matrix expected")
     n = M.rows
-    _, D, V = smith_normal_form(M)
+    D, V = smith_normal_form(M)
     mults = [ell // gcd(D[i][i], ell) for i in range(n)]
     basis = [IntMatrix([[V[i][j] * mults[j]] for i in range(n)]) for j in range(n)]
-    index = 1
-    for m in mults:
-        index *= m
-    return basis, index
+    return basis, prod(mults)
 
 
 def inverse_mod(M: IntMatrix, ell: int) -> IntMatrix:
     """Inverse mod ell of a matrix whose determinant is a unit mod ell:
     det^-1 * adj mod ell."""
-    dinv = pow(M.det() % ell, -1, ell)
-    return IntMatrix([[dinv * a % ell for a in row] for row in M._adjugate()])
+    d, adj = M._adjugate()
+    dinv = pow(d % ell, -1, ell)
+    return IntMatrix([[dinv * a % ell for a in row] for row in adj])
 
 
 def _primitive_row_lift(row, ell):

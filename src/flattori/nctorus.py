@@ -109,9 +109,9 @@ def q_theta(theta: SkewRatForm) -> int:
     a perfect square; a failure would falsify the underlying lemma, so it
     aborts loudly."""
     n, ell, S = theta.n, theta.ell, theta.S
-    stacked = IntMatrix([[ell if i == j else 0 for j in range(n)] + list(S[i])
-                         for i in range(n)])
-    _, D, _ = smith_normal_form(stacked)
+    # generators as rows: the lattice of the columns of [ell I | S], as S^t = -S
+    stacked = IntMatrix([[ell * (i == j) for j in range(n)] for i in range(n)] + list(S))
+    D, _ = smith_normal_form(stacked)
     index = ell ** n // prod(D[i][i] for i in range(n))
 
     _, rad_index = radical(theta)
@@ -273,9 +273,11 @@ def iso_via_bundles(theta: SkewRatForm, theta2: SkewRatForm, m: int = 1) -> IsoD
                           NCTorusParams(theta2.n, theta2, m))
     if decision.is_iso:
         aligned = theta.congruence(decision.T)
-        n = theta.n
-        e1 = direct_sum_power(classify_projflat(n, q_theta(aligned), c1_of_E_theta(aligned)), m)
-        e2 = direct_sum_power(classify_projflat(n, q_theta(theta2), c1_of_E_theta(theta2)), m)
+        q = q_theta(theta2)  # iso_decide has shown that aligned shares it
+        if q % theta2.ell:
+            raise AssertionError("q_theta * theta failed to be integral")
+        e1 = direct_sum_power(classify_projflat(theta.n, q, AltFormZ(aligned.scaled_int(q))), m)
+        e2 = direct_sum_power(classify_projflat(theta.n, q, AltFormZ(theta2.scaled_int(q))), m)
         if line_twist_exists(e1, e2) is None:
             raise AssertionError("aligned classes must differ by a line bundle")
     return decision

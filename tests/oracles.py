@@ -21,6 +21,10 @@ replaced with one closed-form builder: literal clock and shift matrices,
 Kronecker products with identities, and square-and-multiply powers
 multiplied out along the rows of an integer matrix.  The scalar factor's
 cocycle recursion, walked one step at a time, references its closed form.
+`smith_with_transforms` is the Smith normal form that also tracks the row
+transform U, and `cofactor_adjugate` the adjugate from n^2 cofactor
+determinants; the library replaced them with a Smith form that tracks only
+V and a one-pass fraction-free Gauss-Jordan adjugate.
 Direct sums and the seeded unimodular sampler build test inputs.
 """
 
@@ -147,6 +151,89 @@ def fraction_radical_index(chi):
     common denominator of the entries."""
     ell = math.lcm(*(x.denominator for row in chi for x in row))
     return lattice_kernel_mod(IntMatrix([[x * ell for x in row] for row in chi]), ell)[1]
+
+
+def smith_with_transforms(M):
+    """Return (U, D, V), U and V unimodular, U*M*V = D diagonal with
+    d_i | d_{i+1} and d_i >= 0."""
+    nr, nc = M.rows, M.cols
+    a = [list(r) for r in M.entries]
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_add(i, j, k):  # row_i += k*row_j
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+
+    def col_add(i, j, k):  # col_i += k*col_j
+        for row in a:
+            row[i] += k * row[j]
+        for row in v:
+            row[i] += k * row[j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        # minimal |entry| pivot in the active submatrix, ties lexicographic
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            row_swap(t, best[0])
+        if best[1] != t:
+            col_swap(t, best[1])
+        p = a[t][t]
+        clean = True
+        for i in range(t + 1, nr):
+            q = a[i][t] // p
+            if q:
+                row_add(i, t, -q)
+            if a[i][t]:
+                clean = False
+        for j in range(t + 1, nc):
+            q = a[t][j] // p
+            if q:
+                col_add(j, t, -q)
+            if a[t][j]:
+                clean = False
+        if not clean:
+            continue
+        # enforce divisibility into the remaining block
+        viol = next(((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
+                     if a[i][j] % p != 0), None)
+        if viol is not None:
+            row_add(t, viol[0], 1)
+            continue
+        if p < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+
+
+def cofactor_adjugate(M):
+    """adj M from its n^2 cofactor determinants: adj M @ M = det M * I."""
+    n = M.rows
+    if n == 1:
+        return IntMatrix([[1]])
+    m = M.entries
+    return IntMatrix([[(-1) ** (i + j) * IntMatrix([r[:i] + r[i + 1:] for k, r in enumerate(m)
+                                                    if k != j]).det()
+                       for j in range(n)] for i in range(n)])
 
 
 def random_skew_rat(rng, n, max_den=12, max_num=6):

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from itertools import combinations, product
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 import oracles
@@ -37,10 +38,17 @@ def random_skew(rng, n, bound=9):
 
 
 def check_smith(M):
-    U, D, V = smith_normal_form(M)
-    assert U @ M @ V == D
-    assert abs(U.det()) == 1
-    assert abs(V.det()) == 1
+    """Verify the Smith form (D, V) of M literally: D is diagonal with
+    d_i >= 0 and d_i | d_{i+1} and equals the reference's D, |det V| = 1,
+    and M V = W D, where W's first r columns (r nonzero d_i) are those of
+    M V divided by d_i and extend to a unimodular matrix, so U M V = D for
+    U = W^-1."""
+    D, V = smith_normal_form(M)
+    U_ref, D_ref, V_ref = oracles.smith_with_transforms(M)
+    assert U_ref @ M @ V_ref == D_ref
+    assert D == D_ref
+    assert (D.rows, D.cols) == (M.rows, M.cols)
+    assert (V.rows, V.cols) == (M.cols, M.cols) and abs(V.det()) == 1
     diag = [D[i][i] for i in range(min(D.rows, D.cols))]
     for i in range(D.rows):
         for j in range(D.cols):
@@ -52,18 +60,28 @@ def check_smith(M):
             assert b == 0
         else:
             assert b % a == 0
+    r = sum(1 for d in diag if d)
+    MV = M @ V
+    W = IntMatrix([[MV[i][j] // diag[j] if j < r else 0 for j in range(M.rows)]
+                   for i in range(M.rows)])
+    assert MV == W @ D
+    if r:
+        minors = (IntMatrix([[W[i][j] for j in range(r)] for i in rows]).det()
+                  for rows in combinations(range(M.rows), r))
+        assert gcd(*minors) == 1
     return diag
 
 
 def test_smith_already_diagonal():
-    U, D, V = smith_normal_form(IntMatrix([[6]]))
+    D, V = smith_normal_form(IntMatrix([[6]]))
     assert D == IntMatrix([[6]])
-    assert U == IntMatrix([[1]]) and V == IntMatrix([[1]])
+    assert V == IntMatrix([[1]])
 
 
 def test_smith_zero_1x1():
-    _, D, _ = smith_normal_form(IntMatrix([[0]]))
+    D, _ = smith_normal_form(IntMatrix([[0]]))
     assert D == IntMatrix([[0]])
+    check_smith(IntMatrix([[0]]))
 
 
 def test_smith_2x2_hand_oracle():
@@ -322,6 +340,59 @@ def test_inverse_mod():
         g = T.mod(ell)
         ginv = inverse_mod(g, ell)
         assert (g @ ginv).mod(ell) == IntMatrix.identity(n).mod(ell)
+
+
+def test_adjugate_matches_cofactor_reference():
+    rng = random.Random(47)
+    checked = singular = 0
+    while checked < 2100:
+        n = 1 + checked % 7
+        M = random_int_matrix(rng, n, n, bound=rng.choice((1, 3, 9, 40)))
+        d, adj = M._adjugate()
+        assert d == M.det()
+        if d == 0:
+            assert adj == [[0] * n for _ in range(n)]
+            singular += 1
+            continue
+        ref = oracles.cofactor_adjugate(M)
+        assert IntMatrix(adj) == ref
+        assert ref @ M == IntMatrix.identity(n).scale(d)
+        checked += 1
+    assert singular > 50  # zero pivots and singular inputs were drawn too
+
+
+def test_inverses_edge_cases():
+    rng = random.Random(53)
+    squares = [IntMatrix.zero(n) for n in range(1, 5)] + [IntMatrix([[2, 4], [1, 2]])]
+    squares += [random_int_matrix(rng, n, n, bound=3) for n in range(1, 6) for _ in range(8)]
+    for M in squares:
+        assert inverse_mod(M, 1) == IntMatrix.zero(M.rows)
+    for M, ell in ((IntMatrix([[2, 0], [0, 1]]), 4), (IntMatrix([[3]]), 6),
+                   (IntMatrix([[2, 4], [1, 2]]), 5), (IntMatrix.zero(3), 7)):
+        with pytest.raises(ValueError):
+            inverse_mod(M, ell)
+    for M in (IntMatrix([[2, 0], [0, 1]]), IntMatrix([[3]]), IntMatrix([[2, 4], [1, 2]]),
+              IntMatrix.zero(2), IntMatrix([[1, 2, 3]])):
+        with pytest.raises(ValueError):
+            M.inverse_unimodular()
+
+
+def test_constructor_stores_exact_entries():
+    m = IntMatrix([[True, np.int64(-5), Fraction(6, 3)], [False, 7, np.int64(2) ** 40]])
+    assert m.entries == ((1, -5, 2), (0, 7, 2 ** 40))
+    assert all(type(x) is int for row in m for x in row)
+    r = RatMatrix([[True, 2, Fraction(1, 3)], [Fraction(4, 2), -1, 0]])
+    assert r.entries == ((1, 2, Fraction(1, 3)), (2, -1, 0))
+    assert all(type(x) is Fraction for row in r for x in row)
+    for bad in (0.5, 2.0, "3", None):
+        for cls, good in ((IntMatrix, [1, 2, 3, 4, 5, 6]),
+                          (RatMatrix, [Fraction(1, 2), 1, 2, 3, 4, Fraction(5, 3)]),
+                          (RatMatrix, [Fraction(k, 7) for k in range(6)])):
+            for pos in (0, 3, 5):
+                flat = list(good)
+                flat[pos] = bad
+                with pytest.raises(ValueError):
+                    cls([flat[:3], flat[3:]])
 
 
 def random_rat_matrix(rng, rows, cols):

@@ -2,13 +2,13 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import oracles
 from oracles import unimodular_sample
 from flattori.cohomology import pullback
-from flattori.exact_linalg import IntMatrix, SkewRatForm
+from flattori.exact_linalg import IntMatrix, SkewRatForm, smith_normal_form
 from flattori.nctorus import (
     IsoStatus,
     NCTorusParams,
@@ -63,6 +63,25 @@ def test_q_theta_brute_force_index():
         theta = oracles.random_skew_rat(rng, n, max_den=5, max_num=4)
         q = q_theta(theta)
         assert q * q == oracles.brute_force_lattice_index(theta)
+
+
+def test_q_theta_row_stacking_matches_column_stacking():
+    # q_theta takes the Smith form of the generators stacked as rows,
+    # [ell I ; S]; the index must be the one of the columns of [ell I | S]
+    rng = random.Random(43)
+    for trial in range(320):
+        n = 1 + trial % 8
+        theta = oracles.random_skew_rat(rng, n, max_den=1 + trial % 12, max_num=9)
+        ell, S = theta.ell, theta.S
+        cols = IntMatrix([[ell if i == j else 0 for j in range(n)] + list(S[i])
+                          for i in range(n)])
+        _, D, _ = oracles.smith_with_transforms(cols)
+        index = ell ** n // prod(D[i][i] for i in range(n))
+        rows = IntMatrix([[ell if i == j else 0 for j in range(n)] for i in range(n)]
+                         + list(S.entries))
+        D_rows, _ = smith_normal_form(rows)
+        assert [D_rows[i][i] for i in range(n)] == [D[i][i] for i in range(n)]
+        assert q_theta(theta) ** 2 == index
 
 
 def test_q_theta_congruence_and_shift_invariant():
