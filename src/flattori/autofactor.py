@@ -10,6 +10,8 @@ is integer arithmetic and equal phases have equal fields; `.linear` and
 clutching_omega) is the only place double-precision complex arithmetic is
 allowed; every value it returns is snapped to an exact integer or exact
 q-torsion phase, and snap failure is an error, never a silent rounding.
+The clutching loop is monomial, so it is sampled as q nonzero entries per
+sample; a sample's determinant is its permutation's sign times their product.
 """
 
 from __future__ import annotations
@@ -144,9 +146,7 @@ class GenPermPhaseMatrix:
             raise ValueError("one phase per column required")
         if len({len(p.nums) for p in phases}) > 1:
             raise ValueError("mixed phase dimensions")
-        object.__setattr__(self, "size", len(perm))
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phases", phases)
+        _matrix(perm, phases, self)
 
     @property
     def dim(self) -> int:
@@ -158,31 +158,35 @@ class GenPermPhaseMatrix:
         perm = tuple(self.perm[other.perm[j]] for j in range(self.size))
         phases = tuple(self.phases[other.perm[j]] + other.phases[j]
                        for j in range(self.size))
-        return GenPermPhaseMatrix(perm, phases)
+        return _matrix(perm, phases)
 
     def inverse(self) -> "GenPermPhaseMatrix":
-        inv = [0] * self.size
-        for j, p in enumerate(self.perm):
-            inv[p] = j
-        return GenPermPhaseMatrix(inv, tuple(-self.phases[inv[i]]
-                                             for i in range(self.size)))
+        inv = tuple(sorted(range(self.size), key=self.perm.__getitem__))
+        return _matrix(inv, tuple(-self.phases[i] for i in inv))
 
     def translate(self, gamma) -> "GenPermPhaseMatrix":
-        return GenPermPhaseMatrix(self.perm,
-                                  tuple(p.translate(gamma) for p in self.phases))
+        return _matrix(self.perm, tuple(p.translate(gamma) for p in self.phases))
 
     def scalar_mul(self, phase: AffinePhase) -> "GenPermPhaseMatrix":
-        return GenPermPhaseMatrix(self.perm, tuple(p + phase for p in self.phases))
+        return _matrix(self.perm, tuple(p + phase for p in self.phases))
 
     def det(self) -> AffinePhase:
         """Permutation sign (as a half-integer constant) times all phases."""
-        total = _phase(2, (0,) * self.dim, _perm_parity(self.perm))
-        for p in self.phases:
-            total = total + p
-        return total
+        return sum(self.phases, _phase(2, (0,) * self.dim, _perm_parity(self.perm)))
 
     def __repr__(self):
         return f"GenPermPhaseMatrix(perm={self.perm}, phases={list(self.phases)})"
+
+
+def _matrix(perm: tuple, phases: tuple, m: GenPermPhaseMatrix | None = None):
+    """The matrix of a tuple of Python int perm and a tuple of phases, stored
+    unchecked: the library's own products and builders are valid by
+    construction.  Stored into m when given (by __init__, after its checks)."""
+    m = object.__new__(GenPermPhaseMatrix) if m is None else m
+    object.__setattr__(m, "size", len(perm))
+    object.__setattr__(m, "perm", perm)
+    object.__setattr__(m, "phases", phases)
+    return m
 
 
 def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
@@ -191,11 +195,12 @@ def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
     j goes to row (j - v) mod q with e(-a s) once per pass of the walk j,
     j - 1, ..., j - v + 1 through column 0: (v + q - 1 - j) // q passes, a
     negative count (the passes of N^-1) when v < 0."""
+    q, a, v = _int_tuple((q, a, v))
     if q < 1:
         raise ValueError("q must be >= 1")
     passes = [(v + q - 1 - j) // q for j in range(q)]  # at most two values
     phase = {k: _phase(1, (-a * k, 0), 0) for k in set(passes)}
-    return GenPermPhaseMatrix([(j - v) % q for j in range(q)], [phase[k] for k in passes])
+    return _matrix(tuple([(j - v) % q for j in range(q)]), tuple([phase[k] for k in passes]))
 
 
 @dataclass(frozen=True)
@@ -206,12 +211,10 @@ class FactorOfAutomorphy:
     a: int
 
     def __post_init__(self):
-        # rieffel_N rejects q < 1; cocycle identity on generator pairs, checked symbolically
-        for g1 in ((1, 0), (0, 1), (1, 1)):
-            for g2 in ((1, 0), (0, 1), (-1, 1)):
-                s = (g1[0] + g2[0], g1[1] + g2[1])
-                if self.value(s) != self.value(g1).translate(g2) @ self.value(g2):
-                    raise AssertionError("cocycle identity failed at construction")
+        # rieffel_N rejects inexact q, a and q < 1; cocycle identity on generator pairs
+        if any(_violates(self, g1, g2) for g1 in ((1, 0), (0, 1), (1, 1))
+               for g2 in ((1, 0), (0, 1), (-1, 1))):
+            raise AssertionError("cocycle identity failed at construction")
 
     def value(self, gamma) -> GenPermPhaseMatrix:
         u, v = _int_tuple(gamma)
@@ -220,31 +223,26 @@ class FactorOfAutomorphy:
     def records(self, gammas=((1, 0), (0, 1))):
         """Dump format: one (gamma, perm, phases) record per lattice vector,
         each phase as the (s-coefficient, t-coefficient, constant) strings."""
-        out = []
-        for gamma in gammas:
-            m = self.value(gamma)
-            phases = [[str(p.linear[0]), str(p.linear[1]), str(p.const)]
-                      for p in m.phases]
-            out.append((tuple(gamma), list(m.perm), phases))
-        return out
+        return [(tuple(g), list(m.perm), [[str(x) for x in (*p.linear, p.const)] for p in m.phases])
+                for g in gammas for m in [self.value(g)]]
 
 
 def factor_from(q: int, a: int) -> FactorOfAutomorphy:
     return FactorOfAutomorphy(q, a)
 
 
+def _violates(F, g1, g2) -> bool:
+    """Whether N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, checked exactly."""
+    return F.value((g1[0] + g2[0], g1[1] + g2[1])) != F.value(g1).translate(g2) @ F.value(g2)
+
+
 def check_cocycle(F, trials: int, seed: int = 0):
-    """Verify N_{g+g'}(x) = N_g(x+g') N_{g'}(x) exactly on random pairs with
-    entries bounded by 10.  Returns the list of violating pairs."""
+    """Verify the cocycle identity on random pairs with entries bounded by
+    10.  Returns the list of violating pairs."""
     rng = random.Random(seed)
-    violations = []
-    for _ in range(trials):
-        g1 = (rng.randint(-10, 10), rng.randint(-10, 10))
-        g2 = (rng.randint(-10, 10), rng.randint(-10, 10))
-        s = (g1[0] + g2[0], g1[1] + g2[1])
-        if F.value(s) != F.value(g1).translate(g2) @ F.value(g2):
-            violations.append((g1, g2))
-    return violations
+    pairs = [tuple((rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(2))
+             for _ in range(trials)]
+    return [(g1, g2) for g1, g2 in pairs if _violates(F, g1, g2)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,17 +321,12 @@ def mumford_c1(f: ScalarFactor) -> AltFormZ:
     """First Chern class of the line bundle of a scalar factor: the form
     (g1, g2) -> (f_{g2}(x+g1) - f_{g2}(x)) - (f_{g1}(x+g2) - f_{g1}(x)),
     independent of x (the cancellation is certified symbolically)."""
-    n = f.n
-    vals = [f.value(tuple(int(i == k) for k in range(n))) for i in range(n)]
-    mat = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ei = tuple(int(k == i) for k in range(n))
-            ej = tuple(int(k == j) for k in range(n))
-            c = _translation_increment(vals[j], ei) - _translation_increment(vals[i], ej)
-            if c.denominator != 1:
-                raise ValueError("factor exponents do not define an integral class")
-            mat[i][j] = int(c)
+    basis = [tuple(int(i == k) for k in range(f.n)) for i in range(f.n)]
+    vals = [f.value(e) for e in basis]
+    mat = [[_translation_increment(vj, ei) - _translation_increment(vi, ej)
+            for ej, vj in zip(basis, vals)] for ei, vi in zip(basis, vals)]
+    if any(c.denominator != 1 for row in mat for c in row):
+        raise ValueError("factor exponents do not define an integral class")
     return AltFormZ(mat)
 
 
@@ -342,25 +335,42 @@ def default_samples(q: int, a: int) -> int:
 
 
 def _samples(F: FactorOfAutomorphy, samples: int | None) -> int:
-    if samples is None:
-        return default_samples(F.q, F.a)
+    (samples,) = _int_tuple((default_samples(F.q, F.a) if samples is None else samples,))
     least = 4 * (1 + abs(F.a) * F.q)
     if samples < least:
         raise ValueError(f"insufficient samples: need at least {least}, got {samples}")
     return samples
 
 
-def loop_matrices(F: FactorOfAutomorphy, samples: int) -> np.ndarray:
+def _sampled_loop(F: FactorOfAutomorphy, samples: int):
     """The clutching loop s -> N_{(0,1)}(s, 0) at s = k/samples, k = 0..samples,
-    as a stacked complex array (numerical layer)."""
+    as its permutation, the (samples + 1, q) array of its sampled nonzero
+    entries (entry (perm[j], j) of sample k is vals[k, j]) and the sampled
+    determinants.  N is monomial, so det = sign(perm) * prod(entries) is an
+    identity on the samples, not the exact omega or twist."""
     sym = F.value((0, 1))
-    q = sym.size
-    s = np.arange(samples + 1) / samples
-    mats = np.zeros((samples + 1, q, q), dtype=complex)
-    for j, ph in enumerate(sym.phases):
-        turns = ph.nums[0] / ph.den * s + ph.num / ph.den
-        mats[:, sym.perm[j], j] = np.exp(2j * np.pi * turns)
+    s = np.arange(samples + 1)[:, None] / samples
+    turns = s * [p.nums[0] / p.den for p in sym.phases] + [p.num / p.den for p in sym.phases]
+    vals = np.exp(2j * np.pi * turns)
+    return sym.perm, vals, (-1) ** _perm_parity(sym.perm) * vals.prod(axis=1)
+
+
+def loop_matrices(F: FactorOfAutomorphy, samples: int) -> np.ndarray:
+    """The sampled clutching loop as a stacked dense complex array: the
+    entries of `_sampled_loop` scattered to their rows (numerical layer)."""
+    perm, vals, _ = _sampled_loop(F, samples)
+    mats = np.zeros((samples + 1, F.q, F.q), dtype=complex)
+    mats[:, perm, range(F.q)] = vals
     return mats
+
+
+def _unwrap_steps(values) -> np.ndarray:
+    """Phase steps between consecutive samples; raises at or beyond the bound."""
+    steps = np.angle(values[1:] / values[:-1])
+    if steps.size and np.max(np.abs(steps)) >= UNWRAP_STEP_BOUND:
+        raise UnwrapError("phase step at or beyond the unwrapping bound; "
+                          "increase the sample count")
+    return steps
 
 
 def winding_number(values) -> int:
@@ -369,11 +379,7 @@ def winding_number(values) -> int:
     values = np.asarray(values, dtype=complex)
     if np.any(np.abs(values) == 0):
         raise ValueError("loop passes through zero")
-    steps = np.angle(values[1:] / values[:-1])
-    if steps.size and np.max(np.abs(steps)) >= UNWRAP_STEP_BOUND:
-        raise UnwrapError("phase step at or beyond the unwrapping bound; "
-                          "increase the sample count")
-    total_turns = float(np.sum(steps)) / (2 * math.pi)
+    total_turns = float(np.sum(_unwrap_steps(values))) / (2 * math.pi)
     nearest = round(total_turns)
     if abs(total_turns - nearest) > SNAP_TOL_TURNS:
         raise SnapError(f"winding {total_turns} is not within tolerance of an integer")
@@ -382,10 +388,7 @@ def winding_number(values) -> int:
 
 def clutching_twist(F: FactorOfAutomorphy, samples: int | None = None) -> int:
     """Winding number of det of the clutching loop; equals the twist."""
-    samples = _samples(F, samples)
-    mats = loop_matrices(F, samples)
-    dets = np.linalg.det(mats)
-    return winding_number(dets)
+    return winding_number(_sampled_loop(F, _samples(F, samples))[2])
 
 
 def clutching_omega(F: FactorOfAutomorphy, samples: int | None = None,
@@ -394,21 +397,17 @@ def clutching_omega(F: FactorOfAutomorphy, samples: int | None = None,
     loop, found by nearest-unitary continuation and snapped into mu_q.  The
     q-th root of 1 / det M_k picked at sample k depends on the previous pick
     only through their ratio, so every ratio is picked at once from
-    w_k = conj(base_{k-1}) base_k <M_{k-1}, M_k>, base_k the principal root."""
-    samples = _samples(F, samples)
+    w_k = conj(base_{k-1}) base_k <M_{k-1}, M_k>, base_k the principal root.
+    Every M_k has the same support, so <M_{k-1}, M_k> runs over q entries."""
     q = F.q
-    mats = loop_matrices(F, samples)
-    dets = np.linalg.det(mats)
-    if np.max(np.abs(np.angle(dets[1:] / dets[:-1]))) >= UNWRAP_STEP_BOUND:
-        raise UnwrapError("phase step at or beyond the unwrapping bound; "
-                          "increase the sample count")
+    _, vals, dets = _sampled_loop(F, _samples(F, samples))
+    _unwrap_steps(dets)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     base = np.exp(-1j * np.angle(dets) / q)
-    flat = mats.reshape(samples + 1, q * q)
-    w = base[1:] * base[:-1].conj() * np.vecdot(flat[:-1], flat[1:])
+    w = base[1:] * base[:-1].conj() * np.vecdot(vals[:-1], vals[1:])
     inc = np.argmax((w[:, None] * roots).real, axis=1)
     mu_last = base[-1] * roots[int(inc.sum()) % q]
-    zeta = base[0] * np.conj(mu_last) * np.vdot(flat[-1], flat[0]) / q
+    zeta = base[0] * np.conj(mu_last) * np.vdot(vals[-1], vals[0]) / q
     turns = (math.atan2(zeta.imag, zeta.real) / (2 * math.pi)) % 1.0
     r = round(turns * q)  # nearest point r / q of (1/q)Z
     if abs(turns - r / q) > tol:

@@ -106,7 +106,7 @@ def _dump_samples_csv(factor, samples, path) -> None:
             for i in range(q):
                 for j in range(q):
                     z = mats[k, i, j]
-                    writer.writerow([repr(t), i, j, repr(z.real), repr(z.imag)])
+                    writer.writerow([repr(t), i, j, repr(float(z.real)), repr(float(z.imag))])
 
 
 def _clutching(args, method):

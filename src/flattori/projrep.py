@@ -21,9 +21,9 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .autofactor import GenPermPhaseMatrix, _phase
+from .autofactor import _matrix, _phase
 from .cyclotomic import CycElt
-from .exact_linalg import RatMatrix, SkewRatForm, lattice_kernel_mod
+from .exact_linalg import RatMatrix, SkewRatForm, _int_tuple, lattice_kernel_mod
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,13 +133,14 @@ def _clock_shift_words(pairs, rows):
             a, c = r[t], p * r[k + t] * (L // q)
             perm = [P * q + (j - a) % q for P in perm for j in range(q)]
             exps = [E + c * j for E in exps for j in range(q)]
-        words.append(GenPermPhaseMatrix(perm, [phase[e % L] for e in exps]))
+        words.append(_matrix(tuple(perm), tuple([phase[e % L] for e in exps])))
     return words
 
 
 def clock_shift(q: int, p: int):
     """Clock U = diag(e(p j / q)) and shift V e_j = e_{j-1}, with
     V U = e(p/q) U V exactly."""
+    q, p = _int_tuple((q, p))
     if q < 1:
         raise ValueError("q must be >= 1")
     U, V = _clock_shift_words([(q, p)], [(0, 1), (1, 0)])

@@ -7,16 +7,19 @@ generators where the library decides from invariants, and index oracles
 enumerate residues directly.  The Q(zeta_L) references (sparse elimination
 and the literal intertwiner check) do field arithmetic where the library
 works on phase exponents.  The clutching continuation is the per-sample
-loop the library replaced by one vectorized step.  `FractionPhase` is the
-Fraction-valued affine phase the library replaced by integer numerators
-over one denominator; `fraction_congruence`, `fraction_frac` and
-`fraction_scaled_int` are the Fraction-matrix skew form operations the
-library replaced by integer numerators over one denominator, and
-`fraction_bicharacter` and `fraction_radical_index` the Fraction bicharacter
-matrix (B - B^t) mod 1 and its cleared-denominator radical that a skew form
-mod Z replaced.  The complex evaluations of phases and generalized
-permutation-phase matrices are numerical references.  The
-clock/shift generators are referenced by the construction the library
+loop the library replaced by one vectorized step; it and the dense twist
+take determinants of the dense loop matrices by LU, where the library
+multiplies the sampled nonzero entries of the monomial loop.
+`FractionPhase` is the Fraction-valued affine phase the library replaced
+by integer numerators over one denominator; `fraction_congruence`,
+`fraction_frac` and `fraction_scaled_int` are the Fraction-matrix skew
+form operations the library replaced by integer numerators over one
+denominator, and `fraction_bicharacter` and `fraction_radical_index` the
+Fraction bicharacter matrix (B - B^t) mod 1 and its cleared-denominator
+radical that a skew form mod Z replaced.  The complex evaluations of
+phases and generalized permutation-phase matrices are numerical
+references.
+The clock/shift generators are referenced by the construction the library
 replaced with one closed-form builder: literal clock and shift matrices,
 Kronecker products with identities, and square-and-multiply powers
 multiplied out along the rows of an integer matrix.  The scalar factor's
@@ -329,6 +332,14 @@ def cyc_intertwines(X, rep1, rep2, L):
         if lhs != rhs:
             return False
     return True
+
+
+def clutching_twist_dense(F, samples):
+    """clutching_twist on the dense loop: the winding number of the LU
+    determinants of the stacked q x q loop matrices."""
+    from flattori.autofactor import loop_matrices, winding_number
+
+    return winding_number(np.linalg.det(loop_matrices(F, samples)))
 
 
 def clutching_omega_loop(F, samples, tol=1e-6):

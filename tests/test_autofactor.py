@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from flattori.autofactor import (
     GenPermPhaseMatrix,
     ScalarFactor,
     UnwrapError,
+    _sampled_loop,
     check_cocycle,
     clutching_omega,
     clutching_twist,
@@ -22,8 +24,16 @@ from flattori.autofactor import (
     rieffel_N,
     winding_number,
 )
-from flattori.cohomology import mu_q_image
-from flattori.projrep import clock_shift
+from flattori.cohomology import RootOfUnity, mu_q_image
+from flattori.projrep import _clock_shift_words, clock_shift
+
+
+def _random_matrix(rng, q):
+    perm = list(range(q))
+    rng.shuffle(perm)
+    phases = [AffinePhase((rng.randint(-3, 3), rng.randint(-3, 3)),
+                          Fraction(rng.randint(0, 11), 12)) for _ in range(q)]
+    return GenPermPhaseMatrix(perm, phases)
 
 
 def test_affine_phase_mod1_and_ops():
@@ -109,6 +119,15 @@ def test_gen_perm_matrix_rejects_size_zero():
         oracles.identity_matrix(0)
 
 
+def test_gen_perm_matrix_rejects_invalid_data():
+    # every check of the public constructor; the library's own builders skip them
+    zero, line = AffinePhase((), 0), AffinePhase((1,), 0)
+    for perm, phases in (([0, 0], [zero] * 2), ([1, 2], [zero] * 2), ([1, 0], [zero]),
+                         ([0, 1], [zero, line])):
+        with pytest.raises(ValueError):
+            GenPermPhaseMatrix(perm, phases)
+
+
 def test_gen_perm_matrix_rejects_non_integer_indices():
     ph = [AffinePhase((), 0)] * 2
     for bad in ([0.9, 1.2], [1.0, 0], [Fraction(1, 2), 0], ["1", "0"]):
@@ -150,17 +169,9 @@ def test_gen_perm_matrix_pow_matches_repeated_product():
 
 def test_gen_perm_matrix_algebra():
     rng = random.Random(2)
-
-    def rand_mat(q):
-        perm = list(range(q))
-        rng.shuffle(perm)
-        phases = [AffinePhase((rng.randint(-3, 3), rng.randint(-3, 3)),
-                              Fraction(rng.randint(0, 11), 12)) for _ in range(q)]
-        return GenPermPhaseMatrix(perm, phases)
-
     for _ in range(50):
         q = rng.randint(1, 6)
-        A, B, C = rand_mat(q), rand_mat(q), rand_mat(q)
+        A, B, C = (_random_matrix(rng, q) for _ in range(3))
         assert (A @ B) @ C == A @ (B @ C)
         assert A @ A.inverse() == oracles.identity_matrix(q, 2)
         assert A.inverse() @ A == oracles.identity_matrix(q, 2)
@@ -172,6 +183,35 @@ def test_gen_perm_matrix_algebra():
                            oracles.matrix_complex(A, x) @ oracles.matrix_complex(B, x))
         # determinant is multiplicative
         assert (A @ B).det() == A.det() + B.det()
+
+
+def _assert_as_if_checked(m):
+    # a matrix the library stored unchecked is the one the public constructor builds
+    assert type(m.perm) is tuple and all(type(p) is int for p in m.perm)
+    assert type(m.phases) is tuple
+    checked = GenPermPhaseMatrix(m.perm, m.phases)
+    assert m == checked and hash(m) == hash(checked)
+
+
+def test_library_built_matrices_pass_the_public_checks():
+    rng = random.Random(1414)
+    for _ in range(200):
+        q = rng.randint(1, 6)
+        A, B = _random_matrix(rng, q), _random_matrix(rng, q)
+        shift = AffinePhase((rng.randint(-3, 3), 0), Fraction(rng.randint(0, 5), 6))
+        ints = (rng.randint(-5, 5), rng.randint(-5, 5))
+        rats = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-5, 5))
+        blocks = [(rng.randint(1, 4), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
+        rows = [[rng.randint(-5, 5) for _ in range(2 * len(blocks) + 1)] for _ in range(3)]
+        built = [A @ B, A.inverse(), A.translate(ints), A.translate(rats),
+                 A.scalar_mul(shift), rieffel_N(q, rng.randint(-8, 8), rng.randint(-9, 9)),
+                 *_clock_shift_words(blocks, rows)]
+        for m in built:
+            _assert_as_if_checked(m)
+    # exact integers of other types are normalized before the unchecked store
+    for m in (*clock_shift(np.int64(5), np.int64(2)), rieffel_N(np.int64(3), True, np.int8(2)),
+              factor_from(np.int64(4), np.int64(-1)).value((0, 3))):
+        _assert_as_if_checked(m)
 
 
 def test_rieffel_N_shape():
@@ -324,6 +364,41 @@ def test_clutching_twist():
     for q in (1, 2, 3, 5):
         for a in range(-6, 7):
             assert clutching_twist(factor_from(q, a)) == -a
+
+
+@pytest.mark.parametrize("call", [
+    lambda: factor_from(2.0, 1),
+    lambda: factor_from(3, 1.5),
+    lambda: clutching_twist(factor_from(3, 1), 100.5),
+    lambda: clutching_omega(factor_from(3, 1), "100"),
+], ids=["q-float", "a-float", "twist-samples-float", "omega-samples-str"])
+def test_non_integer_inputs_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_clutching_twist_matches_dense_reference():
+    for q in range(1, 9):
+        for a in range(-8, 9):
+            F = factor_from(q, a)
+            for samples in (4 * (1 + abs(a) * q), default_samples(q, a)):
+                assert clutching_twist(F, samples) == oracles.clutching_twist_dense(F, samples)
+                # the monomial determinant identity against LU on the dense loop
+                dets = _sampled_loop(F, samples)[2]
+                assert np.allclose(dets, np.linalg.det(loop_matrices(F, samples)))
+
+
+def test_clutching_memory_at_large_q():
+    # the dense (samples + 1) x q x q loop alone would be 537 MB at q = 64
+    F = factor_from(64, 1)
+    tracemalloc.start()
+    try:
+        assert clutching_twist(F) == -1
+        assert clutching_omega(F) == RootOfUnity(Fraction(63, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_clutching_twist_insufficient_samples():

@@ -320,6 +320,11 @@ def test_dump_samples_csv(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,row,col,re,im"
     assert len(lines) == 1 + 65 * 4  # (samples+1) * q^2 entries
+    # plain float literals, one unit entry per column: N(s) = [[0, 1], [e(-s), 0]]
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    t, i, j, re, im = rows[4 * 16 + 2]
+    assert (t, i, j) == (0.25, 1, 0) and abs(complex(re, im) - (-1j)) < 1e-12
+    assert sum(abs(complex(re, im)) for _, _, _, re, im in rows) == pytest.approx(65 * 2)
 
 
 def test_console_entry_point(capsys):
