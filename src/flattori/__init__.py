@@ -43,7 +43,6 @@ from .cohomology import (
 )
 from .exact_linalg import (
     IntMatrix,
-    RatMatrix,
     SkewRatForm,
     SymplecticNF,
     lattice_kernel_mod,

@@ -21,6 +21,7 @@ import sys
 
 from . import autofactor, bundles, nctorus, projrep
 from .cohomology import REVERSED, STANDARD, AltFormModQ, AltFormZ
+from .exact_linalg import IntMatrix
 from .textio import (
     MatrixFormatError,
     dump_matrix,
@@ -151,16 +152,17 @@ def cmd_omega(args) -> int:
 
 def cmd_classify(args) -> int:
     mat = load_matrix(args.form)
-    if not mat.is_integral():
+    if any(x.denominator != 1 for row in mat for x in row):
         raise MatrixFormatError("bundle class forms must have integer entries")
+    mat = IntMatrix(mat)
     try:
         if args.kind == "vector":
-            cls = bundles.classify_projflat(args.n, args.q, AltFormZ(mat.to_int()))
+            cls = bundles.classify_projflat(args.n, args.q, AltFormZ(mat))
             rec = dump_vector_class(cls)
             human = [f"vector class: n={cls.n} rank={cls.rank}", "c1:",
                      *_rows(cls.c1.mat)]
         else:
-            beta = AltFormModQ(mat.to_int(), args.q)
+            beta = AltFormModQ(mat, args.q)
             cls = bundles.MatrixBundleClass(args.n, args.q, beta)
             rec = dump_matrix_class(cls)
             human = [f"matrix class: n={cls.n} size={cls.size}",

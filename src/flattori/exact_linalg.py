@@ -1,19 +1,18 @@
-"""Exact integer/rational matrix kernels.
+"""Exact integer matrix kernels.
 
 Arbitrary precision throughout: Python ints and fractions.Fraction.  Values
 are immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.  No floating point.
 
-IntMatrix and RatMatrix share one implementation and differ only in entry
-coercion: an IntMatrix entry must be an exact integer (an int, an integral
-Fraction or anything with __index__; other values raise, none is truncated),
-and a RatMatrix entry an int or a Fraction (a float or string raises).
-They mix without conversions: +, - and @ give a RatMatrix when either
-operand is one, and equality and hashing go by value across both classes.
-A skew form is stored as integer numerators S over its least common
-denominator ell, so its congruences and reductions are integer operations.
-The Smith form tracks only its column transform V, and both inverses use
-one fraction-free Gauss-Jordan pass for the determinant and the adjugate.
+IntMatrix is the only matrix class: an entry must be an exact integer (an
+int, an integral Fraction or anything with __index__; other values raise,
+none is truncated), and so must a scale factor.  A rational matrix is
+stored as integer numerators over its least common denominator, in lowest
+terms; `_lowest_terms` is the one place that builds this format from ints
+and Fractions.  A skew form is S / ell that way, so its congruences and
+reductions are integer operations.  The Smith form tracks only its column
+transform V, and both inverses use one fraction-free Gauss-Jordan pass for
+the determinant and the adjugate.
 """
 
 from __future__ import annotations
@@ -24,86 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 
-
-class _ExactMatrix:
-    """Immutable matrix whose entries are coerced by the subclass's
-    `_entry` unless all have its `_stored` type; mixing rules above."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        ents = tuple(map(tuple, entries))
-        if not self._stored.issuperset(map(type, chain.from_iterable(ents))):
-            ents = tuple(tuple(map(self._entry, row)) for row in ents)
-        if not ents or not ents[0]:
-            raise ValueError("matrix dimensions must be positive")
-        if len(set(map(len, ents))) != 1:
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(ents))
-        object.__setattr__(self, "cols", len(ents[0]))
-        object.__setattr__(self, "entries", ents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def identity(cls, n: int):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int | None = None):
-        cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def _joint(self, other):
-        """Class of a binary result: rational when either operand is."""
-        if isinstance(self, IntMatrix) and isinstance(other, IntMatrix):
-            return IntMatrix
-        return RatMatrix
-
-    def __eq__(self, other):
-        return isinstance(other, _ExactMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def _entrywise(self, other, op):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return self._joint(other)(map(op, ra, rb)
-                                  for ra, rb in zip(self.entries, other.entries))
-
-    def __add__(self, other):
-        return self._entrywise(other, operator.add)
-
-    def __sub__(self, other):
-        return self._entrywise(other, operator.sub)
-
-    def __neg__(self):
-        return type(self)([[-a for a in row] for row in self.entries])
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        bt = list(zip(*other.entries))
-        return self._joint(other)([[sum(map(operator.mul, row, col)) for col in bt]
-                                   for row in self.entries])
-
-    def scale(self, k):
-        """k * self; rational unless k is an int."""
-        cls = type(self)
-        if not isinstance(k, int):
-            cls, k = RatMatrix, Fraction(k)
-        return cls([[a * k for a in row] for row in self.entries])
-
-    def transpose(self):
-        return type(self)(zip(*self.entries))
-
-    def is_skew(self) -> bool:
-        return self.entries == tuple(zip(*[[-a for a in row] for row in self.entries]))
+_INT, _EXACT = frozenset({int}), frozenset({int, Fraction})
 
 
 def _int_entry(x) -> int:
@@ -129,15 +49,88 @@ def _int_tuple(xs) -> tuple:
         raise ValueError(f"not an integer index: {exc}") from exc
 
 
-class IntMatrix(_ExactMatrix):
+def _rational(x) -> Fraction:
+    """An exact rational: an int or a Fraction; a float or other inexact
+    value raises."""
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, (int, Fraction)):
+        raise ValueError(f"{x!r} is not an exact rational")
+    return Fraction(x)
+
+
+class IntMatrix:
     """Immutable arbitrary-precision integer matrix."""
 
-    __slots__ = ()
-    _stored = frozenset({int})
-    _entry = staticmethod(_int_entry)
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries):
+        ents = tuple(map(tuple, entries))
+        if not _INT.issuperset(map(type, chain.from_iterable(ents))):
+            ents = tuple(tuple(map(_int_entry, row)) for row in ents)
+        if not ents or not ents[0]:
+            raise ValueError("matrix dimensions must be positive")
+        if len(set(map(len, ents))) != 1:
+            raise ValueError("ragged rows")
+        object.__setattr__(self, "rows", len(ents))
+        object.__setattr__(self, "cols", len(ents[0]))
+        object.__setattr__(self, "entries", ents)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntMatrix is immutable")
+
+    @classmethod
+    def identity(cls, n: int):
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zero(cls, rows: int, cols: int | None = None):
+        cols = rows if cols is None else cols
+        return cls([[0] * cols for _ in range(rows)])
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def __eq__(self, other):
+        return isinstance(other, IntMatrix) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]})"
+
+    def _entrywise(self, other, op):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return IntMatrix(map(op, ra, rb) for ra, rb in zip(self.entries, other.entries))
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
+    def __sub__(self, other):
+        return self._entrywise(other, operator.sub)
+
+    def __neg__(self):
+        return IntMatrix([[-a for a in row] for row in self.entries])
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in product")
+        bt = list(zip(*other.entries))
+        return IntMatrix([[sum(map(operator.mul, row, col)) for col in bt]
+                          for row in self.entries])
+
+    def scale(self, k):
+        """k * self for an exact integer k; anything else raises."""
+        k = _int_entry(k)
+        return IntMatrix([[a * k for a in row] for row in self.entries])
+
+    def transpose(self):
+        return IntMatrix(zip(*self.entries))
+
+    def is_skew(self) -> bool:
+        return self.entries == tuple(zip(*[[-a for a in row] for row in self.entries]))
 
     def mod(self, ell: int) -> "IntMatrix":
         return IntMatrix([[a % ell for a in row] for row in self.entries])
@@ -194,71 +187,45 @@ class IntMatrix(_ExactMatrix):
         return IntMatrix([[d * a for a in row] for row in adj])
 
 
-def _rational(x) -> Fraction:
-    """An exact rational: an int or a Fraction; a float or other inexact
-    value raises."""
-    if type(x) is Fraction:
-        return x
-    if not isinstance(x, (int, Fraction)):
-        raise ValueError(f"{x!r} is not an exact rational")
-    return Fraction(x)
-
-
-class RatMatrix(_ExactMatrix):
-    """Immutable matrix of exact rationals (Fraction keeps lowest terms
-    and positive denominators, so equality is structural)."""
-
-    __slots__ = ()
-    _stored = frozenset({Fraction})
-    _entry = staticmethod(_rational)
-
-    def __repr__(self):
-        return f"RatMatrix({[[str(x) for x in r] for r in self.entries]})"
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
-    def to_int(self) -> IntMatrix:
-        return IntMatrix(self.entries)
+def _lowest_terms(mat, ell=1):
+    """(N, d) with mat / ell = N / d in lowest terms: d the least common
+    denominator, gcd(d, entries of N) = 1, so equal rational matrices give
+    equal pairs.  mat is an IntMatrix of numerators or nested ints and
+    Fractions; ell must be an exact integer >= 1."""
+    ell = _int_entry(ell)
+    if ell < 1:
+        raise ValueError("denominator must be positive")
+    if not isinstance(mat, IntMatrix):
+        rows = tuple(map(tuple, mat))
+        if not _EXACT.issuperset(map(type, chain.from_iterable(rows))):
+            rows = [[_rational(x) for x in row] for row in rows]
+        d = lcm(*(x.denominator for row in rows for x in row))
+        mat = IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in rows])
+        ell *= d
+    g = gcd(ell, *chain.from_iterable(mat.entries))
+    if g != 1:
+        ell //= g
+        mat = IntMatrix([[x // g for x in row] for row in mat.entries])
+    return mat, ell
 
 
 @dataclass(frozen=True, slots=True)
 class SkewRatForm:
-    """Skew-symmetric rational n x n matrix theta = mat / ell (mat of ints
-    and Fractions), stored as S / ell in lowest terms: ell is the least
-    common denominator, gcd(ell, entries of S) = 1, so equal forms have
-    equal fields."""
+    """Skew-symmetric rational n x n matrix theta = mat / ell (mat an
+    IntMatrix or a nested list of ints and Fractions), stored as S / ell in
+    lowest terms (`_lowest_terms`), so equal forms have equal fields."""
 
     n: int
     ell: int
     S: IntMatrix
 
     def __init__(self, mat, ell: int = 1):
-        ell = _int_entry(ell)
-        if ell < 1:
-            raise ValueError("denominator must be positive")
-        if not isinstance(mat, IntMatrix):
-            rows = RatMatrix(mat).entries
-            d = lcm(*(x.denominator for row in rows for x in row))
-            mat = IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in rows])
-            ell *= d
-        if not mat.is_skew():
+        S, ell = _lowest_terms(mat, ell)
+        if not S.is_skew():
             raise ValueError("matrix is not skew-symmetric")
-        g = gcd(ell, *chain.from_iterable(mat.entries))
-        if g != 1:
-            ell //= g
-            mat = IntMatrix([[x // g for x in row] for row in mat.entries])
-        object.__setattr__(self, "n", mat.rows)
+        object.__setattr__(self, "n", S.rows)
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "S", mat)
-
-    @property
-    def mat(self) -> RatMatrix:
-        ell = self.ell
-        return RatMatrix([[Fraction(x, ell) for x in row] for row in self.S.entries])
-
-    def __repr__(self):
-        return f"SkewRatForm({[[str(x) for x in r] for r in self.mat.entries]})"
+        object.__setattr__(self, "S", S)
 
     def scaled_int(self, m: int) -> IntMatrix:
         """m * theta as an integer matrix; raises ValueError unless ell | m."""
@@ -276,11 +243,11 @@ class SkewRatForm:
         return SkewRatForm(IntMatrix([[S[i][j] % ell if j > i else -(S[j][i] % ell)
                                        for j in range(n)] for i in range(n)]), ell)
 
-    def upper(self) -> RatMatrix:
-        """Strict upper-triangular part (canonical cocycle splitting)."""
-        n, ell, S = self.n, self.ell, self.S
-        return RatMatrix([[Fraction(S[i][j], ell) if j > i else 0
-                           for j in range(n)] for i in range(n)])
+    def upper(self) -> IntMatrix:
+        """Numerators over ell of the strict upper-triangular part (the
+        canonical cocycle splitting)."""
+        n, S = self.n, self.S
+        return IntMatrix([[S[i][j] if j > i else 0 for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -290,7 +257,6 @@ class SymplecticNF:
 
     T: IntMatrix
     divisors: tuple
-    rank2k: int
 
     def normal_matrix(self, n: int) -> IntMatrix:
         m = [[0] * n for _ in range(n)]
@@ -424,7 +390,7 @@ def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
         r += 1
 
     divisors = tuple(a[2 * i][2 * i + 1] for i in range(r))
-    nf = SymplecticNF(T=IntMatrix(t), divisors=divisors, rank2k=2 * r)
+    nf = SymplecticNF(T=IntMatrix(t), divisors=divisors)
     # certificate sanity: these are the type invariants
     if (abs(nf.T.det()) != 1 or nf.T @ M @ nf.T.transpose() != nf.normal_matrix(n)
             or any(divisors[i + 1] % divisors[i] for i in range(len(divisors) - 1))):

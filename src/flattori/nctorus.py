@@ -164,7 +164,7 @@ def bundle_of(theta: SkewRatForm):
     nf = normal_form(theta)
     pairs = [(b.denominator, b.numerator) for b in nf.blocks]
     gens = _clock_shift_words(pairs, nf.T.inverse_unimodular().entries)
-    rep = ProjectiveRep(gens, BilinearCocycle(theta.upper()))
+    rep = ProjectiveRep(gens, BilinearCocycle(theta.upper(), theta.ell))
     vector = classify_projflat(theta.n, rep.dim, AltFormZ(theta.scaled_int(rep.dim)))
     return vector, endo(vector), rep
 

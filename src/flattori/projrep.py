@@ -2,7 +2,8 @@
 coboundary equivalence, and the irreducible clock-and-shift projective
 representations.
 
-Everything is exact: phases are rationals mod 1.  The commutant and
+Everything is exact: phases are rationals mod 1, and a cocycle, like a skew
+form, is integer numerators over one denominator.  The commutant and
 intertwiner systems X U1 = U2 X have generalized permutation-phase images U,
 so each equation ties two unknowns by a root of unity; they are solved by
 propagating integer phase exponents mod L = lcm(q_i) over the connected
@@ -15,47 +16,45 @@ are not monomial.  No floating point in this module.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from .autofactor import _matrix, _phase
 from .cyclotomic import CycElt
-from .exact_linalg import RatMatrix, SkewRatForm, _int_tuple, lattice_kernel_mod
+from .exact_linalg import IntMatrix, SkewRatForm, _int_tuple, _lowest_terms, lattice_kernel_mod
 
 
 @dataclass(frozen=True, slots=True)
 class BilinearCocycle:
-    """The 2-cocycle z(g, g') = e(g^t B g') for a rational square matrix B
-    (bilinearity makes the cocycle identity automatic)."""
+    """The 2-cocycle z(g, g') = e(g^t B g' / ell) (bilinearity makes the
+    cocycle identity automatic), stored in lowest terms like a `SkewRatForm`:
+    `BilinearCocycle(mat)` takes ints and Fractions, (B, ell) numerators."""
 
     n: int
-    B: RatMatrix
+    ell: int
+    B: IntMatrix
 
-    def __init__(self, B):
-        if not isinstance(B, RatMatrix):
-            B = RatMatrix(B)
+    def __init__(self, B, ell: int = 1):
+        B, ell = _lowest_terms(B, ell)
         if B.rows != B.cols:
             raise ValueError("square matrix expected")
         object.__setattr__(self, "n", B.rows)
+        object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "B", B)
 
     def value(self, g1, g2) -> Fraction:
         """Phase of z(g1, g2), in turns mod 1."""
-        B, n = self.B, self.n
-        return sum((g1[i] * B[i][j] * g2[j] for i in range(n) if g1[i]
-                    for j in range(n) if g2[j]), Fraction(0)) % 1
-
-    def __repr__(self):
-        return f"BilinearCocycle({self.B!r})"
+        B, n, ell = self.B, self.n, self.ell
+        return Fraction(sum(g1[i] * B[i][j] * g2[j] for i in range(n) if g1[i]
+                            for j in range(n) if g2[j]) % ell, ell)
 
 
 def bicharacter_of(z: BilinearCocycle) -> SkewRatForm:
-    """Antisymmetrization z(g,g') z(g',g)^{-1} = e(g^t (B - B^t) g'): the
-    skew form B - B^t mod Z, as its `frac()` representative."""
-    return SkewRatForm(z.B - z.B.transpose()).frac()
+    """Antisymmetrization z(g,g') z(g',g)^{-1} = e(g^t (B - B^t) g' / ell):
+    that skew form mod Z, as its `frac()` representative."""
+    return SkewRatForm(z.B - z.B.transpose(), z.ell).frac()
 
 
 def radical(chi: SkewRatForm):
@@ -67,17 +66,15 @@ def radical(chi: SkewRatForm):
 
 @dataclass(frozen=True)
 class QuadraticPhase:
-    """Witness f(g) = e(g^t Q g + lin . g) for coboundary equivalence."""
+    """Witness f(g) = e(g^t Q g / 2 ell) for coboundary equivalence."""
 
-    Q: RatMatrix
-    lin: tuple
+    Q: IntMatrix
+    ell: int
 
     def value(self, g) -> Fraction:
-        n = self.Q.rows
-        total = sum((Fraction(g[i]) * self.Q[i][j] * g[j]
-                     for i in range(n) for j in range(n)), Fraction(0))
-        total += sum((Fraction(l) * g[i] for i, l in enumerate(self.lin)), Fraction(0))
-        return total % 1
+        Q, n, den = self.Q, self.Q.rows, 2 * self.ell
+        return Fraction(sum(g[i] * Q[i][j] * g[j] for i in range(n) for j in range(n)) % den,
+                        den)
 
     def coboundary(self, g1, g2) -> Fraction:
         s = tuple(a + b for a, b in zip(g1, g2))
@@ -87,33 +84,22 @@ class QuadraticPhase:
 def cohomologous(z1: BilinearCocycle, z2: BilinearCocycle):
     """Decide cohomology of two bilinear cocycles; the criterion is equality
     of bicharacters.  On success returns a quadratic-phase witness f with
-    z1/z2 = coboundary of f, verified by substitution on 50 random pairs."""
+    z1/z2 = coboundary of f, checked literally: with C = B1/ell1 - B2/ell2
+    over ell = lcm(ell1, ell2), the coboundary of f is -g^t (Q + Q^t) g' / 2 ell,
+    so f is a witness exactly when 2C + Q + Q^t = 0 mod 2 ell entrywise."""
     if z1.n != z2.n:
         raise ValueError("cocycles live on different lattices")
     if bicharacter_of(z1) != bicharacter_of(z2):
         return None
-    n = z1.n
-    C = z1.B - z2.B
-    # symmetric representative M = -C (mod 1 entrywise), split as Q + Q^t
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = -C[i][j]
-            m[j][i] = m[i][j]
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = m[i][i] / 2
-        for j in range(i + 1, n):
-            q[i][j] = m[i][j]
-    witness = QuadraticPhase(RatMatrix(q), (Fraction(0),) * n)
-    rng = random.Random(71)
-    for _ in range(50):
-        g1 = tuple(rng.randint(-8, 8) for _ in range(n))
-        g2 = tuple(rng.randint(-8, 8) for _ in range(n))
-        lhs = (z1.value(g1, g2) - z2.value(g1, g2)) % 1
-        if lhs != witness.coboundary(g1, g2):
-            raise AssertionError("quadratic witness failed substitution")
-    return witness
+    n, ell = z1.n, lcm(z1.ell, z2.ell)
+    C = z1.B.scale(ell // z1.ell) - z2.B.scale(ell // z2.ell)
+    # Q + Q^t over 2 ell is -C with its lower triangle mirrored from the
+    # upper one: the diagonal is halved, each pair i < j sits above it
+    Q = IntMatrix([[0 if j < i else -C[i][j] if j == i else -2 * C[i][j]
+                    for j in range(n)] for i in range(n)])
+    if any(x % (2 * ell) for row in (C.scale(2) + Q + Q.transpose()).entries for x in row):
+        raise AssertionError("quadratic witness failed its coboundary check")
+    return QuadraticPhase(Q, ell)
 
 
 def _clock_shift_words(pairs, rows):
@@ -202,22 +188,24 @@ class ProjectiveRep:
 
 def _normal_form_blocks(theta: SkewRatForm):
     """Detect the [[0, D, 0], [-D, 0, 0], [0, 0, 0]] block pattern; returns
-    the list of diagonal fractions of D."""
-    n, S = theta.n, theta.S
+    the clock/shift pair (q, p) of each diagonal entry p/q of D in lowest
+    terms: q = ell/g and p = S/g for g = gcd(ell, S)."""
+    n, ell, S = theta.n, theta.ell, theta.S
     nz = [(i, j) for i in range(n) for j in range(i + 1, n) if S[i][j] != 0]
     k = len(nz)
     if nz != [(i, k + i) for i in range(k)]:
         raise ValueError("input is not in block normal form")
-    return [Fraction(S[i][k + i], theta.ell) for i in range(k)]
+    gs = [gcd(ell, S[i][k + i]) for i in range(k)]
+    return [(ell // g, S[i][k + i] // g) for i, g in enumerate(gs)]
 
 
 def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:
     """Irreducible projective representation attached to a block normal form:
     the tensor product over blocks p_i/q_i of the clock/shift pair, trivial
     on the free directions.  Dimension is the product of the q_i."""
-    pairs = [(b.denominator, b.numerator) for b in _normal_form_blocks(theta)]
     rows = [[int(i == j) for j in range(theta.n)] for i in range(theta.n)]
-    return ProjectiveRep(_clock_shift_words(pairs, rows), BilinearCocycle(theta.upper()))
+    return ProjectiveRep(_clock_shift_words(_normal_form_blocks(theta), rows),
+                         BilinearCocycle(theta.upper(), theta.ell))
 
 
 def _exponents(gens, L: int):

@@ -3,7 +3,9 @@
 A matrix is one JSON object with fields `n` (rows), `m` (cols) and `entries`,
 an array of arrays of strings; each string is an integer or `p/q` literal.
 Non-reduced fractions are accepted and silently reduced; anything else is a
-parse error.  Roots of unity serialize as the string `c/q`.
+parse error.  A parsed matrix is a tuple of rows of Fractions, which
+`SkewRatForm` or `IntMatrix` takes as it is; only integer matrices are
+written.  Roots of unity serialize as the string `c/q`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .cohomology import AltFormModQ, AltFormZ, RootOfUnity
-from .exact_linalg import RatMatrix, SkewRatForm
+from .exact_linalg import IntMatrix, SkewRatForm
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
 
@@ -33,11 +35,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
-def parse_matrix(obj) -> RatMatrix:
+def parse_matrix(obj) -> tuple:
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix object expected")
     try:
@@ -49,10 +47,12 @@ def parse_matrix(obj) -> RatMatrix:
     if (not isinstance(entries, list) or len(entries) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in entries)):
         raise MatrixFormatError("entries shape does not match n x m")
-    return RatMatrix([[parse_rational(x) for x in row] for row in entries])
+    if rows < 1 or cols < 1:
+        raise MatrixFormatError("matrix dimensions must be positive")
+    return tuple(tuple(parse_rational(x) for x in row) for row in entries)
 
 
-def load_matrix(source: str) -> RatMatrix:
+def load_matrix(source: str) -> tuple:
     """Parse a matrix from inline JSON (starts with '{') or from a file path."""
     text = source
     if not source.lstrip().startswith("{"):
@@ -73,13 +73,11 @@ def load_skew(source: str) -> SkewRatForm:
         raise MatrixFormatError(str(exc)) from exc
 
 
-def dump_matrix(m) -> dict:
-    if isinstance(m, SkewRatForm):
-        m = m.mat
+def dump_matrix(m: IntMatrix) -> dict:
     return {
         "n": m.rows,
         "m": m.cols,
-        "entries": [[format_rational(x) for x in row] for row in m.entries],
+        "entries": [[str(x) for x in row] for row in m.entries],
     }
 
 

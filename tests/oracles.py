@@ -10,8 +10,11 @@ works on phase exponents.  The clutching continuation is the per-sample
 loop the library replaced by one vectorized step; it and the dense twist
 take determinants of the dense loop matrices by LU, where the library
 multiplies the sampled nonzero entries of the monomial loop.
-`FractionPhase` is the Fraction-valued affine phase the library replaced
-by integer numerators over one denominator; `fraction_congruence`,
+`FractionPhase` is the Fraction-valued affine phase and `RatMatrix` the
+Fraction-valued matrix that the library replaced by integer numerators
+over one denominator; `fraction_matrix` reads a skew form or a cocycle as
+such a matrix, and `fraction_coboundary_witness` is the Fraction
+quadratic-phase witness of cohomologous cocycles.  `fraction_congruence`,
 `fraction_frac` and `fraction_scaled_int` are the Fraction-matrix skew
 form operations the library replaced by integer numerators over one
 denominator, and `fraction_bicharacter` and `fraction_radical_index` the
@@ -41,8 +44,8 @@ import numpy as np
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.cyclotomic import CycElt
-from flattori.exact_linalg import IntMatrix, RatMatrix, inverse_mod, lattice_kernel_mod
-from flattori.projrep import ProjectiveRep
+from flattori.exact_linalg import IntMatrix, inverse_mod, lattice_kernel_mod
+from flattori.projrep import BilinearCocycle, ProjectiveRep
 
 
 def _dets_vectorized(G):
@@ -98,9 +101,89 @@ def state_key(state):
     return np.asarray(state, dtype=np.int16).reshape(-1).tobytes()
 
 
+def _rows(m):
+    return m.entries if isinstance(m, (IntMatrix, RatMatrix)) else tuple(map(tuple, m))
+
+
+class RatMatrix:
+    """Immutable matrix of exact rationals (ints or Fractions, stored as
+    Fractions in lowest terms, so equality is structural).  An IntMatrix
+    operand of +, -, @ or == is read as its entries."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries):
+        rows = _rows(entries)
+        if any(not isinstance(x, (int, Fraction)) for row in rows for x in row):
+            raise ValueError("RatMatrix entries must be ints or Fractions")
+        self.entries = tuple(tuple(map(Fraction, row)) for row in rows)
+        self.rows, self.cols = len(self.entries), len(self.entries[0])
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def __eq__(self, other):
+        return self.entries == _rows(other)
+
+    def __add__(self, other):
+        return RatMatrix([[a + b for a, b in zip(r, s, strict=True)]
+                          for r, s in zip(self.entries, _rows(other), strict=True)])
+
+    def __sub__(self, other):
+        return self + RatMatrix(other).scale(-1)
+
+    def __matmul__(self, other):
+        cols = list(zip(*_rows(other)))
+        return RatMatrix([[sum((a * b for a, b in zip(row, col, strict=True)), Fraction(0))
+                           for col in cols]
+                          for row in self.entries])
+
+    def scale(self, k):
+        return RatMatrix([[a * k for a in row] for row in self.entries])
+
+    def transpose(self):
+        return RatMatrix(zip(*self.entries))
+
+    def is_integral(self) -> bool:
+        return all(x.denominator == 1 for row in self.entries for x in row)
+
+
+def fraction_matrix(x):
+    """The Fraction matrix of a skew form (S / ell) or of a bilinear cocycle
+    (B / ell)."""
+    num = x.B if isinstance(x, BilinearCocycle) else x.S
+    return RatMatrix([[Fraction(a, x.ell) for a in row] for row in num.entries])
+
+
+def fraction_coboundary_witness(B1, B2):
+    """Q with z1/z2 = coboundary of f(g) = e(g^t Q g) for the cocycles
+    e(g^t B g') of Fraction matrices B1, B2 with equal bicharacters: -C,
+    C = B1 - B2, made symmetric from its upper triangle and split as
+    Q + Q^t, the diagonal halved."""
+    C = RatMatrix(B1) - B2
+    n = C.rows
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = -C[i][j]
+            m[j][i] = m[i][j]
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = m[i][i] / 2
+        for j in range(i + 1, n):
+            q[i][j] = m[i][j]
+    return RatMatrix(q)
+
+
+def fraction_quadratic_value(Q, g):
+    """g^t Q g mod 1, in turns."""
+    n = Q.rows
+    return sum((Q[i][j] * g[i] * g[j] for i in range(n) for j in range(n)), Fraction(0)) % 1
+
+
 def theta_bar_state(theta, ell):
     """ell * theta reduced entrywise mod ell (integer representative)."""
-    n, mat = theta.n, theta.mat
+    n, mat = theta.n, fraction_matrix(theta)
     return tuple(tuple(int((mat[i][j] * ell) % ell) for j in range(n))
                  for i in range(n))
 
@@ -108,7 +191,7 @@ def theta_bar_state(theta, ell):
 def brute_force_lattice_index(theta):
     """|(Z^n + im theta) / Z^n| by enumerating image residues at the common
     denominator."""
-    n, ell, mat = theta.n, theta.ell, theta.mat
+    n, ell, mat = theta.n, theta.ell, fraction_matrix(theta)
     seen = set()
     for v in product(range(ell), repeat=n):
         img = tuple((sum(mat[i][j] * v[j] for j in range(n))) % 1
@@ -119,7 +202,7 @@ def brute_force_lattice_index(theta):
 
 def fraction_congruence(T, mat):
     """T * theta * T^t for theta given as a Fraction matrix."""
-    return T @ mat @ T.transpose()
+    return RatMatrix(T) @ mat @ T.transpose()
 
 
 def fraction_frac(mat):
@@ -405,7 +488,7 @@ def theta_bar(theta, ell):
     """Walk state of theta: the strict upper triangle of ell * theta mod
     ell, row by row (the same for theta and frac(theta)).  The form is
     alternating mod ell, so this determines it."""
-    f = theta.mat
+    f = fraction_matrix(theta)
     return tuple(int(f[i][j] * ell) % ell for i, j in combinations(range(theta.n), 2))
 
 

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import oracles
-from oracles import unimodular_sample
+from oracles import fraction_matrix, unimodular_sample
 from flattori.autofactor import (
     check_cocycle,
     clutching_omega,
@@ -156,7 +156,7 @@ def test_criterion_5_isomorphism_decision():
                     assert (d.status is IsoStatus.ISO) == expect
                     if d.status is IsoStatus.ISO:
                         # every positive answer ships a verified certificate
-                        diff = t2.mat - t1.congruence(d.T).mat
+                        diff = fraction_matrix(t2) - fraction_matrix(t1.congruence(d.T))
                         assert diff.is_integral()
                         assert abs(d.T.det()) == 1
                     # the bundle-theoretic route agrees everywhere
@@ -197,7 +197,7 @@ def test_criterion_5_isomorphism_decision():
                     v = rng.randint(-3, 3)
                     z[i][j] = v
                     z[j][i] = -v
-            perturbed = SkewRatForm(t1.congruence(T).mat + IntMatrix(z))
+            perturbed = SkewRatForm(fraction_matrix(t1.congruence(T)) + IntMatrix(z))
             got = iso_decide(NCTorusParams(n, perturbed), NCTorusParams(n, t2))
             assert got.status is want
 

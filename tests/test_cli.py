@@ -13,7 +13,8 @@ from flattori.textio import (
     load_matrix,
     parse_rational,
 )
-from flattori.exact_linalg import RatMatrix
+from flattori.exact_linalg import IntMatrix
+from oracles import RatMatrix
 
 THETA_13 = '{"n":2,"m":2,"entries":[["0","1/3"],["-1/3","0"]]}'
 THETA_23 = '{"n":2,"m":2,"entries":[["0","2/3"],["-2/3","0"]]}'
@@ -36,8 +37,14 @@ def test_parse_rational():
 
 
 def test_matrix_round_trip():
-    m = RatMatrix([[Fraction(1, 2), -3], [0, Fraction(7, 5)]])
-    assert load_matrix(json.dumps(dump_matrix(m))) == m
+    m = IntMatrix([[1, -3], [0, 17]])
+    assert load_matrix(json.dumps(dump_matrix(m))) == m.entries
+    got = load_matrix('{"n":2,"m":2,"entries":[["2/4","-3"],["0","14/10"]]}')
+    assert got == ((Fraction(1, 2), -3), (0, Fraction(7, 5)))
+    assert all(type(x) is Fraction for row in got for x in row)
+    for bad in ('{"n":0,"m":0,"entries":[]}', '{"n":1,"m":0,"entries":[[]]}'):
+        with pytest.raises(MatrixFormatError, match="dimensions must be positive"):
+            load_matrix(bad)
 
 
 def test_q_theta_cli(capsys):
@@ -63,10 +70,10 @@ def test_iso_cli_positive(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["isomorphic"] is True
-    T = load_matrix(json.dumps(rec["T"]))
+    T = RatMatrix(load_matrix(json.dumps(rec["T"])))
     shift = load_matrix(json.dumps(rec["shift"]))
     # verify the emitted certificate literally
-    theta = load_matrix(THETA_13)
+    theta = RatMatrix(load_matrix(THETA_13))
     theta2 = load_matrix(THETA_23)
     lhs = T @ theta @ T.transpose() + shift
     assert lhs == theta2
@@ -286,6 +293,20 @@ def test_classify_cli(capsys):
                           "--q", "3",
                           "--form", '{"n":2,"m":2,"entries":[["0","1"],["1","0"]]}')
     assert code == 2
+
+
+def test_classify_cli_rejects_non_integer_forms(capsys):
+    half = '{"n":2,"m":2,"entries":[["0","1/2"],["-1/2","0"]]}'
+    for kind in ("vector", "matrix"):
+        for fmt in ("human", "records"):
+            code, out, err = invoke(capsys, "--format", fmt, "classify", "--kind", kind,
+                                    "--n", "2", "--q", "3", "--form", half)
+            assert (code, out) == (2, "")
+            assert err == "error: bundle class forms must have integer entries\n"
+    # an integral Fraction literal is an integer entry
+    code, out, _ = invoke(capsys, "classify", "--kind", "matrix", "--n", "2", "--q", "3",
+                          "--form", '{"n":2,"m":2,"entries":[["0","4/2"],["-2","0"]]}')
+    assert code == 0 and "2" in out
 
 
 def test_cocycle_check_cli(capsys):

@@ -10,10 +10,11 @@ import oracles
 from oracles import unimodular_sample
 
 from flattori.cohomology import AltFormZ
+from flattori.projrep import BilinearCocycle
 from flattori.exact_linalg import (
     IntMatrix,
-    RatMatrix,
     SkewRatForm,
+    _lowest_terms,
     inverse_mod,
     lattice_kernel_mod,
     lift_unimodular_mod,
@@ -114,7 +115,7 @@ def test_symplectic_2x2():
 def test_symplectic_zero():
     nf = symplectic_normal_form(IntMatrix.zero(3, 3))
     assert nf.divisors == ()
-    assert nf.rank2k == 0
+    assert nf.normal_matrix(3) == IntMatrix.zero(3)
 
 
 def test_symplectic_rejects_non_skew():
@@ -219,12 +220,19 @@ def test_unimodular_sample():
 
 
 def test_rat_matrix_canonical():
-    m = RatMatrix([[Fraction(2, 4), Fraction(-3, -9)], [0, 1]])
-    assert m[0][0] == Fraction(1, 2)
-    assert m[0][1] == Fraction(1, 3)
-    assert m[0][1].denominator > 0
-    m = RatMatrix([[Fraction(5, 7), 3], [Fraction(10, 14), Fraction(3)]])
-    assert type(m[1][0]) is Fraction and type(m[0][1]) is Fraction
+    # a rational matrix is integer numerators over the least common
+    # denominator, in lowest terms, however it is written
+    N, ell = _lowest_terms([[Fraction(2, 4), Fraction(-3, -9)], [0, 1]])
+    assert (N, ell) == (IntMatrix([[3, 2], [0, 6]]), 6)
+    assert all(type(x) is int for row in N for x in row)
+    assert _lowest_terms([[Fraction(5, 7), 3], [Fraction(10, 14), Fraction(3)]]) == \
+        (IntMatrix([[5, 21], [5, 21]]), 7)
+    assert _lowest_terms(IntMatrix([[4, -6], [2, 0]]), 8) == (IntMatrix([[2, -3], [1, 0]]), 4)
+    assert _lowest_terms([[Fraction(1, 3), True]], 2) == (IntMatrix([[1, 3]]), 6)
+    assert _lowest_terms([[0, 0]], 5) == (IntMatrix([[0, 0]]), 1)
+    for bad_den in (0, -3, 0.5, 2.0, Fraction(1, 2), "2"):
+        with pytest.raises(ValueError):
+            _lowest_terms([[1]], bad_den)
 
 
 def test_rat_inverse():
@@ -244,8 +252,7 @@ def test_skew_rat_form():
         SkewRatForm([[0, 1], [1, 0]])
     # frac representative stays skew with above-diagonal entries in [0,1)
     t2 = SkewRatForm([[0, Fraction(7, 3)], [Fraction(-7, 3), 0]]).frac()
-    assert t2.mat[0][1] == Fraction(1, 3)
-    assert t2.mat[1][0] == Fraction(-1, 3)
+    assert oracles.fraction_matrix(t2) == [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]
 
 
 def test_skew_form_agrees_with_fraction_reference():
@@ -261,14 +268,14 @@ def test_skew_form_agrees_with_fraction_reference():
                 m[j][i] = -m[i][j]
                 z[i][j] = rng.randint(-4, 4)
                 z[j][i] = -z[i][j]
-        ref = RatMatrix(m)
+        ref = oracles.RatMatrix(m)
         theta = SkewRatForm(m)
         ell = lcm(*(x.denominator for row in ref.entries for x in row))
-        assert theta.mat == ref and theta.ell == ell and theta.n == n
-        assert theta.frac().mat == oracles.fraction_frac(ref)
+        assert oracles.fraction_matrix(theta) == ref and theta.ell == ell and theta.n == n
+        assert oracles.fraction_matrix(theta.frac()) == oracles.fraction_frac(ref)
         T = unimodular_sample(n, seed=9000 + trial, word_length=rng.randint(0, 10))
         moved = theta.congruence(T)
-        assert moved.mat == oracles.fraction_congruence(T, ref)
+        assert oracles.fraction_matrix(moved) == oracles.fraction_congruence(T, ref)
         assert moved.ell == ell
         shifted = SkewRatForm(ref + IntMatrix(z))
         assert shifted.ell == ell and shifted.frac() == theta.frac()
@@ -288,7 +295,7 @@ def test_skew_form_agrees_with_fraction_reference():
         for other in (SkewRatForm(theta.S.scale(c), ell * c),
                       SkewRatForm(ref.scale(Fraction(c)), c),
                       SkewRatForm([[x * c for x in row] for row in theta.S], ell * c)):
-            assert other.mat == ref
+            assert oracles.fraction_matrix(other) == ref
             assert other == theta and hash(other) == hash(theta)
             assert (other.ell, other.S) == (theta.ell, theta.S)
     half = SkewRatForm([[0, Fraction(2, 4)], [Fraction(-1, 2), 0]])
@@ -300,16 +307,24 @@ def test_skew_form_agrees_with_fraction_reference():
 def test_rat_matrix_and_skew_form_take_exact_entries_only():
     for bad in (0.1, 0.5, 2.0, "1/2", "3", None, 1j):
         with pytest.raises(ValueError):
-            RatMatrix([[bad]])
+            _lowest_terms([[bad]])
         with pytest.raises(ValueError):
             SkewRatForm([[0, bad], [bad, 0]])
     with pytest.raises(ValueError):
         SkewRatForm([[0, 0.1], [-0.1, 0]])
-    for bad_den in (0, -3, 0.5, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            BilinearCocycle([[0, bad], [0, 0]])
+    with pytest.raises(ValueError):
+        BilinearCocycle([[0, Fraction(1, 2), 0], [0, 0, 1]])
+    for bad_den in (0, -3, 0.5, 2.0, Fraction(1, 2)):
         with pytest.raises(ValueError):
             SkewRatForm(IntMatrix([[0, 1], [-1, 0]]), bad_den)
+        with pytest.raises(ValueError):
+            BilinearCocycle(IntMatrix([[0, 1], [0, 0]]), bad_den)
+    assert BilinearCocycle(IntMatrix([[0, 2], [0, 4]]), Fraction(6, 1)) == \
+        BilinearCocycle([[0, Fraction(1, 3)], [0, Fraction(2, 3)]])
     # ints (bools among them) and Fractions are the exact entries
-    assert RatMatrix([[True, 2, Fraction(1, 3)]]).entries == ((1, 2, Fraction(1, 3)),)
+    assert _lowest_terms([[True, 2, Fraction(1, 3)]]) == (IntMatrix([[3, 6, 1]]), 3)
 
 
 def test_lift_unimodular_mod():
@@ -381,32 +396,15 @@ def test_constructor_stores_exact_entries():
     m = IntMatrix([[True, np.int64(-5), Fraction(6, 3)], [False, 7, np.int64(2) ** 40]])
     assert m.entries == ((1, -5, 2), (0, 7, 2 ** 40))
     assert all(type(x) is int for row in m for x in row)
-    r = RatMatrix([[True, 2, Fraction(1, 3)], [Fraction(4, 2), -1, 0]])
-    assert r.entries == ((1, 2, Fraction(1, 3)), (2, -1, 0))
-    assert all(type(x) is Fraction for row in r for x in row)
     for bad in (0.5, 2.0, "3", None):
-        for cls, good in ((IntMatrix, [1, 2, 3, 4, 5, 6]),
-                          (RatMatrix, [Fraction(1, 2), 1, 2, 3, 4, Fraction(5, 3)]),
-                          (RatMatrix, [Fraction(k, 7) for k in range(6)])):
+        for build, good in ((IntMatrix, [1, 2, 3, 4, 5, 6]),
+                            (_lowest_terms, [Fraction(1, 2), 1, 2, 3, 4, Fraction(5, 3)]),
+                            (_lowest_terms, [Fraction(k, 7) for k in range(6)])):
             for pos in (0, 3, 5):
                 flat = list(good)
                 flat[pos] = bad
                 with pytest.raises(ValueError):
-                    cls([flat[:3], flat[3:]])
-
-
-def random_rat_matrix(rng, rows, cols):
-    return RatMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                       for _ in range(cols)] for _ in range(rows)])
-
-
-def test_int_and_rat_matrices_equal_by_value():
-    a = IntMatrix([[1, -2], [0, 3]])
-    r = RatMatrix([[1, -2], [0, 3]])
-    assert a == r and r == a
-    assert hash(a) == hash(r)
-    assert a != RatMatrix([[1, -2], [0, Fraction(7, 2)]])
-    assert RatMatrix([[1, -2], [0, Fraction(7, 2)]]) != a
+                    build([flat[:3], flat[3:]])
 
 
 def test_int_matrix_never_truncates():
@@ -416,24 +414,20 @@ def test_int_matrix_never_truncates():
     with pytest.raises(ValueError):
         AltFormZ([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
     with pytest.raises(ValueError):
-        RatMatrix([[Fraction(1, 3)]]).to_int()
-    with pytest.raises(ValueError):
         SkewRatForm([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]).scaled_int(2)
     # exact integers of other types are accepted as plain ints
     m = IntMatrix([[Fraction(4, 2), True, -7]])
     assert m.entries == ((2, 1, -7),)
     assert all(type(x) is int for x in m[0])
-
-
-def test_mixed_arithmetic_is_rational():
+    # a scale factor must be an exact integer too: the product stays integral
+    for bad in (Fraction(1, 2), Fraction(-7, 3), 0.5, 2.0, "3"):
+        with pytest.raises(ValueError):
+            m.scale(bad)
+    assert m.scale(Fraction(6, 3)).entries == ((4, 2, -14),)
     rng = random.Random(41)
     for _ in range(20):
         a = random_int_matrix(rng, 3, 3)
-        r = random_rat_matrix(rng, 3, 3)
-        ar = RatMatrix(a.entries)
-        for got, want in ((a @ r, ar @ r), (r @ a, r @ ar), (a + r, ar + r), (r - a, r - ar),
-                          (a.scale(Fraction(1, 2)), ar.scale(Fraction(1, 2)))):
-            assert type(got) is RatMatrix
-            assert got == want
-        for got in (a @ a, a + a, a - a, -a, a.scale(3), a.transpose()):
+        for got in (a @ a, a + a, a - a, -a, a.scale(3), a.scale(Fraction(-4, 2)),
+                    a.transpose()):
             assert type(got) is IntMatrix
+            assert all(type(x) is int for row in got for x in row)

@@ -6,7 +6,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 import oracles
-from oracles import unimodular_sample
+from oracles import fraction_matrix, unimodular_sample
 from flattori.cohomology import pullback
 from flattori.exact_linalg import IntMatrix, SkewRatForm, smith_normal_form
 from flattori.nctorus import (
@@ -91,7 +91,7 @@ def test_q_theta_congruence_and_shift_invariant():
         theta = oracles.random_skew_rat(rng, n, max_den=8, max_num=5)
         T = unimodular_sample(n, seed=trial, word_length=10)
         congruent = theta.congruence(T)
-        shifted = SkewRatForm(theta.mat + rand_int_skew(rng, n))
+        shifted = SkewRatForm(fraction_matrix(theta) + rand_int_skew(rng, n))
         assert q_theta(congruent) == q_theta(theta)
         assert q_theta(shifted) == q_theta(theta)
         # block denominators (the divisor-chain invariants) survive both moves
@@ -180,7 +180,8 @@ def test_iso_third_and_two_thirds():
     d = iso_decide(params(skew2(Fraction(1, 3))), params(skew2(Fraction(2, 3))))
     assert d.status is IsoStatus.ISO
     # certificate holds literally
-    diff = skew2(Fraction(2, 3)).mat - skew2(Fraction(1, 3)).congruence(d.T).mat
+    moved = skew2(Fraction(1, 3)).congruence(d.T)
+    diff = fraction_matrix(skew2(Fraction(2, 3))) - fraction_matrix(moved)
     assert diff.is_integral()
     assert abs(d.T.det()) == 1
 
@@ -197,7 +198,7 @@ def test_iso_integer_shift():
     for n in (4, 8):
         cases.append((oracles.random_skew_rat(rng, n), rand_int_skew(rng, n)))
     for theta, shift in cases:
-        d = iso_decide(params(theta), params(SkewRatForm(theta.mat + shift)))
+        d = iso_decide(params(theta), params(SkewRatForm(fraction_matrix(theta) + shift)))
         assert d.status is IsoStatus.ISO
         assert d.T == IntMatrix.identity(theta.n)
         assert d.shift == shift
@@ -232,7 +233,7 @@ def test_iso_perturbation_invariance():
         for trial in range(25):
             n = t1.n
             T = unimodular_sample(n, seed=7700 + trial, word_length=10)
-            t1p = SkewRatForm(t1.congruence(T).mat + rand_int_skew(rng, n))
+            t1p = SkewRatForm(fraction_matrix(t1.congruence(T)) + rand_int_skew(rng, n))
             got = iso_decide(params(t1p), params(t2)).status
             assert got is want
 
@@ -254,16 +255,18 @@ def test_iso_equivalence_relation_with_certificates():
         if dab.status is IsoStatus.ISO:
             # symmetry via certificate inversion
             Tinv = dab.T.inverse_unimodular()
-            assert (a.mat - b.congruence(Tinv).mat).is_integral()
+            assert (fraction_matrix(a) - fraction_matrix(b.congruence(Tinv))).is_integral()
     # transitivity via certificate composition
     t1 = skew2(Fraction(1, 3))
-    t2 = SkewRatForm(t1.congruence(unimodular_sample(2, 5, 9)).mat + rand_int_skew(rng, 2))
-    t3 = SkewRatForm(t2.congruence(unimodular_sample(2, 6, 9)).mat + rand_int_skew(rng, 2))
+    t2 = SkewRatForm(fraction_matrix(t1.congruence(unimodular_sample(2, 5, 9)))
+                     + rand_int_skew(rng, 2))
+    t3 = SkewRatForm(fraction_matrix(t2.congruence(unimodular_sample(2, 6, 9)))
+                     + rand_int_skew(rng, 2))
     d12 = iso_decide(params(t1), params(t2))
     d23 = iso_decide(params(t2), params(t3))
     assert d12.status is IsoStatus.ISO and d23.status is IsoStatus.ISO
     T13 = d23.T @ d12.T
-    assert (t3.mat - t1.congruence(T13).mat).is_integral()
+    assert (fraction_matrix(t3) - fraction_matrix(t1.congruence(T13))).is_integral()
 
 
 def test_iso_matches_exhaustive_oracle_small():
@@ -314,7 +317,7 @@ def test_iso_matches_oracle_mixed_denominators():
                 got = iso_decide(params(forms[i]), params(forms[j]))
                 assert (got.status is IsoStatus.ISO) == expect
                 if got.status is IsoStatus.ISO:
-                    diff = forms[j].mat - forms[i].congruence(got.T).mat
+                    diff = fraction_matrix(forms[j]) - fraction_matrix(forms[i].congruence(got.T))
                     assert diff.is_integral()
 
 
@@ -434,13 +437,13 @@ def pfaffian_mod(theta, ell):
 def transported(rng, theta, word_length=16):
     n = theta.n
     T = unimodular_sample(n, seed=rng.randrange(10 ** 6), word_length=word_length)
-    return SkewRatForm(theta.congruence(T).mat + rand_int_skew(rng, n))
+    return SkewRatForm(fraction_matrix(theta.congruence(T)) + rand_int_skew(rng, n))
 
 
 def assert_certified(d, t1, t2):
     assert d.status is IsoStatus.ISO
     assert abs(d.T.det()) == 1
-    assert t2.mat - t1.congruence(d.T).mat == d.shift
+    assert fraction_matrix(t2) - fraction_matrix(t1.congruence(d.T)) == d.shift
 
 
 def test_equal_chain_n4_negatives_within_budget():

@@ -9,7 +9,7 @@ import pytest
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
 from flattori.cyclotomic import CycElt
-from flattori.exact_linalg import IntMatrix, RatMatrix, SkewRatForm
+from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import bundle_of
 from flattori.projrep import (
     BilinearCocycle,
@@ -29,7 +29,7 @@ from flattori.projrep import (
     _monomial_solutions,
     _verify_intertwiner,
 )
-from oracles import cyc_intertwines, sparse_rref
+from oracles import RatMatrix, cyc_intertwines, sparse_rref
 
 
 def skew2(x):
@@ -48,13 +48,14 @@ def blocks4(a, b):
 
 
 def test_bicharacter_of():
-    sym = BilinearCocycle(RatMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 3]]))
-    assert all(x == 0 for row in bicharacter_of(sym).mat for x in row)
+    sym = BilinearCocycle([[1, Fraction(1, 2)], [Fraction(1, 2), 3]])
+    assert (sym.ell, sym.B) == (2, IntMatrix([[2, 1], [1, 6]]))
+    assert bicharacter_of(sym).S == IntMatrix.zero(2)
     theta = skew2(Fraction(1, 3))
-    z = BilinearCocycle(theta.upper())
+    z = BilinearCocycle(theta.upper(), theta.ell)
+    assert z == BilinearCocycle([[0, Fraction(1, 3)], [0, 0]])
     chi = bicharacter_of(z)
-    assert chi.mat[0][1] == Fraction(1, 3)
-    assert chi.mat[1][0] == Fraction(-1, 3)
+    assert oracles.fraction_matrix(chi) == [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]
     assert chi == theta.frac()
 
 
@@ -64,7 +65,7 @@ def test_radical_examples():
     assert index == 1
 
     theta = skew2(Fraction(2, 5))
-    chi = bicharacter_of(BilinearCocycle(theta.upper()))
+    chi = bicharacter_of(BilinearCocycle(theta.upper(), theta.ell))
     basis, index = radical(chi)
     assert index == 25
     for b in basis:
@@ -97,7 +98,8 @@ def test_bicharacter_agrees_with_fraction_reference():
         others = (B + sym, B + _random_int_matrix(rng, n), B + M - M.transpose(), M)
         chi = bicharacter_of(BilinearCocycle(B))
         ref = oracles.fraction_bicharacter(B)
-        assert tuple(tuple(x % 1 for x in row) for row in chi.mat.entries) == ref
+        assert tuple(tuple(x % 1 for x in row)
+                     for row in oracles.fraction_matrix(chi).entries) == ref
         for B2 in others:
             chi2 = bicharacter_of(BilinearCocycle(B2))
             same = ref == oracles.fraction_bicharacter(B2)
@@ -108,10 +110,11 @@ def test_bicharacter_agrees_with_fraction_reference():
         assert bicharacter_of(BilinearCocycle(sym + _random_int_matrix(rng, n))) == zero[n]
 
         theta = oracles.random_skew_rat(rng, n, max_den=max_den, max_num=30)
-        index = oracles.fraction_radical_index(oracles.fraction_bicharacter(theta.upper()))
+        upper = oracles.fraction_matrix(BilinearCocycle(theta.upper(), theta.ell))
+        index = oracles.fraction_radical_index(oracles.fraction_bicharacter(upper))
         shift = IntMatrix([[rng.randint(-4, 4) if j > i else 0 for j in range(n)]
                            for i in range(n)])
-        shifted = SkewRatForm(theta.mat + shift - shift.transpose())
+        shifted = SkewRatForm(oracles.fraction_matrix(theta) + shift - shift.transpose())
         for form in (theta, shifted, theta.frac()):
             assert radical(form)[1] == index
         if theta.ell ** n <= 4096:
@@ -132,23 +135,75 @@ def test_representation_bicharacter_is_frac_of_theta():
 
 
 def test_cohomologous_reflexive_and_symmetric_shift():
-    z = BilinearCocycle(RatMatrix([[0, Fraction(1, 4)], [0, 0]]))
+    z = BilinearCocycle([[0, Fraction(1, 4)], [0, 0]])
     w = cohomologous(z, z)
     assert w is not None
     for g1 in [(1, 0), (0, 1), (2, 3)]:
         for g2 in [(1, 1), (-1, 2)]:
             assert w.coboundary(g1, g2) == 0
 
-    s0 = BilinearCocycle(z.B + RatMatrix([[Fraction(1, 3), Fraction(1, 5)],
-                                          [Fraction(1, 5), 1]]))
+    s0 = BilinearCocycle(oracles.fraction_matrix(z) + [[Fraction(1, 3), Fraction(1, 5)],
+                                                       [Fraction(1, 5), 1]])
     assert cohomologous(z, s0) is not None
 
 
 def test_cohomologous_absent():
-    z = BilinearCocycle(RatMatrix([[0, Fraction(1, 4)], [0, 0]]))
-    skew_shift = BilinearCocycle(z.B + RatMatrix([[0, Fraction(1, 3)],
-                                                  [Fraction(-1, 3), 0]]))
+    z = BilinearCocycle([[0, Fraction(1, 4)], [0, 0]])
+    skew_shift = BilinearCocycle(oracles.fraction_matrix(z) + [[0, Fraction(1, 3)],
+                                                               [Fraction(-1, 3), 0]])
     assert cohomologous(z, skew_shift) is None
+
+
+def _fraction_value(B, g1, g2):
+    n = B.rows
+    return sum((g1[i] * B[i][j] * g2[j] for i in range(n) for j in range(n)), Fraction(0)) % 1
+
+
+def test_cohomologous_witness_matches_fraction_reference():
+    rng = random.Random(71)
+    unequal = 0
+    for trial in range(240):
+        n = 1 + trial % 4
+        den1, den2 = rng.randint(1, 6), rng.randint(1, 6)
+        B1 = RatMatrix([[Fraction(rng.randint(-20, 20), den1) for _ in range(n)]
+                        for _ in range(n)])
+        # the same bicharacter: a symmetric rational change (diagonal
+        # entries with odd numerators among them) and an integer one
+        M = RatMatrix([[Fraction(rng.randint(-20, 20), den2) for _ in range(n)]
+                       for _ in range(n)])
+        B2 = B1 + M + M.transpose() + _random_int_matrix(rng, n)
+        z1, z2 = BilinearCocycle(B1), BilinearCocycle(B2)
+        unequal += z1.ell != z2.ell
+        w = cohomologous(z1, z2)
+        ref = oracles.fraction_coboundary_witness(B1, B2)
+        assert RatMatrix([[Fraction(x, 2 * w.ell) for x in row] for row in w.Q]) == ref
+        for _ in range(8):
+            g1 = tuple(rng.randint(-9, 9) for _ in range(n))
+            g2 = tuple(rng.randint(-9, 9) for _ in range(n))
+            s = tuple(a + b for a, b in zip(g1, g2))
+            assert z1.value(g1, g2) == _fraction_value(B1, g1, g2)
+            want = (_fraction_value(B1, g1, g2) - _fraction_value(B2, g1, g2)) % 1
+            assert w.coboundary(g1, g2) == want
+            assert (oracles.fraction_quadratic_value(ref, g1)
+                    + oracles.fraction_quadratic_value(ref, g2)
+                    - oracles.fraction_quadratic_value(ref, s)) % 1 == want
+    assert unequal > 100
+
+
+def test_cohomologous_witness_check_is_live(monkeypatch):
+    # with the bicharacter test bypassed, a skew difference fails the
+    # literal coboundary check instead of returning a wrong witness
+    import flattori.projrep as projrep
+    z = BilinearCocycle([[0, Fraction(1, 4)], [0, 0]])
+    skew_shift = BilinearCocycle([[0, Fraction(1, 4) + Fraction(1, 3)], [Fraction(-1, 3), 0]])
+    monkeypatch.setattr(projrep, "bicharacter_of", lambda z: None)
+    with pytest.raises(AssertionError):
+        cohomologous(z, skew_shift)
+    assert cohomologous(z, BilinearCocycle([[1, Fraction(1, 4)], [2, Fraction(1, 2)]])) \
+        is not None
+    for n in (1, 2):
+        zero = BilinearCocycle([[0] * n for _ in range(n)])
+        assert cohomologous(zero, BilinearCocycle([[Fraction(1, 3)] * n] * n)) is not None
 
 
 def test_cohomologous_equivalence_relation():
@@ -428,7 +483,7 @@ def test_random_monomial_conjugations():
 def test_intertwiner_non_monomial_support():
     # diag(1, -1) and the swap are conjugate by [[1, 1], [1, -1]]: every
     # solution has full columns, so the answer comes through elimination
-    flat = BilinearCocycle(RatMatrix([[0]]))
+    flat = BilinearCocycle([[0]])
     half = Fraction(1, 2)
     U = GenPermPhaseMatrix((0, 1), [AffinePhase((), 0), AffinePhase((), half)])
     diag = ProjectiveRep([U], flat)
@@ -564,7 +619,7 @@ def test_intertwiner_exists_for_equal_cocycle_pairs():
 
 def test_projective_rep_rejects_wrong_commutation():
     U, V = clock_shift(3, 1)
-    bad_cocycle = BilinearCocycle(skew2(Fraction(2, 3)).upper())
+    bad_cocycle = BilinearCocycle(skew2(Fraction(2, 3)).upper(), 3)
     with pytest.raises(ValueError):
         ProjectiveRep((V, U), bad_cocycle)
 
