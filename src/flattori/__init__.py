@@ -58,7 +58,6 @@ from .nctorus import (
     bundle_of,
     c1_of_E_theta,
     iso_decide,
-    iso_via_bundles,
     normal_form,
     q_theta,
 )

@@ -6,39 +6,24 @@ rational l and c, phases compare equal mod 1, and products/inverses/
 translations stay inside the class.  A phase is stored as integer
 numerators over one common denominator in lowest terms, so its arithmetic
 is integer arithmetic and equal phases have equal fields; `.linear` and
-`.const` give the Fractions.  The numerical layer (clutching_twist,
-clutching_omega) is the only place double-precision complex arithmetic is
-allowed; every value it returns is snapped to an exact integer or exact
-q-torsion phase, and snap failure is an error, never a silent rounding.
-The clutching loop is monomial, so it is sampled as q nonzero entries per
-sample; a sample's determinant is its permutation's sign times their product.
+`.const` give the Fractions.  The clutching invariants are exact too:
+the loop N_{(0,1)}(s) is monomial with entries e(l_j s + c_j) and integer
+l_j, so its determinant winds sum_j l_j times (clutching_twist) and the
+endpoint defect of its special-unitary lift is e(sum_j l_j / q)
+(clutching_omega).  Both read the l_j of the concrete loop, not the class
+formula, and check their premises literally.  No floating point.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .cohomology import AltFormZ, RootOfUnity
 from .exact_linalg import _int_tuple, _rational
-
-UNWRAP_STEP_BOUND = math.pi / 2
-SNAP_TOL_TURNS = 1e-6
-
-
-class UnwrapError(RuntimeError):
-    """Phase unwrapping saw a step at or beyond the soundness bound."""
-
-
-class SnapError(RuntimeError):
-    """A numerical value landed too far from every allowed exact value."""
-
 
 @dataclass(frozen=True, slots=True)
 class AffinePhase:
@@ -330,87 +315,29 @@ def mumford_c1(f: ScalarFactor) -> AltFormZ:
     return AltFormZ(mat)
 
 
-def default_samples(q: int, a: int) -> int:
-    return 64 * q * (abs(a) + 1)
+def _loop_winding(F: FactorOfAutomorphy) -> int:
+    """sum_j l_j over the s-coefficients of the clutching loop
+    s -> N_{(0,1)}(s, 0), whose entry in column j is e(l_j s + c_j).  Both
+    premises of the closed forms are checked literally: every l_j is an
+    integer, and the loop closes, N(s + 1) = N(s), on exponents."""
+    N = F.value((0, 1))
+    if any(p.nums[0] % p.den for p in N.phases):
+        raise ValueError("clutching loop has a non-integer s-coefficient")
+    if N.translate((1, 0)) != N:
+        raise ValueError("clutching loop does not close: N(s + 1) != N(s)")
+    return sum(p.nums[0] // p.den for p in N.phases)
 
 
-def _samples(F: FactorOfAutomorphy, samples: int | None) -> int:
-    (samples,) = _int_tuple((default_samples(F.q, F.a) if samples is None else samples,))
-    least = 4 * (1 + abs(F.a) * F.q)
-    if samples < least:
-        raise ValueError(f"insufficient samples: need at least {least}, got {samples}")
-    return samples
+def clutching_twist(F: FactorOfAutomorphy) -> int:
+    """Winding number of det of the clutching loop; equals the twist.
+    det N(s) = sign(perm) e(sum_j (l_j s + c_j)) winds exactly sum_j l_j
+    times as s runs over [0, 1]."""
+    return _loop_winding(F)
 
 
-def _sampled_loop(F: FactorOfAutomorphy, samples: int):
-    """The clutching loop s -> N_{(0,1)}(s, 0) at s = k/samples, k = 0..samples,
-    as its permutation, the (samples + 1, q) array of its sampled nonzero
-    entries (entry (perm[j], j) of sample k is vals[k, j]) and the sampled
-    determinants.  N is monomial, so det = sign(perm) * prod(entries) is an
-    identity on the samples, not the exact omega or twist."""
-    sym = F.value((0, 1))
-    s = np.arange(samples + 1)[:, None] / samples
-    turns = s * [p.nums[0] / p.den for p in sym.phases] + [p.num / p.den for p in sym.phases]
-    vals = np.exp(2j * np.pi * turns)
-    return sym.perm, vals, (-1) ** _perm_parity(sym.perm) * vals.prod(axis=1)
-
-
-def loop_matrices(F: FactorOfAutomorphy, samples: int) -> np.ndarray:
-    """The sampled clutching loop as a stacked dense complex array: the
-    entries of `_sampled_loop` scattered to their rows (numerical layer)."""
-    perm, vals, _ = _sampled_loop(F, samples)
-    mats = np.zeros((samples + 1, F.q, F.q), dtype=complex)
-    mats[:, perm, range(F.q)] = vals
-    return mats
-
-
-def _unwrap_steps(values) -> np.ndarray:
-    """Phase steps between consecutive samples; raises at or beyond the bound."""
-    steps = np.angle(values[1:] / values[:-1])
-    if steps.size and np.max(np.abs(steps)) >= UNWRAP_STEP_BOUND:
-        raise UnwrapError("phase step at or beyond the unwrapping bound; "
-                          "increase the sample count")
-    return steps
-
-
-def winding_number(values) -> int:
-    """Discrete winding number of a closed loop of nonzero complex samples,
-    by phase unwrapping; snaps to an exact integer or raises."""
-    values = np.asarray(values, dtype=complex)
-    if np.any(np.abs(values) == 0):
-        raise ValueError("loop passes through zero")
-    total_turns = float(np.sum(_unwrap_steps(values))) / (2 * math.pi)
-    nearest = round(total_turns)
-    if abs(total_turns - nearest) > SNAP_TOL_TURNS:
-        raise SnapError(f"winding {total_turns} is not within tolerance of an integer")
-    return int(nearest)
-
-
-def clutching_twist(F: FactorOfAutomorphy, samples: int | None = None) -> int:
-    """Winding number of det of the clutching loop; equals the twist."""
-    return winding_number(_sampled_loop(F, _samples(F, samples))[2])
-
-
-def clutching_omega(F: FactorOfAutomorphy, samples: int | None = None,
-                    tol: float = SNAP_TOL_TURNS) -> RootOfUnity:
+def clutching_omega(F: FactorOfAutomorphy) -> RootOfUnity:
     """Endpoint defect of a special-unitary lift of the projective clutching
-    loop, found by nearest-unitary continuation and snapped into mu_q.  The
-    q-th root of 1 / det M_k picked at sample k depends on the previous pick
-    only through their ratio, so every ratio is picked at once from
-    w_k = conj(base_{k-1}) base_k <M_{k-1}, M_k>, base_k the principal root.
-    Every M_k has the same support, so <M_{k-1}, M_k> runs over q entries."""
-    q = F.q
-    _, vals, dets = _sampled_loop(F, _samples(F, samples))
-    _unwrap_steps(dets)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    base = np.exp(-1j * np.angle(dets) / q)
-    w = base[1:] * base[:-1].conj() * np.vecdot(vals[:-1], vals[1:])
-    inc = np.argmax((w[:, None] * roots).real, axis=1)
-    mu_last = base[-1] * roots[int(inc.sum()) % q]
-    zeta = base[0] * np.conj(mu_last) * np.vdot(vals[-1], vals[0]) / q
-    turns = (math.atan2(zeta.imag, zeta.real) / (2 * math.pi)) % 1.0
-    r = round(turns * q)  # nearest point r / q of (1/q)Z
-    if abs(turns - r / q) > tol:
-        raise SnapError(f"endpoint defect {turns} turns is not within {tol} of mu_{q}; "
-                        "likely under-sampled")
-    return RootOfUnity(Fraction(r % q, q))
+    loop.  The lift M(s) = mu(s) N(s) with mu^q det N = 1, continued from
+    s = 0, has mu(s) = mu(0) e(-s sum_j l_j / q), so M(0) = e(sum_j l_j / q) M(1)
+    and the defect is that root in mu_q."""
+    return RootOfUnity(Fraction(_loop_winding(F), F.q))

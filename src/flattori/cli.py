@@ -3,17 +3,17 @@
 Every subcommand delegates to the library operation of the same name.  The
 text protocol is exact: integers and p/q literals only, ASCII only, and
 identical invocations produce byte-identical output.  Floating point appears
-nowhere except optional loop-sample CSV dumps.
+nowhere.  `twist`/`omega --method clutching` read the concrete clutching
+loop of the factor of automorphy instead of the class formula.
 
 Exit codes: 0 success, 1 negative decision, 2 usage or parse error (an
-out-of-range option or an empty `table` range included), a file that cannot
-be opened, or a numerical clutching run that failed to unwrap or to snap.
+out-of-range option, an empty `table` range or a `rep` dimension above
+REP_DIM_LIMIT included) or a file that cannot be opened.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -35,6 +35,10 @@ from .textio import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+
+# largest q_theta that `rep` builds: it prints q_theta phases per generator,
+# about 1 s and 10 MB at the limit on a 2-vCPU host
+REP_DIM_LIMIT = 10_000
 
 
 def _records(obj) -> str:
@@ -96,39 +100,12 @@ def cmd_iso(args) -> int:
     return EXIT_NEGATIVE
 
 
-def _dump_samples_csv(factor, samples, path) -> None:
-    mats = autofactor.loop_matrices(factor, samples)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "row", "col", "re", "im"])
-        q = factor.q
-        for k in range(mats.shape[0]):
-            t = k / samples
-            for i in range(q):
-                for j in range(q):
-                    z = mats[k, i, j]
-                    writer.writerow([repr(t), i, j, repr(float(z.real)), repr(float(z.imag))])
-
-
-def _clutching(args, method):
-    """Run `method(factor, samples)` on the standard factor of (q, a),
-    filling in the default sample count and writing the optional CSV dump;
-    returns the value and the output header."""
-    factor = autofactor.factor_from(args.q, args.a)
-    if args.samples is None:
-        args.samples = autofactor.default_samples(args.q, args.a)
-    value = method(factor, args.samples)
-    if args.dump_samples:
-        _dump_samples_csv(factor, args.samples, args.dump_samples)
-    return value, f"# method=clutching samples={args.samples}"
-
-
 def cmd_twist(args) -> int:
     e = bundles.X_bundle(args.q, args.a)
     if args.method == "clutching":
-        value, header = _clutching(args, autofactor.clutching_twist)
-        _emit(args, [header, str(value)],
-              {"twist": value, "method": "clutching", "samples": args.samples})
+        value = autofactor.clutching_twist(autofactor.factor_from(args.q, args.a))
+        _emit(args, ["# method=clutching", str(value)],
+              {"twist": value, "method": "clutching"})
     else:
         value = bundles.twist(e, _orientation(args))
         _emit(args, [str(value)], {"twist": value, "method": "exact"})
@@ -137,11 +114,9 @@ def cmd_twist(args) -> int:
 
 def cmd_omega(args) -> int:
     if args.method == "clutching":
-        value, header = _clutching(args, functools.partial(
-            autofactor.clutching_omega, tol=float(args.tolerance)))
-        _emit(args, [f"{header} tolerance={args.tolerance}", format_root(value)],
-              {"omega": format_root(value), "method": "clutching",
-               "samples": args.samples})
+        value = autofactor.clutching_omega(autofactor.factor_from(args.q, args.a))
+        _emit(args, ["# method=clutching", format_root(value)],
+              {"omega": format_root(value), "method": "clutching"})
     else:
         a_cls = bundles.endo(bundles.X_bundle(args.q, args.a))
         value = bundles.omega(a_cls, _orientation(args))
@@ -190,6 +165,9 @@ def cmd_cocycle_check(args) -> int:
 def cmd_rep(args) -> int:
     theta = load_skew(args.theta)
     nf = nctorus.normal_form(theta)
+    dim = math.prod(b.denominator for b in nf.blocks)  # q_theta
+    if dim > REP_DIM_LIMIT:
+        raise ValueError(f"q_theta = {dim} exceeds the rep limit {REP_DIM_LIMIT}")
     rep = projrep.heisenberg_rep(nf.block_form())
     rec = {
         "dim": rep.dim,
@@ -250,17 +228,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _tolerance(text: str) -> str:
-    """A finite positive snap tolerance, kept as written for the header."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return text
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process, because argparse keeps
@@ -293,13 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--a", type=int, required=True)
         p.add_argument("--method", choices=("exact", "clutching"), default="exact")
-        p.add_argument("--samples", type=int, default=None,
-                       help="sample count for the clutching path")
-        if name == "omega":
-            p.add_argument("--tolerance", type=_tolerance, default="1e-06",
-                           help="snap tolerance for the clutching path, in turns")
-        p.add_argument("--dump-samples", default=None, metavar="PATH",
-                       help="write the loop samples as CSV (t,row,col,re,im)")
         p.add_argument("--reversed-orientation", action="store_true")
         p.set_defaults(func=fn)
 
@@ -317,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_cocycle_check)
 
-    p = sub.add_parser("rep", help="clock/shift projective representation of theta")
+    p = sub.add_parser("rep", help="clock/shift projective representation of theta",
+                       description="The irreducible clock/shift representation of theta, "
+                                   f"of dimension q_theta; q_theta > {REP_DIM_LIMIT} "
+                                   "is refused (exit 2).")
     p.add_argument("--theta", required=True)
     p.set_defaults(func=cmd_rep)
 
@@ -338,8 +301,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError,  # MatrixFormatError is a ValueError
-            autofactor.SnapError, autofactor.UnwrapError) as exc:
+    except (ValueError, OSError) as exc:  # MatrixFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -49,6 +49,14 @@ def _int_tuple(xs) -> tuple:
         raise ValueError(f"not an integer index: {exc}") from exc
 
 
+def _row_tuples(mat) -> tuple:
+    """The rows of a nested matrix input as tuples; a flat list raises."""
+    try:
+        return tuple(map(tuple, mat))
+    except TypeError as exc:
+        raise ValueError(f"a matrix is a list of rows: {exc}") from None
+
+
 def _rational(x) -> Fraction:
     """An exact rational: an int or a Fraction; a float or other inexact
     value raises."""
@@ -65,7 +73,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        ents = tuple(map(tuple, entries))
+        ents = _row_tuples(entries)
         if not _INT.issuperset(map(type, chain.from_iterable(ents))):
             ents = tuple(tuple(map(_int_entry, row)) for row in ents)
         if not ents or not ents[0]:
@@ -196,7 +204,7 @@ def _lowest_terms(mat, ell=1):
     if ell < 1:
         raise ValueError("denominator must be positive")
     if not isinstance(mat, IntMatrix):
-        rows = tuple(map(tuple, mat))
+        rows = _row_tuples(mat)
         if not _EXACT.issuperset(map(type, chain.from_iterable(rows))):
             rows = [[_rational(x) for x in row] for row in rows]
         d = lcm(*(x.denominator for row in rows for x in row))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .bundles import classify_projflat, direct_sum_power, endo, line_twist_exists
+from .bundles import classify_projflat, endo
 from .cohomology import AltFormZ
 from .exact_linalg import (
     IntMatrix,
@@ -263,21 +263,3 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
         raise AssertionError("lifted certificate failed literal verification")
     return IsoDecision(IsoStatus.ISO, T=T, shift=diff.S)
 
-
-def iso_via_bundles(theta: SkewRatForm, theta2: SkewRatForm, m: int = 1) -> IsoDecision:
-    """iso_decide for the m-fold amplifications, cross-checked through the
-    bundle classification: on a positive answer the m-fold sums of the
-    aligned projectively flat classes must differ by a line bundle twist.
-    The amplification m cancels."""
-    decision = iso_decide(NCTorusParams(theta.n, theta, m),
-                          NCTorusParams(theta2.n, theta2, m))
-    if decision.is_iso:
-        aligned = theta.congruence(decision.T)
-        q = q_theta(theta2)  # iso_decide has shown that aligned shares it
-        if q % theta2.ell:
-            raise AssertionError("q_theta * theta failed to be integral")
-        e1 = direct_sum_power(classify_projflat(theta.n, q, AltFormZ(aligned.scaled_int(q))), m)
-        e2 = direct_sum_power(classify_projflat(theta.n, q, AltFormZ(theta2.scaled_int(q))), m)
-        if line_twist_exists(e1, e2) is None:
-            raise AssertionError("aligned classes must differ by a line bundle")
-    return decision

@@ -263,7 +263,12 @@ def _monomial_solutions(view1, view2, d: int, L: int):
 def commutant_dim(rep: ProjectiveRep) -> int:
     """Dimension of the commutant of the generator images over the
     cyclotomic field of the phase order: the number of components of the
-    monomial system that close with phase 1."""
+    monomial system that close with phase 1.
+
+    Cost: the system has d^2 unknowns for d = rep.dim, so time and memory
+    grow as d^2.  On the block form with blocks 1/60 and 1/60 this took
+    16 s with a 134 MB peak at d = 3600, and 0.6 s at d = 900, on 2 shared
+    vCPUs."""
     L = rep.phase_order()
     view = _exponents(rep.gens, L)
     return len(_monomial_solutions(view, view, rep.dim, L))
@@ -298,6 +303,10 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
     (det = +- a product of roots of unity); any other is eliminated exactly
     over Q(zeta_L).  The answer is verified on its phase exponents and
     returned as a matrix over Q(zeta_L).
+
+    Cost: like `commutant_dim`, a system of d^2 unknowns; on the block form
+    with blocks 1/60 and 1/60 this took 17 s with a 134 MB peak at
+    d = 3600, and 0.6 s at d = 900, on 2 shared vCPUs.
     """
     if rep1.chi != rep2.chi:
         raise ValueError("cocycle mismatch: distinct bicharacters")

@@ -6,10 +6,13 @@ numpy enumeration, the orbit walk explores GL(n, Z)-orbits mod ell by
 generators where the library decides from invariants, and index oracles
 enumerate residues directly.  The Q(zeta_L) references (sparse elimination
 and the literal intertwiner check) do field arithmetic where the library
-works on phase exponents.  The clutching continuation is the per-sample
-loop the library replaced by one vectorized step; it and the dense twist
-take determinants of the dense loop matrices by LU, where the library
-multiplies the sampled nonzero entries of the monomial loop.
+works on phase exponents.  The clutching twist and omega are computed
+from the loop sampled in double precision (`loop_matrices`): the winding
+number of the LU determinants by phase unwrapping, and the special-unitary
+lift stepped one sample at a time, each snapped back to an exact value,
+where the library reads both from the loop's integer exponents.
+`iso_via_bundles` cross-checks a positive `iso_decide` answer through the
+bundle classification.
 `FractionPhase` is the Fraction-valued affine phase and `RatMatrix` the
 Fraction-valued matrix that the library replaced by integer numerators
 over one denominator; `fraction_matrix` reads a skew form or a cocycle as
@@ -43,8 +46,11 @@ from itertools import combinations, product
 import numpy as np
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
+from flattori.bundles import classify_projflat, direct_sum_power, line_twist_exists
+from flattori.cohomology import AltFormZ
 from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import IntMatrix, inverse_mod, lattice_kernel_mod
+from flattori.nctorus import NCTorusParams, iso_decide, q_theta
 from flattori.projrep import BilinearCocycle, ProjectiveRep
 
 
@@ -417,20 +423,57 @@ def cyc_intertwines(X, rep1, rep2, L):
     return True
 
 
-def clutching_twist_dense(F, samples):
-    """clutching_twist on the dense loop: the winding number of the LU
-    determinants of the stacked q x q loop matrices."""
-    from flattori.autofactor import loop_matrices, winding_number
+UNWRAP_STEP_BOUND = math.pi / 2
+SNAP_TOL_TURNS = 1e-6
 
+
+class UnwrapError(RuntimeError):
+    """Phase unwrapping saw a step at or beyond the soundness bound."""
+
+
+class SnapError(RuntimeError):
+    """A numerical value landed too far from every allowed exact value."""
+
+
+def loop_matrices(F, samples):
+    """The clutching loop s -> N_{(0,1)}(s, 0) sampled at s = k/samples,
+    k = 0..samples, as a stacked dense (samples + 1, q, q) complex array."""
+    sym = F.value((0, 1))
+    s = np.arange(samples + 1)[:, None] / samples
+    turns = s * [float(p.linear[0]) for p in sym.phases] + [float(p.const) for p in sym.phases]
+    mats = np.zeros((samples + 1, F.q, F.q), dtype=complex)
+    mats[:, sym.perm, range(F.q)] = np.exp(2j * np.pi * turns)
+    return mats
+
+
+def winding_number(values):
+    """Discrete winding number of a closed loop of nonzero complex samples,
+    by phase unwrapping; snaps to an exact integer or raises."""
+    values = np.asarray(values, dtype=complex)
+    if np.any(np.abs(values) == 0):
+        raise ValueError("loop passes through zero")
+    steps = np.angle(values[1:] / values[:-1])
+    if steps.size and np.max(np.abs(steps)) >= UNWRAP_STEP_BOUND:
+        raise UnwrapError("phase step at or beyond the unwrapping bound; "
+                          "increase the sample count")
+    total_turns = float(np.sum(steps)) / (2 * math.pi)
+    nearest = round(total_turns)
+    if abs(total_turns - nearest) > SNAP_TOL_TURNS:
+        raise SnapError(f"winding {total_turns} is not within tolerance of an integer")
+    return int(nearest)
+
+
+def clutching_twist_dense(F, samples):
+    """The twist from the sampled loop: the winding number of the LU
+    determinants of the stacked q x q loop matrices."""
     return winding_number(np.linalg.det(loop_matrices(F, samples)))
 
 
-def clutching_omega_loop(F, samples, tol=1e-6):
-    """clutching_omega by stepping the special-unitary lift one sample at a
-    time: at sample k pick, among the q roots of 1 / det M_k, the scalar mu
-    maximizing Re <a_prev, mu M_k>, then snap the endpoint defect by an
-    O(q) search over three wraps."""
-    from flattori.autofactor import SnapError, loop_matrices
+def clutching_omega_loop(F, samples, tol=SNAP_TOL_TURNS):
+    """omega from the sampled loop, stepping the special-unitary lift one
+    sample at a time: at sample k pick, among the q roots of 1 / det M_k,
+    the scalar mu maximizing Re <a_prev, mu M_k>, then snap the endpoint
+    defect by an O(q) search over three wraps."""
     from flattori.cohomology import RootOfUnity
 
     q = F.q
@@ -456,6 +499,25 @@ def clutching_omega_loop(F, samples, tol=1e-6):
     if dist(best) > tol:
         raise SnapError(f"endpoint defect {turns} turns is not within {tol} of mu_{q}")
     return RootOfUnity(Fraction(best, q))
+
+
+def iso_via_bundles(theta, theta2, m=1):
+    """iso_decide for the m-fold amplifications, cross-checked through the
+    bundle classification: on a positive answer the m-fold sums of the
+    aligned projectively flat classes must differ by a line bundle twist.
+    The amplification m cancels."""
+    decision = iso_decide(NCTorusParams(theta.n, theta, m),
+                          NCTorusParams(theta2.n, theta2, m))
+    if decision.is_iso:
+        aligned = theta.congruence(decision.T)
+        q = q_theta(theta2)  # iso_decide has shown that aligned shares it
+        if q % theta2.ell:
+            raise AssertionError("q_theta * theta failed to be integral")
+        e1 = direct_sum_power(classify_projflat(theta.n, q, AltFormZ(aligned.scaled_int(q))), m)
+        e2 = direct_sum_power(classify_projflat(theta.n, q, AltFormZ(theta2.scaled_int(q))), m)
+        if line_twist_exists(e1, e2) is None:
+            raise AssertionError("aligned classes must differ by a line bundle")
+    return decision
 
 
 def pfaffian(S):

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import oracles
-from oracles import fraction_matrix, unimodular_sample
+from oracles import fraction_matrix, iso_via_bundles, unimodular_sample
 from flattori.autofactor import (
     check_cocycle,
     clutching_omega,
@@ -25,7 +25,6 @@ from flattori.nctorus import (
     IsoStatus,
     NCTorusParams,
     iso_decide,
-    iso_via_bundles,
     q_theta,
 )
 from flattori.projrep import (

@@ -11,18 +11,13 @@ from flattori.autofactor import (
     FactorOfAutomorphy,
     GenPermPhaseMatrix,
     ScalarFactor,
-    UnwrapError,
-    _sampled_loop,
     check_cocycle,
     clutching_omega,
     clutching_twist,
-    default_samples,
     det_cocycle,
     factor_from,
-    loop_matrices,
     mumford_c1,
     rieffel_N,
-    winding_number,
 )
 from flattori.cohomology import RootOfUnity, mu_q_image
 from flattori.projrep import _clock_shift_words, clock_shift
@@ -349,15 +344,15 @@ def test_scalar_factor_rejects_incoherent():
 
 def test_winding_number_basic():
     t = np.linspace(0.0, 1.0, 257)
-    assert winding_number(np.exp(2j * np.pi * t)) == 1
-    assert winding_number(np.ones(50)) == 0
-    assert winding_number(np.exp(-2j * np.pi * 3 * t)) == -3
+    assert oracles.winding_number(np.exp(2j * np.pi * t)) == 1
+    assert oracles.winding_number(np.ones(50)) == 0
+    assert oracles.winding_number(np.exp(-2j * np.pi * 3 * t)) == -3
 
 
 def test_winding_number_undersampled():
     t = np.linspace(0.0, 1.0, 9)
-    with pytest.raises(UnwrapError):
-        winding_number(np.exp(2j * np.pi * 5 * t))
+    with pytest.raises(oracles.UnwrapError):
+        oracles.winding_number(np.exp(2j * np.pi * 5 * t))
 
 
 def test_clutching_twist():
@@ -369,27 +364,31 @@ def test_clutching_twist():
 @pytest.mark.parametrize("call", [
     lambda: factor_from(2.0, 1),
     lambda: factor_from(3, 1.5),
-    lambda: clutching_twist(factor_from(3, 1), 100.5),
-    lambda: clutching_omega(factor_from(3, 1), "100"),
-], ids=["q-float", "a-float", "twist-samples-float", "omega-samples-str"])
+], ids=["q-float", "a-float"])
 def test_non_integer_inputs_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _sample_counts(q, a):
+    # the least count the unwrapping bound admits, and a generous 64 q (|a| + 1)
+    return 4 * (1 + abs(a) * q), 64 * q * (abs(a) + 1)
 
 
 def test_clutching_twist_matches_dense_reference():
     for q in range(1, 9):
         for a in range(-8, 9):
             F = factor_from(q, a)
-            for samples in (4 * (1 + abs(a) * q), default_samples(q, a)):
-                assert clutching_twist(F, samples) == oracles.clutching_twist_dense(F, samples)
-                # the monomial determinant identity against LU on the dense loop
-                dets = _sampled_loop(F, samples)[2]
-                assert np.allclose(dets, np.linalg.det(loop_matrices(F, samples)))
+            for samples in _sample_counts(q, a):
+                assert clutching_twist(F) == oracles.clutching_twist_dense(F, samples), \
+                    (q, a, samples)
+    # the dense loop alone is 17 MB at q = 64 with the least sample count
+    F = factor_from(64, 1)
+    assert clutching_twist(F) == oracles.clutching_twist_dense(F, _sample_counts(64, 1)[0]) == -1
 
 
 def test_clutching_memory_at_large_q():
-    # the dense (samples + 1) x q x q loop alone would be 537 MB at q = 64
+    # the exact invariants hold q exponents, not a sampled loop
     F = factor_from(64, 1)
     tracemalloc.start()
     try:
@@ -398,12 +397,16 @@ def test_clutching_memory_at_large_q():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20, peak
+    assert peak < 2 ** 20, peak
 
 
 def test_clutching_twist_insufficient_samples():
-    with pytest.raises(ValueError):
-        clutching_twist(factor_from(3, 5), samples=10)
+    # the sampled reference refuses to answer below the unwrapping bound
+    # instead of returning a wrong winding number
+    F = factor_from(3, 5)
+    assert clutching_twist(F) == -5
+    with pytest.raises(oracles.UnwrapError):
+        oracles.clutching_twist_dense(F, 10)
 
 
 def test_clutching_omega():
@@ -418,24 +421,42 @@ def test_clutching_omega_matches_loop_reference():
     for q in range(1, 9):
         for a in range(-8, 9):
             F = factor_from(q, a)
-            least = 4 * (1 + abs(a) * q)
-            with pytest.raises(ValueError):
-                clutching_omega(F, least - 1)
-            for samples in (least, default_samples(q, a)):
-                assert (clutching_omega(F, samples)
-                        == oracles.clutching_omega_loop(F, samples)), (q, a, samples)
+            for samples in _sample_counts(q, a):
+                assert clutching_omega(F) == oracles.clutching_omega_loop(F, samples), \
+                    (q, a, samples)
+    F = factor_from(64, 1)
+    assert clutching_omega(F) == oracles.clutching_omega_loop(F, _sample_counts(64, 1)[0])
+
+
+def test_clutching_premises_raise(monkeypatch):
+    F = factor_from(3, 1)  # built first: the patched loops fail the cocycle check
+    value, translate = FactorOfAutomorphy.value, GenPermPhaseMatrix.translate
+    # e(s / 2) in every column: a half-integer s-coefficient, N(1) = -N(0)
+    half_s = AffinePhase((Fraction(1, 2), 0), 0)
+    monkeypatch.setattr(FactorOfAutomorphy, "value",
+                        lambda self, gamma: value(self, gamma).scalar_mul(half_s))
+    for invariant in (clutching_twist, clutching_omega):
+        with pytest.raises(ValueError, match="non-integer s-coefficient"):
+            invariant(F)
+    # integer coefficients, but a translation that moves the loop
+    monkeypatch.setattr(FactorOfAutomorphy, "value", value)
+    monkeypatch.setattr(GenPermPhaseMatrix, "translate", lambda self, gamma: translate(
+        self, gamma).scalar_mul(AffinePhase((0, 0), Fraction(1, 2))))
+    for invariant in (clutching_twist, clutching_omega):
+        with pytest.raises(ValueError, match="does not close"):
+            invariant(F)
 
 
 def test_loop_matrices_match_symbolic():
     F = factor_from(4, 3)
-    mats = loop_matrices(F, 32)
+    mats = oracles.loop_matrices(F, 32)
     sym = F.value((0, 1))
     for k in (0, 7, 32):
         assert np.allclose(mats[k], oracles.matrix_complex(sym, (k / 32, 0.0)))
 
 
 def test_clutching_matches_exact_invariants_full_grid():
-    # numerical constructions and exact cohomological formulas coincide
+    # the loop's exponents and the exact cohomological formulas coincide
     from flattori.bundles import X_bundle, endo, omega, twist
 
     for q in range(1, 7):

@@ -1,12 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import flattori
 from flattori import autofactor
-from flattori.cli import run
+from flattori.cli import REP_DIM_LIMIT, run
 from flattori.textio import (
     MatrixFormatError,
     dump_matrix,
@@ -114,10 +116,10 @@ def test_twist_cli(capsys):
     assert code == 0 and out == "-1\n"
     code, out, _ = invoke(capsys, "twist", "--q", "3", "--a", "1",
                           "--method", "clutching")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("# method=clutching samples=")
-    assert lines[1] == "-1"
+    assert code == 0 and out == "# method=clutching\n-1\n"
+    code, out, _ = invoke(capsys, "--format", "records", "twist", "--q", "3", "--a", "1",
+                          "--method", "clutching")
+    assert code == 0 and out == '{"method":"clutching","twist":-1}\n'
 
 
 def test_omega_cli(capsys):
@@ -125,53 +127,37 @@ def test_omega_cli(capsys):
     assert code == 0 and out == "2/3\n"
     code, out, _ = invoke(capsys, "omega", "--q", "3", "--a", "1",
                           "--method", "clutching")
-    assert code == 0 and out.splitlines()[1] == "2/3"
-    code, out, _ = invoke(capsys, "omega", "--q", "3", "--a", "1",
-                          "--method", "clutching", "--tolerance", "1e-3")
-    assert code == 0 and out.splitlines()[0].endswith(" tolerance=1e-3")
+    assert code == 0 and out == "# method=clutching\n2/3\n"
+    code, out, _ = invoke(capsys, "--format", "records", "omega", "--q", "3", "--a", "1",
+                          "--method", "clutching")
+    assert code == 0 and out == '{"method":"clutching","omega":"2/3"}\n'
 
 
-def test_clutching_rejects_zero_samples(capsys):
+def test_clutching_sampling_options_are_usage_errors(capsys, tmp_path):
+    # the clutching invariants are exact: no sample count, tolerance or dump
+    for command in ("twist", "omega"):
+        for option in (("--samples", "64"), ("--samples", "0"), ("--tolerance", "1e-3"),
+                       ("--tolerance=-1",), ("--dump-samples", str(tmp_path / "loop.csv"))):
+            code, out, err = invoke(capsys, command, "--q", "3", "--a", "1",
+                                    "--method", "clutching", *option)
+            assert code == 2 and out == "", option
+            assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert not (tmp_path / "loop.csv").exists()
+
+
+def test_clutching_premise_failures_are_errors(capsys, monkeypatch):
+    # a loop with a half-integer s-coefficient: the library raises, the CLI exits 2
+    half_s = autofactor.AffinePhase((Fraction(1, 2), 0), 0)
+    value = autofactor.FactorOfAutomorphy.value
+    factor = autofactor.factor_from(3, 1)
+    monkeypatch.setattr(autofactor, "factor_from", lambda q, a: factor)
+    monkeypatch.setattr(autofactor.FactorOfAutomorphy, "value",
+                        lambda self, gamma: value(self, gamma).scalar_mul(half_s))
     for command in ("twist", "omega"):
         code, out, err = invoke(capsys, command, "--q", "3", "--a", "1",
-                                "--method", "clutching", "--samples", "0")
+                                "--method", "clutching")
         assert code == 2 and out == ""
-        assert "insufficient samples" in err
-
-
-def test_omega_tolerance_must_be_finite_and_positive(capsys):
-    for tol in ("-1", "0", "-0", "1e-400", "nan", "inf", "-inf", "abc"):
-        code, out, err = invoke(capsys, "omega", "--q", "3", "--a", "1",
-                                "--method", "clutching", f"--tolerance={tol}")
-        assert code == 2 and out == "", tol
-        assert "--tolerance" in err
-
-
-def test_clutching_numerical_failures_are_errors(capsys, monkeypatch):
-    # a snap that cannot succeed at this tolerance, and an unwrapping failure
-    code, out, err = invoke(capsys, "omega", "--q", "3", "--a", "1",
-                            "--method", "clutching", "--tolerance", "1e-300")
-    assert code == 2 and out == ""
-    assert err.startswith("error: endpoint defect")
-
-    def unwrap_fails(factor, samples):
-        raise autofactor.UnwrapError("phase step at or beyond the unwrapping bound")
-
-    monkeypatch.setattr(autofactor, "clutching_twist", unwrap_fails)
-    code, out, err = invoke(capsys, "twist", "--q", "3", "--a", "1",
-                            "--method", "clutching")
-    assert code == 2 and out == ""
-    assert err == "error: phase step at or beyond the unwrapping bound\n"
-
-
-def test_tolerance_is_an_omega_option_only(capsys):
-    code, out, _ = invoke(capsys, "twist", "--q", "3", "--a", "1",
-                          "--method", "clutching")
-    assert code == 0 and "tolerance" not in out
-    code, out, err = invoke(capsys, "twist", "--q", "3", "--a", "1",
-                            "--method", "clutching", "--tolerance", "1e-3")
-    assert code == 2 and out == ""
-    assert "--tolerance" in err
+        assert err == "error: clutching loop has a non-integer s-coefficient\n"
 
 
 def test_parse_error_exit_code(capsys):
@@ -213,13 +199,6 @@ def test_matrix_path_that_cannot_be_opened_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
-def test_dump_samples_target_that_cannot_be_opened_is_an_error(tmp_path, capsys):
-    code, out, err = invoke(capsys, "twist", "--q", "3", "--a", "1",
-                            "--method", "clutching", "--dump-samples", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ")
-
-
 def test_determinism(capsys):
     outs = set()
     for _ in range(3):
@@ -237,6 +216,50 @@ def test_rep_cli(capsys):
     assert rec["dim"] == 3
     assert rec["blocks"] == ["1/3"]
     assert len(rec["generators"]) == 2
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this flattori."""
+    src = os.path.dirname(os.path.dirname(flattori.__file__))
+    return subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_rep_refuses_q_theta_above_the_limit(capsys):
+    # blocks 1/97, 1/101, 1/103: q_theta = 1009091, refused before any generator is built
+    rows = [["0"] * 6 for _ in range(6)]
+    for i, q in enumerate((97, 101, 103)):
+        rows[2 * i][2 * i + 1], rows[2 * i + 1][2 * i] = f"1/{q}", f"-1/{q}"
+    theta = json.dumps({"n": 6, "m": 6, "entries": rows})
+    proc = _run_python(
+        "import json, resource, time\n"
+        "from flattori.cli import run\n"
+        f"run(['q-theta', '--theta', {THETA_13!r}])  # parser and imports warm\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "t = time.perf_counter()\n"
+        f"code = run(['rep', '--theta', {theta!r}])\n"
+        "print(json.dumps([code, time.perf_counter() - t,\n"
+        "                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss]))\n")
+    assert proc.returncode == 0, proc.stderr
+    code, seconds, rss_kb = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 2 and seconds < 1 and rss_kb < 8 * 1024, (seconds, rss_kb)
+    assert proc.stderr.splitlines()[-1] == \
+        f"error: q_theta = 1009091 exceeds the rep limit {REP_DIM_LIMIT}"
+    assert run(["rep", "--help"]) == 0
+    assert f"q_theta > {REP_DIM_LIMIT}" in capsys.readouterr().out.replace("\n", " ")
+
+
+def test_library_and_cli_run_without_numpy():
+    # NumPy is a test dependency: every library module imports and the
+    # clutching route runs with numpy unimportable
+    proc = _run_python(
+        "sys.modules['numpy'] = None\n"
+        "import importlib, pkgutil, flattori, flattori.cli\n"
+        "for m in pkgutil.iter_modules(flattori.__path__):\n"
+        "    importlib.import_module('flattori.' + m.name)\n"
+        "sys.exit(flattori.cli.run(['twist', '--q', '3', '--a', '1', '--method', 'clutching']))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "# method=clutching\n-1\n"
 
 
 # `--format records` output, byte for byte, for forms with mixed block
@@ -330,22 +353,6 @@ def test_cocycle_check_rejects_nonpositive_trials(capsys):
                                 "--trials", trials)
         assert code == 2 and out == ""
         assert "--trials" in err
-
-
-def test_dump_samples_csv(tmp_path, capsys):
-    path = tmp_path / "loop.csv"
-    code, _, _ = invoke(capsys, "twist", "--q", "2", "--a", "1",
-                        "--method", "clutching", "--samples", "64",
-                        "--dump-samples", str(path))
-    assert code == 0
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,row,col,re,im"
-    assert len(lines) == 1 + 65 * 4  # (samples+1) * q^2 entries
-    # plain float literals, one unit entry per column: N(s) = [[0, 1], [e(-s), 0]]
-    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
-    t, i, j, re, im = rows[4 * 16 + 2]
-    assert (t, i, j) == (0.25, 1, 0) and abs(complex(re, im) - (-1j)) < 1e-12
-    assert sum(abs(complex(re, im)) for _, _, _, re, im in rows) == pytest.approx(65 * 2)
 
 
 def test_console_entry_point(capsys):

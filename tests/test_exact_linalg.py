@@ -310,10 +310,14 @@ def test_rat_matrix_and_skew_form_take_exact_entries_only():
             _lowest_terms([[bad]])
         with pytest.raises(ValueError):
             SkewRatForm([[0, bad], [bad, 0]])
-    with pytest.raises(ValueError):
-        SkewRatForm([[0, 0.1], [-0.1, 0]])
         with pytest.raises(ValueError):
             BilinearCocycle([[0, bad], [0, 0]])
+    with pytest.raises(ValueError):
+        SkewRatForm([[0, 0.1], [-0.1, 0]])
+    # a flat list is not a list of rows
+    for build in (IntMatrix, SkewRatForm, BilinearCocycle):
+        with pytest.raises(ValueError, match="list of rows"):
+            build([1, 2])
     with pytest.raises(ValueError):
         BilinearCocycle([[0, Fraction(1, 2), 0], [0, 0, 1]])
     for bad_den in (0, -3, 0.5, 2.0, Fraction(1, 2)):

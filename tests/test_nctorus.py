@@ -6,7 +6,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 import oracles
-from oracles import fraction_matrix, unimodular_sample
+from oracles import fraction_matrix, iso_via_bundles, unimodular_sample
 from flattori.cohomology import pullback
 from flattori.exact_linalg import IntMatrix, SkewRatForm, smith_normal_form
 from flattori.nctorus import (
@@ -16,7 +16,6 @@ from flattori.nctorus import (
     bundle_of,
     c1_of_E_theta,
     iso_decide,
-    iso_via_bundles,
     normal_form,
     q_theta,
 )
