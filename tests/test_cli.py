@@ -133,15 +133,40 @@ def test_omega_cli(capsys):
     assert code == 0 and out == '{"method":"clutching","omega":"2/3"}\n'
 
 
-def test_clutching_sampling_options_are_usage_errors(capsys, tmp_path):
-    # the clutching invariants are exact: no sample count, tolerance or dump
+def _clutching_usage_error(capsys, command, *option):
+    # the clutching invariants are exact: sample counts, tolerances and dumps are
+    # unrecognized arguments
+    code, out, err = invoke(capsys, command, "--q", "3", "--a", "1",
+                            "--method", "clutching", *option)
+    assert code == 2 and out == "", option
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+def test_clutching_rejects_zero_samples(capsys):
     for command in ("twist", "omega"):
-        for option in (("--samples", "64"), ("--samples", "0"), ("--tolerance", "1e-3"),
-                       ("--tolerance=-1",), ("--dump-samples", str(tmp_path / "loop.csv"))):
-            code, out, err = invoke(capsys, command, "--q", "3", "--a", "1",
-                                    "--method", "clutching", *option)
-            assert code == 2 and out == "", option
-            assert f"unrecognized arguments: {' '.join(option)}" in err
+        for count in ("0", "64"):
+            _clutching_usage_error(capsys, command, "--samples", count)
+
+
+def test_omega_tolerance_must_be_finite_and_positive(capsys):
+    # nothing is snapped, so no tolerance is accepted, finite and positive or not
+    for tol in ("1e-3", "-1", "0", "-0", "1e-400", "nan", "inf", "-inf", "abc"):
+        _clutching_usage_error(capsys, "omega", f"--tolerance={tol}")
+
+
+def test_tolerance_is_an_omega_option_only(capsys):
+    code, out, _ = invoke(capsys, "twist", "--q", "3", "--a", "1",
+                          "--method", "clutching")
+    assert code == 0 and "tolerance" not in out
+    for command in ("twist", "omega"):
+        _clutching_usage_error(capsys, command, "--tolerance", "1e-3")
+
+
+def test_dump_samples_target_that_cannot_be_opened_is_an_error(tmp_path, capsys):
+    for command in ("twist", "omega"):
+        _clutching_usage_error(capsys, command, "--dump-samples", str(tmp_path))
+        _clutching_usage_error(capsys, command, "--dump-samples",
+                               str(tmp_path / "loop.csv"))
     assert not (tmp_path / "loop.csv").exists()
 
 
