@@ -1,15 +1,17 @@
 """Exact factor-of-automorphy engine over generalized permutation-phase
 matrices.
 
-The symbolic layer is exact: matrix entries are phases e(l.x + c) with
-rational l and c, phases compare equal mod 1, and products/inverses/
-translations stay inside the class.  A phase is stored as integer
-numerators over one common denominator in lowest terms, so its arithmetic
-is integer arithmetic and equal phases have equal fields; `.linear` and
-`.const` give the Fractions.  The clutching invariants are exact too:
-the loop N_{(0,1)}(s) is monomial with entries e(l_j s + c_j) and integer
-l_j, so its determinant winds sum_j l_j times (clutching_twist) and the
-endpoint defect of its special-unitary lift is e(sum_j l_j / q)
+Matrix entries are phases e(l.x + c) with rational l and c, compared mod 1;
+products, inverses and translations stay inside the class.  A phase is
+integer numerators over one common denominator in lowest terms, so its
+arithmetic is integer arithmetic and equal phases have equal fields
+(`.linear` and `.const` give the Fractions).  N^v of the rank-q factor is a
+permutation plus one integer s-exponent l_j per column (`_rieffel_exponents`),
+and the cocycle identity is checked on those integers: an integer translate
+adds l_j u = 0 mod 1, so the product is a composition of permutations plus a
+sum of exponents, exactly.  The clutching loop N_{(0,1)}(s) has entries
+e(l_j s + c_j), so its determinant winds sum_j l_j times (clutching_twist)
+and the endpoint defect of its special-unitary lift is e(sum_j l_j / q)
 (clutching_omega).  Both read the l_j of the concrete loop, not the class
 formula, and check their premises literally.  No floating point.
 """
@@ -105,9 +107,14 @@ def _phase(den: int, nums: tuple, num: int, p: AffinePhase | None = None) -> Aff
 
 
 def _perm_parity(perm) -> int:
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-              if perm[i] > perm[j])
-    return inv % 2
+    """(size - number of cycles) mod 2, one walk over each cycle."""
+    seen, cycles = bytearray(len(perm)), 0
+    for start in range(len(perm)):
+        cycles += not seen[start]
+        j = start
+        while not seen[j]:
+            seen[j], j = 1, perm[j]
+    return (len(perm) - cycles) % 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,18 +181,23 @@ def _matrix(perm: tuple, phases: tuple, m: GenPermPhaseMatrix | None = None):
     return m
 
 
-def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
-    """N^v in closed form, for N the cyclic q x q matrix of x = (s, t) with
-    ones on the superdiagonal and e(-a s) in the bottom-left corner.  Column
-    j goes to row (j - v) mod q with e(-a s) once per pass of the walk j,
-    j - 1, ..., j - v + 1 through column 0: (v + q - 1 - j) // q passes, a
-    negative count (the passes of N^-1) when v < 0."""
+def _rieffel_exponents(q: int, a: int, v: int) -> tuple:
+    """N^v as integers: column j goes to row perm[j] = (j - v) mod q with phase
+    e(ls[j] s).  N is the cyclic q x q matrix of x = (s, t) with ones on the
+    superdiagonal and e(-a s) bottom-left, so ls[j] is -a per pass of the walk
+    j, j - 1, ..., j - v + 1 through column 0: (v + q - 1 - j) // q passes."""
     q, a, v = _int_tuple((q, a, v))
     if q < 1:
         raise ValueError("q must be >= 1")
-    passes = [(v + q - 1 - j) // q for j in range(q)]  # at most two values
-    phase = {k: _phase(1, (-a * k, 0), 0) for k in set(passes)}
-    return _matrix(tuple([(j - v) % q for j in range(q)]), tuple([phase[k] for k in passes]))
+    return (tuple([(j - v) % q for j in range(q)]),
+            tuple([-a * ((v + q - 1 - j) // q) for j in range(q)]))
+
+
+def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
+    """N^v in closed form, built from _rieffel_exponents."""
+    perm, ls = _rieffel_exponents(q, a, v)
+    phase = {l: _phase(1, (l, 0), 0) for l in set(ls)}  # at most two values
+    return _matrix(perm, tuple([phase[l] for l in ls]))
 
 
 @dataclass(frozen=True)
@@ -196,7 +208,7 @@ class FactorOfAutomorphy:
     a: int
 
     def __post_init__(self):
-        # rieffel_N rejects inexact q, a and q < 1; cocycle identity on generator pairs
+        # _rieffel_exponents rejects inexact q, a and q < 1
         if any(_violates(self, g1, g2) for g1 in ((1, 0), (0, 1), (1, 1))
                for g2 in ((1, 0), (0, 1), (-1, 1))):
             raise AssertionError("cocycle identity failed at construction")
@@ -217,13 +229,20 @@ def factor_from(q: int, a: int) -> FactorOfAutomorphy:
 
 
 def _violates(F, g1, g2) -> bool:
-    """Whether N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, checked exactly."""
-    return F.value((g1[0] + g2[0], g1[1] + g2[1])) != F.value(g1).translate(g2) @ F.value(g2)
+    """Whether N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, checked exactly on
+    _rieffel_exponents: N_g depends on g[1] only, and translating e(l s) by the
+    integer g2 adds l g2[0] = 0 mod 1, so the product composes perms and adds ls."""
+    p1, l1 = _rieffel_exponents(F.q, F.a, g1[1])
+    p2, l2 = _rieffel_exponents(F.q, F.a, g2[1])
+    return _rieffel_exponents(F.q, F.a, g1[1] + g2[1]) != (
+        tuple([p1[k] for k in p2]), tuple([l1[k] + l for k, l in zip(p2, l2)]))
 
 
 def check_cocycle(F, trials: int, seed: int = 0):
-    """Verify the cocycle identity on random pairs with entries bounded by
-    10.  Returns the list of violating pairs."""
+    """Verify the cocycle identity on `trials` >= 1 random pairs with entries
+    bounded by 10.  Returns the list of violating pairs."""
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     rng = random.Random(seed)
     pairs = [tuple((rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(2))
              for _ in range(trials)]

@@ -116,9 +116,8 @@ def direct_sum_power(e: VectorBundleClass, m: int) -> VectorBundleClass:
 
 
 def X_bundle(q: int, a: int) -> VectorBundleClass:
-    """The rank-q bundle on T^2 with c1(e1, e2) = -a (twist -a)."""
-    if q < 1:
-        raise ValueError("rank must be >= 1")
+    """The rank-q bundle on T^2 with c1(e1, e2) = -a (twist -a); the class
+    refuses q < 1."""
     return VectorBundleClass(2, q, AltFormZ([[0, -a], [a, 0]]))
 
 

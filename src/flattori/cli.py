@@ -101,25 +101,25 @@ def cmd_iso(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    e = bundles.X_bundle(args.q, args.a)
+    e, o = bundles.X_bundle(args.q, args.a), _orientation(args)
     if args.method == "clutching":
-        value = autofactor.clutching_twist(autofactor.factor_from(args.q, args.a))
+        value = o.sign * autofactor.clutching_twist(autofactor.factor_from(args.q, args.a))
         _emit(args, ["# method=clutching", str(value)],
               {"twist": value, "method": "clutching"})
     else:
-        value = bundles.twist(e, _orientation(args))
+        value = bundles.twist(e, o)
         _emit(args, [str(value)], {"twist": value, "method": "exact"})
     return EXIT_OK
 
 
 def cmd_omega(args) -> int:
+    o = _orientation(args)
     if args.method == "clutching":
-        value = autofactor.clutching_omega(autofactor.factor_from(args.q, args.a))
+        value = autofactor.clutching_omega(autofactor.factor_from(args.q, args.a)) ** o.sign
         _emit(args, ["# method=clutching", format_root(value)],
               {"omega": format_root(value), "method": "clutching"})
     else:
-        a_cls = bundles.endo(bundles.X_bundle(args.q, args.a))
-        value = bundles.omega(a_cls, _orientation(args))
+        value = bundles.omega(bundles.endo(bundles.X_bundle(args.q, args.a)), o)
         _emit(args, [format_root(value)],
               {"omega": format_root(value), "method": "exact"})
     return EXIT_OK

@@ -160,9 +160,7 @@ def fundamental_pairing_modq(beta: AltFormModQ, o: Orientation2 = STANDARD) -> i
 
 
 def beta_reduce(c: AltFormZ, q: int) -> AltFormModQ:
-    """Coefficient reduction Z -> mu_q of a 2-class."""
-    if q < 1:
-        raise ValueError("modulus must be >= 1")
+    """Coefficient reduction Z -> mu_q of a 2-class; AltFormModQ refuses q < 1."""
     return AltFormModQ(c.mat, q)
 
 
@@ -171,12 +169,6 @@ def pullback(c: AltFormZ, P: IntMatrix) -> AltFormZ:
     if P.rows != c.n:
         raise ValueError("lattice map shape mismatch")
     return AltFormZ(P.transpose() @ c.mat @ P)
-
-
-def pullback_modq(beta: AltFormModQ, P: IntMatrix) -> AltFormModQ:
-    if P.rows != beta.n:
-        raise ValueError("lattice map shape mismatch")
-    return AltFormModQ(P.transpose() @ beta.mat @ P, beta.modulus)
 
 
 def mu_q_image(k: int, q: int) -> RootOfUnity:

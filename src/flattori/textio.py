@@ -14,7 +14,7 @@ import json
 import re
 from fractions import Fraction
 
-from .cohomology import AltFormModQ, AltFormZ, RootOfUnity
+from .cohomology import RootOfUnity
 from .exact_linalg import IntMatrix, SkewRatForm
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
@@ -81,23 +81,13 @@ def dump_matrix(m: IntMatrix) -> dict:
     }
 
 
-def dump_altform(c: AltFormZ) -> dict:
-    return dump_matrix(c.mat)
-
-
-def dump_altform_modq(b: AltFormModQ) -> dict:
-    out = dump_matrix(b.mat)
-    out["modulus"] = b.modulus
-    return out
-
-
 def dump_vector_class(e) -> dict:
-    return {"kind": "vector", "n": e.n, "q": e.rank, "form": dump_altform(e.c1)}
+    return {"kind": "vector", "n": e.n, "q": e.rank, "form": dump_matrix(e.c1.mat)}
 
 
 def dump_matrix_class(a) -> dict:
     return {"kind": "matrix", "n": a.n, "q": a.size,
-            "form": dump_altform_modq(a.beta)}
+            "form": {**dump_matrix(a.beta.mat), "modulus": a.beta.modulus}}
 
 
 def format_root(z: RootOfUnity) -> str:

@@ -11,6 +11,12 @@ from the loop sampled in double precision (`loop_matrices`): the winding
 number of the LU determinants by phase unwrapping, and the special-unitary
 lift stepped one sample at a time, each snapped back to an exact value,
 where the library reads both from the loop's integer exponents.
+`matrix_violates` checks the factor-of-automorphy cocycle identity on
+built matrices, translated and multiplied, where the library composes the
+integer permutations and s-exponents they are built from; `inversion_parity`
+counts inversions where the library counts cycles.  `pullback_modq`, the
+mod-q pullback, has no library caller; it checks `pullback` commutes with
+the reduction mod q.
 `iso_via_bundles` cross-checks a positive `iso_decide` answer through the
 bundle classification.
 `FractionPhase` is the Fraction-valued affine phase and `RatMatrix` the
@@ -47,7 +53,7 @@ import numpy as np
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.bundles import classify_projflat, direct_sum_power, line_twist_exists
-from flattori.cohomology import AltFormZ
+from flattori.cohomology import AltFormModQ, AltFormZ
 from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import IntMatrix, inverse_mod, lattice_kernel_mod
 from flattori.nctorus import NCTorusParams, iso_decide, q_theta
@@ -734,16 +740,34 @@ class FractionPhase:
         return FractionPhase(self.linear, self.const + shift)
 
 
+def inversion_parity(perm):
+    """Parity of a permutation as its number of inversions mod 2."""
+    return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+               if perm[i] > perm[j]) % 2
+
+
 def fraction_det(perm, phases):
     """Determinant of a generalized permutation-phase matrix as a
     FractionPhase: the permutation sign as the constant (parity)/2 plus every
     phase."""
-    parity = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                 if perm[i] > perm[j]) % 2
-    total = FractionPhase((0,) * len(phases[0].linear), Fraction(parity, 2))
+    total = FractionPhase((0,) * len(phases[0].linear), Fraction(inversion_parity(perm), 2))
     for p in phases:
         total = total + p
     return total
+
+
+def pullback_modq(beta, P):
+    """Pullback of a mod-q class along a lattice map P, as P^t beta P."""
+    if P.rows != beta.n:
+        raise ValueError("lattice map shape mismatch")
+    return AltFormModQ(P.transpose() @ beta.mat @ P, beta.modulus)
+
+
+def matrix_violates(F, g1, g2):
+    """Whether N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, on built matrices:
+    the values, a translate and a product of generalized permutation-phase
+    matrices."""
+    return F.value((g1[0] + g2[0], g1[1] + g2[1])) != F.value(g1).translate(g2) @ F.value(g2)
 
 
 def matrix_direct_sum(a, b):

@@ -1,11 +1,14 @@
+import functools
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
 import pytest
 
+from flattori import autofactor
 from flattori.autofactor import (
     AffinePhase,
     FactorOfAutomorphy,
@@ -258,22 +261,84 @@ def test_check_cocycle_clean():
             assert check_cocycle(factor_from(q, a), 100, seed=q * 100 + a) == []
 
 
-class _Corrupted:
-    """Negative control: a deliberately broken phase on one generator."""
-
-    def __init__(self, q, a):
-        self.inner = factor_from(q, a)
-
-    def value(self, gamma):
-        v = self.inner.value(gamma)
-        if gamma[1] % 2 == 1:
-            return v.scalar_mul(AffinePhase((Fraction(1, 2), 0), 0))
-        return v
+def _shift_odd(exponents):
+    # one s-exponent shifted by 1 at odd v
+    def corrupted(q, a, v):
+        perm, ls = exponents(q, a, v)
+        return perm, (ls[0] + v % 2,) + ls[1:]
+    return corrupted
 
 
-def test_check_cocycle_negative_control():
-    bad = _Corrupted(3, 1)
-    assert check_cocycle(bad, 200, seed=5) != []
+def _swap_odd(exponents):
+    # the first two perm entries swapped at odd v
+    def corrupted(q, a, v):
+        perm, ls = exponents(q, a, v)
+        return (perm[1], perm[0]) + perm[2:] if v % 2 else perm, ls
+    return corrupted
+
+
+def test_check_cocycle_negative_control(monkeypatch):
+    # the exponents both checks read are corrupted: check_cocycle reports
+    # violations and construction raises
+    exponents = autofactor._rieffel_exponents
+    for corruption in (_shift_odd, _swap_odd):
+        F = factor_from(3, 1)
+        monkeypatch.setattr(autofactor, "_rieffel_exponents", corruption(exponents))
+        assert check_cocycle(F, 200, seed=5) != []
+        with pytest.raises(AssertionError, match="cocycle identity failed at construction"):
+            factor_from(3, 1)
+        monkeypatch.setattr(autofactor, "_rieffel_exponents", exponents)
+
+
+def test_exponent_check_matches_matrix_oracle(monkeypatch):
+    # the check on integer exponents against the literal product of built,
+    # translated matrices, on every pair in [-3, 3]^2, for clean factors and
+    # for factors whose exponent source is corrupted
+    gs = [(u, v) for u in range(-3, 4) for v in range(-3, 4)]
+    for q in range(1, 9):
+        for a in range(-8, 9):
+            F = factor_from(q, a)
+            built = SimpleNamespace(value=functools.cache(F.value))  # each value built once
+            for g1 in gs:
+                for g2 in gs:
+                    assert autofactor._violates(F, g1, g2) is False
+                    assert oracles.matrix_violates(built, g1, g2) is False
+    exponents = autofactor._rieffel_exponents
+    for corruption in (_shift_odd, _swap_odd):
+        for q, a in ((2, 1), (3, -2), (5, 4)):
+            F = factor_from(q, a)
+            monkeypatch.setattr(autofactor, "_rieffel_exponents", corruption(exponents))
+            flagged = [(g1, g2) for g1 in gs for g2 in gs if autofactor._violates(F, g1, g2)]
+            assert flagged == [(g1, g2) for g1 in gs for g2 in gs
+                               if oracles.matrix_violates(F, g1, g2)]
+            assert flagged
+            monkeypatch.setattr(autofactor, "_rieffel_exponents", exponents)
+
+
+@pytest.mark.parametrize("trials", [0, -4, True, False, 2.5, 3.0, "3", None])
+def test_check_cocycle_rejects_meaningless_trials(trials):
+    F = factor_from(3, 1)
+    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+        check_cocycle(F, trials)
+    assert check_cocycle(F, 1) == []
+
+
+def test_factor_from_rejects_inexact_or_small_q_with_messages():
+    inexact = "not an integer index: 'float' object cannot be interpreted as an integer"
+    for q, a, message in ((2.0, 1, inexact), (3, 1.5, inexact),
+                          (0, 1, "q must be >= 1"), (-2, 1, "q must be >= 1")):
+        with pytest.raises(ValueError) as exc:
+            factor_from(q, a)
+        assert str(exc.value) == message
+
+
+def test_perm_parity_matches_inversion_count():
+    rng = random.Random(4040)
+    for size in range(1, 41):
+        for _ in range(10):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            assert autofactor._perm_parity(tuple(perm)) == oracles.inversion_parity(perm)
 
 
 def test_det_cocycle_matches_entrywise_det():

@@ -133,6 +133,21 @@ def test_omega_cli(capsys):
     assert code == 0 and out == '{"method":"clutching","omega":"2/3"}\n'
 
 
+def test_clutching_and_exact_agree_in_both_orientations(capsys):
+    for q in range(1, 9):
+        for a in range(-8, 9):
+            for orientation in ((), ("--reversed-orientation",)):
+                for command in ("twist", "omega"):
+                    answers = []
+                    for method in ("exact", "clutching"):
+                        code, out, _ = invoke(capsys, "--format", "records", command,
+                                              "--q", str(q), "--a", str(a),
+                                              "--method", method, *orientation)
+                        assert code == 0
+                        answers.append(json.loads(out)[command])
+                    assert answers[0] == answers[1], (command, q, a, orientation)
+
+
 def _clutching_usage_error(capsys, command, *option):
     # the clutching invariants are exact: sample counts, tolerances and dumps are
     # unrecognized arguments
