@@ -182,19 +182,19 @@ def _matrix(perm: tuple, phases: tuple, m: GenPermPhaseMatrix | None = None):
 
 
 def _rieffel_exponents(q: int, a: int, v: int) -> tuple:
-    """N^v as integers: column j goes to row perm[j] = (j - v) mod q with phase
-    e(ls[j] s).  N is the cyclic q x q matrix of x = (s, t) with ones on the
-    superdiagonal and e(-a s) bottom-left, so ls[j] is -a per pass of the walk
-    j, j - 1, ..., j - v + 1 through column 0: (v + q - 1 - j) // q passes."""
-    q, a, v = _int_tuple((q, a, v))
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    """N^v as integers (q >= 1, a, v checked by the caller): column j goes to
+    row perm[j] = (j - v) mod q with phase e(ls[j] s).  N is the cyclic q x q
+    matrix of x = (s, t), ones on the superdiagonal, e(-a s) bottom-left, so
+    ls[j] is -a per pass of j, j - 1, ..., j - v + 1 through column 0."""
     return (tuple([(j - v) % q for j in range(q)]),
             tuple([-a * ((v + q - 1 - j) // q) for j in range(q)]))
 
 
 def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
     """N^v in closed form, built from _rieffel_exponents."""
+    q, a, v = _int_tuple((q, a, v))
+    if q < 1:
+        raise ValueError("q must be >= 1")
     perm, ls = _rieffel_exponents(q, a, v)
     phase = {l: _phase(1, (l, 0), 0) for l in set(ls)}  # at most two values
     return _matrix(perm, tuple([phase[l] for l in ls]))
@@ -208,9 +208,10 @@ class FactorOfAutomorphy:
     a: int
 
     def __post_init__(self):
-        # _rieffel_exponents rejects inexact q, a and q < 1
-        if any(_violates(self, g1, g2) for g1 in ((1, 0), (0, 1), (1, 1))
-               for g2 in ((1, 0), (0, 1), (-1, 1))):
+        if _int_tuple((self.q, self.a))[0] < 1:
+            raise ValueError("q must be >= 1")
+        if _violations(self, [(g1, g2) for g1 in ((1, 0), (0, 1), (1, 1))
+                              for g2 in ((1, 0), (0, 1), (-1, 1))]):
             raise AssertionError("cocycle identity failed at construction")
 
     def value(self, gamma) -> GenPermPhaseMatrix:
@@ -228,25 +229,30 @@ def factor_from(q: int, a: int) -> FactorOfAutomorphy:
     return FactorOfAutomorphy(q, a)
 
 
-def _violates(F, g1, g2) -> bool:
-    """Whether N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, checked exactly on
-    _rieffel_exponents: N_g depends on g[1] only, and translating e(l s) by the
-    integer g2 adds l g2[0] = 0 mod 1, so the product composes perms and adds ls."""
-    p1, l1 = _rieffel_exponents(F.q, F.a, g1[1])
-    p2, l2 = _rieffel_exponents(F.q, F.a, g2[1])
-    return _rieffel_exponents(F.q, F.a, g1[1] + g2[1]) != (
-        tuple([p1[k] for k in p2]), tuple([l1[k] + l for k, l in zip(p2, l2)]))
+def _violations(F, pairs) -> list:
+    """The pairs (g1, g2) where N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, on
+    _rieffel_exponents built once per v: N_g depends on g[1] only, and an integer
+    translate adds l g2[0] = 0 mod 1, so the product composes perms and adds ls."""
+    N = {v: _rieffel_exponents(F.q, F.a, v)
+         for v in {v for g1, g2 in pairs for v in (g1[1], g2[1], g1[1] + g2[1])}}
+    bad = []
+    for g1, g2 in pairs:
+        (p1, l1), (p2, l2) = N[g1[1]], N[g2[1]]
+        if N[g1[1] + g2[1]] != (tuple([p1[k] for k in p2]),
+                                tuple([l1[k] + l for k, l in zip(p2, l2)])):
+            bad.append((g1, g2))
+    return bad
 
 
 def check_cocycle(F, trials: int, seed: int = 0):
-    """Verify the cocycle identity on `trials` >= 1 random pairs with entries
-    bounded by 10.  Returns the list of violating pairs."""
+    """Verify the cocycle identity on `trials` >= 1 random pairs, entries drawn
+    as randint(-10, 10) draws them.  Returns the list of violating pairs."""
     if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     rng = random.Random(seed)
-    pairs = [tuple((rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(2))
+    pairs = [tuple((rng.randrange(21) - 10, rng.randrange(21) - 10) for _ in range(2))
              for _ in range(trials)]
-    return [(g1, g2) for g1, g2 in pairs if _violates(F, g1, g2)]
+    return _violations(F, pairs)
 
 
 @dataclass(frozen=True, slots=True)

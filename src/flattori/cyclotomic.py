@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .exact_linalg import _int_tuple, _rational
+
 
 def _poly_divmod_int(num, den):
     """Exact division of integer polynomials, den monic; remainder must be 0."""
@@ -73,26 +75,28 @@ class CycElt:
     coeffs: tuple
 
     def __init__(self, L, coeffs):
-        object.__setattr__(self, "L", int(L))
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-        if len(self.coeffs) != len(cyclotomic_polynomial(self.L)) - 1:
+        (L,), coeffs = _int_tuple((L,)), tuple(map(_rational, coeffs))
+        if len(coeffs) != len(cyclotomic_polynomial(L)) - 1:
             raise ValueError("coefficient vector has wrong length")
+        _element(L, coeffs, self)
 
     @classmethod
     def zero(cls, L: int) -> "CycElt":
-        return _constant(L, 0)
+        one = cls.one(L)
+        return _element(one.L, (Fraction(0),) * len(one.coeffs))
 
     @classmethod
     def one(cls, L: int) -> "CycElt":
-        return _constant(L, 1)
+        return cls.from_phase(0, L)
 
     @classmethod
     def from_phase(cls, phase: Fraction, L: int) -> "CycElt":
         """The root of unity e(phase) as an element; phase * L must be integral."""
-        k = Fraction(phase) * L
+        (L,) = _int_tuple((L,))
+        k = _rational(phase) * L
         if k.denominator != 1:
             raise ValueError(f"e({phase}) does not lie in Q(zeta_{L})")
-        return cls(L, _power_table(L)[int(k) % L])
+        return _element(L, _power_table(L)[k.numerator % L])
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -118,43 +122,28 @@ class CycElt:
         return CycElt(self.L, prod[:deg])
 
     def inverse(self) -> "CycElt":
-        """Extended Euclid against Phi_L (irreducible, so gcd is a constant)."""
+        """Extended Euclid against Phi_L (irreducible, so gcd is a constant), one
+        leading term at a time, keeping s * self = r (mod Phi_L) and deg s < deg Phi_L."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-
-        def trim(p):
-            p = list(p)
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        def polydiv(num, den):
-            num = list(num)
-            q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-            for k in range(len(q) - 1, -1, -1):
-                c = num[len(den) - 1 + k] / den[-1]
-                q[k] = c
-                for i, d in enumerate(den):
-                    num[k + i] -= c * d
-            return q, trim(num)
-
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.L)]
-        deg = len(phi) - 1
-        # invariant: s_k * self = r_k  (mod Phi_L)
-        r0, r1 = phi, trim(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r2 = polydiv(r0, r1)
-            s2 = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s2[i + j] -= qc * sc
-            r0, r1 = r1, r2
-            s0, s1 = s1, trim(s2) or [Fraction(0)]
-        g = r1[0]
-        inv = [(s1[i] / g if i < len(s1) else Fraction(0)) for i in range(deg)]
-        out = CycElt(self.L, inv)
+        deg = len(self.coeffs)
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.L)], list(self.coeffs)
+        s0, s1 = [Fraction(0)] * deg, [Fraction(1)] + [Fraction(0)] * (deg - 1)
+        while True:
+            while not r1[-1]:
+                r1.pop()
+            if len(r1) == 1:
+                break
+            while len(r0) >= len(r1):  # r0 -= c z^k r1 clears its leading term
+                c, k = r0[-1] / r1[-1], len(r0) - len(r1)
+                for i, x in enumerate(r1):
+                    r0[k + i] -= c * x
+                for i, x in enumerate(s1[:deg - k]):
+                    s0[k + i] -= c * x
+                while not r0[-1]:
+                    r0.pop()
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        out = _element(self.L, tuple(x / r1[0] for x in s1))
         if out * self != CycElt.one(self.L):
             raise AssertionError("inverse failed verification")
         return out
@@ -163,9 +152,9 @@ class CycElt:
         return f"CycElt(L={self.L}, {[str(c) for c in self.coeffs]})"
 
 
-@lru_cache(maxsize=None)
-def _constant(L: int, c: int) -> CycElt:
-    """The rational constant c of Q(zeta_L); elements are immutable, so one
-    instance per (L, c) is shared by every caller."""
-    deg = len(cyclotomic_polynomial(L)) - 1
-    return CycElt(L, [c] + [0] * (deg - 1))
+def _element(L: int, coeffs: tuple, e: CycElt | None = None) -> CycElt:
+    """(L, Fraction coeffs) stored unchecked; into e when given (by __init__)."""
+    e = object.__new__(CycElt) if e is None else e
+    object.__setattr__(e, "L", L)
+    object.__setattr__(e, "coeffs", coeffs)
+    return e

@@ -8,10 +8,10 @@ intertwiner systems X U1 = U2 X have generalized permutation-phase images U,
 so each equation ties two unknowns by a root of unity; they are solved by
 propagating integer phase exponents mod L = lcm(q_i) over the connected
 components of the unknowns, which is exact over Q(zeta_L) without field
-arithmetic.  An intertwiner is verified literally on those exponents, entry
-by entry mod L, and only converted to a Q(zeta_L) matrix when it is
-returned; field arithmetic is left to the determinant test of supports that
-are not monomial.  No floating point in this module.
+arithmetic.  An intertwiner is verified literally on those exponents, as are
+the commutation relations of every representation, and only converted to a
+Q(zeta_L) matrix when it is returned; field arithmetic is left to the
+determinant test of supports that are not monomial.  No floating point.
 """
 
 from __future__ import annotations
@@ -125,13 +125,12 @@ def _clock_shift_words(pairs, rows):
 
 def clock_shift(q: int, p: int):
     """Clock U = diag(e(p j / q)) and shift V e_j = e_{j-1}, with
-    V U = e(p/q) U V exactly."""
+    V U = e(p/q) U V exactly (checked as a `ProjectiveRep`)."""
     q, p = _int_tuple((q, p))
     if q < 1:
         raise ValueError("q must be >= 1")
     U, V = _clock_shift_words([(q, p)], [(0, 1), (1, 0)])
-    if V @ U != (U @ V).scalar_mul(_phase(q, (), p)):
-        raise AssertionError("clock and shift failed to commute up to e(p/q)")
+    ProjectiveRep((U, V), BilinearCocycle([[0, 0], [p, 0]], q))
     return U, V
 
 
@@ -139,10 +138,10 @@ def clock_shift(q: int, p: int):
 class ProjectiveRep:
     """Projective representation of Z^n given by constant generalized
     permutation-phase generator images; the stored cocycle's
-    antisymmetrization chi governs the commutation, which is verified
-    exactly at construction: U_j U_i = chi(e_j, e_i) U_i U_j, and kept as
-    `chi`, a skew form mod Z (`bicharacter_of`).  Phases with an x-dependent
-    part are rejected.  Equality is identity."""
+    antisymmetrization chi, kept as `chi`, a skew form mod Z, governs the
+    commutation U_j U_i = chi(e_j, e_i) U_i U_j, which is verified exactly at
+    construction on phase exponents mod L = lcm(chi.ell, phase denominators).
+    Phases with an x-dependent part are rejected.  Equality is identity."""
 
     n: int
     dim: int
@@ -160,14 +159,20 @@ class ProjectiveRep:
         if any(any(ph.nums) for g in gens for ph in g.phases):
             raise ValueError("generator images must have constant phases")
         chi = bicharacter_of(cocycle)
-        # U_j U_i = chi(e_j, e_i) U_i U_j for i < j implies the relation for
-        # (j, i): chi is skew mod 1 and scalar_mul is exact
-        for j in range(len(gens)):
-            for i in range(j):
-                scal = _phase(chi.ell, (), chi.S[j][i])
-                if gens[j] @ gens[i] != (gens[i] @ gens[j]).scalar_mul(scal):
-                    raise ValueError("generator images do not realize the cocycle's "
-                                     "commutation relations")
+        L = lcm(chi.ell, *(ph.den for g in gens for ph in g.phases))
+        # column c of U_j U_i and U_i U_j, U e_c = zeta^e[c] e_perm[c]; i < j suffices
+        view = _exponents(gens, L)
+        for j, (pj, ej) in enumerate(view):
+            for i, (pi, ei) in enumerate(view[:j]):
+                s = chi.S[j][i] * (L // chi.ell)
+                c = next((c for c in range(len(pi)) if pj[pi[c]] != pi[pj[c]]
+                          or (ei[c] + ej[pi[c]] - ej[c] - ei[pj[c]] - s) % L), None)
+                if c is not None:
+                    raise ValueError(
+                        "generator images do not realize the cocycle's commutation relations: "
+                        f"at (j, i) = ({j}, {i}), column {c}: U_{j} U_{i} has row {pj[pi[c]]}, "
+                        f"exponent {(ei[c] + ej[pi[c]]) % L}; chi(e_{j}, e_{i}) U_{i} U_{j} has "
+                        f"row {pi[pj[c]]}, exponent {(ej[c] + ei[pj[c]] + s) % L} (mod L = {L})")
         object.__setattr__(self, "n", cocycle.n)
         object.__setattr__(self, "dim", dims.pop())
         object.__setattr__(self, "gens", gens)

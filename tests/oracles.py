@@ -14,7 +14,10 @@ where the library reads both from the loop's integer exponents.
 `matrix_violates` checks the factor-of-automorphy cocycle identity on
 built matrices, translated and multiplied, where the library composes the
 integer permutations and s-exponents they are built from; `inversion_parity`
-counts inversions where the library counts cycles.  `pullback_modq`, the
+counts inversions where the library counts cycles.
+`matrix_commutation_holds` checks the commutation relations of projective
+representation generators on multiplied matrices, where the library
+compares integer phase exponents mod L column by column.  `pullback_modq`, the
 mod-q pullback, has no library caller; it checks `pullback` commutes with
 the reduction mod q.
 `iso_via_bundles` cross-checks a positive `iso_decide` answer through the
@@ -768,6 +771,14 @@ def matrix_violates(F, g1, g2):
     the values, a translate and a product of generalized permutation-phase
     matrices."""
     return F.value((g1[0] + g2[0], g1[1] + g2[1])) != F.value(g1).translate(g2) @ F.value(g2)
+
+
+def matrix_commutation_holds(gens, chi):
+    """Whether U_j U_i = chi(e_j, e_i) U_i U_j for every i < j, on products
+    of generalized permutation-phase matrices and a scalar phase."""
+    return all(gens[j] @ gens[i] == (gens[i] @ gens[j]).scalar_mul(
+        AffinePhase((), Fraction(chi.S[j][i], chi.ell)))
+        for j in range(len(gens)) for i in range(j))
 
 
 def matrix_direct_sum(a, b):

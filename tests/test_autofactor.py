@@ -295,24 +295,52 @@ def test_exponent_check_matches_matrix_oracle(monkeypatch):
     # translated matrices, on every pair in [-3, 3]^2, for clean factors and
     # for factors whose exponent source is corrupted
     gs = [(u, v) for u in range(-3, 4) for v in range(-3, 4)]
+    pairs = [(g1, g2) for g1 in gs for g2 in gs]
     for q in range(1, 9):
         for a in range(-8, 9):
             F = factor_from(q, a)
             built = SimpleNamespace(value=functools.cache(F.value))  # each value built once
-            for g1 in gs:
-                for g2 in gs:
-                    assert autofactor._violates(F, g1, g2) is False
-                    assert oracles.matrix_violates(built, g1, g2) is False
+            assert autofactor._violations(F, pairs) == []
+            assert not any(oracles.matrix_violates(built, g1, g2) for g1, g2 in pairs)
     exponents = autofactor._rieffel_exponents
     for corruption in (_shift_odd, _swap_odd):
         for q, a in ((2, 1), (3, -2), (5, 4)):
             F = factor_from(q, a)
             monkeypatch.setattr(autofactor, "_rieffel_exponents", corruption(exponents))
-            flagged = [(g1, g2) for g1 in gs for g2 in gs if autofactor._violates(F, g1, g2)]
-            assert flagged == [(g1, g2) for g1 in gs for g2 in gs
-                               if oracles.matrix_violates(F, g1, g2)]
+            flagged = autofactor._violations(F, pairs)
+            assert flagged == [(g1, g2) for g1, g2 in pairs if oracles.matrix_violates(F, g1, g2)]
             assert flagged
             monkeypatch.setattr(autofactor, "_rieffel_exponents", exponents)
+
+
+def test_check_cocycle_draws_the_randint_pairs(monkeypatch):
+    # every exponent shifted by 1 makes every pair a violation, so
+    # check_cocycle returns all the pairs it drew, in order
+    exponents = autofactor._rieffel_exponents
+    F = factor_from(4, 3)
+    monkeypatch.setattr(autofactor, "_rieffel_exponents", lambda q, a, v: (
+        exponents(q, a, v)[0], tuple(l + 1 for l in exponents(q, a, v)[1])))
+    for seed in (0, 7, 21):
+        rng = random.Random(seed)
+        drawn = [tuple((rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(2))
+                 for _ in range(300)]
+        assert check_cocycle(F, 300, seed=seed) == drawn
+
+
+def test_exponents_built_once_per_distinct_v(monkeypatch):
+    calls = []
+    exponents = autofactor._rieffel_exponents
+    monkeypatch.setattr(autofactor, "_rieffel_exponents",
+                        lambda q, a, v: calls.append(v) or exponents(q, a, v))
+    F = factor_from(5, 2)
+    assert sorted(calls) == [0, 1, 2]  # the 9 construction pairs need v = 0, 1, 2
+    calls.clear()
+    rng = random.Random(3)
+    pairs = [tuple((rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(2))
+             for _ in range(500)]
+    assert check_cocycle(F, 500, seed=3) == []
+    assert sorted(calls) == sorted({v for g1, g2 in pairs
+                                    for v in (g1[1], g2[1], g1[1] + g2[1])})
 
 
 @pytest.mark.parametrize("trials", [0, -4, True, False, 2.5, 3.0, "3", None])

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from flattori.cyclotomic import CycElt, cyclotomic_polynomial
 from oracles import nullspace, sparse_rref
 
@@ -65,3 +67,37 @@ def test_rref_rank():
             {0: one, 1: CycElt(L, [2]), 2: one}]  # dependent third
     pivots, free = sparse_rref(rows, 3, L)
     assert len(pivots) == 2 and len(free) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CycElt(6.7, [Fraction(1, 10), 1]),
+    lambda: CycElt(6, [0.1, 1]),
+    lambda: CycElt(6, ["1", 0]),
+    lambda: CycElt("6", [1, 0]),
+    lambda: CycElt(0, []),
+    lambda: CycElt(-3, [1, 0]),
+    lambda: CycElt(6, [1, 0, 0]),
+    lambda: CycElt.from_phase(0.5, 2),
+    lambda: CycElt.from_phase(Fraction(1, 6), 6.0),
+    lambda: CycElt.from_phase("1/6", 6),
+    lambda: CycElt.from_phase(0, 0),
+    lambda: CycElt.from_phase(Fraction(1, 3), -3),
+    lambda: CycElt.from_phase(Fraction(1, 4), 6),
+], ids=["float-L", "float-coeff", "str-coeff", "str-L", "zero-L", "negative-L",
+        "wrong-length", "float-phase", "float-L-phase", "str-phase", "zero-L-phase",
+        "negative-L-phase", "phase-outside-field"])
+def test_inexact_or_invalid_input_raises_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_from_phase_stores_the_power_table_row():
+    # the trusted store equals the checked constructor on every root, holds
+    # exact Fractions and returns a fresh element each call
+    for L in (1, 2, 3, 4, 5, 6, 8, 12, 15):
+        for k in range(-L, 2 * L):
+            z = CycElt.from_phase(Fraction(k, L), L)
+            assert z == CycElt(L, z.coeffs) and hash(z) == hash(CycElt(L, z.coeffs))
+            assert type(z.L) is int and all(type(c) is Fraction for c in z.coeffs)
+            assert z is not CycElt.from_phase(Fraction(k, L), L)
+    assert CycElt(True, [Fraction(3)]) == CycElt(1, [3])

@@ -10,7 +10,7 @@ import pytest
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
 from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import IntMatrix, SkewRatForm
-from flattori.nctorus import bundle_of
+from flattori.nctorus import bundle_of, q_theta
 from flattori.projrep import (
     BilinearCocycle,
     ProjectiveRep,
@@ -628,3 +628,114 @@ def test_projective_rep_rejects_non_constant_phases():
     # the corner phase e(-s) of the Rieffel matrix depends on the point
     with pytest.raises(ValueError):
         ProjectiveRep([rieffel_N(3, 1)], BilinearCocycle([[0]]))
+
+
+def test_projective_rep_rejection_names_pair_column_and_exponents():
+    U, V = clock_shift(3, 1)
+    prefix = "generator images do not realize the cocycle's commutation relations: "
+    # V U = e(1/3) U V, so the cocycle of 2/3 fails at its first column
+    with pytest.raises(ValueError) as exc:
+        ProjectiveRep((V, U), BilinearCocycle([[0, 2], [0, 0]], 3))
+    assert str(exc.value) == prefix + (
+        "at (j, i) = (1, 0), column 0: U_1 U_0 has row 2, exponent 2; "
+        "chi(e_1, e_0) U_0 U_1 has row 2, exponent 1 (mod L = 3)")
+    # a clock with two perm entries swapped sends column 0 to different rows
+    W = GenPermPhaseMatrix((0, 2, 1), U.phases)
+    with pytest.raises(ValueError) as exc:
+        ProjectiveRep((V, W), BilinearCocycle([[0, 0], [0, 0]]))
+    assert str(exc.value) == prefix + (
+        "at (j, i) = (1, 0), column 0: U_1 U_0 has row 1, exponent 2; "
+        "chi(e_1, e_0) U_0 U_1 has row 2, exponent 0 (mod L = 3)")
+
+
+def _exponent_check_accepts(gens, cocycle):
+    try:
+        ProjectiveRep(gens, cocycle)
+    except ValueError as exc:
+        assert "commutation relations" in str(exc)
+        return False
+    return True
+
+
+def _commutation_inputs(rng):
+    """Seeded valid (generators, cocycle) pairs: block normal forms with
+    q_theta 2..24 and free directions, bundle_of reps of transported forms,
+    conjugated copies and direct sums."""
+    reps = []
+    for chain in _divisor_chains(24):
+        ps = []
+        for q in chain:
+            p = rng.randrange(1, q)
+            while gcd(p, q) != 1:
+                p = rng.randrange(1, q)
+            ps.append(Fraction(p, q))
+        reps.append(heisenberg_rep(_as_normal_form(ps, 2 * len(chain) + rng.randrange(3))))
+    for trial in range(80):
+        n = 2 + trial % 4
+        theta = oracles.random_skew_rat(rng, n, max_den=6, max_num=6)
+        theta = theta.congruence(oracles.unimodular_sample(n, 6100 + trial, 8))
+        if q_theta(theta) <= 24:
+            reps.append(bundle_of(theta)[2])
+    for rep in list(reps):
+        d = rep.dim
+        perm = list(range(d))
+        rng.shuffle(perm)
+        P = GenPermPhaseMatrix(perm, [AffinePhase((), Fraction(rng.randrange(2 * d), 2 * d))
+                                      for _ in range(d)])
+        conj = ProjectiveRep([P @ g @ P.inverse() for g in rep.gens], rep.cocycle)
+        reps += [conj, oracles.rep_direct_sum(rep, conj)]
+    return [(rep.gens, rep.cocycle) for rep in reps]
+
+
+def test_exponent_commutation_check_matches_matrix_oracle():
+    # valid inputs, and each corrupted three ways: one clock phase shifted by
+    # 1/(2q), two perm entries of one generator swapped, one cocycle entry
+    # changed; the exponent check and the matrix products agree on every one
+    rng = random.Random(1818)
+    verdicts = {True: 0, False: 0}
+    for gens, cocycle in _commutation_inputs(rng):
+        assert _exponent_check_accepts(gens, cocycle)
+        assert oracles.matrix_commutation_holds(gens, bicharacter_of(cocycle))
+        d, n = gens[0].size, len(gens)
+        cases = []
+        j, c = rng.randrange(n), rng.randrange(d)
+        shifted = list(gens[j].phases)
+        shifted[c] = shifted[c] + AffinePhase((), Fraction(1, 2 * d))
+        cases.append((gens[:j] + (GenPermPhaseMatrix(gens[j].perm, shifted),) + gens[j + 1:],
+                      cocycle))
+        if d > 1:
+            j = rng.randrange(n)
+            a, b = rng.sample(range(d), 2)
+            perm = list(gens[j].perm)
+            perm[a], perm[b] = perm[b], perm[a]
+            cases.append((gens[:j] + (GenPermPhaseMatrix(perm, gens[j].phases),) + gens[j + 1:],
+                          cocycle))
+        if n > 1:
+            # the entry moves by 1/ell, or by 1/(2 ell) past the phases' denominators
+            i, k = sorted(rng.sample(range(n), 2))
+            for scale in (1, 2):
+                B = [[x * scale for x in row] for row in cocycle.B.entries]
+                B[i][k] += 1
+                cases.append((gens, BilinearCocycle(B, scale * cocycle.ell)))
+        for bad_gens, bad_cocycle in cases:
+            want = oracles.matrix_commutation_holds(bad_gens, bicharacter_of(bad_cocycle))
+            assert _exponent_check_accepts(bad_gens, bad_cocycle) == want
+            verdicts[want] += 1
+    assert verdicts == {True: 132, False: 924}
+
+
+def test_rep_builders_multiply_no_matrices(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rep builder multiplied matrices")
+
+    monkeypatch.setattr(GenPermPhaseMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(GenPermPhaseMatrix, "scalar_mul", refuse)
+    for q, p in ((1, 0), (3, 1), (6, 4), (5, -2), (12, 7)):
+        assert clock_shift(q, p) == oracles.literal_clock_shift(q, p)
+    for blocks in _chain_norm_forms(12):
+        assert heisenberg_rep(_as_normal_form(blocks, 2 * len(blocks) + 1)).dim == \
+            np.prod([b.denominator for b in blocks])
+    rng = random.Random(77)
+    for trial in range(20):
+        theta = oracles.random_skew_rat(rng, 2 + trial % 3, max_den=4, max_num=4)
+        assert bundle_of(theta)[2].dim == q_theta(theta)
