@@ -4,7 +4,8 @@ matrix-algebra bundles on tori.
 Classes are represented purely by their classifying invariants (base
 dimension, rank/size, and the degree-2 class); total spaces never appear
 here -- the autofactor module holds concrete factor-of-automorphy models
-that cross-check these formulas numerically.
+whose exact clutching twist and omega are an independent route to the
+same invariants.
 """
 
 from __future__ import annotations

@@ -172,7 +172,9 @@ def pullback(c: AltFormZ, P: IntMatrix) -> AltFormZ:
 
 
 def mu_q_image(k: int, q: int) -> RootOfUnity:
-    """Image of an integer under Z -> mu_q, k -> e(k/q)."""
+    """Image of an integer under Z -> mu_q, k -> e(k/q); k and q must be
+    exact integers."""
+    k, q = _int_tuple((k, q))
     if q < 1:
         raise ValueError("q must be >= 1")
     return RootOfUnity(Fraction(k % q, q))

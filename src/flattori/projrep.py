@@ -8,21 +8,24 @@ intertwiner systems X U1 = U2 X have generalized permutation-phase images U,
 so each equation ties two unknowns by a root of unity; they are solved by
 propagating integer phase exponents mod L = lcm(q_i) over the connected
 components of the unknowns, which is exact over Q(zeta_L) without field
-arithmetic.  An intertwiner is verified literally on those exponents, as are
-the commutation relations of every representation, and only converted to a
-Q(zeta_L) matrix when it is returned; field arithmetic is left to the
-determinant test of supports that are not monomial.  No floating point.
+arithmetic.  Two such representations are equivalent exactly when their
+three Hom dimensions agree, because the images generate a finite group.
+An intertwiner is a weighted sum of the Hom components; its support, or
+its determinant mod a prime p = 1 (mod L), proves it invertible, and it is
+verified literally on its (weight, exponent) entries before it is returned
+as a Q(zeta_L) matrix.  The commutation relations of every representation
+are verified on exponents too.  No floating point.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .autofactor import _matrix, _phase
-from .cyclotomic import CycElt
+from .cyclotomic import CycElt, _element, _power_table
 from .exact_linalg import IntMatrix, SkewRatForm, _int_tuple, _lowest_terms, lattice_kernel_mod
 
 
@@ -279,77 +282,114 @@ def commutant_dim(rep: ProjectiveRep) -> int:
     return len(_monomial_solutions(view, view, rep.dim, L))
 
 
-def _cyc_det_nonzero(m) -> bool:
-    d = len(m)
-    a = [row[:] for row in m]
+def _fp_root(L: int, d: int, after: int = 0):
+    """The least prime p > max(2 d, after) with p = 1 (mod L), and g in F_p of
+    exact order L.  Then zeta_L -> g is a ring map Z[zeta_L] -> F_p, and the
+    weights 1..2d stay distinct and nonzero mod p."""
+    m = max(2 * d, after)
+    p = m + 1 + (-m) % L
+    while any(p % k == 0 for k in range(2, isqrt(p) + 1)):
+        p += L
+    primes = [r for r in range(2, L + 1) if L % r == 0 and all(r % k for k in range(2, r))]
+    # F_p^* is cyclic of order p - 1, so some h^((p - 1) / L) has order L
+    roots = (pow(h, (p - 1) // L, p) for h in range(2, p))
+    return p, next(g for g in roots if all(pow(g, L // r, p) != 1 for r in primes))
+
+
+def _det_mod(vec, d: int, L: int, p: int, g: int) -> int:
+    """det X mod p under zeta_L -> g, where X has entry w zeta^e at unknown
+    v = r d + c for each v: (w, e) in vec and zeros elsewhere."""
+    powers = [pow(g, e, p) for e in range(L)]
+    a = [[0] * d for _ in range(d)]
+    for v, (w, e) in vec.items():
+        a[v // d][v % d] = w * powers[e] % p
+    det = 1
     for col in range(d):
-        piv = next((r for r in range(col, d) if not a[r][col].is_zero()), None)
+        piv = next((r for r in range(col, d) if a[r][col]), None)
         if piv is None:
-            return False
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col].inverse()
-        a[col] = [inv * x for x in a[col]]
+            return 0
+        if piv != col:
+            a[col], a[piv], det = a[piv], a[col], -det
+        det = det * a[col][col] % p
+        inv = pow(a[col][col], -1, p)
         for r in range(col + 1, d):
-            if not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x if y.is_zero() else x - f * y for x, y in zip(a[r], a[col])]
-    return True
+            f = a[r][col] * inv % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    return det
 
 
 def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
-    """Exact invertible X with X rep1(g) = rep2(g) X on generators, when the
-    representations are unitarily equivalent; None otherwise.
+    """Exact invertible X with X rep1(g) = rep2(g) X on generators when the
+    representations are equivalent; None exactly when they are not.
 
-    Distinct bicharacters are a contract violation (error), not a negative
-    answer.  For equal-cocycle irreducibles a nonzero solution is invertible
-    by the Schur argument, so the first basis vector of the solution space
-    decides; reducible inputs are probed through pairwise sums of basis
-    vectors.  A support with one entry per row and column is invertible
-    (det = +- a product of roots of unity); any other is eliminated exactly
-    over Q(zeta_L).  The answer is verified on its phase exponents and
-    returned as a matrix over Q(zeta_L).
+    Distinct lattices or bicharacters are a contract violation (error), not
+    a negative answer.  Monomial images with root-of-unity phases generate a
+    finite group, so both representations are semisimple, and they are
+    equivalent exactly when dim Hom(rep1, rep1) = dim Hom(rep1, rep2) =
+    dim Hom(rep2, rep2); each dimension is a count of components of the
+    monomial system.  The certificate is X = sum_i w_i C_i over the
+    components C_i of Hom(rep1, rep2), first with every weight w_i = 1:
+    a support with one entry per row and column is invertible (det = +- a
+    product of roots of unity), any other is proved invertible by
+    det X != 0 in F_p for a prime p = 1 (mod L), p > 2d, with zeta_L sent
+    to an element of order L.  Only when that draw fails are the Hom
+    dimensions compared; when they agree, seeded weights from [1, 2d] are
+    drawn, each at the next such prime, until det X != 0 mod p, and
+    Schwartz-Zippel bounds each failure by 1/2.  X is verified on its
+    (weight, exponent) entries and returned as a matrix over Q(zeta_L).
 
-    Cost: like `commutant_dim`, a system of d^2 unknowns; on the block form
-    with blocks 1/60 and 1/60 this took 17 s with a 134 MB peak at
-    d = 3600, and 0.6 s at d = 900, on 2 shared vCPUs.
+    Cost: one system of d^2 unknowns, and two more when the first draw is
+    not invertible; on the block form with blocks 1/60 and 1/60 one system
+    took 17 s with a 134 MB peak at d = 3600, and 0.6 s at d = 900, on 2
+    shared vCPUs.  A support that is not monomial adds an O(d^3)
+    elimination mod p per draw.
     """
-    if rep1.chi != rep2.chi:
-        raise ValueError("cocycle mismatch: distinct bicharacters")
     if rep1.n != rep2.n:
         raise ValueError("representations of different lattices")
+    if rep1.chi != rep2.chi:
+        raise ValueError("cocycle mismatch: distinct bicharacters")
     if rep1.dim != rep2.dim:
         return None
     d = rep1.dim
     L = lcm(rep1.phase_order(), rep2.phase_order())
     view1, view2 = _exponents(rep1.gens, L), _exponents(rep2.gens, L)
-    basis = _monomial_solutions(view1, view2, d, L)
-    # components are disjoint, so a sum of two is again a phase vector, and
-    # it is 1 at its first nonzero entry (row-major), where a component starts
-    pairs = ({**a, **b} for i, a in enumerate(basis) for b in basis[i + 1:])
-    zero = CycElt.zero(L)
-    for vec in chain(basis, pairs):
-        X = [[zero] * d for _ in range(d)]
-        for v, p in vec.items():
-            X[v // d][v % d] = CycElt.from_phase(Fraction(p, L), L)
-        monomial = (len(vec) == d and len({v // d for v in vec}) == d
-                    and len({v % d for v in vec}) == d)
-        if monomial or _cyc_det_nonzero(X):
-            _verify_intertwiner(vec, view1, view2, d, L)
-            return X
-    return None
+    hom = _monomial_solutions(view1, view2, d, L)
+    vec = {v: (1, e) for comp in hom for v, e in comp.items()}
+    monomial = (len(vec) == d and len({v // d for v in vec}) == d
+                and len({v % d for v in vec}) == d)
+    rng, p = None, 0
+    while not monomial:  # draws until det X != 0 mod p; the first has every weight 1
+        p, g = _fp_root(L, d, p)
+        if _det_mod(vec, d, L, p, g):
+            break
+        if rng is None:
+            if not (len(_monomial_solutions(view1, view1, d, L)) == len(hom)
+                    == len(_monomial_solutions(view2, view2, d, L))):
+                return None
+            rng = random.Random(0)
+        weights = [rng.randint(1, 2 * d) for _ in hom]
+        vec = {v: (w, e) for w, comp in zip(weights, hom) for v, e in comp.items()}
+    _verify_intertwiner(vec, view1, view2, d, L)
+    table, zero = _power_table(L), CycElt.zero(L)
+    X = [[zero] * d for _ in range(d)]
+    for v, (w, e) in vec.items():
+        X[v // d][v % d] = _element(L, table[e] if w == 1 else tuple(w * c for c in table[e]))
+    return X
 
 
 def _verify_intertwiner(vec, view1, view2, d: int, L: int):
-    """X U1 = U2 X for every generator, entry by entry on exponents mod L,
-    where X has entry zeta^p at unknown v = r d + c for each v: p in vec and
-    zeros elsewhere.  U is monomial and vec is a phase vector, so each entry
-    of either side is zero or one root of unity:
-    (X U1)[r, inv1(k)] = zeta^(p + e1[inv1(k)]) and
-    (U2 X)[perm2(k), c] = zeta^(e2[k] + p)."""
-    support = [(v // d, v % d, p) for v, p in vec.items()]
+    """X U1 = U2 X for every generator, entry by entry on (weight, exponent)
+    pairs, where X has entry w zeta^e at unknown v = r d + c for each
+    v: (w, e) in vec and zeros elsewhere.  U is monomial and every weight is
+    a positive integer, so each entry of either side is zero or one
+    w zeta^e, equal to another exactly when both w and e mod L agree:
+    (X U1)[r, inv1(k)] = w zeta^(e + e1[inv1(k)]) and
+    (U2 X)[perm2(k), c] = w zeta^(e2[k] + e)."""
+    support = [(v // d, v % d, w, e) for v, (w, e) in vec.items()]
     for (perm1, e1), (perm2, e2) in zip(view1, view2):
         inv1 = {k: j for j, k in enumerate(perm1)}
-        lhs = {(r, inv1[k]): (p + e1[inv1[k]]) % L for r, k, p in support}
-        rhs = {(perm2[k], c): (e2[k] + p) % L for k, c, p in support}
+        lhs = {(r, inv1[k]): (w, (e + e1[inv1[k]]) % L) for r, k, w, e in support}
+        rhs = {(perm2[k], c): (w, (e2[k] + e) % L) for k, c, w, e in support}
         if lhs != rhs:
             raise AssertionError("intertwiner failed literal verification")

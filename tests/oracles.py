@@ -4,9 +4,11 @@ These deliberately avoid the library's own decision paths: the exhaustive
 oracle enumerates every matrix mod ell with unit determinant +-1 by dense
 numpy enumeration, the orbit walk explores GL(n, Z)-orbits mod ell by
 generators where the library decides from invariants, and index oracles
-enumerate residues directly.  The Q(zeta_L) references (sparse elimination
-and the literal intertwiner check) do field arithmetic where the library
-works on phase exponents.  The clutching twist and omega are computed
+enumerate residues directly.  The Q(zeta_L) references (products,
+differences and inverses of `CycElt`s, which refuse to mix orders L, sparse
+elimination, the determinant and the literal intertwiner check) do field
+arithmetic where the library works on phase exponents and proves
+invertibility by a determinant mod p.  The clutching twist and omega are computed
 from the loop sampled in double precision (`loop_matrices`): the winding
 number of the LU determinants by phase unwrapping, and the special-unitary
 lift stepped one sample at a time, each snapped back to an exact value,
@@ -57,7 +59,7 @@ import numpy as np
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.bundles import classify_projflat, direct_sum_power, line_twist_exists
 from flattori.cohomology import AltFormModQ, AltFormZ
-from flattori.cyclotomic import CycElt
+from flattori.cyclotomic import CycElt, cyclotomic_polynomial
 from flattori.exact_linalg import IntMatrix, inverse_mod, lattice_kernel_mod
 from flattori.nctorus import NCTorusParams, iso_decide, q_theta
 from flattori.projrep import BilinearCocycle, ProjectiveRep
@@ -350,6 +352,96 @@ def random_skew_rat(rng, n, max_den=12, max_num=6):
     return SkewRatForm(m)
 
 
+def _order(a, b) -> int:
+    """The common order L of two elements of Q(zeta_L); distinct orders raise."""
+    if a.L != b.L:
+        raise ValueError(f"elements of Q(zeta_{a.L}) and Q(zeta_{b.L}) do not combine")
+    return a.L
+
+
+def cyc_one(L: int) -> CycElt:
+    return CycElt.from_phase(0, L)
+
+
+def cyc_sub(a: CycElt, b: CycElt) -> CycElt:
+    return CycElt(_order(a, b), [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def cyc_mul(a: CycElt, b: CycElt) -> CycElt:
+    """Product of power-basis vectors, reduced mod the monic Phi_L."""
+    L = _order(a, b)
+    phi = cyclotomic_polynomial(L)
+    deg = len(phi) - 1
+    prod = [Fraction(0)] * (2 * deg - 1) if deg > 0 else []
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    prod[i + j] += x * y
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k]
+        if c:
+            for i in range(deg + 1):
+                prod[k - deg + i] -= c * phi[i]
+    return CycElt(L, prod[:deg])
+
+
+def cyc_inverse(a: CycElt) -> CycElt:
+    """Extended Euclid against Phi_L (irreducible, so gcd is a constant), one
+    leading term at a time, keeping s * a = r (mod Phi_L) and deg s < deg Phi_L."""
+    if a.is_zero():
+        raise ZeroDivisionError("inverse of zero")
+    deg = len(a.coeffs)
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(a.L)], list(a.coeffs)
+    s0, s1 = [Fraction(0)] * deg, [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    while True:
+        while not r1[-1]:
+            r1.pop()
+        if len(r1) == 1:
+            break
+        while len(r0) >= len(r1):  # r0 -= c z^k r1 clears its leading term
+            c, k = r0[-1] / r1[-1], len(r0) - len(r1)
+            for i, x in enumerate(r1):
+                r0[k + i] -= c * x
+            for i, x in enumerate(s1[:deg - k]):
+                s0[k + i] -= c * x
+            while not r0[-1]:
+                r0.pop()
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    out = CycElt(a.L, [x / r1[0] for x in s1])
+    if cyc_mul(out, a) != cyc_one(a.L):
+        raise AssertionError("inverse failed verification")
+    return out
+
+
+def cyc_det(m) -> CycElt:
+    """Determinant of a square matrix of CycElt (d >= 1) by Gaussian
+    elimination over Q(zeta_L)."""
+    L, d = m[0][0].L, len(m)
+    a = [row[:] for row in m]
+    det = cyc_one(L)
+    for col in range(d):
+        piv = next((r for r in range(col, d) if not a[r][col].is_zero()), None)
+        if piv is None:
+            return CycElt.zero(L)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = cyc_sub(CycElt.zero(L), det)
+        det = cyc_mul(det, a[col][col])
+        inv = cyc_inverse(a[col][col])
+        a[col] = [cyc_mul(inv, x) for x in a[col]]
+        for r in range(col + 1, d):
+            if not a[r][col].is_zero():
+                f = a[r][col]
+                a[r] = [x if y.is_zero() else cyc_sub(x, cyc_mul(f, y))
+                        for x, y in zip(a[r], a[col])]
+    return det
+
+
+def cyc_det_nonzero(m) -> bool:
+    return not cyc_det(m).is_zero()
+
+
 def sparse_rref(rows, nvars: int, L: int):
     """Reduced row echelon form of a sparse system over Q(zeta_L).
 
@@ -370,7 +462,7 @@ def sparse_rref(rows, nvars: int, L: int):
             for c, v in pivots[hit].items():
                 if c == hit:
                     continue
-                acc = row.get(c, CycElt.zero(L)) - f * v
+                acc = cyc_sub(row.get(c, CycElt.zero(L)), cyc_mul(f, v))
                 if acc.is_zero():
                     row.pop(c, None)
                 else:
@@ -378,9 +470,9 @@ def sparse_rref(rows, nvars: int, L: int):
         if not row:
             continue
         pc = min(row)
-        inv = row[pc].inverse()
-        newrow = {c: inv * v for c, v in row.items()}
-        newrow[pc] = CycElt.one(L)
+        inv = cyc_inverse(row[pc])
+        newrow = {c: cyc_mul(inv, v) for c, v in row.items()}
+        newrow[pc] = cyc_one(L)
         # eliminate the new pivot column from the stored pivot rows
         for orow in pivots.values():
             if pc in orow:
@@ -388,7 +480,7 @@ def sparse_rref(rows, nvars: int, L: int):
                 for c, v in newrow.items():
                     if c == pc:
                         continue
-                    acc = orow.get(c, CycElt.zero(L)) - f * v
+                    acc = cyc_sub(orow.get(c, CycElt.zero(L)), cyc_mul(f, v))
                     if acc.is_zero():
                         orow.pop(c, None)
                     else:
@@ -405,11 +497,11 @@ def nullspace(rows, nvars: int, L: int):
     basis = []
     for f in free:
         vec = [CycElt.zero(L)] * nvars
-        vec[f] = CycElt.one(L)
+        vec[f] = cyc_one(L)
         for pc, row in pivots.items():
             v = row.get(f)
             if v is not None:
-                vec[pc] = CycElt.zero(L) - v
+                vec[pc] = cyc_sub(CycElt.zero(L), v)
         basis.append(vec)
     return basis
 
@@ -425,8 +517,8 @@ def cyc_intertwines(X, rep1, rep2, L):
         inv1 = {p: j for j, p in enumerate(g1.perm)}
         u1 = [CycElt.from_phase(ph.const, L) for ph in g1.phases]
         u2 = [CycElt.from_phase(ph.const, L) for ph in g2.phases]
-        lhs = {(r, inv1[k]): x * u1[inv1[k]] for r, k, x in support}
-        rhs = {(g2.perm[k], c): u2[k] * x for k, c, x in support}
+        lhs = {(r, inv1[k]): cyc_mul(x, u1[inv1[k]]) for r, k, x in support}
+        rhs = {(g2.perm[k], c): cyc_mul(u2[k], x) for k, c, x in support}
         if lhs != rhs:
             return False
     return True

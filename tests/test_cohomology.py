@@ -16,6 +16,7 @@ from flattori.cohomology import (
     pullback,
     wedge,
 )
+from flattori.bundles import tw_to_omega
 from flattori.exact_linalg import IntMatrix
 
 
@@ -159,6 +160,16 @@ def test_root_of_unity_takes_exact_phases_only():
             RootOfUnity(phase)
     assert RootOfUnity(Fraction(4, 3)) == RootOfUnity(Fraction(1, 3))
     assert RootOfUnity(-2) == RootOfUnity.one()
+
+
+def test_mu_q_image_takes_exact_integers_only():
+    # used to raise TypeError from Fraction on a float k or q
+    for k, q in [(1.5, 3), (1, 3.0), (Fraction(1, 2), 3), ("1", 3)]:
+        with pytest.raises(ValueError):
+            mu_q_image(k, q)
+    with pytest.raises(ValueError):
+        tw_to_omega(1.5, 3)
+    assert mu_q_image(True, 3) == mu_q_image(1, 3)
 
 
 def test_altformmodq_validation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flattori.cyclotomic import CycElt, cyclotomic_polynomial
-from oracles import nullspace, sparse_rref
+from oracles import cyc_det, cyc_inverse, cyc_mul, cyc_one, cyc_sub, nullspace, sparse_rref
 
 
 def test_cyclotomic_polynomials():
@@ -22,15 +22,15 @@ def test_roots_multiply():
             for b in range(L):
                 za = CycElt.from_phase(Fraction(a, L), L)
                 zb = CycElt.from_phase(Fraction(b, L), L)
-                assert za * zb == CycElt.from_phase(Fraction(a + b, L), L)
+                assert cyc_mul(za, zb) == CycElt.from_phase(Fraction(a + b, L), L)
 
 
 def test_root_of_unity_order():
     z = CycElt.from_phase(Fraction(1, 5), 5)
-    p = CycElt.one(5)
+    p = cyc_one(5)
     for _ in range(5):
-        p = p * z
-    assert p == CycElt.one(5)
+        p = cyc_mul(p, z)
+    assert p == cyc_one(5)
 
 
 def test_inverse():
@@ -42,24 +42,36 @@ def test_inverse():
             x = CycElt(L, coeffs)
             if x.is_zero():
                 continue
-            assert x * x.inverse() == CycElt.one(L)
+            assert cyc_mul(x, cyc_inverse(x)) == cyc_one(L)
+
+
+def test_arithmetic_refuses_distinct_orders():
+    # used to return an element of the left operand's order (a * b) or zero (a - b)
+    a, b = CycElt.from_phase(Fraction(1, 3), 3), CycElt.from_phase(Fraction(1, 5), 5)
+    for op in (cyc_mul, cyc_sub):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
+    with pytest.raises(ValueError):
+        cyc_det([[a, b], [b, a]])
 
 
 def test_nullspace_simple():
     L = 4
-    one = CycElt.one(L)
+    one = cyc_one(L)
     i = CycElt.from_phase(Fraction(1, 4), L)
     # x0 + i*x1 = 0, over 3 variables -> 2-dim solution space
     rows = [{0: one, 1: i}]
     basis = nullspace(rows, 3, L)
     assert len(basis) == 2
     for vec in basis:
-        assert vec[0] == CycElt.zero(L) - i * vec[1]
+        assert vec[0] == cyc_sub(CycElt.zero(L), cyc_mul(i, vec[1]))
 
 
 def test_rref_rank():
     L = 1
-    one = CycElt.one(L)
+    one = cyc_one(L)
     rows = [{0: one, 1: one}, {1: one, 2: one}, {0: one, 2: one}]
     pivots, free = sparse_rref(rows, 3, L)
     assert len(pivots) == 3  # over Q these three are independent
@@ -83,9 +95,11 @@ def test_rref_rank():
     lambda: CycElt.from_phase(0, 0),
     lambda: CycElt.from_phase(Fraction(1, 3), -3),
     lambda: CycElt.from_phase(Fraction(1, 4), 6),
+    lambda: CycElt.zero(0),
+    lambda: CycElt.zero(6.0),
 ], ids=["float-L", "float-coeff", "str-coeff", "str-L", "zero-L", "negative-L",
         "wrong-length", "float-phase", "float-L-phase", "str-phase", "zero-L-phase",
-        "negative-L-phase", "phase-outside-field"])
+        "negative-L-phase", "phase-outside-field", "zero-L-zero", "float-L-zero"])
 def test_inexact_or_invalid_input_raises_value_error(build):
     with pytest.raises(ValueError):
         build()

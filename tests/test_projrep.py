@@ -8,7 +8,7 @@ import oracles
 import pytest
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
-from flattori.cyclotomic import CycElt
+from flattori.cyclotomic import CycElt, _power_table
 from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import bundle_of, q_theta
 from flattori.projrep import (
@@ -24,12 +24,22 @@ from flattori.projrep import (
 )
 from flattori.projrep import (
     _clock_shift_words,
-    _cyc_det_nonzero,
+    _det_mod,
     _exponents,
+    _fp_root,
     _monomial_solutions,
     _verify_intertwiner,
 )
-from oracles import RatMatrix, cyc_intertwines, sparse_rref
+from oracles import (
+    RatMatrix,
+    cyc_det,
+    cyc_det_nonzero,
+    cyc_intertwines,
+    cyc_mul,
+    cyc_one,
+    cyc_sub,
+    sparse_rref,
+)
 
 
 def skew2(x):
@@ -394,7 +404,7 @@ def rref_intertwiner_dim(rep1, rep2):
             for c in range(d):
                 row = {r * d + g1.perm[c]: u1[c]}
                 v2 = inv2[r] * d + c
-                row[v2] = row.get(v2, CycElt.zero(L)) - u2[inv2[r]]
+                row[v2] = cyc_sub(row.get(v2, CycElt.zero(L)), u2[inv2[r]])
                 rows.append(row)
     pivots, _ = sparse_rref(rows, d * d, L)
     return d * d - len(pivots)
@@ -408,10 +418,11 @@ def monomial_dim(rep1, rep2):
 
 def checked_intertwiner(rep1, rep2):
     """intertwiner, with every X it returns checked by the literal Q(zeta_L)
-    reference."""
+    references: it intertwines, and its field determinant is nonzero."""
     X = intertwiner(rep1, rep2)
     if X is not None:
         assert cyc_intertwines(X, rep1, rep2, lcm(rep1.phase_order(), rep2.phase_order()))
+        assert not X or cyc_det_nonzero(X)
     return X
 
 
@@ -448,10 +459,8 @@ def test_scalar_twist_of_clock(phase, equivalent):
     assert numpy_commutant_dim(both) == want
     assert monomial_dim(rep, twist) == rref_intertwiner_dim(rep, twist) == int(equivalent)
     assert (checked_intertwiner(rep, twist) is not None) == equivalent
-    # reducible: no single basis vector of the solution space is invertible,
-    # the block swap is found among the pairwise sums
-    X = checked_intertwiner(both, oracles.rep_direct_sum(twist, rep))
-    assert X is not None and _cyc_det_nonzero(X)
+    # reducible: no single basis vector of the solution space is invertible
+    assert checked_intertwiner(both, oracles.rep_direct_sum(twist, rep)) is not None
 
 
 def test_random_monomial_conjugations():
@@ -482,7 +491,7 @@ def test_random_monomial_conjugations():
 
 def test_intertwiner_non_monomial_support():
     # diag(1, -1) and the swap are conjugate by [[1, 1], [1, -1]]: every
-    # solution has full columns, so the answer comes through elimination
+    # solution has full columns, so the answer is certified by det = -2 mod p
     flat = BilinearCocycle([[0]])
     half = Fraction(1, 2)
     U = GenPermPhaseMatrix((0, 1), [AffinePhase((), 0), AffinePhase((), half)])
@@ -490,22 +499,28 @@ def test_intertwiner_non_monomial_support():
     swap = ProjectiveRep([GenPermPhaseMatrix((1, 0), [AffinePhase((), 0)] * 2)], flat)
     assert monomial_dim(diag, swap) == rref_intertwiner_dim(diag, swap) == 2
     assert commutant_dim(swap) == numpy_commutant_dim(swap) == 2
-    one, minus = CycElt.one(2), CycElt.from_phase(half, 2)
+    one, minus = cyc_one(2), CycElt.from_phase(half, 2)
     assert checked_intertwiner(diag, swap) == [[one, one], [one, minus]]
+    p, g = _fp_root(2, 2)
+    assert _det_mod({0: (1, 0), 1: (1, 0), 2: (1, 0), 3: (1, 1)}, 2, 2, p, g) == -2 % p
 
 
 def test_verify_intertwiner_rejects_non_solutions():
-    # candidates are {r d + c: exponent of X[r, c]}, zeros elsewhere
+    # candidates are {r d + c: (w, e)} for X[r, c] = w zeta^e, zeros elsewhere
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
     L = rep.phase_order()
     view = _exponents(rep.gens, L)
-    _verify_intertwiner({0: 0, 4: 0, 8: 0}, view, view, 3, L)
+    _verify_intertwiner({0: (1, 0), 4: (1, 0), 8: (1, 0)}, view, view, 3, L)
+    _verify_intertwiner({0: (5, 2), 4: (5, 2), 8: (5, 2)}, view, view, 3, L)
     # diag(1, 1, zeta): commutes with the clock U but not with the shift V
     with pytest.raises(AssertionError):
-        _verify_intertwiner({0: 0, 4: 0, 8: 1}, view, view, 3, L)
+        _verify_intertwiner({0: (1, 0), 4: (1, 0), 8: (1, 1)}, view, view, 3, L)
+    # diag(1, 1, 2): the same, through a weight
+    with pytest.raises(AssertionError):
+        _verify_intertwiner({0: (1, 0), 4: (1, 0), 8: (2, 0)}, view, view, 3, L)
     # a single nonzero entry: the zero pattern of X U differs from U X
     with pytest.raises(AssertionError):
-        _verify_intertwiner({0: 0}, view, view, 3, L)
+        _verify_intertwiner({0: (1, 0)}, view, view, 3, L)
 
 
 def _exponent_verifier_accepts(vec, rep1, rep2, L):
@@ -518,10 +533,12 @@ def _exponent_verifier_accepts(vec, rep1, rep2, L):
 
 
 def test_exponent_verifier_matches_field_reference():
-    # true solutions (every basis vector and pairwise sum of the monomial
-    # system) and each of them with one entry's exponent shifted; for the
-    # commutant, also the generator images, each of which commutes with
-    # some generators and not with its partner in the block
+    # true solutions (every basis vector, and pairwise sums with seeded
+    # weights, of the monomial system) and each of them with one entry's
+    # exponent shifted and with one entry's weight changed in a component of
+    # two or more entries; for the commutant, also the generator images,
+    # each of which commutes with some generators and not with its partner
+    # in the block
     rng = random.Random(57)
     checked = 0
     for blocks in _chain_norm_forms(12):
@@ -538,19 +555,31 @@ def test_exponent_verifier_matches_field_reference():
             size = rep1.dim
             basis = _monomial_solutions(_exponents(rep1.gens, L), _exponents(rep2.gens, L),
                                         size, L)
-            solutions = basis + [{**a, **b} for i, a in enumerate(basis) for b in basis[i + 1:]]
-            cases = [(vec, True) for vec in solutions]
-            for vec in solutions:
+            solutions = [({v: (1, e) for v, e in a.items()}, a) for a in basis]
+            for i, a in enumerate(basis):
+                for b in basis[i + 1:]:
+                    wa, wb = rng.randint(1, 2 * size), rng.randint(1, 2 * size)
+                    solutions.append(({**{v: (wa, e) for v, e in a.items()},
+                                       **{v: (wb, e) for v, e in b.items()}},
+                                      a if len(a) > 1 else b))
+            cases = [(vec, True) for vec, _ in solutions]
+            for vec, comp in solutions:
                 v = rng.choice(sorted(vec))
-                cases.append(({**vec, v: (vec[v] + rng.randrange(1, L)) % L}, False))
+                w, e = vec[v]
+                cases.append(({**vec, v: (w, (e + rng.randrange(1, L)) % L)}, False))
+                if len(comp) > 1:
+                    v = rng.choice(sorted(comp))
+                    w, e = vec[v]
+                    cases.append(({**vec, v: (w + rng.randint(1, 3), e)}, False))
             if rep2 is rep:
-                cases += [({image[c] * d + c: e for c, e in enumerate(exps)}, False)
+                cases += [({image[c] * d + c: (1, e) for c, e in enumerate(exps)}, False)
                           for image, exps in _exponents(rep.gens, L)]
             zero = CycElt.zero(L)
             for vec, want in cases:
                 X = [[zero] * size for _ in range(size)]
-                for v, p in vec.items():
-                    X[v // size][v % size] = CycElt.from_phase(Fraction(p, L), L)
+                for v, (w, e) in vec.items():
+                    z = CycElt.from_phase(Fraction(e, L), L)
+                    X[v // size][v % size] = CycElt(L, [w * c for c in z.coeffs])
                 assert _exponent_verifier_accepts(vec, rep1, rep2, L) == want
                 assert cyc_intertwines(X, rep1, rep2, L) == want
                 checked += 1
@@ -558,13 +587,17 @@ def test_exponent_verifier_matches_field_reference():
 
 
 def test_cyc_det_nonzero_non_monomial():
+    # the field reference and the mod-p determinant on {r d + c: (w, e)}
     L = 3
-    one, zero = CycElt.one(L), CycElt.zero(L)
+    one, zero = cyc_one(L), CycElt.zero(L)
     z = CycElt.from_phase(Fraction(1, 3), L)
     # row 1 is z times row 0
-    singular = [[one, z, zero], [z, z * z, zero], [zero, zero, one]]
-    assert not _cyc_det_nonzero(singular)
-    assert _cyc_det_nonzero([[one, z, zero], [z, one, zero], [zero, zero, one]])
+    singular = [[one, z, zero], [z, cyc_mul(z, z), zero], [zero, zero, one]]
+    assert not cyc_det_nonzero(singular)
+    assert cyc_det_nonzero([[one, z, zero], [z, one, zero], [zero, zero, one]])
+    p, g = _fp_root(L, 3)
+    assert _det_mod({0: (1, 0), 1: (1, 1), 3: (1, 1), 4: (1, 2), 8: (1, 0)}, 3, L, p, g) == 0
+    assert _det_mod({0: (1, 0), 1: (1, 1), 3: (1, 1), 4: (1, 0), 8: (1, 0)}, 3, L, p, g) != 0
 
 
 def test_intertwiner_self_is_identity():
@@ -574,7 +607,7 @@ def test_intertwiner_self_is_identity():
     L = rep.phase_order()
     for r in range(3):
         for c in range(3):
-            want = CycElt.one(L) if r == c else CycElt.zero(L)
+            want = cyc_one(L) if r == c else CycElt.zero(L)
             assert X[r][c] == want
 
 
@@ -592,10 +625,10 @@ def test_intertwiner_recovers_permutation():
     L = rep.phase_order()
     expect = [[CycElt.zero(L)] * 3 for _ in range(3)]
     for j in range(3):
-        expect[P.perm[j]][j] = CycElt.one(L)
+        expect[P.perm[j]][j] = cyc_one(L)
     # normalized at the first nonzero entry, the permutation comes back
     lead = next(x for row in X for x in row if not x.is_zero())
-    assert lead == CycElt.one(L)
+    assert lead == cyc_one(L)
     assert X == expect
 
 
@@ -604,6 +637,140 @@ def test_intertwiner_errors_on_distinct_bicharacters():
     r2 = heisenberg_rep(skew2(Fraction(1, 5)))
     with pytest.raises(ValueError):
         intertwiner(r1, r2)
+
+
+def test_intertwiner_errors_name_lattices_before_bicharacters():
+    r2 = heisenberg_rep(skew2(Fraction(1, 3)))
+    r4 = heisenberg_rep(blocks4(Fraction(1, 3), Fraction(1, 5)))
+    with pytest.raises(ValueError, match="representations of different lattices"):
+        intertwiner(r2, r4)
+    with pytest.raises(ValueError, match="cocycle mismatch: distinct bicharacters"):
+        intertwiner(r2, heisenberg_rep(skew2(Fraction(1, 5))))
+
+
+def _rho_tau():
+    """The 1/3 clock/shift pair rho, and tau: rho with U twisted by e(1/6)."""
+    rho = heisenberg_rep(skew2(Fraction(1, 3)))
+    V, U = rho.gens
+    return rho, ProjectiveRep((V, U.scalar_mul(AffinePhase((), Fraction(1, 6)))), rho.cocycle)
+
+
+def _sum_of(reps):
+    out = reps[0]
+    for rep in reps[1:]:
+        out = oracles.rep_direct_sum(out, rep)
+    return out
+
+
+def test_intertwiner_of_three_summands():
+    # the weight-1 sum of the components is singular in both cases, so the
+    # answer needs the Hom dimensions and a seeded redraw
+    rho, tau = _rho_tau()
+    three = _sum_of([rho, rho, rho])
+    assert checked_intertwiner(three, three) is not None
+    assert checked_intertwiner(_sum_of([rho, rho, tau]), _sum_of([tau, rho, rho])) is not None
+
+
+def test_intertwiner_decision_matches_numpy_hom_dims():
+    # every ordering of 1..4 summands from {rho, tau}, pairwise within each
+    # length: X exists exactly when the three Hom dimensions agree
+    rho, tau = _rho_tau()
+    positives = 0
+    for k in range(1, 5):
+        reps = [_sum_of(word) for word in product((rho, tau), repeat=k)]
+        ends = [numpy_commutant_dim(rep) for rep in reps]
+        for i, j in product(range(len(reps)), repeat=2):
+            equivalent = ends[i] == numpy_commutant_dim(reps[i], reps[j]) == ends[j]
+            assert (checked_intertwiner(reps[i], reps[j]) is not None) == equivalent
+            positives += equivalent
+    # equivalent exactly when both words hold as many taus: sum_k sum_j C(k, j)^2
+    assert positives == 2 + 6 + 20 + 70
+
+
+def test_fp_root_has_exact_order():
+    for L in range(1, 121):
+        primes = [r for r in range(2, L + 1) if L % r == 0 and all(r % k for k in range(2, r))]
+        for d in (1, 7, 60):
+            first, _ = _fp_root(L, d)
+            for after in (0, first):
+                p, g = _fp_root(L, d, after)
+                assert p > max(2 * d, after) and (p - 1) % L == 0
+                assert all(p % k for k in range(2, p))
+                assert pow(g, L, p) == 1
+                assert all(pow(g, L // r, p) != 1 for r in primes)
+
+
+def test_det_mod_matches_field_determinant():
+    # seeded weighted X = (w zeta^e) on random supports, some with a repeated
+    # row; the field determinant maps to F_p by zeta_L -> g
+    rng = random.Random(19)
+    zeros = 0
+    for trial in range(300):
+        L, d = rng.choice((1, 2, 3, 4, 5, 6, 8, 12)), rng.randint(1, 5)
+        vec = {v: (rng.randint(1, 2 * d), rng.randrange(L)) for v in range(d * d)
+               if rng.random() < 0.6}
+        if d > 1 and trial % 4 == 0:
+            vec = {v: x for v, x in vec.items() if v >= d}
+            vec.update({v - d: x for v, x in vec.items() if v < 2 * d})
+        X = [[CycElt.zero(L)] * d for _ in range(d)]
+        for v, (w, e) in vec.items():
+            X[v // d][v % d] = CycElt(L, [w * c for c in _power_table(L)[e]])
+        det = cyc_det(X)
+        p, g = _fp_root(L, d, rng.randrange(200))
+        want = sum(c.numerator * pow(c.denominator, -1, p) * pow(g, k, p)
+                   for k, c in enumerate(det.coeffs)) % p
+        assert _det_mod(vec, d, L, p, g) == want
+        zeros += det.is_zero()
+    assert 20 < zeros < 280
+
+
+def test_intertwiner_redraws_at_the_next_prime(monkeypatch):
+    # a determinant that reads 0 on the first three draws: the first draw has
+    # every weight 1, each redraw takes seeded weights from [1, 2d] at the
+    # next prime p = 1 (mod L)
+    import flattori.projrep as projrep
+
+    rho, tau = _rho_tau()
+    rep1, rep2 = _sum_of([rho, rho, tau]), _sum_of([tau, rho, rho])
+    draws = []
+
+    def failing(vec, d, L, p, g):
+        draws.append((sorted({w for w, _ in vec.values()}), p, L, d))
+        return 0 if len(draws) <= 3 else _det_mod(vec, d, L, p, g)
+
+    monkeypatch.setattr(projrep, "_det_mod", failing)
+    assert checked_intertwiner(rep1, rep2) is not None
+    assert len(draws) == 4 and draws[0][0] == [1]
+    primes = [p for _, p, _, _ in draws]
+    assert primes == sorted(set(primes))
+    for weights, p, L, d in draws:
+        assert (p - 1) % L == 0 and p > 2 * d and 1 <= min(weights) <= max(weights) <= 2 * d
+    assert any(weights != [1] for weights, _, _, _ in draws[1:])
+
+
+def test_intertwiner_fast_path_for_one_monomial_component(monkeypatch):
+    # a conjugated irreducible: one propagation, no determinant, no random
+    # draw, and each entry stored as its power-table row
+    import flattori.projrep as projrep
+
+    rep = heisenberg_rep(blocks4(Fraction(1, 2), Fraction(1, 4)))
+    conj, _ = _conjugate_by_perm(rep, tuple(range(1, rep.dim)) + (0,))
+    propagations = []
+
+    def counted(*args):
+        propagations.append(args)
+        return _monomial_solutions(*args)
+
+    def refuse(*args):
+        raise AssertionError("the fast path drew or eliminated")
+
+    monkeypatch.setattr(projrep, "_monomial_solutions", counted)
+    monkeypatch.setattr(projrep, "_det_mod", refuse)
+    monkeypatch.setattr(projrep.random, "Random", refuse)
+    X = intertwiner(rep, conj)
+    assert len(propagations) == 1
+    table = _power_table(lcm(rep.phase_order(), conj.phase_order()))
+    assert all(any(x.coeffs is t for t in table) for row in X for x in row if not x.is_zero())
 
 
 def test_intertwiner_exists_for_equal_cocycle_pairs():
