@@ -57,6 +57,7 @@ from .nctorus import (
     NormalFormResult,
     bundle_of,
     c1_of_E_theta,
+    clock_shift_rep,
     iso_decide,
     normal_form,
     q_theta,

@@ -159,9 +159,6 @@ class GenPermPhaseMatrix:
     def translate(self, gamma) -> "GenPermPhaseMatrix":
         return _matrix(self.perm, tuple(p.translate(gamma) for p in self.phases))
 
-    def scalar_mul(self, phase: AffinePhase) -> "GenPermPhaseMatrix":
-        return _matrix(self.perm, tuple(p + phase for p in self.phases))
-
     def det(self) -> AffinePhase:
         """Permutation sign (as a half-integer constant) times all phases."""
         return sum(self.phases, _phase(2, (0,) * self.dim, _perm_parity(self.perm)))

@@ -23,6 +23,7 @@ from .cohomology import (
     fundamental_pairing_modq,
     mu_q_image,
 )
+from .exact_linalg import _int_tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,6 +36,8 @@ class VectorBundleClass:
     c1: AltFormZ
 
     def __post_init__(self):
+        for name, value in zip(("n", "rank"), _int_tuple((self.n, self.rank))):
+            object.__setattr__(self, name, value)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.c1.n != self.n:
@@ -51,6 +54,8 @@ class MatrixBundleClass:
     beta: AltFormModQ
 
     def __post_init__(self):
+        for name, value in zip(("n", "size"), _int_tuple((self.n, self.size))):
+            object.__setattr__(self, name, value)
         if self.size < 1:
             raise ValueError("size must be >= 1")
         if self.beta.modulus != self.size:

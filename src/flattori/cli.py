@@ -4,11 +4,12 @@ Every subcommand delegates to the library operation of the same name.  The
 text protocol is exact: integers and p/q literals only, ASCII only, and
 identical invocations produce byte-identical output.  Floating point appears
 nowhere.  `twist`/`omega --method clutching` read the concrete clutching
-loop of the factor of automorphy instead of the class formula.
+loop of the factor of automorphy instead of the class formula.  `rep` prints
+theta's own representation, `nctorus.clock_shift_rep` (the rows of T^-1).
 
 Exit codes: 0 success, 1 negative decision, 2 usage or parse error (an
 out-of-range option, an empty `table` range or a `rep` dimension above
-REP_DIM_LIMIT included) or a file that cannot be opened.
+projrep.REP_DIM_LIMIT included) or a file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
-from . import autofactor, bundles, nctorus, projrep
+from . import autofactor, bundles, nctorus
 from .cohomology import REVERSED, STANDARD, AltFormModQ, AltFormZ
 from .exact_linalg import IntMatrix
+from .projrep import REP_DIM_LIMIT
 from .textio import (
     MatrixFormatError,
     dump_matrix,
@@ -35,10 +36,6 @@ from .textio import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-
-# largest q_theta that `rep` builds: it prints q_theta phases per generator,
-# about 1 s and 10 MB at the limit on a 2-vCPU host
-REP_DIM_LIMIT = 10_000
 
 
 def _records(obj) -> str:
@@ -61,6 +58,11 @@ def _rows(M) -> list[str]:
     return [" ".join(str(x) for x in row) for row in M.entries]
 
 
+def _blocks(nf) -> list[str]:
+    """The normal-form blocks (q, p) as p/q literals, p alone when q = 1."""
+    return [f"{p}/{q}" if q > 1 else str(p) for q, p in nf.blocks]
+
+
 def cmd_q_theta(args) -> int:
     theta = load_skew(args.theta)
     q = nctorus.q_theta(theta)
@@ -73,11 +75,11 @@ def cmd_normal_form(args) -> int:
     nf = nctorus.normal_form(theta)
     rec = {
         "T": dump_matrix(nf.T),
-        "blocks": [str(b) for b in nf.blocks],
+        "blocks": _blocks(nf),
         "free_rank": nf.free_rank,
     }
     human = [
-        "blocks: " + (" ".join(str(b) for b in nf.blocks) if nf.blocks else "(none)"),
+        "blocks: " + (" ".join(_blocks(nf)) or "(none)"),
         f"free_rank: {nf.free_rank}",
         "T:",
     ] + _rows(nf.T)
@@ -165,20 +167,17 @@ def cmd_cocycle_check(args) -> int:
 def cmd_rep(args) -> int:
     theta = load_skew(args.theta)
     nf = nctorus.normal_form(theta)
-    dim = math.prod(b.denominator for b in nf.blocks)  # q_theta
-    if dim > REP_DIM_LIMIT:
-        raise ValueError(f"q_theta = {dim} exceeds the rep limit {REP_DIM_LIMIT}")
-    rep = projrep.heisenberg_rep(nf.block_form())
+    rep = nctorus.clock_shift_rep(theta, nf)
     rec = {
         "dim": rep.dim,
-        "blocks": [str(b) for b in nf.blocks],
+        "blocks": _blocks(nf),
         "generators": [
             {"index": i, "perm": perm, "phases": phases}
             for i, perm, phases in rep.records()
         ],
     }
     human = [f"dim: {rep.dim}",
-             "blocks: " + (" ".join(str(b) for b in nf.blocks) if nf.blocks else "(none)")]
+             "blocks: " + (" ".join(_blocks(nf)) or "(none)")]
     for i, perm, phases in rep.records():
         human.append(f"U{i}: perm={','.join(map(str, perm))} "
                      f"phases={','.join(phases)}")
@@ -279,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rep", help="clock/shift projective representation of theta",
                        description="The irreducible clock/shift representation of theta, "
-                                   f"of dimension q_theta; q_theta > {REP_DIM_LIMIT} "
-                                   "is refused (exit 2).")
+                                   "of dimension q_theta, from the rows of T^-1 for its "
+                                   f"normal form T; q_theta > {REP_DIM_LIMIT} is refused "
+                                   "(exit 2).")
     p.add_argument("--theta", required=True)
     p.set_defaults(func=cmd_rep)
 

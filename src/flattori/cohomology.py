@@ -67,6 +67,7 @@ class AltFormModQ:
     mat: IntMatrix
 
     def __init__(self, mat, modulus: int):
+        (modulus,) = _int_tuple((modulus,))
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         if not isinstance(mat, IntMatrix):

@@ -87,15 +87,6 @@ class CycElt:
         (L,) = _int_tuple((L,))
         return _element(L, (Fraction(0),) * (len(cyclotomic_polynomial(L)) - 1))
 
-    @classmethod
-    def from_phase(cls, phase: Fraction, L: int) -> "CycElt":
-        """The root of unity e(phase) as an element; phase * L must be integral."""
-        (L,) = _int_tuple((L,))
-        k = _rational(phase) * L
-        if k.denominator != 1:
-            raise ValueError(f"e({phase}) does not lie in Q(zeta_{L})")
-        return _element(L, _power_table(L)[k.numerator % L])
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 

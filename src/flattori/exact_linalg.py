@@ -411,6 +411,7 @@ def lattice_kernel_mod(M: IntMatrix, ell: int):
 
     Smith-based: with U M V = D the lattice is V * diag(ell/gcd(d_i, ell)) Z^n.
     """
+    (ell,) = _int_tuple((ell,))
     if ell <= 0:
         raise ValueError("modulus must be positive")
     if M.rows != M.cols:

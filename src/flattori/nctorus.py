@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .bundles import classify_projflat, endo
@@ -54,12 +53,13 @@ from .cohomology import AltFormZ
 from .exact_linalg import (
     IntMatrix,
     SkewRatForm,
+    _int_tuple,
     inverse_mod,
     lift_unimodular_mod,
     smith_normal_form,
     symplectic_normal_form,
 )
-from .projrep import BilinearCocycle, ProjectiveRep, _clock_shift_words, radical
+from .projrep import ProjectiveRep, _clock_shift_rep, _normal_form_blocks, radical
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ class NCTorusParams:
     m: int = 1
 
     def __post_init__(self):
+        for name, value in zip(("n", "m"), _int_tuple((self.n, self.m))):
+            object.__setattr__(self, name, value)
         if self.theta.n != self.n:
             raise ValueError("theta size does not match n")
         if self.m < 1:
@@ -80,25 +82,12 @@ class NCTorusParams:
 @dataclass(frozen=True)
 class NormalFormResult:
     """Certificate T with T theta T^t = [[0, D, 0], [-D, 0, 0], [0, 0, 0]],
-    D = diag(blocks) in lowest terms, denominators ascending in divisibility."""
+    D = diag(p_t / q_t) for the blocks, integer pairs (q_t, p_t) in lowest
+    terms with q_1 | q_2 | ...; prod q_t = q_theta."""
 
     T: IntMatrix
     blocks: tuple
     free_rank: int
-
-    @property
-    def n(self) -> int:
-        return self.T.rows
-
-    def block_form(self) -> SkewRatForm:
-        n = self.n
-        k = len(self.blocks)
-        ell = lcm(1, *(b.denominator for b in self.blocks))
-        m = [[0] * n for _ in range(n)]
-        for i, b in enumerate(self.blocks):
-            m[i][k + i] = s = b.numerator * (ell // b.denominator)
-            m[k + i][i] = -s
-        return SkewRatForm(IntMatrix(m), ell)
 
 
 def q_theta(theta: SkewRatForm) -> int:
@@ -126,24 +115,23 @@ def q_theta(theta: SkewRatForm) -> int:
 def normal_form(theta: SkewRatForm) -> NormalFormResult:
     """GL(n, Z) block normal form of a rational skew form.
 
-    Blocks are e_i / ell in lowest terms for the alternating divisor chain
-    of ell * theta, emitted with ascending denominators (reversed divisor
-    order); the certificate is checked literally before returning."""
+    Blocks are (ell / g, e / g), g = gcd(e, ell), for the alternating
+    divisors e of ell * theta in reversed order, so the q_t ascend in
+    divisibility.  The certificate is checked literally before returning:
+    T theta T^t, read by `projrep._normal_form_blocks`, gives the same pairs."""
     n, ell = theta.n, theta.ell
     nf = symplectic_normal_form(theta.S)
     k = len(nf.divisors)
     order = range(k - 1, -1, -1)
     perm_rows = [2 * t for t in order] + [2 * t + 1 for t in order] + list(range(2 * k, n))
-    P = IntMatrix([[int(c == r) for c in range(n)] for r in perm_rows])
-    T = P @ nf.T
-    blocks = tuple(Fraction(nf.divisors[t], ell) for t in order)
-    result = NormalFormResult(T=T, blocks=blocks, free_rank=n - 2 * k)
-    qs = [b.denominator for b in blocks]
-    if (theta.congruence(T) != result.block_form()
+    T = IntMatrix([nf.T.entries[r] for r in perm_rows])
+    blocks = tuple((ell // (g := gcd(e, ell)), e // g) for e in nf.divisors[::-1])
+    qs = [q for q, _ in blocks]
+    if (_normal_form_blocks(theta.congruence(T)) != list(blocks)
             or any(qs[i + 1] % qs[i] for i in range(len(qs) - 1))
             or prod(qs) != q_theta(theta)):
         raise AssertionError("normal form failed its certificate check")
-    return result
+    return NormalFormResult(T=T, blocks=blocks, free_rank=n - 2 * k)
 
 
 def c1_of_E_theta(theta: SkewRatForm) -> AltFormZ:
@@ -155,16 +143,19 @@ def c1_of_E_theta(theta: SkewRatForm) -> AltFormZ:
     return AltFormZ(theta.scaled_int(q))
 
 
+def clock_shift_rep(theta: SkewRatForm, nf: NormalFormResult) -> ProjectiveRep:
+    """The irreducible projective representation of theta for its normal form
+    nf: the clock/shift words of nf's blocks for the rows of T^-1, verified
+    on theta's cocycle; q_theta above projrep.REP_DIM_LIMIT is refused."""
+    return _clock_shift_rep(theta, nf.blocks, nf.T.inverse_unimodular().entries)
+
+
 def bundle_of(theta: SkewRatForm):
     """Realization data: the rank-q_theta projectively flat vector class, its
     endomorphism matrix-bundle class, and the attached projective
-    representation: the clock/shift words of the normal form's blocks for
-    the rows of T^-1, T its certificate.  The rank is the representation's
-    dimension prod q_t, which `normal_form` checks against q_theta."""
-    nf = normal_form(theta)
-    pairs = [(b.denominator, b.numerator) for b in nf.blocks]
-    gens = _clock_shift_words(pairs, nf.T.inverse_unimodular().entries)
-    rep = ProjectiveRep(gens, BilinearCocycle(theta.upper(), theta.ell))
+    representation `clock_shift_rep(theta, normal_form(theta))`, whose
+    dimension is the rank."""
+    rep = clock_shift_rep(theta, normal_form(theta))
     vector = classify_projflat(theta.n, rep.dim, AltFormZ(theta.scaled_int(rep.dim)))
     return vector, endo(vector), rep
 

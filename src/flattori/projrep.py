@@ -1,6 +1,7 @@
 """2-cocycles on Z^n with torsion phase values, bicharacters/radicals,
 coboundary equivalence, and the irreducible clock-and-shift projective
-representations.
+representations, all written by one builder that refuses a dimension above
+REP_DIM_LIMIT.
 
 Everything is exact: phases are rationals mod 1, and a cocycle, like a skew
 form, is integer numerators over one denominator.  The commutant and
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .autofactor import _matrix, _phase
 from .cyclotomic import CycElt, _element, _power_table
@@ -105,13 +106,23 @@ def cohomologous(z1: BilinearCocycle, z2: BilinearCocycle):
     return QuadraticPhase(Q, ell)
 
 
-def _clock_shift_words(pairs, rows):
-    """For each integer row r, the tensor product over the blocks (q_t, p_t),
-    t < k, of V_t^r[t] U_t^r[k + t] in Kronecker order (block 0 the most
-    significant digit of the column index); entries of r past 2k are free
-    directions and act trivially.  V^a U^b sends e_j to e(p b j / q)
-    e_((j - a) mod q), so each generator is written column by column on
-    integer phase exponents over L = lcm(q_t)."""
+# largest dimension of a built clock/shift representation (d phases per
+# generator: about 1 s and 10 MB at the limit on a 2-vCPU host)
+REP_DIM_LIMIT = 10_000
+
+
+def _clock_shift_rep(theta: SkewRatForm, pairs, rows) -> ProjectiveRep:
+    """The representation of theta with one generator per integer row r: the
+    tensor product over the blocks (q_t, p_t), t < k, of V_t^r[t] U_t^r[k + t]
+    in Kronecker order (block 0 the most significant digit of the column
+    index); entries of r past 2k are free directions and act trivially.
+    V^a U^b sends e_j to e(p b j / q) e_((j - a) mod q), written column by
+    column on integer phase exponents over L = lcm(q_t).  prod q_t above
+    REP_DIM_LIMIT is refused before any generator is built; the result is
+    verified on the cocycle (theta.upper(), theta.ell)."""
+    dim = prod(q for q, _ in pairs)
+    if dim > REP_DIM_LIMIT:
+        raise ValueError(f"q_theta = {dim} exceeds the rep limit {REP_DIM_LIMIT}")
     k = len(pairs)
     L = lcm(1, *(q for q, _ in pairs))
     phase = [_phase(L, (), e) for e in range(L)]
@@ -123,7 +134,7 @@ def _clock_shift_words(pairs, rows):
             perm = [P * q + (j - a) % q for P in perm for j in range(q)]
             exps = [E + c * j for E in exps for j in range(q)]
         words.append(_matrix(tuple(perm), tuple([phase[e % L] for e in exps])))
-    return words
+    return ProjectiveRep(words, BilinearCocycle(theta.upper(), theta.ell))
 
 
 def clock_shift(q: int, p: int):
@@ -132,9 +143,8 @@ def clock_shift(q: int, p: int):
     q, p = _int_tuple((q, p))
     if q < 1:
         raise ValueError("q must be >= 1")
-    U, V = _clock_shift_words([(q, p)], [(0, 1), (1, 0)])
-    ProjectiveRep((U, V), BilinearCocycle([[0, 0], [p, 0]], q))
-    return U, V
+    theta = SkewRatForm([[0, -p], [p, 0]], q)
+    return _clock_shift_rep(theta, [(q, p)], [(0, 1), (1, 0)]).gens
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -195,25 +205,27 @@ class ProjectiveRep:
 
 
 def _normal_form_blocks(theta: SkewRatForm):
-    """Detect the [[0, D, 0], [-D, 0, 0], [0, 0, 0]] block pattern; returns
-    the clock/shift pair (q, p) of each diagonal entry p/q of D in lowest
-    terms: q = ell/g and p = S/g for g = gcd(ell, S)."""
+    """The clock/shift pair (q, p) of each diagonal entry p/q of D, in lowest
+    terms (q = ell/g and p = S/g for g = gcd(ell, S)), when theta has the
+    block pattern [[0, D, 0], [-D, 0, 0], [0, 0, 0]]; None when it has not."""
     n, ell, S = theta.n, theta.ell, theta.S
     nz = [(i, j) for i in range(n) for j in range(i + 1, n) if S[i][j] != 0]
     k = len(nz)
     if nz != [(i, k + i) for i in range(k)]:
-        raise ValueError("input is not in block normal form")
-    gs = [gcd(ell, S[i][k + i]) for i in range(k)]
-    return [(ell // g, S[i][k + i] // g) for i, g in enumerate(gs)]
+        return None
+    return [(ell // (g := gcd(ell, S[i][k + i])), S[i][k + i] // g) for i in range(k)]
 
 
 def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:
-    """Irreducible projective representation attached to a block normal form:
-    the tensor product over blocks p_i/q_i of the clock/shift pair, trivial
-    on the free directions.  Dimension is the product of the q_i."""
+    """Irreducible projective representation of a block normal form: the
+    tensor product over its blocks p_i/q_i of the clock/shift pairs, trivial
+    on the free directions (`_clock_shift_rep` on the unit rows).  The
+    dimension is the product of the q_i; above REP_DIM_LIMIT it is refused."""
+    pairs = _normal_form_blocks(theta)
+    if pairs is None:
+        raise ValueError("input is not in block normal form")
     rows = [[int(i == j) for j in range(theta.n)] for i in range(theta.n)]
-    return ProjectiveRep(_clock_shift_words(_normal_form_blocks(theta), rows),
-                         BilinearCocycle(theta.upper(), theta.ell))
+    return _clock_shift_rep(theta, pairs, rows)
 
 
 def _exponents(gens, L: int):

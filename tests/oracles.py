@@ -39,13 +39,16 @@ references.
 The clock/shift generators are referenced by the construction the library
 replaced with one closed-form builder: literal clock and shift matrices,
 Kronecker products with identities, and square-and-multiply powers
-multiplied out along the rows of an integer matrix.  The scalar factor's
+multiplied out along the rows of an integer matrix; `scalar_mul` scales a
+matrix by a phase for these literal relations, and `block_normal_form`
+builds the block form of integer (q, p) pairs.  The scalar factor's
 cocycle recursion, walked one step at a time, references its closed form.
 `smith_with_transforms` is the Smith normal form that also tracks the row
 transform U, and `cofactor_adjugate` the adjugate from n^2 cofactor
 determinants; the library replaced them with a Smith form that tracks only
 V and a one-pass fraction-free Gauss-Jordan adjugate.
-Direct sums and the seeded unimodular sampler build test inputs.
+Direct sums and the seeded unimodular sampler build test inputs, and
+`cyc_from_phase` writes a root of unity as a `CycElt`.
 """
 
 import cmath
@@ -59,8 +62,15 @@ import numpy as np
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.bundles import classify_projflat, direct_sum_power, line_twist_exists
 from flattori.cohomology import AltFormModQ, AltFormZ
-from flattori.cyclotomic import CycElt, cyclotomic_polynomial
-from flattori.exact_linalg import IntMatrix, inverse_mod, lattice_kernel_mod
+from flattori.cyclotomic import CycElt, _power_table, cyclotomic_polynomial
+from flattori.exact_linalg import (
+    IntMatrix,
+    SkewRatForm,
+    _int_tuple,
+    _rational,
+    inverse_mod,
+    lattice_kernel_mod,
+)
 from flattori.nctorus import NCTorusParams, iso_decide, q_theta
 from flattori.projrep import BilinearCocycle, ProjectiveRep
 
@@ -340,8 +350,6 @@ def cofactor_adjugate(M):
 
 
 def random_skew_rat(rng, n, max_den=12, max_num=6):
-    from flattori.exact_linalg import SkewRatForm
-
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -359,8 +367,17 @@ def _order(a, b) -> int:
     return a.L
 
 
+def cyc_from_phase(phase, L) -> CycElt:
+    """The root of unity e(phase) as an element; phase * L must be integral."""
+    (L,) = _int_tuple((L,))
+    k = _rational(phase) * L
+    if k.denominator != 1:
+        raise ValueError(f"e({phase}) does not lie in Q(zeta_{L})")
+    return CycElt(L, _power_table(L)[k.numerator % L])
+
+
 def cyc_one(L: int) -> CycElt:
-    return CycElt.from_phase(0, L)
+    return cyc_from_phase(0, L)
 
 
 def cyc_sub(a: CycElt, b: CycElt) -> CycElt:
@@ -515,8 +532,8 @@ def cyc_intertwines(X, rep1, rep2, L):
                if not x.is_zero()]
     for g1, g2 in zip(rep1.gens, rep2.gens):
         inv1 = {p: j for j, p in enumerate(g1.perm)}
-        u1 = [CycElt.from_phase(ph.const, L) for ph in g1.phases]
-        u2 = [CycElt.from_phase(ph.const, L) for ph in g2.phases]
+        u1 = [cyc_from_phase(ph.const, L) for ph in g1.phases]
+        u2 = [cyc_from_phase(ph.const, L) for ph in g2.phases]
         lhs = {(r, inv1[k]): cyc_mul(x, u1[inv1[k]]) for r, k, x in support}
         rhs = {(g2.perm[k], c): cyc_mul(u2[k], x) for k, c, x in support}
         if lhs != rhs:
@@ -868,9 +885,14 @@ def matrix_violates(F, g1, g2):
 def matrix_commutation_holds(gens, chi):
     """Whether U_j U_i = chi(e_j, e_i) U_i U_j for every i < j, on products
     of generalized permutation-phase matrices and a scalar phase."""
-    return all(gens[j] @ gens[i] == (gens[i] @ gens[j]).scalar_mul(
-        AffinePhase((), Fraction(chi.S[j][i], chi.ell)))
+    return all(gens[j] @ gens[i] == scalar_mul(
+        gens[i] @ gens[j], AffinePhase((), Fraction(chi.S[j][i], chi.ell)))
         for j in range(len(gens)) for i in range(j))
+
+
+def scalar_mul(m, phase):
+    """The generalized permutation-phase matrix m times the scalar e(phase)."""
+    return GenPermPhaseMatrix(m.perm, [p + phase for p in m.phases])
 
 
 def matrix_direct_sum(a, b):
@@ -929,6 +951,18 @@ def literal_clock_shift(q, p):
     U = GenPermPhaseMatrix(range(q), [AffinePhase((), Fraction(p * j, q)) for j in range(q)])
     V = GenPermPhaseMatrix([(j - 1) % q for j in range(q)], [AffinePhase((), 0)] * q)
     return U, V
+
+
+def block_normal_form(pairs, n=None):
+    """The skew form [[0, D, 0], [-D, 0, 0], [0, 0, 0]] of size n (default
+    2k) with D = diag(p_t / q_t) for the k pairs (q_t, p_t)."""
+    k = len(pairs)
+    n = 2 * k if n is None else n
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, (q, p) in enumerate(pairs):
+        m[i][k + i] = Fraction(p, q)
+        m[k + i][i] = -Fraction(p, q)
+    return SkewRatForm(m)
 
 
 def kron_power_words(pairs, rows):

@@ -23,7 +23,8 @@ from flattori.autofactor import (
     rieffel_N,
 )
 from flattori.cohomology import RootOfUnity, mu_q_image
-from flattori.projrep import _clock_shift_words, clock_shift
+from flattori.exact_linalg import IntMatrix
+from flattori.projrep import _clock_shift_rep, clock_shift
 
 
 def _random_matrix(rng, q):
@@ -201,9 +202,11 @@ def test_library_built_matrices_pass_the_public_checks():
         rats = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-5, 5))
         blocks = [(rng.randint(1, 4), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
         rows = [[rng.randint(-5, 5) for _ in range(2 * len(blocks) + 1)] for _ in range(3)]
+        theta = oracles.block_normal_form(blocks, len(rows[0])).congruence(IntMatrix(rows))
         built = [A @ B, A.inverse(), A.translate(ints), A.translate(rats),
-                 A.scalar_mul(shift), rieffel_N(q, rng.randint(-8, 8), rng.randint(-9, 9)),
-                 *_clock_shift_words(blocks, rows)]
+                 oracles.scalar_mul(A, shift),
+                 rieffel_N(q, rng.randint(-8, 8), rng.randint(-9, 9)),
+                 *_clock_shift_rep(theta, blocks, rows).gens]
         for m in built:
             _assert_as_if_checked(m)
     # exact integers of other types are normalized before the unchecked store
@@ -527,14 +530,14 @@ def test_clutching_premises_raise(monkeypatch):
     # e(s / 2) in every column: a half-integer s-coefficient, N(1) = -N(0)
     half_s = AffinePhase((Fraction(1, 2), 0), 0)
     monkeypatch.setattr(FactorOfAutomorphy, "value",
-                        lambda self, gamma: value(self, gamma).scalar_mul(half_s))
+                        lambda self, gamma: oracles.scalar_mul(value(self, gamma), half_s))
     for invariant in (clutching_twist, clutching_omega):
         with pytest.raises(ValueError, match="non-integer s-coefficient"):
             invariant(F)
     # integer coefficients, but a translation that moves the loop
     monkeypatch.setattr(FactorOfAutomorphy, "value", value)
-    monkeypatch.setattr(GenPermPhaseMatrix, "translate", lambda self, gamma: translate(
-        self, gamma).scalar_mul(AffinePhase((0, 0), Fraction(1, 2))))
+    monkeypatch.setattr(GenPermPhaseMatrix, "translate", lambda self, gamma: oracles.scalar_mul(
+        translate(self, gamma), AffinePhase((0, 0), Fraction(1, 2))))
     for invariant in (clutching_twist, clutching_omega):
         with pytest.raises(ValueError, match="does not close"):
             invariant(F)

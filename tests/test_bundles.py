@@ -1,7 +1,11 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from flattori.bundles import (
     MatrixBundleClass,
+    VectorBundleClass,
     X_bundle,
     classify_projflat,
     direct_sum_power,
@@ -17,12 +21,15 @@ from flattori.bundles import (
 from flattori.cohomology import (
     REVERSED,
     STANDARD,
+    AltFormModQ,
     AltFormZ,
     RootOfUnity,
     beta_reduce,
     mu_q_image,
     wedge,
 )
+from flattori.exact_linalg import IntMatrix, SkewRatForm, lattice_kernel_mod
+from flattori.nctorus import NCTorusParams
 
 
 def test_classify_trivial_line():
@@ -174,3 +181,24 @@ def test_matrix_class_from_beta_directly():
     assert a.size == 4
     with pytest.raises(ValueError):
         MatrixBundleClass(2, 5, b)
+
+
+def test_integer_parameters_must_be_exact_integers():
+    # each of these was accepted silently or raised TypeError
+    c = AltFormZ([[0, -1], [1, 0]])
+    beta = AltFormModQ([[0, 1], [-1, 0]], 2)
+    theta = SkewRatForm([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+    for build in (lambda: VectorBundleClass(2, 2.5, c), lambda: VectorBundleClass(2.0, 2, c),
+                  lambda: classify_projflat(2, 2.0, c), lambda: X_bundle(2.5, 1),
+                  lambda: MatrixBundleClass(2, 2.0, beta), lambda: MatrixBundleClass("2", 2, beta),
+                  lambda: NCTorusParams(2, theta, 1.5), lambda: NCTorusParams(2.0, theta),
+                  lambda: AltFormModQ([[0, 1], [-1, 0]], "2"),
+                  lambda: lattice_kernel_mod(IntMatrix([[0, 1], [-1, 0]]), 2.5)):
+        with pytest.raises(ValueError):
+            build()
+    # exact integers of other types are stored as ints
+    e = VectorBundleClass(np.int64(2), np.int64(3), c)
+    a = MatrixBundleClass(np.int64(2), np.int64(2), beta)
+    p = NCTorusParams(np.int64(2), theta, np.int64(4))
+    assert (type(e.n), type(e.rank), type(a.n), type(a.size), type(p.n), type(p.m)) == (int,) * 6
+    assert AltFormModQ([[0, 1], [-1, 0]], np.int64(2)) == beta

@@ -1,22 +1,30 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
+import oracles
 import pytest
 
 import flattori
 from flattori import autofactor
-from flattori.cli import REP_DIM_LIMIT, run
+from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
+from flattori.cli import run
+from flattori.exact_linalg import SkewRatForm
+from flattori.nctorus import q_theta
+from flattori.projrep import REP_DIM_LIMIT
 from flattori.textio import (
     MatrixFormatError,
     dump_matrix,
     load_matrix,
+    load_skew,
     parse_rational,
 )
 from flattori.exact_linalg import IntMatrix
-from oracles import RatMatrix
+from oracles import RatMatrix, scalar_mul
 
 THETA_13 = '{"n":2,"m":2,"entries":[["0","1/3"],["-1/3","0"]]}'
 THETA_23 = '{"n":2,"m":2,"entries":[["0","2/3"],["-2/3","0"]]}'
@@ -192,7 +200,7 @@ def test_clutching_premise_failures_are_errors(capsys, monkeypatch):
     factor = autofactor.factor_from(3, 1)
     monkeypatch.setattr(autofactor, "factor_from", lambda q, a: factor)
     monkeypatch.setattr(autofactor.FactorOfAutomorphy, "value",
-                        lambda self, gamma: value(self, gamma).scalar_mul(half_s))
+                        lambda self, gamma: scalar_mul(value(self, gamma), half_s))
     for command in ("twist", "omega"):
         code, out, err = invoke(capsys, command, "--q", "3", "--a", "1",
                                 "--method", "clutching")
@@ -303,7 +311,8 @@ def test_library_and_cli_run_without_numpy():
 
 
 # `--format records` output, byte for byte, for forms with mixed block
-# denominators: the phases are printed as reduced fractions mod 1
+# denominators: the phases are printed as reduced fractions mod 1.  The
+# generators realize theta itself, not its normal form T theta T^t.
 REP_RECORDS = [
     ('{"n":2,"m":2,"entries":[["0","2/5"],["-2/5","0"]]}',
      '{"blocks":["2/5"],"dim":5,"generators":[{"index":0,"perm":[4,0,1,2,3],'
@@ -312,18 +321,18 @@ REP_RECORDS = [
     ('{"n":4,"m":4,"entries":[["0","0","1/2","0"],["0","0","0","1/3"],'
      '["-1/2","0","0","0"],["0","-1/3","0","0"]]}',
      '{"blocks":["1","1/6"],"dim":6,"generators":[{"index":0,"perm":[0,1,2,3,4,5],'
-     '"phases":["0","0","0","0","0","0"]},{"index":1,"perm":[5,0,1,2,3,4],'
-     '"phases":["0","0","0","0","0","0"]},{"index":2,"perm":[0,1,2,3,4,5],'
+     '"phases":["0","1/2","0","1/2","0","1/2"]},{"index":1,"perm":[2,3,4,5,0,1],'
+     '"phases":["0","0","0","0","0","0"]},{"index":2,"perm":[3,4,5,0,1,2],'
      '"phases":["0","0","0","0","0","0"]},{"index":3,"perm":[0,1,2,3,4,5],'
-     '"phases":["0","1/6","1/3","1/2","2/3","5/6"]}]}\n'),
+     '"phases":["0","1/3","2/3","0","1/3","2/3"]}]}\n'),
     ('{"n":4,"m":4,"entries":[["0","1/2","0","0"],["-1/2","0","0","0"],'
      '["0","0","0","3/4"],["0","0","-3/4","0"]]}',
      '{"blocks":["3/2","1/4"],"dim":8,"generators":[{"index":0,'
-     '"perm":[4,5,6,7,0,1,2,3],"phases":["0","0","0","0","0","0","0","0"]},'
-     '{"index":1,"perm":[3,0,1,2,7,4,5,6],"phases":["0","0","0","0","0","0","0","0"]},'
-     '{"index":2,"perm":[0,1,2,3,4,5,6,7],"phases":["0","0","0","0","1/2","1/2","1/2","1/2"]},'
-     '{"index":3,"perm":[0,1,2,3,4,5,6,7],'
-     '"phases":["0","1/4","1/2","3/4","0","1/4","1/2","3/4"]}]}\n'),
+     '"perm":[2,3,0,1,6,7,4,5],"phases":["0","0","0","0","1/2","1/2","1/2","1/2"]},'
+     '{"index":1,"perm":[4,5,6,7,0,1,2,3],"phases":["0","1/2","0","1/2","0","1/2","0","1/2"]},'
+     '{"index":2,"perm":[1,2,3,0,5,6,7,4],"phases":["0","0","0","0","1/2","1/2","1/2","1/2"]},'
+     '{"index":3,"perm":[4,5,6,7,0,1,2,3],'
+     '"phases":["0","3/4","1/2","1/4","0","3/4","1/2","1/4"]}]}\n'),
 ]
 
 
@@ -331,6 +340,38 @@ REP_RECORDS = [
 def test_rep_cli_records_pinned(capsys, theta, records):
     code, out, _ = invoke(capsys, "--format", "records", "rep", "--theta", theta)
     assert code == 0 and out == records
+    assert oracles.matrix_commutation_holds(_record_generators(out), load_skew(theta))
+
+
+def _record_generators(out):
+    """The generator matrices of a `rep --format records` line."""
+    return [GenPermPhaseMatrix(g["perm"], [AffinePhase((), Fraction(x)) for x in g["phases"]])
+            for g in json.loads(out)["generators"]]
+
+
+def test_rep_cli_realizes_theta_on_transported_forms(capsys):
+    # block normal forms moved by GL(n, Z) and integer shifts: each printed
+    # representation satisfies U_j U_i = e(theta_ji) U_i U_j for theta itself,
+    # checked on matrix products (it used to be the representation of
+    # T theta T^t, which fails these relations once T is not the identity)
+    rng = random.Random(2020)
+    for trial in range(200):
+        n = 2 + trial % 5
+        pairs = []
+        for _ in range(rng.randint(1, n // 2)):
+            q = rng.randint(1, 12)
+            if q * prod(b for b, _ in pairs) <= 144:
+                pairs.append((q, rng.randint(-2 * q, 2 * q)))
+        T = oracles.unimodular_sample(n, seed=trial, word_length=rng.randint(1, 12))
+        shift = oracles.fraction_matrix(oracles.random_skew_rat(rng, n, max_den=1))
+        theta = SkewRatForm(oracles.fraction_matrix(
+            oracles.block_normal_form(pairs, n).congruence(T)) + shift)
+        text = json.dumps({"n": n, "m": n, "entries": [
+            [str(Fraction(x, theta.ell)) for x in row] for row in theta.S.entries]})
+        code, out, _ = invoke(capsys, "--format", "records", "rep", "--theta", text)
+        assert code == 0
+        assert json.loads(out)["dim"] == q_theta(theta)
+        assert oracles.matrix_commutation_holds(_record_generators(out), theta), text
 
 
 def test_cocycle_check_cli_records_pinned(capsys):

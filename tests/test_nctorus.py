@@ -6,13 +6,15 @@ from math import gcd, lcm, prod
 
 import numpy as np
 import oracles
+import pytest
 from oracles import fraction_matrix, iso_via_bundles, unimodular_sample
+
+from flattori import nctorus
 from flattori.cohomology import pullback
-from flattori.exact_linalg import IntMatrix, SkewRatForm, smith_normal_form
+from flattori.exact_linalg import IntMatrix, SkewRatForm, SymplecticNF, smith_normal_form
 from flattori.nctorus import (
     IsoStatus,
     NCTorusParams,
-    NormalFormResult,
     bundle_of,
     c1_of_E_theta,
     iso_decide,
@@ -94,11 +96,9 @@ def test_q_theta_congruence_and_shift_invariant():
         assert q_theta(congruent) == q_theta(theta)
         assert q_theta(shifted) == q_theta(theta)
         # block denominators (the divisor-chain invariants) survive both moves
-        qs = [b.denominator for b in normal_form(theta).blocks if b.denominator > 1]
-        assert [b.denominator for b in normal_form(congruent).blocks
-                if b.denominator > 1] == qs
-        assert [b.denominator for b in normal_form(shifted).blocks
-                if b.denominator > 1] == qs
+        qs = [q for q, _ in normal_form(theta).blocks if q > 1]
+        assert [q for q, _ in normal_form(congruent).blocks if q > 1] == qs
+        assert [q for q, _ in normal_form(shifted).blocks if q > 1] == qs
 
 
 def test_normal_form_zero():
@@ -109,7 +109,7 @@ def test_normal_form_zero():
 
 def test_normal_form_already_normal():
     nf = normal_form(skew2(Fraction(5, 3)))
-    assert nf.blocks == (Fraction(5, 3),)
+    assert nf.blocks == ((3, 5),)
     assert nf.T == IntMatrix.identity(2)
 
 
@@ -120,12 +120,31 @@ def test_normal_form_shuffled_blocks():
         T0 = unimodular_sample(4, seed=900 + trial, word_length=12)
         shuffled = base.congruence(T0)
         nf = normal_form(shuffled)  # certificate verified inside
-        qs = [b.denominator for b in nf.blocks]
+        qs = [q for q, _ in nf.blocks]
         prod = 1
         for q in qs:
             prod *= q
         assert prod == 6
         assert all(qs[i + 1] % qs[i] == 0 for i in range(len(qs) - 1))
+
+
+def test_normal_form_rejects_a_wrong_divisor(monkeypatch):
+    real = nctorus.symplectic_normal_form
+    theta = skew_blocks(Fraction(1, 2), Fraction(1, 3)).congruence(
+        unimodular_sample(4, seed=7, word_length=12))
+    for k in (0, -1):
+        for wrong in (lambda e: 2 * e, lambda e: e + 6):
+            def patched(M, k=k, wrong=wrong):
+                nf = real(M)
+                divisors = list(nf.divisors)
+                divisors[k] = wrong(divisors[k])
+                return SymplecticNF(T=nf.T, divisors=tuple(divisors))
+
+            monkeypatch.setattr(nctorus, "symplectic_normal_form", patched)
+            with pytest.raises(AssertionError, match="certificate"):
+                normal_form(theta)
+    monkeypatch.undo()
+    assert normal_form(theta).blocks == ((1, 1), (6, 1))
 
 
 def test_c1_examples():
@@ -170,9 +189,8 @@ def test_bundle_of_generators_match_kron_power_reference():
         theta = oracles.random_skew_rat(rng, n, max_den=6, max_num=6)
         _, _, rep = bundle_of(theta)
         nf = normal_form(theta)
-        pairs = [(b.denominator, b.numerator) for b in nf.blocks]
         rows = nf.T.inverse_unimodular().entries
-        assert rep.gens == tuple(oracles.kron_power_words(pairs, rows)), theta
+        assert rep.gens == tuple(oracles.kron_power_words(nf.blocks, rows)), theta
 
 
 def test_iso_third_and_two_thirds():
@@ -533,11 +551,10 @@ def test_iso_agrees_with_walk_on_random_pairs():
             nf = normal_form(t1)
             blocks = list(nf.blocks)
             if blocks:
-                u = rng.choice([u for u in (2, 3, 5, 7, 11, 13)
-                                if gcd(u, blocks[-1].denominator) == 1])
-                blocks[-1] *= u
-            scaled = NormalFormResult(T=nf.T, blocks=tuple(blocks), free_rank=nf.free_rank)
-            t2 = transported(rng, scaled.block_form(), word_length=4)
+                q, p = blocks[-1]
+                u = rng.choice([u for u in (2, 3, 5, 7, 11, 13) if gcd(u, q) == 1])
+                blocks[-1] = (q, p * u)
+            t2 = transported(rng, oracles.block_normal_form(blocks, n), word_length=4)
         else:
             t2 = oracles.random_skew_rat(rng, n, max_den=ell, max_num=2 * ell)
         f1, f2 = t1.frac(), t2.frac()

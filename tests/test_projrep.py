@@ -7,11 +7,13 @@ import numpy as np
 import oracles
 import pytest
 
+from flattori import projrep
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
 from flattori.cyclotomic import CycElt, _power_table
 from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import bundle_of, q_theta
 from flattori.projrep import (
+    REP_DIM_LIMIT,
     BilinearCocycle,
     ProjectiveRep,
     bicharacter_of,
@@ -23,7 +25,7 @@ from flattori.projrep import (
     radical,
 )
 from flattori.projrep import (
-    _clock_shift_words,
+    _clock_shift_rep,
     _det_mod,
     _exponents,
     _fp_root,
@@ -34,10 +36,12 @@ from oracles import (
     RatMatrix,
     cyc_det,
     cyc_det_nonzero,
+    cyc_from_phase,
     cyc_intertwines,
     cyc_mul,
     cyc_one,
     cyc_sub,
+    scalar_mul,
     sparse_rref,
 )
 
@@ -245,7 +249,7 @@ def test_clock_shift():
     assert U1 == oracles.identity_matrix(1) and V1 == oracles.identity_matrix(1)
     U, V = clock_shift(3, 1)
     scal = AffinePhase((), Fraction(1, 3))
-    assert V @ U == (U @ V).scalar_mul(scal)
+    assert V @ U == scalar_mul(U @ V, scal)
     # q-torsion of clock and shift
     assert oracles.matrix_power(U, 3) == oracles.identity_matrix(3)
     assert oracles.matrix_power(V, 3) == oracles.identity_matrix(3)
@@ -312,13 +316,7 @@ def _chain_norm_forms(max_prod):
 
 
 def _as_normal_form(blocks, n=None):
-    k = len(blocks)
-    n = 2 * k if n is None else n
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i, b in enumerate(blocks):
-        m[i][k + i] = b
-        m[k + i][i] = -b
-    return SkewRatForm(m)
+    return oracles.block_normal_form([(b.denominator, b.numerator) for b in blocks], n)
 
 
 def test_heisenberg_commutation_exact():
@@ -356,15 +354,35 @@ def test_clock_shift_words_match_kron_power_reference():
             pairs.append((q, p))
         for free in (0, 1, 2):
             n = 2 * len(chain) + free
-            theta = _as_normal_form([Fraction(p, q) for q, p in pairs], n)
+            theta = oracles.block_normal_form(pairs, n)
             ident = [[int(i == j) for j in range(n)] for i in range(n)]
             assert heisenberg_rep(theta).gens == tuple(oracles.kron_power_words(pairs, ident))
         # arbitrary integer rows, negative and beyond the block orders
         rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(3)]
-        assert _clock_shift_words(pairs, rows) == oracles.kron_power_words(pairs, rows)
+        theta = oracles.block_normal_form(pairs, n).congruence(IntMatrix(rows))
+        assert _clock_shift_rep(theta, pairs, rows).gens == \
+            tuple(oracles.kron_power_words(pairs, rows))
     # clock_shift with gcd(p, q) > 1, negative p and p >= q
     for q, p in ((6, 4), (12, 9), (5, -2), (4, -6), (3, 7), (8, 8), (1, 5)):
         assert clock_shift(q, p) == oracles.literal_clock_shift(q, p), (q, p)
+
+
+def test_builders_refuse_a_dimension_above_the_limit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generator was built")
+
+    # the check comes before any generator or phase is built
+    monkeypatch.setattr(projrep, "_matrix", refuse)
+    monkeypatch.setattr(projrep, "_phase", refuse)
+    big = oracles.block_normal_form([(101, 1), (103, 2)])
+    moved = big.congruence(oracles.unimodular_sample(4, seed=5, word_length=12))
+    for build in (lambda: clock_shift(REP_DIM_LIMIT + 1, 1),
+                  lambda: heisenberg_rep(skew2(Fraction(1, 10007))),
+                  lambda: heisenberg_rep(big), lambda: bundle_of(moved)):
+        with pytest.raises(ValueError, match=f"exceeds the rep limit {REP_DIM_LIMIT}"):
+            build()
+    monkeypatch.undo()
+    assert len(clock_shift(REP_DIM_LIMIT, 1)[0].perm) == REP_DIM_LIMIT
 
 
 def test_commutant_dim_trivial():
@@ -398,8 +416,8 @@ def rref_intertwiner_dim(rep1, rep2):
         inv2 = [0] * d
         for j, p in enumerate(g2.perm):
             inv2[p] = j
-        u1 = [CycElt.from_phase(ph.const, L) for ph in g1.phases]
-        u2 = [CycElt.from_phase(ph.const, L) for ph in g2.phases]
+        u1 = [cyc_from_phase(ph.const, L) for ph in g1.phases]
+        u2 = [cyc_from_phase(ph.const, L) for ph in g2.phases]
         for r in range(d):
             for c in range(d):
                 row = {r * d + g1.perm[c]: u1[c]}
@@ -452,7 +470,7 @@ def test_scalar_twist_of_clock(phase, equivalent):
     # e(phase) U has the spectrum of U exactly when phase is a multiple of 1/3
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
     V, U = rep.gens
-    twist = ProjectiveRep((V, U.scalar_mul(AffinePhase((), phase))), rep.cocycle)
+    twist = ProjectiveRep((V, scalar_mul(U, AffinePhase((), phase))), rep.cocycle)
     both = oracles.rep_direct_sum(rep, twist)
     want = 4 if equivalent else 2
     assert commutant_dim(both) == rref_intertwiner_dim(both, both) == want
@@ -484,7 +502,7 @@ def test_random_monomial_conjugations():
         lead = P.perm.index(0)  # the column of the first nonzero entry of P
         for j in range(d):
             for i in range(d):
-                want = (CycElt.from_phase(P.phases[j].const - P.phases[lead].const, L)
+                want = (cyc_from_phase(P.phases[j].const - P.phases[lead].const, L)
                         if i == P.perm[j] else CycElt.zero(L))
                 assert X[i][j] == want
 
@@ -499,7 +517,7 @@ def test_intertwiner_non_monomial_support():
     swap = ProjectiveRep([GenPermPhaseMatrix((1, 0), [AffinePhase((), 0)] * 2)], flat)
     assert monomial_dim(diag, swap) == rref_intertwiner_dim(diag, swap) == 2
     assert commutant_dim(swap) == numpy_commutant_dim(swap) == 2
-    one, minus = cyc_one(2), CycElt.from_phase(half, 2)
+    one, minus = cyc_one(2), cyc_from_phase(half, 2)
     assert checked_intertwiner(diag, swap) == [[one, one], [one, minus]]
     p, g = _fp_root(2, 2)
     assert _det_mod({0: (1, 0), 1: (1, 0), 2: (1, 0), 3: (1, 1)}, 2, 2, p, g) == -2 % p
@@ -578,7 +596,7 @@ def test_exponent_verifier_matches_field_reference():
             for vec, want in cases:
                 X = [[zero] * size for _ in range(size)]
                 for v, (w, e) in vec.items():
-                    z = CycElt.from_phase(Fraction(e, L), L)
+                    z = cyc_from_phase(Fraction(e, L), L)
                     X[v // size][v % size] = CycElt(L, [w * c for c in z.coeffs])
                 assert _exponent_verifier_accepts(vec, rep1, rep2, L) == want
                 assert cyc_intertwines(X, rep1, rep2, L) == want
@@ -590,7 +608,7 @@ def test_cyc_det_nonzero_non_monomial():
     # the field reference and the mod-p determinant on {r d + c: (w, e)}
     L = 3
     one, zero = cyc_one(L), CycElt.zero(L)
-    z = CycElt.from_phase(Fraction(1, 3), L)
+    z = cyc_from_phase(Fraction(1, 3), L)
     # row 1 is z times row 0
     singular = [[one, z, zero], [z, cyc_mul(z, z), zero], [zero, zero, one]]
     assert not cyc_det_nonzero(singular)
@@ -652,7 +670,7 @@ def _rho_tau():
     """The 1/3 clock/shift pair rho, and tau: rho with U twisted by e(1/6)."""
     rho = heisenberg_rep(skew2(Fraction(1, 3)))
     V, U = rho.gens
-    return rho, ProjectiveRep((V, U.scalar_mul(AffinePhase((), Fraction(1, 6)))), rho.cocycle)
+    return rho, ProjectiveRep((V, scalar_mul(U, AffinePhase((), Fraction(1, 6)))), rho.cocycle)
 
 
 def _sum_of(reps):
@@ -896,7 +914,6 @@ def test_rep_builders_multiply_no_matrices(monkeypatch):
         raise AssertionError("a rep builder multiplied matrices")
 
     monkeypatch.setattr(GenPermPhaseMatrix, "__matmul__", refuse)
-    monkeypatch.setattr(GenPermPhaseMatrix, "scalar_mul", refuse)
     for q, p in ((1, 0), (3, 1), (6, 4), (5, -2), (12, 7)):
         assert clock_shift(q, p) == oracles.literal_clock_shift(q, p)
     for blocks in _chain_norm_forms(12):

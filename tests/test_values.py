@@ -4,6 +4,7 @@ projective representation compares by identity."""
 import dataclasses
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, ScalarFactor
@@ -30,7 +31,7 @@ VALUES = {
     "AltFormZ": (lambda a: AltFormZ([[0, a], [-a, 0]]), 1, 2),
     "AltFormModQ": (lambda q: AltFormModQ([[0, 1], [-1, 0]], q), 3, 4),
     "RootOfUnity": (RootOfUnity, T, H),
-    "CycElt": (lambda k: CycElt.from_phase(Fraction(k, 6), 6), 1, 2),
+    "CycElt": (lambda k: oracles.cyc_from_phase(Fraction(k, 6), 6), 1, 2),
     "SkewRatForm": (lambda x: SkewRatForm([[0, x], [-x, 0]]), T, H),
     "BilinearCocycle": (lambda x: BilinearCocycle([[0, x], [0, 0]]), T, H),
 }
