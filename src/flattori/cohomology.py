@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import IntMatrix, _int_tuple, _rational
+from .exact_linalg import IntMatrix, _int_tuple, _modulus, _rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,9 +67,7 @@ class AltFormModQ:
     mat: IntMatrix
 
     def __init__(self, mat, modulus: int):
-        (modulus,) = _int_tuple((modulus,))
-        if modulus < 1:
-            raise ValueError("modulus must be >= 1")
+        modulus = _modulus(modulus)
         if not isinstance(mat, IntMatrix):
             mat = IntMatrix(mat)
         if mat.rows != mat.cols:

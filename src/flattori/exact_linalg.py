@@ -12,7 +12,9 @@ terms; `_lowest_terms` is the one place that builds this format from ints
 and Fractions.  A skew form is S / ell that way, so its congruences and
 reductions are integer operations.  The Smith form tracks only its column
 transform V, and both inverses use one fraction-free Gauss-Jordan pass for
-the determinant and the adjugate.
+the determinant and the adjugate.  The lift mod ell to GL(n, Z) is one
+elimination pass to a diagonal of units mod ell, then closed-form det-1
+blocks that push the units down the diagonal.  A modulus is an integer >= 1.
 """
 
 from __future__ import annotations
@@ -406,14 +408,20 @@ def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
     return nf
 
 
+def _modulus(ell) -> int:
+    """ell as an exact integer modulus >= 1; anything else raises."""
+    (ell,) = _int_tuple((ell,))
+    if ell < 1:
+        raise ValueError("modulus must be positive")
+    return ell
+
+
 def lattice_kernel_mod(M: IntMatrix, ell: int):
     """Basis of H = {h in Z^n : M h = 0 mod ell} plus the index [Z^n : H].
 
     Smith-based: with U M V = D the lattice is V * diag(ell/gcd(d_i, ell)) Z^n.
     """
-    (ell,) = _int_tuple((ell,))
-    if ell <= 0:
-        raise ValueError("modulus must be positive")
+    ell = _modulus(ell)
     if M.rows != M.cols:
         raise ValueError("square matrix expected")
     n = M.rows
@@ -426,125 +434,69 @@ def lattice_kernel_mod(M: IntMatrix, ell: int):
 def inverse_mod(M: IntMatrix, ell: int) -> IntMatrix:
     """Inverse mod ell of a matrix whose determinant is a unit mod ell:
     det^-1 * adj mod ell."""
+    ell = _modulus(ell)
     d, adj = M._adjugate()
     dinv = pow(d % ell, -1, ell)
     return IntMatrix([[dinv * a % ell for a in row] for row in adj])
 
 
-def _primitive_row_lift(row, ell):
-    """Adjust an integer row by multiples of ell so gcd of entries is 1.
-    Requires gcd(row entries, ell) = 1."""
-    row = list(row)
-    n = len(row)
-    if gcd(*row, 0) == 1:
-        return row
-    rest = gcd(*row[1:], 0) if n > 1 else 0
-    if rest == 0:
-        row[1] += ell
-        rest = abs(row[1])
-    # kill every prime of rest missed by row[0]
-    t = 1
-    m = rest
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            if row[0] % p != 0:
-                t *= p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1 and row[0] % m != 0:
-        t *= m
-    row[0] += ell * t
-    if gcd(*row, 0) != 1:
-        raise AssertionError("lifted row is not primitive")
-    return row
-
-
-def _complete_det1(row):
-    """V0 in SL(n,Z) with row * V0 = e_1^t, for a primitive integer row.
-    Returns (V0, V0_inverse)."""
-    n = len(row)
-    r = list(row)
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vinv = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_add(i, j, k):  # col_i += k*col_j ; inverse: row_j -= k*row_i
-        r[i] += k * r[j]
-        for rr in v:
-            rr[i] += k * rr[j]
-        vinv[j] = [x - k * y for x, y in zip(vinv[j], vinv[i])]
-
-    # Euclid the row down to a single unit
-    while True:
-        nz = [i for i in range(n) if r[i] != 0]
-        if len(nz) == 1 and abs(r[nz[0]]) == 1:
-            break
-        i = min(nz, key=lambda k: abs(r[k]))
-        for j in nz:
-            if j != i:
-                col_add(j, i, -(r[j] // r[i]))
-    pos = next(i for i in range(n) if r[i] != 0)
-    if pos != 0:
-        # swap columns 0 and pos, then negate column pos to keep det = 1
-        for rr in v:
-            rr[0], rr[pos] = rr[pos], -rr[0]
-        vinv[0], vinv[pos] = vinv[pos], [-x for x in vinv[0]]
-        r[0], r[pos] = r[pos], 0
-    if r[0] == -1:
-        if n == 1:
-            raise ValueError("cannot fix sign in dimension 1")
-        for rr in v:
-            rr[0] = -rr[0]
-            rr[1] = -rr[1]
-        vinv[0] = [-x for x in vinv[0]]
-        vinv[1] = [-x for x in vinv[1]]
-        r[0] = 1
-    return IntMatrix(v), IntMatrix(vinv)
-
-
-def _lift_sl(g: IntMatrix, ell: int) -> IntMatrix:
-    """Lift g with det(g) = 1 mod ell to an exact SL(n, Z) matrix,
-    congruent to g mod ell.  Column-Hermite style recursion."""
-    n = g.rows
-    if ell == 1:
-        return IntMatrix.identity(n)
-    if n == 1:
-        return IntMatrix([[1]])
-    row = _primitive_row_lift([x % ell for x in g.entries[0]], ell)
-    v0, v0inv = _complete_det1(row)
-    g1 = [list(row)] + [[x % ell for x in r] for r in g.entries[1:]]
-    g2 = IntMatrix(g1) @ v0
-    sub = IntMatrix([r[1:] for r in g2.entries[1:]])
-    hb = _lift_sl(sub.mod(ell), ell)
-    h = [[1] + [0] * (n - 1)]
-    for i in range(n - 1):
-        h.append([g2[i + 1][0]] + list(hb[i]))
-    return IntMatrix(h) @ v0inv
-
-
 def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
     """Integral T = g (mod ell) with det T = +1 or -1 matching det(g) mod ell.
 
-    This is the surjectivity of SL(n,Z) -> SL(n,Z/ell) made effective; the
-    det = -1 case composes with a sign-flip diagonal matrix.
+    This is the surjectivity of SL(n,Z) -> SL(n,Z/ell) made effective by one
+    elimination pass.  Integer row additions E bring g mod ell to a diagonal
+    of units u_k: Euclid from the pivot down, then multipliers -a u_k^-1; the
+    pivots are units because det g is.  S_k = [[w (1 - m ell), m ell],
+    [-m ell, v]] has det 1 and is diag(w, v) mod ell, for w = u_0 ... u_k,
+    v = w^-1 mod ell and wv = 1 + m ell, so T = E^-1 S_0 ... S_(n-2)
+    diag(1, ..., 1, +-1), the sign the product of all units.  Residues and
+    multipliers are balanced, in (-ell/2, ell/2], which keeps T small.
     """
+    ell = _modulus(ell)
     if g.rows != g.cols:
         raise ValueError("square matrix expected")
-    if ell < 1:
-        raise ValueError("modulus must be positive")
     n = g.rows
     if ell == 1:
         return IntMatrix.identity(n)
-    d = g.det() % ell
-    if d == 1 % ell:
-        T = _lift_sl(g.mod(ell), ell)
-    elif d == (-1) % ell:
-        J = IntMatrix([[(-1 if i == j == 0 else int(i == j)) for j in range(n)]
-                       for i in range(n)])
-        T = J @ _lift_sl((J @ g).mod(ell), ell)
-    else:
+    if g.det() % ell not in (1, ell - 1):
         raise ValueError("determinant is not +-1 mod ell")
-    if (T - g).mod(ell) != IntMatrix.zero(n, n).mod(ell) or abs(T.det()) != 1:
+
+    def bal(x):
+        x %= ell
+        return x - ell if 2 * x > ell else x
+
+    a = [[bal(x) for x in row] for row in g.entries]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]  # E^-1
+
+    def add(i, j, c):  # row_i += c row_j of a = E g: col_j -= c col_i of E^-1
+        a[i] = [bal(x + c * y) for x, y in zip(a[i], a[j])]
+        for row in t:
+            row[j] -= c * row[i]
+
+    for k in range(n):
+        while len(rows := [i for i in range(k, n) if a[i][k]]) > 1:
+            p = min(rows, key=lambda i: abs(a[i][k]))
+            for i in rows:
+                if i != p:
+                    add(i, p, -(a[i][k] // a[p][k]))
+        if rows[0] != k:
+            add(k, rows[0], 1)
+        uinv = pow(a[k][k], -1, ell)
+        for i in range(n):
+            if i != k and a[i][k]:
+                add(i, k, bal(-a[i][k] * uinv))
+    w = 1
+    for k in range(n - 1):
+        w = bal(w * a[k][k])
+        v = bal(pow(w, -1, ell))
+        s = w * v - 1  # m ell
+        for row in t:
+            x, y = row[k], row[k + 1]
+            row[k], row[k + 1] = w * (1 - s) * x - s * y, s * x + v * y
+    w = bal(w * a[n - 1][n - 1])  # +-1, det T
+    for row in t:
+        row[n - 1] *= w
+    T = IntMatrix(t)
+    if (T - g).mod(ell) != IntMatrix.zero(n) or abs(T.det()) != 1:
         raise AssertionError("unimodular lift failed verification")
     return T

@@ -122,7 +122,7 @@ def _clock_shift_rep(theta: SkewRatForm, pairs, rows) -> ProjectiveRep:
     verified on the cocycle (theta.upper(), theta.ell)."""
     dim = prod(q for q, _ in pairs)
     if dim > REP_DIM_LIMIT:
-        raise ValueError(f"q_theta = {dim} exceeds the rep limit {REP_DIM_LIMIT}")
+        raise ValueError(f"dimension {dim} exceeds the rep limit {REP_DIM_LIMIT}")
     k = len(pairs)
     L = lcm(1, *(q for q, _ in pairs))
     phase = [_phase(L, (), e) for e in range(L)]

@@ -16,7 +16,8 @@ where the library reads both from the loop's integer exponents.
 `matrix_violates` checks the factor-of-automorphy cocycle identity on
 built matrices, translated and multiplied, where the library composes the
 integer permutations and s-exponents they are built from; `inversion_parity`
-counts inversions where the library counts cycles.
+counts inversions where the library counts cycles, and `leibniz_det` sums
+over permutations where `IntMatrix.det` eliminates.
 `matrix_commutation_holds` checks the commutation relations of projective
 representation generators on multiplied matrices, where the library
 compares integer phase exponents mod L column by column.  `pullback_modq`, the
@@ -55,7 +56,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -856,6 +857,19 @@ def inversion_parity(perm):
     """Parity of a permutation as its number of inversions mod 2."""
     return sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
                if perm[i] > perm[j]) % 2
+
+
+def leibniz_det(M):
+    """Determinant of a square IntMatrix as the Leibniz sum over
+    permutations, each signed by `inversion_parity`, where the library runs
+    Bareiss elimination."""
+    rows = M.entries
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = math.prod(row[j] for row, j in zip(rows, perm))
+        if term:
+            total += -term if inversion_parity(perm) else term
+    return total
 
 
 def fraction_det(perm, phases):

@@ -292,7 +292,7 @@ def test_rep_refuses_q_theta_above_the_limit(capsys):
     code, seconds, rss_kb = json.loads(proc.stdout.splitlines()[-1])
     assert code == 2 and seconds < 1 and rss_kb < 8 * 1024, (seconds, rss_kb)
     assert proc.stderr.splitlines()[-1] == \
-        f"error: q_theta = 1009091 exceeds the rep limit {REP_DIM_LIMIT}"
+        f"error: dimension 1009091 exceeds the rep limit {REP_DIM_LIMIT}"
     assert run(["rep", "--help"]) == 0
     assert f"q_theta > {REP_DIM_LIMIT}" in capsys.readouterr().out.replace("\n", " ")
 

@@ -333,21 +333,44 @@ def test_rat_matrix_and_skew_form_take_exact_entries_only():
 
 def test_lift_unimodular_mod():
     rng = random.Random(17)
+    cases = []
     for trial in range(200):
-        n = rng.randint(1, 4)
-        ell = rng.randint(1, 12)
-        T0 = unimodular_sample(n, seed=5000 + trial, word_length=14)
-        g = T0.mod(ell)
+        n = rng.randint(1, 6)
+        ell = rng.choice((rng.randint(1, 12), rng.randint(13, 2 ** 31 - 1)))
+        g = unimodular_sample(n, seed=5000 + trial, word_length=14).mod(ell)
+        cases.append((g, ell))
+    cases += [
+        # no entry of the first column is a unit mod 6 (det 1, then det -1)
+        (IntMatrix([[2, 1], [3, 2]]), 6), (IntMatrix([[4, 1, 0], [3, 1, 0], [0, 0, 5]]), 6),
+        # det = -1 mod ell, n = 1 among them
+        (IntMatrix([[0, 1], [1, 0]]), 5), (IntMatrix([[4]]), 5), (IntMatrix([[8]]), 7),
+        (IntMatrix([[3, 5, 1], [1, 2, 0], [0, 4, 4]]), 9),
+        # ell = 1 takes any matrix, ell = 2 any odd determinant
+        (IntMatrix([[3, 5], [7, 9]]), 1), (IntMatrix([[0]]), 1), (IntMatrix([[1, 1], [1, 0]]), 2),
+        (IntMatrix([[1]]), 2), (IntMatrix([[3, 2, 2], [2, 1, 2], [2, 2, 1]]), 2),
+    ]
+    for g, ell in cases:
         T = lift_unimodular_mod(g, ell)
-        assert (T - T0).mod(ell) == IntMatrix.zero(n).mod(ell)
-        assert abs(T.det()) == 1
+        assert (T - g).mod(ell) == IntMatrix.zero(g.rows), (g, ell)
+        det = oracles.leibniz_det(T)
+        assert abs(det) == 1, (g, ell)
         if ell > 2:
-            assert T.det() % ell == g.det() % ell
+            assert det % ell == oracles.leibniz_det(g) % ell, (g, ell)
+    assert sum(g.rows == 6 for g, _ in cases) > 10
+    assert sum(oracles.leibniz_det(g) % ell == ell - 1 for g, ell in cases if ell > 2) > 30
 
 
 def test_lift_rejects_non_unit_det():
     with pytest.raises(ValueError):
         lift_unimodular_mod(IntMatrix([[2, 0], [0, 1]]), 4)
+    with pytest.raises(ValueError):
+        lift_unimodular_mod(IntMatrix([[2, 1], [4, 5]]), 6)
+    with pytest.raises(ValueError, match="square"):
+        lift_unimodular_mod(IntMatrix([[1, 0]]), 3)
+    # the modulus is an exact integer >= 1
+    for bad in (-3, 0, 2.0, "3", Fraction(3, 1), None):
+        with pytest.raises(ValueError, match="modulus must be positive|not an integer"):
+            lift_unimodular_mod(IntMatrix([[2, 1], [1, 1]]), bad)
 
 
 def test_inverse_mod():
@@ -394,6 +417,10 @@ def test_inverses_edge_cases():
               IntMatrix.zero(2), IntMatrix([[1, 2, 3]])):
         with pytest.raises(ValueError):
             M.inverse_unimodular()
+    # the modulus is an exact integer >= 1
+    for bad in (-3, 0, 2.0, "3", Fraction(3, 1), None):
+        with pytest.raises(ValueError, match="modulus must be positive|not an integer"):
+            inverse_mod(IntMatrix([[2, 1], [1, 1]]), bad)
 
 
 def test_constructor_stores_exact_entries():

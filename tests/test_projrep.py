@@ -376,10 +376,14 @@ def test_builders_refuse_a_dimension_above_the_limit(monkeypatch):
     monkeypatch.setattr(projrep, "_phase", refuse)
     big = oracles.block_normal_form([(101, 1), (103, 2)])
     moved = big.congruence(oracles.unimodular_sample(4, seed=5, word_length=12))
-    for build in (lambda: clock_shift(REP_DIM_LIMIT + 1, 1),
-                  lambda: heisenberg_rep(skew2(Fraction(1, 10007))),
-                  lambda: heisenberg_rep(big), lambda: bundle_of(moved)):
-        with pytest.raises(ValueError, match=f"exceeds the rep limit {REP_DIM_LIMIT}"):
+    # the refusal names the dimension it would build: clock_shift(20000, 2)
+    # is 20000 wide although q_theta of 2/20000 is 10000
+    for build, dim in ((lambda: clock_shift(REP_DIM_LIMIT + 1, 1), REP_DIM_LIMIT + 1),
+                       (lambda: clock_shift(2 * REP_DIM_LIMIT, 2), 2 * REP_DIM_LIMIT),
+                       (lambda: heisenberg_rep(skew2(Fraction(1, 10007))), 10007),
+                       (lambda: heisenberg_rep(big), 101 * 103),
+                       (lambda: bundle_of(moved), 101 * 103)):
+        with pytest.raises(ValueError, match=f"^dimension {dim} exceeds the rep limit {REP_DIM_LIMIT}$"):
             build()
     monkeypatch.undo()
     assert len(clock_shift(REP_DIM_LIMIT, 1)[0].perm) == REP_DIM_LIMIT
