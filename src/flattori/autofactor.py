@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cohomology import AltFormZ, RootOfUnity
-from .exact_linalg import _int_tuple, _rational
+from .exact_linalg import _int_tuple, _int_vector, _rational
 
 @dataclass(frozen=True, slots=True)
 class AffinePhase:
@@ -278,9 +278,7 @@ class ScalarFactor:
         f_i = l_i . x + c_i the generator phases,
         f_gamma(x) = sum_i gamma_i f_i(x) + sum_i l_i[i] gamma_i (gamma_i - 1) / 2
         + sum_(j < i) gamma_j gamma_i l_j[i], on numerators over one denominator."""
-        gamma = _int_tuple(gamma)
-        if len(gamma) != self.n:
-            raise ValueError("lattice vector has wrong length")
+        gamma = _int_vector(gamma, self.n)
         den = lcm(*(p.den for p in self.phases))
         nums, num = [0] * self.n, 0
         for j, (g, p) in enumerate(zip(gamma, self.phases)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import IntMatrix, _int_tuple, _modulus, _rational
+from .exact_linalg import IntMatrix, _int_tuple, _int_vector, _modulus, _rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +46,8 @@ class AltFormZ:
         return AltFormZ(self.mat.scale(k))
 
     def value(self, u, v) -> int:
-        """Evaluate the form on a pair of integer vectors."""
+        """Evaluate the form on a pair of integer vectors of length n."""
+        u, v = _int_vector(u, self.n), _int_vector(v, self.n)
         return sum(u[i] * self.mat[i][j] * v[j]
                    for i in range(self.n) for j in range(self.n))
 
@@ -109,6 +110,8 @@ class RootOfUnity:
         return RootOfUnity(-self.phase)
 
     def __pow__(self, k: int) -> "RootOfUnity":
+        """The k-th power for an exact integer k; anything else raises."""
+        (k,) = _int_tuple((k,))
         return RootOfUnity(self.phase * k)
 
     def __str__(self):

@@ -51,6 +51,14 @@ def _int_tuple(xs) -> tuple:
         raise ValueError(f"not an integer index: {exc}") from exc
 
 
+def _int_vector(v, n: int) -> tuple:
+    """v as a lattice vector in Z^n: n exact integers; anything else raises."""
+    v = _int_tuple(v)
+    if len(v) != n:
+        raise ValueError("lattice vector has wrong length")
+    return v
+
+
 def _row_tuples(mat) -> tuple:
     """The rows of a nested matrix input as tuples; a flat list raises."""
     try:
@@ -143,6 +151,8 @@ class IntMatrix:
         return self.entries == tuple(zip(*[[-a for a in row] for row in self.entries]))
 
     def mod(self, ell: int) -> "IntMatrix":
+        """Entries reduced into [0, ell), for a modulus ell (`_modulus`)."""
+        ell = _modulus(ell)
         return IntMatrix([[a % ell for a in row] for row in self.entries])
 
     def det(self) -> int:

@@ -2,51 +2,51 @@
 
 The deformation parameter is a rational skew form theta; only the phases
 e(theta_ij) matter, so everything is invariant under integer shifts and
-GL(n, Z) congruence.  With ell the common denominator of frac(theta) and
-frac(theta'), the pair is isomorphic exactly when S = ell frac(theta) and
-S' = ell frac(theta') are congruent mod ell under Gamma, the matrices mod
-ell with det +-1 (the image of GL(n, Z)).  This is decided from invariants
+GL(n, Z) congruence.  Isomorphism is decided on theta's block normal form
 (the Disney-Elliott-Kumjian-Raeburn classification made effective), and
 every positive answer ships an exact integral certificate (T, shift) that
 is verified literally before being returned.
 
-Invariants.  symplectic_normal_form gives T with det T = +-1 and
-T S T^t = (+)_j e_j J, e_1 | e_2 | ... | e_r, then zero rows.  Scaling row
-2j of T by a unit u_j with u_j e_j = gcd(e_j, ell) mod ell gives M with
-M S M^t = N = (+)_j gcd(e_j, ell) J mod ell.  N is fixed by the chain of
-denominators ell / gcd(e_j, ell) > 1, so equal chains give one N for both
-sides, and S ~ S' exactly when some h in Stab(N) has
-det h = eps det M' / det M with eps = +-1; then g = M'^-1 h M.
+Normal form.  `_blocks` reads symplectic_normal_form of ell theta as T with
+det T = +-1 and T theta T^t = [[0, D, 0], [-D, 0, 0], [0, 0, 0]],
+D = diag(p_t / q_t) in lowest terms, q_1 | q_2 | ...  Mod Z the blocks with
+q_t = 1 vanish like the free directions; the q_t > 1 are the chain, and the
+largest is ell.  T with its rows ordered as the chain's first vectors, its
+second vectors, then the rest, is M with M theta M^t = N(q, p) mod Z: the
+chain's blocks (p_t / q_t) J, padded with zeros.  R, scaling second vector
+t by a unit r_t mod ell with r_t = p'_t / p_t mod q_t, takes N(q, p) to
+N(q, p'), so theta ~ theta' exactly when the chains agree and some h in
+Stab(N(q, p')) mod ell has det h = eps / prod r_t, eps = +-1; then
+g = M'^-1 h R M mod ell lifts to the certificate.
 
-Theorem.  For p^k || ell let a_j = min(v_p(gcd(e_j, ell)), k), let A be
-max a_j (A = k when 2r < n: N has zero rows) and c = k - A.  Then the
-determinants of Stab(N mod p^k) are exactly the units u = 1 mod p^c.
-  (>=) Scaling a zero direction, or the first vector of a block with
-  a_j = A, by u multiplies one row and column of N, whose entries have
-  valuation >= A, by u; they change by multiples of p^(c + A) = p^k.
-  (<=) Let c >= 1, so n = 2r, and lift G in Stab(N) to Z: G N G^t = N + E
-  with E = 0 mod p^k, and Pf(N + E) = det G Pf(N) = det G p^(sum a) w with
-  w a unit at p.  In the perfect-matching expansion of Pf(N + E) the
-  standard matching {2j, 2j+1} gives prod_j (gcd(e_j, ell) + E_(2j,2j+1))
-  = p^(sum a) w (1 + O(p^(k - A))).  Any other matching crosses a set B of
-  at least two whole blocks (a vertex matched outside its block leaves its
-  partner to be matched outside too); its term has valuation at least
-  sum_(j not in B) a_j + |B| k >= sum a + 2 (k - A).  So det G = 1
-  mod p^(k - A).
+Theorem.  Let k be the chain length, C = q_1 when 2k = n, C = 1 otherwise.
+The determinants of Stab(N mod ell) are exactly the units = 1 mod C.  For
+p^a || ell let A = a - v_p(q_1) (A = a when 2k < n) and c = a - A.
+  (>=) Scaling a free direction, or a vector of block 1, by u = 1 mod p^c
+  multiplies one row and column of ell N, whose entries have valuation
+  >= A, by u; they change by multiples of p^(c + A) = p^a.
+  (<=) Let c >= 1, so n = 2k and p | q_t, p not dividing p_t, for every t:
+  ell p_t / q_t has valuation a_t = a - v_p(q_t) <= A.  Lift G in Stab(N)
+  to Z: G (ell N) G^t = ell N + E with E = 0 mod p^a, and Pf(ell N + E) =
+  det G Pf(ell N) = det G p^(sum a_t) w with w a unit at p.  In the
+  perfect-matching expansion of Pf(ell N + E) the standard matching gives
+  prod_t (ell p_t / q_t + E_t) = p^(sum a_t) w (1 + O(p^(a - A))).  Any
+  other matching crosses a set B of at least two whole blocks (a vertex
+  matched outside its block leaves its partner to be matched outside too);
+  its term has valuation at least sum_(t not in B) a_t + |B| a >=
+  sum a_t + 2 (a - A).  So det G = 1 mod p^(a - A).
 
-Decision.  The gcd(e_j, ell) divide each other in order, so the last block
-has the largest a_j at every p at once.  The constraints eps delta = 1
-mod p^c, delta = det M' / det M, combine to one modulus
-C = ell / gcd(e_r, ell) (C = 1 when 2r < n), and one h serves every prime:
-it scales the first vector of the last block, or the last coordinate when
-2r < n, by eps delta.
+Decision.  The p^c multiply to C, and C | q_t for every t, so theta ~
+theta' exactly when the chains agree and prod p'_t = eps prod p_t mod C.
+One h then serves every prime: it scales the first chain second vector, or
+the first remaining row when 2k < n, by eps / prod r_t.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from .bundles import classify_projflat, endo
 from .cohomology import AltFormZ
@@ -112,26 +112,29 @@ def q_theta(theta: SkewRatForm) -> int:
     return root
 
 
-def normal_form(theta: SkewRatForm) -> NormalFormResult:
-    """GL(n, Z) block normal form of a rational skew form.
-
-    Blocks are (ell / g, e / g), g = gcd(e, ell), for the alternating
-    divisors e of ell * theta in reversed order, so the q_t ascend in
-    divisibility.  The certificate is checked literally before returning:
-    T theta T^t, read by `projrep._normal_form_blocks`, gives the same pairs."""
-    n, ell = theta.n, theta.ell
+def _blocks(theta: SkewRatForm):
+    """(rows of T, pairs) of theta's block normal form: pairs (ell / g, e / g),
+    g = gcd(e, ell), for the alternating divisors e of ell * theta in reversed
+    order, so the q_t ascend in divisibility; T lists the blocks' first
+    vectors, then their second vectors, then the free directions."""
     nf = symplectic_normal_form(theta.S)
-    k = len(nf.divisors)
+    rows, k = nf.T.entries, len(nf.divisors)
     order = range(k - 1, -1, -1)
-    perm_rows = [2 * t for t in order] + [2 * t + 1 for t in order] + list(range(2 * k, n))
-    T = IntMatrix([nf.T.entries[r] for r in perm_rows])
-    blocks = tuple((ell // (g := gcd(e, ell)), e // g) for e in nf.divisors[::-1])
-    qs = [q for q, _ in blocks]
-    if (_normal_form_blocks(theta.congruence(T)) != list(blocks)
+    rows = [rows[2 * t] for t in order] + [rows[2 * t + 1] for t in order] + list(rows[2 * k:])
+    return rows, [(theta.ell // (g := gcd(e, theta.ell)), e // g) for e in nf.divisors[::-1]]
+
+
+def normal_form(theta: SkewRatForm) -> NormalFormResult:
+    """GL(n, Z) block normal form of a rational skew form (`_blocks`).  The
+    certificate is checked literally before returning: T theta T^t, read by
+    `projrep._normal_form_blocks`, gives the same pairs."""
+    rows, blocks = _blocks(theta)
+    T, qs = IntMatrix(rows), [q for q, _ in blocks]
+    if (_normal_form_blocks(theta.congruence(T)) != blocks
             or any(qs[i + 1] % qs[i] for i in range(len(qs) - 1))
             or prod(qs) != q_theta(theta)):
         raise AssertionError("normal form failed its certificate check")
-    return NormalFormResult(T=T, blocks=blocks, free_rank=n - 2 * k)
+    return NormalFormResult(T=T, blocks=tuple(blocks), free_rank=theta.n - 2 * len(blocks))
 
 
 def c1_of_E_theta(theta: SkewRatForm) -> AltFormZ:
@@ -177,75 +180,48 @@ class IsoDecision:
         return self.status is IsoStatus.ISO
 
 
-def _unit_to_gcd(e: int, ell: int) -> int:
-    """A unit u mod ell with u * e = gcd(e, ell) mod ell."""
-    g = gcd(e, ell)
-    u = pow(e // g, -1, ell // g)
-    while gcd(u, ell) != 1:  # some lift of a unit mod ell / g is a unit mod ell
-        u += ell // g
-    return u
-
-
-def _scaled(nf, ell: int):
-    """(rows of M, det M / det T mod ell) for M = T with row 2j scaled by
-    _unit_to_gcd(e_j, ell): M S M^t = (+)_j gcd(e_j, ell) J mod ell."""
-    rows = [list(r) for r in nf.T.entries]
-    units = 1
-    for j, e in enumerate(nf.divisors):
-        u = _unit_to_gcd(e, ell)
-        rows[2 * j] = [u * x % ell for x in rows[2 * j]]
-        units = units * u % ell
-    return rows, units
-
-
-def _congruence(nf1, nf2, ell: int):
-    """g mod ell with det g = +-1 and g S1 g^t = S2 mod ell, for the
-    symplectic normal forms of S1 and S2 with equal denominator chains, or
-    None when there is none (module docstring)."""
-    rows1, units1 = _scaled(nf1, ell)
-    rows2, units2 = _scaled(nf2, ell)
-    n = len(rows1)
-    r = len(nf1.divisors)
-    C = ell // gcd(nf1.divisors[-1], ell) if 2 * r == n else 1
-    delta = units2 * pow(units1, -1, ell)
-    eps = next((e for e in (1, -1) if (e * delta - 1) % C == 0), None)
-    if eps is None:
-        return None
-    i = n - 2 if 2 * r == n else n - 1
-    rows1[i] = [eps * delta * x % ell for x in rows1[i]]
-    return (inverse_mod(IntMatrix(rows2), ell) @ IntMatrix(rows1)).mod(ell)
-
-
-def _chain(nf, ell: int):
-    """Denominators ell / gcd(e_j, ell) > 1 of the divisor chain: the finite
-    pairing invariants of the class."""
-    return tuple(ell // gcd(e, ell) for e in nf.divisors if e % ell)
-
-
 def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
     """Decide C(T^n_theta) (x) M_m = C(T^n'_theta') (x) M_m'.
 
-    Reject on n or m mismatch, on different q_theta, or on different
-    denominator chains; otherwise decide by the unit class of the normal
-    forms (module docstring).  A positive answer's certificate, I or the
-    integral lift of g mod ell, is verified literally."""
-    if p1.n != p2.n or p1.m != p2.m:
+    Reject on n or m mismatch, on different q_theta, on different chains
+    or on different unit classes mod C of the block normal forms of
+    frac(theta) and frac(theta') (module docstring).  A positive answer's
+    certificate, I or the integral lift of g mod ell, is verified literally."""
+    n = p1.n
+    if n != p2.n or p1.m != p2.m:
         return IsoDecision(IsoStatus.NOT_ISO)
     theta, theta2 = p1.theta, p2.theta
     if q_theta(theta) != q_theta(theta2):
         return IsoDecision(IsoStatus.NOT_ISO)
     f1, f2 = theta.frac(), theta2.frac()
-    ell = lcm(f1.ell, f2.ell)
-    nf1 = symplectic_normal_form(f1.scaled_int(ell))
-    nf2 = symplectic_normal_form(f2.scaled_int(ell))
-    if _chain(nf1, ell) != _chain(nf2, ell):
+    sides = []
+    for f in (f1, f2):  # rows: chain first vectors, chain second vectors, the rest
+        rows, pairs = _blocks(f)
+        K, j = len(pairs), sum(q == 1 for q, _ in pairs)
+        rest = rows[:j] + rows[K:K + j] + rows[2 * K:]
+        sides.append((rows[j:K] + rows[K + j:2 * K] + rest, pairs[j:]))
+    (rows1, chain1), (rows2, chain2) = sides
+    if [q for q, _ in chain1] != [q for q, _ in chain2]:
+        return IsoDecision(IsoStatus.NOT_ISO)
+    k = len(chain1)
+    C = chain1[0][0] if 2 * k == n else 1
+    P1, P2 = prod(p for _, p in chain1), prod(p for _, p in chain2)
+    eps = next((e for e in (1, -1) if (P2 - e * P1) % C == 0), None)
+    if eps is None:
         return IsoDecision(IsoStatus.NOT_ISO)
     if f1 == f2:
-        T = IntMatrix.identity(p1.n)
+        T = IntMatrix.identity(n)
     else:
-        g = _congruence(nf1, nf2, ell)
-        if g is None:
-            return IsoDecision(IsoStatus.NOT_ISO)
+        ell, R = f1.ell, 1
+        for t, ((q, p), (_, p_prime)) in enumerate(zip(chain1, chain2)):
+            r = p_prime * pow(p, -1, q) % q
+            while gcd(r, ell) != 1:  # some lift of a unit mod q is a unit mod ell
+                r += q
+            rows1[k + t] = [r * x % ell for x in rows1[k + t]]
+            R = R * r % ell
+        i = k if 2 * k == n else 2 * k
+        rows1[i] = [eps * pow(R, -1, ell) * x % ell for x in rows1[i]]
+        g = (inverse_mod(IntMatrix(rows2), ell) @ IntMatrix(rows1)).mod(ell)
         T = lift_unimodular_mod(g, ell)
     moved = theta.congruence(T)
     diff = SkewRatForm(theta2.S.scale(moved.ell) - moved.S.scale(theta2.ell),
@@ -253,4 +229,3 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
     if diff.ell != 1:
         raise AssertionError("lifted certificate failed literal verification")
     return IsoDecision(IsoStatus.ISO, T=T, shift=diff.S)
-

@@ -27,7 +27,8 @@ from math import gcd, isqrt, lcm, prod
 
 from .autofactor import _matrix, _phase
 from .cyclotomic import CycElt, _element, _power_table
-from .exact_linalg import IntMatrix, SkewRatForm, _int_tuple, _lowest_terms, lattice_kernel_mod
+from .exact_linalg import (IntMatrix, SkewRatForm, _int_tuple, _int_vector, _lowest_terms,
+                           lattice_kernel_mod)
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,8 +50,9 @@ class BilinearCocycle:
         object.__setattr__(self, "B", B)
 
     def value(self, g1, g2) -> Fraction:
-        """Phase of z(g1, g2), in turns mod 1."""
+        """Phase of z(g1, g2), in turns mod 1, for lattice vectors in Z^n."""
         B, n, ell = self.B, self.n, self.ell
+        g1, g2 = _int_vector(g1, n), _int_vector(g2, n)
         return Fraction(sum(g1[i] * B[i][j] * g2[j] for i in range(n) if g1[i]
                             for j in range(n) if g2[j]) % ell, ell)
 
@@ -77,10 +79,12 @@ class QuadraticPhase:
 
     def value(self, g) -> Fraction:
         Q, n, den = self.Q, self.Q.rows, 2 * self.ell
+        g = _int_vector(g, n)
         return Fraction(sum(g[i] * Q[i][j] * g[j] for i in range(n) for j in range(n)) % den,
                         den)
 
     def coboundary(self, g1, g2) -> Fraction:
+        g1, g2 = _int_vector(g1, self.Q.rows), _int_vector(g2, self.Q.rows)
         s = tuple(a + b for a, b in zip(g1, g2))
         return (self.value(g1) + self.value(g2) - self.value(s)) % 1
 

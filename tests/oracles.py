@@ -24,7 +24,10 @@ compares integer phase exponents mod L column by column.  `pullback_modq`, the
 mod-q pullback, has no library caller; it checks `pullback` commutes with
 the reduction mod q.
 `iso_via_bundles` cross-checks a positive `iso_decide` answer through the
-bundle classification.
+bundle classification, and `divisor_congruence` is the decision the
+library replaced by its block normal form: both forms over one common ell,
+each scaled by units to (+)_j gcd(e_j, ell) J and compared by their unit
+ratio.
 `FractionPhase` is the Fraction-valued affine phase and `RatMatrix` the
 Fraction-valued matrix that the library replaced by integer numerators
 over one denominator; `fraction_matrix` reads a skew form or a cocycle as
@@ -71,6 +74,7 @@ from flattori.exact_linalg import (
     _rational,
     inverse_mod,
     lattice_kernel_mod,
+    symplectic_normal_form,
 )
 from flattori.nctorus import NCTorusParams, iso_decide, q_theta
 from flattori.projrep import BilinearCocycle, ProjectiveRep
@@ -637,6 +641,56 @@ def iso_via_bundles(theta, theta2, m=1):
         if line_twist_exists(e1, e2) is None:
             raise AssertionError("aligned classes must differ by a line bundle")
     return decision
+
+
+def _unit_to_gcd(e, ell):
+    """A unit u mod ell with u * e = gcd(e, ell) mod ell."""
+    g = math.gcd(e, ell)
+    u = pow(e // g, -1, ell // g)
+    while math.gcd(u, ell) != 1:  # some lift of a unit mod ell / g is a unit mod ell
+        u += ell // g
+    return u
+
+
+def _divisor_scaled(nf, ell):
+    """(rows of M, det M / det T mod ell) for M = T with row 2j scaled by
+    _unit_to_gcd(e_j, ell): M S M^t = (+)_j gcd(e_j, ell) J mod ell."""
+    rows = [list(r) for r in nf.T.entries]
+    units = 1
+    for j, e in enumerate(nf.divisors):
+        u = _unit_to_gcd(e, ell)
+        rows[2 * j] = [u * x % ell for x in rows[2 * j]]
+        units = units * u % ell
+    return rows, units
+
+
+def divisor_congruence(theta, theta2):
+    """(g, ell) with det g = +-1 and g S g^t = S' mod ell for S = ell
+    frac(theta) and S' = ell frac(theta'), ell the lcm of their
+    denominators, or None when there is none.  The symplectic divisors e_j
+    of both sides give the chains ell / gcd(e_j, ell) > 1, which must agree;
+    then both go to N = (+)_j gcd(e_j, ell) J mod ell, and a congruence
+    exists exactly when their unit ratio delta is +-1 mod C = ell /
+    gcd(e_r, ell) (C = 1 when 2r < n); h scales the first vector of the
+    last block, or the last coordinate, by eps delta."""
+    f1, f2 = theta.frac(), theta2.frac()
+    ell = math.lcm(f1.ell, f2.ell)
+    nf1 = symplectic_normal_form(f1.scaled_int(ell))
+    nf2 = symplectic_normal_form(f2.scaled_int(ell))
+    chains = [tuple(ell // math.gcd(e, ell) for e in nf.divisors if e % ell) for nf in (nf1, nf2)]
+    if chains[0] != chains[1]:
+        return None
+    rows1, units1 = _divisor_scaled(nf1, ell)
+    rows2, units2 = _divisor_scaled(nf2, ell)
+    n, r = len(rows1), len(nf1.divisors)
+    C = ell // math.gcd(nf1.divisors[-1], ell) if 2 * r == n else 1
+    delta = units2 * pow(units1, -1, ell)
+    eps = next((e for e in (1, -1) if (e * delta - 1) % C == 0), None)
+    if eps is None:
+        return None
+    i = n - 2 if 2 * r == n else n - 1
+    rows1[i] = [eps * delta * x % ell for x in rows1[i]]
+    return (inverse_mod(IntMatrix(rows2), ell) @ IntMatrix(rows1)).mod(ell), ell
 
 
 def pfaffian(S):

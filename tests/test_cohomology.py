@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import oracles
 import pytest
 
+from flattori.autofactor import det_cocycle, factor_from
 from flattori.cohomology import (
     REVERSED,
     STANDARD,
@@ -18,6 +20,7 @@ from flattori.cohomology import (
 )
 from flattori.bundles import tw_to_omega
 from flattori.exact_linalg import IntMatrix
+from flattori.projrep import BilinearCocycle, QuadraticPhase
 
 
 def test_wedge_elementary():
@@ -39,6 +42,30 @@ def test_wedge_rejects_non_integer_entries():
         with pytest.raises(ValueError):
             wedge(u, v)
     assert wedge([2, 1], (0, True)) == AltFormZ([[0, 2], [-2, 0]])
+
+
+def test_lattice_evaluators_take_exact_vectors_of_length_n():
+    # AltFormZ.value returned 1.5 on (1.5, 0) and dropped a third coordinate;
+    # the cocycle and phase evaluators truncated long vectors, raised
+    # IndexError on short ones and TypeError on floats
+    e1, e2 = (1, 0), (0, 1)
+    form = AltFormZ([[0, 1], [-1, 0]])
+    cocycle = BilinearCocycle([[0, Fraction(1, 3)], [0, 0]])
+    phase = QuadraticPhase(IntMatrix([[1, 2], [0, 3]]), 5)
+    scalar = det_cocycle(factor_from(3, 2))
+    for bad in [(1.5, 0), (1, 0.0), (Fraction(1, 2), 0), ("1", 0), (None, 0), (1, 0, 5), (1,),
+                ()]:
+        for evaluate in (form.value, cocycle.value, phase.coboundary):
+            for u, v in ((bad, e2), (e1, bad)):
+                with pytest.raises(ValueError):
+                    evaluate(u, v)
+        for evaluate in (phase.value, scalar.value):
+            with pytest.raises(ValueError):
+                evaluate(bad)
+    assert form.value(e1, e2) == form.value((np.int64(1), False), (0, True)) == 1
+    assert cocycle.value(e1, e2) == cocycle.value((True, 0), e2) == Fraction(1, 3)
+    assert phase.value((1, 1)) == Fraction(6, 10)
+    assert phase.coboundary(e1, e2) == Fraction(4, 5)
 
 
 def test_wedge_bilinear_antisymmetric():
@@ -160,6 +187,13 @@ def test_root_of_unity_takes_exact_phases_only():
             RootOfUnity(phase)
     assert RootOfUnity(Fraction(4, 3)) == RootOfUnity(Fraction(1, 3))
     assert RootOfUnity(-2) == RootOfUnity.one()
+    # so are exponents: a fractional power used to pick one of its values
+    z = RootOfUnity(Fraction(1, 3))
+    for k in [Fraction(1, 2), 0.5, 2.0, "2", None]:
+        with pytest.raises(ValueError):
+            z ** k
+    assert z ** np.int64(2) == z ** True * z == RootOfUnity(Fraction(2, 3))
+    assert z ** -1 == z.inverse()
 
 
 def test_mu_q_image_takes_exact_integers_only():

@@ -417,10 +417,15 @@ def test_inverses_edge_cases():
               IntMatrix.zero(2), IntMatrix([[1, 2, 3]])):
         with pytest.raises(ValueError):
             M.inverse_unimodular()
-    # the modulus is an exact integer >= 1
+    # the modulus is an exact integer >= 1; IntMatrix.mod(-3) used to return
+    # negative entries, .mod(0) raised ZeroDivisionError and .mod(2.0) blamed
+    # "matrix entry 0.0"
+    M = IntMatrix([[2, 1], [1, 1]])
     for bad in (-3, 0, 2.0, "3", Fraction(3, 1), None):
-        with pytest.raises(ValueError, match="modulus must be positive|not an integer"):
-            inverse_mod(IntMatrix([[2, 1], [1, 1]]), bad)
+        for reduce in (inverse_mod, IntMatrix.mod):
+            with pytest.raises(ValueError, match="modulus must be positive|not an integer index"):
+                reduce(M, bad)
+    assert M.mod(np.int64(2)) == M.mod(2) == IntMatrix([[0, 1], [1, 1]])
 
 
 def test_constructor_stores_exact_entries():

@@ -1,13 +1,18 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import numpy as np
 import oracles
 import pytest
 from oracles import fraction_matrix, iso_via_bundles, unimodular_sample
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import keys  # noqa: E402  the benchmark's plain-Fraction certificate check
 
 from flattori import nctorus
 from flattori.cohomology import pullback
@@ -239,11 +244,19 @@ def test_iso_n2_analytic_rule():
 
 
 def test_iso_perturbation_invariance():
+    # equal chains with a q = 1 block on one side where the other has free
+    # directions, in both argument orders: pairing blocks by index fails here
     rng = random.Random(59)
+    half_third, sixth = skew_blocks(Fraction(1, 2), Fraction(1, 3)), skew_blocks(Fraction(1, 6), 0)
+    with_q1 = skew_blocks(Fraction(1, 3), Fraction(1, 6), 2)
+    with_free = skew_blocks(Fraction(1, 3), Fraction(5, 6), 0)
     base_pairs = [
         (skew2(Fraction(1, 3)), skew2(Fraction(2, 3))),
         (skew2(Fraction(1, 5)), skew2(Fraction(2, 5))),
-        (skew_blocks(Fraction(1, 2), Fraction(1, 3)), skew_blocks(Fraction(1, 6), 0)),
+        (half_third, sixth),
+        (sixth, half_third),
+        (with_q1, with_free),
+        (with_free, with_q1),
     ]
     for t1, t2 in base_pairs:
         want = iso_decide(params(t1), params(t2)).status
@@ -251,8 +264,9 @@ def test_iso_perturbation_invariance():
             n = t1.n
             T = unimodular_sample(n, seed=7700 + trial, word_length=10)
             t1p = SkewRatForm(fraction_matrix(t1.congruence(T)) + rand_int_skew(rng, n))
-            got = iso_decide(params(t1p), params(t2)).status
-            assert got is want
+            d = iso_decide(params(t1p), params(t2))
+            assert d.status is want
+            assert_divisor_route_agrees(d, t1p, t2)
 
 
 def test_iso_equivalence_relation_with_certificates():
@@ -461,6 +475,21 @@ def assert_certified(d, t1, t2):
     assert d.status is IsoStatus.ISO
     assert abs(d.T.det()) == 1
     assert fraction_matrix(t2) - fraction_matrix(t1.congruence(d.T)) == d.shift
+    theta, theta2 = ([[Fraction(x, t.ell) for x in row] for row in t.S.entries] for t in (t1, t2))
+    assert keys.certificate_error(theta, theta2, d.T.entries, d.shift.entries) is None
+
+
+def assert_divisor_route_agrees(d, t1, t2):
+    """The decision matches the divisor route of tests/oracles.py, whose g
+    is a congruence mod ell, and a positive is certified."""
+    found = oracles.divisor_congruence(t1, t2)
+    if found is not None:
+        g, ell = found
+        moved = (g @ t1.frac().scaled_int(ell) @ g.transpose()).mod(ell)
+        assert moved == t2.frac().scaled_int(ell).mod(ell)
+    assert d.is_iso == (found is not None)
+    if d.is_iso:
+        assert_certified(d, t1, t2)
 
 
 def test_equal_chain_n4_negatives_within_budget():
@@ -535,7 +564,9 @@ def test_iso_agrees_with_walk_orbits_on_every_n4_orbit():
 def test_iso_agrees_with_walk_on_random_pairs():
     # positives transported by short words up to ell = 12; negatives only
     # where the walk closes an orbit within its state cap (a fraction of a
-    # second)
+    # second).  The divisor route of tests/oracles.py decides every pair too,
+    # and also equal chains with unit classes mod C > 2 at n = 4 and 6, where
+    # the walk does not close
     rng = random.Random(109)
     cap = 15000
     counts = {True: 0, False: 0}
@@ -557,14 +588,26 @@ def test_iso_agrees_with_walk_on_random_pairs():
             t2 = transported(rng, oracles.block_normal_form(blocks, n), word_length=4)
         else:
             t2 = oracles.random_skew_rat(rng, n, max_den=ell, max_num=2 * ell)
+        d = iso_decide(params(t1), params(t2))
+        assert_divisor_route_agrees(d, t1, t2)
         f1, f2 = t1.frac(), t2.frac()
-        ell = lcm(f1.ell, f2.ell)
-        found, _ = oracles.congruence_search(f1, f2, ell, cap)
+        found, _ = oracles.congruence_search(f1, f2, lcm(f1.ell, f2.ell), cap)
         if found is None:
             continue
-        d = iso_decide(params(t1), params(t2))
         assert d.is_iso == found
-        if found:
-            assert_certified(d, t1, t2)
         counts[found] += 1
     assert counts[True] >= 30 and counts[False] >= 10, counts
+    counts = {True: 0, False: 0}
+    for trial in range(80):
+        n = (4, 6)[trial % 2]
+        qs = [rng.choice((3, 5, 7, 8, 9, 12))]
+        while len(qs) < n // 2:
+            qs.append(qs[-1] * rng.choice((1, 1, 2)))
+        units = [[u for u in range(1, q) if gcd(u, q) == 1] for q in qs]
+        blocks = [[(q, rng.choice(us) + q * rng.randint(0, 1)) for q, us in zip(qs, units)]
+                  for _ in range(2)]
+        t1, t2 = (transported(rng, oracles.block_normal_form(b, n), word_length=8) for b in blocks)
+        d = iso_decide(params(t1), params(t2))
+        assert_divisor_route_agrees(d, t1, t2)
+        counts[d.is_iso] += 1
+    assert counts[True] >= 20 and counts[False] >= 20, counts
