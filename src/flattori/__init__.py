@@ -45,7 +45,6 @@ from .exact_linalg import (
     IntMatrix,
     SkewRatForm,
     SymplecticNF,
-    lattice_kernel_mod,
     lift_unimodular_mod,
     smith_normal_form,
     symplectic_normal_form,
@@ -71,7 +70,6 @@ from .projrep import (
     commutant_dim,
     heisenberg_rep,
     intertwiner,
-    radical,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

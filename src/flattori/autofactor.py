@@ -205,7 +205,9 @@ class FactorOfAutomorphy:
     a: int
 
     def __post_init__(self):
-        if _int_tuple((self.q, self.a))[0] < 1:
+        for name, value in zip(("q", "a"), _int_tuple((self.q, self.a))):
+            object.__setattr__(self, name, value)
+        if self.q < 1:
             raise ValueError("q must be >= 1")
         if _violations(self, [(g1, g2) for g1 in ((1, 0), (0, 1), (1, 1))
                               for g2 in ((1, 0), (0, 1), (-1, 1))]):
@@ -244,11 +246,13 @@ def _violations(F, pairs) -> list:
 def check_cocycle(F, trials: int, seed: int = 0):
     """Verify the cocycle identity on `trials` >= 1 random pairs, entries drawn
     as randint(-10, 10) draws them.  Returns the list of violating pairs."""
-    if type(trials) is not int or trials < 1:
+    exact = hasattr(trials, "__index__") and not isinstance(trials, bool)
+    (count,) = _int_tuple((trials if exact else 0,))
+    if count < 1:
         raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     rng = random.Random(seed)
     pairs = [tuple((rng.randrange(21) - 10, rng.randrange(21) - 10) for _ in range(2))
-             for _ in range(trials)]
+             for _ in range(count)]
     return _violations(F, pairs)
 
 

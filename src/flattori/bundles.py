@@ -116,6 +116,7 @@ def line_twist_exists(e1: VectorBundleClass, e2: VectorBundleClass):
 
 def direct_sum_power(e: VectorBundleClass, m: int) -> VectorBundleClass:
     """m-fold Whitney sum: rank m*q, c1 scales by m."""
+    (m,) = _int_tuple((m,))
     if m < 1:
         raise ValueError("m must be >= 1")
     return VectorBundleClass(e.n, m * e.rank, e.c1.scale(m))

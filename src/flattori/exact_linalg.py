@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 _INT, _EXACT = frozenset({int}), frozenset({int, Fraction})
 
@@ -424,21 +424,6 @@ def _modulus(ell) -> int:
     if ell < 1:
         raise ValueError("modulus must be positive")
     return ell
-
-
-def lattice_kernel_mod(M: IntMatrix, ell: int):
-    """Basis of H = {h in Z^n : M h = 0 mod ell} plus the index [Z^n : H].
-
-    Smith-based: with U M V = D the lattice is V * diag(ell/gcd(d_i, ell)) Z^n.
-    """
-    ell = _modulus(ell)
-    if M.rows != M.cols:
-        raise ValueError("square matrix expected")
-    n = M.rows
-    D, V = smith_normal_form(M)
-    mults = [ell // gcd(D[i][i], ell) for i in range(n)]
-    basis = [IntMatrix([[V[i][j] * mults[j]] for i in range(n)]) for j in range(n)]
-    return basis, prod(mults)
 
 
 def inverse_mod(M: IntMatrix, ell: int) -> IntMatrix:

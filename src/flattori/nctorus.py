@@ -59,7 +59,7 @@ from .exact_linalg import (
     smith_normal_form,
     symplectic_normal_form,
 )
-from .projrep import ProjectiveRep, _clock_shift_rep, _normal_form_blocks, radical
+from .projrep import ProjectiveRep, _clock_shift_rep, _normal_form_blocks
 
 
 @dataclass(frozen=True)
@@ -93,19 +93,12 @@ class NormalFormResult:
 def q_theta(theta: SkewRatForm) -> int:
     """Square root of the lattice index [(Z^n + im theta) : Z^n].
 
-    Computed by both routes -- the Smith form of the stacked generators and
-    the radical index of the bicharacter e(theta) -- which must agree and be
-    a perfect square; a failure would falsify the underlying lemma, so it
+    That index is the size of the image of the integer numerators S mod ell,
+    prod ell / gcd(d_i, ell) over the Smith divisors d_i of S; it must be a
+    perfect square, and a failure would falsify the underlying lemma, so it
     aborts loudly."""
-    n, ell, S = theta.n, theta.ell, theta.S
-    # generators as rows: the lattice of the columns of [ell I | S], as S^t = -S
-    stacked = IntMatrix([[ell * (i == j) for j in range(n)] for i in range(n)] + list(S))
-    D, _ = smith_normal_form(stacked)
-    index = ell ** n // prod(D[i][i] for i in range(n))
-
-    _, rad_index = radical(theta)
-    if index != rad_index:
-        raise AssertionError(f"index formulas disagree: {index} vs {rad_index}")
+    D, _ = smith_normal_form(theta.S)
+    index = prod(theta.ell // gcd(D[i][i], theta.ell) for i in range(theta.n))
     root = isqrt(index)
     if root * root != index:
         raise AssertionError(f"lattice index {index} is not a perfect square")
@@ -183,17 +176,20 @@ class IsoDecision:
 def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
     """Decide C(T^n_theta) (x) M_m = C(T^n'_theta') (x) M_m'.
 
-    Reject on n or m mismatch, on different q_theta, on different chains
-    or on different unit classes mod C of the block normal forms of
-    frac(theta) and frac(theta') (module docstring).  A positive answer's
+    Reject on n or m mismatch.  Equal frac(theta) and frac(theta') are
+    isomorphic by T = I, before any normal form.  Otherwise reject on
+    different q_theta, on different chains or on different unit classes mod
+    C of their block normal forms (module docstring).  A positive answer's
     certificate, I or the integral lift of g mod ell, is verified literally."""
     n = p1.n
     if n != p2.n or p1.m != p2.m:
         return IsoDecision(IsoStatus.NOT_ISO)
     theta, theta2 = p1.theta, p2.theta
+    f1, f2 = theta.frac(), theta2.frac()
+    if f1 == f2:
+        return _verified(theta, theta2, IntMatrix.identity(n))
     if q_theta(theta) != q_theta(theta2):
         return IsoDecision(IsoStatus.NOT_ISO)
-    f1, f2 = theta.frac(), theta2.frac()
     sides = []
     for f in (f1, f2):  # rows: chain first vectors, chain second vectors, the rest
         rows, pairs = _blocks(f)
@@ -209,23 +205,25 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
     eps = next((e for e in (1, -1) if (P2 - e * P1) % C == 0), None)
     if eps is None:
         return IsoDecision(IsoStatus.NOT_ISO)
-    if f1 == f2:
-        T = IntMatrix.identity(n)
-    else:
-        ell, R = f1.ell, 1
-        for t, ((q, p), (_, p_prime)) in enumerate(zip(chain1, chain2)):
-            r = p_prime * pow(p, -1, q) % q
-            while gcd(r, ell) != 1:  # some lift of a unit mod q is a unit mod ell
-                r += q
-            rows1[k + t] = [r * x % ell for x in rows1[k + t]]
-            R = R * r % ell
-        i = k if 2 * k == n else 2 * k
-        rows1[i] = [eps * pow(R, -1, ell) * x % ell for x in rows1[i]]
-        g = (inverse_mod(IntMatrix(rows2), ell) @ IntMatrix(rows1)).mod(ell)
-        T = lift_unimodular_mod(g, ell)
+    ell, R = f1.ell, 1
+    for t, ((q, p), (_, p_prime)) in enumerate(zip(chain1, chain2)):
+        r = p_prime * pow(p, -1, q) % q
+        while gcd(r, ell) != 1:  # some lift of a unit mod q is a unit mod ell
+            r += q
+        rows1[k + t] = [r * x % ell for x in rows1[k + t]]
+        R = R * r % ell
+    i = k if 2 * k == n else 2 * k
+    rows1[i] = [eps * pow(R, -1, ell) * x % ell for x in rows1[i]]
+    g = (inverse_mod(IntMatrix(rows2), ell) @ IntMatrix(rows1)).mod(ell)
+    return _verified(theta, theta2, lift_unimodular_mod(g, ell))
+
+
+def _verified(theta: SkewRatForm, theta2: SkewRatForm, T: IntMatrix) -> IsoDecision:
+    """ISO with the certificate (T, theta' - T theta T^t), whose shift must
+    be integral."""
     moved = theta.congruence(T)
     diff = SkewRatForm(theta2.S.scale(moved.ell) - moved.S.scale(theta2.ell),
                        theta2.ell * moved.ell)
     if diff.ell != 1:
-        raise AssertionError("lifted certificate failed literal verification")
+        raise AssertionError("certificate failed literal verification")
     return IsoDecision(IsoStatus.ISO, T=T, shift=diff.S)

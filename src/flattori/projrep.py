@@ -1,4 +1,4 @@
-"""2-cocycles on Z^n with torsion phase values, bicharacters/radicals,
+"""2-cocycles on Z^n with torsion phase values, their bicharacters,
 coboundary equivalence, and the irreducible clock-and-shift projective
 representations, all written by one builder that refuses a dimension above
 REP_DIM_LIMIT.
@@ -27,8 +27,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .autofactor import _matrix, _phase
 from .cyclotomic import CycElt, _element, _power_table
-from .exact_linalg import (IntMatrix, SkewRatForm, _int_tuple, _int_vector, _lowest_terms,
-                           lattice_kernel_mod)
+from .exact_linalg import IntMatrix, SkewRatForm, _int_tuple, _int_vector, _lowest_terms
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,13 +60,6 @@ def bicharacter_of(z: BilinearCocycle) -> SkewRatForm:
     """Antisymmetrization z(g,g') z(g',g)^{-1} = e(g^t (B - B^t) g' / ell):
     that skew form mod Z, as its `frac()` representative."""
     return SkewRatForm(z.B - z.B.transpose(), z.ell).frac()
-
-
-def radical(chi: SkewRatForm):
-    """Sublattice H = {h : e(h^t chi g) = 1 for all g} with its finite index:
-    the kernel of the integer numerators S mod ell, which integer shifts of
-    chi do not change."""
-    return lattice_kernel_mod(chi.S, chi.ell)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,11 @@ cocycle recursion, walked one step at a time, references its closed form.
 transform U, and `cofactor_adjugate` the adjugate from n^2 cofactor
 determinants; the library replaced them with a Smith form that tracks only
 V and a one-pass fraction-free Gauss-Jordan adjugate.
+The library reads q_theta from one Smith form of theta's numerators S.  The
+two routes it replaced are the references for q_theta^2, each on the Smith
+form above: `stacked_lattice_index`, the index of the lattice spanned by
+the stacked 2n x n generators [ell I ; S], and `radical`, the index of the
+kernel of S mod ell (`lattice_kernel_mod`, which also returns a basis).
 Direct sums and the seeded unimodular sampler build test inputs, and
 `cyc_from_phase` writes a root of unity as a `CycElt`.
 """
@@ -71,9 +76,9 @@ from flattori.exact_linalg import (
     IntMatrix,
     SkewRatForm,
     _int_tuple,
+    _modulus,
     _rational,
     inverse_mod,
-    lattice_kernel_mod,
     symplectic_normal_form,
 )
 from flattori.nctorus import NCTorusParams, iso_decide, q_theta
@@ -269,6 +274,37 @@ def fraction_radical_index(chi):
     common denominator of the entries."""
     ell = math.lcm(*(x.denominator for row in chi for x in row))
     return lattice_kernel_mod(IntMatrix([[x * ell for x in row] for row in chi]), ell)[1]
+
+
+def lattice_kernel_mod(M, ell):
+    """Basis of H = {h in Z^n : M h = 0 mod ell} plus the index [Z^n : H]:
+    with U M V = D, H is V diag(ell / gcd(d_i, ell)) Z^n."""
+    ell = _modulus(ell)
+    if M.rows != M.cols:
+        raise ValueError("square matrix expected")
+    n = M.rows
+    _, D, V = smith_with_transforms(M)
+    mults = [ell // math.gcd(D[i][i], ell) for i in range(n)]
+    basis = [IntMatrix([[V[i][j] * mults[j]] for i in range(n)]) for j in range(n)]
+    return basis, math.prod(mults)
+
+
+def radical(chi):
+    """Sublattice H = {h : e(h^t chi g) = 1 for all g} of a skew form with
+    its index q_theta^2: the kernel of the integer numerators S mod ell,
+    which integer shifts of chi do not change."""
+    return lattice_kernel_mod(chi.S, chi.ell)
+
+
+def stacked_lattice_index(theta):
+    """[(Z^n + im theta) : Z^n] = q_theta^2 from the Smith form of the
+    generators stacked as rows, the 2n x n matrix [ell I ; S]: the lattice
+    of the columns of [ell I | S], as S^t = -S."""
+    n, ell = theta.n, theta.ell
+    stacked = IntMatrix([[ell * (i == j) for j in range(n)] for i in range(n)]
+                        + list(theta.S.entries))
+    _, D, _ = smith_with_transforms(stacked)
+    return ell ** n // math.prod(D[i][i] for i in range(n))
 
 
 def smith_with_transforms(M):

@@ -32,7 +32,6 @@ from flattori.projrep import (
     commutant_dim,
     heisenberg_rep,
     intertwiner,
-    radical,
 )
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 
@@ -77,18 +76,14 @@ def test_criterion_2_omega_coherence():
 
 
 def test_criterion_3_q_theta_double_formula():
-    with criterion(3, "q_theta agreement of both formulas", 60):
+    with criterion(3, "q_theta agreement with both oracle formulas", 60):
         rng = random.Random(20260810)
         for trial in range(200):
             n = rng.randint(1, 6)
             theta = oracles.random_skew_rat(rng, n, max_den=12, max_num=6)
-            q = q_theta(theta)  # internally asserts both formulas agree
-            _, rad_index = radical(bicharacter_of_theta(theta))
-            assert rad_index == q * q
-
-
-def bicharacter_of_theta(theta):
-    return theta.frac()
+            q = q_theta(theta)
+            assert oracles.stacked_lattice_index(theta) == q * q
+            assert oracles.radical(theta.frac())[1] == q * q
 
 
 def test_criterion_4_desk_scale_bijectivity():

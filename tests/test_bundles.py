@@ -28,7 +28,8 @@ from flattori.cohomology import (
     mu_q_image,
     wedge,
 )
-from flattori.exact_linalg import IntMatrix, SkewRatForm, lattice_kernel_mod
+from flattori.autofactor import check_cocycle, factor_from
+from flattori.exact_linalg import SkewRatForm
 from flattori.nctorus import NCTorusParams
 
 
@@ -193,12 +194,18 @@ def test_integer_parameters_must_be_exact_integers():
                   lambda: MatrixBundleClass(2, 2.0, beta), lambda: MatrixBundleClass("2", 2, beta),
                   lambda: NCTorusParams(2, theta, 1.5), lambda: NCTorusParams(2.0, theta),
                   lambda: AltFormModQ([[0, 1], [-1, 0]], "2"),
-                  lambda: lattice_kernel_mod(IntMatrix([[0, 1], [-1, 0]]), 2.5)):
+                  lambda: direct_sum_power(X_bundle(2, 1), "2")):
         with pytest.raises(ValueError):
             build()
+    with pytest.raises(ValueError, match="not an integer index"):
+        direct_sum_power(X_bundle(2, 1), 2.5)
     # exact integers of other types are stored as ints
     e = VectorBundleClass(np.int64(2), np.int64(3), c)
     a = MatrixBundleClass(np.int64(2), np.int64(2), beta)
     p = NCTorusParams(np.int64(2), theta, np.int64(4))
     assert (type(e.n), type(e.rank), type(a.n), type(a.size), type(p.n), type(p.m)) == (int,) * 6
     assert AltFormModQ([[0, 1], [-1, 0]], np.int64(2)) == beta
+    assert direct_sum_power(X_bundle(2, 1), np.int64(3)) == direct_sum_power(X_bundle(2, 1), 3)
+    F = factor_from(np.int64(3), np.int64(1))
+    assert (type(F.q), type(F.a)) == (int, int) and F == factor_from(3, 1)
+    assert check_cocycle(F, np.int64(5)) == check_cocycle(F, 5) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import unimodular_sample
+from oracles import lattice_kernel_mod, unimodular_sample
 
 from flattori.cohomology import AltFormZ
 from flattori.projrep import BilinearCocycle
@@ -16,7 +16,6 @@ from flattori.exact_linalg import (
     SkewRatForm,
     _lowest_terms,
     inverse_mod,
-    lattice_kernel_mod,
     lift_unimodular_mod,
     smith_normal_form,
     symplectic_normal_form,

@@ -63,17 +63,36 @@ def test_q_theta_examples():
 
 
 def test_q_theta_brute_force_index():
+    # q_theta^2 against both oracle routes, and against brute force where
+    # ell^n <= 4096: zero and integer forms, block forms with free
+    # directions, and random forms with their transports and integer shifts
     rng = random.Random(31)
-    for _ in range(25):
-        n = rng.randint(1, 3)
-        theta = oracles.random_skew_rat(rng, n, max_den=5, max_num=4)
+    forms = [SkewRatForm(IntMatrix.zero(n, n)) for n in range(1, 9)]
+    forms += [SkewRatForm(rand_int_skew(rng, n)) for n in range(1, 9)]
+    for trial in range(24):
+        n = 1 + trial % 8
+        k = rng.randint(min(1, n // 2), n // 2)
+        pairs = [(q, rng.choice([p for p in range(1, q + 1) if gcd(p, q) == 1]))
+                 for q in (rng.randint(1, 6) for _ in range(k))]
+        block = oracles.block_normal_form(pairs, n)
+        assert q_theta(block) == prod(q for q, _ in pairs)
+        theta = oracles.random_skew_rat(rng, n, max_den=1 + trial % 6, max_num=4)
+        T = unimodular_sample(n, seed=trial, word_length=8)
+        for form in (block, theta):
+            shifted = SkewRatForm(fraction_matrix(form) + rand_int_skew(rng, n))
+            forms += [form, form.congruence(T), shifted]
+    for theta in forms:
         q = q_theta(theta)
-        assert q * q == oracles.brute_force_lattice_index(theta)
+        assert oracles.stacked_lattice_index(theta) == q * q == oracles.radical(theta)[1]
+        if theta.ell ** theta.n <= 4096:
+            assert q * q == oracles.brute_force_lattice_index(theta)
+    assert {q_theta(theta) for theta in forms[:16]} == {1}
 
 
 def test_q_theta_row_stacking_matches_column_stacking():
-    # q_theta takes the Smith form of the generators stacked as rows,
-    # [ell I ; S]; the index must be the one of the columns of [ell I | S]
+    # the stacked-lattice oracle takes the Smith form of the generators
+    # stacked as rows, [ell I ; S]; that lattice is the one of the columns of
+    # [ell I | S], and q_theta, one Smith form of S, gives the same index
     rng = random.Random(43)
     for trial in range(320):
         n = 1 + trial % 8
@@ -87,7 +106,7 @@ def test_q_theta_row_stacking_matches_column_stacking():
                          + list(S.entries))
         D_rows, _ = smith_normal_form(rows)
         assert [D_rows[i][i] for i in range(n)] == [D[i][i] for i in range(n)]
-        assert q_theta(theta) ** 2 == index
+        assert oracles.stacked_lattice_index(theta) == q_theta(theta) ** 2 == index
 
 
 def test_q_theta_congruence_and_shift_invariant():
@@ -213,17 +232,29 @@ def test_iso_fifth_negative():
     assert d.status is IsoStatus.NOT_ISO
 
 
-def test_iso_integer_shift():
-    # a shift-only pair is certified by T = I and exactly that shift
+def test_iso_integer_shift(monkeypatch):
+    # a shift-only pair is certified by T = I and exactly that shift, before
+    # any normal form is taken
+    calls = []
+    for name in ("symplectic_normal_form", "smith_normal_form"):
+        def counted(M, real=getattr(nctorus, name), name=name):
+            calls.append(name)
+            return real(M)
+        monkeypatch.setattr(nctorus, name, counted)
     rng = random.Random(18)
     cases = [(skew2(Fraction(1, 3)), IntMatrix([[0, 4], [-4, 0]]))]
-    for n in (4, 8):
+    for n in (3, 4, 8):
         cases.append((oracles.random_skew_rat(rng, n), rand_int_skew(rng, n)))
     for theta, shift in cases:
         d = iso_decide(params(theta), params(SkewRatForm(fraction_matrix(theta) + shift)))
         assert d.status is IsoStatus.ISO
         assert d.T == IntMatrix.identity(theta.n)
         assert d.shift == shift
+    assert calls == []
+    # a pair that differs mod Z still takes both normal forms
+    theta = skew2(Fraction(1, 3))
+    assert iso_decide(params(theta), params(skew2(Fraction(2, 3)))).is_iso
+    assert {"symplectic_normal_form", "smith_normal_form"} <= set(calls)
 
 
 def test_iso_rejects_n_m_mismatch():

@@ -22,7 +22,6 @@ from flattori.projrep import (
     commutant_dim,
     heisenberg_rep,
     intertwiner,
-    radical,
 )
 from flattori.projrep import (
     _clock_shift_rep,
@@ -41,6 +40,7 @@ from oracles import (
     cyc_mul,
     cyc_one,
     cyc_sub,
+    radical,
     scalar_mul,
     sparse_rref,
 )
