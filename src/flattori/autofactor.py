@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cohomology import AltFormZ, RootOfUnity
-from .exact_linalg import _int_tuple, _int_vector, _rational
+from .exact_linalg import _int, _ints, _positive, _rational, _row_tuples, _tuple
 
 @dataclass(frozen=True, slots=True)
 class AffinePhase:
@@ -41,7 +41,7 @@ class AffinePhase:
     num: int
 
     def __init__(self, linear, const):
-        coeffs = [_rational(c) for c in linear]
+        coeffs = [_rational(c) for c in _tuple(linear)]
         const = _rational(const)
         den = lcm(const.denominator, *(c.denominator for c in coeffs))
         _phase(den, tuple(c.numerator * (den // c.denominator) for c in coeffs),
@@ -128,14 +128,15 @@ class GenPermPhaseMatrix:
     phases: tuple
 
     def __init__(self, perm, phases):
-        perm = _int_tuple(perm)
-        phases = tuple(phases)
+        perm, phases = _ints(perm), _tuple(phases)
         if not perm:
             raise ValueError("a matrix needs at least one row")
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("not a permutation")
         if len(phases) != len(perm):
             raise ValueError("one phase per column required")
+        if not all(isinstance(p, AffinePhase) for p in phases):
+            raise ValueError("every phase must be an AffinePhase")
         if len({len(p.nums) for p in phases}) > 1:
             raise ValueError("mixed phase dimensions")
         _matrix(perm, phases, self)
@@ -189,9 +190,7 @@ def _rieffel_exponents(q: int, a: int, v: int) -> tuple:
 
 def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
     """N^v in closed form, built from _rieffel_exponents."""
-    q, a, v = _int_tuple((q, a, v))
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    q, a, v = _positive(q, "q"), _int(a), _int(v)
     perm, ls = _rieffel_exponents(q, a, v)
     phase = {l: _phase(1, (l, 0), 0) for l in set(ls)}  # at most two values
     return _matrix(perm, tuple([phase[l] for l in ls]))
@@ -205,16 +204,14 @@ class FactorOfAutomorphy:
     a: int
 
     def __post_init__(self):
-        for name, value in zip(("q", "a"), _int_tuple((self.q, self.a))):
-            object.__setattr__(self, name, value)
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
+        object.__setattr__(self, "q", _positive(self.q, "q"))
+        object.__setattr__(self, "a", _int(self.a))
         if _violations(self, [(g1, g2) for g1 in ((1, 0), (0, 1), (1, 1))
                               for g2 in ((1, 0), (0, 1), (-1, 1))]):
             raise AssertionError("cocycle identity failed at construction")
 
     def value(self, gamma) -> GenPermPhaseMatrix:
-        u, v = _int_tuple(gamma)
+        u, v = _ints(gamma, 2)
         return rieffel_N(self.q, self.a, v)
 
     def records(self, gammas=((1, 0), (0, 1))):
@@ -246,10 +243,7 @@ def _violations(F, pairs) -> list:
 def check_cocycle(F, trials: int, seed: int = 0):
     """Verify the cocycle identity on `trials` >= 1 random pairs, entries drawn
     as randint(-10, 10) draws them.  Returns the list of violating pairs."""
-    exact = hasattr(trials, "__index__") and not isinstance(trials, bool)
-    (count,) = _int_tuple((trials if exact else 0,))
-    if count < 1:
-        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    count = _positive(trials, "trials")
     rng = random.Random(seed)
     pairs = [tuple((rng.randrange(21) - 10, rng.randrange(21) - 10) for _ in range(2))
              for _ in range(count)]
@@ -271,7 +265,7 @@ class ScalarFactor:
     phases: tuple
 
     def __init__(self, xcoeff, consts):
-        rows, consts = [tuple(row) for row in xcoeff], tuple(consts)
+        rows, consts = _row_tuples(xcoeff), _tuple(consts)
         n = len(rows)
         if any(len(row) != n for row in rows) or len(consts) != n:
             raise ValueError("generator data must be square")
@@ -282,7 +276,7 @@ class ScalarFactor:
         f_i = l_i . x + c_i the generator phases,
         f_gamma(x) = sum_i gamma_i f_i(x) + sum_i l_i[i] gamma_i (gamma_i - 1) / 2
         + sum_(j < i) gamma_j gamma_i l_j[i], on numerators over one denominator."""
-        gamma = _int_vector(gamma, self.n)
+        gamma = _ints(gamma, self.n)
         den = lcm(*(p.den for p in self.phases))
         nums, num = [0] * self.n, 0
         for j, (g, p) in enumerate(zip(gamma, self.phases)):

@@ -23,7 +23,7 @@ from .cohomology import (
     fundamental_pairing_modq,
     mu_q_image,
 )
-from .exact_linalg import _int_tuple
+from .exact_linalg import _int, _positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,10 +36,8 @@ class VectorBundleClass:
     c1: AltFormZ
 
     def __post_init__(self):
-        for name, value in zip(("n", "rank"), _int_tuple((self.n, self.rank))):
-            object.__setattr__(self, name, value)
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        object.__setattr__(self, "n", _int(self.n))
+        object.__setattr__(self, "rank", _positive(self.rank, "rank"))
         if self.c1.n != self.n:
             raise ValueError("first Chern class lives on the wrong torus")
 
@@ -54,10 +52,8 @@ class MatrixBundleClass:
     beta: AltFormModQ
 
     def __post_init__(self):
-        for name, value in zip(("n", "size"), _int_tuple((self.n, self.size))):
-            object.__setattr__(self, name, value)
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
+        object.__setattr__(self, "n", _int(self.n))
+        object.__setattr__(self, "size", _positive(self.size, "size"))
         if self.beta.modulus != self.size:
             raise ValueError("beta modulus must equal the matrix size")
         if self.beta.n != self.n:
@@ -116,15 +112,14 @@ def line_twist_exists(e1: VectorBundleClass, e2: VectorBundleClass):
 
 def direct_sum_power(e: VectorBundleClass, m: int) -> VectorBundleClass:
     """m-fold Whitney sum: rank m*q, c1 scales by m."""
-    (m,) = _int_tuple((m,))
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _positive(m, "m")
     return VectorBundleClass(e.n, m * e.rank, e.c1.scale(m))
 
 
 def X_bundle(q: int, a: int) -> VectorBundleClass:
     """The rank-q bundle on T^2 with c1(e1, e2) = -a (twist -a); the class
     refuses q < 1."""
+    a = _int(a)
     return VectorBundleClass(2, q, AltFormZ([[0, -a], [a, 0]]))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import IntMatrix, _int_tuple, _int_vector, _modulus, _rational
+from .exact_linalg import IntMatrix, _int, _ints, _positive, _rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +47,7 @@ class AltFormZ:
 
     def value(self, u, v) -> int:
         """Evaluate the form on a pair of integer vectors of length n."""
-        u, v = _int_vector(u, self.n), _int_vector(v, self.n)
+        u, v = _ints(u, self.n), _ints(v, self.n)
         return sum(u[i] * self.mat[i][j] * v[j]
                    for i in range(self.n) for j in range(self.n))
 
@@ -68,7 +68,7 @@ class AltFormModQ:
     mat: IntMatrix
 
     def __init__(self, mat, modulus: int):
-        modulus = _modulus(modulus)
+        modulus = _positive(modulus, "modulus")
         if not isinstance(mat, IntMatrix):
             mat = IntMatrix(mat)
         if mat.rows != mat.cols:
@@ -92,7 +92,7 @@ class AltFormModQ:
 @dataclass(frozen=True, slots=True)
 class RootOfUnity:
     """Exact root of unity e(c/q) = exp(2*pi*i*c/q); phase kept in [0, 1).
-    The phase must be an int or a Fraction; anything else raises."""
+    The phase is an exact rational (`exact_linalg._rational`)."""
 
     phase: Fraction
 
@@ -110,9 +110,8 @@ class RootOfUnity:
         return RootOfUnity(-self.phase)
 
     def __pow__(self, k: int) -> "RootOfUnity":
-        """The k-th power for an exact integer k; anything else raises."""
-        (k,) = _int_tuple((k,))
-        return RootOfUnity(self.phase * k)
+        """The k-th power for an exact integer k."""
+        return RootOfUnity(self.phase * _int(k))
 
     def __str__(self):
         return f"{self.phase.numerator}/{self.phase.denominator}"
@@ -128,6 +127,7 @@ class Orientation2:
     sign: int
 
     def __post_init__(self):
+        object.__setattr__(self, "sign", _int(self.sign))
         if self.sign not in (1, -1):
             raise ValueError("orientation sign must be +1 or -1")
 
@@ -137,9 +137,8 @@ REVERSED = Orientation2(-1)
 
 
 def wedge(u, v) -> AltFormZ:
-    """Wedge of two degree-1 classes: mat = u v^t - v u^t.  Entries must be
-    exact integers; anything else raises."""
-    u, v = _int_tuple(u), _int_tuple(v)
+    """Wedge of two degree-1 classes (integer vectors): mat = u v^t - v u^t."""
+    u, v = _ints(u), _ints(v)
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
     n = len(u)
@@ -174,9 +173,6 @@ def pullback(c: AltFormZ, P: IntMatrix) -> AltFormZ:
 
 
 def mu_q_image(k: int, q: int) -> RootOfUnity:
-    """Image of an integer under Z -> mu_q, k -> e(k/q); k and q must be
-    exact integers."""
-    k, q = _int_tuple((k, q))
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    """Image of an integer under Z -> mu_q, k -> e(k/q)."""
+    k, q = _int(k), _positive(q, "q")
     return RootOfUnity(Fraction(k % q, q))

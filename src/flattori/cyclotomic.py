@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import _int_tuple, _rational
+from .exact_linalg import _int, _positive, _rational
 
 
 def _poly_divmod_int(num, den):
@@ -35,11 +35,11 @@ def _poly_divmod_int(num, den):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic_polynomial(L: int):
-    """Coefficients of Phi_L, low degree first, monic integer."""
-    if L < 1:
-        raise ValueError("order must be positive")
+    """Coefficients of Phi_L, low degree first, monic integer.  The cache is
+    typed, so 2.0 is refused even after 2 is cached."""
+    L = _positive(L, "order")
     if L == 1:
         return (-1, 1)
     poly = [0] * L + [1]
@@ -77,14 +77,14 @@ class CycElt:
     coeffs: tuple
 
     def __init__(self, L, coeffs):
-        (L,), coeffs = _int_tuple((L,)), tuple(map(_rational, coeffs))
+        L, coeffs = _int(L), tuple(map(_rational, coeffs))
         if len(coeffs) != len(cyclotomic_polynomial(L)) - 1:
             raise ValueError("coefficient vector has wrong length")
         _element(L, coeffs, self)
 
     @classmethod
     def zero(cls, L: int) -> "CycElt":
-        (L,) = _int_tuple((L,))
+        L = _int(L)
         return _element(L, (Fraction(0),) * (len(cyclotomic_polynomial(L)) - 1))
 
     def is_zero(self) -> bool:

@@ -4,17 +4,24 @@ Arbitrary precision throughout: Python ints and fractions.Fraction.  Values
 are immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.  No floating point.
 
-IntMatrix is the only matrix class: an entry must be an exact integer (an
-int, an integral Fraction or anything with __index__; other values raise,
-none is truncated), and so must a scale factor.  A rational matrix is
-stored as integer numerators over its least common denominator, in lowest
-terms; `_lowest_terms` is the one place that builds this format from ints
-and Fractions.  A skew form is S / ell that way, so its congruences and
-reductions are integer operations.  The Smith form tracks only its column
+One rule decides every exact number the library reads, here and nowhere
+else.  An exact integer is an int, an integral Fraction or anything with
+__index__ (so bools and NumPy integers count, as Python counts them) and is
+stored as an int; anything else raises ValueError, none is truncated.
+`_int` reads one, `_ints` a tuple or lattice vector, `_positive` a
+parameter that must be at least 1 (a rank, an order, a modulus), and
+`_rational` an exact rational: a Fraction or an exact integer.
+
+IntMatrix is the only matrix class: its entries and a scale factor are
+exact integers, and a matrix of all ints skips the conversion.  A rational
+matrix is stored as integer numerators over its least common denominator,
+in lowest terms; `_lowest_terms` is the one place that builds this format
+from ints and Fractions.  A skew form is S / ell that way, so its
+congruences and reductions are integer operations.  The Smith form tracks only its column
 transform V, and both inverses use one fraction-free Gauss-Jordan pass for
 the determinant and the adjugate.  The lift mod ell to GL(n, Z) is one
 elimination pass to a diagonal of units mod ell, then closed-form det-1
-blocks that push the units down the diagonal.  A modulus is an integer >= 1.
+blocks that push the units down the diagonal.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from math import gcd, lcm
 _INT, _EXACT = frozenset({int}), frozenset({int, Fraction})
 
 
-def _int_entry(x) -> int:
-    """The integer an IntMatrix entry stands for; raises, never truncates."""
+def _int(x) -> int:
+    """x as an exact integer (the rule above); raises, never truncates."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
@@ -40,23 +47,41 @@ def _int_entry(x) -> int:
             return operator.index(x)
         except TypeError:
             pass
-    raise ValueError(f"matrix entry {x!r} is not an integer")
+    raise ValueError(f"not an integer index: {x!r}")
 
 
-def _int_tuple(xs) -> tuple:
-    """xs as a tuple of exact integers; a float or other value raises."""
+def _tuple(xs) -> tuple:
+    """xs as a tuple; a value that is not a sequence raises."""
     try:
-        return tuple(map(operator.index, xs))
-    except TypeError as exc:
-        raise ValueError(f"not an integer index: {exc}") from exc
+        return tuple(xs)
+    except TypeError:
+        raise ValueError(f"not a sequence: {xs!r}") from None
 
 
-def _int_vector(v, n: int) -> tuple:
-    """v as a lattice vector in Z^n: n exact integers; anything else raises."""
-    v = _int_tuple(v)
-    if len(v) != n:
-        raise ValueError("lattice vector has wrong length")
-    return v
+def _ints(xs, n: int | None = None) -> tuple:
+    """xs as a tuple of exact integers, of length n when n is given (a
+    lattice vector in Z^n); anything else raises."""
+    xs = _tuple(xs)
+    try:
+        xs = tuple(map(operator.index, xs))
+    except TypeError:
+        xs = tuple(map(_int, xs))
+    if n is not None and len(xs) != n:
+        raise ValueError(f"lattice vector {xs} does not have length {n}")
+    return xs
+
+
+def _positive(x, name: str) -> int:
+    """x as an exact integer >= 1; anything else raises, naming the parameter."""
+    x = _int(x)
+    if x < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {x}")
+    return x
+
+
+def _rational(x) -> Fraction:
+    """x as an exact rational: a Fraction, or an exact integer as one."""
+    return x if isinstance(x, Fraction) else Fraction(_int(x))
 
 
 def _row_tuples(mat) -> tuple:
@@ -67,16 +92,6 @@ def _row_tuples(mat) -> tuple:
         raise ValueError(f"a matrix is a list of rows: {exc}") from None
 
 
-def _rational(x) -> Fraction:
-    """An exact rational: an int or a Fraction; a float or other inexact
-    value raises."""
-    if type(x) is Fraction:
-        return x
-    if not isinstance(x, (int, Fraction)):
-        raise ValueError(f"{x!r} is not an exact rational")
-    return Fraction(x)
-
-
 class IntMatrix:
     """Immutable arbitrary-precision integer matrix."""
 
@@ -85,7 +100,7 @@ class IntMatrix:
     def __init__(self, entries):
         ents = _row_tuples(entries)
         if not _INT.issuperset(map(type, chain.from_iterable(ents))):
-            ents = tuple(tuple(map(_int_entry, row)) for row in ents)
+            ents = tuple(tuple(map(_int, row)) for row in ents)
         if not ents or not ents[0]:
             raise ValueError("matrix dimensions must be positive")
         if len(set(map(len, ents))) != 1:
@@ -99,11 +114,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int):
+        n = _int(n)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int | None = None):
-        cols = rows if cols is None else cols
+        rows = _int(rows)
+        cols = rows if cols is None else _int(cols)
         return cls([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, i):
@@ -141,7 +158,7 @@ class IntMatrix:
 
     def scale(self, k):
         """k * self for an exact integer k; anything else raises."""
-        k = _int_entry(k)
+        k = _int(k)
         return IntMatrix([[a * k for a in row] for row in self.entries])
 
     def transpose(self):
@@ -151,8 +168,8 @@ class IntMatrix:
         return self.entries == tuple(zip(*[[-a for a in row] for row in self.entries]))
 
     def mod(self, ell: int) -> "IntMatrix":
-        """Entries reduced into [0, ell), for a modulus ell (`_modulus`)."""
-        ell = _modulus(ell)
+        """Entries reduced into [0, ell), for a modulus ell >= 1."""
+        ell = _positive(ell, "modulus")
         return IntMatrix([[a % ell for a in row] for row in self.entries])
 
     def det(self) -> int:
@@ -212,9 +229,7 @@ def _lowest_terms(mat, ell=1):
     denominator, gcd(d, entries of N) = 1, so equal rational matrices give
     equal pairs.  mat is an IntMatrix of numerators or nested ints and
     Fractions; ell must be an exact integer >= 1."""
-    ell = _int_entry(ell)
-    if ell < 1:
-        raise ValueError("denominator must be positive")
+    ell = _positive(ell, "denominator")
     if not isinstance(mat, IntMatrix):
         rows = _row_tuples(mat)
         if not _EXACT.issuperset(map(type, chain.from_iterable(rows))):
@@ -249,6 +264,7 @@ class SkewRatForm:
 
     def scaled_int(self, m: int) -> IntMatrix:
         """m * theta as an integer matrix; raises ValueError unless ell | m."""
+        m = _int(m)
         if m % self.ell:
             raise ValueError(f"{m} does not clear the denominator {self.ell}")
         return self.S if m == self.ell else self.S.scale(m // self.ell)
@@ -418,18 +434,10 @@ def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
     return nf
 
 
-def _modulus(ell) -> int:
-    """ell as an exact integer modulus >= 1; anything else raises."""
-    (ell,) = _int_tuple((ell,))
-    if ell < 1:
-        raise ValueError("modulus must be positive")
-    return ell
-
-
 def inverse_mod(M: IntMatrix, ell: int) -> IntMatrix:
     """Inverse mod ell of a matrix whose determinant is a unit mod ell:
     det^-1 * adj mod ell."""
-    ell = _modulus(ell)
+    ell = _positive(ell, "modulus")
     d, adj = M._adjugate()
     dinv = pow(d % ell, -1, ell)
     return IntMatrix([[dinv * a % ell for a in row] for row in adj])
@@ -447,7 +455,7 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
     diag(1, ..., 1, +-1), the sign the product of all units.  Residues and
     multipliers are balanced, in (-ell/2, ell/2], which keeps T small.
     """
-    ell = _modulus(ell)
+    ell = _positive(ell, "modulus")
     if g.rows != g.cols:
         raise ValueError("square matrix expected")
     n = g.rows

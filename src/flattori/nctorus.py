@@ -53,7 +53,8 @@ from .cohomology import AltFormZ
 from .exact_linalg import (
     IntMatrix,
     SkewRatForm,
-    _int_tuple,
+    _int,
+    _positive,
     inverse_mod,
     lift_unimodular_mod,
     smith_normal_form,
@@ -71,12 +72,10 @@ class NCTorusParams:
     m: int = 1
 
     def __post_init__(self):
-        for name, value in zip(("n", "m"), _int_tuple((self.n, self.m))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", _int(self.n))
+        object.__setattr__(self, "m", _positive(self.m, "matrix amplification"))
         if self.theta.n != self.n:
             raise ValueError("theta size does not match n")
-        if self.m < 1:
-            raise ValueError("matrix amplification must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from math import gcd, isqrt, lcm, prod
 
 from .autofactor import _matrix, _phase
 from .cyclotomic import CycElt, _element, _power_table
-from .exact_linalg import IntMatrix, SkewRatForm, _int_tuple, _int_vector, _lowest_terms
+from .exact_linalg import IntMatrix, SkewRatForm, _int, _ints, _lowest_terms, _positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +51,7 @@ class BilinearCocycle:
     def value(self, g1, g2) -> Fraction:
         """Phase of z(g1, g2), in turns mod 1, for lattice vectors in Z^n."""
         B, n, ell = self.B, self.n, self.ell
-        g1, g2 = _int_vector(g1, n), _int_vector(g2, n)
+        g1, g2 = _ints(g1, n), _ints(g2, n)
         return Fraction(sum(g1[i] * B[i][j] * g2[j] for i in range(n) if g1[i]
                             for j in range(n) if g2[j]) % ell, ell)
 
@@ -71,12 +71,12 @@ class QuadraticPhase:
 
     def value(self, g) -> Fraction:
         Q, n, den = self.Q, self.Q.rows, 2 * self.ell
-        g = _int_vector(g, n)
+        g = _ints(g, n)
         return Fraction(sum(g[i] * Q[i][j] * g[j] for i in range(n) for j in range(n)) % den,
                         den)
 
     def coboundary(self, g1, g2) -> Fraction:
-        g1, g2 = _int_vector(g1, self.Q.rows), _int_vector(g2, self.Q.rows)
+        g1, g2 = _ints(g1, self.Q.rows), _ints(g2, self.Q.rows)
         s = tuple(a + b for a, b in zip(g1, g2))
         return (self.value(g1) + self.value(g2) - self.value(s)) % 1
 
@@ -136,9 +136,7 @@ def _clock_shift_rep(theta: SkewRatForm, pairs, rows) -> ProjectiveRep:
 def clock_shift(q: int, p: int):
     """Clock U = diag(e(p j / q)) and shift V e_j = e_{j-1}, with
     V U = e(p/q) U V exactly (checked as a `ProjectiveRep`)."""
-    q, p = _int_tuple((q, p))
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    q, p = _positive(q, "q"), _int(p)
     theta = SkewRatForm([[0, -p], [p, 0]], q)
     return _clock_shift_rep(theta, [(q, p)], [(0, 1), (1, 0)]).gens
 

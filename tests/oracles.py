@@ -75,8 +75,8 @@ from flattori.cyclotomic import CycElt, _power_table, cyclotomic_polynomial
 from flattori.exact_linalg import (
     IntMatrix,
     SkewRatForm,
-    _int_tuple,
-    _modulus,
+    _int,
+    _positive,
     _rational,
     inverse_mod,
     symplectic_normal_form,
@@ -279,7 +279,7 @@ def fraction_radical_index(chi):
 def lattice_kernel_mod(M, ell):
     """Basis of H = {h in Z^n : M h = 0 mod ell} plus the index [Z^n : H]:
     with U M V = D, H is V diag(ell / gcd(d_i, ell)) Z^n."""
-    ell = _modulus(ell)
+    ell = _positive(ell, "modulus")
     if M.rows != M.cols:
         raise ValueError("square matrix expected")
     n = M.rows
@@ -410,7 +410,7 @@ def _order(a, b) -> int:
 
 def cyc_from_phase(phase, L) -> CycElt:
     """The root of unity e(phase) as an element; phase * L must be integral."""
-    (L,) = _int_tuple((L,))
+    L = _int(L)
     k = _rational(phase) * L
     if k.denominator != 1:
         raise ValueError(f"e({phase}) does not lie in Q(zeta_{L})")

@@ -346,21 +346,37 @@ def test_exponents_built_once_per_distinct_v(monkeypatch):
                                     for v in (g1[1], g2[1], g1[1] + g2[1])})
 
 
-@pytest.mark.parametrize("trials", [0, -4, True, False, 2.5, 3.0, "3", None])
+@pytest.mark.parametrize("trials", [0, -4, False, 2.5, 3.0, "3", None])
 def test_check_cocycle_rejects_meaningless_trials(trials):
     F = factor_from(3, 1)
-    with pytest.raises(ValueError, match="trials must be an int >= 1"):
+    with pytest.raises(ValueError, match="trials must be an integer >= 1|not an integer index"):
         check_cocycle(F, trials)
     assert check_cocycle(F, 1) == []
+    assert check_cocycle(F, True) == check_cocycle(F, 1)
 
 
 def test_factor_from_rejects_inexact_or_small_q_with_messages():
-    inexact = "not an integer index: 'float' object cannot be interpreted as an integer"
-    for q, a, message in ((2.0, 1, inexact), (3, 1.5, inexact),
-                          (0, 1, "q must be >= 1"), (-2, 1, "q must be >= 1")):
+    for q, a, message in ((2.0, 1, "not an integer index: 2.0"),
+                          (3, 1.5, "not an integer index: 1.5"),
+                          (0, 1, "q must be an integer >= 1, got 0"),
+                          (-2, 1, "q must be an integer >= 1, got -2")):
         with pytest.raises(ValueError) as exc:
             factor_from(q, a)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AffinePhase(3, 0),
+    lambda: ScalarFactor([1], [0]),
+    lambda: ScalarFactor([[1]], 0),
+    lambda: GenPermPhaseMatrix([0], [0.5]),
+    lambda: GenPermPhaseMatrix([0], 0.5),
+    lambda: GenPermPhaseMatrix(0, [AffinePhase((), 0)]),
+], ids=["phase-linear-not-a-sequence", "scalar-rows-flat", "scalar-consts-not-a-sequence",
+        "matrix-phase-not-a-phase", "matrix-phases-not-a-sequence", "matrix-perm-not-a-sequence"])
+def test_constructors_reject_malformed_input_with_value_error(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_perm_parity_matches_inversion_count():

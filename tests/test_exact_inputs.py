@@ -1,0 +1,172 @@
+"""Every integer and rational the library reads follows one rule: an exact
+integer is an int, an integral Fraction or anything with __index__ (bools
+and NumPy integers count), stored as an int; an exact rational is a
+Fraction or an exact integer.  Anything else raises ValueError."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from flattori.autofactor import (
+    AffinePhase,
+    GenPermPhaseMatrix,
+    ScalarFactor,
+    check_cocycle,
+    factor_from,
+    rieffel_N,
+)
+from flattori.bundles import (
+    MatrixBundleClass,
+    VectorBundleClass,
+    X_bundle,
+    classify_projflat,
+    direct_sum_power,
+    tw_to_omega,
+)
+from flattori.cohomology import AltFormModQ, AltFormZ, Orientation2, RootOfUnity, mu_q_image, wedge
+from flattori.cyclotomic import CycElt, cyclotomic_polynomial
+from flattori.exact_linalg import IntMatrix, SkewRatForm, inverse_mod, lift_unimodular_mod
+from flattori.nctorus import NCTorusParams
+from flattori.projrep import BilinearCocycle, QuadraticPhase, clock_shift
+
+H = Fraction(1, 2)
+G = IntMatrix([[2, 1], [1, 1]])
+C2 = AltFormZ([[0, 1], [-1, 0]])
+C3 = AltFormZ.zero(3)
+THETA2 = SkewRatForm([[0, H], [-H, 0]])
+THETA3 = SkewRatForm([[0, H, 0], [-H, 0, 0], [0, 0, 0]])
+F = factor_from(3, 1)
+ONE = AffinePhase((), 0)
+
+
+def _negated(x):
+    """-x for the lower entry of a skew matrix; a value without negation
+    stays as it is (the entry above it raises first)."""
+    try:
+        return -x
+    except TypeError:
+        return x
+
+
+# integer parameter -> build a value from it
+INTEGERS = {
+    "IntMatrix entry": lambda x: IntMatrix([[x, 0]]),
+    "IntMatrix.scale": lambda x: IntMatrix([[1, 2]]).scale(x),
+    "IntMatrix.identity": IntMatrix.identity,
+    "IntMatrix.zero": lambda x: IntMatrix.zero(x, 2),
+    "IntMatrix.mod": lambda x: IntMatrix([[5, -1]]).mod(x),
+    "inverse_mod": lambda x: inverse_mod(G, x),
+    "lift_unimodular_mod": lambda x: lift_unimodular_mod(G, x),
+    "SkewRatForm ell": lambda x: SkewRatForm([[0, 1], [-1, 0]], x),
+    "SkewRatForm.scaled_int": lambda x: SkewRatForm([[0, 1], [-1, 0]]).scaled_int(x),
+    "BilinearCocycle ell": lambda x: BilinearCocycle([[0, 1], [0, 0]], x),
+    "BilinearCocycle.value": lambda x: BilinearCocycle([[0, 1], [0, 0]], 5).value((x, 0), (0, 1)),
+    "QuadraticPhase.value": lambda x: QuadraticPhase(IntMatrix([[1, 0], [0, 0]]), 5).value((x, 0)),
+    "AltFormZ entry": lambda x: AltFormZ([[0, x], [_negated(x), 0]]),
+    "AltFormZ.scale": C2.scale,
+    "AltFormZ.zero": AltFormZ.zero,
+    "AltFormZ.value": lambda x: C2.value((x, 0), (0, 1)),
+    "AltFormModQ modulus": lambda x: AltFormModQ([[0, 1], [-1, 0]], x),
+    "RootOfUnity.__pow__": lambda x: RootOfUnity(Fraction(1, 5)) ** x,
+    "wedge": lambda x: wedge((x, 0), (0, 1)),
+    "mu_q_image k": lambda x: mu_q_image(x, 5),
+    "mu_q_image q": lambda x: mu_q_image(1, x),
+    "tw_to_omega q": lambda x: tw_to_omega(1, x),
+    "VectorBundleClass n": lambda x: VectorBundleClass(x, 2, C3),
+    "VectorBundleClass rank": lambda x: VectorBundleClass(2, x, C2),
+    "classify_projflat q": lambda x: classify_projflat(2, x, C2),
+    "MatrixBundleClass n": lambda x: MatrixBundleClass(x, 2, AltFormModQ(C3.mat, 2)),
+    "MatrixBundleClass size": lambda x: MatrixBundleClass(2, x, AltFormModQ(C2.mat, 3)),
+    "direct_sum_power m": lambda x: direct_sum_power(X_bundle(2, 1), x),
+    "X_bundle q": lambda x: X_bundle(x, 1),
+    "X_bundle a": lambda x: X_bundle(2, x),
+    "NCTorusParams n": lambda x: NCTorusParams(x, THETA3),
+    "NCTorusParams m": lambda x: NCTorusParams(2, THETA2, x),
+    "GenPermPhaseMatrix perm": lambda x: GenPermPhaseMatrix((x, 0, 1, 2), [ONE] * 4),
+    "rieffel_N q": lambda x: rieffel_N(x, 1),
+    "rieffel_N a": lambda x: rieffel_N(2, x),
+    "rieffel_N v": lambda x: rieffel_N(2, 1, x),
+    "factor_from q": lambda x: factor_from(x, 1),
+    "factor_from a": lambda x: factor_from(2, x),
+    "FactorOfAutomorphy.value": lambda x: F.value((0, x)),
+    "check_cocycle trials": lambda x: check_cocycle(F, x),
+    "ScalarFactor.value": lambda x: ScalarFactor([[0, 1], [0, 0]], [H, 0]).value((x, 1)),
+    "clock_shift q": lambda x: clock_shift(x, 1),
+    "clock_shift p": lambda x: clock_shift(5, x),
+    "CycElt L": lambda x: CycElt(x, (1, 0)),
+    "CycElt.zero": CycElt.zero,
+    "cyclotomic_polynomial": cyclotomic_polynomial,
+}
+
+# rational parameter -> build a value from it
+RATIONALS = {
+    "AffinePhase linear": lambda x: AffinePhase((x, 0), 0),
+    "AffinePhase const": lambda x: AffinePhase((0,), x),
+    "AffinePhase.translate": lambda x: AffinePhase((H,), 0).translate((x,)),
+    "RootOfUnity phase": RootOfUnity,
+    "SkewRatForm entry": lambda x: SkewRatForm([[0, x], [_negated(x), 0]]),
+    "BilinearCocycle entry": lambda x: BilinearCocycle([[0, x], [0, 0]]),
+    "CycElt coefficient": lambda x: CycElt(3, (x, 0)),
+}
+
+# exact inputs and the plain value each stands for
+EXACT_INTEGERS = [(3, 3), (np.int64(3), 3), (Fraction(3, 1), 3), (True, 1)]
+INEXACT = [2.0, 2.5, "3", None]
+
+
+def _outcome(build, x):
+    """(value, repr) of build(x), or the exception type it raises."""
+    try:
+        value = build(x)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+    return value, repr(value)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGERS))
+def test_integer_parameters_follow_one_rule(name):
+    build = INTEGERS[name]
+    plain = _outcome(build, 3)
+    assert not isinstance(plain, type), "3 is a valid value of every parameter here"
+    for x, value in EXACT_INTEGERS:
+        # the same result as the plain int, down to the repr: stored as an int
+        assert _outcome(build, x) == _outcome(build, value), (name, x)
+    for x in INEXACT + [Fraction(1, 2)]:
+        with pytest.raises(ValueError):
+            build(x)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONALS))
+def test_rational_parameters_follow_one_rule(name):
+    build = RATIONALS[name]
+    for x, value in EXACT_INTEGERS + [(H, H)]:
+        assert _outcome(build, x) == _outcome(build, Fraction(value)), (name, x)
+        assert not isinstance(_outcome(build, x), type), (name, x)
+    for x in INEXACT:
+        with pytest.raises(ValueError):
+            build(x)
+
+
+def test_one_rule_settles_the_old_disagreements():
+    assert inverse_mod(G, Fraction(3, 1)) == inverse_mod(G, 3)
+    assert AltFormZ([[0, 1], [-1, 0]]).value((Fraction(1, 1), 0), (0, 1)) == 1
+    assert (SkewRatForm([[0, np.int64(1)], [np.int64(-1), 0]])
+            == SkewRatForm([[0, 1], [-1, 0]]))
+    assert check_cocycle(factor_from(3, 1), True) == check_cocycle(factor_from(3, 1), 1)
+    with pytest.raises(ValueError):
+        SkewRatForm([[0, 1], [-1, 0]]).scaled_int(2.0)
+
+
+def test_bad_values_are_named_and_shapes_checked():
+    # the bad value of a is blamed, not the matrix entry -a built from it
+    with pytest.raises(ValueError, match=r"^not an integer index: 1\.5$"):
+        X_bundle(2, 1.5)
+    with pytest.raises(ValueError, match=r"^rank must be an integer >= 1, got 0$"):
+        VectorBundleClass(2, 0, C2)
+    for build in (lambda: IntMatrix.zero(2, 2.0), lambda: F.value((0, 1, 2)),
+                  lambda: C2.value((1, 0, 0), (0, 1)), lambda: wedge(3, (0, 1)),
+                  lambda: Orientation2(1.0), lambda: Orientation2(2)):
+        with pytest.raises(ValueError):
+            build()
+    assert repr(Orientation2(np.int64(-1))) == repr(Orientation2(-1))

@@ -367,9 +367,11 @@ def test_lift_rejects_non_unit_det():
     with pytest.raises(ValueError, match="square"):
         lift_unimodular_mod(IntMatrix([[1, 0]]), 3)
     # the modulus is an exact integer >= 1
-    for bad in (-3, 0, 2.0, "3", Fraction(3, 1), None):
-        with pytest.raises(ValueError, match="modulus must be positive|not an integer"):
+    for bad in (-3, 0, 2.0, "3", None):
+        with pytest.raises(ValueError, match="modulus must be an integer >= 1|not an integer"):
             lift_unimodular_mod(IntMatrix([[2, 1], [1, 1]]), bad)
+    g = IntMatrix([[2, 1], [1, 1]])
+    assert lift_unimodular_mod(g, Fraction(3, 1)) == lift_unimodular_mod(g, 3)
 
 
 def test_inverse_mod():
@@ -420,10 +422,12 @@ def test_inverses_edge_cases():
     # negative entries, .mod(0) raised ZeroDivisionError and .mod(2.0) blamed
     # "matrix entry 0.0"
     M = IntMatrix([[2, 1], [1, 1]])
-    for bad in (-3, 0, 2.0, "3", Fraction(3, 1), None):
+    for bad in (-3, 0, 2.0, "3", None):
         for reduce in (inverse_mod, IntMatrix.mod):
-            with pytest.raises(ValueError, match="modulus must be positive|not an integer index"):
+            with pytest.raises(ValueError, match="modulus must be an integer >= 1|not an integer index"):
                 reduce(M, bad)
+    for reduce in (inverse_mod, IntMatrix.mod):
+        assert reduce(M, Fraction(3, 1)) == reduce(M, 3)
     assert M.mod(np.int64(2)) == M.mod(2) == IntMatrix([[0, 1], [1, 1]])
 
 
