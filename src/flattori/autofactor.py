@@ -13,7 +13,9 @@ sum of exponents, exactly.  The clutching loop N_{(0,1)}(s) has entries
 e(l_j s + c_j), so its determinant winds sum_j l_j times (clutching_twist)
 and the endpoint defect of its special-unitary lift is e(sum_j l_j / q)
 (clutching_omega).  Both read the l_j of the concrete loop, not the class
-formula, and check their premises literally.  No floating point.
+formula, and check their premises literally.  A scalar factor's matrix
+l_j[i] - l_i[j] both checks its generators and is its Chern form.  No
+floating point.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class AffinePhase:
 
     def translate(self, gamma) -> "AffinePhase":
         """Substitute x -> x + gamma, for gamma with exact rational entries."""
-        nums = self.nums
+        gamma, nums = _tuple(gamma), self.nums
         if len(gamma) != len(nums):
             raise ValueError("translation dimension mismatch")
         if all(type(g) is int for g in gamma):
@@ -158,6 +160,7 @@ class GenPermPhaseMatrix:
         return _matrix(inv, tuple(-self.phases[i] for i in inv))
 
     def translate(self, gamma) -> "GenPermPhaseMatrix":
+        gamma = _tuple(gamma)
         return _matrix(self.perm, tuple(p.translate(gamma) for p in self.phases))
 
     def det(self) -> AffinePhase:
@@ -258,7 +261,7 @@ class ScalarFactor:
     lattice generators: phases[i] is f_{e_i}, with x-linear part xcoeff
     row i and constant consts[i] (mod 1; sign characters appear as halves).
     Values on all of Z^n follow from the cocycle recursion
-    f_{gamma+e}(x) = f_gamma(x+e) + f_e(x), summed in closed form.
+    f_{gamma+e}(x) = f_gamma(x+e) + f_e(x), so the generators fix it.
     """
 
     n: int
@@ -271,29 +274,21 @@ class ScalarFactor:
             raise ValueError("generator data must be square")
         _store_scalar(self, tuple(AffinePhase(row, c) for row, c in zip(rows, consts)))
 
-    def value(self, gamma) -> AffinePhase:
-        """The recursion walked coordinate by coordinate, in closed form: with
-        f_i = l_i . x + c_i the generator phases,
-        f_gamma(x) = sum_i gamma_i f_i(x) + sum_i l_i[i] gamma_i (gamma_i - 1) / 2
-        + sum_(j < i) gamma_j gamma_i l_j[i], on numerators over one denominator."""
-        gamma = _ints(gamma, self.n)
-        den = lcm(*(p.den for p in self.phases))
-        nums, num = [0] * self.n, 0
-        for j, (g, p) in enumerate(zip(gamma, self.phases)):
-            k = den // p.den
-            nums = [a + k * g * b for a, b in zip(nums, p.nums)]
-            later = sum(map(operator.mul, gamma[j + 1:], p.nums[j + 1:]))
-            num += k * (g * p.num + p.nums[j] * (g * (g - 1) // 2) + g * later)
-        return _phase(den, tuple(nums), num)
+
+def _coherence_matrix(phases) -> list:
+    """The matrix c(e_i, e_j) = l_j[i] - l_i[j] of the x-coefficients l_i of
+    the generator phases, as integers.  The family exists iff every entry is
+    an integer, so a fractional entry raises."""
+    mat = [[divmod(pj.nums[i] * pi.den - pi.nums[j] * pj.den, pi.den * pj.den)
+            for j, pj in enumerate(phases)] for i, pi in enumerate(phases)]
+    if any(r for row in mat for _, r in row):
+        raise ValueError("generator exponents are not coherent")
+    return [[c for c, _ in row] for row in mat]
 
 
 def _store_scalar(f: ScalarFactor, phases: tuple) -> ScalarFactor:
     """Set the generator phases of f, after the coherence check."""
-    # the family exists iff the antisymmetrized x-coefficients are integral
-    for i, pi in enumerate(phases):
-        for j, pj in enumerate(phases):
-            if (pi.nums[j] * pj.den - pj.nums[i] * pi.den) % (pi.den * pj.den):
-                raise ValueError("generator exponents are not coherent")
+    _coherence_matrix(phases)
     object.__setattr__(f, "n", len(phases))
     object.__setattr__(f, "phases", phases)
     return f
@@ -308,29 +303,12 @@ def det_cocycle(F: FactorOfAutomorphy) -> ScalarFactor:
                          (F.value((1, 0)).det(), F.value((0, 1)).det()))
 
 
-def _translation_increment(phase: AffinePhase, delta) -> Fraction:
-    """Exact value of f(x + delta) - f(x); certifies x-independence."""
-    shifted = phase.translate(delta)
-    if shifted.nums != phase.nums or shifted.den != phase.den:
-        raise AssertionError("x-terms failed to cancel")  # pragma: no cover
-    inc = sum(map(operator.mul, phase.nums, delta))
-    # consistency of the two computations mod 1
-    if (shifted.num - phase.num - inc) % phase.den:
-        raise AssertionError("translation increment disagrees with translate")
-    return Fraction(inc, phase.den)
-
-
 def mumford_c1(f: ScalarFactor) -> AltFormZ:
     """First Chern class of the line bundle of a scalar factor: the form
     (g1, g2) -> (f_{g2}(x+g1) - f_{g2}(x)) - (f_{g1}(x+g2) - f_{g1}(x)),
-    independent of x (the cancellation is certified symbolically)."""
-    basis = [tuple(int(i == k) for k in range(f.n)) for i in range(f.n)]
-    vals = [f.value(e) for e in basis]
-    mat = [[_translation_increment(vj, ei) - _translation_increment(vi, ej)
-            for ej, vj in zip(basis, vals)] for ei, vi in zip(basis, vals)]
-    if any(c.denominator != 1 for row in mat for c in row):
-        raise ValueError("factor exponents do not define an integral class")
-    return AltFormZ(mat)
+    bilinear and, since translating f_{e_j} by e_i adds l_j[i] for every x,
+    the coherence matrix l_j[i] - l_i[j] on the generators."""
+    return AltFormZ(_coherence_matrix(f.phases))
 
 
 def _loop_winding(F: FactorOfAutomorphy) -> int:

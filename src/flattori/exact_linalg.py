@@ -17,11 +17,11 @@ exact integers, and a matrix of all ints skips the conversion.  A rational
 matrix is stored as integer numerators over its least common denominator,
 in lowest terms; `_lowest_terms` is the one place that builds this format
 from ints and Fractions.  A skew form is S / ell that way, so its
-congruences and reductions are integer operations.  The Smith form tracks only its column
-transform V, and both inverses use one fraction-free Gauss-Jordan pass for
-the determinant and the adjugate.  The lift mod ell to GL(n, Z) is one
-elimination pass to a diagonal of units mod ell, then closed-form det-1
-blocks that push the units down the diagonal.
+congruences and reductions are integer operations.  The Smith form returns
+its invariant factors and tracks no transform, and both inverses use one
+fraction-free Gauss-Jordan pass for the determinant and the adjugate.  The
+lift mod ell to GL(n, Z) is one elimination pass to a diagonal of units mod
+ell, then closed-form det-1 blocks that push the units down the diagonal.
 """
 
 from __future__ import annotations
@@ -302,14 +302,12 @@ class SymplecticNF:
         return IntMatrix(m)
 
 
-def smith_normal_form(M: IntMatrix):
-    """Return (D, V), V unimodular and U*M*V = D for a unimodular U that is
-    not tracked; D has the shape of M, is diagonal, d_i | d_{i+1} and
-    d_i >= 0."""
+def smith_normal_form(M: IntMatrix) -> tuple:
+    """The invariant factors d_1 | d_2 | ... of M, min(rows, cols) of them,
+    d_i >= 0 with the zeros last: U M V = diag(d) for unimodular U and V,
+    which are not tracked."""
     nr, nc = M.rows, M.cols
     a = [list(r) for r in M.entries]
-    vt = [[int(i == j) for j in range(nc)] for i in range(nc)]  # rows of V^t
-
     t = 0
     while t < min(nr, nc):
         # minimal |entry| pivot in the active submatrix, ties lexicographic
@@ -327,7 +325,6 @@ def smith_normal_form(M: IntMatrix):
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-            vt[t], vt[bj] = vt[bj], vt[t]
         pivot, p = a[t], a[t][t]
         clean = True
         for i in range(t + 1, nr):
@@ -344,8 +341,6 @@ def smith_normal_form(M: IntMatrix):
                 if y:
                     for j, q in qs:
                         row[j] -= q * y
-            for j, q in qs:
-                vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
         if not clean or any(pivot[t + 1:]):
             continue
         # enforce divisibility into the remaining block
@@ -356,7 +351,7 @@ def smith_normal_form(M: IntMatrix):
         pivot[t] = abs(p)  # the rest of row t is zero
         t += 1
 
-    return IntMatrix(a), IntMatrix(zip(*vt))
+    return tuple(a[i][i] for i in range(min(nr, nc)))
 
 
 def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:

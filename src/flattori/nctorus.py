@@ -93,11 +93,10 @@ def q_theta(theta: SkewRatForm) -> int:
     """Square root of the lattice index [(Z^n + im theta) : Z^n].
 
     That index is the size of the image of the integer numerators S mod ell,
-    prod ell / gcd(d_i, ell) over the Smith divisors d_i of S; it must be a
-    perfect square, and a failure would falsify the underlying lemma, so it
-    aborts loudly."""
-    D, _ = smith_normal_form(theta.S)
-    index = prod(theta.ell // gcd(D[i][i], theta.ell) for i in range(theta.n))
+    prod ell / gcd(d_i, ell) over the invariant factors d_i of S that
+    `smith_normal_form` returns; it must be a perfect square, and a failure
+    would falsify the underlying lemma, so it aborts loudly."""
+    index = prod(theta.ell // gcd(d, theta.ell) for d in smith_normal_form(theta.S))
     root = isqrt(index)
     if root * root != index:
         raise AssertionError(f"lattice index {index} is not a perfect square")

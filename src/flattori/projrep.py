@@ -15,7 +15,8 @@ An intertwiner is a weighted sum of the Hom components; its support, or
 its determinant mod a prime p = 1 (mod L), proves it invertible, and it is
 verified literally on its (weight, exponent) entries before it is returned
 as a Q(zeta_L) matrix.  The commutation relations of every representation
-are verified on exponents too.  No floating point.
+are verified on exponents too, and each representation keeps the
+exponents it verified for its commutant and intertwiners.  No floating point.
 """
 
 from __future__ import annotations
@@ -148,13 +149,18 @@ class ProjectiveRep:
     antisymmetrization chi, kept as `chi`, a skew form mod Z, governs the
     commutation U_j U_i = chi(e_j, e_i) U_i U_j, which is verified exactly at
     construction on phase exponents mod L = lcm(chi.ell, phase denominators).
-    Phases with an x-dependent part are rejected.  Equality is identity."""
+    It holds only when chi.ell divides the phase order, so L is the phase
+    order; `exponents` keeps the (perm, e) per generator it checked, entry
+    (perm[c], c) equal to zeta_L^e[c].  Phases with an x-dependent part are
+    rejected.  Equality is identity."""
 
     n: int
     dim: int
     gens: tuple
     cocycle: BilinearCocycle
     chi: SkewRatForm
+    L: int
+    exponents: tuple
 
     def __init__(self, gens, cocycle: BilinearCocycle):
         gens = tuple(gens)
@@ -168,7 +174,8 @@ class ProjectiveRep:
         chi = bicharacter_of(cocycle)
         L = lcm(chi.ell, *(ph.den for g in gens for ph in g.phases))
         # column c of U_j U_i and U_i U_j, U e_c = zeta^e[c] e_perm[c]; i < j suffices
-        view = _exponents(gens, L)
+        view = tuple((g.perm, tuple([ph.num * (L // ph.den) for ph in g.phases]))
+                     for g in gens)
         for j, (pj, ej) in enumerate(view):
             for i, (pi, ei) in enumerate(view[:j]):
                 s = chi.S[j][i] * (L // chi.ell)
@@ -185,9 +192,8 @@ class ProjectiveRep:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "cocycle", cocycle)
         object.__setattr__(self, "chi", chi)
-
-    def phase_order(self) -> int:
-        return lcm(1, *(p.den for g in self.gens for p in g.phases))
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "exponents", view)
 
     def records(self):
         """Export as (generator index, permutation, phase list) records."""
@@ -222,17 +228,10 @@ def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:
     return _clock_shift_rep(theta, pairs, rows)
 
 
-def _exponents(gens, L: int):
-    """Each constant generalized permutation-phase image as (perm, e) with
-    entry (perm[c], c) equal to zeta_L^e[c]; L must be a multiple of every
-    phase denominator."""
-    return [(g.perm, [ph.num * (L // ph.den) for ph in g.phases])
-            for g in gens]
-
-
 def _monomial_solutions(view1, view2, d: int, L: int):
     """Basis of {X : X U1_i = U2_i X} over Q(zeta_L) for paired exponent
-    views (`_exponents`) of generalized permutation-phase images of size d.
+    views (`ProjectiveRep.exponents`) of generalized permutation-phase
+    images of size d.
 
     Unknown v = r d + c is X[r, c].  With U e_c = zeta^e[c] e_perm(c), entry
     (perm2(r), c) of X U1 = U2 X reads
@@ -276,16 +275,14 @@ def _monomial_solutions(view1, view2, d: int, L: int):
 
 def commutant_dim(rep: ProjectiveRep) -> int:
     """Dimension of the commutant of the generator images over the
-    cyclotomic field of the phase order: the number of components of the
-    monomial system that close with phase 1.
+    cyclotomic field of the phase order rep.L: the number of components of
+    the monomial system on rep.exponents that close with phase 1.
 
     Cost: the system has d^2 unknowns for d = rep.dim, so time and memory
     grow as d^2.  On the block form with blocks 1/60 and 1/60 this took
     16 s with a 134 MB peak at d = 3600, and 0.6 s at d = 900, on 2 shared
     vCPUs."""
-    L = rep.phase_order()
-    view = _exponents(rep.gens, L)
-    return len(_monomial_solutions(view, view, rep.dim, L))
+    return len(_monomial_solutions(rep.exponents, rep.exponents, rep.dim, rep.L))
 
 
 def _fp_root(L: int, d: int, after: int = 0):
@@ -358,8 +355,9 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
     if rep1.dim != rep2.dim:
         return None
     d = rep1.dim
-    L = lcm(rep1.phase_order(), rep2.phase_order())
-    view1, view2 = _exponents(rep1.gens, L), _exponents(rep2.gens, L)
+    L = lcm(rep1.L, rep2.L)
+    view1, view2 = ([(perm, [e * (L // rep.L) for e in exps]) for perm, exps in rep.exponents]
+                    for rep in (rep1, rep2))
     hom = _monomial_solutions(view1, view2, d, L)
     vec = {v: (1, e) for comp in hom for v, e in comp.items()}
     monomial = (len(vec) == d and len({v // d for v in vec}) == d

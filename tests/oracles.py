@@ -46,11 +46,16 @@ Kronecker products with identities, and square-and-multiply powers
 multiplied out along the rows of an integer matrix; `scalar_mul` scales a
 matrix by a phase for these literal relations, and `block_normal_form`
 builds the block form of integer (q, p) pairs.  The scalar factor's
-cocycle recursion, walked one step at a time, references its closed form.
-`smith_with_transforms` is the Smith normal form that also tracks the row
-transform U, and `cofactor_adjugate` the adjugate from n^2 cofactor
-determinants; the library replaced them with a Smith form that tracks only
-V and a one-pass fraction-free Gauss-Jordan adjugate.
+values, which the library does not compute, come from its cocycle
+recursion walked one step at a time (`scalar_value_loop`), and
+`mumford_c1_recursion` is the Chern form by the route the coherence matrix
+replaced: those values at the unit vectors, then their translation
+increments.  `exponent_view` writes generator images as the integer
+(perm, exponent) view that a `ProjectiveRep` keeps.
+`smith_with_transforms` is the Smith normal form that also tracks the
+transforms U and V, and `cofactor_adjugate` the adjugate from n^2 cofactor
+determinants; the library replaced them with a Smith form that returns only
+the invariant factors and a one-pass fraction-free Gauss-Jordan adjugate.
 The library reads q_theta from one Smith form of theta's numerators S.  The
 two routes it replaced are the references for q_theta^2, each on the Smith
 form above: `stacked_lattice_index`, the index of the lattice spanned by
@@ -1108,6 +1113,36 @@ def scalar_value_loop(f, gamma):
         for _ in range(abs(g)):
             acc = acc.translate(step) + gi
     return acc
+
+
+def mumford_c1_recursion(f):
+    """Chern form of a scalar factor from its values f_(e_i) at the unit
+    vectors (`scalar_value_loop`): entry (i, j) is the exact increment
+    f_(e_j)(x + e_i) - f_(e_j)(x) minus f_(e_i)(x + e_j) - f_(e_i)(x), each
+    certified x-independent and equal mod 1 to translating and subtracting."""
+    basis = [tuple(int(i == k) for k in range(f.n)) for i in range(f.n)]
+    vals = [scalar_value_loop(f, e) for e in basis]
+
+    def increment(phase, delta):
+        inc = sum(l * d for l, d in zip(phase.linear, delta))
+        moved = phase.translate(delta) - phase
+        if any(moved.linear) or (moved.const - inc) % 1:
+            raise AssertionError("translation increment disagrees with translate")
+        return inc
+
+    mat = [[increment(vj, ei) - increment(vi, ej) for ej, vj in zip(basis, vals)]
+           for ei, vi in zip(basis, vals)]
+    if any(c.denominator != 1 for row in mat for c in row):
+        raise ValueError("factor exponents do not define an integral class")
+    return AltFormZ([[int(c) for c in row] for row in mat])
+
+
+def exponent_view(gens, L):
+    """Each constant generalized permutation-phase image as (perm, e) with
+    entry (perm[c], c) equal to zeta_L^e[c]; L must be a multiple of every
+    phase denominator."""
+    return tuple((g.perm, tuple(ph.const.numerator * (L // ph.const.denominator)
+                                for ph in g.phases)) for g in gens)
 
 
 def phase_complex(phase, x):

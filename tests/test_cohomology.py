@@ -5,7 +5,6 @@ import numpy as np
 import oracles
 import pytest
 
-from flattori.autofactor import det_cocycle, factor_from
 from flattori.cohomology import (
     REVERSED,
     STANDARD,
@@ -52,16 +51,14 @@ def test_lattice_evaluators_take_exact_vectors_of_length_n():
     form = AltFormZ([[0, 1], [-1, 0]])
     cocycle = BilinearCocycle([[0, Fraction(1, 3)], [0, 0]])
     phase = QuadraticPhase(IntMatrix([[1, 2], [0, 3]]), 5)
-    scalar = det_cocycle(factor_from(3, 2))
     for bad in [(1.5, 0), (1, 0.0), (Fraction(1, 2), 0), ("1", 0), (None, 0), (1, 0, 5), (1,),
                 ()]:
         for evaluate in (form.value, cocycle.value, phase.coboundary):
             for u, v in ((bad, e2), (e1, bad)):
                 with pytest.raises(ValueError):
                     evaluate(u, v)
-        for evaluate in (phase.value, scalar.value):
-            with pytest.raises(ValueError):
-                evaluate(bad)
+        with pytest.raises(ValueError):
+            phase.value(bad)
     assert form.value(e1, e2) == form.value((np.int64(1), False), (0, True)) == 1
     assert cocycle.value(e1, e2) == cocycle.value((True, 0), e2) == Fraction(1, 3)
     assert phase.value((1, 1)) == Fraction(6, 10)

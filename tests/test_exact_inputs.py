@@ -11,7 +11,6 @@ import pytest
 from flattori.autofactor import (
     AffinePhase,
     GenPermPhaseMatrix,
-    ScalarFactor,
     check_cocycle,
     factor_from,
     rieffel_N,
@@ -91,7 +90,6 @@ INTEGERS = {
     "factor_from a": lambda x: factor_from(2, x),
     "FactorOfAutomorphy.value": lambda x: F.value((0, x)),
     "check_cocycle trials": lambda x: check_cocycle(F, x),
-    "ScalarFactor.value": lambda x: ScalarFactor([[0, 1], [0, 0]], [H, 0]).value((x, 1)),
     "clock_shift q": lambda x: clock_shift(x, 1),
     "clock_shift p": lambda x: clock_shift(5, x),
     "CycElt L": lambda x: CycElt(x, (1, 0)),
@@ -104,6 +102,7 @@ RATIONALS = {
     "AffinePhase linear": lambda x: AffinePhase((x, 0), 0),
     "AffinePhase const": lambda x: AffinePhase((0,), x),
     "AffinePhase.translate": lambda x: AffinePhase((H,), 0).translate((x,)),
+    "GenPermPhaseMatrix.translate": lambda x: rieffel_N(2, 1).translate((x, 0)),
     "RootOfUnity phase": RootOfUnity,
     "SkewRatForm entry": lambda x: SkewRatForm([[0, x], [_negated(x), 0]]),
     "BilinearCocycle entry": lambda x: BilinearCocycle([[0, x], [0, 0]]),
@@ -156,6 +155,9 @@ def test_one_rule_settles_the_old_disagreements():
     assert check_cocycle(factor_from(3, 1), True) == check_cocycle(factor_from(3, 1), 1)
     with pytest.raises(ValueError):
         SkewRatForm([[0, 1], [-1, 0]]).scaled_int(2.0)
+    # a translation is read once, so an iterator is as good as its tuple
+    assert AffinePhase((1,), 0).translate(iter((3,))) == AffinePhase((1,), 0).translate((3,))
+    assert rieffel_N(2, 1).translate(iter((H, 0))) == rieffel_N(2, 1).translate((H, 0))
 
 
 def test_bad_values_are_named_and_shapes_checked():
@@ -166,7 +168,9 @@ def test_bad_values_are_named_and_shapes_checked():
         VectorBundleClass(2, 0, C2)
     for build in (lambda: IntMatrix.zero(2, 2.0), lambda: F.value((0, 1, 2)),
                   lambda: C2.value((1, 0, 0), (0, 1)), lambda: wedge(3, (0, 1)),
-                  lambda: Orientation2(1.0), lambda: Orientation2(2)):
+                  lambda: Orientation2(1.0), lambda: Orientation2(2),
+                  lambda: AffinePhase((1,), 0).translate(3),
+                  lambda: rieffel_N(2, 1).translate(3)):
         with pytest.raises(ValueError):
             build()
     assert repr(Orientation2(np.int64(-1))) == repr(Orientation2(-1))

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -38,49 +38,39 @@ def random_skew(rng, n, bound=9):
 
 
 def check_smith(M):
-    """Verify the Smith form (D, V) of M literally: D is diagonal with
-    d_i >= 0 and d_i | d_{i+1} and equals the reference's D, |det V| = 1,
-    and M V = W D, where W's first r columns (r nonzero d_i) are those of
-    M V divided by d_i and extend to a unimodular matrix, so U M V = D for
-    U = W^-1."""
-    D, V = smith_normal_form(M)
-    U_ref, D_ref, V_ref = oracles.smith_with_transforms(M)
-    assert U_ref @ M @ V_ref == D_ref
-    assert D == D_ref
-    assert (D.rows, D.cols) == (M.rows, M.cols)
-    assert (V.rows, V.cols) == (M.cols, M.cols) and abs(V.det()) == 1
+    """Verify the invariant factors of M: the reference Smith form
+    U M V = D holds literally with |det U| = |det V| = 1, D is diagonal with
+    d_i >= 0 and d_i | d_{i+1}, the library returns D's diagonal, and
+    d_1 ... d_k is the gcd of the k x k minors of M for every k."""
+    d = smith_normal_form(M)
+    U, D, V = oracles.smith_with_transforms(M)
+    assert U @ M @ V == D and abs(U.det()) == abs(V.det()) == 1
     diag = [D[i][i] for i in range(min(D.rows, D.cols))]
+    assert d == tuple(diag)
     for i in range(D.rows):
         for j in range(D.cols):
             if i != j:
                 assert D[i][j] == 0
-    assert all(d >= 0 for d in diag)
+    assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         if a == 0:
             assert b == 0
         else:
             assert b % a == 0
-    r = sum(1 for d in diag if d)
-    MV = M @ V
-    W = IntMatrix([[MV[i][j] // diag[j] if j < r else 0 for j in range(M.rows)]
-                   for i in range(M.rows)])
-    assert MV == W @ D
-    if r:
-        minors = (IntMatrix([[W[i][j] for j in range(r)] for i in rows]).det()
-                  for rows in combinations(range(M.rows), r))
-        assert gcd(*minors) == 1
+    for k in range(1, len(diag) + 1):
+        minors = (IntMatrix([[M[i][j] for j in cols] for i in rows]).det()
+                  for rows in combinations(range(M.rows), k)
+                  for cols in combinations(range(M.cols), k))
+        assert gcd(*minors) == prod(diag[:k])
     return diag
 
 
 def test_smith_already_diagonal():
-    D, V = smith_normal_form(IntMatrix([[6]]))
-    assert D == IntMatrix([[6]])
-    assert V == IntMatrix([[1]])
+    assert smith_normal_form(IntMatrix([[6]])) == (6,)
 
 
 def test_smith_zero_1x1():
-    D, _ = smith_normal_form(IntMatrix([[0]]))
-    assert D == IntMatrix([[0]])
+    assert smith_normal_form(IntMatrix([[0]])) == (0,)
     check_smith(IntMatrix([[0]]))
 
 

@@ -104,8 +104,7 @@ def test_q_theta_row_stacking_matches_column_stacking():
         index = ell ** n // prod(D[i][i] for i in range(n))
         rows = IntMatrix([[ell if i == j else 0 for j in range(n)] for i in range(n)]
                          + list(S.entries))
-        D_rows, _ = smith_normal_form(rows)
-        assert [D_rows[i][i] for i in range(n)] == [D[i][i] for i in range(n)]
+        assert smith_normal_form(rows) == tuple(D[i][i] for i in range(n))
         assert oracles.stacked_lattice_index(theta) == q_theta(theta) ** 2 == index
 
 

@@ -26,7 +26,6 @@ from flattori.projrep import (
 from flattori.projrep import (
     _clock_shift_rep,
     _det_mod,
-    _exponents,
     _fp_root,
     _monomial_solutions,
     _verify_intertwiner,
@@ -40,6 +39,7 @@ from oracles import (
     cyc_mul,
     cyc_one,
     cyc_sub,
+    exponent_view,
     radical,
     scalar_mul,
     sparse_rref,
@@ -414,7 +414,7 @@ def rref_intertwiner_dim(rep1, rep2):
     Q(zeta_L), one equation u1_c X[r, perm1(c)] = u2_inv2(r) X[inv2(r), c]
     per entry and generator."""
     d = rep1.dim
-    L = lcm(rep1.phase_order(), rep2.phase_order())
+    L = lcm(rep1.L, rep2.L)
     rows = []
     for g1, g2 in zip(rep1.gens, rep2.gens):
         inv2 = [0] * d
@@ -433,8 +433,8 @@ def rref_intertwiner_dim(rep1, rep2):
 
 
 def monomial_dim(rep1, rep2):
-    L = lcm(rep1.phase_order(), rep2.phase_order())
-    return len(_monomial_solutions(_exponents(rep1.gens, L), _exponents(rep2.gens, L),
+    L = lcm(rep1.L, rep2.L)
+    return len(_monomial_solutions(exponent_view(rep1.gens, L), exponent_view(rep2.gens, L),
                                    rep1.dim, L))
 
 
@@ -443,7 +443,7 @@ def checked_intertwiner(rep1, rep2):
     references: it intertwines, and its field determinant is nonzero."""
     X = intertwiner(rep1, rep2)
     if X is not None:
-        assert cyc_intertwines(X, rep1, rep2, lcm(rep1.phase_order(), rep2.phase_order()))
+        assert cyc_intertwines(X, rep1, rep2, lcm(rep1.L, rep2.L))
         assert not X or cyc_det_nonzero(X)
     return X
 
@@ -502,7 +502,7 @@ def test_random_monomial_conjugations():
         assert numpy_commutant_dim(rep, conj) == 1
         assert commutant_dim(oracles.rep_direct_sum(rep, conj)) == 4
         X = checked_intertwiner(rep, conj)
-        L = lcm(rep.phase_order(), conj.phase_order())
+        L = lcm(rep.L, conj.L)
         lead = P.perm.index(0)  # the column of the first nonzero entry of P
         for j in range(d):
             for i in range(d):
@@ -530,8 +530,8 @@ def test_intertwiner_non_monomial_support():
 def test_verify_intertwiner_rejects_non_solutions():
     # candidates are {r d + c: (w, e)} for X[r, c] = w zeta^e, zeros elsewhere
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
-    L = rep.phase_order()
-    view = _exponents(rep.gens, L)
+    L = rep.L
+    view = exponent_view(rep.gens, L)
     _verify_intertwiner({0: (1, 0), 4: (1, 0), 8: (1, 0)}, view, view, 3, L)
     _verify_intertwiner({0: (5, 2), 4: (5, 2), 8: (5, 2)}, view, view, 3, L)
     # diag(1, 1, zeta): commutes with the clock U but not with the shift V
@@ -547,7 +547,7 @@ def test_verify_intertwiner_rejects_non_solutions():
 
 def _exponent_verifier_accepts(vec, rep1, rep2, L):
     try:
-        _verify_intertwiner(vec, _exponents(rep1.gens, L), _exponents(rep2.gens, L),
+        _verify_intertwiner(vec, exponent_view(rep1.gens, L), exponent_view(rep2.gens, L),
                             rep1.dim, L)
     except AssertionError:
         return False
@@ -573,9 +573,9 @@ def test_exponent_verifier_matches_field_reference():
         conj = ProjectiveRep([P @ g @ P.inverse() for g in rep.gens], rep.cocycle)
         for rep1, rep2 in [(rep, conj), (oracles.rep_direct_sum(rep, conj),
                                          oracles.rep_direct_sum(conj, rep)), (rep, rep)]:
-            L = lcm(rep1.phase_order(), rep2.phase_order())
+            L = lcm(rep1.L, rep2.L)
             size = rep1.dim
-            basis = _monomial_solutions(_exponents(rep1.gens, L), _exponents(rep2.gens, L),
+            basis = _monomial_solutions(exponent_view(rep1.gens, L), exponent_view(rep2.gens, L),
                                         size, L)
             solutions = [({v: (1, e) for v, e in a.items()}, a) for a in basis]
             for i, a in enumerate(basis):
@@ -595,7 +595,7 @@ def test_exponent_verifier_matches_field_reference():
                     cases.append(({**vec, v: (w + rng.randint(1, 3), e)}, False))
             if rep2 is rep:
                 cases += [({image[c] * d + c: (1, e) for c, e in enumerate(exps)}, False)
-                          for image, exps in _exponents(rep.gens, L)]
+                          for image, exps in exponent_view(rep.gens, L)]
             zero = CycElt.zero(L)
             for vec, want in cases:
                 X = [[zero] * size for _ in range(size)]
@@ -626,7 +626,7 @@ def test_intertwiner_self_is_identity():
     rep = heisenberg_rep(skew2(Fraction(1, 3)))
     X = checked_intertwiner(rep, rep)
     assert X is not None
-    L = rep.phase_order()
+    L = rep.L
     for r in range(3):
         for c in range(3):
             want = cyc_one(L) if r == c else CycElt.zero(L)
@@ -644,7 +644,7 @@ def test_intertwiner_recovers_permutation():
     conj, P = _conjugate_by_perm(rep, (1, 2, 0))
     X = checked_intertwiner(rep, conj)
     assert X is not None
-    L = rep.phase_order()
+    L = rep.L
     expect = [[CycElt.zero(L)] * 3 for _ in range(3)]
     for j in range(3):
         expect[P.perm[j]][j] = cyc_one(L)
@@ -791,7 +791,7 @@ def test_intertwiner_fast_path_for_one_monomial_component(monkeypatch):
     monkeypatch.setattr(projrep.random, "Random", refuse)
     X = intertwiner(rep, conj)
     assert len(propagations) == 1
-    table = _power_table(lcm(rep.phase_order(), conj.phase_order()))
+    table = _power_table(lcm(rep.L, conj.L))
     assert all(any(x.coeffs is t for t in table) for row in X for x in row if not x.is_zero())
 
 
@@ -837,12 +837,19 @@ def test_projective_rep_rejection_names_pair_column_and_exponents():
         "chi(e_1, e_0) U_0 U_1 has row 2, exponent 0 (mod L = 3)")
 
 
-def _exponent_check_accepts(gens, cocycle):
+def _exponent_check_accepts(gens, cocycle, accepted=None):
+    """Whether ProjectiveRep accepts the input; an accepted rep keeps L, the
+    lcm of its phase denominators, and the exponent view over that L, and
+    is appended to `accepted` when given."""
     try:
-        ProjectiveRep(gens, cocycle)
+        rep = ProjectiveRep(gens, cocycle)
     except ValueError as exc:
         assert "commutation relations" in str(exc)
         return False
+    assert rep.L == lcm(1, *(ph.const.denominator for g in gens for ph in g.phases))
+    assert rep.exponents == exponent_view(gens, rep.L)
+    if accepted is not None:
+        accepted.append(rep)
     return True
 
 
@@ -882,8 +889,9 @@ def test_exponent_commutation_check_matches_matrix_oracle():
     # changed; the exponent check and the matrix products agree on every one
     rng = random.Random(1818)
     verdicts = {True: 0, False: 0}
+    accepted = []
     for gens, cocycle in _commutation_inputs(rng):
-        assert _exponent_check_accepts(gens, cocycle)
+        assert _exponent_check_accepts(gens, cocycle, accepted)
         assert oracles.matrix_commutation_holds(gens, bicharacter_of(cocycle))
         d, n = gens[0].size, len(gens)
         cases = []
@@ -908,9 +916,10 @@ def test_exponent_commutation_check_matches_matrix_oracle():
                 cases.append((gens, BilinearCocycle(B, scale * cocycle.ell)))
         for bad_gens, bad_cocycle in cases:
             want = oracles.matrix_commutation_holds(bad_gens, bicharacter_of(bad_cocycle))
-            assert _exponent_check_accepts(bad_gens, bad_cocycle) == want
+            assert _exponent_check_accepts(bad_gens, bad_cocycle, accepted) == want
             verdicts[want] += 1
     assert verdicts == {True: 132, False: 924}
+    assert len(accepted) == 270 + 132  # the seeded reps and the accepted corruptions
 
 
 def test_rep_builders_multiply_no_matrices(monkeypatch):
