@@ -55,7 +55,6 @@ from .nctorus import (
     NCTorusParams,
     NormalFormResult,
     bundle_of,
-    c1_of_E_theta,
     clock_shift_rep,
     iso_decide,
     normal_form,

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cohomology import AltFormZ, RootOfUnity
-from .exact_linalg import _int, _ints, _positive, _rational, _row_tuples, _tuple
+from .exact_linalg import _instance, _int, _ints, _positive, _rational, _row_tuples, _tuple
 
 @dataclass(frozen=True, slots=True)
 class AffinePhase:
@@ -316,7 +316,7 @@ def _loop_winding(F: FactorOfAutomorphy) -> int:
     s -> N_{(0,1)}(s, 0), whose entry in column j is e(l_j s + c_j).  Both
     premises of the closed forms are checked literally: every l_j is an
     integer, and the loop closes, N(s + 1) = N(s), on exponents."""
-    N = F.value((0, 1))
+    N = _instance(F, FactorOfAutomorphy).value((0, 1))
     if any(p.nums[0] % p.den for p in N.phases):
         raise ValueError("clutching loop has a non-integer s-coefficient")
     if N.translate((1, 0)) != N:

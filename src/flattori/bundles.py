@@ -23,7 +23,7 @@ from .cohomology import (
     fundamental_pairing_modq,
     mu_q_image,
 )
-from .exact_linalg import _int, _positive
+from .exact_linalg import _instance, _int, _positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,7 +38,7 @@ class VectorBundleClass:
     def __post_init__(self):
         object.__setattr__(self, "n", _int(self.n))
         object.__setattr__(self, "rank", _positive(self.rank, "rank"))
-        if self.c1.n != self.n:
+        if _instance(self.c1, AltFormZ).n != self.n:
             raise ValueError("first Chern class lives on the wrong torus")
 
 
@@ -54,7 +54,7 @@ class MatrixBundleClass:
     def __post_init__(self):
         object.__setattr__(self, "n", _int(self.n))
         object.__setattr__(self, "size", _positive(self.size, "size"))
-        if self.beta.modulus != self.size:
+        if _instance(self.beta, AltFormModQ).modulus != self.size:
             raise ValueError("beta modulus must equal the matrix size")
         if self.beta.n != self.n:
             raise ValueError("beta lives on the wrong torus")

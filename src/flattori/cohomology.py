@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import IntMatrix, _int, _ints, _positive, _rational
+from .exact_linalg import IntMatrix, _instance, _int, _ints, _positive, _rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +104,7 @@ class RootOfUnity:
         return cls(0)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.phase + other.phase)
+        return RootOfUnity(self.phase + _instance(other, RootOfUnity).phase)
 
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity(-self.phase)
@@ -167,7 +167,7 @@ def beta_reduce(c: AltFormZ, q: int) -> AltFormModQ:
 
 def pullback(c: AltFormZ, P: IntMatrix) -> AltFormZ:
     """Pullback along a lattice map P: Z^n -> Z^m; contravariant functorial."""
-    if P.rows != c.n:
+    if _instance(P, IntMatrix).rows != _instance(c, AltFormZ).n:
         raise ValueError("lattice map shape mismatch")
     return AltFormZ(P.transpose() @ c.mat @ P)
 

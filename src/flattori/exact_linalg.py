@@ -84,6 +84,14 @@ def _rational(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(_int(x))
 
 
+def _instance(x, cls):
+    """x when it is a cls, the library type a parameter takes; anything else
+    raises, naming the type."""
+    if not isinstance(x, cls):
+        raise ValueError(f"not a {cls.__name__}: {x!r}")
+    return x
+
+
 def _row_tuples(mat) -> tuple:
     """The rows of a nested matrix input as tuples; a flat list raises."""
     try:
@@ -431,9 +439,9 @@ def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
 
 def inverse_mod(M: IntMatrix, ell: int) -> IntMatrix:
     """Inverse mod ell of a matrix whose determinant is a unit mod ell:
-    det^-1 * adj mod ell."""
+    det^-1 * adj mod ell, on the residues of M so entries stay below ell."""
     ell = _positive(ell, "modulus")
-    d, adj = M._adjugate()
+    d, adj = M.mod(ell)._adjugate()
     dinv = pow(d % ell, -1, ell)
     return IntMatrix([[dinv * a % ell for a in row] for row in adj])
 
@@ -459,15 +467,12 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
     if g.det() % ell not in (1, ell - 1):
         raise ValueError("determinant is not +-1 mod ell")
 
-    def bal(x):
-        x %= ell
-        return x - ell if 2 * x > ell else x
-
-    a = [[bal(x) for x in row] for row in g.entries]
+    h = (ell - 1) // 2  # (x + h) % ell - h balances x into (-ell/2, ell/2]
+    a = [[(x + h) % ell - h for x in row] for row in g.entries]
     t = [[int(i == j) for j in range(n)] for i in range(n)]  # E^-1
 
     def add(i, j, c):  # row_i += c row_j of a = E g: col_j -= c col_i of E^-1
-        a[i] = [bal(x + c * y) for x, y in zip(a[i], a[j])]
+        a[i] = [(x + c * y + h) % ell - h for x, y in zip(a[i], a[j])]
         for row in t:
             row[j] -= c * row[i]
 
@@ -482,19 +487,20 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
         uinv = pow(a[k][k], -1, ell)
         for i in range(n):
             if i != k and a[i][k]:
-                add(i, k, bal(-a[i][k] * uinv))
+                add(i, k, (h - a[i][k] * uinv) % ell - h)
     w = 1
     for k in range(n - 1):
-        w = bal(w * a[k][k])
-        v = bal(pow(w, -1, ell))
+        w = (w * a[k][k] + h) % ell - h
+        v = (pow(w, -1, ell) + h) % ell - h
         s = w * v - 1  # m ell
         for row in t:
             x, y = row[k], row[k + 1]
             row[k], row[k + 1] = w * (1 - s) * x - s * y, s * x + v * y
-    w = bal(w * a[n - 1][n - 1])  # +-1, det T
+    w = (w * a[n - 1][n - 1] + h) % ell - h  # +-1, det T
     for row in t:
         row[n - 1] *= w
     T = IntMatrix(t)
-    if (T - g).mod(ell) != IntMatrix.zero(n) or abs(T.det()) != 1:
+    if (any((x - y) % ell for rt, rg in zip(T.entries, g.entries) for x, y in zip(rt, rg))
+            or abs(T.det()) != 1):
         raise AssertionError("unimodular lift failed verification")
     return T

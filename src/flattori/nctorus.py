@@ -39,7 +39,10 @@ p^a || ell let A = a - v_p(q_1) (A = a when 2k < n) and c = a - A.
 Decision.  The p^c multiply to C, and C | q_t for every t, so theta ~
 theta' exactly when the chains agree and prod p'_t = eps prod p_t mod C.
 One h then serves every prime: it scales the first chain second vector, or
-the first remaining row when 2k < n, by eps / prod r_t.
+the first remaining row when 2k < n, by eps / prod r_t.  `iso_decide` tests,
+in order: n and m, ell (the chain's largest q_t, so no normal form is
+needed to compare it), equal frac (T = I), q_theta, the chain, the unit
+class.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .cohomology import AltFormZ
 from .exact_linalg import (
     IntMatrix,
     SkewRatForm,
+    _instance,
     _int,
     _positive,
     inverse_mod,
@@ -74,7 +78,7 @@ class NCTorusParams:
     def __post_init__(self):
         object.__setattr__(self, "n", _int(self.n))
         object.__setattr__(self, "m", _positive(self.m, "matrix amplification"))
-        if self.theta.n != self.n:
+        if _instance(self.theta, SkewRatForm).n != self.n:
             raise ValueError("theta size does not match n")
 
 
@@ -93,10 +97,13 @@ def q_theta(theta: SkewRatForm) -> int:
     """Square root of the lattice index [(Z^n + im theta) : Z^n].
 
     That index is the size of the image of the integer numerators S mod ell,
-    prod ell / gcd(d_i, ell) over the invariant factors d_i of S that
-    `smith_normal_form` returns; it must be a perfect square, and a failure
-    would falsify the underlying lemma, so it aborts loudly."""
-    index = prod(theta.ell // gcd(d, theta.ell) for d in smith_normal_form(theta.S))
+    prod ell / gcd(d_i, ell) over the invariant factors d_i that
+    `smith_normal_form` returns.  It depends on S mod ell only (both span
+    the same lattice with ell Z^n), so the Smith form runs on the residues.
+    It must be a perfect square, and a failure would falsify the underlying
+    lemma, so it aborts loudly."""
+    ell = _instance(theta, SkewRatForm).ell
+    index = prod(ell // gcd(d, ell) for d in smith_normal_form(theta.S.mod(ell)))
     root = isqrt(index)
     if root * root != index:
         raise AssertionError(f"lattice index {index} is not a perfect square")
@@ -126,15 +133,6 @@ def normal_form(theta: SkewRatForm) -> NormalFormResult:
             or prod(qs) != q_theta(theta)):
         raise AssertionError("normal form failed its certificate check")
     return NormalFormResult(T=T, blocks=tuple(blocks), free_rank=theta.n - 2 * len(blocks))
-
-
-def c1_of_E_theta(theta: SkewRatForm) -> AltFormZ:
-    """First Chern class of the canonical projectively flat module bundle:
-    q_theta * theta, an integral alternating form (sign fixed as +)."""
-    q = q_theta(theta)
-    if q % theta.ell:
-        raise AssertionError("q_theta * theta failed to be integral")
-    return AltFormZ(theta.scaled_int(q))
 
 
 def clock_shift_rep(theta: SkewRatForm, nf: NormalFormResult) -> ProjectiveRep:
@@ -174,15 +172,16 @@ class IsoDecision:
 def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
     """Decide C(T^n_theta) (x) M_m = C(T^n'_theta') (x) M_m'.
 
-    Reject on n or m mismatch.  Equal frac(theta) and frac(theta') are
-    isomorphic by T = I, before any normal form.  Otherwise reject on
-    different q_theta, on different chains or on different unit classes mod
-    C of their block normal forms (module docstring).  A positive answer's
-    certificate, I or the integral lift of g mod ell, is verified literally."""
-    n = p1.n
-    if n != p2.n or p1.m != p2.m:
+    Reject on n or m mismatch, then on different ell (the largest element
+    of the chain, so this needs no normal form).  Equal frac(theta) and
+    frac(theta') are isomorphic by T = I, before any normal form.  Otherwise
+    reject on different q_theta, on different chains or on different unit
+    classes mod C of their block normal forms (module docstring).  A
+    positive answer's certificate, I or the integral lift of g mod ell, is
+    verified literally."""
+    n, theta, theta2 = p1.n, p1.theta, p2.theta
+    if n != p2.n or p1.m != p2.m or theta.ell != theta2.ell:
         return IsoDecision(IsoStatus.NOT_ISO)
-    theta, theta2 = p1.theta, p2.theta
     f1, f2 = theta.frac(), theta2.frac()
     if f1 == f2:
         return _verified(theta, theta2, IntMatrix.identity(n))
@@ -218,10 +217,9 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
 
 def _verified(theta: SkewRatForm, theta2: SkewRatForm, T: IntMatrix) -> IsoDecision:
     """ISO with the certificate (T, theta' - T theta T^t), whose shift must
-    be integral."""
-    moved = theta.congruence(T)
-    diff = SkewRatForm(theta2.S.scale(moved.ell) - moved.S.scale(theta2.ell),
-                       theta2.ell * moved.ell)
-    if diff.ell != 1:
+    be integral: both forms have denominator ell and ell | S' - T S T^t."""
+    ell, diff = theta.ell, theta2.S - T @ theta.S @ T.transpose()
+    if theta2.ell != ell or any(x % ell for row in diff.entries for x in row):
         raise AssertionError("certificate failed literal verification")
-    return IsoDecision(IsoStatus.ISO, T=T, shift=diff.S)
+    shift = IntMatrix([[x // ell for x in row] for row in diff.entries])
+    return IsoDecision(IsoStatus.ISO, T=T, shift=shift)

@@ -12,6 +12,8 @@ from flattori.autofactor import (
     AffinePhase,
     GenPermPhaseMatrix,
     check_cocycle,
+    clutching_omega,
+    clutching_twist,
     factor_from,
     rieffel_N,
 )
@@ -23,10 +25,18 @@ from flattori.bundles import (
     direct_sum_power,
     tw_to_omega,
 )
-from flattori.cohomology import AltFormModQ, AltFormZ, Orientation2, RootOfUnity, mu_q_image, wedge
+from flattori.cohomology import (
+    AltFormModQ,
+    AltFormZ,
+    Orientation2,
+    RootOfUnity,
+    mu_q_image,
+    pullback,
+    wedge,
+)
 from flattori.cyclotomic import CycElt, cyclotomic_polynomial
 from flattori.exact_linalg import IntMatrix, SkewRatForm, inverse_mod, lift_unimodular_mod
-from flattori.nctorus import NCTorusParams
+from flattori.nctorus import NCTorusParams, q_theta
 from flattori.projrep import BilinearCocycle, QuadraticPhase, clock_shift
 
 H = Fraction(1, 2)
@@ -109,6 +119,19 @@ RATIONALS = {
     "CycElt coefficient": lambda x: CycElt(3, (x, 0)),
 }
 
+# library-object parameter -> (the type it takes, a build that passes 3)
+OBJECTS = {
+    "NCTorusParams theta": ("SkewRatForm", lambda x: NCTorusParams(2, x)),
+    "q_theta": ("SkewRatForm", q_theta),
+    "VectorBundleClass c1": ("AltFormZ", lambda x: VectorBundleClass(2, 2, x)),
+    "MatrixBundleClass beta": ("AltFormModQ", lambda x: MatrixBundleClass(2, 2, x)),
+    "RootOfUnity.__mul__": ("RootOfUnity", lambda x: RootOfUnity(0) * x),
+    "pullback c": ("AltFormZ", lambda x: pullback(x, G)),
+    "pullback P": ("IntMatrix", lambda x: pullback(C2, x)),
+    "clutching_twist": ("FactorOfAutomorphy", clutching_twist),
+    "clutching_omega": ("FactorOfAutomorphy", clutching_omega),
+}
+
 # exact inputs and the plain value each stands for
 EXACT_INTEGERS = [(3, 3), (np.int64(3), 3), (Fraction(3, 1), 3), (True, 1)]
 INEXACT = [2.0, 2.5, "3", None]
@@ -145,6 +168,13 @@ def test_rational_parameters_follow_one_rule(name):
     for x in INEXACT:
         with pytest.raises(ValueError):
             build(x)
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_a_wrong_object_is_refused_by_its_type(name):
+    kind, build = OBJECTS[name]
+    with pytest.raises(ValueError, match=rf"^not a {kind}: 3$"):
+        build(3)
 
 
 def test_one_rule_settles_the_old_disagreements():

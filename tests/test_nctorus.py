@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -21,7 +22,6 @@ from flattori.nctorus import (
     IsoStatus,
     NCTorusParams,
     bundle_of,
-    c1_of_E_theta,
     iso_decide,
     normal_form,
     q_theta,
@@ -171,16 +171,22 @@ def test_normal_form_rejects_a_wrong_divisor(monkeypatch):
 
 
 def test_c1_examples():
-    assert c1_of_E_theta(skew2(0)).is_zero()
-    c = c1_of_E_theta(skew2(Fraction(2, 5)))
+    # c1 of the canonical module bundle is q_theta * theta, natural under
+    # congruence
+    def c1(theta):
+        return bundle_of(theta)[0].c1
+
+    assert c1(skew2(0)).is_zero()
+    c = c1(skew2(Fraction(2, 5)))
     assert c.mat[0][1] == 2
     rng = random.Random(43)
     for trial in range(30):
         n = rng.randint(1, 4)
         theta = oracles.random_skew_rat(rng, n, max_den=6, max_num=4)
         T = unimodular_sample(n, seed=3000 + trial, word_length=8)
-        lhs = c1_of_E_theta(theta.congruence(T))
-        rhs = pullback(c1_of_E_theta(theta), T.transpose())
+        assert c1(theta).mat == theta.scaled_int(q_theta(theta))
+        lhs = c1(theta.congruence(T))
+        rhs = pullback(c1(theta), T.transpose())
         assert lhs == rhs
 
 
@@ -641,3 +647,108 @@ def test_iso_agrees_with_walk_on_random_pairs():
         assert_divisor_route_agrees(d, t1, t2)
         counts[d.is_iso] += 1
     assert counts[True] >= 20 and counts[False] >= 20, counts
+
+
+def test_ell_is_the_largest_chain_denominator():
+    # iso_decide compares ell before any normal form because ell is the last
+    # q_t of the chain (the q_t > 1), or 1 when the chain is empty
+    rng = random.Random(2601)
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        theta = oracles.random_skew_rat(rng, n, max_den=rng.choice((1, 2, 6, 12)), max_num=8)
+        theta = SkewRatForm(fraction_matrix(theta) + rand_int_skew(rng, n))
+        _, pairs = nctorus._blocks(theta.frac())
+        chain = [q for q, _ in pairs if q > 1]
+        assert (chain[-1] if chain else 1) == theta.ell
+        assert (chain == []) == (theta.ell == 1)
+
+
+def test_iso_rejects_on_ell_before_any_normal_form(monkeypatch):
+    calls = []
+    for name in ("symplectic_normal_form", "smith_normal_form"):
+        def counted(M, real=getattr(nctorus, name), name=name):
+            calls.append(name)
+            return real(M)
+        monkeypatch.setattr(nctorus, name, counted)
+    rng = random.Random(2602)
+    rejected = 0
+    for trial in range(200):
+        n = rng.randint(2, 6)
+        t1 = oracles.random_skew_rat(rng, n, max_den=12)
+        t2 = transported(rng, oracles.random_skew_rat(rng, n, max_den=12), word_length=4)
+        if t1.ell == t2.ell:
+            continue
+        assert iso_decide(params(t1), params(t2)).status is IsoStatus.NOT_ISO
+        rejected += 1
+    assert rejected >= 100 and calls == []
+
+
+def test_q_theta_reads_theta_mod_ell():
+    # S and S + ell K give the same q_theta, however large K is
+    rng = random.Random(2603)
+    for trial in range(60):
+        n = rng.randint(1, 5)
+        theta = oracles.random_skew_rat(rng, n, max_den=10)
+        shift = rand_int_skew(rng, n, bound=10 ** 30)
+        shifted = SkewRatForm(fraction_matrix(theta) + shift)
+        assert q_theta(shifted) == q_theta(theta)
+        assert q_theta(shifted) ** 2 == oracles.stacked_lattice_index(shifted)
+
+
+def recorded_pairs():
+    """3200 seeded pairs for n 2..6: transports, unit-class changes of the
+    last block (equal chains) and unrelated forms, with ell mostly equal."""
+    rng = random.Random(2604)
+    for trial in range(3200):
+        n = (2, 3, 4, 4, 5, 6)[trial % 6]
+        den = rng.choice((2, 3, 4, 5, 6, 8, 10, 12))
+        t1 = oracles.random_skew_rat(rng, n, max_den=den, max_num=2 * den)
+        kind = trial % 4
+        if kind < 2:
+            t2 = transported(rng, t1, word_length=rng.randint(1, 8))
+        elif kind == 2:
+            blocks = list(normal_form(t1).blocks)
+            if blocks:
+                q, p = blocks[-1]
+                blocks[-1] = (q, p * rng.choice([u for u in (1, 2, 3, 5, 7) if gcd(u, q) == 1]))
+            t2 = transported(rng, oracles.block_normal_form(blocks, n), word_length=6)
+        else:
+            t2 = oracles.random_skew_rat(rng, n, max_den=den, max_num=2 * den)
+        yield t1, t2
+
+
+def recorded_digest():
+    """(sha256 of every decision, certificate and q_theta, ISO count)."""
+    digest, iso = hashlib.sha256(), 0
+    for t1, t2 in recorded_pairs():
+        d = iso_decide(params(t1), params(t2))
+        iso += d.is_iso
+        record = (d.status.value, d.T and d.T.entries, d.shift and d.shift.entries,
+                  q_theta(t1), q_theta(t2))
+        digest.update(repr(record).encode())
+    return digest.hexdigest(), iso
+
+
+RECORDED_DIGEST = "2f22e3d6321687a33e8101f91a1a131c1f7bb491a85b093355b4845662bf73fa"
+RECORDED_ISO = 2449
+
+
+def test_iso_decide_outputs_match_the_recorded_ones():
+    # the digest was recorded with the earlier decision, which compared no
+    # ell up front, took Smith forms over Z and lifted through a bal helper:
+    # the same answers, certificates (T, shift) and q_theta come out
+    assert recorded_digest() == (RECORDED_DIGEST, RECORDED_ISO)
+
+
+def test_n24_transport_positive():
+    # inverse_mod reduces mod ell before its adjugate, so the normal-form
+    # rows' size does not reach it; the certificate is checked literally
+    rng = random.Random(2605)
+    n, ell = 24, 10 ** 6
+    upper = [[rng.randrange(ell) if j > i else 0 for j in range(n)] for i in range(n)]
+    t1 = SkewRatForm(IntMatrix([[upper[i][j] - upper[j][i] for j in range(n)]
+                                for i in range(n)]), ell)
+    T = unimodular_sample(n, seed=2606, word_length=3 * n)
+    t2 = SkewRatForm(fraction_matrix(t1.congruence(T)) + rand_int_skew(rng, n))
+    d = iso_decide(params(t1), params(t2))
+    assert_certified(d, t1, t2)
