@@ -18,14 +18,8 @@ from .bundles import (
     VectorBundleClass,
     X_bundle,
     classify_projflat,
-    direct_sum_power,
     endo,
-    iso_matrix,
-    iso_vector,
-    line_twist_exists,
     omega,
-    tensor_line,
-    tw_to_omega,
     twist,
 )
 from .cohomology import (
@@ -39,7 +33,6 @@ from .cohomology import (
     fundamental_pairing,
     mu_q_image,
     pullback,
-    wedge,
 )
 from .exact_linalg import (
     IntMatrix,
@@ -64,8 +57,6 @@ from .projrep import (
     BilinearCocycle,
     ProjectiveRep,
     bicharacter_of,
-    clock_shift,
-    cohomologous,
     commutant_dim,
     heisenberg_rep,
     intertwiner,

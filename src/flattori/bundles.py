@@ -2,10 +2,11 @@
 matrix-algebra bundles on tori.
 
 Classes are represented purely by their classifying invariants (base
-dimension, rank/size, and the degree-2 class); total spaces never appear
-here -- the autofactor module holds concrete factor-of-automorphy models
-whose exact clutching twist and omega are an independent route to the
-same invariants.
+dimension, rank/size, and the degree-2 class), so two classes are
+isomorphic exactly when the frozen records are equal; total spaces never
+appear here -- the autofactor module holds concrete factor-of-automorphy
+models whose exact clutching twist and omega are an independent route to
+the same invariants.
 """
 
 from __future__ import annotations
@@ -67,53 +68,11 @@ def classify_projflat(n: int, q: int, c: AltFormZ) -> VectorBundleClass:
     return VectorBundleClass(n, q, c)
 
 
-def iso_vector(e1: VectorBundleClass, e2: VectorBundleClass) -> bool:
-    """Isomorphism of projectively flat classes of equal rank.
-
-    Comparing across distinct ranks (or base tori) is refused rather than
-    answered: the classification statement fixes the rank."""
-    if e1.n != e2.n:
-        raise ValueError("base dimension mismatch")
-    if e1.rank != e2.rank:
-        raise ValueError("rank mismatch")
-    return e1.c1 == e2.c1
-
-
 def endo(e: VectorBundleClass) -> MatrixBundleClass:
-    """E -> End(E) = E (x) E*: beta is c1 reduced mod the rank."""
+    """E -> End(E) = E (x) E*: beta is c1 reduced mod the rank.  So
+    End E1 = End E2 exactly when the rank q divides c1(E2) - c1(E1), that
+    is when E2 = E1 (x) L for a line bundle L."""
     return MatrixBundleClass(e.n, e.rank, beta_reduce(e.c1, e.rank))
-
-
-def iso_matrix(a1: MatrixBundleClass, a2: MatrixBundleClass) -> bool:
-    return a1.n == a2.n and a1.size == a2.size and a1.beta == a2.beta
-
-
-def tensor_line(e: VectorBundleClass, c_line: AltFormZ) -> VectorBundleClass:
-    """Tensor with a line bundle of class c_line: c1 shifts by rank * c_line."""
-    if c_line.n != e.n:
-        raise ValueError("line bundle class lives on the wrong torus")
-    return VectorBundleClass(e.n, e.rank, e.c1 + c_line.scale(e.rank))
-
-
-def line_twist_exists(e1: VectorBundleClass, e2: VectorBundleClass):
-    """Class of a line bundle L with e1 (x) L = e2, when one exists.
-
-    Present iff the rank divides every entry of c1(e2) - c1(e1)."""
-    if e1.n != e2.n:
-        raise ValueError("base dimension mismatch")
-    if e1.rank != e2.rank:
-        raise ValueError("rank mismatch")
-    q = e1.rank
-    delta = e2.c1 - e1.c1
-    if any(x % q != 0 for row in delta.mat.entries for x in row):
-        return None
-    return AltFormZ([[x // q for x in row] for row in delta.mat.entries])
-
-
-def direct_sum_power(e: VectorBundleClass, m: int) -> VectorBundleClass:
-    """m-fold Whitney sum: rank m*q, c1 scales by m."""
-    m = _positive(m, "m")
-    return VectorBundleClass(e.n, m * e.rank, e.c1.scale(m))
 
 
 def X_bundle(q: int, a: int) -> VectorBundleClass:
@@ -137,7 +96,3 @@ def omega(a: MatrixBundleClass, o: Orientation2 = STANDARD) -> RootOfUnity:
     p = fundamental_pairing_modq(a.beta, o)
     return mu_q_image(-p, a.size)
 
-
-def tw_to_omega(tw: int, q: int) -> RootOfUnity:
-    """Image of a twist under pi_1(U(q)) -> pi_1(PU(q)) = mu_q."""
-    return mu_q_image(tw, q)

@@ -204,7 +204,7 @@ def cmd_table(args) -> int:
             "beta_pairing": mat_cls.beta.mat[0][1],
             "omega": format_root(bundles.omega(mat_cls)),
         })
-    distinct = len(set(classes))  # iso_matrix is equality of the frozen classes
+    distinct = len(set(classes))  # isomorphic matrix classes are equal records
     rec = {"q": q, "rows": rows, "distinct_matrix_classes": distinct,
            "total_rows": len(rows)}
     human = [f"q={q}  a={a_lo}..{a_hi}",

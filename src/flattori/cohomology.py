@@ -1,8 +1,9 @@
 """Degree-2 cohomology of the n-torus as alternating forms on Z^n.
 
-Integer alternating 2-forms stand in for integral 2-classes, their mod-q
-reductions for q-torsion classes; degree-1 classes are plain integer
-vectors.  The orientation pairing with the fundamental class of the
+Integer alternating 2-forms stand in for integral 2-classes and their mod-q
+reductions for q-torsion classes; a lattice map pulls an integer class
+back, and a value in mu_q is a root of unity with an exact rational
+phase.  The orientation pairing with the fundamental class of the
 2-torus is fixed here, in one place: c[T^2] = -c(e1, e2) for the standard
 orientation.  Every twist/omega computation routes through it.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import IntMatrix, _instance, _int, _ints, _positive, _rational
+from .exact_linalg import IntMatrix, _instance, _int, _positive, _rational
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,31 +33,6 @@ class AltFormZ:
 
     def __repr__(self):
         return f"AltFormZ({[list(r) for r in self.mat.entries]})"
-
-    def __add__(self, other):
-        return AltFormZ(self.mat + other.mat)
-
-    def __sub__(self, other):
-        return AltFormZ(self.mat - other.mat)
-
-    def __neg__(self):
-        return AltFormZ(-self.mat)
-
-    def scale(self, k: int) -> "AltFormZ":
-        return AltFormZ(self.mat.scale(k))
-
-    def value(self, u, v) -> int:
-        """Evaluate the form on a pair of integer vectors of length n."""
-        u, v = _ints(u, self.n), _ints(v, self.n)
-        return sum(u[i] * self.mat[i][j] * v[j]
-                   for i in range(self.n) for j in range(self.n))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.mat.entries for x in row)
-
-    @classmethod
-    def zero(cls, n: int) -> "AltFormZ":
-        return cls(IntMatrix.zero(n, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,9 +61,6 @@ class AltFormModQ:
     def __repr__(self):
         return f"AltFormModQ({[list(r) for r in self.mat.entries]}, mod {self.modulus})"
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.mat.entries for x in row)
-
 
 @dataclass(frozen=True, slots=True)
 class RootOfUnity:
@@ -98,16 +71,6 @@ class RootOfUnity:
 
     def __init__(self, phase):
         object.__setattr__(self, "phase", _rational(phase) % 1)
-
-    @classmethod
-    def one(cls) -> "RootOfUnity":
-        return cls(0)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.phase + _instance(other, RootOfUnity).phase)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.phase)
 
     def __pow__(self, k: int) -> "RootOfUnity":
         """The k-th power for an exact integer k."""
@@ -134,16 +97,6 @@ class Orientation2:
 
 STANDARD = Orientation2(1)
 REVERSED = Orientation2(-1)
-
-
-def wedge(u, v) -> AltFormZ:
-    """Wedge of two degree-1 classes (integer vectors): mat = u v^t - v u^t."""
-    u, v = _ints(u), _ints(v)
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    n = len(u)
-    return AltFormZ([[u[i] * v[j] - v[i] * u[j] for j in range(n)]
-                     for i in range(n)])
 
 
 def fundamental_pairing(c: AltFormZ, o: Orientation2 = STANDARD) -> int:

@@ -87,9 +87,6 @@ class CycElt:
         L = _int(L)
         return _element(L, (Fraction(0),) * (len(cyclotomic_polynomial(L)) - 1))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __repr__(self):
         return f"CycElt(L={self.L}, {[str(c) for c in self.coeffs]})"
 

@@ -125,12 +125,6 @@ class IntMatrix:
         n = _int(n)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int | None = None):
-        rows = _int(rows)
-        cols = rows if cols is None else _int(cols)
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, i):
         return self.entries[i]
 
@@ -143,19 +137,11 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.entries]})"
 
-    def _entrywise(self, other, op):
+    def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(map(op, ra, rb) for ra, rb in zip(self.entries, other.entries))
-
-    def __add__(self, other):
-        return self._entrywise(other, operator.add)
-
-    def __sub__(self, other):
-        return self._entrywise(other, operator.sub)
-
-    def __neg__(self):
-        return IntMatrix([[-a for a in row] for row in self.entries])
+        return IntMatrix(map(operator.sub, ra, rb)
+                         for ra, rb in zip(self.entries, other.entries))
 
     def __matmul__(self, other):
         if self.cols != other.rows:

@@ -1,7 +1,6 @@
-"""2-cocycles on Z^n with torsion phase values, their bicharacters,
-coboundary equivalence, and the irreducible clock-and-shift projective
-representations, all written by one builder that refuses a dimension above
-REP_DIM_LIMIT.
+"""2-cocycles on Z^n with torsion phase values, their bicharacters, and
+the irreducible clock-and-shift projective representations, all written
+by one builder that refuses a dimension above REP_DIM_LIMIT.
 
 Everything is exact: phases are rationals mod 1, and a cocycle, like a skew
 form, is integer numerators over one denominator.  The commutant and
@@ -23,12 +22,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .autofactor import _matrix, _phase
 from .cyclotomic import CycElt, _element, _power_table
-from .exact_linalg import IntMatrix, SkewRatForm, _int, _ints, _lowest_terms, _positive
+from .exact_linalg import IntMatrix, SkewRatForm, _lowest_terms
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,58 +47,11 @@ class BilinearCocycle:
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "B", B)
 
-    def value(self, g1, g2) -> Fraction:
-        """Phase of z(g1, g2), in turns mod 1, for lattice vectors in Z^n."""
-        B, n, ell = self.B, self.n, self.ell
-        g1, g2 = _ints(g1, n), _ints(g2, n)
-        return Fraction(sum(g1[i] * B[i][j] * g2[j] for i in range(n) if g1[i]
-                            for j in range(n) if g2[j]) % ell, ell)
-
 
 def bicharacter_of(z: BilinearCocycle) -> SkewRatForm:
     """Antisymmetrization z(g,g') z(g',g)^{-1} = e(g^t (B - B^t) g' / ell):
     that skew form mod Z, as its `frac()` representative."""
     return SkewRatForm(z.B - z.B.transpose(), z.ell).frac()
-
-
-@dataclass(frozen=True)
-class QuadraticPhase:
-    """Witness f(g) = e(g^t Q g / 2 ell) for coboundary equivalence."""
-
-    Q: IntMatrix
-    ell: int
-
-    def value(self, g) -> Fraction:
-        Q, n, den = self.Q, self.Q.rows, 2 * self.ell
-        g = _ints(g, n)
-        return Fraction(sum(g[i] * Q[i][j] * g[j] for i in range(n) for j in range(n)) % den,
-                        den)
-
-    def coboundary(self, g1, g2) -> Fraction:
-        g1, g2 = _ints(g1, self.Q.rows), _ints(g2, self.Q.rows)
-        s = tuple(a + b for a, b in zip(g1, g2))
-        return (self.value(g1) + self.value(g2) - self.value(s)) % 1
-
-
-def cohomologous(z1: BilinearCocycle, z2: BilinearCocycle):
-    """Decide cohomology of two bilinear cocycles; the criterion is equality
-    of bicharacters.  On success returns a quadratic-phase witness f with
-    z1/z2 = coboundary of f, checked literally: with C = B1/ell1 - B2/ell2
-    over ell = lcm(ell1, ell2), the coboundary of f is -g^t (Q + Q^t) g' / 2 ell,
-    so f is a witness exactly when 2C + Q + Q^t = 0 mod 2 ell entrywise."""
-    if z1.n != z2.n:
-        raise ValueError("cocycles live on different lattices")
-    if bicharacter_of(z1) != bicharacter_of(z2):
-        return None
-    n, ell = z1.n, lcm(z1.ell, z2.ell)
-    C = z1.B.scale(ell // z1.ell) - z2.B.scale(ell // z2.ell)
-    # Q + Q^t over 2 ell is -C with its lower triangle mirrored from the
-    # upper one: the diagonal is halved, each pair i < j sits above it
-    Q = IntMatrix([[0 if j < i else -C[i][j] if j == i else -2 * C[i][j]
-                    for j in range(n)] for i in range(n)])
-    if any(x % (2 * ell) for row in (C.scale(2) + Q + Q.transpose()).entries for x in row):
-        raise AssertionError("quadratic witness failed its coboundary check")
-    return QuadraticPhase(Q, ell)
 
 
 # largest dimension of a built clock/shift representation (d phases per
@@ -132,14 +83,6 @@ def _clock_shift_rep(theta: SkewRatForm, pairs, rows) -> ProjectiveRep:
             exps = [E + c * j for E in exps for j in range(q)]
         words.append(_matrix(tuple(perm), tuple([phase[e % L] for e in exps])))
     return ProjectiveRep(words, BilinearCocycle(theta.upper(), theta.ell))
-
-
-def clock_shift(q: int, p: int):
-    """Clock U = diag(e(p j / q)) and shift V e_j = e_{j-1}, with
-    V U = e(p/q) U V exactly (checked as a `ProjectiveRep`)."""
-    q, p = _positive(q, "q"), _int(p)
-    theta = SkewRatForm([[0, -p], [p, 0]], q)
-    return _clock_shift_rep(theta, [(q, p)], [(0, 1), (1, 0)]).gens
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -24,20 +24,20 @@ compares integer phase exponents mod L column by column.  `pullback_modq`, the
 mod-q pullback, has no library caller; it checks `pullback` commutes with
 the reduction mod q.
 `iso_via_bundles` cross-checks a positive `iso_decide` answer through the
-bundle classification, and `divisor_congruence` is the decision the
+bundle classification (the aligned classes have equal endomorphism
+bundles), and `divisor_congruence` is the decision the
 library replaced by its block normal form: both forms over one common ell,
 each scaled by units to (+)_j gcd(e_j, ell) J and compared by their unit
 ratio.
 `FractionPhase` is the Fraction-valued affine phase and `RatMatrix` the
 Fraction-valued matrix that the library replaced by integer numerators
 over one denominator; `fraction_matrix` reads a skew form or a cocycle as
-such a matrix, and `fraction_coboundary_witness` is the Fraction
-quadratic-phase witness of cohomologous cocycles.  `fraction_congruence`,
-`fraction_frac` and `fraction_scaled_int` are the Fraction-matrix skew
-form operations the library replaced by integer numerators over one
-denominator, and `fraction_bicharacter` and `fraction_radical_index` the
-Fraction bicharacter matrix (B - B^t) mod 1 and its cleared-denominator
-radical that a skew form mod Z replaced.  The complex evaluations of
+such a matrix.  `fraction_congruence`, `fraction_frac` and
+`fraction_scaled_int` are the Fraction-matrix skew form operations the
+library replaced by integer numerators over one denominator, and
+`fraction_bicharacter` and `fraction_radical_index` the Fraction
+bicharacter matrix (B - B^t) mod 1 and its cleared-denominator radical
+that a skew form mod Z replaced.  The complex evaluations of
 phases and generalized permutation-phase matrices are numerical
 references.
 The clock/shift generators are referenced by the construction the library
@@ -74,7 +74,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
-from flattori.bundles import classify_projflat, direct_sum_power, line_twist_exists
+from flattori.bundles import classify_projflat, endo
 from flattori.cohomology import AltFormModQ, AltFormZ
 from flattori.cyclotomic import CycElt, _power_table, cyclotomic_polynomial
 from flattori.exact_linalg import (
@@ -195,32 +195,6 @@ def fraction_matrix(x):
     (B / ell)."""
     num = x.B if isinstance(x, BilinearCocycle) else x.S
     return RatMatrix([[Fraction(a, x.ell) for a in row] for row in num.entries])
-
-
-def fraction_coboundary_witness(B1, B2):
-    """Q with z1/z2 = coboundary of f(g) = e(g^t Q g) for the cocycles
-    e(g^t B g') of Fraction matrices B1, B2 with equal bicharacters: -C,
-    C = B1 - B2, made symmetric from its upper triangle and split as
-    Q + Q^t, the diagonal halved."""
-    C = RatMatrix(B1) - B2
-    n = C.rows
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = -C[i][j]
-            m[j][i] = m[i][j]
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = m[i][i] / 2
-        for j in range(i + 1, n):
-            q[i][j] = m[i][j]
-    return RatMatrix(q)
-
-
-def fraction_quadratic_value(Q, g):
-    """g^t Q g mod 1, in turns."""
-    n = Q.rows
-    return sum((Q[i][j] * g[i] * g[j] for i in range(n) for j in range(n)), Fraction(0)) % 1
 
 
 def theta_bar_state(theta, ell):
@@ -452,7 +426,7 @@ def cyc_mul(a: CycElt, b: CycElt) -> CycElt:
 def cyc_inverse(a: CycElt) -> CycElt:
     """Extended Euclid against Phi_L (irreducible, so gcd is a constant), one
     leading term at a time, keeping s * a = r (mod Phi_L) and deg s < deg Phi_L."""
-    if a.is_zero():
+    if not any(a.coeffs):
         raise ZeroDivisionError("inverse of zero")
     deg = len(a.coeffs)
     r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(a.L)], list(a.coeffs)
@@ -484,7 +458,7 @@ def cyc_det(m) -> CycElt:
     a = [row[:] for row in m]
     det = cyc_one(L)
     for col in range(d):
-        piv = next((r for r in range(col, d) if not a[r][col].is_zero()), None)
+        piv = next((r for r in range(col, d) if any(a[r][col].coeffs)), None)
         if piv is None:
             return CycElt.zero(L)
         if piv != col:
@@ -494,15 +468,15 @@ def cyc_det(m) -> CycElt:
         inv = cyc_inverse(a[col][col])
         a[col] = [cyc_mul(inv, x) for x in a[col]]
         for r in range(col + 1, d):
-            if not a[r][col].is_zero():
+            if any(a[r][col].coeffs):
                 f = a[r][col]
-                a[r] = [x if y.is_zero() else cyc_sub(x, cyc_mul(f, y))
+                a[r] = [cyc_sub(x, cyc_mul(f, y)) if any(y.coeffs) else x
                         for x, y in zip(a[r], a[col])]
     return det
 
 
 def cyc_det_nonzero(m) -> bool:
-    return not cyc_det(m).is_zero()
+    return any(cyc_det(m).coeffs)
 
 
 def sparse_rref(rows, nvars: int, L: int):
@@ -515,7 +489,7 @@ def sparse_rref(rows, nvars: int, L: int):
     pivots = {}
     queue = [dict(r) for r in rows]
     for row in queue:
-        row = {c: v for c, v in row.items() if not v.is_zero()}
+        row = {c: v for c, v in row.items() if any(v.coeffs)}
         # reduce against existing pivots until none of its columns is a pivot
         while True:
             hit = next((c for c in row if c in pivots), None)
@@ -526,7 +500,7 @@ def sparse_rref(rows, nvars: int, L: int):
                 if c == hit:
                     continue
                 acc = cyc_sub(row.get(c, CycElt.zero(L)), cyc_mul(f, v))
-                if acc.is_zero():
+                if not any(acc.coeffs):
                     row.pop(c, None)
                 else:
                     row[c] = acc
@@ -544,7 +518,7 @@ def sparse_rref(rows, nvars: int, L: int):
                     if c == pc:
                         continue
                     acc = cyc_sub(orow.get(c, CycElt.zero(L)), cyc_mul(f, v))
-                    if acc.is_zero():
+                    if not any(acc.coeffs):
                         orow.pop(c, None)
                     else:
                         orow[c] = acc
@@ -575,7 +549,7 @@ def cyc_intertwines(X, rep1, rep2, L):
     U is monomial, so each entry of either side is one product:
     (X U1)[r, inv1(k)] = X[r, k] u1_inv1(k) and (U2 X)[perm2(k), c] = u2_k X[k, c]."""
     support = [(r, k, x) for r, row in enumerate(X) for k, x in enumerate(row)
-               if not x.is_zero()]
+               if any(x.coeffs)]
     for g1, g2 in zip(rep1.gens, rep2.gens):
         inv1 = {p: j for j, p in enumerate(g1.perm)}
         u1 = [cyc_from_phase(ph.const, L) for ph in g1.phases]
@@ -667,9 +641,10 @@ def clutching_omega_loop(F, samples, tol=SNAP_TOL_TURNS):
 
 def iso_via_bundles(theta, theta2, m=1):
     """iso_decide for the m-fold amplifications, cross-checked through the
-    bundle classification: on a positive answer the m-fold sums of the
-    aligned projectively flat classes must differ by a line bundle twist.
-    The amplification m cancels."""
+    bundle classification: on a positive answer the aligned projectively
+    flat classes of rank q_theta must differ by a line bundle twist, that
+    is, have equal endomorphism bundles.  The amplification m cancels:
+    mq divides m delta exactly when q divides delta."""
     decision = iso_decide(NCTorusParams(theta.n, theta, m),
                           NCTorusParams(theta2.n, theta2, m))
     if decision.is_iso:
@@ -677,9 +652,9 @@ def iso_via_bundles(theta, theta2, m=1):
         q = q_theta(theta2)  # iso_decide has shown that aligned shares it
         if q % theta2.ell:
             raise AssertionError("q_theta * theta failed to be integral")
-        e1 = direct_sum_power(classify_projflat(theta.n, q, AltFormZ(aligned.scaled_int(q))), m)
-        e2 = direct_sum_power(classify_projflat(theta.n, q, AltFormZ(theta2.scaled_int(q))), m)
-        if line_twist_exists(e1, e2) is None:
+        e1 = classify_projflat(theta.n, q, AltFormZ(aligned.scaled_int(q)))
+        e2 = classify_projflat(theta.n, q, AltFormZ(theta2.scaled_int(q)))
+        if endo(e1) != endo(e2):
             raise AssertionError("aligned classes must differ by a line bundle")
     return decision
 

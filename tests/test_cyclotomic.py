@@ -49,7 +49,7 @@ def test_inverse():
         for _ in range(20):
             coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(deg)]
             x = CycElt(L, coeffs)
-            if x.is_zero():
+            if not any(x.coeffs):
                 continue
             assert cyc_mul(x, cyc_inverse(x)) == cyc_one(L)
 

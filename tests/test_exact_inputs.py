@@ -22,8 +22,6 @@ from flattori.bundles import (
     VectorBundleClass,
     X_bundle,
     classify_projflat,
-    direct_sum_power,
-    tw_to_omega,
 )
 from flattori.cohomology import (
     AltFormModQ,
@@ -32,17 +30,16 @@ from flattori.cohomology import (
     RootOfUnity,
     mu_q_image,
     pullback,
-    wedge,
 )
 from flattori.cyclotomic import CycElt, cyclotomic_polynomial
 from flattori.exact_linalg import IntMatrix, SkewRatForm, inverse_mod, lift_unimodular_mod
 from flattori.nctorus import NCTorusParams, q_theta
-from flattori.projrep import BilinearCocycle, QuadraticPhase, clock_shift
+from flattori.projrep import BilinearCocycle
 
 H = Fraction(1, 2)
 G = IntMatrix([[2, 1], [1, 1]])
 C2 = AltFormZ([[0, 1], [-1, 0]])
-C3 = AltFormZ.zero(3)
+C3 = AltFormZ([[0] * 3] * 3)
 THETA2 = SkewRatForm([[0, H], [-H, 0]])
 THETA3 = SkewRatForm([[0, H, 0], [-H, 0, 0], [0, 0, 0]])
 F = factor_from(3, 1)
@@ -63,31 +60,22 @@ INTEGERS = {
     "IntMatrix entry": lambda x: IntMatrix([[x, 0]]),
     "IntMatrix.scale": lambda x: IntMatrix([[1, 2]]).scale(x),
     "IntMatrix.identity": IntMatrix.identity,
-    "IntMatrix.zero": lambda x: IntMatrix.zero(x, 2),
     "IntMatrix.mod": lambda x: IntMatrix([[5, -1]]).mod(x),
     "inverse_mod": lambda x: inverse_mod(G, x),
     "lift_unimodular_mod": lambda x: lift_unimodular_mod(G, x),
     "SkewRatForm ell": lambda x: SkewRatForm([[0, 1], [-1, 0]], x),
     "SkewRatForm.scaled_int": lambda x: SkewRatForm([[0, 1], [-1, 0]]).scaled_int(x),
     "BilinearCocycle ell": lambda x: BilinearCocycle([[0, 1], [0, 0]], x),
-    "BilinearCocycle.value": lambda x: BilinearCocycle([[0, 1], [0, 0]], 5).value((x, 0), (0, 1)),
-    "QuadraticPhase.value": lambda x: QuadraticPhase(IntMatrix([[1, 0], [0, 0]]), 5).value((x, 0)),
     "AltFormZ entry": lambda x: AltFormZ([[0, x], [_negated(x), 0]]),
-    "AltFormZ.scale": C2.scale,
-    "AltFormZ.zero": AltFormZ.zero,
-    "AltFormZ.value": lambda x: C2.value((x, 0), (0, 1)),
     "AltFormModQ modulus": lambda x: AltFormModQ([[0, 1], [-1, 0]], x),
     "RootOfUnity.__pow__": lambda x: RootOfUnity(Fraction(1, 5)) ** x,
-    "wedge": lambda x: wedge((x, 0), (0, 1)),
     "mu_q_image k": lambda x: mu_q_image(x, 5),
     "mu_q_image q": lambda x: mu_q_image(1, x),
-    "tw_to_omega q": lambda x: tw_to_omega(1, x),
     "VectorBundleClass n": lambda x: VectorBundleClass(x, 2, C3),
     "VectorBundleClass rank": lambda x: VectorBundleClass(2, x, C2),
     "classify_projflat q": lambda x: classify_projflat(2, x, C2),
     "MatrixBundleClass n": lambda x: MatrixBundleClass(x, 2, AltFormModQ(C3.mat, 2)),
     "MatrixBundleClass size": lambda x: MatrixBundleClass(2, x, AltFormModQ(C2.mat, 3)),
-    "direct_sum_power m": lambda x: direct_sum_power(X_bundle(2, 1), x),
     "X_bundle q": lambda x: X_bundle(x, 1),
     "X_bundle a": lambda x: X_bundle(2, x),
     "NCTorusParams n": lambda x: NCTorusParams(x, THETA3),
@@ -100,8 +88,6 @@ INTEGERS = {
     "factor_from a": lambda x: factor_from(2, x),
     "FactorOfAutomorphy.value": lambda x: F.value((0, x)),
     "check_cocycle trials": lambda x: check_cocycle(F, x),
-    "clock_shift q": lambda x: clock_shift(x, 1),
-    "clock_shift p": lambda x: clock_shift(5, x),
     "CycElt L": lambda x: CycElt(x, (1, 0)),
     "CycElt.zero": CycElt.zero,
     "cyclotomic_polynomial": cyclotomic_polynomial,
@@ -125,7 +111,6 @@ OBJECTS = {
     "q_theta": ("SkewRatForm", q_theta),
     "VectorBundleClass c1": ("AltFormZ", lambda x: VectorBundleClass(2, 2, x)),
     "MatrixBundleClass beta": ("AltFormModQ", lambda x: MatrixBundleClass(2, 2, x)),
-    "RootOfUnity.__mul__": ("RootOfUnity", lambda x: RootOfUnity(0) * x),
     "pullback c": ("AltFormZ", lambda x: pullback(x, G)),
     "pullback P": ("IntMatrix", lambda x: pullback(C2, x)),
     "clutching_twist": ("FactorOfAutomorphy", clutching_twist),
@@ -179,7 +164,6 @@ def test_a_wrong_object_is_refused_by_its_type(name):
 
 def test_one_rule_settles_the_old_disagreements():
     assert inverse_mod(G, Fraction(3, 1)) == inverse_mod(G, 3)
-    assert AltFormZ([[0, 1], [-1, 0]]).value((Fraction(1, 1), 0), (0, 1)) == 1
     assert (SkewRatForm([[0, np.int64(1)], [np.int64(-1), 0]])
             == SkewRatForm([[0, 1], [-1, 0]]))
     assert check_cocycle(factor_from(3, 1), True) == check_cocycle(factor_from(3, 1), 1)
@@ -196,9 +180,7 @@ def test_bad_values_are_named_and_shapes_checked():
         X_bundle(2, 1.5)
     with pytest.raises(ValueError, match=r"^rank must be an integer >= 1, got 0$"):
         VectorBundleClass(2, 0, C2)
-    for build in (lambda: IntMatrix.zero(2, 2.0), lambda: F.value((0, 1, 2)),
-                  lambda: C2.value((1, 0, 0), (0, 1)), lambda: wedge(3, (0, 1)),
-                  lambda: Orientation2(1.0), lambda: Orientation2(2),
+    for build in (lambda: F.value((0, 1, 2)), lambda: Orientation2(1.0), lambda: Orientation2(2),
                   lambda: AffinePhase((1,), 0).translate(3),
                   lambda: rieffel_N(2, 1).translate(3)):
         with pytest.raises(ValueError):

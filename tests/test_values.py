@@ -12,10 +12,13 @@ from flattori.bundles import MatrixBundleClass, VectorBundleClass
 from flattori.cohomology import AltFormModQ, AltFormZ, RootOfUnity
 from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import SkewRatForm
-from flattori.projrep import BilinearCocycle, ProjectiveRep, clock_shift
+from flattori.projrep import BilinearCocycle, ProjectiveRep, _clock_shift_rep
 
 H = Fraction(1, 2)
 T = Fraction(1, 3)
+# clock and shift of the block 1/3, V U = e(1/3) U V
+CLOCK_SHIFT_3 = _clock_shift_rep(SkewRatForm([[0, -1], [1, 0]], 3), [(3, 1)],
+                                 [(0, 1), (1, 0)]).gens
 
 
 # class name -> (build one value from a parameter, a parameter, a different one)
@@ -40,7 +43,7 @@ VALUES = {
 @pytest.mark.parametrize("name", sorted(VALUES) + ["ProjectiveRep"])
 def test_value_objects_are_frozen(name):
     if name == "ProjectiveRep":
-        value = ProjectiveRep(clock_shift(3, 1), BilinearCocycle([[0, 0], [T, 0]]))
+        value = ProjectiveRep(CLOCK_SHIFT_3, BilinearCocycle([[0, 0], [T, 0]]))
     else:
         build, param, _ = VALUES[name]
         value = build(param)
@@ -67,7 +70,7 @@ def test_value_objects_compare_and_hash_by_value(name):
 
 
 def test_projective_reps_compare_by_identity():
-    gens = clock_shift(3, 1)
+    gens = CLOCK_SHIFT_3
     cocycle = BilinearCocycle([[0, 0], [T, 0]])
     r1, r2 = ProjectiveRep(gens, cocycle), ProjectiveRep(gens, cocycle)
     assert r1 == r1 and r1 != r2
