@@ -54,9 +54,7 @@ from .nctorus import (
     q_theta,
 )
 from .projrep import (
-    BilinearCocycle,
     ProjectiveRep,
-    bicharacter_of,
     commutant_dim,
     heisenberg_rep,
     intertwiner,

@@ -13,7 +13,8 @@ parameter that must be at least 1 (a rank, an order, a modulus), and
 `_rational` an exact rational: a Fraction or an exact integer.
 
 IntMatrix is the only matrix class: its entries and a scale factor are
-exact integers, and a matrix of all ints skips the conversion.  A rational
+exact integers, a matrix of all ints skips the conversion, and one built by
+the library's own arithmetic skips every check (`_int_matrix`).  A rational
 matrix is stored as integer numerators over its least common denominator,
 in lowest terms; `_lowest_terms` is the one place that builds this format
 from ints and Fractions.  A skew form is S / ell that way, so its
@@ -113,9 +114,7 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be positive")
         if len(set(map(len, ents))) != 1:
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(ents))
-        object.__setattr__(self, "cols", len(ents[0]))
-        object.__setattr__(self, "entries", ents)
+        _int_matrix(ents, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -140,23 +139,23 @@ class IntMatrix:
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix(map(operator.sub, ra, rb)
-                         for ra, rb in zip(self.entries, other.entries))
+        return _int_matrix(map(operator.sub, ra, rb)
+                           for ra, rb in zip(self.entries, other.entries))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         bt = list(zip(*other.entries))
-        return IntMatrix([[sum(map(operator.mul, row, col)) for col in bt]
-                          for row in self.entries])
+        return _int_matrix([[sum(map(operator.mul, row, col)) for col in bt]
+                            for row in self.entries])
 
     def scale(self, k):
         """k * self for an exact integer k; anything else raises."""
         k = _int(k)
-        return IntMatrix([[a * k for a in row] for row in self.entries])
+        return _int_matrix([[a * k for a in row] for row in self.entries])
 
     def transpose(self):
-        return IntMatrix(zip(*self.entries))
+        return _int_matrix(zip(*self.entries))
 
     def is_skew(self) -> bool:
         return self.entries == tuple(zip(*[[-a for a in row] for row in self.entries]))
@@ -164,7 +163,7 @@ class IntMatrix:
     def mod(self, ell: int) -> "IntMatrix":
         """Entries reduced into [0, ell), for a modulus ell >= 1."""
         ell = _positive(ell, "modulus")
-        return IntMatrix([[a % ell for a in row] for row in self.entries])
+        return _int_matrix([[a % ell for a in row] for row in self.entries])
 
     def det(self) -> int:
         """Exact determinant, Bareiss fraction-free elimination."""
@@ -215,7 +214,33 @@ class IntMatrix:
         d, adj = self._adjugate()
         if d not in (1, -1):
             raise ValueError("matrix is not unimodular")
-        return IntMatrix([[d * a for a in row] for row in adj])
+        return _int_matrix([[d * a for a in row] for row in adj])
+
+
+def _int_matrix(rows, m: IntMatrix | None = None) -> IntMatrix:
+    """Rows of ints, non-empty and rectangular as the library's own arithmetic
+    builds them, stored unchecked; into m when given (by __init__)."""
+    ents = tuple(map(tuple, rows))
+    m = object.__new__(IntMatrix) if m is None else m
+    object.__setattr__(m, "rows", len(ents))
+    object.__setattr__(m, "cols", len(ents[0]))
+    object.__setattr__(m, "entries", ents)
+    return m
+
+
+def _skew_congruence(T: IntMatrix, S: IntMatrix) -> IntMatrix:
+    """T S T^t for a skew S (column j is minus row j): skew too, so only the
+    entries above the diagonal are computed."""
+    if T.cols != S.rows:
+        raise ValueError("shape mismatch in product")
+    n, rows = T.rows, T.entries
+    TS = [[-sum(map(operator.mul, r, s)) for s in S.entries] for r in rows]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = sum(map(operator.mul, TS[i], rows[j]))
+            out[i][j], out[j][i] = x, -x
+    return _int_matrix(out)
 
 
 def _lowest_terms(mat, ell=1):
@@ -234,7 +259,7 @@ def _lowest_terms(mat, ell=1):
     g = gcd(ell, *chain.from_iterable(mat.entries))
     if g != 1:
         ell //= g
-        mat = IntMatrix([[x // g for x in row] for row in mat.entries])
+        mat = _int_matrix([[x // g for x in row] for row in mat.entries])
     return mat, ell
 
 
@@ -265,19 +290,13 @@ class SkewRatForm:
 
     def congruence(self, T: IntMatrix) -> "SkewRatForm":
         """T * theta * T^t."""
-        return SkewRatForm(T @ self.S @ T.transpose(), self.ell)
+        return SkewRatForm(_skew_congruence(_instance(T, IntMatrix), self.S), self.ell)
 
     def frac(self) -> "SkewRatForm":
         """Skew representative mod M_n(Z): above-diagonal entries in [0,1)."""
         n, ell, S = self.n, self.ell, self.S
-        return SkewRatForm(IntMatrix([[S[i][j] % ell if j > i else -(S[j][i] % ell)
-                                       for j in range(n)] for i in range(n)]), ell)
-
-    def upper(self) -> IntMatrix:
-        """Numerators over ell of the strict upper-triangular part (the
-        canonical cocycle splitting)."""
-        n, S = self.n, self.S
-        return IntMatrix([[S[i][j] if j > i else 0 for j in range(n)] for i in range(n)])
+        return SkewRatForm(_int_matrix([[S[i][j] % ell if j > i else -(S[j][i] % ell)
+                                         for j in range(n)] for i in range(n)]), ell)
 
 
 @dataclass(frozen=True)
@@ -415,9 +434,9 @@ def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
         r += 1
 
     divisors = tuple(a[2 * i][2 * i + 1] for i in range(r))
-    nf = SymplecticNF(T=IntMatrix(t), divisors=divisors)
+    nf = SymplecticNF(T=_int_matrix(t), divisors=divisors)
     # certificate sanity: these are the type invariants
-    if (abs(nf.T.det()) != 1 or nf.T @ M @ nf.T.transpose() != nf.normal_matrix(n)
+    if (abs(nf.T.det()) != 1 or _skew_congruence(nf.T, M) != nf.normal_matrix(n)
             or any(divisors[i + 1] % divisors[i] for i in range(len(divisors) - 1))):
         raise AssertionError("symplectic normal form failed its certificate check")
     return nf
@@ -429,7 +448,7 @@ def inverse_mod(M: IntMatrix, ell: int) -> IntMatrix:
     ell = _positive(ell, "modulus")
     d, adj = M.mod(ell)._adjugate()
     dinv = pow(d % ell, -1, ell)
-    return IntMatrix([[dinv * a % ell for a in row] for row in adj])
+    return _int_matrix([[dinv * a % ell for a in row] for row in adj])
 
 
 def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
@@ -485,7 +504,7 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
     w = (w * a[n - 1][n - 1] + h) % ell - h  # +-1, det T
     for row in t:
         row[n - 1] *= w
-    T = IntMatrix(t)
+    T = _int_matrix(t)
     if (any((x - y) % ell for rt, rg in zip(T.entries, g.entries) for x, y in zip(rt, rg))
             or abs(T.det()) != 1):
         raise AssertionError("unimodular lift failed verification")

@@ -41,8 +41,8 @@ theta' exactly when the chains agree and prod p'_t = eps prod p_t mod C.
 One h then serves every prime: it scales the first chain second vector, or
 the first remaining row when 2k < n, by eps / prod r_t.  `iso_decide` tests,
 in order: n and m, ell (the chain's largest q_t, so no normal form is
-needed to compare it), equal frac (T = I), q_theta, the chain, the unit
-class.
+needed to compare it), equal frac (T = I), q_theta (theta's is the product
+of its chain, so only theta' takes a Smith form), the chain, the unit class.
 """
 
 from __future__ import annotations
@@ -58,7 +58,9 @@ from .exact_linalg import (
     SkewRatForm,
     _instance,
     _int,
+    _int_matrix,
     _positive,
+    _skew_congruence,
     inverse_mod,
     lift_unimodular_mod,
     smith_normal_form,
@@ -126,8 +128,8 @@ def normal_form(theta: SkewRatForm) -> NormalFormResult:
     """GL(n, Z) block normal form of a rational skew form (`_blocks`).  The
     certificate is checked literally before returning: T theta T^t, read by
     `projrep._normal_form_blocks`, gives the same pairs."""
-    rows, blocks = _blocks(theta)
-    T, qs = IntMatrix(rows), [q for q, _ in blocks]
+    rows, blocks = _blocks(_instance(theta, SkewRatForm))
+    T, qs = _int_matrix(rows), [q for q, _ in blocks]
     if (_normal_form_blocks(theta.congruence(T)) != blocks
             or any(qs[i + 1] % qs[i] for i in range(len(qs) - 1))
             or prod(qs) != q_theta(theta)):
@@ -138,8 +140,10 @@ def normal_form(theta: SkewRatForm) -> NormalFormResult:
 def clock_shift_rep(theta: SkewRatForm, nf: NormalFormResult) -> ProjectiveRep:
     """The irreducible projective representation of theta for its normal form
     nf: the clock/shift words of nf's blocks for the rows of T^-1, verified
-    on theta's cocycle; q_theta above projrep.REP_DIM_LIMIT is refused."""
-    return _clock_shift_rep(theta, nf.blocks, nf.T.inverse_unimodular().entries)
+    on theta mod Z; q_theta above projrep.REP_DIM_LIMIT is refused."""
+    nf = _instance(nf, NormalFormResult)
+    return _clock_shift_rep(_instance(theta, SkewRatForm), nf.blocks,
+                            nf.T.inverse_unimodular().entries)
 
 
 def bundle_of(theta: SkewRatForm):
@@ -175,21 +179,22 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
     Reject on n or m mismatch, then on different ell (the largest element
     of the chain, so this needs no normal form).  Equal frac(theta) and
     frac(theta') are isomorphic by T = I, before any normal form.  Otherwise
-    reject on different q_theta, on different chains or on different unit
-    classes mod C of their block normal forms (module docstring).  A
+    reject on different q_theta (theta's read from its chain), on different
+    chains or on different unit classes mod C (module docstring).  A
     positive answer's certificate, I or the integral lift of g mod ell, is
     verified literally."""
+    p1, p2 = _instance(p1, NCTorusParams), _instance(p2, NCTorusParams)
     n, theta, theta2 = p1.n, p1.theta, p2.theta
     if n != p2.n or p1.m != p2.m or theta.ell != theta2.ell:
         return IsoDecision(IsoStatus.NOT_ISO)
     f1, f2 = theta.frac(), theta2.frac()
     if f1 == f2:
         return _verified(theta, theta2, IntMatrix.identity(n))
-    if q_theta(theta) != q_theta(theta2):
-        return IsoDecision(IsoStatus.NOT_ISO)
     sides = []
     for f in (f1, f2):  # rows: chain first vectors, chain second vectors, the rest
         rows, pairs = _blocks(f)
+        if f is f1 and prod(q for q, _ in pairs) != q_theta(theta2):  # = q_theta(theta)
+            return IsoDecision(IsoStatus.NOT_ISO)
         K, j = len(pairs), sum(q == 1 for q, _ in pairs)
         rest = rows[:j] + rows[K:K + j] + rows[2 * K:]
         sides.append((rows[j:K] + rows[K + j:2 * K] + rest, pairs[j:]))
@@ -211,15 +216,15 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
         R = R * r % ell
     i = k if 2 * k == n else 2 * k
     rows1[i] = [eps * pow(R, -1, ell) * x % ell for x in rows1[i]]
-    g = (inverse_mod(IntMatrix(rows2), ell) @ IntMatrix(rows1)).mod(ell)
+    g = inverse_mod(_int_matrix(rows2), ell) @ _int_matrix(rows1)  # the lift reads g mod ell
     return _verified(theta, theta2, lift_unimodular_mod(g, ell))
 
 
 def _verified(theta: SkewRatForm, theta2: SkewRatForm, T: IntMatrix) -> IsoDecision:
     """ISO with the certificate (T, theta' - T theta T^t), whose shift must
     be integral: both forms have denominator ell and ell | S' - T S T^t."""
-    ell, diff = theta.ell, theta2.S - T @ theta.S @ T.transpose()
+    ell, diff = theta.ell, theta2.S - _skew_congruence(T, theta.S)
     if theta2.ell != ell or any(x % ell for row in diff.entries for x in row):
         raise AssertionError("certificate failed literal verification")
-    shift = IntMatrix([[x // ell for x in row] for row in diff.entries])
+    shift = _int_matrix([[x // ell for x in row] for row in diff.entries])
     return IsoDecision(IsoStatus.ISO, T=T, shift=shift)

@@ -1,58 +1,36 @@
-"""2-cocycles on Z^n with torsion phase values, their bicharacters, and
-the irreducible clock-and-shift projective representations, all written
-by one builder that refuses a dimension above REP_DIM_LIMIT.
+"""Projective representations of Z^n by generalized permutation-phase
+images: the irreducible clock-and-shift representations, all written by one
+builder that refuses a dimension above REP_DIM_LIMIT, and their commutants
+and intertwiners.
 
-Everything is exact: phases are rationals mod 1, and a cocycle, like a skew
-form, is integer numerators over one denominator.  The commutant and
-intertwiner systems X U1 = U2 X have generalized permutation-phase images U,
-so each equation ties two unknowns by a root of unity; they are solved by
-propagating integer phase exponents mod L = lcm(q_i) over the connected
+A representation is its exponent words and its cocycle class.  Generator i
+is the word (perm, e) over the phase order L, entry (perm[c], c) equal to
+zeta_L^e[c].  The class of a 2-cocycle on Z^n in H^2(Z^n, U(1)) is its
+commutator bicharacter, a skew form mod Z, kept as the `frac()`
+representative of a `SkewRatForm`; the relations U_j U_i = chi(e_j, e_i)
+U_i U_j are verified on the words by one check, which both ways of building
+a representation share.  The commutant and intertwiner systems
+X U1 = U2 X tie two unknowns by a root of unity per equation, so they are
+solved by propagating integer phase exponents mod L over the connected
 components of the unknowns, which is exact over Q(zeta_L) without field
 arithmetic.  Two such representations are equivalent exactly when their
 three Hom dimensions agree, because the images generate a finite group.
 An intertwiner is a weighted sum of the Hom components; its support, or
 its determinant mod a prime p = 1 (mod L), proves it invertible, and it is
 verified literally on its (weight, exponent) entries before it is returned
-as a Q(zeta_L) matrix.  The commutation relations of every representation
-are verified on exponents too, and each representation keeps the
-exponents it verified for its commutant and intertwiners.  No floating point.
+as a Q(zeta_L) matrix.  No floating point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .autofactor import _matrix, _phase
+from .autofactor import GenPermPhaseMatrix, _matrix, _phase
 from .cyclotomic import CycElt, _element, _power_table
-from .exact_linalg import IntMatrix, SkewRatForm, _lowest_terms
-
-
-@dataclass(frozen=True, slots=True)
-class BilinearCocycle:
-    """The 2-cocycle z(g, g') = e(g^t B g' / ell) (bilinearity makes the
-    cocycle identity automatic), stored in lowest terms like a `SkewRatForm`:
-    `BilinearCocycle(mat)` takes ints and Fractions, (B, ell) numerators."""
-
-    n: int
-    ell: int
-    B: IntMatrix
-
-    def __init__(self, B, ell: int = 1):
-        B, ell = _lowest_terms(B, ell)
-        if B.rows != B.cols:
-            raise ValueError("square matrix expected")
-        object.__setattr__(self, "n", B.rows)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "B", B)
-
-
-def bicharacter_of(z: BilinearCocycle) -> SkewRatForm:
-    """Antisymmetrization z(g,g') z(g',g)^{-1} = e(g^t (B - B^t) g' / ell):
-    that skew form mod Z, as its `frac()` representative."""
-    return SkewRatForm(z.B - z.B.transpose(), z.ell).frac()
-
+from .exact_linalg import SkewRatForm, _instance, _tuple
 
 # largest dimension of a built clock/shift representation (d phases per
 # generator: about 1 s and 10 MB at the limit on a 2-vCPU host)
@@ -65,15 +43,15 @@ def _clock_shift_rep(theta: SkewRatForm, pairs, rows) -> ProjectiveRep:
     in Kronecker order (block 0 the most significant digit of the column
     index); entries of r past 2k are free directions and act trivially.
     V^a U^b sends e_j to e(p b j / q) e_((j - a) mod q), written column by
-    column on integer phase exponents over L = lcm(q_t).  prod q_t above
-    REP_DIM_LIMIT is refused before any generator is built; the result is
-    verified on the cocycle (theta.upper(), theta.ell)."""
+    column as the word (perm, e) over L = lcm(theta.ell, q_t), the phase
+    order when the pairs are in lowest terms and the rows unimodular, as in
+    every caller.  prod q_t above REP_DIM_LIMIT is refused before any word
+    is built; the words are verified on theta.frac() (`_store_rep`)."""
     dim = prod(q for q, _ in pairs)
     if dim > REP_DIM_LIMIT:
         raise ValueError(f"dimension {dim} exceeds the rep limit {REP_DIM_LIMIT}")
     k = len(pairs)
-    L = lcm(1, *(q for q, _ in pairs))
-    phase = [_phase(L, (), e) for e in range(L)]
+    L = lcm(theta.ell, *(q for q, _ in pairs))
     words = []
     for r in rows:
         perm, exps = [0], [0]
@@ -81,67 +59,80 @@ def _clock_shift_rep(theta: SkewRatForm, pairs, rows) -> ProjectiveRep:
             a, c = r[t], p * r[k + t] * (L // q)
             perm = [P * q + (j - a) % q for P in perm for j in range(q)]
             exps = [E + c * j for E in exps for j in range(q)]
-        words.append(_matrix(tuple(perm), tuple([phase[e % L] for e in exps])))
-    return ProjectiveRep(words, BilinearCocycle(theta.upper(), theta.ell))
+        words.append((tuple(perm), tuple([e % L for e in exps])))
+    return _store_rep(object.__new__(ProjectiveRep), words, L, theta.frac())
+
+
+def _store_rep(rep: ProjectiveRep, words: list, L: int, chi: SkewRatForm) -> ProjectiveRep:
+    """Set the fields of rep from its words (perm, e) over L and the
+    bicharacter chi, a `frac()` representative whose ell divides L, after
+    checking U_j U_i = chi(e_j, e_i) U_i U_j column by column on the words,
+    without multiplying matrices; a failure names the pair (j, i), the
+    column and both exponents mod L."""
+    # column c of U_j U_i and U_i U_j, U e_c = zeta^e[c] e_perm[c]; i < j suffices
+    for j, (pj, ej) in enumerate(words):
+        for i, (pi, ei) in enumerate(words[:j]):
+            s = chi.S[j][i] * (L // chi.ell)
+            c = next((c for c in range(len(pi)) if pj[pi[c]] != pi[pj[c]]
+                      or (ei[c] + ej[pi[c]] - ej[c] - ei[pj[c]] - s) % L), None)
+            if c is not None:
+                raise ValueError(
+                    "generator images do not realize the cocycle's commutation relations: "
+                    f"at (j, i) = ({j}, {i}), column {c}: U_{j} U_{i} has row {pj[pi[c]]}, "
+                    f"exponent {(ei[c] + ej[pi[c]]) % L}; chi(e_{j}, e_{i}) U_{i} U_{j} has "
+                    f"row {pi[pj[c]]}, exponent {(ej[c] + ei[pj[c]] + s) % L} (mod L = {L})")
+    object.__setattr__(rep, "n", chi.n)
+    object.__setattr__(rep, "dim", len(words[0][0]))
+    object.__setattr__(rep, "cocycle", chi)
+    object.__setattr__(rep, "L", L)
+    object.__setattr__(rep, "exponents", tuple(words))
+    return rep
 
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ProjectiveRep:
-    """Projective representation of Z^n given by constant generalized
-    permutation-phase generator images; the stored cocycle's
-    antisymmetrization chi, kept as `chi`, a skew form mod Z, governs the
-    commutation U_j U_i = chi(e_j, e_i) U_i U_j, which is verified exactly at
-    construction on phase exponents mod L = lcm(chi.ell, phase denominators).
-    It holds only when chi.ell divides the phase order, so L is the phase
-    order; `exponents` keeps the (perm, e) per generator it checked, entry
-    (perm[c], c) equal to zeta_L^e[c].  Phases with an x-dependent part are
-    rejected.  Equality is identity."""
+    """Projective representation of Z^n: one word (perm, e) over the phase
+    order L per generator, kept as `exponents`, entry (perm[c], c) equal to
+    zeta_L^e[c], and the cocycle class, kept as `cocycle`: the bicharacter
+    chi, a skew form mod Z in its `frac()` representative, with
+    U_j U_i = chi(e_j, e_i) U_i U_j.
+
+    `ProjectiveRep(gens, cocycle)` reads constant generalized
+    permutation-phase images of one size and any `SkewRatForm` of the
+    class; L = lcm(chi.ell, phase denominators).  The relations hold only
+    when chi.ell divides the phase order, so L is the phase order.  Phases
+    with an x-dependent part are rejected.  Equality is identity."""
 
     n: int
     dim: int
-    gens: tuple
-    cocycle: BilinearCocycle
-    chi: SkewRatForm
+    cocycle: SkewRatForm
     L: int
     exponents: tuple
 
-    def __init__(self, gens, cocycle: BilinearCocycle):
-        gens = tuple(gens)
-        if len(gens) != cocycle.n:
+    def __init__(self, gens, cocycle: SkewRatForm):
+        chi = _instance(cocycle, SkewRatForm).frac()
+        gens = [_instance(g, GenPermPhaseMatrix) for g in _tuple(gens)]
+        if len(gens) != chi.n:
             raise ValueError("one generator image per lattice generator")
-        dims = {g.size for g in gens}
-        if len(dims) != 1:
+        if len({g.size for g in gens}) != 1:
             raise ValueError("generator images must share a size")
         if any(any(ph.nums) for g in gens for ph in g.phases):
             raise ValueError("generator images must have constant phases")
-        chi = bicharacter_of(cocycle)
         L = lcm(chi.ell, *(ph.den for g in gens for ph in g.phases))
-        # column c of U_j U_i and U_i U_j, U e_c = zeta^e[c] e_perm[c]; i < j suffices
-        view = tuple((g.perm, tuple([ph.num * (L // ph.den) for ph in g.phases]))
-                     for g in gens)
-        for j, (pj, ej) in enumerate(view):
-            for i, (pi, ei) in enumerate(view[:j]):
-                s = chi.S[j][i] * (L // chi.ell)
-                c = next((c for c in range(len(pi)) if pj[pi[c]] != pi[pj[c]]
-                          or (ei[c] + ej[pi[c]] - ej[c] - ei[pj[c]] - s) % L), None)
-                if c is not None:
-                    raise ValueError(
-                        "generator images do not realize the cocycle's commutation relations: "
-                        f"at (j, i) = ({j}, {i}), column {c}: U_{j} U_{i} has row {pj[pi[c]]}, "
-                        f"exponent {(ei[c] + ej[pi[c]]) % L}; chi(e_{j}, e_{i}) U_{i} U_{j} has "
-                        f"row {pi[pj[c]]}, exponent {(ej[c] + ei[pj[c]] + s) % L} (mod L = {L})")
-        object.__setattr__(self, "n", cocycle.n)
-        object.__setattr__(self, "dim", dims.pop())
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "cocycle", cocycle)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "exponents", view)
+        _store_rep(self, [(g.perm, tuple([ph.num * (L // ph.den) for ph in g.phases]))
+                          for g in gens], L, chi)
+
+    @property
+    def gens(self) -> tuple:
+        """The generator images as constant `GenPermPhaseMatrix`es."""
+        L = self.L
+        phase = {x: _phase(L, (), x) for x in {x for _, e in self.exponents for x in e}}
+        return tuple(_matrix(perm, tuple([phase[x] for x in e])) for perm, e in self.exponents)
 
     def records(self):
         """Export as (generator index, permutation, phase list) records."""
-        return [(i, list(g.perm), [str(p.const) for p in g.phases])
-                for i, g in enumerate(self.gens)]
+        return [(i, list(perm), [str(Fraction(x, self.L)) for x in e])
+                for i, (perm, e) in enumerate(self.exponents)]
 
     def __repr__(self):
         return f"ProjectiveRep(n={self.n}, dim={self.dim})"
@@ -164,7 +155,7 @@ def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:
     tensor product over its blocks p_i/q_i of the clock/shift pairs, trivial
     on the free directions (`_clock_shift_rep` on the unit rows).  The
     dimension is the product of the q_i; above REP_DIM_LIMIT it is refused."""
-    pairs = _normal_form_blocks(theta)
+    pairs = _normal_form_blocks(_instance(theta, SkewRatForm))
     if pairs is None:
         raise ValueError("input is not in block normal form")
     rows = [[int(i == j) for j in range(theta.n)] for i in range(theta.n)]
@@ -225,6 +216,7 @@ def commutant_dim(rep: ProjectiveRep) -> int:
     grow as d^2.  On the block form with blocks 1/60 and 1/60 this took
     16 s with a 134 MB peak at d = 3600, and 0.6 s at d = 900, on 2 shared
     vCPUs."""
+    rep = _instance(rep, ProjectiveRep)
     return len(_monomial_solutions(rep.exponents, rep.exponents, rep.dim, rep.L))
 
 
@@ -291,9 +283,9 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
     shared vCPUs.  A support that is not monomial adds an O(d^3)
     elimination mod p per draw.
     """
-    if rep1.n != rep2.n:
+    if _instance(rep1, ProjectiveRep).n != _instance(rep2, ProjectiveRep).n:
         raise ValueError("representations of different lattices")
-    if rep1.chi != rep2.chi:
+    if rep1.cocycle != rep2.cocycle:
         raise ValueError("cocycle mismatch: distinct bicharacters")
     if rep1.dim != rep2.dim:
         return None

@@ -31,13 +31,13 @@ each scaled by units to (+)_j gcd(e_j, ell) J and compared by their unit
 ratio.
 `FractionPhase` is the Fraction-valued affine phase and `RatMatrix` the
 Fraction-valued matrix that the library replaced by integer numerators
-over one denominator; `fraction_matrix` reads a skew form or a cocycle as
-such a matrix.  `fraction_congruence`, `fraction_frac` and
+over one denominator; `fraction_matrix` reads a skew form as such a
+matrix.  `fraction_congruence`, `fraction_frac` and
 `fraction_scaled_int` are the Fraction-matrix skew form operations the
 library replaced by integer numerators over one denominator, and
-`fraction_bicharacter` and `fraction_radical_index` the Fraction
-bicharacter matrix (B - B^t) mod 1 and its cleared-denominator radical
-that a skew form mod Z replaced.  The complex evaluations of
+`fraction_radical_index` the cleared-denominator radical of a Fraction
+bicharacter matrix mod 1, which a skew form mod Z replaced.  The complex
+evaluations of
 phases and generalized permutation-phase matrices are numerical
 references.
 The clock/shift generators are referenced by the construction the library
@@ -87,7 +87,7 @@ from flattori.exact_linalg import (
     symplectic_normal_form,
 )
 from flattori.nctorus import NCTorusParams, iso_decide, q_theta
-from flattori.projrep import BilinearCocycle, ProjectiveRep
+from flattori.projrep import ProjectiveRep
 
 
 def _dets_vectorized(G):
@@ -190,11 +190,9 @@ class RatMatrix:
         return all(x.denominator == 1 for row in self.entries for x in row)
 
 
-def fraction_matrix(x):
-    """The Fraction matrix of a skew form (S / ell) or of a bilinear cocycle
-    (B / ell)."""
-    num = x.B if isinstance(x, BilinearCocycle) else x.S
-    return RatMatrix([[Fraction(a, x.ell) for a in row] for row in num.entries])
+def fraction_matrix(theta):
+    """The Fraction matrix of a skew form S / ell."""
+    return RatMatrix([[Fraction(a, theta.ell) for a in row] for row in theta.S.entries])
 
 
 def theta_bar_state(theta, ell):
@@ -238,13 +236,6 @@ def fraction_scaled_int(mat, ell):
     """ell * theta as an integer matrix; raises ValueError unless ell clears
     the denominators."""
     return IntMatrix([[a * ell for a in row] for row in mat.entries])
-
-
-def fraction_bicharacter(B):
-    """Entries of (B - B^t) mod 1 in [0, 1), for a square rational matrix B:
-    the bicharacter of the cocycle e(g^t B g')."""
-    n = B.rows
-    return tuple(tuple((B[i][j] - B[j][i]) % 1 for j in range(n)) for i in range(n))
 
 
 def fraction_radical_index(chi):

@@ -33,8 +33,15 @@ from flattori.cohomology import (
 )
 from flattori.cyclotomic import CycElt, cyclotomic_polynomial
 from flattori.exact_linalg import IntMatrix, SkewRatForm, inverse_mod, lift_unimodular_mod
-from flattori.nctorus import NCTorusParams, q_theta
-from flattori.projrep import BilinearCocycle
+from flattori.nctorus import (
+    NCTorusParams,
+    bundle_of,
+    clock_shift_rep,
+    iso_decide,
+    normal_form,
+    q_theta,
+)
+from flattori.projrep import ProjectiveRep, commutant_dim, heisenberg_rep, intertwiner
 
 H = Fraction(1, 2)
 G = IntMatrix([[2, 1], [1, 1]])
@@ -44,6 +51,7 @@ THETA2 = SkewRatForm([[0, H], [-H, 0]])
 THETA3 = SkewRatForm([[0, H, 0], [-H, 0, 0], [0, 0, 0]])
 F = factor_from(3, 1)
 ONE = AffinePhase((), 0)
+ONE_BY_ONE = GenPermPhaseMatrix((0,), [ONE])
 
 
 def _negated(x):
@@ -65,7 +73,6 @@ INTEGERS = {
     "lift_unimodular_mod": lambda x: lift_unimodular_mod(G, x),
     "SkewRatForm ell": lambda x: SkewRatForm([[0, 1], [-1, 0]], x),
     "SkewRatForm.scaled_int": lambda x: SkewRatForm([[0, 1], [-1, 0]]).scaled_int(x),
-    "BilinearCocycle ell": lambda x: BilinearCocycle([[0, 1], [0, 0]], x),
     "AltFormZ entry": lambda x: AltFormZ([[0, x], [_negated(x), 0]]),
     "AltFormModQ modulus": lambda x: AltFormModQ([[0, 1], [-1, 0]], x),
     "RootOfUnity.__pow__": lambda x: RootOfUnity(Fraction(1, 5)) ** x,
@@ -101,7 +108,6 @@ RATIONALS = {
     "GenPermPhaseMatrix.translate": lambda x: rieffel_N(2, 1).translate((x, 0)),
     "RootOfUnity phase": RootOfUnity,
     "SkewRatForm entry": lambda x: SkewRatForm([[0, x], [_negated(x), 0]]),
-    "BilinearCocycle entry": lambda x: BilinearCocycle([[0, x], [0, 0]]),
     "CycElt coefficient": lambda x: CycElt(3, (x, 0)),
 }
 
@@ -113,8 +119,21 @@ OBJECTS = {
     "MatrixBundleClass beta": ("AltFormModQ", lambda x: MatrixBundleClass(2, 2, x)),
     "pullback c": ("AltFormZ", lambda x: pullback(x, G)),
     "pullback P": ("IntMatrix", lambda x: pullback(C2, x)),
+    "SkewRatForm.congruence T": ("IntMatrix", lambda x: THETA2.congruence(x)),
     "clutching_twist": ("FactorOfAutomorphy", clutching_twist),
     "clutching_omega": ("FactorOfAutomorphy", clutching_omega),
+    "ProjectiveRep gens": ("GenPermPhaseMatrix", lambda x: ProjectiveRep([x], SkewRatForm([[0]]))),
+    "ProjectiveRep cocycle": ("SkewRatForm", lambda x: ProjectiveRep([ONE_BY_ONE], x)),
+    "heisenberg_rep": ("SkewRatForm", heisenberg_rep),
+    "commutant_dim": ("ProjectiveRep", commutant_dim),
+    "intertwiner rep1": ("ProjectiveRep", lambda x: intertwiner(x, heisenberg_rep(THETA2))),
+    "intertwiner rep2": ("ProjectiveRep", lambda x: intertwiner(heisenberg_rep(THETA2), x)),
+    "normal_form": ("SkewRatForm", normal_form),
+    "clock_shift_rep theta": ("SkewRatForm", lambda x: clock_shift_rep(x, normal_form(THETA2))),
+    "clock_shift_rep nf": ("NormalFormResult", lambda x: clock_shift_rep(THETA2, x)),
+    "bundle_of": ("SkewRatForm", bundle_of),
+    "iso_decide p1": ("NCTorusParams", lambda x: iso_decide(x, NCTorusParams(2, THETA2))),
+    "iso_decide p2": ("NCTorusParams", lambda x: iso_decide(NCTorusParams(2, THETA2), x)),
 }
 
 # exact inputs and the plain value each stands for

@@ -10,7 +10,6 @@ import oracles
 from oracles import lattice_kernel_mod, unimodular_sample
 
 from flattori.cohomology import AltFormZ
-from flattori.projrep import BilinearCocycle
 from flattori.exact_linalg import (
     IntMatrix,
     SkewRatForm,
@@ -299,23 +298,15 @@ def test_rat_matrix_and_skew_form_take_exact_entries_only():
             _lowest_terms([[bad]])
         with pytest.raises(ValueError):
             SkewRatForm([[0, bad], [bad, 0]])
-        with pytest.raises(ValueError):
-            BilinearCocycle([[0, bad], [0, 0]])
     with pytest.raises(ValueError):
         SkewRatForm([[0, 0.1], [-0.1, 0]])
     # a flat list is not a list of rows
-    for build in (IntMatrix, SkewRatForm, BilinearCocycle):
+    for build in (IntMatrix, SkewRatForm):
         with pytest.raises(ValueError, match="list of rows"):
             build([1, 2])
-    with pytest.raises(ValueError):
-        BilinearCocycle([[0, Fraction(1, 2), 0], [0, 0, 1]])
     for bad_den in (0, -3, 0.5, 2.0, Fraction(1, 2)):
         with pytest.raises(ValueError):
             SkewRatForm(IntMatrix([[0, 1], [-1, 0]]), bad_den)
-        with pytest.raises(ValueError):
-            BilinearCocycle(IntMatrix([[0, 1], [0, 0]]), bad_den)
-    assert BilinearCocycle(IntMatrix([[0, 2], [0, 4]]), Fraction(6, 1)) == \
-        BilinearCocycle([[0, Fraction(1, 3)], [0, Fraction(2, 3)]])
     # ints (bools among them) and Fractions are the exact entries
     assert _lowest_terms([[True, 2, Fraction(1, 3)]]) == (IntMatrix([[3, 6, 1]]), 3)
 

@@ -14,9 +14,7 @@ from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import bundle_of, q_theta
 from flattori.projrep import (
     REP_DIM_LIMIT,
-    BilinearCocycle,
     ProjectiveRep,
-    bicharacter_of,
     commutant_dim,
     heisenberg_rep,
     intertwiner,
@@ -29,7 +27,6 @@ from flattori.projrep import (
     _verify_intertwiner,
 )
 from oracles import (
-    RatMatrix,
     cyc_det,
     cyc_det_nonzero,
     cyc_from_phase,
@@ -59,26 +56,13 @@ def blocks4(a, b):
     ])
 
 
-def test_bicharacter_of():
-    sym = BilinearCocycle([[1, Fraction(1, 2)], [Fraction(1, 2), 3]])
-    assert (sym.ell, sym.B) == (2, IntMatrix([[2, 1], [1, 6]]))
-    assert bicharacter_of(sym).S == IntMatrix([[0, 0], [0, 0]])
-    theta = skew2(Fraction(1, 3))
-    z = BilinearCocycle(theta.upper(), theta.ell)
-    assert z == BilinearCocycle([[0, Fraction(1, 3)], [0, 0]])
-    chi = bicharacter_of(z)
-    assert oracles.fraction_matrix(chi) == [[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]
-    assert chi == theta.frac()
-
-
 def test_radical_examples():
     chi = SkewRatForm([[0, 0], [0, 0]])
     _, index = radical(chi)
     assert index == 1
 
     theta = skew2(Fraction(2, 5))
-    chi = bicharacter_of(BilinearCocycle(theta.upper(), theta.ell))
-    basis, index = radical(chi)
+    basis, index = radical(theta.frac())
     assert index == 25
     for b in basis:
         assert all(b[i][0] % 5 == 0 for i in range(2))
@@ -88,42 +72,16 @@ def test_radical_examples():
     assert index == 25 // count
 
 
-def _random_rat_matrix(rng, n, max_den):
-    return RatMatrix([[Fraction(rng.randint(-30, 30), rng.randint(1, max_den))
-                       for _ in range(n)] for _ in range(n)])
-
-
-def _random_int_matrix(rng, n):
-    return RatMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-
-
-def test_bicharacter_agrees_with_fraction_reference():
+def test_radical_index_agrees_with_fraction_reference():
+    # the index of the radical of theta mod Z, against the Fraction matrix
+    # theta mod 1; it is unchanged by an integer shift
     rng = random.Random(43)
-    zero = {n: SkewRatForm([[0] * n for _ in range(n)]) for n in range(1, 7)}
     for trial in range(360):
         n = 1 + trial % 6
         max_den = 1 + (trial // 6) % 12
-        B, M = _random_rat_matrix(rng, n, max_den), _random_rat_matrix(rng, n, max_den)
-        sym = M + M.transpose()
-        # the same bicharacter (symmetric rational or integer change of B),
-        # a different one (a skew rational change), or an unrelated B
-        others = (B + sym, B + _random_int_matrix(rng, n), B + M - M.transpose(), M)
-        chi = bicharacter_of(BilinearCocycle(B))
-        ref = oracles.fraction_bicharacter(B)
-        assert tuple(tuple(x % 1 for x in row)
-                     for row in oracles.fraction_matrix(chi).entries) == ref
-        for B2 in others:
-            chi2 = bicharacter_of(BilinearCocycle(B2))
-            same = ref == oracles.fraction_bicharacter(B2)
-            assert (chi == chi2) == same
-            if same:
-                assert hash(chi) == hash(chi2)
-        assert bicharacter_of(BilinearCocycle(sym)) == zero[n]
-        assert bicharacter_of(BilinearCocycle(sym + _random_int_matrix(rng, n))) == zero[n]
-
         theta = oracles.random_skew_rat(rng, n, max_den=max_den, max_num=30)
-        upper = oracles.fraction_matrix(BilinearCocycle(theta.upper(), theta.ell))
-        index = oracles.fraction_radical_index(oracles.fraction_bicharacter(upper))
+        index = oracles.fraction_radical_index(
+            [[x % 1 for x in row] for row in oracles.fraction_matrix(theta).entries])
         shift = IntMatrix([[rng.randint(-4, 4) if j > i else 0 for j in range(n)]
                            for i in range(n)])
         shifted = SkewRatForm(oracles.fraction_matrix(theta) + shift - shift.transpose())
@@ -139,11 +97,11 @@ def test_representation_bicharacter_is_frac_of_theta():
         p1, p2 = (rng.choice([-1, 1]) * rng.randint(1, 2 * q) for q in (q1, q2))
         for n in (4, 5):
             theta = _as_normal_form([Fraction(p1, q1), Fraction(p2, q2)], n)
-            assert heisenberg_rep(theta).chi == theta.frac()
+            assert heisenberg_rep(theta).cocycle == theta.frac()
     for trial in range(60):
         n = 1 + trial % 4
         theta = oracles.random_skew_rat(rng, n, max_den=1 + trial % 6, max_num=20)
-        assert bundle_of(theta)[2].chi == theta.frac()
+        assert bundle_of(theta)[2].cocycle == theta.frac()
 
 
 def _clock_shift(q, p):
@@ -182,7 +140,7 @@ def test_heisenberg_third():
 def test_heisenberg_blocks_dimension():
     rep = heisenberg_rep(blocks4(Fraction(1, 2), Fraction(1, 3)))
     assert rep.dim == 6
-    _, index = radical(bicharacter_of(rep.cocycle))
+    _, index = radical(rep.cocycle)
     assert rep.dim ** 2 == index
 
 
@@ -422,7 +380,7 @@ def test_random_monomial_conjugations():
 def test_intertwiner_non_monomial_support():
     # diag(1, -1) and the swap are conjugate by [[1, 1], [1, -1]]: every
     # solution has full columns, so the answer is certified by det = -2 mod p
-    flat = BilinearCocycle([[0]])
+    flat = SkewRatForm([[0]])
     half = Fraction(1, 2)
     U = GenPermPhaseMatrix((0, 1), [AffinePhase((), 0), AffinePhase((), half)])
     diag = ProjectiveRep([U], flat)
@@ -716,15 +674,14 @@ def test_intertwiner_exists_for_equal_cocycle_pairs():
 
 def test_projective_rep_rejects_wrong_commutation():
     U, V = _clock_shift(3, 1)
-    bad_cocycle = BilinearCocycle(skew2(Fraction(2, 3)).upper(), 3)
     with pytest.raises(ValueError):
-        ProjectiveRep((V, U), bad_cocycle)
+        ProjectiveRep((V, U), skew2(Fraction(2, 3)))
 
 
 def test_projective_rep_rejects_non_constant_phases():
     # the corner phase e(-s) of the Rieffel matrix depends on the point
     with pytest.raises(ValueError):
-        ProjectiveRep([rieffel_N(3, 1)], BilinearCocycle([[0]]))
+        ProjectiveRep([rieffel_N(3, 1)], SkewRatForm([[0]]))
 
 
 def test_projective_rep_rejection_names_pair_column_and_exponents():
@@ -732,14 +689,14 @@ def test_projective_rep_rejection_names_pair_column_and_exponents():
     prefix = "generator images do not realize the cocycle's commutation relations: "
     # V U = e(1/3) U V, so the cocycle of 2/3 fails at its first column
     with pytest.raises(ValueError) as exc:
-        ProjectiveRep((V, U), BilinearCocycle([[0, 2], [0, 0]], 3))
+        ProjectiveRep((V, U), SkewRatForm([[0, 2], [-2, 0]], 3))
     assert str(exc.value) == prefix + (
         "at (j, i) = (1, 0), column 0: U_1 U_0 has row 2, exponent 2; "
         "chi(e_1, e_0) U_0 U_1 has row 2, exponent 1 (mod L = 3)")
     # a clock with two perm entries swapped sends column 0 to different rows
     W = GenPermPhaseMatrix((0, 2, 1), U.phases)
     with pytest.raises(ValueError) as exc:
-        ProjectiveRep((V, W), BilinearCocycle([[0, 0], [0, 0]]))
+        ProjectiveRep((V, W), SkewRatForm([[0, 0], [0, 0]]))
     assert str(exc.value) == prefix + (
         "at (j, i) = (1, 0), column 0: U_1 U_0 has row 1, exponent 2; "
         "chi(e_1, e_0) U_0 U_1 has row 2, exponent 0 (mod L = 3)")
@@ -800,7 +757,7 @@ def test_exponent_commutation_check_matches_matrix_oracle():
     accepted = []
     for gens, cocycle in _commutation_inputs(rng):
         assert _exponent_check_accepts(gens, cocycle, accepted)
-        assert oracles.matrix_commutation_holds(gens, bicharacter_of(cocycle))
+        assert oracles.matrix_commutation_holds(gens, cocycle)
         d, n = gens[0].size, len(gens)
         cases = []
         j, c = rng.randrange(n), rng.randrange(d)
@@ -819,11 +776,12 @@ def test_exponent_commutation_check_matches_matrix_oracle():
             # the entry moves by 1/ell, or by 1/(2 ell) past the phases' denominators
             i, k = sorted(rng.sample(range(n), 2))
             for scale in (1, 2):
-                B = [[x * scale for x in row] for row in cocycle.B.entries]
-                B[i][k] += 1
-                cases.append((gens, BilinearCocycle(B, scale * cocycle.ell)))
+                S = [[x * scale for x in row] for row in cocycle.S.entries]
+                S[i][k] += 1
+                S[k][i] -= 1
+                cases.append((gens, SkewRatForm(S, scale * cocycle.ell)))
         for bad_gens, bad_cocycle in cases:
-            want = oracles.matrix_commutation_holds(bad_gens, bicharacter_of(bad_cocycle))
+            want = oracles.matrix_commutation_holds(bad_gens, bad_cocycle)
             assert _exponent_check_accepts(bad_gens, bad_cocycle, accepted) == want
             verdicts[want] += 1
     assert verdicts == {True: 132, False: 924}

@@ -12,7 +12,7 @@ from flattori.bundles import MatrixBundleClass, VectorBundleClass
 from flattori.cohomology import AltFormModQ, AltFormZ, RootOfUnity
 from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import SkewRatForm
-from flattori.projrep import BilinearCocycle, ProjectiveRep, _clock_shift_rep
+from flattori.projrep import ProjectiveRep, _clock_shift_rep
 
 H = Fraction(1, 2)
 T = Fraction(1, 3)
@@ -36,14 +36,13 @@ VALUES = {
     "RootOfUnity": (RootOfUnity, T, H),
     "CycElt": (lambda k: oracles.cyc_from_phase(Fraction(k, 6), 6), 1, 2),
     "SkewRatForm": (lambda x: SkewRatForm([[0, x], [-x, 0]]), T, H),
-    "BilinearCocycle": (lambda x: BilinearCocycle([[0, x], [0, 0]]), T, H),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VALUES) + ["ProjectiveRep"])
 def test_value_objects_are_frozen(name):
     if name == "ProjectiveRep":
-        value = ProjectiveRep(CLOCK_SHIFT_3, BilinearCocycle([[0, 0], [T, 0]]))
+        value = ProjectiveRep(CLOCK_SHIFT_3, SkewRatForm([[0, -T], [T, 0]]))
     else:
         build, param, _ = VALUES[name]
         value = build(param)
@@ -71,7 +70,7 @@ def test_value_objects_compare_and_hash_by_value(name):
 
 def test_projective_reps_compare_by_identity():
     gens = CLOCK_SHIFT_3
-    cocycle = BilinearCocycle([[0, 0], [T, 0]])
+    cocycle = SkewRatForm([[0, -T], [T, 0]])
     r1, r2 = ProjectiveRep(gens, cocycle), ProjectiveRep(gens, cocycle)
     assert r1 == r1 and r1 != r2
     assert r1.gens == r2.gens and r1.cocycle == r2.cocycle
