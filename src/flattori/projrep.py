@@ -10,11 +10,14 @@ commutator bicharacter, a skew form mod Z, kept as the `frac()`
 representative of a `SkewRatForm`; the relations U_j U_i = chi(e_j, e_i)
 U_i U_j are verified on the words by one check, which both ways of building
 a representation share.  The commutant and intertwiner systems
-X U1 = U2 X tie two unknowns by a root of unity per equation, so they are
-solved by propagating integer phase exponents mod L over the connected
-components of the unknowns, which is exact over Q(zeta_L) without field
-arithmetic.  Two such representations are equivalent exactly when their
-three Hom dimensions agree, because the images generate a finite group.
+X U1 = U2 X tie two unknowns by a root of unity per equation.  By
+Frobenius reciprocity they are solved on d unknowns per orbit of U1's
+permutations, the column of X at the orbit's base point, under one
+constraint per generator of the point's stabilizer, by propagating integer
+phase exponents mod L over the connected components of the unknowns: exact
+over Q(zeta_L) without field arithmetic.  Two such representations are
+equivalent exactly when their three Hom dimensions agree, because the
+images generate a finite group.
 An intertwiner is a weighted sum of the Hom components; its support, or
 its determinant mod a prime p = 1 (mod L), proves it invertible, and it is
 verified literally on its (weight, exponent) entries before it is returned
@@ -26,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from math import gcd, isqrt, lcm, prod
 
 from .autofactor import GenPermPhaseMatrix, _matrix, _phase
@@ -43,24 +47,30 @@ def _clock_shift_rep(theta: SkewRatForm, pairs, rows) -> ProjectiveRep:
     in Kronecker order (block 0 the most significant digit of the column
     index); entries of r past 2k are free directions and act trivially.
     V^a U^b sends e_j to e(p b j / q) e_((j - a) mod q), written column by
-    column as the word (perm, e) over L = lcm(theta.ell, q_t), the phase
-    order when the pairs are in lowest terms and the rows unimodular, as in
-    every caller.  prod q_t above REP_DIM_LIMIT is refused before any word
-    is built; the words are verified on theta.frac() (`_store_rep`)."""
+    column as the word (perm, e) over L0 = lcm(theta.ell, q_t), then over
+    the phase order L = lcm(chi.ell, L0 / gcd(L0, every exponent)) for
+    chi = theta.frac(), the rule of `ProjectiveRep(gens, cocycle)`; L = L0
+    when the pairs are in lowest terms and the rows unimodular, as in every
+    library caller.  prod q_t above REP_DIM_LIMIT is refused before any word
+    is built; the words are verified on chi (`_store_rep`)."""
     dim = prod(q for q, _ in pairs)
     if dim > REP_DIM_LIMIT:
         raise ValueError(f"dimension {dim} exceeds the rep limit {REP_DIM_LIMIT}")
     k = len(pairs)
-    L = lcm(theta.ell, *(q for q, _ in pairs))
+    L0 = lcm(theta.ell, *(q for q, _ in pairs))
     words = []
     for r in rows:
         perm, exps = [0], [0]
         for t, (q, p) in enumerate(pairs):
-            a, c = r[t], p * r[k + t] * (L // q)
+            a, c = r[t], p * r[k + t] * (L0 // q)
             perm = [P * q + (j - a) % q for P in perm for j in range(q)]
             exps = [E + c * j for E in exps for j in range(q)]
-        words.append((tuple(perm), tuple([e % L for e in exps])))
-    return _store_rep(object.__new__(ProjectiveRep), words, L, theta.frac())
+        words.append((tuple(perm), tuple([e % L0 for e in exps])))
+    chi = theta.frac()
+    L = lcm(chi.ell, L0 // gcd(L0, *chain.from_iterable(e for _, e in words)))
+    if L != L0:  # pairs not in lowest terms or rows not unimodular: L0 / L divides every e
+        words = [(perm, tuple([x // (L0 // L) for x in e])) for perm, e in words]
+    return _store_rep(object.__new__(ProjectiveRep), words, L, chi)
 
 
 def _store_rep(rep: ProjectiveRep, words: list, L: int, chi: SkewRatForm) -> ProjectiveRep:
@@ -162,29 +172,111 @@ def heisenberg_rep(theta: SkewRatForm) -> ProjectiveRep:
     return _clock_shift_rep(theta, pairs, rows)
 
 
-def _monomial_solutions(view1, view2, d: int, L: int):
-    """Basis of {X : X U1_i = U2_i X} over Q(zeta_L) for paired exponent
-    views (`ProjectiveRep.exponents`) of generalized permutation-phase
-    images of size d.
+def _power(perm, e, m: int):
+    """The word of U^m, for any integer m, from the word (perm, e) of U, by
+    cycles in O(d): on a cycle (c_0 .. c_k-1) of perm, U^m sends c_i to
+    c_(i+m mod k) with the exponents of the m steps summed (unreduced)."""
+    d = len(perm)
+    pm, em = [-1] * d, [0] * d
+    for s in range(d):
+        if pm[s] >= 0:
+            continue
+        cycle, c = [s], perm[s]
+        while c != s:
+            cycle.append(c)
+            c = perm[c]
+        k = len(cycle)
+        turns, rest = divmod(m, k)
+        total = turns * sum([e[c] for c in cycle])
+        if rest:
+            sums = list(accumulate([e[c] for c in cycle + cycle], initial=0))
+            for i, c in enumerate(cycle):
+                pm[c] = cycle[(i + rest) % k]
+                em[c] = total + sums[i + rest] - sums[i]
+        else:  # whole turns: every point comes back
+            for c in cycle:
+                pm[c] = c
+                em[c] = total
+    return pm, em
 
-    Unknown v = r d + c is X[r, c].  With U e_c = zeta^e[c] e_perm(c), entry
-    (perm2(r), c) of X U1 = U2 X reads
-    zeta^e1[c] X[perm2(r), perm1(c)] = zeta^e2[r] X[r, c],
-    so every equation ties exactly two unknowns by a root of unity.
-    Propagating x_v = zeta^p(v) x_root from the first unknown of each
-    connected component fixes p(v) mod L; every further equation closes a
-    cycle, and one that closes with zeta^m != 1 gives x_root = zeta^m x_root,
-    which forces the component to zero.  Returns the consistent components
-    in order of their first unknown, each as {v: p(v)} with p = 0 at the
-    first unknown: the vector with entries zeta^p(v) there, zeros elsewhere."""
-    steps = []
-    for (perm1, e1), (perm2, e2) in zip(view1, view2):
-        # X[perm2(r), perm1(c)] = zeta^(e2[r] - e1[c]) X[r, c]
-        steps.append(([(perm2[r] * d, e2[r]) for r in range(d)],
-                      [(perm1[c], -e1[c]) for c in range(d)]))
-    phase = [None] * (d * d)
+
+def _hom_slices(view1, view2, d: int, L: int):
+    """Hom(U1, U2) = {X : X U1_j = U2_j X} over Q(zeta_L) for paired exponent
+    views (`ProjectiveRep.exponents`) of size d, one orbit of U1's
+    permutations sigma_j at a time, on d unknowns (Frobenius reciprocity,
+    Mackey 1952): a list of (orbit, links, slices), one per orbit O, with
+    base point b the least index of O.
+
+    The column x = X e_b determines X on O: U1_j e_c = zeta^e1_j[c]
+    e_sigma_j(c) gives X e_sigma_j(c) = zeta^-e1_j[c] U2_j X e_c.  O grows
+    one generator at a time.  m_j >= 1 is least with sigma_j^m_j(b) in the
+    orbit of sigma_0 .. sigma_j-1, and the points sigma_j^t(y), 0 < t < m_j,
+    follow the earlier ones in order.  So the point at position
+    sum a_t prod_(s<t) m_s is sigma^a(b), reached by the path sigma_0^a_0,
+    then sigma_1^a_1, ..., whose word is W(a) = U_j-1^a_j-1 ... U_0^a_0;
+    `orbit` lists the points by position, and `links[i - 1]` =
+    (parent position, j) of position i > 0.  With a_j the digits of the
+    position of sigma_j^m_j(b), the vectors m_j e_j - a_j are a triangular
+    basis of the stabilizer of b, and each gives one monomial constraint
+    on x,
+    zeta^-alpha1 U2_j^m_j x = zeta^-alpha2 W2(a_j) x, with alpha1 and alpha2
+    the exponents of U1 along the two paths from b.  Both sides take the
+    same word in U1 and U2, whose bicharacter is the same, so the
+    constraints of a basis give those of the whole stabilizer.  A generator
+    that fixes b (m_j = 1, a_j = 0) is its own constraint; any other takes
+    powers of words by `_power`, O(d) each.  `slices` are the consistent
+    components of `_closing` on the constraints, each {r: p(r)}, the vector
+    x with entries zeta^p(r) there."""
+    pos = [-1] * d
+    out = []
+    for b in range(d):
+        if pos[b] >= 0:
+            continue
+        pos[b] = 0
+        orbit, phase, links, radix, steps = [b], [0], [], [], []
+        for j, (perm1, e1) in enumerate(view1):
+            perm2, e2 = view2[j]
+            z, alpha, m = perm1[b], e1[b], 1
+            while pos[z] < 0:
+                z, alpha, m = perm1[z], alpha + e1[z], m + 1
+            a = pos[z]
+            radix.append(m)
+            if m == 1 and a == 0:  # sigma_j fixes b: U2_j x = zeta^alpha1 x
+                steps.append((perm2, e2, -alpha))
+                continue
+            for i in range((m - 1) * len(orbit)):
+                x = orbit[i]
+                pos[perm1[x]] = len(orbit)
+                orbit.append(perm1[x])
+                phase.append(phase[i] + e1[x])
+                links.append((i, j))
+            # W2(a)^-1 U2_j^m = U2_0^-a_0 ... U2_j-1^-a_j-1 U2_j^m
+            pw, ew = _power(perm2, e2, m)
+            if a:
+                digits, rest = [], a
+                for mt in radix:
+                    rest, at = divmod(rest, mt)
+                    digits.append(at)
+                for t in reversed(range(j)):
+                    if digits[t]:
+                        pt, et = _power(*view2[t], -digits[t])
+                        pw, ew = [pt[s] for s in pw], [x + et[s] for x, s in zip(ew, pw)]
+            steps.append((pw, ew, phase[a] - alpha))
+        out.append((orbit, links, _closing(steps, d, L)))
+    return out
+
+
+def _closing(steps, d: int, L: int):
+    """Solutions of x_perm[r] = zeta^(e[r] + k) x_r for each (perm, e, k) in
+    steps, on d unknowns.  Propagating x_v = zeta^p(v) x_root from the least
+    unknown of each connected component fixes p(v) mod L; every further
+    equation closes a cycle, and one that closes with zeta^m != 1 gives
+    x_root = zeta^m x_root, which forces the component to zero.  Returns the
+    consistent components in order of their least unknown, each as
+    {v: p(v)} with p = 0 there."""
+    phase = [None] * d
     components = []
-    for root in range(d * d):
+    for root in range(d):
         if phase[root] is not None:
             continue
         phase[root] = 0
@@ -193,10 +285,10 @@ def _monomial_solutions(view1, view2, d: int, L: int):
         closes = True
         while stack:
             v = stack.pop()
-            r, c = divmod(v, d)
-            for rows, cols in steps:
-                w = rows[r][0] + cols[c][0]
-                pw = (phase[v] + rows[r][1] + cols[c][1]) % L
+            pv = phase[v]
+            for perm, e, k in steps:
+                w = perm[v]
+                pw = (pv + e[v] + k) % L
                 if phase[w] is None:
                     phase[w] = comp[w] = pw
                     stack.append(w)
@@ -207,17 +299,45 @@ def _monomial_solutions(view1, view2, d: int, L: int):
     return components
 
 
+def _hom_dim(view1, view2, d: int, L: int) -> int:
+    """dim Hom(U1, U2): the number of consistent components over all orbits."""
+    return sum([len(slices) for *_, slices in _hom_slices(view1, view2, d, L)])
+
+
+def _hom_basis(view1, view2, d: int, L: int):
+    """Basis of Hom(U1, U2) on the d^2 unknowns v = r d + c, X[r, c]: each
+    consistent component x of `_hom_slices`, carried over its orbit's
+    links by X e_sigma_j(c) = zeta^-e1_j[c] U2_j X e_c.  Returns {v: p(v)}
+    per basis vector (entries zeta^p(v), zeros elsewhere) with p = 0 at its
+    least unknown, in order of the least unknowns: the components of the
+    monomial system X U1 = U2 X on all d^2 unknowns that close with phase
+    1, in their order and normalization, computed on d per orbit."""
+    basis = []
+    for orbit, links, slices in _hom_slices(view1, view2, d, L):
+        for x in slices:
+            cols = [list(x.items())]
+            for i, j in links:
+                (perm2, e2), s = view2[j], -view1[j][1][orbit[i]]
+                cols.append([(perm2[r], (p + e2[r] + s) % L) for r, p in cols[i]])
+            comp = {r * d + c: p for c, col in zip(orbit, cols) for r, p in col}
+            p0 = comp[min(comp)]
+            basis.append({v: (p - p0) % L for v, p in comp.items()} if p0 else comp)
+    basis.sort(key=min)
+    return basis
+
+
 def commutant_dim(rep: ProjectiveRep) -> int:
     """Dimension of the commutant of the generator images over the
-    cyclotomic field of the phase order rep.L: the number of components of
-    the monomial system on rep.exponents that close with phase 1.
+    cyclotomic field of the phase order rep.L: the number of consistent
+    components of the per-orbit systems of `_hom_slices` on rep.exponents.
 
-    Cost: the system has d^2 unknowns for d = rep.dim, so time and memory
-    grow as d^2.  On the block form with blocks 1/60 and 1/60 this took
-    16 s with a 134 MB peak at d = 3600, and 0.6 s at d = 900, on 2 shared
-    vCPUs."""
+    Cost: d unknowns per orbit of the permutations, for d = rep.dim, and one
+    power of each generator's word per generator that moves the base point,
+    by cycles in O(d); an irreducible clock/shift representation has one
+    orbit.  On the block form with blocks 1/60 and 1/60 this took 7 ms with
+    a 0.6 MB peak at d = 3600, and 1.6 ms at d = 900, on 2 shared vCPUs."""
     rep = _instance(rep, ProjectiveRep)
-    return len(_monomial_solutions(rep.exponents, rep.exponents, rep.dim, rep.L))
+    return _hom_dim(rep.exponents, rep.exponents, rep.dim, rep.L)
 
 
 def _fp_root(L: int, d: int, after: int = 0):
@@ -277,11 +397,16 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
     Schwartz-Zippel bounds each failure by 1/2.  X is verified on its
     (weight, exponent) entries and returned as a matrix over Q(zeta_L).
 
-    Cost: one system of d^2 unknowns, and two more when the first draw is
-    not invertible; on the block form with blocks 1/60 and 1/60 one system
-    took 17 s with a 134 MB peak at d = 3600, and 0.6 s at d = 900, on 2
-    shared vCPUs.  A support that is not monomial adds an O(d^3)
-    elimination mod p per draw.
+    Cost: each Hom space is solved on d unknowns per orbit of the first
+    representation's permutations (`_hom_slices`).  Only the basis of
+    Hom(rep1, rep2) is carried from each orbit's base column to its other
+    columns; the other two spaces are only counted, and only when the first
+    draw is not invertible.  The d x d Q(zeta_L) matrix returned is the
+    O(d^2) part: on the block form with blocks 1/60 and 1/60 and a
+    conjugated copy, the call took 0.23 s with a 105 MB peak at d = 3600, of
+    which the Hom basis was 12 ms, and 22 ms at d = 900, on 2 shared vCPUs.
+    A support that is not monomial adds an O(d^3) elimination mod p per
+    draw.
     """
     if _instance(rep1, ProjectiveRep).n != _instance(rep2, ProjectiveRep).n:
         raise ValueError("representations of different lattices")
@@ -293,7 +418,7 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
     L = lcm(rep1.L, rep2.L)
     view1, view2 = ([(perm, [e * (L // rep.L) for e in exps]) for perm, exps in rep.exponents]
                     for rep in (rep1, rep2))
-    hom = _monomial_solutions(view1, view2, d, L)
+    hom = _hom_basis(view1, view2, d, L)
     vec = {v: (1, e) for comp in hom for v, e in comp.items()}
     monomial = (len(vec) == d and len({v // d for v in vec}) == d
                 and len({v % d for v in vec}) == d)
@@ -303,8 +428,7 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
         if _det_mod(vec, d, L, p, g):
             break
         if rng is None:
-            if not (len(_monomial_solutions(view1, view1, d, L)) == len(hom)
-                    == len(_monomial_solutions(view2, view2, d, L))):
+            if not _hom_dim(view1, view1, d, L) == len(hom) == _hom_dim(view2, view2, d, L):
                 return None
             rng = random.Random(0)
         weights = [rng.randint(1, 2 * d) for _ in hom]

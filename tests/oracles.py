@@ -52,6 +52,9 @@ recursion walked one step at a time (`scalar_value_loop`), and
 replaced: those values at the unit vectors, then their translation
 increments.  `exponent_view` writes generator images as the integer
 (perm, exponent) view that a `ProjectiveRep` keeps.
+`monomial_solutions` is the Hom solver the library replaced: one monomial
+system X U1 = U2 X on all d^2 unknowns, where the library solves d
+unknowns per orbit of U1's permutations by Frobenius reciprocity.
 `smith_with_transforms` is the Smith normal form that also tracks the
 transforms U and V, and `cofactor_adjugate` the adjugate from n^2 cofactor
 determinants; the library replaced them with a Smith form that returns only
@@ -1109,6 +1112,50 @@ def exponent_view(gens, L):
     phase denominator."""
     return tuple((g.perm, tuple(ph.const.numerator * (L // ph.const.denominator)
                                 for ph in g.phases)) for g in gens)
+
+
+def monomial_solutions(view1, view2, d: int, L: int):
+    """Basis of {X : X U1_i = U2_i X} over Q(zeta_L) for paired exponent
+    views of generalized permutation-phase images of size d, on all d^2
+    unknowns.
+
+    Unknown v = r d + c is X[r, c].  With U e_c = zeta^e[c] e_perm(c), entry
+    (perm2(r), c) of X U1 = U2 X reads
+    zeta^e1[c] X[perm2(r), perm1(c)] = zeta^e2[r] X[r, c],
+    so every equation ties exactly two unknowns by a root of unity.
+    Propagating x_v = zeta^p(v) x_root from the first unknown of each
+    connected component fixes p(v) mod L; every further equation closes a
+    cycle, and one that closes with zeta^m != 1 forces the component to
+    zero.  Returns the consistent components in order of their first
+    unknown, each as {v: p(v)} with p = 0 at the first unknown."""
+    steps = []
+    for (perm1, e1), (perm2, e2) in zip(view1, view2):
+        # X[perm2(r), perm1(c)] = zeta^(e2[r] - e1[c]) X[r, c]
+        steps.append(([(perm2[r] * d, e2[r]) for r in range(d)],
+                      [(perm1[c], -e1[c]) for c in range(d)]))
+    phase = [None] * (d * d)
+    components = []
+    for root in range(d * d):
+        if phase[root] is not None:
+            continue
+        phase[root] = 0
+        comp = {root: 0}
+        stack = [root]
+        closes = True
+        while stack:
+            v = stack.pop()
+            r, c = divmod(v, d)
+            for rows, cols in steps:
+                w = rows[r][0] + cols[c][0]
+                pw = (phase[v] + rows[r][1] + cols[c][1]) % L
+                if phase[w] is None:
+                    phase[w] = comp[w] = pw
+                    stack.append(w)
+                elif phase[w] != pw:
+                    closes = False
+        if closes:
+            components.append(comp)
+    return components
 
 
 def phase_complex(phase, x):

@@ -11,7 +11,7 @@ from flattori import projrep
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
 from flattori.cyclotomic import CycElt, _power_table
 from flattori.exact_linalg import IntMatrix, SkewRatForm
-from flattori.nctorus import bundle_of, q_theta
+from flattori.nctorus import bundle_of, clock_shift_rep, normal_form, q_theta
 from flattori.projrep import (
     REP_DIM_LIMIT,
     ProjectiveRep,
@@ -23,7 +23,8 @@ from flattori.projrep import (
     _clock_shift_rep,
     _det_mod,
     _fp_root,
-    _monomial_solutions,
+    _hom_basis,
+    _hom_dim,
     _verify_intertwiner,
 )
 from oracles import (
@@ -35,6 +36,7 @@ from oracles import (
     cyc_one,
     cyc_sub,
     exponent_view,
+    monomial_solutions,
     radical,
     scalar_mul,
     sparse_rref,
@@ -233,6 +235,31 @@ def test_clock_shift_words_match_kron_power_reference():
         assert _clock_shift(q, p) == oracles.literal_clock_shift(q, p), (q, p)
 
 
+def test_clock_shift_rep_stores_the_phase_order():
+    # the constructor's reading of the built images gives the stored L and
+    # words back, also for pairs not in lowest terms and rows that are not
+    # unimodular, where the phases have a smaller order than lcm(ell, q_t)
+    for q, p in ((6, 4), (12, 9), (4, -6), (8, 8)):
+        rep = _clock_shift_rep(SkewRatForm([[0, -p], [p, 0]], q), [(q, p)], [(0, 1), (1, 0)])
+        again = ProjectiveRep(rep.gens, rep.cocycle)
+        assert (again.L, again.exponents) == (rep.L, rep.exponents), (q, p)
+    assert [_clock_shift_rep(SkewRatForm([[0, -p], [p, 0]], q), [(q, p)],
+                             [(0, 1), (1, 0)]).L for q, p in ((6, 4), (12, 9), (4, -6))] == [3, 4, 2]
+    rng = random.Random(2903)
+    moved = 0
+    for trial in range(200):
+        pairs = [(q, rng.randint(-2 * q, 2 * q)) for q in rng.sample(range(1, 9), rng.randint(1, 2))]
+        n = 2 * len(pairs) + rng.randrange(2)
+        scale = rng.choice((1, 2, 3))
+        rows = [[scale * rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        theta = oracles.block_normal_form(pairs, n).congruence(IntMatrix(rows))
+        rep = _clock_shift_rep(theta, pairs, rows)
+        again = ProjectiveRep(rep.gens, rep.cocycle)
+        assert (again.L, again.exponents) == (rep.L, rep.exponents)
+        moved += rep.L != lcm(theta.ell, *(q for q, _ in pairs))
+    assert moved > 50
+
+
 def test_builders_refuse_a_dimension_above_the_limit(monkeypatch):
     def refuse(*args):
         raise AssertionError("a generator was built")
@@ -300,8 +327,8 @@ def rref_intertwiner_dim(rep1, rep2):
 
 def monomial_dim(rep1, rep2):
     L = lcm(rep1.L, rep2.L)
-    return len(_monomial_solutions(exponent_view(rep1.gens, L), exponent_view(rep2.gens, L),
-                                   rep1.dim, L))
+    return len(monomial_solutions(exponent_view(rep1.gens, L), exponent_view(rep2.gens, L),
+                                  rep1.dim, L))
 
 
 def checked_intertwiner(rep1, rep2):
@@ -441,8 +468,8 @@ def test_exponent_verifier_matches_field_reference():
                                          oracles.rep_direct_sum(conj, rep)), (rep, rep)]:
             L = lcm(rep1.L, rep2.L)
             size = rep1.dim
-            basis = _monomial_solutions(exponent_view(rep1.gens, L), exponent_view(rep2.gens, L),
-                                        size, L)
+            basis = monomial_solutions(exponent_view(rep1.gens, L), exponent_view(rep2.gens, L),
+                                       size, L)
             solutions = [({v: (1, e) for v, e in a.items()}, a) for a in basis]
             for i, a in enumerate(basis):
                 for b in basis[i + 1:]:
@@ -637,28 +664,106 @@ def test_intertwiner_redraws_at_the_next_prime(monkeypatch):
 
 
 def test_intertwiner_fast_path_for_one_monomial_component(monkeypatch):
-    # a conjugated irreducible: one propagation, no determinant, no random
-    # draw, and each entry stored as its power-table row
+    # a conjugated irreducible: one Hom system (one orbit, one propagation),
+    # no determinant, no random draw, and each entry stored as its
+    # power-table row
     import flattori.projrep as projrep
 
     rep = heisenberg_rep(blocks4(Fraction(1, 2), Fraction(1, 4)))
     conj, _ = _conjugate_by_perm(rep, tuple(range(1, rep.dim)) + (0,))
     propagations = []
+    closing = projrep._closing
 
     def counted(*args):
         propagations.append(args)
-        return _monomial_solutions(*args)
+        return closing(*args)
 
     def refuse(*args):
         raise AssertionError("the fast path drew or eliminated")
 
-    monkeypatch.setattr(projrep, "_monomial_solutions", counted)
+    monkeypatch.setattr(projrep, "_closing", counted)
     monkeypatch.setattr(projrep, "_det_mod", refuse)
     monkeypatch.setattr(projrep.random, "Random", refuse)
     X = intertwiner(rep, conj)
     assert len(propagations) == 1
     table = _power_table(lcm(rep.L, conj.L))
     assert all(any(x.coeffs is t for t in table) for row in X for x in row if any(x.coeffs))
+
+
+def _twisted(rep, rng):
+    """rep with each generator scaled by a seeded character value e(k/12)."""
+    return ProjectiveRep([scalar_mul(g, AffinePhase((), Fraction(rng.randrange(12), 12)))
+                          for g in rep.gens], rep.cocycle)
+
+
+def _conjugated(rep, rng):
+    """P rep P^-1 for a seeded generalized permutation-phase matrix P."""
+    d = rep.dim
+    perm = list(range(d))
+    rng.shuffle(perm)
+    P = GenPermPhaseMatrix(perm, [AffinePhase((), Fraction(rng.randrange(2 * d), 2 * d))
+                                  for _ in range(d)])
+    return ProjectiveRep([P @ g @ P.inverse() for g in rep.gens], rep.cocycle)
+
+
+def test_hom_solver_matches_the_d2_oracle_on_seeded_multi_orbit_pairs(monkeypatch):
+    # 400 pairs: each rep a conjugated direct sum of 1-3 character twists of
+    # clock_shift_rep(theta, normal_form(theta)), n 1-4 and q_theta <= 8, so
+    # d <= 24; the second sums the same summands shuffled, sometimes twisted
+    # again.  The per-orbit solver returns the d^2 system's components, in
+    # its order and normalization, and counts them
+    powers = []
+    power = projrep._power
+
+    def counted(perm, e, m):
+        powers.append(m)
+        return power(perm, e, m)
+
+    monkeypatch.setattr(projrep, "_power", counted)
+    rng = random.Random(2901)
+    pairs = multi_orbit = 0
+    while pairs < 400:
+        n = rng.randint(1, 4)
+        theta = oracles.random_skew_rat(rng, n, max_den=rng.randint(1, 6), max_num=6)
+        if q_theta(theta) > 8:
+            continue
+        base = clock_shift_rep(theta, normal_form(theta))
+        summands = [_twisted(base, rng) if rng.random() < 0.6 else base
+                    for _ in range(rng.randint(1, 3))]
+        rep1 = _conjugated(_sum_of(summands), rng)
+        rng.shuffle(summands)
+        rep2 = _sum_of(summands)
+        rep2 = _conjugated(_twisted(rep2, rng) if rng.random() < 0.3 else rep2, rng)
+        for a, b in ((rep1, rep1), (rep1, rep2), (rep2, rep2)):
+            L = lcm(a.L, b.L)
+            view1, view2 = exponent_view(a.gens, L), exponent_view(b.gens, L)
+            want = monomial_solutions(view1, view2, a.dim, L)
+            assert _hom_basis(view1, view2, a.dim, L) == want
+            assert _hom_dim(view1, view2, a.dim, L) == len(want)
+        multi_orbit += len(projrep._hom_slices(rep1.exponents, rep1.exponents, rep1.dim,
+                                               rep1.L)) > 1
+        pairs += 1
+    # most reps have several orbits, and stabilizer vectors with a_j != 0
+    # need the inverse powers of the path's words
+    assert multi_orbit > 200
+    assert sum(m < 0 for m in powers) > 100
+
+
+def test_hom_at_large_dimension():
+    # blocks 1/60 and 1/60: d = 3600, where the d^2 system has 13 million
+    # unknowns; an irreducible has a one-dimensional commutant
+    rep = heisenberg_rep(blocks4(Fraction(1, 60), Fraction(1, 60)))
+    assert rep.dim == 3600 and commutant_dim(rep) == 1
+    # d = 900: the intertwiner of a copy conjugated by a permutation P
+    # intertwines over Q(zeta_L) and has entry 1 wherever P has; Hom is one
+    # dimensional, so X is P
+    rep = heisenberg_rep(blocks4(Fraction(1, 30), Fraction(1, 30)))
+    perm = list(range(rep.dim))
+    random.Random(2904).shuffle(perm)
+    conj, P = _conjugate_by_perm(rep, perm)
+    X = intertwiner(rep, conj)
+    assert cyc_intertwines(X, rep, conj, lcm(rep.L, conj.L))
+    assert all(X[P.perm[j]][j] == cyc_one(rep.L) for j in range(rep.dim))
 
 
 def test_intertwiner_exists_for_equal_cocycle_pairs():
