@@ -326,9 +326,13 @@ def rref_intertwiner_dim(rep1, rep2):
 
 
 def monomial_dim(rep1, rep2):
+    """dim Hom(rep1, rep2) from the library's per-orbit solver; its count and
+    its basis agree."""
     L = lcm(rep1.L, rep2.L)
-    return len(monomial_solutions(exponent_view(rep1.gens, L), exponent_view(rep2.gens, L),
-                                  rep1.dim, L))
+    view1, view2 = exponent_view(rep1.gens, L), exponent_view(rep2.gens, L)
+    dim = _hom_dim(view1, view2, rep1.dim, L)
+    assert len(_hom_basis(view1, view2, rep1.dim, L)) == dim
+    return dim
 
 
 def checked_intertwiner(rep1, rep2):
@@ -706,12 +710,55 @@ def _conjugated(rep, rng):
     return ProjectiveRep([P @ g @ P.inverse() for g in rep.gens], rep.cocycle)
 
 
+def _cycle_types(rep):
+    """The sorted cycle lengths of each generator's permutation."""
+    types = []
+    for perm, _ in rep.exponents:
+        seen, lengths = set(), []
+        for s in range(rep.dim):
+            k, c = 0, s
+            while c not in seen:
+                seen.add(c)
+                c, k = perm[c], k + 1
+            if k:
+                lengths.append(k)
+        types.append(sorted(lengths))
+    return types
+
+
+def _rotated_sum(theta, base, summands, rng):
+    """P (the direct sum of the summands, character twists of
+    base = clock_shift_rep(theta, normal_form(theta)), each turned) P^-1 for
+    a seeded P: the twist of base's rows turned in a nonempty seeded set of
+    blocks t, (shift, clock) exponents (a, b) to (b, -a).  The bicharacter
+    is unchanged, and where a generator's shift turns into a clock its
+    permutation changes cycle type."""
+    nf = normal_form(theta)
+    k = len(nf.blocks)
+    turn = [t for t in range(k) if rng.random() < 0.5] or [rng.randrange(k)]
+    rows = [list(r) for r in nf.T.inverse_unimodular().entries]
+    for r in rows:
+        for t in turn:
+            r[t], r[k + t] = r[k + t], -r[t]
+    turned = _clock_shift_rep(theta, nf.blocks, rows).gens
+    # a twist scales every entry of a generator, so column 0 reads it
+    twisted = [ProjectiveRep([scalar_mul(g, AffinePhase((), Fraction(e[0], s.L)
+                                                        - Fraction(e0[0], base.L)))
+                              for g, (_, e), (_, e0) in zip(turned, s.exponents, base.exponents)],
+                             base.cocycle)
+               for s in summands]
+    return _conjugated(_sum_of(twisted), rng)
+
+
 def test_hom_solver_matches_the_d2_oracle_on_seeded_multi_orbit_pairs(monkeypatch):
     # 400 pairs: each rep a conjugated direct sum of 1-3 character twists of
     # clock_shift_rep(theta, normal_form(theta)), n 1-4 and q_theta <= 8, so
     # d <= 24; the second sums the same summands shuffled, sometimes twisted
     # again.  The per-orbit solver returns the d^2 system's components, in
-    # its order and normalization, and counts them
+    # its order and normalization, and counts them.  Each first rep with
+    # q_theta > 1 is also paired both ways with a sum of the same dimension
+    # over rotated rows (`_rotated_sum`), whose permutations mostly have
+    # other cycle types and whose Hom spaces have full, not monomial, support
     powers = []
     power = projrep._power
 
@@ -720,8 +767,8 @@ def test_hom_solver_matches_the_d2_oracle_on_seeded_multi_orbit_pairs(monkeypatc
         return power(perm, e, m)
 
     monkeypatch.setattr(projrep, "_power", counted)
-    rng = random.Random(2901)
-    pairs = multi_orbit = 0
+    rng, cross = random.Random(2901), random.Random(2902)
+    pairs = multi_orbit = other_types = full_support = 0
     while pairs < 400:
         n = rng.randint(1, 4)
         theta = oracles.random_skew_rat(rng, n, max_den=rng.randint(1, 6), max_num=6)
@@ -734,12 +781,19 @@ def test_hom_solver_matches_the_d2_oracle_on_seeded_multi_orbit_pairs(monkeypatc
         rng.shuffle(summands)
         rep2 = _sum_of(summands)
         rep2 = _conjugated(_twisted(rep2, rng) if rng.random() < 0.3 else rep2, rng)
-        for a, b in ((rep1, rep1), (rep1, rep2), (rep2, rep2)):
+        checks = [(rep1, rep1), (rep1, rep2), (rep2, rep2)]
+        if base.dim > 1:
+            rep3 = _rotated_sum(theta, base, summands, cross)
+            checks += [(rep1, rep3), (rep3, rep1), (rep3, rep3)]
+            other_types += _cycle_types(rep1) != _cycle_types(rep3)
+        for a, b in checks:
             L = lcm(a.L, b.L)
             view1, view2 = exponent_view(a.gens, L), exponent_view(b.gens, L)
             want = monomial_solutions(view1, view2, a.dim, L)
             assert _hom_basis(view1, view2, a.dim, L) == want
             assert _hom_dim(view1, view2, a.dim, L) == len(want)
+            # a component with two entries in one column of X
+            full_support += any(len({v % a.dim for v in c}) < len(c) for c in want)
         multi_orbit += len(projrep._hom_slices(rep1.exponents, rep1.exponents, rep1.dim,
                                                rep1.L)) > 1
         pairs += 1
@@ -747,6 +801,9 @@ def test_hom_solver_matches_the_d2_oracle_on_seeded_multi_orbit_pairs(monkeypatc
     # need the inverse powers of the path's words
     assert multi_orbit > 200
     assert sum(m < 0 for m in powers) > 100
+    # and the turned sums change cycle types and reach full support
+    assert other_types > 100
+    assert full_support > 100
 
 
 def test_hom_at_large_dimension():
