@@ -11,7 +11,6 @@ from .autofactor import (
     det_cocycle,
     factor_from,
     mumford_c1,
-    rieffel_N,
 )
 from .bundles import (
     MatrixBundleClass,

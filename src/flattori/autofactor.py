@@ -2,20 +2,20 @@
 matrices.
 
 Matrix entries are phases e(l.x + c) with rational l and c, compared mod 1;
-products, inverses and translations stay inside the class.  A phase is
-integer numerators over one common denominator in lowest terms, so its
-arithmetic is integer arithmetic and equal phases have equal fields
-(`.linear` and `.const` give the Fractions).  N^v of the rank-q factor is a
-permutation plus one integer s-exponent l_j per column (`_rieffel_exponents`),
-and the cocycle identity is checked on those integers: an integer translate
-adds l_j u = 0 mod 1, so the product is a composition of permutations plus a
-sum of exponents, exactly.  The clutching loop N_{(0,1)}(s) has entries
-e(l_j s + c_j), so its determinant winds sum_j l_j times (clutching_twist)
-and the endpoint defect of its special-unitary lift is e(sum_j l_j / q)
-(clutching_omega).  Both read the l_j of the concrete loop, not the class
-formula, and check their premises literally.  A scalar factor's matrix
-l_j[i] - l_i[j] both checks its generators and is its Chern form.  No
-floating point.
+products and inverses stay inside the class.  A phase is integer numerators
+over one common denominator in lowest terms, so its arithmetic is integer
+arithmetic and equal phases have equal fields (`.linear` and `.const` give
+the Fractions).  N^v of the rank-q factor is kept only as its integer word:
+a permutation plus one integer s-exponent l_j per column
+(`_rieffel_exponents`).  Everything about the factor reads that word.  The
+cocycle identity composes permutations and adds exponents, since an integer
+translate adds l_j u = 0 mod 1.  det N^v is the permutation's sign times
+e(s sum_j l_j).  The clutching loop N_{(0,1)}(s) has entries e(l_j s), so
+its determinant winds sum_j l_j times (clutching_twist) and the endpoint
+defect of its special-unitary lift is e(sum_j l_j / q) (clutching_omega).
+The l_j are integers by type, so the loop closes, N(s + 1) = N(s), with
+nothing to check.  A scalar factor's matrix l_j[i] - l_i[j] both checks its
+generators and is its Chern form.  No floating point.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class AffinePhase:
     def const(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    @property
-    def dim(self) -> int:
-        return len(self.nums)
-
     def __add__(self, other: "AffinePhase") -> "AffinePhase":
         if len(self.nums) != len(other.nums):
             raise ValueError("phase dimension mismatch")
@@ -78,16 +74,6 @@ class AffinePhase:
 
     def __sub__(self, other: "AffinePhase") -> "AffinePhase":
         return self + (-other)
-
-    def translate(self, gamma) -> "AffinePhase":
-        """Substitute x -> x + gamma, for gamma with exact rational entries."""
-        gamma, nums = _tuple(gamma), self.nums
-        if len(gamma) != len(nums):
-            raise ValueError("translation dimension mismatch")
-        if all(type(g) is int for g in gamma):
-            return _phase(self.den, nums, self.num + sum(map(operator.mul, nums, gamma)))
-        shift = sum(map(operator.mul, self.linear, map(_rational, gamma)))
-        return AffinePhase(self.linear, self.const + shift)
 
     def __repr__(self):
         return f"e({' + '.join(str(l) + f'*x{k}' for k, l in enumerate(self.linear) if l)}"\
@@ -122,8 +108,8 @@ def _perm_parity(perm) -> int:
 @dataclass(frozen=True, slots=True)
 class GenPermPhaseMatrix:
     """q x q matrix with exactly one nonzero phase entry per row and column:
-    entry (perm[j], j) carries phases[j].  Closed under product, inverse,
-    translation; all entries have modulus one, so these are unitary."""
+    entry (perm[j], j) carries phases[j].  Closed under product and
+    inverse; all entries have modulus one, so these are unitary."""
 
     size: int
     perm: tuple
@@ -143,10 +129,6 @@ class GenPermPhaseMatrix:
             raise ValueError("mixed phase dimensions")
         _matrix(perm, phases, self)
 
-    @property
-    def dim(self) -> int:
-        return self.phases[0].dim
-
     def __matmul__(self, other: "GenPermPhaseMatrix") -> "GenPermPhaseMatrix":
         if self.size != other.size:
             raise ValueError("size mismatch")
@@ -158,14 +140,6 @@ class GenPermPhaseMatrix:
     def inverse(self) -> "GenPermPhaseMatrix":
         inv = tuple(sorted(range(self.size), key=self.perm.__getitem__))
         return _matrix(inv, tuple(-self.phases[i] for i in inv))
-
-    def translate(self, gamma) -> "GenPermPhaseMatrix":
-        gamma = _tuple(gamma)
-        return _matrix(self.perm, tuple(p.translate(gamma) for p in self.phases))
-
-    def det(self) -> AffinePhase:
-        """Permutation sign (as a half-integer constant) times all phases."""
-        return sum(self.phases, _phase(2, (0,) * self.dim, _perm_parity(self.perm)))
 
     def __repr__(self):
         return f"GenPermPhaseMatrix(perm={self.perm}, phases={list(self.phases)})"
@@ -191,14 +165,6 @@ def _rieffel_exponents(q: int, a: int, v: int) -> tuple:
             tuple([-a * ((v + q - 1 - j) // q) for j in range(q)]))
 
 
-def rieffel_N(q: int, a: int, v: int = 1) -> GenPermPhaseMatrix:
-    """N^v in closed form, built from _rieffel_exponents."""
-    q, a, v = _positive(q, "q"), _int(a), _int(v)
-    perm, ls = _rieffel_exponents(q, a, v)
-    phase = {l: _phase(1, (l, 0), 0) for l in set(ls)}  # at most two values
-    return _matrix(perm, tuple([phase[l] for l in ls]))
-
-
 @dataclass(frozen=True)
 class FactorOfAutomorphy:
     """Lattice cocycle gamma = (u, v) -> N(s)^v on the 2-torus."""
@@ -213,15 +179,13 @@ class FactorOfAutomorphy:
                               for g2 in ((1, 0), (0, 1), (-1, 1))]):
             raise AssertionError("cocycle identity failed at construction")
 
-    def value(self, gamma) -> GenPermPhaseMatrix:
-        u, v = _ints(gamma, 2)
-        return rieffel_N(self.q, self.a, v)
-
-    def records(self, gammas=((1, 0), (0, 1))):
-        """Dump format: one (gamma, perm, phases) record per lattice vector,
-        each phase as the (s-coefficient, t-coefficient, constant) strings."""
-        return [(tuple(g), list(m.perm), [[str(x) for x in (*p.linear, p.const)] for p in m.phases])
-                for g in gammas for m in [self.value(g)]]
+    def records(self):
+        """Dump format: one (gamma, perm, phases) record for each of the
+        generators (1, 0) and (0, 1), each phase e(l_j s) as the
+        (s-coefficient, t-coefficient, constant) strings."""
+        words = [_rieffel_exponents(self.q, self.a, v) for v in (0, 1)]
+        return [(g, list(perm), [[str(l), "0", "0"] for l in ls])
+                for g, (perm, ls) in zip(((1, 0), (0, 1)), words)]
 
 
 def factor_from(q: int, a: int) -> FactorOfAutomorphy:
@@ -246,7 +210,7 @@ def _violations(F, pairs) -> list:
 def check_cocycle(F, trials: int, seed: int = 0):
     """Verify the cocycle identity on `trials` >= 1 random pairs, entries drawn
     as randint(-10, 10) draws them.  Returns the list of violating pairs."""
-    count = _positive(trials, "trials")
+    F, count = _instance(F, FactorOfAutomorphy), _positive(trials, "trials")
     rng = random.Random(seed)
     pairs = [tuple((rng.randrange(21) - 10, rng.randrange(21) - 10) for _ in range(2))
              for _ in range(count)]
@@ -297,10 +261,13 @@ def _store_scalar(f: ScalarFactor, phases: tuple) -> ScalarFactor:
 def det_cocycle(F: FactorOfAutomorphy) -> ScalarFactor:
     """Determinant of a factor of automorphy, as a scalar factor.
 
-    For the rank-q family this is gamma = (u,v) -> (-1)^{v(q-1)} e(-a v s);
-    the sign rides along as the half-integer constant v(q-1)/2."""
-    return _store_scalar(object.__new__(ScalarFactor),
-                         (F.value((1, 0)).det(), F.value((0, 1)).det()))
+    det N^v = sign(perm) e(s sum_j l_j) on the word of N^v, read at v = 0
+    and 1; the sign rides along as the half-integer constant parity / 2.
+    For the rank-q family this is gamma = (u,v) -> (-1)^{v(q-1)} e(-a v s)."""
+    F = _instance(F, FactorOfAutomorphy)
+    words = [_rieffel_exponents(F.q, F.a, v) for v in (0, 1)]
+    return _store_scalar(object.__new__(ScalarFactor), tuple(
+        _phase(2, (2 * sum(ls), 0), _perm_parity(perm)) for perm, ls in words))
 
 
 def mumford_c1(f: ScalarFactor) -> AltFormZ:
@@ -308,25 +275,21 @@ def mumford_c1(f: ScalarFactor) -> AltFormZ:
     (g1, g2) -> (f_{g2}(x+g1) - f_{g2}(x)) - (f_{g1}(x+g2) - f_{g1}(x)),
     bilinear and, since translating f_{e_j} by e_i adds l_j[i] for every x,
     the coherence matrix l_j[i] - l_i[j] on the generators."""
-    return AltFormZ(_coherence_matrix(f.phases))
+    return AltFormZ(_coherence_matrix(_instance(f, ScalarFactor).phases))
 
 
 def _loop_winding(F: FactorOfAutomorphy) -> int:
-    """sum_j l_j over the s-coefficients of the clutching loop
-    s -> N_{(0,1)}(s, 0), whose entry in column j is e(l_j s + c_j).  Both
-    premises of the closed forms are checked literally: every l_j is an
-    integer, and the loop closes, N(s + 1) = N(s), on exponents."""
-    N = _instance(F, FactorOfAutomorphy).value((0, 1))
-    if any(p.nums[0] % p.den for p in N.phases):
-        raise ValueError("clutching loop has a non-integer s-coefficient")
-    if N.translate((1, 0)) != N:
-        raise ValueError("clutching loop does not close: N(s + 1) != N(s)")
-    return sum(p.nums[0] // p.den for p in N.phases)
+    """sum_j l_j over the word of the clutching loop s -> N_{(0,1)}(s, 0),
+    whose entry in column j is e(l_j s).  The closed forms need every l_j
+    an integer and the loop closed, N(s + 1) = N(s); both hold by type,
+    since the word stores integer exponents and e(l_j) = 1."""
+    F = _instance(F, FactorOfAutomorphy)
+    return sum(_rieffel_exponents(F.q, F.a, 1)[1])
 
 
 def clutching_twist(F: FactorOfAutomorphy) -> int:
     """Winding number of det of the clutching loop; equals the twist.
-    det N(s) = sign(perm) e(sum_j (l_j s + c_j)) winds exactly sum_j l_j
+    det N(s) = sign(perm) e(s sum_j l_j) winds exactly sum_j l_j
     times as s runs over [0, 1]."""
     return _loop_winding(F)
 

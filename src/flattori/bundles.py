@@ -72,6 +72,7 @@ def endo(e: VectorBundleClass) -> MatrixBundleClass:
     """E -> End(E) = E (x) E*: beta is c1 reduced mod the rank.  So
     End E1 = End E2 exactly when the rank q divides c1(E2) - c1(E1), that
     is when E2 = E1 (x) L for a line bundle L."""
+    e = _instance(e, VectorBundleClass)
     return MatrixBundleClass(e.n, e.rank, beta_reduce(e.c1, e.rank))
 
 
@@ -84,14 +85,14 @@ def X_bundle(q: int, a: int) -> VectorBundleClass:
 
 def twist(e: VectorBundleClass, o: Orientation2 = STANDARD) -> int:
     """Winding-number invariant of a rank-q bundle on T^2: -c1[T^2]."""
-    if e.n != 2:
+    if _instance(e, VectorBundleClass).n != 2:
         raise ValueError("twist is defined on T^2 only")
     return -fundamental_pairing(e.c1, o)
 
 
 def omega(a: MatrixBundleClass, o: Orientation2 = STANDARD) -> RootOfUnity:
     """mu_q invariant of a q x q matrix bundle on T^2: inverse of beta[T^2]."""
-    if a.n != 2:
+    if _instance(a, MatrixBundleClass).n != 2:
         raise ValueError("omega is defined on T^2 only")
     p = fundamental_pairing_modq(a.beta, o)
     return mu_q_image(-p, a.size)

@@ -101,21 +101,21 @@ REVERSED = Orientation2(-1)
 
 def fundamental_pairing(c: AltFormZ, o: Orientation2 = STANDARD) -> int:
     """Pair a 2-class on T^2 with the fundamental class: o.sign * (-c(e1,e2))."""
-    if c.n != 2:
+    if _instance(c, AltFormZ).n != 2:
         raise ValueError("fundamental pairing needs a form on Z^2")
-    return o.sign * (-c.mat[0][1])
+    return _instance(o, Orientation2).sign * (-c.mat[0][1])
 
 
 def fundamental_pairing_modq(beta: AltFormModQ, o: Orientation2 = STANDARD) -> int:
     """Same pairing for a mod-q class, via the canonical entry lift in [0, q)."""
-    if beta.n != 2:
+    if _instance(beta, AltFormModQ).n != 2:
         raise ValueError("fundamental pairing needs a form on Z^2")
-    return (o.sign * (-beta.mat[0][1])) % beta.modulus
+    return (_instance(o, Orientation2).sign * (-beta.mat[0][1])) % beta.modulus
 
 
 def beta_reduce(c: AltFormZ, q: int) -> AltFormModQ:
     """Coefficient reduction Z -> mu_q of a 2-class; AltFormModQ refuses q < 1."""
-    return AltFormModQ(c.mat, q)
+    return AltFormModQ(_instance(c, AltFormZ).mat, q)
 
 
 def pullback(c: AltFormZ, P: IntMatrix) -> AltFormZ:

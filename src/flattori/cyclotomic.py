@@ -6,7 +6,8 @@ indexed by all L powers of z would live in the group algebra Q[z]/(z^L - 1)
 instead, whose extra components inflate solution spaces.  projrep decides,
 verifies and certifies its intertwiners on integer weights and phase
 exponents; it needs this module only to return them as matrices of these
-elements, each entry a positive integer times a root of unity.  The field
+elements, each entry a positive integer times a root of unity z^k, which
+`_zeta_power` reduces by Phi_L when it is written, keeping no table.  The field
 arithmetic itself (products, differences, inverses, determinants) is the
 test reference in tests/oracles.py.
 """
@@ -50,23 +51,21 @@ def cyclotomic_polynomial(L: int):
     return tuple(poly)
 
 
-@lru_cache(maxsize=None)
-def _power_table(L: int):
-    """z^k mod Phi_L for k = 0..L-1, as Fraction tuples of length deg."""
+def _zeta_power(L: int, k: int) -> tuple:
+    """z^k mod Phi_L for 0 <= k < L as deg Phi_L integer coefficients, by
+    long division of x^k by the monic Phi_L: only x^deg .. x^k are reduced,
+    so an exponent below deg Phi_L costs one list."""
     phi = cyclotomic_polynomial(L)
     deg = len(phi) - 1
-    table = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
-    for _ in range(L):
-        table.append(tuple(cur))
-        # multiply by z, reduce the overflow against the monic Phi_L
-        top = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
-        if top:
-            for i in range(deg):
-                cur[i] -= top * phi[i]
-    return tuple(table)
+    terms = [(i, c) for i, c in enumerate(phi[:-1]) if c]
+    r = [0] * max(k + 1, deg)
+    r[k] = 1
+    for top in range(k, deg - 1, -1):
+        c = r[top]
+        if c:
+            for i, p in terms:
+                r[top - deg + i] -= c * p
+    return tuple(r[:deg])
 
 
 @dataclass(frozen=True, slots=True)

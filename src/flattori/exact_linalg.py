@@ -319,7 +319,7 @@ def smith_normal_form(M: IntMatrix) -> tuple:
     """The invariant factors d_1 | d_2 | ... of M, min(rows, cols) of them,
     d_i >= 0 with the zeros last: U M V = diag(d) for unimodular U and V,
     which are not tracked."""
-    nr, nc = M.rows, M.cols
+    nr, nc = _instance(M, IntMatrix).rows, M.cols
     a = [list(r) for r in M.entries]
     t = 0
     while t < min(nr, nc):
@@ -375,7 +375,7 @@ def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
     makes the e_1 | e_2 | ... chain hold by construction, so the divisor
     list is canonical.
     """
-    if not M.is_skew():
+    if not _instance(M, IntMatrix).is_skew():
         raise ValueError("matrix is not skew-symmetric")
     n = M.rows
     a = [list(r) for r in M.entries]
@@ -444,9 +444,12 @@ def symplectic_normal_form(M: IntMatrix) -> SymplecticNF:
 
 def inverse_mod(M: IntMatrix, ell: int) -> IntMatrix:
     """Inverse mod ell of a matrix whose determinant is a unit mod ell:
-    det^-1 * adj mod ell, on the residues of M so entries stay below ell."""
+    det^-1 * adj mod ell, on the residues of M so entries stay below ell.
+    Any other determinant raises, naming it mod ell."""
     ell = _positive(ell, "modulus")
-    d, adj = M.mod(ell)._adjugate()
+    d, adj = _instance(M, IntMatrix).mod(ell)._adjugate()
+    if gcd(d, ell) != 1:
+        raise ValueError(f"determinant {d % ell} is not a unit mod {ell}")
     dinv = pow(d % ell, -1, ell)
     return _int_matrix([[dinv * a % ell for a in row] for row in adj])
 
@@ -464,7 +467,7 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
     multipliers are balanced, in (-ell/2, ell/2], which keeps T small.
     """
     ell = _positive(ell, "modulus")
-    if g.rows != g.cols:
+    if _instance(g, IntMatrix).rows != g.cols:
         raise ValueError("square matrix expected")
     n = g.rows
     if ell == 1:

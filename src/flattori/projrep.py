@@ -33,7 +33,7 @@ from itertools import accumulate, chain
 from math import gcd, isqrt, lcm, prod
 
 from .autofactor import GenPermPhaseMatrix, _matrix, _phase
-from .cyclotomic import CycElt, _element, _power_table
+from .cyclotomic import CycElt, _element, _zeta_power
 from .exact_linalg import SkewRatForm, _instance, _tuple
 
 # largest dimension of a built clock/shift representation (d phases per
@@ -442,10 +442,12 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
         weights = [rng.randint(1, 2 * d) for _ in hom]
         vec = {v: (w, e) for w, comp in zip(weights, hom) for v, e in comp.items()}
     _verify_intertwiner(vec, view1, view2, d, L)
-    table, zero = _power_table(L), CycElt.zero(L)
+    zero, entries = CycElt.zero(L), {}  # each (weight, exponent) reduced once
     X = [[zero] * d for _ in range(d)]
     for v, (w, e) in vec.items():
-        X[v // d][v % d] = _element(L, table[e] if w == 1 else tuple(w * c for c in table[e]))
+        if (w, e) not in entries:
+            entries[w, e] = tuple([Fraction(w * c) for c in _zeta_power(L, e)])
+        X[v // d][v % d] = _element(L, entries[w, e])
     return X
 
 

@@ -15,7 +15,11 @@ lift stepped one sample at a time, each snapped back to an exact value,
 where the library reads both from the loop's integer exponents.
 `matrix_violates` checks the factor-of-automorphy cocycle identity on
 built matrices, translated and multiplied, where the library composes the
-integer permutations and s-exponents they are built from; `inversion_parity`
+integer permutations and s-exponents they are built from.  `rieffel_N`
+builds N^v as a matrix from that word and `literal_N` writes N entry by
+entry; `phase_translate`, `matrix_translate` and `matrix_det` are the
+translation and determinant of matrices that the library replaced by
+reading det N^v, the twist and omega off the word.  `inversion_parity`
 counts inversions where the library counts cycles, and `leibniz_det` sums
 over permutations where `IntMatrix.det` eliminates.
 `matrix_commutation_holds` checks the commutation relations of projective
@@ -65,10 +69,12 @@ form above: `stacked_lattice_index`, the index of the lattice spanned by
 the stacked 2n x n generators [ell I ; S], and `radical`, the index of the
 kernel of S mod ell (`lattice_kernel_mod`, which also returns a basis).
 Direct sums and the seeded unimodular sampler build test inputs, and
-`cyc_from_phase` writes a root of unity as a `CycElt`.
+`cyc_from_phase` writes a root of unity as a `CycElt`, reducing x^k by
+Phi_L over Q (`power_mod_phi`) where the library divides in integers.
 """
 
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
@@ -76,14 +82,14 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
+from flattori import autofactor
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.bundles import classify_projflat, endo
 from flattori.cohomology import AltFormModQ, AltFormZ
-from flattori.cyclotomic import CycElt, _power_table, cyclotomic_polynomial
+from flattori.cyclotomic import CycElt, cyclotomic_polynomial
 from flattori.exact_linalg import (
     IntMatrix,
     SkewRatForm,
-    _int,
     _positive,
     _rational,
     inverse_mod,
@@ -383,11 +389,24 @@ def _order(a, b) -> int:
 
 def cyc_from_phase(phase, L) -> CycElt:
     """The root of unity e(phase) as an element; phase * L must be integral."""
-    L = _int(L)
+    L = _positive(L, "order")
     k = _rational(phase) * L
     if k.denominator != 1:
         raise ValueError(f"e({phase}) does not lie in Q(zeta_{L})")
-    return CycElt(L, _power_table(L)[k.numerator % L])
+    return CycElt(L, power_mod_phi(k.numerator % L, L))
+
+
+def power_mod_phi(k, L):
+    """x^k mod Phi_L over Q: the Fraction remainder of x^k by long division,
+    one leading term at a time, padded to deg Phi_L coefficients."""
+    phi = cyclotomic_polynomial(L)
+    rem = [Fraction(0)] * k + [Fraction(1)]
+    while len(rem) >= len(phi):
+        c, shift = rem[-1] / phi[-1], len(rem) - len(phi)
+        for i, p in enumerate(phi):
+            rem[shift + i] -= c * p
+        rem.pop()
+    return rem + [Fraction(0)] * (len(phi) - 1 - len(rem))
 
 
 def cyc_one(L: int) -> CycElt:
@@ -570,7 +589,7 @@ class SnapError(RuntimeError):
 def loop_matrices(F, samples):
     """The clutching loop s -> N_{(0,1)}(s, 0) sampled at s = k/samples,
     k = 0..samples, as a stacked dense (samples + 1, q, q) complex array."""
-    sym = F.value((0, 1))
+    sym = rieffel_N(F.q, F.a)
     s = np.arange(samples + 1)[:, None] / samples
     turns = s * [float(p.linear[0]) for p in sym.phases] + [float(p.const) for p in sym.phases]
     mats = np.zeros((samples + 1, F.q, F.q), dtype=complex)
@@ -936,6 +955,14 @@ def leibniz_det(M):
     return total
 
 
+def matrix_det(m):
+    """Determinant of a generalized permutation-phase matrix as an
+    AffinePhase: the permutation sign, by inversions, as the constant
+    (parity)/2 plus every phase."""
+    sign = AffinePhase((0,) * len(m.phases[0].nums), Fraction(inversion_parity(m.perm), 2))
+    return sum(m.phases, sign)
+
+
 def fraction_det(perm, phases):
     """Determinant of a generalized permutation-phase matrix as a
     FractionPhase: the permutation sign as the constant (parity)/2 plus every
@@ -953,11 +980,11 @@ def pullback_modq(beta, P):
     return AltFormModQ(P.transpose() @ beta.mat @ P, beta.modulus)
 
 
-def matrix_violates(F, g1, g2):
-    """Whether N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, on built matrices:
-    the values, a translate and a product of generalized permutation-phase
-    matrices."""
-    return F.value((g1[0] + g2[0], g1[1] + g2[1])) != F.value(g1).translate(g2) @ F.value(g2)
+def matrix_violates(value, g1, g2):
+    """Whether N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, on built matrices
+    (value maps gamma to N_gamma): the values, a translate and a product of
+    generalized permutation-phase matrices."""
+    return value((g1[0] + g2[0], g1[1] + g2[1])) != matrix_translate(value(g1), g2) @ value(g2)
 
 
 def matrix_commutation_holds(gens, chi):
@@ -966,6 +993,35 @@ def matrix_commutation_holds(gens, chi):
     return all(gens[j] @ gens[i] == scalar_mul(
         gens[i] @ gens[j], AffinePhase((), Fraction(chi.S[j][i], chi.ell)))
         for j in range(len(gens)) for i in range(j))
+
+
+def phase_translate(p, gamma):
+    """The phase p at x + gamma: the constant moves by linear . gamma."""
+    if len(gamma) != len(p.nums):
+        raise ValueError("translation dimension mismatch")
+    return AffinePhase(p.linear, p.const + sum(l * _rational(g) for l, g in zip(p.linear, gamma)))
+
+
+@functools.lru_cache(maxsize=1024)
+def matrix_translate(m, gamma):
+    """The generalized permutation-phase matrix m at x + gamma (a tuple),
+    phase by phase; cached, since a cocycle sweep translates each value by
+    each vector many times."""
+    return GenPermPhaseMatrix(m.perm, [phase_translate(p, gamma) for p in m.phases])
+
+
+def rieffel_N(q, a, v=1):
+    """N^v as a generalized permutation-phase matrix, built from the word the
+    library keeps (`autofactor._rieffel_exponents`, read on each call):
+    entry (perm[j], j) is e(l_j s)."""
+    perm, ls = autofactor._rieffel_exponents(q, a, v)
+    return GenPermPhaseMatrix(perm, [AffinePhase((l, 0), 0) for l in ls])
+
+
+def literal_N(q, a):
+    """N entry by entry: ones on the superdiagonal, e(-a s) bottom-left."""
+    return GenPermPhaseMatrix([q - 1] + list(range(q - 1)),
+                              [AffinePhase((-a, 0), 0)] + [zero_phase(2)] * (q - 1))
 
 
 def scalar_mul(m, phase):
@@ -1000,7 +1056,7 @@ def identity_matrix(q, dim=0):
 def matrix_power(g, v):
     """g ** v by square-and-multiply: O(log |v|) products."""
     base = g if v >= 0 else g.inverse()
-    out = identity_matrix(g.size, g.dim)
+    out = identity_matrix(g.size, len(g.phases[0].nums))
     v = abs(v)
     while v:
         if v & 1:
@@ -1078,9 +1134,9 @@ def scalar_value_loop(f, gamma):
     acc = zero_phase(n)
     for i, g in enumerate(gamma):
         step = [int(k == i) * (1 if g > 0 else -1) for k in range(n)]
-        gi = f.phases[i] if g > 0 else -f.phases[i].translate(step)
+        gi = f.phases[i] if g > 0 else -phase_translate(f.phases[i], step)
         for _ in range(abs(g)):
-            acc = acc.translate(step) + gi
+            acc = phase_translate(acc, step) + gi
     return acc
 
 
@@ -1094,7 +1150,7 @@ def mumford_c1_recursion(f):
 
     def increment(phase, delta):
         inc = sum(l * d for l, d in zip(phase.linear, delta))
-        moved = phase.translate(delta) - phase
+        moved = phase_translate(phase, delta) - phase
         if any(moved.linear) or (moved.const - inc) % 1:
             raise AssertionError("translation increment disagrees with translate")
         return inc

@@ -2,7 +2,6 @@ import functools
 import random
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -11,7 +10,6 @@ import pytest
 from flattori import autofactor
 from flattori.autofactor import (
     AffinePhase,
-    FactorOfAutomorphy,
     GenPermPhaseMatrix,
     ScalarFactor,
     check_cocycle,
@@ -20,7 +18,6 @@ from flattori.autofactor import (
     det_cocycle,
     factor_from,
     mumford_c1,
-    rieffel_N,
 )
 from flattori.cohomology import AltFormZ, RootOfUnity, mu_q_image
 from flattori.exact_linalg import IntMatrix, SkewRatForm
@@ -41,8 +38,6 @@ def test_affine_phase_mod1_and_ops():
     q = AffinePhase((Fraction(1, 2), 0), Fraction(2, 3))
     assert (p + q).const == 0
     assert (-p).const == Fraction(2, 3)
-    assert p.translate((2, 5)).const == (Fraction(1, 3) + 1) % 1
-    assert p.translate((1, 0)) == AffinePhase((Fraction(1, 2), 0), Fraction(5, 6))
 
 
 def test_affine_phase_agrees_with_fraction_reference():
@@ -62,8 +57,8 @@ def test_affine_phase_agrees_with_fraction_reference():
         gamma = tuple(rng.randint(-7, 7) for _ in range(dim))
         rgamma = tuple(rand_frac() for _ in range(dim))
         for got, want in ((p, rp), (p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
-                          (p.translate(gamma), rp.translate(gamma)),
-                          (p.translate(rgamma), rp.translate(rgamma))):
+                          (oracles.phase_translate(p, gamma), rp.translate(gamma)),
+                          (oracles.phase_translate(p, rgamma), rp.translate(rgamma))):
             assert (got.linear, got.const) == (want.linear, want.const)
             assert got == AffinePhase(want.linear, want.const)
             assert hash(got) == hash(AffinePhase(want.linear, want.const))
@@ -72,7 +67,7 @@ def test_affine_phase_agrees_with_fraction_reference():
         perm = list(range(size))
         rng.shuffle(perm)
         cols = [(tuple(rand_frac() for _ in range(dim)), rand_frac()) for _ in range(size)]
-        det = GenPermPhaseMatrix(perm, [AffinePhase(*c) for c in cols]).det()
+        det = oracles.matrix_det(GenPermPhaseMatrix(perm, [AffinePhase(*c) for c in cols]))
         want = oracles.fraction_det(perm, [oracles.FractionPhase(*c) for c in cols])
         assert (det.linear, det.const) == (want.linear, want.const)
     # sums that must reduce to lowest terms
@@ -90,11 +85,6 @@ def test_affine_phase_rejects_inexact_coefficients():
                           ((1,), "1/2")):
         with pytest.raises(ValueError):
             AffinePhase(linear, const)
-    p = AffinePhase((1, Fraction(1, 2)), 0)
-    for gamma in ((0.5, 0), (0, 1.0)):
-        with pytest.raises(ValueError):
-            p.translate(gamma)
-    assert p.translate((True, Fraction(2))) == AffinePhase((1, Fraction(1, 2)), 0)
 
 
 def test_affine_phase_repr_pinned():
@@ -135,8 +125,6 @@ def test_gen_perm_matrix_rejects_non_integer_indices():
     # exact integers of other types are accepted as plain ints
     m = GenPermPhaseMatrix(np.array([1, 0]), ph)
     assert m.perm == (1, 0) and all(type(p) is int for p in m.perm)
-    with pytest.raises(ValueError):
-        factor_from(3, 2).value((0, 1.5))
 
 
 def test_affine_phase_sign_characters():
@@ -150,7 +138,7 @@ def test_gen_perm_matrix_pow_matches_repeated_product():
     for q, p in ((5, 2), (6, 1), (12, 7)):
         theta = SkewRatForm([[0, -p], [p, 0]], q)
         for g in _clock_shift_rep(theta, [(q, p)], [(0, 1), (1, 0)]).gens:
-            ident = oracles.identity_matrix(q, g.dim)
+            ident = oracles.identity_matrix(q, 0)
             for v in range(-9, 10):
                 base = g if v >= 0 else g.inverse()
                 want = ident
@@ -168,13 +156,14 @@ def test_gen_perm_matrix_algebra():
         assert A @ A.inverse() == oracles.identity_matrix(q, 2)
         assert A.inverse() @ A == oracles.identity_matrix(q, 2)
         g = (rng.randint(-5, 5), rng.randint(-5, 5))
-        assert (A @ B).translate(g) == A.translate(g) @ B.translate(g)
+        assert oracles.matrix_translate(A @ B, g) == (oracles.matrix_translate(A, g)
+                                                      @ oracles.matrix_translate(B, g))
         # numerical consistency of the product
         x = (0.3, 0.7)
         assert np.allclose(oracles.matrix_complex(A @ B, x),
                            oracles.matrix_complex(A, x) @ oracles.matrix_complex(B, x))
         # determinant is multiplicative
-        assert (A @ B).det() == A.det() + B.det()
+        assert oracles.matrix_det(A @ B) == oracles.matrix_det(A) + oracles.matrix_det(B)
 
 
 def _assert_as_if_checked(m):
@@ -190,32 +179,22 @@ def test_library_built_matrices_pass_the_public_checks():
     for _ in range(200):
         q = rng.randint(1, 6)
         A, B = _random_matrix(rng, q), _random_matrix(rng, q)
-        shift = AffinePhase((rng.randint(-3, 3), 0), Fraction(rng.randint(0, 5), 6))
-        ints = (rng.randint(-5, 5), rng.randint(-5, 5))
-        rats = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-5, 5))
         blocks = [(rng.randint(1, 4), rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
         rows = [[rng.randint(-5, 5) for _ in range(2 * len(blocks) + 1)] for _ in range(3)]
         theta = oracles.block_normal_form(blocks, len(rows[0])).congruence(IntMatrix(rows))
-        built = [A @ B, A.inverse(), A.translate(ints), A.translate(rats),
-                 oracles.scalar_mul(A, shift),
-                 rieffel_N(q, rng.randint(-8, 8), rng.randint(-9, 9)),
-                 *_clock_shift_rep(theta, blocks, rows).gens]
-        for m in built:
+        for m in (A @ B, A.inverse(), *_clock_shift_rep(theta, blocks, rows).gens):
             _assert_as_if_checked(m)
-    # exact integers of other types are normalized before the unchecked store
-    for m in (rieffel_N(np.int64(3), True, np.int8(2)),
-              factor_from(np.int64(4), np.int64(-1)).value((0, 3))):
-        _assert_as_if_checked(m)
+    # exact integers of other types are normalized before the words are built
+    F = factor_from(np.int64(4), np.int64(-1))
+    assert (type(F.q), type(F.a)) == (int, int)
+    assert F.records() == factor_from(4, -1).records()
 
 
 def test_rieffel_N_shape():
-    n1 = rieffel_N(1, 3)
-    assert n1.size == 1 and n1.phases[0] == AffinePhase((-3, 0), 0)
-    n2 = rieffel_N(2, 0)
-    assert n2.perm == (1, 0)
-    assert all(p == oracles.zero_phase(2) for p in n2.phases)
-    with pytest.raises(ValueError):
-        rieffel_N(0, 1)
+    # the word of N: column j goes to row j - 1 mod q, e(-a s) in column 0
+    assert autofactor._rieffel_exponents(1, 3, 1) == ((0,), (-3,))
+    assert autofactor._rieffel_exponents(2, 0, 1) == ((1, 0), (0, 0))
+    assert autofactor._rieffel_exponents(3, 2, 1) == ((2, 0, 1), (-2, 0, 0))
     with pytest.raises(ValueError):
         factor_from(0, 1)
 
@@ -223,32 +202,27 @@ def test_rieffel_N_shape():
 def test_rieffel_N_det():
     for q in range(1, 7):
         for a in (-2, 0, 3):
-            d = rieffel_N(q, a).det()
+            d = det_cocycle(factor_from(q, a)).phases[1]
             assert d.linear == (Fraction(-a), Fraction(0))
             assert d.const == Fraction(q - 1, 2) % 1
 
 
 def test_factor_values():
-    F = factor_from(3, 2)
-    assert F.value((1, 0)) == oracles.identity_matrix(3, 2)
-    assert F.value((0, 1)) == rieffel_N(3, 2)
-    N = rieffel_N(3, 2)
-    assert F.value((0, 2)) == N @ N
-    assert F.value((5, -1)) == N.inverse()
+    N = oracles.literal_N(3, 2)
+    assert oracles.rieffel_N(3, 2, 0) == oracles.identity_matrix(3, 2)
+    assert oracles.rieffel_N(3, 2) == N
+    assert oracles.rieffel_N(3, 2, 2) == N @ N
+    assert oracles.rieffel_N(3, 2, -1) == N.inverse()
 
 
 def test_factor_value_closed_form_matches_power():
     # N built literally (superdiagonal ones, e(-a s) bottom-left), then
-    # N^v by square-and-multiply, against the closed form of value
+    # N^v by square-and-multiply, against the word of N^v
     for q in range(1, 9):
         for a in range(-8, 9):
-            literal = GenPermPhaseMatrix(
-                [q - 1] + list(range(q - 1)),
-                [AffinePhase((-a, 0), 0)] + [oracles.zero_phase(2)] * (q - 1))
-            assert rieffel_N(q, a) == literal
-            F = FactorOfAutomorphy(q, a)
+            literal = oracles.literal_N(q, a)
             for v in range(-25, 26):
-                assert F.value((v % 3 - 1, v)) == oracles.matrix_power(literal, v), (q, a, v)
+                assert oracles.rieffel_N(q, a, v) == oracles.matrix_power(literal, v), (q, a, v)
 
 
 def test_check_cocycle_clean():
@@ -295,16 +269,18 @@ def test_exponent_check_matches_matrix_oracle(monkeypatch):
     for q in range(1, 9):
         for a in range(-8, 9):
             F = factor_from(q, a)
-            built = SimpleNamespace(value=functools.cache(F.value))  # each value built once
+            value = functools.cache(lambda g: oracles.rieffel_N(q, a, g[1]))  # each built once
             assert autofactor._violations(F, pairs) == []
-            assert not any(oracles.matrix_violates(built, g1, g2) for g1, g2 in pairs)
+            assert not any(oracles.matrix_violates(value, g1, g2) for g1, g2 in pairs)
     exponents = autofactor._rieffel_exponents
     for corruption in (_shift_odd, _swap_odd):
         for q, a in ((2, 1), (3, -2), (5, 4)):
             F = factor_from(q, a)
             monkeypatch.setattr(autofactor, "_rieffel_exponents", corruption(exponents))
             flagged = autofactor._violations(F, pairs)
-            assert flagged == [(g1, g2) for g1, g2 in pairs if oracles.matrix_violates(F, g1, g2)]
+            value = functools.cache(lambda g: oracles.rieffel_N(q, a, g[1]))
+            assert flagged == [(g1, g2) for g1, g2 in pairs
+                               if oracles.matrix_violates(value, g1, g2)]
             assert flagged
             monkeypatch.setattr(autofactor, "_rieffel_exponents", exponents)
 
@@ -389,7 +365,14 @@ def test_det_cocycle_matches_entrywise_det():
             sf = det_cocycle(F)
             for _ in range(25):
                 g = (rng.randint(-6, 6), rng.randint(-6, 6))
-                assert oracles.scalar_value_loop(sf, g) == F.value(g).det()
+                assert (oracles.scalar_value_loop(sf, g)
+                        == oracles.matrix_det(oracles.rieffel_N(q, a, g[1])))
+            # the determinant phases against the Fraction reference
+            for v, phase in enumerate(sf.phases):
+                N = oracles.rieffel_N(q, a, v)
+                want = oracles.fraction_det(N.perm, [oracles.FractionPhase(p.linear, p.const)
+                                                     for p in N.phases])
+                assert (phase.linear, phase.const) == (want.linear, want.const)
 
 
 def test_det_cocycle_values():
@@ -535,29 +518,10 @@ def test_clutching_omega_matches_loop_reference():
     assert clutching_omega(F) == oracles.clutching_omega_loop(F, _sample_counts(64, 1)[0])
 
 
-def test_clutching_premises_raise(monkeypatch):
-    F = factor_from(3, 1)  # built first: the patched loops fail the cocycle check
-    value, translate = FactorOfAutomorphy.value, GenPermPhaseMatrix.translate
-    # e(s / 2) in every column: a half-integer s-coefficient, N(1) = -N(0)
-    half_s = AffinePhase((Fraction(1, 2), 0), 0)
-    monkeypatch.setattr(FactorOfAutomorphy, "value",
-                        lambda self, gamma: oracles.scalar_mul(value(self, gamma), half_s))
-    for invariant in (clutching_twist, clutching_omega):
-        with pytest.raises(ValueError, match="non-integer s-coefficient"):
-            invariant(F)
-    # integer coefficients, but a translation that moves the loop
-    monkeypatch.setattr(FactorOfAutomorphy, "value", value)
-    monkeypatch.setattr(GenPermPhaseMatrix, "translate", lambda self, gamma: oracles.scalar_mul(
-        translate(self, gamma), AffinePhase((0, 0), Fraction(1, 2))))
-    for invariant in (clutching_twist, clutching_omega):
-        with pytest.raises(ValueError, match="does not close"):
-            invariant(F)
-
-
 def test_loop_matrices_match_symbolic():
     F = factor_from(4, 3)
     mats = oracles.loop_matrices(F, 32)
-    sym = F.value((0, 1))
+    sym = oracles.rieffel_N(4, 3)
     for k in (0, 7, 32):
         assert np.allclose(mats[k], oracles.matrix_complex(sym, (k / 32, 0.0)))
 
@@ -578,19 +542,20 @@ def test_factor_records():
     recs = F.records()
     assert recs[0] == ((1, 0), [0, 1], [["0", "0", "0"], ["0", "0", "0"]])
     assert recs[1] == ((0, 1), [1, 0], [["-1", "0", "0"], ["0", "0", "0"]])
-    gammas = ((1, 0), (0, 1), (2, -3))
-    assert factor_from(3, -2).records(gammas) == [
+    assert factor_from(3, -2).records() == [
         ((1, 0), [0, 1, 2], [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
-        ((0, 1), [2, 0, 1], [["2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
-        ((2, -3), [0, 1, 2], [["-2", "0", "0"], ["-2", "0", "0"], ["-2", "0", "0"]])]
-    assert factor_from(4, 3).records(gammas)[2] == (
-        (2, -3), [3, 0, 1, 2],
-        [["0", "0", "0"], ["3", "0", "0"], ["3", "0", "0"], ["3", "0", "0"]])
+        ((0, 1), [2, 0, 1], [["2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]])]
+    # the records of the words are those of the built matrices' phases
+    for q in range(1, 9):
+        for a in range(-8, 9):
+            assert factor_from(q, a).records() == [
+                (g, list(m.perm), [[str(x) for x in (*p.linear, p.const)] for p in m.phases])
+                for g in ((1, 0), (0, 1)) for m in [oracles.rieffel_N(q, a, g[1])]]
 
 
 def test_kron_and_direct_sum():
-    a = rieffel_N(2, 1)
-    b = rieffel_N(3, 0)
+    a = oracles.rieffel_N(2, 1)
+    b = oracles.rieffel_N(3, 0)
     k = oracles.kron(a, b)
     assert k.size == 6
     x = (0.21, 0.0)

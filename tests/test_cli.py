@@ -10,7 +10,6 @@ import oracles
 import pytest
 
 import flattori
-from flattori import autofactor
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.cli import run
 from flattori.exact_linalg import SkewRatForm
@@ -24,7 +23,7 @@ from flattori.textio import (
     parse_rational,
 )
 from flattori.exact_linalg import IntMatrix
-from oracles import RatMatrix, scalar_mul
+from oracles import RatMatrix
 
 THETA_13 = '{"n":2,"m":2,"entries":[["0","1/3"],["-1/3","0"]]}'
 THETA_23 = '{"n":2,"m":2,"entries":[["0","2/3"],["-2/3","0"]]}'
@@ -191,21 +190,6 @@ def test_dump_samples_target_that_cannot_be_opened_is_an_error(tmp_path, capsys)
         _clutching_usage_error(capsys, command, "--dump-samples",
                                str(tmp_path / "loop.csv"))
     assert not (tmp_path / "loop.csv").exists()
-
-
-def test_clutching_premise_failures_are_errors(capsys, monkeypatch):
-    # a loop with a half-integer s-coefficient: the library raises, the CLI exits 2
-    half_s = autofactor.AffinePhase((Fraction(1, 2), 0), 0)
-    value = autofactor.FactorOfAutomorphy.value
-    factor = autofactor.factor_from(3, 1)
-    monkeypatch.setattr(autofactor, "factor_from", lambda q, a: factor)
-    monkeypatch.setattr(autofactor.FactorOfAutomorphy, "value",
-                        lambda self, gamma: scalar_mul(value(self, gamma), half_s))
-    for command in ("twist", "omega"):
-        code, out, err = invoke(capsys, command, "--q", "3", "--a", "1",
-                                "--method", "clutching")
-        assert code == 2 and out == ""
-        assert err == "error: clutching loop has a non-integer s-coefficient\n"
 
 
 def test_parse_error_exit_code(capsys):

@@ -14,25 +14,39 @@ from flattori.autofactor import (
     check_cocycle,
     clutching_omega,
     clutching_twist,
+    det_cocycle,
     factor_from,
-    rieffel_N,
+    mumford_c1,
 )
 from flattori.bundles import (
     MatrixBundleClass,
     VectorBundleClass,
     X_bundle,
     classify_projflat,
+    endo,
+    omega,
+    twist,
 )
 from flattori.cohomology import (
     AltFormModQ,
     AltFormZ,
     Orientation2,
     RootOfUnity,
+    beta_reduce,
+    fundamental_pairing,
+    fundamental_pairing_modq,
     mu_q_image,
     pullback,
 )
 from flattori.cyclotomic import CycElt, cyclotomic_polynomial
-from flattori.exact_linalg import IntMatrix, SkewRatForm, inverse_mod, lift_unimodular_mod
+from flattori.exact_linalg import (
+    IntMatrix,
+    SkewRatForm,
+    inverse_mod,
+    lift_unimodular_mod,
+    smith_normal_form,
+    symplectic_normal_form,
+)
 from flattori.nctorus import (
     NCTorusParams,
     bundle_of,
@@ -88,12 +102,8 @@ INTEGERS = {
     "NCTorusParams n": lambda x: NCTorusParams(x, THETA3),
     "NCTorusParams m": lambda x: NCTorusParams(2, THETA2, x),
     "GenPermPhaseMatrix perm": lambda x: GenPermPhaseMatrix((x, 0, 1, 2), [ONE] * 4),
-    "rieffel_N q": lambda x: rieffel_N(x, 1),
-    "rieffel_N a": lambda x: rieffel_N(2, x),
-    "rieffel_N v": lambda x: rieffel_N(2, 1, x),
     "factor_from q": lambda x: factor_from(x, 1),
     "factor_from a": lambda x: factor_from(2, x),
-    "FactorOfAutomorphy.value": lambda x: F.value((0, x)),
     "check_cocycle trials": lambda x: check_cocycle(F, x),
     "CycElt L": lambda x: CycElt(x, (1, 0)),
     "CycElt.zero": CycElt.zero,
@@ -104,8 +114,6 @@ INTEGERS = {
 RATIONALS = {
     "AffinePhase linear": lambda x: AffinePhase((x, 0), 0),
     "AffinePhase const": lambda x: AffinePhase((0,), x),
-    "AffinePhase.translate": lambda x: AffinePhase((H,), 0).translate((x,)),
-    "GenPermPhaseMatrix.translate": lambda x: rieffel_N(2, 1).translate((x, 0)),
     "RootOfUnity phase": RootOfUnity,
     "SkewRatForm entry": lambda x: SkewRatForm([[0, x], [_negated(x), 0]]),
     "CycElt coefficient": lambda x: CycElt(3, (x, 0)),
@@ -120,6 +128,24 @@ OBJECTS = {
     "pullback c": ("AltFormZ", lambda x: pullback(x, G)),
     "pullback P": ("IntMatrix", lambda x: pullback(C2, x)),
     "SkewRatForm.congruence T": ("IntMatrix", lambda x: THETA2.congruence(x)),
+    "smith_normal_form": ("IntMatrix", smith_normal_form),
+    "symplectic_normal_form": ("IntMatrix", symplectic_normal_form),
+    "inverse_mod M": ("IntMatrix", lambda x: inverse_mod(x, 3)),
+    "lift_unimodular_mod g": ("IntMatrix", lambda x: lift_unimodular_mod(x, 3)),
+    "beta_reduce c": ("AltFormZ", lambda x: beta_reduce(x, 3)),
+    "fundamental_pairing form": ("AltFormZ", fundamental_pairing),
+    "fundamental_pairing o": ("Orientation2", lambda x: fundamental_pairing(C2, x)),
+    "fundamental_pairing_modq form": ("AltFormModQ", fundamental_pairing_modq),
+    "fundamental_pairing_modq o": ("Orientation2",
+                                   lambda x: fundamental_pairing_modq(AltFormModQ(C2.mat, 3), x)),
+    "endo": ("VectorBundleClass", endo),
+    "twist e": ("VectorBundleClass", twist),
+    "twist o": ("Orientation2", lambda x: twist(X_bundle(2, 1), x)),
+    "omega a": ("MatrixBundleClass", omega),
+    "omega o": ("Orientation2", lambda x: omega(endo(X_bundle(2, 1)), x)),
+    "mumford_c1": ("ScalarFactor", mumford_c1),
+    "det_cocycle": ("FactorOfAutomorphy", det_cocycle),
+    "check_cocycle F": ("FactorOfAutomorphy", lambda x: check_cocycle(x, 3)),
     "clutching_twist": ("FactorOfAutomorphy", clutching_twist),
     "clutching_omega": ("FactorOfAutomorphy", clutching_omega),
     "ProjectiveRep gens": ("GenPermPhaseMatrix", lambda x: ProjectiveRep([x], SkewRatForm([[0]]))),
@@ -188,9 +214,6 @@ def test_one_rule_settles_the_old_disagreements():
     assert check_cocycle(factor_from(3, 1), True) == check_cocycle(factor_from(3, 1), 1)
     with pytest.raises(ValueError):
         SkewRatForm([[0, 1], [-1, 0]]).scaled_int(2.0)
-    # a translation is read once, so an iterator is as good as its tuple
-    assert AffinePhase((1,), 0).translate(iter((3,))) == AffinePhase((1,), 0).translate((3,))
-    assert rieffel_N(2, 1).translate(iter((H, 0))) == rieffel_N(2, 1).translate((H, 0))
 
 
 def test_bad_values_are_named_and_shapes_checked():
@@ -199,9 +222,7 @@ def test_bad_values_are_named_and_shapes_checked():
         X_bundle(2, 1.5)
     with pytest.raises(ValueError, match=r"^rank must be an integer >= 1, got 0$"):
         VectorBundleClass(2, 0, C2)
-    for build in (lambda: F.value((0, 1, 2)), lambda: Orientation2(1.0), lambda: Orientation2(2),
-                  lambda: AffinePhase((1,), 0).translate(3),
-                  lambda: rieffel_N(2, 1).translate(3)):
+    for build in (lambda: Orientation2(1.0), lambda: Orientation2(2)):
         with pytest.raises(ValueError):
             build()
     assert repr(Orientation2(np.int64(-1))) == repr(Orientation2(-1))

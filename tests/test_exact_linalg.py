@@ -366,6 +366,18 @@ def test_inverse_mod():
         assert (g @ ginv).mod(ell) == IntMatrix.identity(n).mod(ell)
 
 
+def test_inverse_mod_names_a_determinant_that_is_not_a_unit():
+    for rows, ell, message in (([[2, 0], [0, 1]], 4, "determinant 2 is not a unit mod 4"),
+                               ([[1, 2], [2, 4]], 5, "determinant 0 is not a unit mod 5"),
+                               ([[3, 1], [1, 5]], 7, "determinant 0 is not a unit mod 7"),
+                               ([[9]], 6, "determinant 3 is not a unit mod 6")):
+        with pytest.raises(ValueError) as exc:
+            inverse_mod(IntMatrix(rows), ell)
+        assert str(exc.value) == message
+    # modulo 1 every determinant is a unit
+    assert inverse_mod(IntMatrix([[2, 0], [0, 2]]), 1) == IntMatrix([[0, 0], [0, 0]])
+
+
 def test_adjugate_matches_cofactor_reference():
     rng = random.Random(47)
     checked = singular = 0

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -8,8 +9,8 @@ import oracles
 import pytest
 
 from flattori import projrep
-from flattori.autofactor import AffinePhase, GenPermPhaseMatrix, rieffel_N
-from flattori.cyclotomic import CycElt, _power_table
+from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
+from flattori.cyclotomic import CycElt
 from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import bundle_of, clock_shift_rep, normal_form, q_theta
 from flattori.projrep import (
@@ -633,7 +634,7 @@ def test_det_mod_matches_field_determinant():
             vec.update({v - d: x for v, x in vec.items() if v < 2 * d})
         X = [[CycElt.zero(L)] * d for _ in range(d)]
         for v, (w, e) in vec.items():
-            X[v // d][v % d] = CycElt(L, [w * c for c in _power_table(L)[e]])
+            X[v // d][v % d] = CycElt(L, [w * c for c in oracles.power_mod_phi(e, L)])
         det = cyc_det(X)
         p, g = _fp_root(L, d, rng.randrange(200))
         want = sum(c.numerator * pow(c.denominator, -1, p) * pow(g, k, p)
@@ -669,8 +670,8 @@ def test_intertwiner_redraws_at_the_next_prime(monkeypatch):
 
 def test_intertwiner_fast_path_for_one_monomial_component(monkeypatch):
     # a conjugated irreducible: one Hom system (one orbit, one propagation),
-    # no determinant, no random draw, and each entry stored as its
-    # power-table row
+    # no determinant, no random draw, and each root of unity reduced once:
+    # entries with one exponent share its coefficients
     import flattori.projrep as projrep
 
     rep = heisenberg_rep(blocks4(Fraction(1, 2), Fraction(1, 4)))
@@ -690,8 +691,10 @@ def test_intertwiner_fast_path_for_one_monomial_component(monkeypatch):
     monkeypatch.setattr(projrep.random, "Random", refuse)
     X = intertwiner(rep, conj)
     assert len(propagations) == 1
-    table = _power_table(lcm(rep.L, conj.L))
-    assert all(any(x.coeffs is t for t in table) for row in X for x in row if any(x.coeffs))
+    L = lcm(rep.L, conj.L)
+    roots, shared = {cyc_from_phase(Fraction(k, L), L) for k in range(L)}, {}
+    for x in (x for row in X for x in row if any(x.coeffs)):
+        assert x in roots and shared.setdefault(x.coeffs, x.coeffs) is x.coeffs
 
 
 def _twisted(rep, rng):
@@ -823,6 +826,35 @@ def test_hom_at_large_dimension():
     assert all(X[P.perm[j]][j] == cyc_one(rep.L) for j in range(rep.dim))
 
 
+def test_intertwiner_at_a_large_phase_order_reduces_only_its_roots():
+    # U = the swap with phases (e(1/L), e(2/L)) on Z, and its copy under
+    # P = diag(1, e(-1/L)): each Hom space has two components, so X is
+    # their sum, and its entries z^(L-2) and z^(L-1) take both branches of
+    # the reduction by Phi_L when L is prime.  The entries match the
+    # oracle's reduction over Q, and nothing the calls reduced stays
+    # allocated after them.
+    for L in (1009, 3001):
+        def z(k):
+            return cyc_from_phase(Fraction(k, L), L)
+
+        rep = ProjectiveRep([GenPermPhaseMatrix((1, 0), [AffinePhase((), Fraction(1, L)),
+                                                          AffinePhase((), Fraction(2, L))])],
+                            SkewRatForm([[0]]))
+        P = GenPermPhaseMatrix((0, 1), [AffinePhase((), 0), AffinePhase((), Fraction(L - 1, L))])
+        conj = ProjectiveRep([P @ g @ P.inverse() for g in rep.gens], rep.cocycle)
+        want = ([[z(0), z(0)], [z(L - 1), z(0)]], [[z(0), z(0)], [z(L - 2), z(L - 1)]])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = (intertwiner(rep, rep), intertwiner(rep, conj))
+            assert got == want, L
+            del got
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * 2 ** 20, (L, kept)
+
+
 def test_intertwiner_exists_for_equal_cocycle_pairs():
     for blocks in _chain_norm_forms(8):
         theta = _as_normal_form(blocks)
@@ -843,7 +875,7 @@ def test_projective_rep_rejects_wrong_commutation():
 def test_projective_rep_rejects_non_constant_phases():
     # the corner phase e(-s) of the Rieffel matrix depends on the point
     with pytest.raises(ValueError):
-        ProjectiveRep([rieffel_N(3, 1)], SkewRatForm([[0]]))
+        ProjectiveRep([oracles.rieffel_N(3, 1)], SkewRatForm([[0]]))
 
 
 def test_projective_rep_rejection_names_pair_column_and_exponents():
