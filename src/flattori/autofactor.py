@@ -278,20 +278,15 @@ def mumford_c1(f: ScalarFactor) -> AltFormZ:
     return AltFormZ(_coherence_matrix(_instance(f, ScalarFactor).phases))
 
 
-def _loop_winding(F: FactorOfAutomorphy) -> int:
-    """sum_j l_j over the word of the clutching loop s -> N_{(0,1)}(s, 0),
-    whose entry in column j is e(l_j s).  The closed forms need every l_j
-    an integer and the loop closed, N(s + 1) = N(s); both hold by type,
-    since the word stores integer exponents and e(l_j) = 1."""
+def clutching_twist(F: FactorOfAutomorphy) -> int:
+    """Winding number of det of the clutching loop s -> N_{(0,1)}(s, 0),
+    whose entry in column j is e(l_j s); equals the twist.  det N(s) =
+    sign(perm) e(s sum_j l_j) winds exactly sum_j l_j times as s runs over
+    [0, 1].  The closed form needs every l_j an integer and the loop closed,
+    N(s + 1) = N(s); both hold by type, since the word stores integer
+    exponents and e(l_j) = 1."""
     F = _instance(F, FactorOfAutomorphy)
     return sum(_rieffel_exponents(F.q, F.a, 1)[1])
-
-
-def clutching_twist(F: FactorOfAutomorphy) -> int:
-    """Winding number of det of the clutching loop; equals the twist.
-    det N(s) = sign(perm) e(s sum_j l_j) winds exactly sum_j l_j
-    times as s runs over [0, 1]."""
-    return _loop_winding(F)
 
 
 def clutching_omega(F: FactorOfAutomorphy) -> RootOfUnity:
@@ -299,4 +294,4 @@ def clutching_omega(F: FactorOfAutomorphy) -> RootOfUnity:
     loop.  The lift M(s) = mu(s) N(s) with mu^q det N = 1, continued from
     s = 0, has mu(s) = mu(0) e(-s sum_j l_j / q), so M(0) = e(sum_j l_j / q) M(1)
     and the defect is that root in mu_q."""
-    return RootOfUnity(Fraction(_loop_winding(F), F.q))
+    return RootOfUnity(Fraction(clutching_twist(F), F.q))
