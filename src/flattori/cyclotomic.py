@@ -51,21 +51,20 @@ def cyclotomic_polynomial(L: int):
     return tuple(poly)
 
 
-def _zeta_power(L: int, k: int) -> tuple:
+def _zeta_power(L: int, k: int) -> list:
     """z^k mod Phi_L for 0 <= k < L as deg Phi_L integer coefficients, by
     long division of x^k by the monic Phi_L: only x^deg .. x^k are reduced,
     so an exponent below deg Phi_L costs one list."""
     phi = cyclotomic_polynomial(L)
     deg = len(phi) - 1
-    terms = [(i, c) for i, c in enumerate(phi[:-1]) if c]
     r = [0] * max(k + 1, deg)
     r[k] = 1
     for top in range(k, deg - 1, -1):
         c = r[top]
         if c:
-            for i, p in terms:
-                r[top - deg + i] -= c * p
-    return tuple(r[:deg])
+            for i in range(deg):
+                r[top - deg + i] -= c * phi[i]
+    return r[:deg]
 
 
 @dataclass(frozen=True, slots=True)

@@ -443,11 +443,13 @@ def intertwiner(rep1: ProjectiveRep, rep2: ProjectiveRep):
         vec = {v: (w, e) for w, comp in zip(weights, hom) for v, e in comp.items()}
     _verify_intertwiner(vec, view1, view2, d, L)
     zero, entries = CycElt.zero(L), {}  # each (weight, exponent) reduced once
+    nil = zero.coeffs[0]  # most coefficients are 0: share one Fraction
     X = [[zero] * d for _ in range(d)]
     for v, (w, e) in vec.items():
         if (w, e) not in entries:
-            entries[w, e] = tuple([Fraction(w * c) for c in _zeta_power(L, e)])
-        X[v // d][v % d] = _element(L, entries[w, e])
+            entries[w, e] = _element(L, tuple([Fraction(w * c) if c else nil
+                                               for c in _zeta_power(L, e)]))
+        X[v // d][v % d] = entries[w, e]
     return X
 
 
