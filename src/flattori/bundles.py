@@ -21,7 +21,6 @@ from .cohomology import (
     RootOfUnity,
     beta_reduce,
     fundamental_pairing,
-    fundamental_pairing_modq,
     mu_q_image,
 )
 from .exact_linalg import _instance, _int, _positive
@@ -85,15 +84,10 @@ def X_bundle(q: int, a: int) -> VectorBundleClass:
 
 def twist(e: VectorBundleClass, o: Orientation2 = STANDARD) -> int:
     """Winding-number invariant of a rank-q bundle on T^2: -c1[T^2]."""
-    if _instance(e, VectorBundleClass).n != 2:
-        raise ValueError("twist is defined on T^2 only")
-    return -fundamental_pairing(e.c1, o)
+    return -fundamental_pairing(_instance(e, VectorBundleClass).c1, o)
 
 
 def omega(a: MatrixBundleClass, o: Orientation2 = STANDARD) -> RootOfUnity:
     """mu_q invariant of a q x q matrix bundle on T^2: inverse of beta[T^2]."""
-    if _instance(a, MatrixBundleClass).n != 2:
-        raise ValueError("omega is defined on T^2 only")
-    p = fundamental_pairing_modq(a.beta, o)
-    return mu_q_image(-p, a.size)
+    return mu_q_image(-fundamental_pairing(_instance(a, MatrixBundleClass).beta, o), a.size)
 

@@ -2,10 +2,11 @@
 
 Every subcommand delegates to the library operation of the same name.  The
 text protocol is exact: integers and p/q literals only, ASCII only, and
-identical invocations produce byte-identical output.  Floating point appears
-nowhere.  `twist`/`omega --method clutching` read the concrete clutching
-loop of the factor of automorphy instead of the class formula.  `rep` prints
-theta's own representation, `nctorus.clock_shift_rep` (the rows of T^-1).
+identical invocations produce byte-identical output.  Integer options are
+ASCII decimal literals (`textio.parse_int`).  Floating point appears nowhere.
+`twist`/`omega --method clutching` read the concrete clutching loop of the
+factor of automorphy instead of the class formula.  `rep` prints theta's
+own representation, `nctorus.clock_shift_rep` (the rows of T^-1).
 
 Exit codes: 0 success, 1 negative decision, 2 usage or parse error (an
 out-of-range option, an empty `table` range or a `rep` dimension above
@@ -28,9 +29,9 @@ from .textio import (
     dump_matrix,
     dump_matrix_class,
     dump_vector_class,
-    format_root,
     load_matrix,
     load_skew,
+    parse_int,
 )
 
 EXIT_OK = 0
@@ -118,12 +119,11 @@ def cmd_omega(args) -> int:
     o = _orientation(args)
     if args.method == "clutching":
         value = autofactor.clutching_omega(autofactor.factor_from(args.q, args.a)) ** o.sign
-        _emit(args, ["# method=clutching", format_root(value)],
-              {"omega": format_root(value), "method": "clutching"})
+        _emit(args, ["# method=clutching", str(value)],
+              {"omega": str(value), "method": "clutching"})
     else:
         value = bundles.omega(bundles.endo(bundles.X_bundle(args.q, args.a)), o)
-        _emit(args, [format_root(value)],
-              {"omega": format_root(value), "method": "exact"})
+        _emit(args, [str(value)], {"omega": str(value), "method": "exact"})
     return EXIT_OK
 
 
@@ -202,7 +202,7 @@ def cmd_table(args) -> int:
             "c1_pairing": e.c1.mat[0][1],
             "twist": bundles.twist(e),
             "beta_pairing": mat_cls.beta.mat[0][1],
-            "omega": format_root(bundles.omega(mat_cls)),
+            "omega": str(bundles.omega(mat_cls)),
         })
     distinct = len(set(classes))  # isomorphic matrix classes are equal records
     rec = {"q": q, "rows": rows, "distinct_matrix_classes": distinct,
@@ -217,8 +217,16 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """An integer option, read as the text protocol reads an integer."""
+    try:
+        return parse_int(text)
+    except MatrixFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -247,30 +255,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="decide isomorphism of two torus algebras")
     p.add_argument("--theta", required=True)
     p.add_argument("--theta-prime", required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--m-prime", type=int, default=1)
+    p.add_argument("--m", type=_integer, default=1)
+    p.add_argument("--m-prime", type=_integer, default=1)
     p.set_defaults(func=cmd_iso)
 
     for name, fn in (("twist", cmd_twist), ("omega", cmd_omega)):
         p = sub.add_parser(name, help=f"{name} of the standard rank-q bundle family")
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--q", type=_integer, required=True)
+        p.add_argument("--a", type=_integer, required=True)
         p.add_argument("--method", choices=("exact", "clutching"), default="exact")
         p.add_argument("--reversed-orientation", action="store_true")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("classify", help="canonical bundle class record")
     p.add_argument("--kind", choices=("vector", "matrix"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--q", type=_integer, required=True)
     p.add_argument("--form", required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("cocycle-check", help="verify the factor-of-automorphy identity")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--q", type=_integer, required=True)
+    p.add_argument("--a", type=_integer, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=cmd_cocycle_check)
 
     p = sub.add_parser("rep", help="clock/shift projective representation of theta",
@@ -283,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="classification sweep over a for fixed q")
     p.add_argument("--q", type=_positive_int, required=True)
-    p.add_argument("--a-min", type=int, default=0)
-    p.add_argument("--a-max", type=int, default=None)
+    p.add_argument("--a-min", type=_integer, default=0)
+    p.add_argument("--a-max", type=_integer, default=None)
     p.set_defaults(func=cmd_table)
 
     return parser

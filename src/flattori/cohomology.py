@@ -37,7 +37,9 @@ class AltFormZ:
 
 @dataclass(frozen=True, slots=True)
 class AltFormModQ:
-    """Alternating form with values mod q; entries canonically in [0, q)."""
+    """Alternating form with values mod q, entries canonically in [0, q): the
+    reduction of an integral alternating form, so a zero diagonal and
+    a_ji = -a_ij (mod q), as `IntMatrix.is_skew` asks over Z."""
 
     n: int
     modulus: int
@@ -50,9 +52,9 @@ class AltFormModQ:
         if mat.rows != mat.cols:
             raise ValueError("square matrix expected")
         red = mat.mod(modulus)
-        n = red.rows
-        if any((red[i][j] + red[j][i]) % modulus != 0
-               for i in range(n) for j in range(n)):
+        n, e = red.rows, red.entries
+        if any(e[i][i] for i in range(n)) or any(
+                e[i][j] + e[j][i] not in (0, modulus) for i in range(n) for j in range(i)):
             raise ValueError("matrix is not alternating mod q")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "modulus", modulus)
@@ -99,18 +101,12 @@ STANDARD = Orientation2(1)
 REVERSED = Orientation2(-1)
 
 
-def fundamental_pairing(c: AltFormZ, o: Orientation2 = STANDARD) -> int:
-    """Pair a 2-class on T^2 with the fundamental class: o.sign * (-c(e1,e2))."""
-    if _instance(c, AltFormZ).n != 2:
+def fundamental_pairing(c: AltFormZ | AltFormModQ, o: Orientation2 = STANDARD) -> int:
+    """Pair a 2-class on T^2 with the fundamental class: o.sign * (-c(e1,e2)).
+    A mod-q class is read by its entry in [0, q), so the value is exact mod q."""
+    if _instance(c, AltFormZ, AltFormModQ).n != 2:
         raise ValueError("fundamental pairing needs a form on Z^2")
     return _instance(o, Orientation2).sign * (-c.mat[0][1])
-
-
-def fundamental_pairing_modq(beta: AltFormModQ, o: Orientation2 = STANDARD) -> int:
-    """Same pairing for a mod-q class, via the canonical entry lift in [0, q)."""
-    if _instance(beta, AltFormModQ).n != 2:
-        raise ValueError("fundamental pairing needs a form on Z^2")
-    return (_instance(o, Orientation2).sign * (-beta.mat[0][1])) % beta.modulus
 
 
 def beta_reduce(c: AltFormZ, q: int) -> AltFormModQ:

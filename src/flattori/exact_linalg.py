@@ -8,7 +8,7 @@ One rule decides every exact number the library reads, here and nowhere
 else.  An exact integer is an int, an integral Fraction or anything with
 __index__ (so bools and NumPy integers count, as Python counts them) and is
 stored as an int; anything else raises ValueError, none is truncated.
-`_int` reads one, `_ints` a tuple or lattice vector, `_positive` a
+`_int` reads one, `_ints` a tuple of them, `_positive` a
 parameter that must be at least 1 (a rank, an order, a modulus), and
 `_rational` an exact rational: a Fraction or an exact integer.
 
@@ -59,17 +59,13 @@ def _tuple(xs) -> tuple:
         raise ValueError(f"not a sequence: {xs!r}") from None
 
 
-def _ints(xs, n: int | None = None) -> tuple:
-    """xs as a tuple of exact integers, of length n when n is given (a
-    lattice vector in Z^n); anything else raises."""
+def _ints(xs) -> tuple:
+    """xs as a tuple of exact integers; anything else raises."""
     xs = _tuple(xs)
     try:
-        xs = tuple(map(operator.index, xs))
+        return tuple(map(operator.index, xs))
     except TypeError:
-        xs = tuple(map(_int, xs))
-    if n is not None and len(xs) != n:
-        raise ValueError(f"lattice vector {xs} does not have length {n}")
-    return xs
+        return tuple(map(_int, xs))
 
 
 def _positive(x, name: str) -> int:
@@ -85,11 +81,11 @@ def _rational(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(_int(x))
 
 
-def _instance(x, cls):
-    """x when it is a cls, the library type a parameter takes; anything else
-    raises, naming the type."""
-    if not isinstance(x, cls):
-        raise ValueError(f"not a {cls.__name__}: {x!r}")
+def _instance(x, *classes):
+    """x when it is one of the library types a parameter takes; anything
+    else raises, naming them."""
+    if not isinstance(x, classes):
+        raise ValueError(f"not a {' or '.join(c.__name__ for c in classes)}: {x!r}")
     return x
 
 
@@ -459,12 +455,13 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
 
     This is the surjectivity of SL(n,Z) -> SL(n,Z/ell) made effective by one
     elimination pass.  Integer row additions E bring g mod ell to a diagonal
-    of units u_k: Euclid from the pivot down, then multipliers -a u_k^-1; the
-    pivots are units because det g is.  S_k = [[w (1 - m ell), m ell],
-    [-m ell, v]] has det 1 and is diag(w, v) mod ell, for w = u_0 ... u_k,
-    v = w^-1 mod ell and wv = 1 + m ell, so T = E^-1 S_0 ... S_(n-2)
-    diag(1, ..., 1, +-1), the sign the product of all units.  Residues and
-    multipliers are balanced, in (-ell/2, ell/2], which keeps T small.
+    of units u_k: Euclid from the pivot down, then multipliers -a u_k^-1; as
+    det E = 1, det g = +-1 mod ell exactly when the pivots are units whose
+    product is +-1, which is checked instead of a determinant.
+    S_k = [[w (1 - m ell), m ell], [-m ell, v]] has det 1 and is diag(w, v)
+    mod ell, for w = u_0 ... u_k, v = w^-1 mod ell and wv = 1 + m ell, so
+    T = E^-1 S_0 ... S_(n-2) diag(1, ..., 1, +-1), the sign the product of
+    all units.  Residues and multipliers are balanced, which keeps T small.
     """
     ell = _positive(ell, "modulus")
     if _instance(g, IntMatrix).rows != g.cols:
@@ -472,9 +469,6 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
     n = g.rows
     if ell == 1:
         return IntMatrix.identity(n)
-    if g.det() % ell not in (1, ell - 1):
-        raise ValueError("determinant is not +-1 mod ell")
-
     h = (ell - 1) // 2  # (x + h) % ell - h balances x into (-ell/2, ell/2]
     a = [[(x + h) % ell - h for x in row] for row in g.entries]
     t = [[int(i == j) for j in range(n)] for i in range(n)]  # E^-1
@@ -490,6 +484,8 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
             for i in rows:
                 if i != p:
                     add(i, p, -(a[i][k] // a[p][k]))
+        if not rows or gcd(a[rows[0]][k], ell) != 1:
+            raise ValueError("determinant is not +-1 mod ell")
         if rows[0] != k:
             add(k, rows[0], 1)
         uinv = pow(a[k][k], -1, ell)
@@ -504,7 +500,9 @@ def lift_unimodular_mod(g: IntMatrix, ell: int) -> IntMatrix:
         for row in t:
             x, y = row[k], row[k + 1]
             row[k], row[k + 1] = w * (1 - s) * x - s * y, s * x + v * y
-    w = (w * a[n - 1][n - 1] + h) % ell - h  # +-1, det T
+    w = (w * a[n - 1][n - 1] + h) % ell - h  # det g mod ell, and det T
+    if w not in (1, -1):
+        raise ValueError("determinant is not +-1 mod ell")
     for row in t:
         row[n - 1] *= w
     T = _int_matrix(t)

@@ -216,7 +216,7 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
         R = R * r % ell
     i = k if 2 * k == n else 2 * k
     rows1[i] = [eps * pow(R, -1, ell) * x % ell for x in rows1[i]]
-    g = inverse_mod(_int_matrix(rows2), ell) @ _int_matrix(rows1)  # the lift reads g mod ell
+    g = inverse_mod(_int_matrix(rows2), ell) @ _int_matrix(rows1).mod(ell)  # read mod ell
     return _verified(theta, theta2, lift_unimodular_mod(g, ell))
 
 

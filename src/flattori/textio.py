@@ -14,14 +14,21 @@ import json
 import re
 from fractions import Fraction
 
-from .cohomology import RootOfUnity
 from .exact_linalg import IntMatrix, SkewRatForm
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
+_INTEGER_RE = re.compile(r"-?\d+", re.ASCII)
+_RATIONAL_RE = re.compile(_INTEGER_RE.pattern + r"(?:/\d+)?", re.ASCII)
 
 
 class MatrixFormatError(ValueError):
     pass
+
+
+def parse_int(text: str) -> int:
+    """An ASCII decimal integer literal, an optional '-' and digits only."""
+    if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text):
+        raise MatrixFormatError(f"malformed integer literal: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -88,7 +95,3 @@ def dump_vector_class(e) -> dict:
 def dump_matrix_class(a) -> dict:
     return {"kind": "matrix", "n": a.n, "q": a.size,
             "form": {**dump_matrix(a.beta.mat), "modulus": a.beta.modulus}}
-
-
-def format_root(z: RootOfUnity) -> str:
-    return str(z)

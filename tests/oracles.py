@@ -26,7 +26,9 @@ over permutations where `IntMatrix.det` eliminates.
 representation generators on multiplied matrices, where the library
 compares integer phase exponents mod L column by column.  `pullback_modq`, the
 mod-q pullback, has no library caller; it checks `pullback` commutes with
-the reduction mod q.
+the reduction mod q, and `has_alternating_lift` decides whether a mod-q
+matrix is the reduction of an integral alternating form by building the
+one candidate lift.
 `iso_via_bundles` cross-checks a positive `iso_decide` answer through the
 bundle classification (the aligned classes have equal endomorphism
 bundles), and `divisor_congruence` is the decision the
@@ -978,6 +980,16 @@ def pullback_modq(beta, P):
     if P.rows != beta.n:
         raise ValueError("lattice map shape mismatch")
     return AltFormModQ(P.transpose() @ beta.mat @ P, beta.modulus)
+
+
+def has_alternating_lift(mat, q) -> bool:
+    """Whether an integral alternating form reduces to mat mod q.  If one
+    does, so does the form that keeps mat's upper triangle, negates it below
+    and has a zero diagonal, so that one lift decides."""
+    n = len(mat)
+    lift = IntMatrix([[mat[i][j] if i < j else -mat[j][i] if i > j else 0 for j in range(n)]
+                      for i in range(n)])
+    return lift.mod(q) == IntMatrix(mat).mod(q)
 
 
 def matrix_violates(value, g1, g2):

@@ -207,6 +207,18 @@ def test_usage_error_exit_code(capsys):
     assert run(["no-such-command"]) == 2
 
 
+def test_integer_options_are_ascii_decimal_literals(capsys):
+    # int() read each of these as a number
+    for text in ("1_2", "\u0663", " 2", "+3", "2\n"):
+        for argv in (("table", "--q", text), ("twist", "--q", "3", "--a", text),
+                     ("cocycle-check", "--q", "3", "--a", "1", "--trials", text),
+                     ("iso", "--theta", THETA_13, "--theta-prime", THETA_23, "--m", text)):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"malformed integer literal: {text!r}" in err, argv
+    assert invoke(capsys, "twist", "--q", "3", "--a", "-3") == (0, "3\n", "")
+
+
 def test_table_q5(capsys):
     code, out, _ = invoke(capsys, "table", "--q", "5")
     assert code == 0
@@ -381,6 +393,13 @@ def test_classify_cli(capsys):
                           "--q", "3",
                           "--form", '{"n":2,"m":2,"entries":[["0","1"],["1","0"]]}')
     assert code == 2
+
+
+def test_classify_cli_refuses_a_nonzero_diagonal_mod_q(capsys):
+    # 2 * 1 = 0 mod 2, but no alternating integer form reduces to this one
+    code, out, err = invoke(capsys, "classify", "--kind", "matrix", "--n", "2", "--q", "2",
+                            "--form", '{"n":2,"m":2,"entries":[["1","1"],["1","0"]]}')
+    assert (code, out, err) == (2, "", "error: matrix is not alternating mod q\n")
 
 
 def test_classify_cli_rejects_non_integer_forms(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import oracles
@@ -149,3 +150,30 @@ def test_altformmodq_validation():
         AltFormModQ(IntMatrix([[0, 1], [1, 0]]), 3)
     # mod 2, symmetric == skew
     AltFormModQ(IntMatrix([[0, 1], [1, 0]]), 2)
+    # but the diagonal is 0, also where 2 a_ii = 0 mod q
+    for mat, q in (([[1, 1], [1, 0]], 2), ([[2, 1], [-1, 0]], 4)):
+        with pytest.raises(ValueError, match="^matrix is not alternating mod q$"):
+            AltFormModQ(mat, q)
+
+
+def test_altformmodq_accepts_exactly_the_reductions_of_alternating_forms():
+    for n, q_max in ((2, 8), (3, 3)):
+        for q in range(1, q_max + 1):
+            for entries in product(range(q), repeat=n * n):
+                mat = [entries[i * n:(i + 1) * n] for i in range(n)]
+                try:
+                    accepted = AltFormModQ(mat, q).mat == IntMatrix(mat)
+                except ValueError:
+                    accepted = False
+                assert accepted == oracles.has_alternating_lift(mat, q), (mat, q)
+
+
+def test_fundamental_pairing_reads_mod_q_forms_by_their_entry():
+    for q in range(1, 8):
+        for a in range(-8, 9):
+            c = AltFormZ([[0, -a], [a, 0]])
+            beta = beta_reduce(c, q)
+            for o in (STANDARD, REVERSED):
+                assert fundamental_pairing(beta, o) % q == fundamental_pairing(c, o) % q
+    with pytest.raises(ValueError, match="^fundamental pairing needs a form on Z\\^2$"):
+        fundamental_pairing(AltFormModQ([[0] * 3] * 3, 5))

@@ -34,7 +34,6 @@ from flattori.cohomology import (
     RootOfUnity,
     beta_reduce,
     fundamental_pairing,
-    fundamental_pairing_modq,
     mu_q_image,
     pullback,
 )
@@ -133,11 +132,10 @@ OBJECTS = {
     "inverse_mod M": ("IntMatrix", lambda x: inverse_mod(x, 3)),
     "lift_unimodular_mod g": ("IntMatrix", lambda x: lift_unimodular_mod(x, 3)),
     "beta_reduce c": ("AltFormZ", lambda x: beta_reduce(x, 3)),
-    "fundamental_pairing form": ("AltFormZ", fundamental_pairing),
+    "fundamental_pairing form": ("AltFormZ or AltFormModQ", fundamental_pairing),
     "fundamental_pairing o": ("Orientation2", lambda x: fundamental_pairing(C2, x)),
-    "fundamental_pairing_modq form": ("AltFormModQ", fundamental_pairing_modq),
-    "fundamental_pairing_modq o": ("Orientation2",
-                                   lambda x: fundamental_pairing_modq(AltFormModQ(C2.mat, 3), x)),
+    "fundamental_pairing o, mod q form": ("Orientation2",
+                                          lambda x: fundamental_pairing(AltFormModQ(C2.mat, 3), x)),
     "endo": ("VectorBundleClass", endo),
     "twist e": ("VectorBundleClass", twist),
     "twist o": ("Orientation2", lambda x: twist(X_bundle(2, 1), x)),

@@ -345,6 +345,19 @@ def test_lift_rejects_non_unit_det():
         lift_unimodular_mod(IntMatrix([[2, 0], [0, 1]]), 4)
     with pytest.raises(ValueError):
         lift_unimodular_mod(IntMatrix([[2, 1], [4, 5]]), 6)
+    # the lift reads det g mod ell off its pivots: a zero column, a pivot
+    # that is no unit and units whose product is not +-1 are each refused
+    rng = random.Random(19)
+    cases = [(IntMatrix([[0, 1], [0, 2]]), 5), (IntMatrix([[2, 0], [0, 1]]), 5),
+             (IntMatrix([[3]]), 8)]
+    cases += [(IntMatrix([[rng.randrange(ell) for _ in range(n)] for _ in range(n)]), ell)
+              for n, ell in ((rng.randint(1, 4), rng.randint(2, 12)) for _ in range(400))]
+    for g, ell in cases:
+        if oracles.leibniz_det(g) % ell in (1, ell - 1):
+            assert (lift_unimodular_mod(g, ell) - g).mod(ell) == IntMatrix([[0] * g.rows] * g.rows)
+        else:
+            with pytest.raises(ValueError, match=r"^determinant is not \+-1 mod ell$"):
+                lift_unimodular_mod(g, ell)
     with pytest.raises(ValueError, match="square"):
         lift_unimodular_mod(IntMatrix([[1, 0]]), 3)
     # the modulus is an exact integer >= 1

@@ -752,3 +752,42 @@ def test_n24_transport_positive():
     t2 = SkewRatForm(fraction_matrix(t1.congruence(T)) + rand_int_skew(rng, n))
     d = iso_decide(params(t1), params(t2))
     assert_certified(d, t1, t2)
+
+
+def random_form(rng, n, ell):
+    """S / ell for S with upper entries uniform in [0, ell)."""
+    upper = [[rng.randrange(ell) if j > i else 0 for j in range(n)] for i in range(n)]
+    return SkewRatForm(IntMatrix([[upper[i][j] - upper[j][i] for j in range(n)]
+                                  for i in range(n)]), ell)
+
+
+def decided_within_4x_normal_form(t1, t2):
+    # at n = 32 the rows of theta's normal form have ~10^4-bit entries, so
+    # iso_decide stays within budget only if the lift reads
+    # g = inverse_mod(rows2) @ rows1 on residues mod ell
+    start = time.perf_counter()
+    normal_form(t1)
+    budget = 4 * (time.perf_counter() - start)
+    start = time.perf_counter()
+    d = iso_decide(params(t1), params(t2))
+    elapsed = time.perf_counter() - start
+    assert elapsed <= budget, f"iso_decide took {elapsed:.2f} s, 4x normal_form {budget:.2f} s"
+    return d
+
+
+def test_n32_transport_positive_within_4x_normal_form():
+    rng = random.Random(3232)
+    t1 = random_form(rng, 32, 10 ** 6)
+    T = unimodular_sample(32, seed=3233, word_length=96)
+    t2 = SkewRatForm(fraction_matrix(t1.congruence(T)) + rand_int_skew(rng, 32))
+    assert_certified(decided_within_4x_normal_form(t1, t2), t1, t2)
+
+
+def test_n32_unit_class_negative_within_4x_normal_form():
+    # scaling e1 by 3 keeps the chain mod ell and multiplies the Pfaffian by
+    # 3, a unit mod ell outside +-1: another unit class
+    rng = random.Random(3234)
+    t1 = random_form(rng, 32, 10 ** 6)
+    D = IntMatrix([[3 if i == j == 0 else int(i == j) for j in range(32)] for i in range(32)])
+    t2 = t1.congruence(D).congruence(unimodular_sample(32, seed=3235, word_length=96))
+    assert decided_within_4x_normal_form(t1, t2).status is IsoStatus.NOT_ISO

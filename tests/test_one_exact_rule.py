@@ -1,6 +1,8 @@
 """Whether a value is an exact integer is decided in `exact_linalg` alone
 (`_int`, `_ints`, `_positive`, `_rational`); every other library module
-reads its numbers through those helpers instead of restating the rule."""
+reads its numbers through those helpers instead of restating the rule.
+Text is read by `textio` alone: the CLI reads its integer options through
+`textio.parse_int`, never through `int`."""
 
 import ast
 from pathlib import Path
@@ -43,3 +45,26 @@ def test_the_check_sees_each_restatement():
         assert any(map(_restates_the_rule, ast.walk(ast.parse(source)))), source
     for source in ("isinstance(x, int)", "operator.mul(a, b)", "xs.index(3)"):
         assert not any(map(_restates_the_rule, ast.walk(ast.parse(source)))), source
+
+
+def _reads_text_with_int(node) -> bool:
+    """A call int(...) or an argument type=int."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "int"
+    return (isinstance(node, ast.keyword) and node.arg == "type"
+            and isinstance(node.value, ast.Name) and node.value.id == "int")
+
+
+def test_cli_reads_integer_options_through_textio():
+    path = Path(flattori.__file__).parent / "cli.py"
+    found = [f"cli.py:{node.lineno}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if _reads_text_with_int(node)]
+    assert found == []
+
+
+def test_the_cli_check_sees_each_int_read():
+    for source in ("p.add_argument('--q', type=int)", "int(text)", "f(type=int, x=1)"):
+        assert any(map(_reads_text_with_int, ast.walk(ast.parse(source)))), source
+    for source in ("p.add_argument('--q', type=parse_int)", "isinstance(x, int)", "x.int(3)"):
+        assert not any(map(_reads_text_with_int, ast.walk(ast.parse(source)))), source
