@@ -4,6 +4,8 @@ Every subcommand delegates to the library operation of the same name.  The
 text protocol is exact: integers and p/q literals only, ASCII only, and
 identical invocations produce byte-identical output.  Integer options are
 ASCII decimal literals (`textio.parse_int`).  Floating point appears nowhere.
+Each subcommand passes `_emit` its record and a function that builds its
+human lines, so those lines are built only for `--format human`.
 `twist`/`omega --method clutching` read the concrete clutching loop of the
 factor of automorphy instead of the class formula.  `rep` prints theta's
 own representation, `nctorus.clock_shift_rep` (the rows of T^-1).
@@ -22,7 +24,6 @@ import sys
 
 from . import autofactor, bundles, nctorus
 from .cohomology import REVERSED, STANDARD, AltFormModQ, AltFormZ
-from .exact_linalg import IntMatrix
 from .projrep import REP_DIM_LIMIT
 from .textio import (
     MatrixFormatError,
@@ -43,11 +44,12 @@ def _records(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, human_lines, record_obj) -> None:
+def _emit(args, human, record_obj) -> None:
+    """Print record_obj, or the lines human() builds for --format human."""
     if args.format == "records":
         print(_records(record_obj))
     else:
-        for line in human_lines:
+        for line in human():
             print(line)
 
 
@@ -67,7 +69,7 @@ def _blocks(nf) -> list[str]:
 def cmd_q_theta(args) -> int:
     theta = load_skew(args.theta)
     q = nctorus.q_theta(theta)
-    _emit(args, [str(q)], {"q_theta": q})
+    _emit(args, lambda: [str(q)], {"q_theta": q})
     return EXIT_OK
 
 
@@ -79,12 +81,8 @@ def cmd_normal_form(args) -> int:
         "blocks": _blocks(nf),
         "free_rank": nf.free_rank,
     }
-    human = [
-        "blocks: " + (" ".join(_blocks(nf)) or "(none)"),
-        f"free_rank: {nf.free_rank}",
-        "T:",
-    ] + _rows(nf.T)
-    _emit(args, human, rec)
+    _emit(args, lambda: ["blocks: " + (" ".join(rec["blocks"]) or "(none)"),
+                         f"free_rank: {nf.free_rank}", "T:", *_rows(nf.T)], rec)
     return EXIT_OK
 
 
@@ -96,10 +94,10 @@ def cmd_iso(args) -> int:
     d = nctorus.iso_decide(p1, p2)
     if d.is_iso:
         rec = {"isomorphic": True, "T": dump_matrix(d.T), "shift": dump_matrix(d.shift)}
-        human = ["isomorphic", "T:", *_rows(d.T), "shift:", *_rows(d.shift)]
-        _emit(args, human, rec)
+        _emit(args, lambda: ["isomorphic", "T:", *_rows(d.T), "shift:", *_rows(d.shift)],
+              rec)
         return EXIT_OK
-    _emit(args, ["not isomorphic"], {"isomorphic": False})
+    _emit(args, lambda: ["not isomorphic"], {"isomorphic": False})
     return EXIT_NEGATIVE
 
 
@@ -107,11 +105,11 @@ def cmd_twist(args) -> int:
     e, o = bundles.X_bundle(args.q, args.a), _orientation(args)
     if args.method == "clutching":
         value = o.sign * autofactor.clutching_twist(autofactor.factor_from(args.q, args.a))
-        _emit(args, ["# method=clutching", str(value)],
+        _emit(args, lambda: ["# method=clutching", str(value)],
               {"twist": value, "method": "clutching"})
     else:
         value = bundles.twist(e, o)
-        _emit(args, [str(value)], {"twist": value, "method": "exact"})
+        _emit(args, lambda: [str(value)], {"twist": value, "method": "exact"})
     return EXIT_OK
 
 
@@ -119,34 +117,32 @@ def cmd_omega(args) -> int:
     o = _orientation(args)
     if args.method == "clutching":
         value = autofactor.clutching_omega(autofactor.factor_from(args.q, args.a)) ** o.sign
-        _emit(args, ["# method=clutching", str(value)],
+        _emit(args, lambda: ["# method=clutching", str(value)],
               {"omega": str(value), "method": "clutching"})
     else:
         value = bundles.omega(bundles.endo(bundles.X_bundle(args.q, args.a)), o)
-        _emit(args, [str(value)], {"omega": str(value), "method": "exact"})
+        _emit(args, lambda: [str(value)], {"omega": str(value), "method": "exact"})
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    mat = load_matrix(args.form)
-    if any(x.denominator != 1 for row in mat for x in row):
+    mat, d = load_matrix(args.form)
+    if d != 1:
         raise MatrixFormatError("bundle class forms must have integer entries")
-    mat = IntMatrix(mat)
     try:
         if args.kind == "vector":
             cls = bundles.classify_projflat(args.n, args.q, AltFormZ(mat))
-            rec = dump_vector_class(cls)
-            human = [f"vector class: n={cls.n} rank={cls.rank}", "c1:",
-                     *_rows(cls.c1.mat)]
         else:
-            beta = AltFormModQ(mat, args.q)
-            cls = bundles.MatrixBundleClass(args.n, args.q, beta)
-            rec = dump_matrix_class(cls)
-            human = [f"matrix class: n={cls.n} size={cls.size}",
-                     f"beta (mod {args.q}):", *_rows(cls.beta.mat)]
+            cls = bundles.MatrixBundleClass(args.n, args.q, AltFormModQ(mat, args.q))
     except ValueError as exc:
         raise MatrixFormatError(str(exc)) from exc
-    _emit(args, human, rec)
+    if args.kind == "vector":
+        _emit(args, lambda: [f"vector class: n={cls.n} rank={cls.rank}", "c1:",
+                             *_rows(cls.c1.mat)], dump_vector_class(cls))
+    else:
+        _emit(args, lambda: [f"matrix class: n={cls.n} size={cls.size}",
+                             f"beta (mod {args.q}):", *_rows(cls.beta.mat)],
+              dump_matrix_class(cls))
     return EXIT_OK
 
 
@@ -159,8 +155,7 @@ def cmd_cocycle_check(args) -> int:
         "factor": [{"gamma": list(g), "perm": perm, "phases": phases}
                    for g, perm, phases in factor.records()],
     }
-    human = [f"violations: {len(violations)}/{args.trials}"]
-    _emit(args, human, rec)
+    _emit(args, lambda: [f"violations: {len(violations)}/{args.trials}"], rec)
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
 
@@ -176,12 +171,10 @@ def cmd_rep(args) -> int:
             for i, perm, phases in rep.records()
         ],
     }
-    human = [f"dim: {rep.dim}",
-             "blocks: " + (" ".join(_blocks(nf)) or "(none)")]
-    for i, perm, phases in rep.records():
-        human.append(f"U{i}: perm={','.join(map(str, perm))} "
-                     f"phases={','.join(phases)}")
-    _emit(args, human, rec)
+    _emit(args, lambda: [f"dim: {rep.dim}", "blocks: " + (" ".join(rec["blocks"]) or "(none)"),
+                         *(f"U{g['index']}: perm={','.join(map(str, g['perm']))} "
+                           f"phases={','.join(g['phases'])}" for g in rec["generators"])],
+          rec)
     return EXIT_OK
 
 
@@ -207,13 +200,11 @@ def cmd_table(args) -> int:
     distinct = len(set(classes))  # isomorphic matrix classes are equal records
     rec = {"q": q, "rows": rows, "distinct_matrix_classes": distinct,
            "total_rows": len(rows)}
-    human = [f"q={q}  a={a_lo}..{a_hi}",
-             "a\tc1(e1,e2)\ttwist\tbeta(e1,e2)\tomega"]
-    for r in rows:
-        human.append(f"{r['a']}\t{r['c1_pairing']}\t{r['twist']}"
-                     f"\t{r['beta_pairing']}\t{r['omega']}")
-    human.append(f"pairwise non-isomorphic matrix classes: {distinct}/{len(rows)}")
-    _emit(args, human, rec)
+    _emit(args, lambda: [
+        f"q={q}  a={a_lo}..{a_hi}", "a\tc1(e1,e2)\ttwist\tbeta(e1,e2)\tomega",
+        *(f"{r['a']}\t{r['c1_pairing']}\t{r['twist']}\t{r['beta_pairing']}\t{r['omega']}"
+          for r in rows),
+        f"pairwise non-isomorphic matrix classes: {distinct}/{len(rows)}"], rec)
     return EXIT_OK
 
 

@@ -16,13 +16,15 @@ IntMatrix is the only matrix class: its entries and a scale factor are
 exact integers, a matrix of all ints skips the conversion, and one built by
 the library's own arithmetic skips every check (`_int_matrix`).  A rational
 matrix is stored as integer numerators over its least common denominator,
-in lowest terms; `_lowest_terms` is the one place that builds this format
-from ints and Fractions.  A skew form is S / ell that way, so its
-congruences and reductions are integer operations.  The Smith form returns
-its invariant factors and tracks no transform, and both inverses use one
-fraction-free Gauss-Jordan pass for the determinant and the adjugate.  The
-lift mod ell to GL(n, Z) is one elimination pass to a diagonal of units mod
-ell, then closed-form det-1 blocks that push the units down the diagonal.
+in lowest terms; `_lowest_terms` is the one place that builds this format,
+from ints and Fractions or from integer numerators over a common
+denominator (as `textio` reads a matrix).  A skew form is S / ell that
+way, so its congruences and reductions are integer operations.  The Smith
+form returns its invariant factors and tracks no transform, and both
+inverses use one fraction-free Gauss-Jordan pass for the determinant and
+the adjugate.  The lift mod ell to GL(n, Z) is one elimination pass to a
+diagonal of units mod ell, then closed-form det-1 blocks that push the
+units down the diagonal.
 """
 
 from __future__ import annotations

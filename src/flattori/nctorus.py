@@ -215,7 +215,8 @@ def iso_decide(p1: NCTorusParams, p2: NCTorusParams) -> IsoDecision:
         rows1[k + t] = [r * x % ell for x in rows1[k + t]]
         R = R * r % ell
     i = k if 2 * k == n else 2 * k
-    rows1[i] = [eps * pow(R, -1, ell) * x % ell for x in rows1[i]]
+    u = eps * pow(R, -1, ell)
+    rows1[i] = [u * x % ell for x in rows1[i]]
     g = inverse_mod(_int_matrix(rows2), ell) @ _int_matrix(rows1).mod(ell)  # read mod ell
     return _verified(theta, theta2, lift_unimodular_mod(g, ell))
 

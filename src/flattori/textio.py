@@ -3,21 +3,23 @@
 A matrix is one JSON object with fields `n` (rows), `m` (cols) and `entries`,
 an array of arrays of strings; each string is an integer or `p/q` literal.
 Non-reduced fractions are accepted and silently reduced; anything else is a
-parse error.  A parsed matrix is a tuple of rows of Fractions, which
-`SkewRatForm` or `IntMatrix` takes as it is; only integer matrices are
-written.  Roots of unity serialize as the string `c/q`.
+parse error.  One ASCII match reads each literal as integers p and q >= 1,
+and a matrix is read as the library's one format for rational matrices:
+integer numerators N over the least common denominator d, in lowest terms
+(`exact_linalg._lowest_terms`), which `SkewRatForm` takes as it is.  Only
+integer matrices are written.  Roots of unity serialize as the string `c/q`.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
+from math import lcm
 
-from .exact_linalg import IntMatrix, SkewRatForm
+from .exact_linalg import IntMatrix, SkewRatForm, _int_matrix, _lowest_terms
 
 _INTEGER_RE = re.compile(r"-?\d+", re.ASCII)
-_RATIONAL_RE = re.compile(_INTEGER_RE.pattern + r"(?:/\d+)?", re.ASCII)
+_RATIONAL_RE = re.compile(f"({_INTEGER_RE.pattern})" + r"(?:/(\d+))?", re.ASCII)
 
 
 class MatrixFormatError(ValueError):
@@ -31,18 +33,20 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+def _literal(text) -> tuple:
+    """(p, q), q >= 1, of an integer or p/q literal."""
+    match = isinstance(text, str) and _RATIONAL_RE.fullmatch(text)
+    if not match:
         raise MatrixFormatError(f"malformed rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise MatrixFormatError(f"zero denominator in literal: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    p, q = match.groups()
+    q = 1 if q is None else int(q)
+    if not q:
+        raise MatrixFormatError(f"zero denominator in literal: {text!r}")
+    return int(p), q
 
 
 def parse_matrix(obj) -> tuple:
+    """(N, d): integer numerators N over the least common denominator d."""
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix object expected")
     try:
@@ -56,11 +60,13 @@ def parse_matrix(obj) -> tuple:
         raise MatrixFormatError("entries shape does not match n x m")
     if rows < 1 or cols < 1:
         raise MatrixFormatError("matrix dimensions must be positive")
-    return tuple(tuple(parse_rational(x) for x in row) for row in entries)
+    pairs = [[_literal(x) for x in row] for row in entries]
+    d = lcm(*(q for row in pairs for _, q in row))
+    return _lowest_terms(_int_matrix([[p * (d // q) for p, q in row] for row in pairs]), d)
 
 
 def load_matrix(source: str) -> tuple:
-    """Parse a matrix from inline JSON (starts with '{') or from a file path."""
+    """Parse (N, d) from inline JSON (starts with '{') or from a file path."""
     text = source
     if not source.lstrip().startswith("{"):
         with open(source, "r", encoding="ascii") as fh:
@@ -73,9 +79,9 @@ def load_matrix(source: str) -> tuple:
 
 
 def load_skew(source: str) -> SkewRatForm:
-    m = load_matrix(source)
+    N, d = load_matrix(source)
     try:
-        return SkewRatForm(m)
+        return SkewRatForm(N, d)
     except ValueError as exc:
         raise MatrixFormatError(str(exc)) from exc
 

@@ -38,7 +38,9 @@ ratio.
 `FractionPhase` is the Fraction-valued affine phase and `RatMatrix` the
 Fraction-valued matrix that the library replaced by integer numerators
 over one denominator; `fraction_matrix` reads a skew form as such a
-matrix.  `fraction_congruence`, `fraction_frac` and
+matrix, and `parse_rational` reads a text literal into a Fraction where
+the library reads integer numerators over one denominator.
+`fraction_congruence`, `fraction_frac` and
 `fraction_scaled_int` are the Fraction-matrix skew form operations the
 library replaced by integer numerators over one denominator, and
 `fraction_radical_index` the cleared-denominator radical of a Fraction
@@ -79,6 +81,7 @@ import cmath
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -99,6 +102,7 @@ from flattori.exact_linalg import (
 )
 from flattori.nctorus import NCTorusParams, iso_decide, q_theta
 from flattori.projrep import ProjectiveRep
+from flattori.textio import MatrixFormatError
 
 
 def _dets_vectorized(G):
@@ -199,6 +203,21 @@ class RatMatrix:
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.entries for x in row)
+
+
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or p/q text literal as a Fraction."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+        raise MatrixFormatError(f"malformed rational literal: {text!r}")
+    if "/" in text:
+        num, den = text.split("/")
+        if int(den) == 0:
+            raise MatrixFormatError(f"zero denominator in literal: {text!r}")
+        return Fraction(int(num), int(den))
+    return Fraction(int(text))
 
 
 def fraction_matrix(theta):

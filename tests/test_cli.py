@@ -12,18 +12,11 @@ import pytest
 import flattori
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
 from flattori.cli import run
-from flattori.exact_linalg import SkewRatForm
+from flattori.exact_linalg import IntMatrix, SkewRatForm, _lowest_terms
 from flattori.nctorus import q_theta
 from flattori.projrep import REP_DIM_LIMIT
-from flattori.textio import (
-    MatrixFormatError,
-    dump_matrix,
-    load_matrix,
-    load_skew,
-    parse_rational,
-)
-from flattori.exact_linalg import IntMatrix
-from oracles import RatMatrix
+from flattori.textio import MatrixFormatError, dump_matrix, load_matrix, load_skew
+from oracles import RatMatrix, parse_rational
 
 THETA_13 = '{"n":2,"m":2,"entries":[["0","1/3"],["-1/3","0"]]}'
 THETA_23 = '{"n":2,"m":2,"entries":[["0","2/3"],["-2/3","0"]]}'
@@ -36,21 +29,73 @@ def invoke(capsys, *argv):
     return code, out.out, out.err
 
 
+def _one_entry(entry) -> str:
+    """A 1 x 1 matrix holding the JSON value entry."""
+    return json.dumps({"n": 1, "m": 1, "entries": [[entry]]})
+
+
+# each is refused by the library's reader and by the Fraction reference
+BAD_LITERALS = ("1.5", "a", "1/ 2", "--3", "1/0", "", "2\n", "1/3\n", "\u0663",
+                "+1", "1/-2", " 1", "1/00", 1, 1.5, None)
+
+
 def test_parse_rational():
     assert parse_rational("-1/3") == -parse_rational("1/3")
     assert parse_rational("4/6") == parse_rational("2/3")  # silently reduced
     assert parse_rational("7") == 7
-    for bad in ("1.5", "a", "1/ 2", "--3", "1/0", "", "2\n", "1/3\n", "\u0663"):
+    for bad in BAD_LITERALS:
+        with pytest.raises(MatrixFormatError):
+            load_matrix(_one_entry(bad))
         with pytest.raises(MatrixFormatError):
             parse_rational(bad)
 
 
+def test_malformed_literals_exit_2(capsys):
+    for bad in BAD_LITERALS:
+        theta = json.dumps({"n": 2, "m": 2, "entries": [["0", bad], ["0", "0"]]})
+        for argv in (("q-theta", "--theta", theta),
+                     ("classify", "--kind", "vector", "--n", "2", "--q", "2", "--form", theta)):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, ""), (bad, argv)
+            assert err.startswith("error: ") and "literal" in err, (bad, err)
+
+
+def _random_literal(rng) -> str:
+    """An integer or p/q literal: reduced or not, negative, zero, multi-digit."""
+    num = rng.choice((0, rng.randint(-9, 9), rng.randint(-10 ** 12, 10 ** 12)))
+    if rng.random() < 0.3:
+        return str(num)
+    den = rng.choice((1, rng.randint(1, 12), rng.randint(1, 10 ** 9)))
+    scale = rng.choice((1, 1, rng.randint(2, 50)))
+    sign = "-" if num == 0 and rng.random() < 0.2 else ""
+    return f"{sign}{num * scale}/{den * scale}"
+
+
+def test_matrix_reader_matches_the_fraction_reference():
+    # the library's (N, d) equals _lowest_terms of the reference Fractions
+    rng = random.Random(3202)
+    for trial in range(600):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[_random_literal(rng) for _ in range(cols)] for _ in range(rows)]
+        if trial % 7 == 0:
+            entries = [["0"] * cols for _ in range(rows)]
+        N, d = load_matrix(json.dumps({"n": rows, "m": cols, "entries": entries}))
+        assert type(d) is int and all(type(x) is int for row in N.entries for x in row)
+        assert (N, d) == _lowest_terms([[parse_rational(x) for x in row] for row in entries])
+
+
+def _fractions(N, d) -> RatMatrix:
+    """The rational matrix N / d."""
+    return RatMatrix(N).scale(Fraction(1, d))
+
+
 def test_matrix_round_trip():
     m = IntMatrix([[1, -3], [0, 17]])
-    assert load_matrix(json.dumps(dump_matrix(m))) == m.entries
+    assert load_matrix(json.dumps(dump_matrix(m))) == (m, 1)
     got = load_matrix('{"n":2,"m":2,"entries":[["2/4","-3"],["0","14/10"]]}')
-    assert got == ((Fraction(1, 2), -3), (0, Fraction(7, 5)))
-    assert all(type(x) is Fraction for row in got for x in row)
+    assert _fractions(*got) == ((Fraction(1, 2), -3), (0, Fraction(7, 5)))
+    assert got == (IntMatrix([[5, -30], [0, 14]]), 10)
+    assert type(got[1]) is int and all(type(x) is int for row in got[0].entries for x in row)
     for bad in ('{"n":0,"m":0,"entries":[]}', '{"n":1,"m":0,"entries":[[]]}'):
         with pytest.raises(MatrixFormatError, match="dimensions must be positive"):
             load_matrix(bad)
@@ -79,11 +124,11 @@ def test_iso_cli_positive(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["isomorphic"] is True
-    T = RatMatrix(load_matrix(json.dumps(rec["T"])))
-    shift = load_matrix(json.dumps(rec["shift"]))
+    T = _fractions(*load_matrix(json.dumps(rec["T"])))
+    shift = _fractions(*load_matrix(json.dumps(rec["shift"])))
     # verify the emitted certificate literally
-    theta = RatMatrix(load_matrix(THETA_13))
-    theta2 = load_matrix(THETA_23)
+    theta = _fractions(*load_matrix(THETA_13))
+    theta2 = _fractions(*load_matrix(THETA_23))
     lhs = T @ theta @ T.transpose() + shift
     assert lhs == theta2
 
