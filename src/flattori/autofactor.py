@@ -3,19 +3,19 @@ matrices.
 
 Matrix entries are phases e(l.x + c) with rational l and c, compared mod 1;
 products and inverses stay inside the class.  A phase is integer numerators
-over one common denominator in lowest terms, so its arithmetic is integer
-arithmetic and equal phases have equal fields (`.linear` and `.const` give
-the Fractions).  N^v of the rank-q factor is kept only as its integer word:
-a permutation plus one integer s-exponent l_j per column
-(`_rieffel_exponents`).  Everything about the factor reads that word.  The
-cocycle identity composes permutations and adds exponents, since an integer
-translate adds l_j u = 0 mod 1.  det N^v is the permutation's sign times
-e(s sum_j l_j).  The clutching loop N_{(0,1)}(s) has entries e(l_j s), so
-its determinant winds sum_j l_j times (clutching_twist) and the endpoint
-defect of its special-unitary lift is e(sum_j l_j / q) (clutching_omega).
-The l_j are integers by type, so the loop closes, N(s + 1) = N(s), with
-nothing to check.  A scalar factor's matrix l_j[i] - l_i[j] both checks its
-generators and is its Chern form.  No floating point.
+over one common denominator in lowest terms, so equal phases have equal
+fields.  N^v of the rank-q factor is kept only as its integer word, in
+closed form: with (t, r) = divmod(v, q), the rotation (q - r, ..., q - 1, 0,
+..., q - r - 1) and the s-exponents l_j, r copies of -a(t + 1) then q - r
+of -a t.  Everything about the factor reads that word.  The cocycle
+identity composes permutations and adds exponents (an integer translate adds
+l_j u = 0 mod 1), one verdict per distinct (v1, v2) as N_g depends on
+v = g[1] only; `check_cocycle` draws each entry as randint(-10, 10) does:
+getrandbits(5), redrawn while >= 21, minus 10.  det N^v is sign(perm)
+e(s sum_j l_j): the clutching loop N_{(0,1)}(s) winds sum_j l_j times
+(clutching_twist), its special-unitary lift has endpoint defect
+e(sum_j l_j / q) (clutching_omega).  A scalar factor's l_j[i] - l_i[j]
+checks its generators and is its Chern form.  No floating point.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product, repeat
 from math import gcd, lcm
 
 from .cohomology import AltFormZ, RootOfUnity
@@ -160,9 +161,9 @@ def _rieffel_exponents(q: int, a: int, v: int) -> tuple:
     """N^v as integers (q >= 1, a, v checked by the caller): column j goes to
     row perm[j] = (j - v) mod q with phase e(ls[j] s).  N is the cyclic q x q
     matrix of x = (s, t), ones on the superdiagonal, e(-a s) bottom-left, so
-    ls[j] is -a per pass of j, j - 1, ..., j - v + 1 through column 0."""
-    return (tuple([(j - v) % q for j in range(q)]),
-            tuple([-a * ((v + q - 1 - j) // q) for j in range(q)]))
+    ls[j] = -a (t + 1) for j < r and -a t for j >= r, (t, r) = divmod(v, q)."""
+    t, r = divmod(v, q)
+    return (*range(q - r, q), *range(q - r)), (-a * (t + 1),) * r + (-a * t,) * (q - r)
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,7 @@ class FactorOfAutomorphy:
     def __post_init__(self):
         object.__setattr__(self, "q", _positive(self.q, "q"))
         object.__setattr__(self, "a", _int(self.a))
-        if _violations(self, [(g1, g2) for g1 in ((1, 0), (0, 1), (1, 1))
-                              for g2 in ((1, 0), (0, 1), (-1, 1))]):
+        if _violations(self, product(((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1), (-1, 1)))):
             raise AssertionError("cocycle identity failed at construction")
 
     def records(self):
@@ -193,28 +193,28 @@ def factor_from(q: int, a: int) -> FactorOfAutomorphy:
 
 
 def _violations(F, pairs) -> list:
-    """The pairs (g1, g2) where N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails, on
-    _rieffel_exponents built once per v: N_g depends on g[1] only, and an integer
-    translate adds l g2[0] = 0 mod 1, so the product composes perms and adds ls."""
-    N = {v: _rieffel_exponents(F.q, F.a, v)
-         for v in {v for g1, g2 in pairs for v in (g1[1], g2[1], g1[1] + g2[1])}}
-    bad = []
+    """The pairs (g1, g2), in order and with repeats, where N_{g1+g2}(x) = N_{g1}(x+g2)
+    N_{g2}(x) fails: one verdict per (v1, v2) on words built once per v (module doc)."""
+    words, verdicts, bad = {}, {}, []
     for g1, g2 in pairs:
-        (p1, l1), (p2, l2) = N[g1[1]], N[g2[1]]
-        if N[g1[1] + g2[1]] != (tuple([p1[k] for k in p2]),
-                                tuple([l1[k] + l for k, l in zip(p2, l2)])):
+        v1, v2 = key = g1[1], g2[1]
+        if key not in verdicts:
+            for v in {v1, v2, v1 + v2} - words.keys():
+                words[v] = _rieffel_exponents(F.q, F.a, v)
+            (p1, l1), (p2, l2) = words[v1], words[v2]
+            verdicts[key] = words[v1 + v2] == (
+                tuple([p1[k] for k in p2]), tuple([l1[k] + l for k, l in zip(p2, l2)]))
+        if not verdicts[key]:
             bad.append((g1, g2))
     return bad
 
 
 def check_cocycle(F, trials: int, seed: int = 0):
-    """Verify the cocycle identity on `trials` >= 1 random pairs, entries drawn
-    as randint(-10, 10) draws them.  Returns the list of violating pairs."""
+    """The violating pairs among `trials` >= 1 streamed pairs ((u1, v1), (u2, v2)) of
+    randint(-10, 10) draws from Random(seed): getrandbits(5) until < 21, minus 10."""
     F, count = _instance(F, FactorOfAutomorphy), _positive(trials, "trials")
-    rng = random.Random(seed)
-    pairs = [tuple((rng.randrange(21) - 10, rng.randrange(21) - 10) for _ in range(2))
-             for _ in range(count)]
-    return _violations(F, pairs)
+    draws = (r - 10 for r in map(random.Random(_int(seed)).getrandbits, repeat(5)) if r < 21)
+    return _violations(F, islice(zip(zip(draws, draws), zip(draws, draws)), count))
 
 
 @dataclass(frozen=True, slots=True)

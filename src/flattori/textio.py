@@ -4,10 +4,10 @@ A matrix is one JSON object with fields `n` (rows), `m` (cols) and `entries`,
 an array of arrays of strings; each string is an integer or `p/q` literal.
 Non-reduced fractions are accepted and silently reduced; anything else is a
 parse error.  One ASCII match reads each literal as integers p and q >= 1,
-and a matrix is read as the library's one format for rational matrices:
-integer numerators N over the least common denominator d, in lowest terms
-(`exact_linalg._lowest_terms`), which `SkewRatForm` takes as it is.  Only
-integer matrices are written.  Roots of unity serialize as the string `c/q`.
+and a matrix as integer numerators over the lcm of its literal denominators,
+reduced once to lowest terms (`exact_linalg._lowest_terms`): by `load_matrix`
+to N over the least common denominator d, by `SkewRatForm` in `load_skew`.
+Only integer matrices are written.  Roots of unity serialize as `c/q`.
 """
 
 from __future__ import annotations
@@ -45,8 +45,16 @@ def _literal(text) -> tuple:
     return int(p), q
 
 
-def parse_matrix(obj) -> tuple:
-    """(N, d): integer numerators N over the least common denominator d."""
+def _numerators(source: str) -> tuple:
+    """Unreduced (M, d) of inline JSON (starts with '{') or of a file path."""
+    text = source
+    if not source.lstrip().startswith("{"):
+        with open(source, "r", encoding="ascii") as fh:
+            text = fh.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix object expected")
     try:
@@ -62,26 +70,18 @@ def parse_matrix(obj) -> tuple:
         raise MatrixFormatError("matrix dimensions must be positive")
     pairs = [[_literal(x) for x in row] for row in entries]
     d = lcm(*(q for row in pairs for _, q in row))
-    return _lowest_terms(_int_matrix([[p * (d // q) for p, q in row] for row in pairs]), d)
+    return _int_matrix([[p * (d // q) for p, q in row] for row in pairs]), d
 
 
 def load_matrix(source: str) -> tuple:
-    """Parse (N, d) from inline JSON (starts with '{') or from a file path."""
-    text = source
-    if not source.lstrip().startswith("{"):
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"invalid JSON: {exc}") from exc
-    return parse_matrix(obj)
+    """(N, d) in lowest terms, d the least common denominator."""
+    return _lowest_terms(*_numerators(source))
 
 
 def load_skew(source: str) -> SkewRatForm:
-    N, d = load_matrix(source)
+    M, d = _numerators(source)
     try:
-        return SkewRatForm(N, d)
+        return SkewRatForm(M, d)
     except ValueError as exc:
         raise MatrixFormatError(str(exc)) from exc
 

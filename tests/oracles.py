@@ -15,7 +15,10 @@ lift stepped one sample at a time, each snapped back to an exact value,
 where the library reads both from the loop's integer exponents.
 `matrix_violates` checks the factor-of-automorphy cocycle identity on
 built matrices, translated and multiplied, where the library composes the
-integer permutations and s-exponents they are built from.  `rieffel_N`
+integer permutations and s-exponents they are built from;
+`violations_per_pair` composes those words once per pair where the library
+gives one verdict per (v1, v2), and `column_exponents` builds each word
+column by column where the library writes it in closed form.  `rieffel_N`
 builds N^v as a matrix from that word and `literal_N` writes N entry by
 entry; `phase_translate`, `matrix_translate` and `matrix_det` are the
 translation and determinant of matrices that the library replaced by
@@ -1016,6 +1019,30 @@ def matrix_violates(value, g1, g2):
     (value maps gamma to N_gamma): the values, a translate and a product of
     generalized permutation-phase matrices."""
     return value((g1[0] + g2[0], g1[1] + g2[1])) != matrix_translate(value(g1), g2) @ value(g2)
+
+
+def column_exponents(q, a, v):
+    """The word of N^v column by column, as the library built it before its
+    closed form: perm[j] = (j - v) mod q and ls[j] = -a times the number of
+    passes of j, j - 1, ..., j - v + 1 through column 0."""
+    return (tuple([(j - v) % q for j in range(q)]),
+            tuple([-a * ((v + q - 1 - j) // q) for j in range(q)]))
+
+
+def violations_per_pair(F, pairs):
+    """The pairs (g1, g2) where N_{g1+g2}(x) = N_{g1}(x+g2) N_{g2}(x) fails,
+    one composition per pair, on the library's words
+    (`autofactor._rieffel_exponents`, read on each call) built once per v,
+    as the library checked before it gave one verdict per (v1, v2)."""
+    N = {v: autofactor._rieffel_exponents(F.q, F.a, v)
+         for v in {v for g1, g2 in pairs for v in (g1[1], g2[1], g1[1] + g2[1])}}
+    bad = []
+    for g1, g2 in pairs:
+        (p1, l1), (p2, l2) = N[g1[1]], N[g2[1]]
+        if N[g1[1] + g2[1]] != (tuple([p1[k] for k in p2]),
+                                tuple([l1[k] + l for k, l in zip(p2, l2)])):
+            bad.append((g1, g2))
+    return bad
 
 
 def matrix_commutation_holds(gens, chi):

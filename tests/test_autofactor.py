@@ -1,5 +1,8 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -313,6 +316,80 @@ def test_exponents_built_once_per_distinct_v(monkeypatch):
     assert check_cocycle(F, 500, seed=3) == []
     assert sorted(calls) == sorted({v for g1, g2 in pairs
                                     for v in (g1[1], g2[1], g1[1] + g2[1])})
+
+
+def test_closed_form_words_match_the_column_reference():
+    for q in range(1, 13):
+        for a in range(-9, 10):
+            for v in range(-40, 41):
+                assert autofactor._rieffel_exponents(q, a, v) == oracles.column_exponents(q, a, v)
+
+
+def _pair_lists(rng):
+    # pair lists with many repeated (v1, v2): the u entries vary freely, the
+    # v entries come from a small set, and some pairs are repeated outright
+    for size in (1, 9, 60, 300):
+        vs = [rng.randint(-12, 12) for _ in range(rng.randint(1, 4))]
+        pairs = [((rng.randint(-10, 10), rng.choice(vs)), (rng.randint(-10, 10), rng.choice(vs)))
+                 for _ in range(size)]
+        yield pairs + rng.sample(pairs, min(size, 7))
+
+
+def test_violations_match_the_per_pair_reference(monkeypatch):
+    # one verdict per (v1, v2) returns the pairs that one composition per
+    # pair returns, in order and with repeats, on clean and corrupted words
+    rng = random.Random(33)
+    for q in range(1, 9):
+        for a in (-7, -1, 0, 2, 5):
+            F = factor_from(q, a)
+            for pairs in _pair_lists(rng):
+                assert autofactor._violations(F, pairs) == oracles.violations_per_pair(F, pairs) == []
+    exponents = autofactor._rieffel_exponents
+    for corruption in (_shift_odd, _swap_odd):
+        for q, a in ((2, 1), (3, -2), (5, 4), (8, 7)):
+            F = factor_from(q, a)
+            monkeypatch.setattr(autofactor, "_rieffel_exponents", corruption(exponents))
+            flagged = 0
+            for pairs in _pair_lists(rng):
+                bad = autofactor._violations(F, pairs)
+                assert bad == oracles.violations_per_pair(F, pairs), (corruption, q, a)
+                flagged += len(bad)
+            assert flagged
+            monkeypatch.setattr(autofactor, "_rieffel_exponents", exponents)
+
+
+def test_check_cocycle_pairs_match_randint_over_the_seed_range(monkeypatch):
+    # every exponent shifted by 1 makes every pair a violation, so
+    # check_cocycle returns all its pairs: randint's, for seeds across the
+    # benchmark's range [0, 2**31 - 1]
+    exponents = autofactor._rieffel_exponents
+    F = factor_from(3, -2)
+    monkeypatch.setattr(autofactor, "_rieffel_exponents", lambda q, a, v: (
+        exponents(q, a, v)[0], tuple(l + 1 for l in exponents(q, a, v)[1])))
+    rng = random.Random(2 ** 31 - 1)
+    for seed in (0, 1, 2 ** 31 - 1, *(rng.randrange(2 ** 31) for _ in range(40))):
+        for trials in (1, 20, 300):
+            draw = random.Random(seed).randint
+            assert check_cocycle(F, trials, seed=seed) == [
+                ((draw(-10, 10), draw(-10, 10)), (draw(-10, 10), draw(-10, 10)))
+                for _ in range(trials)], (seed, trials)
+
+
+def test_check_cocycle_memory_does_not_grow_with_trials():
+    # the pairs are streamed: only verdicts per (v1, v2) and words per v are
+    # kept, so 300000 trials need no list of 300000 pairs
+    src = os.path.dirname(os.path.dirname(autofactor.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import resource\n"
+            "from flattori.autofactor import check_cocycle, factor_from\n"
+            "F = factor_from(4, 3)\n"
+            "assert check_cocycle(F, 1000) == []\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert check_cocycle(F, 300000, seed=7) == []\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 * 1024, f"ru_maxrss grew by {proc.stdout.strip()} KiB"
 
 
 @pytest.mark.parametrize("trials", [0, -4, False, 2.5, 3.0, "3", None])

@@ -104,6 +104,7 @@ INTEGERS = {
     "factor_from q": lambda x: factor_from(x, 1),
     "factor_from a": lambda x: factor_from(2, x),
     "check_cocycle trials": lambda x: check_cocycle(F, x),
+    "check_cocycle seed": lambda x: check_cocycle(F, 3, seed=x),
     "CycElt L": lambda x: CycElt(x, (1, 0)),
     "CycElt.zero": CycElt.zero,
     "cyclotomic_polynomial": cyclotomic_polynomial,
