@@ -16,7 +16,6 @@ from .bundles import (
     MatrixBundleClass,
     VectorBundleClass,
     X_bundle,
-    classify_projflat,
     endo,
     omega,
     twist,

@@ -28,7 +28,8 @@ from itertools import islice, product, repeat
 from math import gcd, lcm
 
 from .cohomology import AltFormZ, RootOfUnity
-from .exact_linalg import _instance, _int, _ints, _positive, _rational, _row_tuples, _tuple
+from .exact_linalg import (_instance, _int, _int_matrix, _ints, _positive, _rational,
+                           _row_tuples, _tuple)
 
 @dataclass(frozen=True, slots=True)
 class AffinePhase:
@@ -226,35 +227,32 @@ class ScalarFactor:
     row i and constant consts[i] (mod 1; sign characters appear as halves).
     Values on all of Z^n follow from the cocycle recursion
     f_{gamma+e}(x) = f_gamma(x+e) + f_e(x), so the generators fix it.
+    c1 is its Chern form, the coherence matrix of the generators.
     """
 
     n: int
     phases: tuple
+    c1: AltFormZ
 
     def __init__(self, xcoeff, consts):
         rows, consts = _row_tuples(xcoeff), _tuple(consts)
         n = len(rows)
-        if any(len(row) != n for row in rows) or len(consts) != n:
-            raise ValueError("generator data must be square")
+        if not n or any(len(row) != n for row in rows) or len(consts) != n:
+            raise ValueError("generator data must be square and non-empty")
         _store_scalar(self, tuple(AffinePhase(row, c) for row, c in zip(rows, consts)))
 
 
-def _coherence_matrix(phases) -> list:
-    """The matrix c(e_i, e_j) = l_j[i] - l_i[j] of the x-coefficients l_i of
-    the generator phases, as integers.  The family exists iff every entry is
-    an integer, so a fractional entry raises."""
+def _store_scalar(f: ScalarFactor, phases: tuple) -> ScalarFactor:
+    """Set the generator phases of f and its Chern form, the matrix
+    c(e_i, e_j) = l_j[i] - l_i[j] of their x-coefficients l_i.  The family
+    exists iff every entry is an integer, so a fractional entry raises."""
     mat = [[divmod(pj.nums[i] * pi.den - pi.nums[j] * pj.den, pi.den * pj.den)
             for j, pj in enumerate(phases)] for i, pi in enumerate(phases)]
     if any(r for row in mat for _, r in row):
         raise ValueError("generator exponents are not coherent")
-    return [[c for c, _ in row] for row in mat]
-
-
-def _store_scalar(f: ScalarFactor, phases: tuple) -> ScalarFactor:
-    """Set the generator phases of f, after the coherence check."""
-    _coherence_matrix(phases)
     object.__setattr__(f, "n", len(phases))
     object.__setattr__(f, "phases", phases)
+    object.__setattr__(f, "c1", AltFormZ(_int_matrix([[c for c, _ in row] for row in mat])))
     return f
 
 
@@ -274,8 +272,9 @@ def mumford_c1(f: ScalarFactor) -> AltFormZ:
     """First Chern class of the line bundle of a scalar factor: the form
     (g1, g2) -> (f_{g2}(x+g1) - f_{g2}(x)) - (f_{g1}(x+g2) - f_{g1}(x)),
     bilinear and, since translating f_{e_j} by e_i adds l_j[i] for every x,
-    the coherence matrix l_j[i] - l_i[j] on the generators."""
-    return AltFormZ(_coherence_matrix(_instance(f, ScalarFactor).phases))
+    the coherence matrix l_j[i] - l_i[j] on the generators, which the
+    factor stores as c1."""
+    return _instance(f, ScalarFactor).c1
 
 
 def clutching_twist(F: FactorOfAutomorphy) -> int:

@@ -1,17 +1,20 @@
 """Classification layer for projectively flat vector bundles and flat
 matrix-algebra bundles on tori.
 
-Classes are represented purely by their classifying invariants (base
-dimension, rank/size, and the degree-2 class), so two classes are
-isomorphic exactly when the frozen records are equal; total spaces never
-appear here -- the autofactor module holds concrete factor-of-automorphy
-models whose exact clutching twist and omega are an independent route to
-the same invariants.
+A class is its classifying invariants: (q, c1) for a vector class and
+beta in H^2(T^n, mu_q) for a matrix class.  The base dimension n, and the
+matrix size q, are read off the form, so they cannot disagree with it; a
+form that does not match a stated n comes only from outside the program,
+and the CLI checks `--n` itself.  Two classes are isomorphic exactly when
+the frozen records are equal; total spaces never appear here -- the
+autofactor module holds concrete factor-of-automorphy models whose exact
+clutching twist and omega are an independent route to the same
+invariants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cohomology import (
     STANDARD,
@@ -29,42 +32,29 @@ from .exact_linalg import _instance, _int, _positive
 @dataclass(frozen=True, slots=True)
 class VectorBundleClass:
     """Isomorphism class of a projectively flat rank-q bundle on T^n,
-    determined by (n, q, c1)."""
+    determined by (q, c1); n is read off c1."""
 
-    n: int
     rank: int
     c1: AltFormZ
+    n: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _int(self.n))
         object.__setattr__(self, "rank", _positive(self.rank, "rank"))
-        if _instance(self.c1, AltFormZ).n != self.n:
-            raise ValueError("first Chern class lives on the wrong torus")
+        object.__setattr__(self, "n", _instance(self.c1, AltFormZ).n)
 
 
 @dataclass(frozen=True, slots=True)
 class MatrixBundleClass:
-    """Isomorphism class of a flat q x q matrix bundle on T^n,
-    determined by (n, q, beta)."""
+    """Isomorphism class of a flat q x q matrix bundle on T^n, determined by
+    beta; n and the size q are read off beta."""
 
-    n: int
-    size: int
     beta: AltFormModQ
+    n: int = field(init=False)
+    size: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _int(self.n))
-        object.__setattr__(self, "size", _positive(self.size, "size"))
-        if _instance(self.beta, AltFormModQ).modulus != self.size:
-            raise ValueError("beta modulus must equal the matrix size")
-        if self.beta.n != self.n:
-            raise ValueError("beta lives on the wrong torus")
-
-
-def classify_projflat(n: int, q: int, c: AltFormZ) -> VectorBundleClass:
-    """The projectively flat class with invariants (n, q, c): the record
-    that classifies such a bundle when one exists.  It checks the shape of
-    (n, q, c) only and does not decide whether a bundle realizes c."""
-    return VectorBundleClass(n, q, c)
+        object.__setattr__(self, "n", _instance(self.beta, AltFormModQ).n)
+        object.__setattr__(self, "size", self.beta.modulus)
 
 
 def endo(e: VectorBundleClass) -> MatrixBundleClass:
@@ -72,14 +62,14 @@ def endo(e: VectorBundleClass) -> MatrixBundleClass:
     End E1 = End E2 exactly when the rank q divides c1(E2) - c1(E1), that
     is when E2 = E1 (x) L for a line bundle L."""
     e = _instance(e, VectorBundleClass)
-    return MatrixBundleClass(e.n, e.rank, beta_reduce(e.c1, e.rank))
+    return MatrixBundleClass(beta_reduce(e.c1, e.rank))
 
 
 def X_bundle(q: int, a: int) -> VectorBundleClass:
     """The rank-q bundle on T^2 with c1(e1, e2) = -a (twist -a); the class
     refuses q < 1."""
     a = _int(a)
-    return VectorBundleClass(2, q, AltFormZ([[0, -a], [a, 0]]))
+    return VectorBundleClass(q, AltFormZ([[0, -a], [a, 0]]))
 
 
 def twist(e: VectorBundleClass, o: Orientation2 = STANDARD) -> int:

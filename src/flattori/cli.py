@@ -4,6 +4,10 @@ Every subcommand delegates to the library operation of the same name.  The
 text protocol is exact: integers and p/q literals only, ASCII only, and
 identical invocations produce byte-identical output.  Integer options are
 ASCII decimal literals (`textio.parse_int`).  Floating point appears nowhere.
+The CLI checks its own options before the library sees them: every option
+that must be >= 1 (`--q`, `--n`, `--m`, `--m-prime`, `--trials`) is read by
+`_positive_int`, so its error names the option, and `classify` refuses a
+form whose size is not `--n`, since a class reads n off its form.
 Each subcommand passes `_emit` its record and a function that builds its
 human lines, so those lines are built only for `--format human`.
 `twist`/`omega --method clutching` read the concrete clutching loop of the
@@ -129,17 +133,14 @@ def cmd_classify(args) -> int:
     mat, d = load_matrix(args.form)
     if d != 1:
         raise MatrixFormatError("bundle class forms must have integer entries")
-    try:
-        if args.kind == "vector":
-            cls = bundles.classify_projflat(args.n, args.q, AltFormZ(mat))
-        else:
-            cls = bundles.MatrixBundleClass(args.n, args.q, AltFormModQ(mat, args.q))
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc)) from exc
+    if mat.rows != args.n:
+        raise ValueError(f"--n {args.n} does not match the {mat.rows} x {mat.cols} form")
     if args.kind == "vector":
+        cls = bundles.VectorBundleClass(args.q, AltFormZ(mat))
         _emit(args, lambda: [f"vector class: n={cls.n} rank={cls.rank}", "c1:",
                              *_rows(cls.c1.mat)], dump_vector_class(cls))
     else:
+        cls = bundles.MatrixBundleClass(AltFormModQ(mat, args.q))
         _emit(args, lambda: [f"matrix class: n={cls.n} size={cls.size}",
                              f"beta (mod {args.q}):", *_rows(cls.beta.mat)],
               dump_matrix_class(cls))
@@ -246,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso", help="decide isomorphism of two torus algebras")
     p.add_argument("--theta", required=True)
     p.add_argument("--theta-prime", required=True)
-    p.add_argument("--m", type=_integer, default=1)
-    p.add_argument("--m-prime", type=_integer, default=1)
+    p.add_argument("--m", type=_positive_int, default=1)
+    p.add_argument("--m-prime", type=_positive_int, default=1)
     p.set_defaults(func=cmd_iso)
 
     for name, fn in (("twist", cmd_twist), ("omega", cmd_omega)):
         p = sub.add_parser(name, help=f"{name} of the standard rank-q bundle family")
-        p.add_argument("--q", type=_integer, required=True)
+        p.add_argument("--q", type=_positive_int, required=True)
         p.add_argument("--a", type=_integer, required=True)
         p.add_argument("--method", choices=("exact", "clutching"), default="exact")
         p.add_argument("--reversed-orientation", action="store_true")
@@ -260,13 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="canonical bundle class record")
     p.add_argument("--kind", choices=("vector", "matrix"), required=True)
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--q", type=_integer, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--form", required=True)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("cocycle-check", help="verify the factor-of-automorphy identity")
-    p.add_argument("--q", type=_integer, required=True)
+    p.add_argument("--q", type=_positive_int, required=True)
     p.add_argument("--a", type=_integer, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=_integer, default=0)

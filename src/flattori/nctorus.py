@@ -51,7 +51,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 
-from .bundles import classify_projflat, endo
+from .bundles import VectorBundleClass, endo
 from .cohomology import AltFormZ
 from .exact_linalg import (
     IntMatrix,
@@ -152,7 +152,7 @@ def bundle_of(theta: SkewRatForm):
     representation `clock_shift_rep(theta, normal_form(theta))`, whose
     dimension is the rank."""
     rep = clock_shift_rep(theta, normal_form(theta))
-    vector = classify_projflat(theta.n, rep.dim, AltFormZ(theta.scaled_int(rep.dim)))
+    vector = VectorBundleClass(rep.dim, AltFormZ(theta.scaled_int(rep.dim)))
     return vector, endo(vector), rep
 
 

@@ -92,7 +92,7 @@ import numpy as np
 
 from flattori import autofactor
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
-from flattori.bundles import classify_projflat, endo
+from flattori.bundles import VectorBundleClass, endo
 from flattori.cohomology import AltFormModQ, AltFormZ
 from flattori.cyclotomic import CycElt, cyclotomic_polynomial
 from flattori.exact_linalg import (
@@ -689,8 +689,8 @@ def iso_via_bundles(theta, theta2, m=1):
         q = q_theta(theta2)  # iso_decide has shown that aligned shares it
         if q % theta2.ell:
             raise AssertionError("q_theta * theta failed to be integral")
-        e1 = classify_projflat(theta.n, q, AltFormZ(aligned.scaled_int(q)))
-        e2 = classify_projflat(theta.n, q, AltFormZ(theta2.scaled_int(q)))
+        e1 = VectorBundleClass(q, AltFormZ(aligned.scaled_int(q)))
+        e2 = VectorBundleClass(q, AltFormZ(theta2.scaled_int(q)))
         if endo(e1) != endo(e2):
             raise AssertionError("aligned classes must differ by a line bundle")
     return decision

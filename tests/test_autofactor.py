@@ -415,10 +415,11 @@ def test_factor_from_rejects_inexact_or_small_q_with_messages():
     lambda: AffinePhase(3, 0),
     lambda: ScalarFactor([1], [0]),
     lambda: ScalarFactor([[1]], 0),
+    lambda: ScalarFactor([], []),
     lambda: GenPermPhaseMatrix([0], [0.5]),
     lambda: GenPermPhaseMatrix([0], 0.5),
     lambda: GenPermPhaseMatrix(0, [AffinePhase((), 0)]),
-], ids=["phase-linear-not-a-sequence", "scalar-rows-flat", "scalar-consts-not-a-sequence",
+], ids=["phase-linear-not-a-sequence", "scalar-rows-flat", "scalar-consts-not-a-sequence", "scalar-no-generators",
         "matrix-phase-not-a-phase", "matrix-phases-not-a-sequence", "matrix-perm-not-a-sequence"])
 def test_constructors_reject_malformed_input_with_value_error(build):
     with pytest.raises(ValueError):
@@ -486,6 +487,13 @@ def test_mumford_c1_matches_recursion():
         xcoeff = [[sym[i][j] + rng.randint(-3, 3) for j in range(n)] for i in range(n)]
         f = ScalarFactor(xcoeff, [rational() for _ in range(n)])
         assert mumford_c1(f) == oracles.mumford_c1_recursion(f), xcoeff
+
+
+def test_scalar_factor_keeps_its_chern_form():
+    for q in range(1, 10):
+        for a in range(-9, 10):
+            f = det_cocycle(factor_from(q, a))
+            assert f.c1 == mumford_c1(f) == AltFormZ([[0, -a], [a, 0]]), (q, a)
 
 
 def test_mumford_c1():

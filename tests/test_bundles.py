@@ -8,7 +8,6 @@ from flattori.bundles import (
     MatrixBundleClass,
     VectorBundleClass,
     X_bundle,
-    classify_projflat,
     endo,
     omega,
     twist,
@@ -30,13 +29,20 @@ ZERO2 = AltFormZ([[0, 0], [0, 0]])
 
 
 def test_classify_trivial_line():
-    e = classify_projflat(2, 1, ZERO2)
+    e = VectorBundleClass(1, ZERO2)
     assert e.rank == 1 and e.c1 == ZERO2
 
 
-def test_classify_shape_mismatch():
-    with pytest.raises(ValueError):
-        classify_projflat(3, 2, ZERO2)
+def test_classes_read_n_and_size_off_their_form():
+    rng = random.Random(34)
+    for _ in range(100):
+        n, q = rng.randint(1, 5), rng.randint(1, 7)
+        c = _random_form(rng, n)
+        assert VectorBundleClass(q, c).n == c.n == n
+        beta = beta_reduce(c, q)
+        a = MatrixBundleClass(beta)
+        assert (a.n, a.size) == (beta.n, beta.modulus) == (n, q)
+        assert endo(VectorBundleClass(q, c)) == a
 
 
 def test_X_bundle_invariants():
@@ -44,7 +50,7 @@ def test_X_bundle_invariants():
     assert e.rank == 3
     assert e.c1.mat[0][1] == -5
     assert twist(e) == -5
-    assert X_bundle(1, 0) == classify_projflat(2, 1, ZERO2)
+    assert X_bundle(1, 0) == VectorBundleClass(1, ZERO2)
     with pytest.raises(ValueError):
         X_bundle(0, 1)
 
@@ -87,8 +93,7 @@ def test_line_twist_iff_endo_iso():
         n, q = rng.randint(1, 4), rng.randint(1, 6)
         c, d = (_random_form(rng, n) for _ in range(2))
         twist_by_line = all(x % q == 0 for row in (d.mat - c.mat).entries for x in row)
-        assert (endo(classify_projflat(n, q, c)) == endo(classify_projflat(n, q, d))) \
-            == twist_by_line
+        assert (endo(VectorBundleClass(q, c)) == endo(VectorBundleClass(q, d))) == twist_by_line
 
 
 def _random_form(rng, n):
@@ -128,22 +133,21 @@ def test_desk_scale_bijectivity():
         assert pairings == list(range(q))
         for i in range(q):
             for j in range(i + 1, q):
-                assert MatrixBundleClass(2, q, betas[i]) != MatrixBundleClass(2, q, betas[j])
+                assert MatrixBundleClass(betas[i]) != MatrixBundleClass(betas[j])
 
 
 def test_flat_implies_trivial_shadow():
     # a class with vanishing c1 is the trivial class
     for q in (1, 2, 6):
-        e = classify_projflat(2, q, ZERO2)
+        e = VectorBundleClass(q, ZERO2)
         assert e == X_bundle(q, 0)
 
 
 def test_matrix_class_from_beta_directly():
     b = beta_reduce(AltFormZ([[0, 1], [-1, 0]]), 4)
-    a = MatrixBundleClass(2, 4, b)
-    assert a.size == 4
-    with pytest.raises(ValueError):
-        MatrixBundleClass(2, 5, b)
+    a = MatrixBundleClass(b)
+    assert (a.n, a.size) == (2, 4)
+    assert a == endo(X_bundle(4, -1)) and omega(a) == mu_q_image(1, 4)
 
 
 def test_integer_parameters_must_be_exact_integers():
@@ -151,9 +155,8 @@ def test_integer_parameters_must_be_exact_integers():
     c = AltFormZ([[0, -1], [1, 0]])
     beta = AltFormModQ([[0, 1], [-1, 0]], 2)
     theta = SkewRatForm([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
-    for build in (lambda: VectorBundleClass(2, 2.5, c), lambda: VectorBundleClass(2.0, 2, c),
-                  lambda: classify_projflat(2, 2.0, c), lambda: X_bundle(2.5, 1),
-                  lambda: MatrixBundleClass(2, 2.0, beta), lambda: MatrixBundleClass("2", 2, beta),
+    for build in (lambda: VectorBundleClass(2.5, c), lambda: VectorBundleClass(2.0, c),
+                  lambda: X_bundle(2.5, 1),
                   lambda: NCTorusParams(2, theta, 1.5), lambda: NCTorusParams(2.0, theta),
                   lambda: AltFormModQ([[0, 1], [-1, 0]], "2")):
         with pytest.raises(ValueError):
@@ -161,8 +164,8 @@ def test_integer_parameters_must_be_exact_integers():
     with pytest.raises(ValueError, match="not an integer index"):
         X_bundle(2, 2.5)
     # exact integers of other types are stored as ints
-    e = VectorBundleClass(np.int64(2), np.int64(3), c)
-    a = MatrixBundleClass(np.int64(2), np.int64(2), beta)
+    e = VectorBundleClass(np.int64(3), c)
+    a = MatrixBundleClass(AltFormModQ([[0, 1], [-1, 0]], np.int64(2)))
     p = NCTorusParams(np.int64(2), theta, np.int64(4))
     assert (type(e.n), type(e.rank), type(a.n), type(a.size), type(p.n), type(p.m)) == (int,) * 6
     assert AltFormModQ([[0, 1], [-1, 0]], np.int64(2)) == beta

@@ -447,6 +447,17 @@ def test_classify_cli_refuses_a_nonzero_diagonal_mod_q(capsys):
     assert (code, out, err) == (2, "", "error: matrix is not alternating mod q\n")
 
 
+def test_classify_cli_refuses_a_form_whose_size_is_not_n(capsys):
+    # a class reads n off its form, so the CLI checks --n against the form
+    form = '{"n":2,"m":2,"entries":[["0","-1"],["1","0"]]}'
+    for kind in ("vector", "matrix"):
+        for fmt in ("human", "records"):
+            code, out, err = invoke(capsys, "--format", fmt, "classify", "--kind", kind,
+                                    "--n", "3", "--q", "3", "--form", form)
+            assert (code, out) == (2, ""), (kind, fmt)
+            assert err == "error: --n 3 does not match the 2 x 2 form\n", (kind, fmt)
+
+
 def test_classify_cli_rejects_non_integer_forms(capsys):
     half = '{"n":2,"m":2,"entries":[["0","1/2"],["-1/2","0"]]}'
     for kind in ("vector", "matrix"):
@@ -474,6 +485,21 @@ def test_cocycle_check_cli(capsys):
     assert rec["factor"][1]["gamma"] == [0, 1]
     assert rec["factor"][1]["perm"] == [1, 0]
     assert rec["factor"][1]["phases"][0] == ["-1", "0", "0"]
+
+
+def test_options_that_must_be_positive_name_themselves(capsys):
+    form = '{"n":2,"m":2,"entries":[["0","-1"],["1","0"]]}'
+    cases = [(("twist", "--a", "1"), "--q"), (("omega", "--a", "1"), "--q"),
+             (("classify", "--kind", "matrix", "--n", "2", "--form", form), "--q"),
+             (("classify", "--kind", "vector", "--q", "2", "--form", form), "--n"),
+             (("cocycle-check", "--a", "1"), "--q"), (("table",), "--q"),
+             (("iso", "--theta", THETA_13, "--theta-prime", THETA_23), "--m"),
+             (("iso", "--theta", THETA_13, "--theta-prime", THETA_23), "--m-prime")]
+    for argv, option in cases:
+        for value in ("0", "-2"):
+            code, out, err = invoke(capsys, *argv, option, value)
+            assert (code, out) == (2, ""), (argv, option)
+            assert f"argument {option}: must be >= 1, got {value}" in err, (argv, option)
 
 
 def test_cocycle_check_rejects_nonpositive_trials(capsys):

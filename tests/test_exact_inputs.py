@@ -22,7 +22,6 @@ from flattori.bundles import (
     MatrixBundleClass,
     VectorBundleClass,
     X_bundle,
-    classify_projflat,
     endo,
     omega,
     twist,
@@ -59,7 +58,6 @@ from flattori.projrep import ProjectiveRep, commutant_dim, heisenberg_rep, inter
 H = Fraction(1, 2)
 G = IntMatrix([[2, 1], [1, 1]])
 C2 = AltFormZ([[0, 1], [-1, 0]])
-C3 = AltFormZ([[0] * 3] * 3)
 THETA2 = SkewRatForm([[0, H], [-H, 0]])
 THETA3 = SkewRatForm([[0, H, 0], [-H, 0, 0], [0, 0, 0]])
 F = factor_from(3, 1)
@@ -91,11 +89,7 @@ INTEGERS = {
     "RootOfUnity.__pow__": lambda x: RootOfUnity(Fraction(1, 5)) ** x,
     "mu_q_image k": lambda x: mu_q_image(x, 5),
     "mu_q_image q": lambda x: mu_q_image(1, x),
-    "VectorBundleClass n": lambda x: VectorBundleClass(x, 2, C3),
-    "VectorBundleClass rank": lambda x: VectorBundleClass(2, x, C2),
-    "classify_projflat q": lambda x: classify_projflat(2, x, C2),
-    "MatrixBundleClass n": lambda x: MatrixBundleClass(x, 2, AltFormModQ(C3.mat, 2)),
-    "MatrixBundleClass size": lambda x: MatrixBundleClass(2, x, AltFormModQ(C2.mat, 3)),
+    "VectorBundleClass rank": lambda x: VectorBundleClass(x, C2),
     "X_bundle q": lambda x: X_bundle(x, 1),
     "X_bundle a": lambda x: X_bundle(2, x),
     "NCTorusParams n": lambda x: NCTorusParams(x, THETA3),
@@ -123,8 +117,8 @@ RATIONALS = {
 OBJECTS = {
     "NCTorusParams theta": ("SkewRatForm", lambda x: NCTorusParams(2, x)),
     "q_theta": ("SkewRatForm", q_theta),
-    "VectorBundleClass c1": ("AltFormZ", lambda x: VectorBundleClass(2, 2, x)),
-    "MatrixBundleClass beta": ("AltFormModQ", lambda x: MatrixBundleClass(2, 2, x)),
+    "VectorBundleClass c1": ("AltFormZ", lambda x: VectorBundleClass(2, x)),
+    "MatrixBundleClass beta": ("AltFormModQ", MatrixBundleClass),
     "pullback c": ("AltFormZ", lambda x: pullback(x, G)),
     "pullback P": ("IntMatrix", lambda x: pullback(C2, x)),
     "SkewRatForm.congruence T": ("IntMatrix", lambda x: THETA2.congruence(x)),
@@ -220,7 +214,7 @@ def test_bad_values_are_named_and_shapes_checked():
     with pytest.raises(ValueError, match=r"^not an integer index: 1\.5$"):
         X_bundle(2, 1.5)
     with pytest.raises(ValueError, match=r"^rank must be an integer >= 1, got 0$"):
-        VectorBundleClass(2, 0, C2)
+        VectorBundleClass(0, C2)
     for build in (lambda: Orientation2(1.0), lambda: Orientation2(2)):
         with pytest.raises(ValueError):
             build()

@@ -2,7 +2,8 @@
 (`_int`, `_ints`, `_positive`, `_rational`); every other library module
 reads its numbers through those helpers instead of restating the rule.
 Text is read by `textio` alone: the CLI reads its integer options through
-`textio.parse_int`, never through `int`."""
+`textio.parse_int`, never through `int`, and every option that must be at
+least 1 through `cli._positive_int`, so its error names the option."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,38 @@ def test_the_cli_check_sees_each_int_read():
         assert any(map(_reads_text_with_int, ast.walk(ast.parse(source)))), source
     for source in ("p.add_argument('--q', type=parse_int)", "isinstance(x, int)", "x.int(3)"):
         assert not any(map(_reads_text_with_int, ast.walk(ast.parse(source)))), source
+
+
+# the CLI options that must be >= 1, in every subcommand that has them
+POSITIVE_OPTIONS = {"--q", "--n", "--m", "--m-prime", "--trials"}
+
+
+def _positive_options(tree) -> list:
+    """(option, whether it passes type=_positive_int) for each add_argument
+    call in tree that declares one of POSITIVE_OPTIONS."""
+    return [(node.args[0].value, any(
+                k.arg == "type" and isinstance(k.value, ast.Name)
+                and k.value.id == "_positive_int" for k in node.keywords))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument" and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value in POSITIVE_OPTIONS]
+
+
+def test_cli_reads_options_that_must_be_positive_through_positive_int():
+    path = Path(flattori.__file__).parent / "cli.py"
+    found = _positive_options(ast.parse(path.read_text(), filename=str(path)))
+    assert {option for option, _ in found} == POSITIVE_OPTIONS
+    assert [option for option, checked in found if not checked] == []
+
+
+def test_the_positive_option_check_sees_a_violation():
+    for source in ("p.add_argument('--q', type=_integer, required=True)",
+                   "p.add_argument('--m-prime', default=1)", "p.add_argument('--n', type=int)"):
+        option = source.split("'")[1]
+        assert _positive_options(ast.parse(source)) == [(option, False)], source
+    assert _positive_options(ast.parse("p.add_argument('--trials', type=_positive_int)")) \
+        == [("--trials", True)]
+    for source in ("p.add_argument('--a', type=_integer)", "f('--q', type=_integer)"):
+        assert _positive_options(ast.parse(source)) == [], source

@@ -27,10 +27,8 @@ VALUES = {
     "GenPermPhaseMatrix": (lambda c: GenPermPhaseMatrix(
         (1, 0), [AffinePhase((), c), AffinePhase((), 0)]), T, H),
     "ScalarFactor": (lambda c: ScalarFactor([[0, 1], [0, 0]], [c, 0]), T, H),
-    "VectorBundleClass": (lambda a: VectorBundleClass(2, 3, AltFormZ([[0, a], [-a, 0]])),
-                          1, 2),
-    "MatrixBundleClass": (lambda a: MatrixBundleClass(2, 3, AltFormModQ([[0, a], [-a, 0]], 3)),
-                          1, 2),
+    "VectorBundleClass": (lambda a: VectorBundleClass(3, AltFormZ([[0, a], [-a, 0]])), 1, 2),
+    "MatrixBundleClass": (lambda a: MatrixBundleClass(AltFormModQ([[0, a], [-a, 0]], 3)), 1, 2),
     "AltFormZ": (lambda a: AltFormZ([[0, a], [-a, 0]]), 1, 2),
     "AltFormModQ": (lambda q: AltFormModQ([[0, 1], [-1, 0]], q), 3, 4),
     "RootOfUnity": (RootOfUnity, T, H),
