@@ -21,11 +21,8 @@ from .bundles import (
     twist,
 )
 from .cohomology import (
-    REVERSED,
-    STANDARD,
     AltFormModQ,
     AltFormZ,
-    Orientation2,
     RootOfUnity,
     beta_reduce,
     fundamental_pairing,

@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cohomology import (
-    STANDARD,
     AltFormModQ,
     AltFormZ,
-    Orientation2,
     RootOfUnity,
     beta_reduce,
     fundamental_pairing,
@@ -72,12 +70,12 @@ def X_bundle(q: int, a: int) -> VectorBundleClass:
     return VectorBundleClass(q, AltFormZ([[0, -a], [a, 0]]))
 
 
-def twist(e: VectorBundleClass, o: Orientation2 = STANDARD) -> int:
-    """Winding-number invariant of a rank-q bundle on T^2: -c1[T^2]."""
-    return -fundamental_pairing(_instance(e, VectorBundleClass).c1, o)
+def twist(e: VectorBundleClass) -> int:
+    """Winding number of a rank-q bundle on the standard T^2: -c1[T^2]."""
+    return -fundamental_pairing(_instance(e, VectorBundleClass).c1)
 
 
-def omega(a: MatrixBundleClass, o: Orientation2 = STANDARD) -> RootOfUnity:
-    """mu_q invariant of a q x q matrix bundle on T^2: inverse of beta[T^2]."""
-    return mu_q_image(-fundamental_pairing(_instance(a, MatrixBundleClass).beta, o), a.size)
+def omega(a: MatrixBundleClass) -> RootOfUnity:
+    """mu_q invariant of a q x q matrix bundle on the standard T^2: inverse of beta[T^2]."""
+    return mu_q_image(-fundamental_pairing(_instance(a, MatrixBundleClass).beta), a.size)
 

@@ -11,12 +11,17 @@ form whose size is not `--n`, since a class reads n off its form.
 Each subcommand passes `_emit` its record and a function that builds its
 human lines, so those lines are built only for `--format human`.
 `twist`/`omega --method clutching` read the concrete clutching loop of the
-factor of automorphy instead of the class formula.  `rep` prints theta's
-own representation, `nctorus.clock_shift_rep` (the rows of T^-1).
+factor of automorphy instead of the class formula.  The library computes
+both in the standard orientation; `--reversed-orientation` is one sign,
+applied here to the value of either method: it negates the twist and
+inverts omega.  `rep` prints theta's own representation,
+`nctorus.clock_shift_rep` (the rows of T^-1).
 
 Exit codes: 0 success, 1 negative decision, 2 usage or parse error (an
 out-of-range option, an empty `table` range or a `rep` dimension above
-projrep.REP_DIM_LIMIT included) or a file that cannot be opened.
+projrep.REP_DIM_LIMIT included) or a file that cannot be opened.  Malformed
+text, like any value the library refuses, is a `ValueError`, which `run`
+prints as a usage error.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ import json
 import sys
 
 from . import autofactor, bundles, nctorus
-from .cohomology import REVERSED, STANDARD, AltFormModQ, AltFormZ
+from .cohomology import AltFormModQ, AltFormZ
 from .projrep import REP_DIM_LIMIT
 from .textio import (
-    MatrixFormatError,
     dump_matrix,
     dump_matrix_class,
     dump_vector_class,
@@ -55,10 +59,6 @@ def _emit(args, human, record_obj) -> None:
     else:
         for line in human():
             print(line)
-
-
-def _orientation(args):
-    return REVERSED if getattr(args, "reversed_orientation", False) else STANDARD
 
 
 def _rows(M) -> list[str]:
@@ -105,35 +105,37 @@ def cmd_iso(args) -> int:
     return EXIT_NEGATIVE
 
 
+def _method_lines(args, value) -> list[str]:
+    """The human lines of a twist or omega value; a clutching value is marked."""
+    return ["# method=clutching", str(value)] if args.method == "clutching" else [str(value)]
+
+
 def cmd_twist(args) -> int:
-    e, o = bundles.X_bundle(args.q, args.a), _orientation(args)
     if args.method == "clutching":
-        value = o.sign * autofactor.clutching_twist(autofactor.factor_from(args.q, args.a))
-        _emit(args, lambda: ["# method=clutching", str(value)],
-              {"twist": value, "method": "clutching"})
+        value = autofactor.clutching_twist(autofactor.factor_from(args.q, args.a))
     else:
-        value = bundles.twist(e, o)
-        _emit(args, lambda: [str(value)], {"twist": value, "method": "exact"})
+        value = bundles.twist(bundles.X_bundle(args.q, args.a))
+    value *= -1 if args.reversed_orientation else 1
+    _emit(args, lambda: _method_lines(args, value), {"twist": value, "method": args.method})
     return EXIT_OK
 
 
 def cmd_omega(args) -> int:
-    o = _orientation(args)
     if args.method == "clutching":
-        value = autofactor.clutching_omega(autofactor.factor_from(args.q, args.a)) ** o.sign
-        _emit(args, lambda: ["# method=clutching", str(value)],
-              {"omega": str(value), "method": "clutching"})
+        value = autofactor.clutching_omega(autofactor.factor_from(args.q, args.a))
     else:
-        value = bundles.omega(bundles.endo(bundles.X_bundle(args.q, args.a)), o)
-        _emit(args, lambda: [str(value)], {"omega": str(value), "method": "exact"})
+        value = bundles.omega(bundles.endo(bundles.X_bundle(args.q, args.a)))
+    value **= -1 if args.reversed_orientation else 1
+    _emit(args, lambda: _method_lines(args, value),
+          {"omega": str(value), "method": args.method})
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
     mat, d = load_matrix(args.form)
     if d != 1:
-        raise MatrixFormatError("bundle class forms must have integer entries")
-    if mat.rows != args.n:
+        raise ValueError("bundle class forms must have integer entries")
+    if (mat.rows, mat.cols) != (args.n, args.n):
         raise ValueError(f"--n {args.n} does not match the {mat.rows} x {mat.cols} form")
     if args.kind == "vector":
         cls = bundles.VectorBundleClass(args.q, AltFormZ(mat))
@@ -213,7 +215,7 @@ def _integer(text: str) -> int:
     """An integer option, read as the text protocol reads an integer."""
     try:
         return parse_int(text)
-    except MatrixFormatError as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -298,7 +300,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # MatrixFormatError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

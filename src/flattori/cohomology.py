@@ -3,9 +3,11 @@
 Integer alternating 2-forms stand in for integral 2-classes and their mod-q
 reductions for q-torsion classes; a lattice map pulls an integer class
 back, and a value in mu_q is a root of unity with an exact rational
-phase.  The orientation pairing with the fundamental class of the
-2-torus is fixed here, in one place: c[T^2] = -c(e1, e2) for the standard
-orientation.  Every twist/omega computation routes through it.
+phase.  The pairing with the fundamental class of the 2-torus is stated
+here, once, for the standard orientation: c[T^2] = -c(e1, e2).  Reversing
+the orientation is the pullback along the swap e1 <-> e2, which negates
+the pairing; the CLI applies that sign to the value it prints, and the
+library knows no other orientation.
 """
 
 from __future__ import annotations
@@ -85,28 +87,12 @@ class RootOfUnity:
         return f"RootOfUnity({self})"
 
 
-@dataclass(frozen=True)
-class Orientation2:
-    """Orientation of the 2-torus; +1 agrees with the standard one."""
-
-    sign: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "sign", _int(self.sign))
-        if self.sign not in (1, -1):
-            raise ValueError("orientation sign must be +1 or -1")
-
-
-STANDARD = Orientation2(1)
-REVERSED = Orientation2(-1)
-
-
-def fundamental_pairing(c: AltFormZ | AltFormModQ, o: Orientation2 = STANDARD) -> int:
-    """Pair a 2-class on T^2 with the fundamental class: o.sign * (-c(e1,e2)).
+def fundamental_pairing(c: AltFormZ | AltFormModQ) -> int:
+    """Pair a 2-class on T^2 with the fundamental class: -c(e1,e2).
     A mod-q class is read by its entry in [0, q), so the value is exact mod q."""
     if _instance(c, AltFormZ, AltFormModQ).n != 2:
         raise ValueError("fundamental pairing needs a form on Z^2")
-    return _instance(o, Orientation2).sign * (-c.mat[0][1])
+    return -c.mat[0][1]
 
 
 def beta_reduce(c: AltFormZ, q: int) -> AltFormModQ:

@@ -119,8 +119,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int):
-        n = _int(n)
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        n = _positive(n, "n")
+        return _int_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -310,7 +310,7 @@ class SymplecticNF:
         for i, e in enumerate(self.divisors):
             m[2 * i][2 * i + 1] = e
             m[2 * i + 1][2 * i] = -e
-        return IntMatrix(m)
+        return _int_matrix(m)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple:

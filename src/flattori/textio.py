@@ -3,7 +3,7 @@
 A matrix is one JSON object with fields `n` (rows), `m` (cols) and `entries`,
 an array of arrays of strings; each string is an integer or `p/q` literal.
 Non-reduced fractions are accepted and silently reduced; anything else is a
-parse error.  One ASCII match reads each literal as integers p and q >= 1,
+`ValueError`.  One ASCII match reads each literal as integers p and q >= 1,
 and a matrix as integer numerators over the lcm of its literal denominators,
 reduced once to lowest terms (`exact_linalg._lowest_terms`): by `load_matrix`
 to N over the least common denominator d, by `SkewRatForm` in `load_skew`.
@@ -22,14 +22,10 @@ _INTEGER_RE = re.compile(r"-?\d+", re.ASCII)
 _RATIONAL_RE = re.compile(f"({_INTEGER_RE.pattern})" + r"(?:/(\d+))?", re.ASCII)
 
 
-class MatrixFormatError(ValueError):
-    pass
-
-
 def parse_int(text: str) -> int:
     """An ASCII decimal integer literal, an optional '-' and digits only."""
     if not isinstance(text, str) or not _INTEGER_RE.fullmatch(text):
-        raise MatrixFormatError(f"malformed integer literal: {text!r}")
+        raise ValueError(f"malformed integer literal: {text!r}")
     return int(text)
 
 
@@ -37,11 +33,11 @@ def _literal(text) -> tuple:
     """(p, q), q >= 1, of an integer or p/q literal."""
     match = isinstance(text, str) and _RATIONAL_RE.fullmatch(text)
     if not match:
-        raise MatrixFormatError(f"malformed rational literal: {text!r}")
+        raise ValueError(f"malformed rational literal: {text!r}")
     p, q = match.groups()
     q = 1 if q is None else int(q)
     if not q:
-        raise MatrixFormatError(f"zero denominator in literal: {text!r}")
+        raise ValueError(f"zero denominator in literal: {text!r}")
     return int(p), q
 
 
@@ -54,20 +50,20 @@ def _numerators(source: str) -> tuple:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise MatrixFormatError("matrix object expected")
+        raise ValueError("matrix object expected")
     try:
         rows, cols, entries = obj["n"], obj["m"], obj["entries"]
     except KeyError as exc:
-        raise MatrixFormatError(f"matrix object needs n, m, entries: {exc}") from exc
+        raise ValueError(f"matrix object needs n, m, entries: {exc}") from exc
     if any(type(d) is not int for d in (rows, cols)):
-        raise MatrixFormatError(f"n and m must be JSON integers, got {rows!r} and {cols!r}")
+        raise ValueError(f"n and m must be JSON integers, got {rows!r} and {cols!r}")
     if (not isinstance(entries, list) or len(entries) != rows
             or any(not isinstance(r, list) or len(r) != cols for r in entries)):
-        raise MatrixFormatError("entries shape does not match n x m")
+        raise ValueError("entries shape does not match n x m")
     if rows < 1 or cols < 1:
-        raise MatrixFormatError("matrix dimensions must be positive")
+        raise ValueError("matrix dimensions must be positive")
     pairs = [[_literal(x) for x in row] for row in entries]
     d = lcm(*(q for row in pairs for _, q in row))
     return _int_matrix([[p * (d // q) for p, q in row] for row in pairs]), d
@@ -79,11 +75,7 @@ def load_matrix(source: str) -> tuple:
 
 
 def load_skew(source: str) -> SkewRatForm:
-    M, d = _numerators(source)
-    try:
-        return SkewRatForm(M, d)
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc)) from exc
+    return SkewRatForm(*_numerators(source))
 
 
 def dump_matrix(m: IntMatrix) -> dict:

@@ -105,7 +105,6 @@ from flattori.exact_linalg import (
 )
 from flattori.nctorus import NCTorusParams, iso_decide, q_theta
 from flattori.projrep import ProjectiveRep
-from flattori.textio import MatrixFormatError
 
 
 def _dets_vectorized(G):
@@ -214,11 +213,11 @@ _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
 def parse_rational(text: str) -> Fraction:
     """An integer or p/q text literal as a Fraction."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise MatrixFormatError(f"malformed rational literal: {text!r}")
+        raise ValueError(f"malformed rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
-            raise MatrixFormatError(f"zero denominator in literal: {text!r}")
+            raise ValueError(f"zero denominator in literal: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 

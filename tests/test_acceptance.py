@@ -19,7 +19,7 @@ from flattori.autofactor import (
     mumford_c1,
 )
 from flattori.bundles import X_bundle, endo, omega, twist
-from flattori.cohomology import STANDARD, mu_q_image
+from flattori.cohomology import mu_q_image
 from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import (
     IsoStatus,
@@ -60,7 +60,7 @@ def test_criterion_1_twist_law():
     with criterion(1, "twist law, exact and clutching", 10):
         for q in GRID_Q:
             for a in GRID_A:
-                assert twist(X_bundle(q, a), STANDARD) == -a
+                assert twist(X_bundle(q, a)) == -a
                 assert clutching_twist(factor_from(q, a)) == -a
 
 

@@ -13,19 +13,19 @@ from flattori.bundles import (
     twist,
 )
 from flattori.cohomology import (
-    REVERSED,
-    STANDARD,
     AltFormModQ,
     AltFormZ,
     RootOfUnity,
     beta_reduce,
     mu_q_image,
+    pullback,
 )
 from flattori.autofactor import check_cocycle, factor_from
-from flattori.exact_linalg import SkewRatForm
+from flattori.exact_linalg import IntMatrix, SkewRatForm
 from flattori.nctorus import NCTorusParams
 
 ZERO2 = AltFormZ([[0, 0], [0, 0]])
+SWAP = IntMatrix([[0, 1], [1, 0]])
 
 
 def test_classify_trivial_line():
@@ -58,15 +58,17 @@ def test_X_bundle_invariants():
 def test_twist_examples():
     for q in (1, 2, 5):
         for a in range(-6, 7):
-            assert twist(X_bundle(q, a), STANDARD) == -a
-            assert twist(X_bundle(q, a), REVERSED) == a
+            assert twist(X_bundle(q, a)) == -a
+            # the reversed orientation: c1 pulled back along e1 <-> e2
+            assert twist(VectorBundleClass(q, pullback(X_bundle(q, a).c1, SWAP))) == a
     assert twist(X_bundle(4, 0)) == 0
 
 
 def test_X1_orientation_swap():
-    # X(1, a) and X(1, -a) are related by reversing the orientation
+    # X(1, a) and X(1, -a) are related by reversing the orientation, which
+    # negates the twist
     for a in range(-5, 6):
-        assert twist(X_bundle(1, a), REVERSED) == twist(X_bundle(1, -a), STANDARD)
+        assert -twist(X_bundle(1, a)) == twist(X_bundle(1, -a))
 
 
 def test_endo_and_iso_matrix():
@@ -111,10 +113,10 @@ def test_omega_examples():
 
 
 def test_omega_orientation_inverts():
+    # reversing the orientation inverts omega, and sends X(q, a) to X(q, -a)
     for q in (2, 3, 5):
         for a in range(-5, 6):
-            A = endo(X_bundle(q, a))
-            assert omega(A, REVERSED) == omega(A, STANDARD) ** -1
+            assert omega(endo(X_bundle(q, a))) ** -1 == omega(endo(X_bundle(q, -a)))
 
 
 def test_tw_to_omega():

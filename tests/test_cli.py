@@ -11,11 +11,13 @@ import pytest
 
 import flattori
 from flattori.autofactor import AffinePhase, GenPermPhaseMatrix
+from flattori.bundles import VectorBundleClass, X_bundle, endo, omega, twist
 from flattori.cli import run
+from flattori.cohomology import pullback
 from flattori.exact_linalg import IntMatrix, SkewRatForm, _lowest_terms
 from flattori.nctorus import q_theta
 from flattori.projrep import REP_DIM_LIMIT
-from flattori.textio import MatrixFormatError, dump_matrix, load_matrix, load_skew
+from flattori.textio import dump_matrix, load_matrix, load_skew
 from oracles import RatMatrix, parse_rational
 
 THETA_13 = '{"n":2,"m":2,"entries":[["0","1/3"],["-1/3","0"]]}'
@@ -44,9 +46,9 @@ def test_parse_rational():
     assert parse_rational("4/6") == parse_rational("2/3")  # silently reduced
     assert parse_rational("7") == 7
     for bad in BAD_LITERALS:
-        with pytest.raises(MatrixFormatError):
+        with pytest.raises(ValueError, match="literal"):
             load_matrix(_one_entry(bad))
-        with pytest.raises(MatrixFormatError):
+        with pytest.raises(ValueError, match="literal"):
             parse_rational(bad)
 
 
@@ -97,7 +99,7 @@ def test_matrix_round_trip():
     assert got == (IntMatrix([[5, -30], [0, 14]]), 10)
     assert type(got[1]) is int and all(type(x) is int for row in got[0].entries for x in row)
     for bad in ('{"n":0,"m":0,"entries":[]}', '{"n":1,"m":0,"entries":[[]]}'):
-        with pytest.raises(MatrixFormatError, match="dimensions must be positive"):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
             load_matrix(bad)
 
 
@@ -198,6 +200,22 @@ def test_clutching_and_exact_agree_in_both_orientations(capsys):
                         assert code == 0
                         answers.append(json.loads(out)[command])
                     assert answers[0] == answers[1], (command, q, a, orientation)
+
+
+def test_reversed_orientation_is_the_pullback_along_the_swap(capsys):
+    # reversing T^2 pulls c1 back along e1 <-> e2: both methods print the
+    # standard-orientation invariants of that pullback
+    swap = IntMatrix([[0, 1], [1, 0]])
+    for q in range(1, 9):
+        for a in range(-8, 9):
+            e = VectorBundleClass(q, pullback(X_bundle(q, a).c1, swap))
+            for command, value in (("twist", twist(e)), ("omega", str(omega(endo(e))))):
+                for method in ("exact", "clutching"):
+                    code, out, _ = invoke(capsys, "--format", "records", command,
+                                          "--q", str(q), "--a", str(a), "--method", method,
+                                          "--reversed-orientation")
+                    assert (code, json.loads(out)) == (0, {command: value, "method": method}), \
+                        (command, q, a, method)
 
 
 def _clutching_usage_error(capsys, command, *option):
@@ -456,6 +474,15 @@ def test_classify_cli_refuses_a_form_whose_size_is_not_n(capsys):
                                     "--n", "3", "--q", "3", "--form", form)
             assert (code, out) == (2, ""), (kind, fmt)
             assert err == "error: --n 3 does not match the 2 x 2 form\n", (kind, fmt)
+
+
+def test_classify_cli_refuses_a_non_square_form_for_both_kinds(capsys):
+    # --n is checked against both dimensions, before either class reads the form
+    form = '{"n":2,"m":3,"entries":[["0","1","0"],["-1","0","0"]]}'
+    for kind in ("vector", "matrix"):
+        code, out, err = invoke(capsys, "classify", "--kind", kind,
+                                "--n", "2", "--q", "2", "--form", form)
+        assert (code, out, err) == (2, "", "error: --n 2 does not match the 2 x 3 form\n"), kind
 
 
 def test_classify_cli_rejects_non_integer_forms(capsys):

@@ -29,7 +29,6 @@ from flattori.bundles import (
 from flattori.cohomology import (
     AltFormModQ,
     AltFormZ,
-    Orientation2,
     RootOfUnity,
     beta_reduce,
     fundamental_pairing,
@@ -128,14 +127,9 @@ OBJECTS = {
     "lift_unimodular_mod g": ("IntMatrix", lambda x: lift_unimodular_mod(x, 3)),
     "beta_reduce c": ("AltFormZ", lambda x: beta_reduce(x, 3)),
     "fundamental_pairing form": ("AltFormZ or AltFormModQ", fundamental_pairing),
-    "fundamental_pairing o": ("Orientation2", lambda x: fundamental_pairing(C2, x)),
-    "fundamental_pairing o, mod q form": ("Orientation2",
-                                          lambda x: fundamental_pairing(AltFormModQ(C2.mat, 3), x)),
     "endo": ("VectorBundleClass", endo),
     "twist e": ("VectorBundleClass", twist),
-    "twist o": ("Orientation2", lambda x: twist(X_bundle(2, 1), x)),
     "omega a": ("MatrixBundleClass", omega),
-    "omega o": ("Orientation2", lambda x: omega(endo(X_bundle(2, 1)), x)),
     "mumford_c1": ("ScalarFactor", mumford_c1),
     "det_cocycle": ("FactorOfAutomorphy", det_cocycle),
     "check_cocycle F": ("FactorOfAutomorphy", lambda x: check_cocycle(x, 3)),
@@ -215,7 +209,3 @@ def test_bad_values_are_named_and_shapes_checked():
         X_bundle(2, 1.5)
     with pytest.raises(ValueError, match=r"^rank must be an integer >= 1, got 0$"):
         VectorBundleClass(0, C2)
-    for build in (lambda: Orientation2(1.0), lambda: Orientation2(2)):
-        with pytest.raises(ValueError):
-            build()
-    assert repr(Orientation2(np.int64(-1))) == repr(Orientation2(-1))
